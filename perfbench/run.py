@@ -17,7 +17,9 @@ outputs, and prints two JSON lines on standard output:
 Set-up runs at least ``SETUP_REPEATS`` times and ``setup_s`` is the
 median; the timed rounds then repeat until ``--seconds`` have passed (at
 least ``MIN_ROUNDS``), and each throughput counts every timed piece of a
-round at its median repetition (:func:`median_rate`).  A traced run
+round at its median repetition (:func:`median_rate`).  Set-up and pieces
+are timed in this thread's CPU seconds and scaled to a reference host
+speed (:func:`calibration_slice`).  A traced run
 alternates untraced and traced rounds, so ``bench.trace_overhead`` compares
 the median of each on the same warm state.  Any failed check exits with
 status 1; a directory without the ``repro`` sources exits with status 2.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import heapq
 import json
 import os
 import platform
@@ -45,8 +48,33 @@ OUT_DIR = Path(__file__).resolve().parent / "out"
 #: are spent, so a millisecond set-up still yields a steady median.
 SETUP_REPEATS = 5
 SETUP_MIN_S = 0.5
-SETUP_MAX_REPEATS = 500
+SETUP_MAX_REPEATS = 100
 MIN_ROUNDS = 3
+
+#: Host-speed calibration.  Other tenants of a shared host slow this thread
+#: down by up to ~2x from one run to the next, and its CPU clock sees only
+#: part of that.  Fixed slices of reference work (:func:`calibration_slice`)
+#: run after every set-up repeat, and ``CALIBRATION_SLICES`` of them before
+#: set-up, before the first round and after every round.  A phase's median
+#: slice time over ``CALIBRATION_REFERENCE_S``, raised to
+#: ``CALIBRATION_EXPONENT``, is its slowdown: the rounds' slowdown
+#: multiplies the throughputs and the set-up's divides ``setup_s``,
+#: so every figure reads as on a host that runs one slice in the reference
+#: time (about an unloaded x86-64 core's, so the figures stay near real
+#: seconds).
+CALIBRATION_SLICES = 4
+CALIBRATION_REFERENCE_S = 0.0045
+#: The slice, a tight cache-resident loop, loses more speed to a contended
+#: core than the workloads do: in log terms about 1.2x as much as the serve
+#: workloads and 1.5-2x as much as dse-sweep and engine-gemm, measured over
+#: twenty runs of each on a shared 2-core x86-64 host.  2/3 is the single
+#: power that kept every workload's spread lowest.
+CALIBRATION_EXPONENT = 2 / 3
+
+# One thread, as the workloads promise: a BLAS pool would do work that
+# this thread's CPU clock does not see.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 #: End-to-end metrics: (name, unit), printed by untraced runs.
 END_TO_END = (
@@ -145,6 +173,33 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def calibration_slice() -> float:
+    """CPU seconds of one fixed slice of reference work.
+
+    The slice mixes what the workloads spend their time on -- integer and
+    float arithmetic, list indexing, heap operations and small NumPy calls
+    -- and runs no ``repro`` code, so only the host moves it.  Past its
+    first two lists it creates no object the cyclic collector tracks, so
+    the program's heap cannot charge it collector work.
+    """
+    import numpy
+
+    start = time.thread_time()
+    counts = [0] * 1021
+    heap: list = []
+    vec = numpy.linspace(0.0, 1.0, 64)
+    total = 0.0
+    for i in range(8000):
+        key = i * 7919 % 1021
+        counts[key] += 1
+        heapq.heappush(heap, key * 8192 + (i & 8191))
+        if len(heap) > 64:
+            total += heapq.heappop(heap) * 0.5
+        if not i & 31:
+            vec = numpy.sqrt(vec * 1.0001 + total % 3.0)
+    return time.thread_time() - start
+
+
 def profile_layers(tracer) -> dict:
     """Engine sub-layer self time from the run's profile, keyed by metric."""
     from repro.lint.manifest import load_manifest
@@ -185,26 +240,34 @@ def run(name: str, seed: int, seconds: float, trace: int,
     from spans import Tracer
     from workloads import SPAN_NAMES, WORKLOADS, layer_patches
 
+    # Slices and pieces must share a core: the cores of a shared host run
+    # at different speeds, and a thread moving between them would time
+    # its pieces on one and its calibration slices on another.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     cls = WORKLOADS[name]
     tracer = Tracer(known=SPAN_NAMES)
     patches = layer_patches(tracer)
 
     setup_s = []
+    setup_slices = [calibration_slice() for _ in range(CALIBRATION_SLICES)]
     while not trace and (len(setup_s) < SETUP_REPEATS
                          or (sum(setup_s) < SETUP_MIN_S
                              and len(setup_s) < SETUP_MAX_REPEATS)):
         workload = cls(seed, tracer, params)
         gc.collect()  # the previous repeat's garbage is not this one's cost
-        start = time.perf_counter()
+        start = time.thread_time()
         workload.setup()
-        setup_s.append(time.perf_counter() - start)
+        setup_s.append(time.thread_time() - start)
+        setup_slices.append(calibration_slice())
     if trace:
         workload = cls(seed, tracer, params)
-        start = time.perf_counter()
+        start = time.thread_time()
         with tracer.segment(patches):
             workload.setup()
-        setup_s.append(time.perf_counter() - start)
+        setup_s.append(time.thread_time() - start)
 
+    slices = [calibration_slice() for _ in range(CALIBRATION_SLICES)]
     rounds = []  # (traced, wall seconds, Round)
     deadline = time.perf_counter() + seconds
     min_rounds = 2 * MIN_ROUNDS if trace else MIN_ROUNDS
@@ -220,6 +283,8 @@ def run(name: str, seed: int, seconds: float, trace: int,
         else:
             outcome = workload.run_round()
         rounds.append((traced, time.perf_counter() - start, outcome))
+        slices.extend(calibration_slice()
+                      for _ in range(CALIBRATION_SLICES))
 
     if trace:
         with tracer.segment(patches), tracer.span("bench.check"):
@@ -235,14 +300,22 @@ def run(name: str, seed: int, seconds: float, trace: int,
     failed += mismatched
 
     timed = [r for traced, _, r in rounds if not traced]
-    primary = median_rate(r.primary for r in timed)
-    secondary = median_rate(r.secondary for r in timed)
+    calibration = statistics.median(slices)
+    slowdown = (calibration / CALIBRATION_REFERENCE_S) ** CALIBRATION_EXPONENT
+    unscaled = {"primary_per_s": median_rate(r.primary for r in timed),
+                "secondary_per_s": median_rate(r.secondary for r in timed),
+                "setup_s": statistics.median(setup_s)}
+    primary = unscaled["primary_per_s"] * slowdown
+    secondary = unscaled["secondary_per_s"] * slowdown
+    setup_slowdown = (statistics.median(setup_slices)
+                      / CALIBRATION_REFERENCE_S) ** CALIBRATION_EXPONENT
+    setup = unscaled["setup_s"] / setup_slowdown
     named = {
         cls.primary_metric[0]: {"value": primary,
                                 "unit": cls.primary_metric[1]},
         cls.secondary_metric[0]: {"value": secondary,
                                   "unit": cls.secondary_metric[1]},
-        "setup_s": {"value": statistics.median(setup_s), "unit": "s"},
+        "setup_s": {"value": setup, "unit": "s"},
         "peak_rss_mb": {"value": peak_rss_mb(), "unit": "MB"},
         "error_rate": {"value": failed / attempted, "unit": "ratio"},
     }
@@ -261,6 +334,11 @@ def run(name: str, seed: int, seconds: float, trace: int,
         "rounds": {"count": len(rounds),
                    "traced": sum(traced for traced, _, _ in rounds),
                    "setup_repeats": len(setup_s)},
+        "host_speed": {"calibration_slice_s": calibration,
+                       "reference_slice_s": CALIBRATION_REFERENCE_S,
+                       "slowdown": slowdown, "slices": len(slices),
+                       "setup_slowdown": setup_slowdown,
+                       "unscaled": unscaled},
     }
 
     if trace:

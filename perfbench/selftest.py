@@ -38,7 +38,8 @@ SMOKE = {
                      "clusters": 4, "rps": 60_000.0,
                      "sessions_per_round": 300, "chunk": 128},
     "engine-gemm": {"jobs": [["fp16", 16, 32, 16, False],
-                             ["fp8-e4m3", 8, 32, 32, True]]},
+                             ["fp8-e4m3", 8, 32, 32, True]],
+                    "replays": 2},
     "dse-sweep": {"axes": {"height": [4, 8], "length": [4, 8],
                            "memory_latency": [0, 2],
                            "precision": ["fp16", "fp8-e4m3"]},
