@@ -17,6 +17,7 @@ Run with:  python examples/cycle_accurate_trace.py
 
 import numpy as np
 
+from repro.fp.formats import FP16
 from repro.fp.vector import matrix_from_bits, matrix_to_bits, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -31,7 +32,7 @@ from repro.redmule.controller import (
     REG_Z_ADDR,
 )
 from repro.redmule.engine import RedMulE
-from repro.redmule.functional import matmul_hw_order_exact
+from repro.redmule.functional import matmul_hw_order_exact_fmt
 
 
 def main() -> None:
@@ -89,7 +90,7 @@ def main() -> None:
     # -- bit-exact verification ---------------------------------------------------
     z = hz.load(tcdm)
     golden = matrix_from_bits(
-        matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w))
+        matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
     )
     if np.array_equal(z, golden):
         print("Result is BIT-EXACT against the IEEE binary16 golden model.")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple, Union
@@ -37,14 +38,9 @@ from repro.redmule.job import MatmulJob
 #: implicitly meant FP16 -- can no longer be told apart from other
 #: precisions and must not be reloaded.
 #: v4: an optional ``traces`` side-table carries recorded engine schedule
-#: traces (:mod:`repro.redmule.trace`) keyed by config tag.  Older files
-#: stay loadable -- the timing-record schema is unchanged since v3 (and v2
-#: keys decode by appending the implicit "fp16" format) -- their traces are
-#: simply absent.
+#: traces (:mod:`repro.redmule.trace`) keyed by config tag.
+#: Only the current version loads; callers treat a rejected file as empty.
 CACHE_FILE_VERSION = 4
-
-#: Cache-file versions :meth:`TimingCache.load` can decode.
-_LOADABLE_VERSIONS = (2, 3, CACHE_FILE_VERSION)
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -280,8 +276,21 @@ class TimingCache:
         payload = {"version": CACHE_FILE_VERSION, "entries": entries}
         if self.traces:
             payload["traces"] = self.traces
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        # Write a sibling temp file and rename it over the target, so an
+        # interrupted save leaves the previous file whole instead of
+        # truncated (CI persists this file across runs).
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", dir=parent, suffix=".tmp", delete=False
+        )
+        try:
+            with handle:
+                json.dump(payload, handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(handle.name, path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
         return len(entries)
 
     def load(self, path: Union[str, os.PathLike], merge: bool = True) -> int:
@@ -292,33 +301,40 @@ class TimingCache:
         otherwise the cache is cleared first.  Loading counts neither hits
         nor misses.
 
-        Legacy files stay decodable: v3 files load with their traces absent
-        (the side-table did not exist yet), and v2 files additionally get
-        the implicit ``"fp16"`` format appended to their five-field config
-        keys (every v2-era record was binary16).  v1 files are still
-        rejected -- their model records predate the bit-exact analytical
-        model and carry stale cycle counts.
+        Every entry is decoded before any is stored, so a file that is not
+        a current-version cache, or that holds a malformed entry, raises
+        ``ValueError`` (naming the entry) and leaves the cache untouched.
         """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        version = payload.get("version")
-        if version not in _LOADABLE_VERSIONS:
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != CACHE_FILE_VERSION:
             raise ValueError(
                 f"unsupported timing-cache file version {version!r} "
-                f"(expected one of {_LOADABLE_VERSIONS})"
+                f"(expected {CACHE_FILE_VERSION})"
             )
+        entries = payload.get("entries")
+        traces = payload.get("traces", {})
+        if not isinstance(entries, list) or not isinstance(traces, dict):
+            raise ValueError("malformed timing-cache file layout")
+        decoded = []
+        for index, entry in enumerate(entries):
+            try:
+                raw_key = dict(entry["key"])
+                raw_key["config"] = tuple(raw_key["config"])
+                key = TimingKey(**raw_key)
+                hash(key)  # an unhashable field would fail mid-merge
+                decoded.append((key, TimingRecord(**entry["record"])))
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(
+                    f"malformed timing-cache entry {index}: {error!r}"
+                ) from error
         if not merge:
             self.clear()
-        entries = payload["entries"]
-        for entry in entries:
-            raw_key = dict(entry["key"])
-            config = tuple(raw_key["config"])
-            if version == 2 and len(config) == 5:
-                config = config + ("fp16",)
-            raw_key["config"] = config
-            self.store(TimingKey(**raw_key), TimingRecord(**entry["record"]))
-        self.traces.update(payload.get("traces", {}))
-        return len(entries)
+        for key, record in decoded:
+            self.store(key, record)
+        self.traces.update(traces)
+        return len(decoded)
 
     def describe(self) -> str:
         """One-line summary used by the runner's ``--farm-stats`` flag."""

@@ -1,23 +1,24 @@
-"""Bit-accurate IEEE 754 binary16 (FP16) arithmetic substrate.
+"""Bit-accurate IEEE-style floating-point arithmetic substrate.
 
 RedMulE's datapath is built from FPnew-derived FP16 fused multiply-add (FMA)
-units.  This package provides the numerical foundation used by the
-cycle-accurate model:
+units; its follow-ons run the same array on BF16 and FP8 operands.  This
+package provides the numerical foundation used by the cycle-accurate model:
 
-* :mod:`repro.fp.float16` -- encoding, decoding and classification of 16-bit
-  IEEE binary16 values.
+* :mod:`repro.fp.formats` -- the parameterised :class:`BinaryFormat`
+  (FP16, BF16, FP8-E4M3, FP8-E5M2) with the bit-exact scalar kernels
+  (``fma_bits``, the mixed-precision ``fma_mixed``, ...), the oracle every
+  other implementation is checked against.
+* :mod:`repro.fp.simd_formats` -- vectorised bit-exact kernels over pattern
+  arrays for every format, plus the float64 codec and guarded FMA used by
+  the array-oriented simulator backends (binary16 runs natively there).
+* :mod:`repro.fp.float16` / :mod:`repro.fp.fma` -- the binary16 vocabulary
+  (encoding, classification, ``fma16`` and friends) as thin shims over
+  :data:`FP16`.
 * :mod:`repro.fp.rounding` -- the rounding modes supported by FPnew-style FPUs
   and the shared round-and-increment helper.
-* :mod:`repro.fp.fma` -- a bit-exact fused multiply-add (single rounding),
-  addition and multiplication, operating on 16-bit patterns.
 * :mod:`repro.fp.flags` -- IEEE exception flags raised by an operation.
-* :mod:`repro.fp.simd` -- vectorised bit-exact kernels over ``uint16``
-  arrays (array transliteration of :mod:`repro.fp.fma`), used by the
-  array-oriented simulator backends.
-* :mod:`repro.fp.arith` -- pluggable arithmetic backends (bit-exact or
-  numpy-accelerated) used by the datapath simulator.
 * :mod:`repro.fp.vector` -- helpers to move matrices between numpy arrays and
-  FP16 bit patterns / byte images.
+  bit patterns / byte images.
 """
 
 from repro.fp.flags import ExceptionFlags
@@ -69,19 +70,6 @@ from repro.fp.simd_formats import (
     neg_many_fmt,
     pack_many_fmt,
 )
-from repro.fp.simd import (
-    add16_many,
-    classify_many,
-    decompose_many,
-    fma16_guarded_f64,
-    fma16_many,
-    mul16_many,
-    neg16_many,
-    pack_many,
-    round_shifted_many,
-    sub16_many,
-)
-from repro.fp.arith import BitExactFormat, BitExactFp16, Fp16Arithmetic, NumpyFp16
 from repro.fp.vector import (
     matrix_from_bits,
     matrix_from_bits_fmt,
@@ -101,7 +89,6 @@ __all__ = [
     "BF16",
     "BIAS",
     "BinaryFormat",
-    "BitExactFormat",
     "FORMATS",
     "FORMAT_NAMES",
     "FP16",
@@ -135,23 +122,15 @@ __all__ = [
     "NAN_BITS",
     "NEG_INF_BITS",
     "POS_INF_BITS",
-    "BitExactFp16",
     "ExceptionFlags",
     "Float16",
     "FloatClass",
-    "Fp16Arithmetic",
-    "NumpyFp16",
     "RoundingMode",
     "add16",
-    "add16_many",
     "bits_to_float",
     "classify",
-    "classify_many",
-    "decompose_many",
     "float_to_bits",
     "fma16",
-    "fma16_guarded_f64",
-    "fma16_many",
     "is_finite",
     "is_inf",
     "is_nan",
@@ -160,12 +139,7 @@ __all__ = [
     "matrix_from_bits",
     "matrix_to_bits",
     "mul16",
-    "mul16_many",
     "neg16",
-    "neg16_many",
-    "pack_many",
-    "round_shifted_many",
-    "sub16_many",
     "pack_fp16_matrix",
     "quantize_fp16",
     "random_fp16_matrix",

@@ -1,12 +1,14 @@
 """Vectorised bit-exact arithmetic for any :class:`~repro.fp.formats.BinaryFormat`.
 
-This module generalises the binary16-specialised kernels of
-:mod:`repro.fp.simd` to every registered format (FP16, BF16, FP8-E4M3,
-FP8-E5M2) *and* to mixed-precision accumulation (narrow multiply, wide
-accumulate).  All kernels operate on integer pattern arrays with pure int64
-bit manipulation and are bit-for-bit identical to the scalar oracles in
+The array kernels behind every array-oriented simulator backend, for every
+registered format (FP16, BF16, FP8-E4M3, FP8-E5M2) *and* for
+mixed-precision accumulation (narrow multiply, wide accumulate).  All
+arithmetic kernels operate on integer pattern arrays with pure int64 bit
+manipulation and are bit-for-bit identical to the scalar oracles in
 :mod:`repro.fp.formats`, element by element, for every operand class and
-every rounding mode; the property tests assert the equivalence.
+every rounding mode; the property tests assert the equivalence.  IEEE
+exception flags are *aggregated*: a flag passed in is raised when any
+element raised it, the way a vector unit ORs its lanes into one ``fflags``.
 
 Implementation notes
 --------------------
@@ -18,9 +20,9 @@ Implementation notes
     the product cannot reach the result's guard/round significance, the
     workspace keeps the addend with ``G = man_res + 6`` spare low bits and
     the product collapses to a ``1`` in the workspace LSB;
-  - **dominant product** (new relative to the FP16 kernel -- BF16's wide
-    exponent range makes it reachable): symmetrically, the addend collapses
-    to a ``1`` below the shifted product.
+  - **dominant product** (reachable with BF16's wide exponent range):
+    symmetrically, the addend collapses to a ``1`` below the shifted
+    product.
 
   In both cases the substituted operand lies strictly below the workspace
   LSB, so only the "are the discarded bits non-zero" question -- never their
@@ -31,6 +33,13 @@ Implementation notes
   half-comparison makes the same decision as the unclamped one.
 * Special operand classes flow through the integer path as bounded garbage
   and are overwritten by masked selects in scalar-priority order.
+* IEEE binary16 is numpy's ``float16``, whose float64 casts round to
+  nearest-even with gradual underflow and overflow to infinity: exactly
+  :meth:`BinaryFormat.float_to_bits` under RNE.  The float codec and the
+  guarded kernel therefore convert and round binary16 natively instead of
+  through the integer packer (the engine's hot path), and this module is the
+  only place that tests for the format.  NaN lanes are the one difference: the cast
+  keeps sign and payload, so native encodes rewrite them to ``nan_bits``.
 """
 
 from __future__ import annotations
@@ -72,6 +81,11 @@ def as_bits_many(bits, fmt: BinaryFormat) -> np.ndarray:
 # decode / encode
 # ---------------------------------------------------------------------------
 
+def _native_binary16(fmt: BinaryFormat) -> bool:
+    """True when numpy's ``float16`` is ``fmt`` (IEEE binary16, 1/5/10)."""
+    return fmt.man_bits == 10 and fmt.exp_bits == 5
+
+
 def _build_decode_table(fmt: BinaryFormat) -> np.ndarray:
     patterns = np.arange(1 << fmt.storage_bits, dtype=np.int64)
     magnitude = patterns & fmt.abs_mask
@@ -89,12 +103,17 @@ def _build_decode_table(fmt: BinaryFormat) -> np.ndarray:
 
 
 def bits_to_f64_many(bits, fmt: BinaryFormat) -> np.ndarray:
-    """Decode a pattern array to the exact ``float64`` values it represents."""
+    """Decode a pattern array to the exact ``float64`` values it represents.
+
+    NaN patterns decode to a NaN whose sign and payload are unspecified.
+    """
+    u = as_bits_many(bits, fmt)
+    if _native_binary16(fmt):
+        return u.view(np.float16).astype(np.float64)
     table = _DECODE_TABLES.get(fmt.name)
     if table is None:
         table = _build_decode_table(fmt)
         _DECODE_TABLES[fmt.name] = table
-    u = as_bits_many(bits, fmt)
     return table[u.astype(np.int64)]
 
 
@@ -110,6 +129,13 @@ def f64_to_bits_many(
     :meth:`BinaryFormat.float_to_bits` over the array.
     """
     values = np.asarray(values, dtype=np.float64)
+    if flags is None and mode is RoundingMode.RNE and _native_binary16(fmt):
+        with np.errstate(over="ignore"):
+            bits = values.astype(np.float16).view(np.uint16)
+        nan = np.isnan(values)
+        if nan.any():
+            bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
+        return bits
     shape = values.shape
     raw = values.ravel().view(np.uint64).astype(np.int64)
     sign = (raw >> 63) & 0x1
@@ -146,6 +172,20 @@ def f64_to_bits_many(
         flags.underflow |= bool(np.any(underflow & pack_lanes))
         flags.inexact |= bool(np.any(inexact & pack_lanes))
     return bits.astype(format_dtype(fmt)).reshape(shape)
+
+
+def round_f64_many(values, fmt: BinaryFormat) -> np.ndarray:
+    """Round ``float64`` values to the nearest ``fmt`` values (RNE), as float64.
+
+    The value-level :func:`f64_to_bits_many` + :func:`bits_to_f64_many`
+    round trip; NaN lanes stay NaN.  For binary16 the cast raises numpy's
+    overflow condition on values beyond the format (a warning unless the
+    caller's :func:`numpy.errstate` ignores it).
+    """
+    if _native_binary16(fmt):
+        return np.asarray(values, dtype=np.float64).astype(np.float16).astype(
+            np.float64)
+    return bits_to_f64_many(f64_to_bits_many(values, fmt), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +577,12 @@ def fma_guarded_f64_fmt(
 ) -> np.ndarray:
     """Bit-exact FMA (RNE) over float64 operands holding exact ``fmt`` values.
 
-    Generic counterpart of :func:`repro.fp.simd.fma16_guarded_f64`: the
-    product of two ``fmt`` values is always exact in float64, so the only
-    rounding hazard is the addition.  A TwoSum error term detects exactly
-    the lanes whose float64 sum is inexact (where the final conversion to
-    ``fmt`` would double-round) and those lanes -- plus NaNs, whose error
-    term is NaN -- are recomputed through the integer kernel.  Returns a
+    The product of two ``fmt`` values is always exact in float64, so the
+    only rounding hazard is the addition.  A TwoSum error term detects
+    exactly the lanes whose float64 sum is inexact (where the final
+    conversion to ``fmt`` would double-round) and those lanes -- plus NaNs
+    and infinities, whose error term is NaN -- are recomputed through the
+    integer kernel.  Operands must broadcast against each other.  Returns a
     ``float64`` array of exactly representable ``fmt`` values.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -550,7 +590,7 @@ def fma_guarded_f64_fmt(
         total = product + acc64
         virtual_product = total - acc64
         error = (product - virtual_product) + (acc64 - (total - virtual_product))
-        rounded = bits_to_f64_many(f64_to_bits_many(total, fmt), fmt)
+        rounded = round_f64_many(total, fmt)
         double_rounding_risk = error != 0
     if double_rounding_risk.any():
         lanes = np.nonzero(double_rounding_risk)

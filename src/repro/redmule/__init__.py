@@ -5,10 +5,11 @@ coupled FP16 matrix-multiplication accelerator.  It contains
 
 * the architectural configuration (:mod:`repro.redmule.config`),
 * the job descriptor programmed by software (:mod:`repro.redmule.job`),
-* structural models of the datapath building blocks -- pipelined FMA units,
-  rows with feedback, the semi-systolic array, and the X/W/Z buffers
-  (:mod:`repro.redmule.fma_unit`, :mod:`repro.redmule.row`,
-  :mod:`repro.redmule.datapath`, :mod:`repro.redmule.buffers`),
+* structural models of the datapath building blocks -- the semi-systolic
+  array of pipelined FMA rows with feedback, and the X/W/Z buffers
+  (:mod:`repro.redmule.datapath`, :mod:`repro.redmule.buffers`),
+* the row-vector arithmetic strategies the datapath evaluates with, one per
+  backend (:mod:`repro.redmule.vector_ops`),
 * the streamer that schedules the single 288-bit memory port
   (:mod:`repro.redmule.streamer`),
 * the tiling scheduler (:mod:`repro.redmule.scheduler`),
@@ -24,8 +25,6 @@ coupled FP16 matrix-multiplication accelerator.  It contains
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
-from repro.redmule.fma_unit import PipelinedFma
-from repro.redmule.row import FmaRow
 from repro.redmule.datapath import Datapath
 from repro.redmule.buffers import WLineBuffer, XBlockBuffer, ZStoreBuffer
 from repro.redmule.streamer import Streamer, StreamerStats
@@ -38,9 +37,9 @@ from repro.redmule.perf_model import (
     RedMulEPerfModel,
 )
 from repro.redmule.functional import (
-    matmul_hw_order_exact,
+    matmul_hw_order_exact_fmt,
     matmul_hw_order_fast,
-    matmul_hw_order_simd,
+    matmul_hw_order_simd_fmt,
     matmul_reference_fp32,
 )
 from repro.redmule.trace import (
@@ -65,10 +64,8 @@ __all__ = [
     "ExactSimdVectorOps",
     "ExactVectorOps",
     "FastVectorOps",
-    "FmaRow",
     "MatmulJob",
     "PerfEstimate",
-    "PipelinedFma",
     "ProgramEstimate",
     "REDMULE_REGISTERS",
     "RedMulE",
@@ -89,9 +86,9 @@ __all__ = [
     "ZStoreBuffer",
     "backend_schedule_compiled",
     "make_vector_ops",
-    "matmul_hw_order_exact",
+    "matmul_hw_order_exact_fmt",
     "matmul_hw_order_fast",
-    "matmul_hw_order_simd",
+    "matmul_hw_order_simd_fmt",
     "matmul_reference_fp32",
     "replay_dataplane",
     "reset_shared_trace_stores",

@@ -3,23 +3,25 @@
 RedMulE accumulates every output element ``Z[r, k]`` by walking the inner
 dimension ``n`` strictly in increasing order, one fused multiply-add at a
 time (chunks of ``H`` columns, then feedback -- see Fig. 2).  Because each
-step is a single-rounded FP16 FMA, the result differs in general from a
-float32 matmul rounded at the end; these golden models reproduce the exact
-hardware result so the cycle-accurate engine can be verified bit-by-bit.
+step is a single-rounded FMA in the element format, the result differs in
+general from a float32 matmul rounded at the end; these golden models
+reproduce the exact hardware result so the cycle-accurate engine can be
+verified bit-by-bit.
 
 Three implementations are provided:
 
-* :func:`matmul_hw_order_exact` -- scalar, bit-exact (integers all the way);
-  the oracle for correctness, used on small matrices.
-* :func:`matmul_hw_order_simd` -- vectorised *and* bit-exact: each FMA step
-  is evaluated over the whole output matrix with the guarded SIMD kernel
-  (:func:`repro.fp.simd.fma16_guarded_f64`), so it matches the scalar oracle
-  bit for bit at array speed.  The default reference for workload-level
-  checks.
-* :func:`matmul_hw_order_fast` -- vectorised numpy implementation evaluating
-  each FMA step in float64 with one rounding to binary16; it matches the
-  exact model on all practical inputs (double-rounding corner cases
-  excepted).
+* :func:`matmul_hw_order_exact_fmt` -- scalar, bit-exact for any element
+  format (integers all the way); the oracle for correctness, used on small
+  matrices.
+* :func:`matmul_hw_order_simd_fmt` -- vectorised *and* bit-exact: each FMA
+  step is evaluated over the whole output matrix with the guarded SIMD
+  kernel (:func:`repro.fp.simd_formats.fma_guarded_f64_fmt`), so it matches
+  the scalar oracle bit for bit at array speed.  The default reference for
+  workload-level checks.
+* :func:`matmul_hw_order_fast` -- binary16 only: evaluates each FMA step in
+  float64 with one rounding to binary16 (the ``fast`` backend's arithmetic);
+  it matches the exact model on all practical inputs (double-rounding
+  corner cases excepted).
 
 plus :func:`matmul_reference_fp32`, a float32 reference used to bound the
 numerical error of FP16 accumulation in the accuracy examples.
@@ -31,96 +33,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fp.fma import fma16
-from repro.fp.float16 import POS_ZERO_BITS
 from repro.fp.formats import BinaryFormat, fma_bits
-from repro.fp.simd import fma16_guarded_f64
 from repro.fp.simd_formats import fma_guarded_f64_fmt
-from repro.fp.vector import matrix_from_bits, matrix_to_bits
-
-
-def matmul_hw_order_exact(
-    x_bits: Sequence[Sequence[int]],
-    w_bits: Sequence[Sequence[int]],
-    acc_bits: Optional[Sequence[Sequence[int]]] = None,
-) -> List[List[int]]:
-    """Bit-exact ``Z = acc + X . W`` with the hardware's FMA accumulation order.
-
-    Parameters are matrices of 16-bit patterns (``x_bits`` is ``M x N``,
-    ``w_bits`` is ``N x K``); the result is an ``M x K`` matrix of patterns.
-    ``acc_bits`` (``M x K``) is the initial accumulator contents used by
-    accumulation jobs (``Z += X . W``); it defaults to positive zeros.
-    """
-    m = len(x_bits)
-    n = len(w_bits)
-    if m == 0 or n == 0:
-        raise ValueError("empty operands")
-    if any(len(row) != n for row in x_bits):
-        raise ValueError("X has inconsistent row lengths or wrong inner dimension")
-    k = len(w_bits[0])
-    if any(len(row) != k for row in w_bits):
-        raise ValueError("W has inconsistent row lengths")
-    if acc_bits is not None and (
-        len(acc_bits) != m or any(len(row) != k for row in acc_bits)
-    ):
-        raise ValueError("accumulator matrix must be M x K")
-
-    result: List[List[int]] = []
-    for r in range(m):
-        x_row = x_bits[r]
-        out_row: List[int] = []
-        for c in range(k):
-            acc = acc_bits[r][c] if acc_bits is not None else POS_ZERO_BITS
-            for i in range(n):
-                acc = fma16(x_row[i], w_bits[i][c], acc)
-            out_row.append(acc)
-        result.append(out_row)
-    return result
-
-
-def matmul_hw_order_simd(x: np.ndarray, w: np.ndarray,
-                         acc: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorised, bit-exact ``Z = acc + X . W`` in the hardware's FMA order.
-
-    ``x`` and ``w`` must contain binary16-representable values (use
-    :func:`repro.fp.vector.quantize_fp16`); each of the ``N`` accumulation
-    steps is one guarded SIMD FMA over the whole ``M x K`` output, so the
-    result is bit-identical to :func:`matmul_hw_order_exact` at numpy speed.
-    The result is returned as float32 holding exact binary16 values.
-    """
-    x64 = np.asarray(x, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    if x64.ndim != 2 or w64.ndim != 2:
-        raise ValueError("operands must be 2-D")
-    if x64.shape[1] != w64.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
-        )
-    m, n = x64.shape
-    k = w64.shape[1]
-    if acc is None:
-        acc = np.zeros((m, k), dtype=np.float64)
-    else:
-        acc = np.asarray(acc, dtype=np.float64)
-        if acc.shape != (m, k):
-            raise ValueError(f"accumulator must be {m}x{k}, got {acc.shape}")
-    for i in range(n):
-        acc = fma16_guarded_f64(
-            x64[:, i, None], w64[i, None, :], acc
-        ).astype(np.float64)
-    return acc.astype(np.float32)
-
-
-def matmul_hw_order_simd_bits(
-    x_bits: Sequence[Sequence[int]],
-    w_bits: Sequence[Sequence[int]],
-    acc_bits: Optional[Sequence[Sequence[int]]] = None,
-) -> List[List[int]]:
-    """Bit-pattern wrapper around :func:`matmul_hw_order_simd`."""
-    acc = matrix_from_bits(acc_bits) if acc_bits is not None else None
-    return matrix_to_bits(
-        matmul_hw_order_simd(matrix_from_bits(x_bits), matrix_from_bits(w_bits), acc)
-    )
 
 
 def matmul_hw_order_fast(x: np.ndarray, w: np.ndarray,
@@ -156,30 +70,22 @@ def matmul_hw_order_fast(x: np.ndarray, w: np.ndarray,
     return acc.astype(np.float32)
 
 
-def matmul_hw_order_fast_bits(
-    x_bits: Sequence[Sequence[int]],
-    w_bits: Sequence[Sequence[int]],
-) -> List[List[int]]:
-    """Bit-pattern wrapper around :func:`matmul_hw_order_fast`."""
-    x = matrix_from_bits(x_bits)
-    w = matrix_from_bits(w_bits)
-    return matrix_to_bits(matmul_hw_order_fast(x, w))
-
-
 def matmul_hw_order_exact_fmt(
     x_bits: Sequence[Sequence[int]],
     w_bits: Sequence[Sequence[int]],
     fmt: BinaryFormat,
     acc_bits: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[List[int]]:
-    """Bit-exact hardware-order matmul for any element format.
+    """Bit-exact ``Z = acc + X . W`` with the hardware's FMA accumulation order.
 
-    Format-generic counterpart of :func:`matmul_hw_order_exact`: operands
-    are matrices of ``fmt`` patterns and every accumulation step is one
+    Operands are matrices of ``fmt`` patterns (``x_bits`` is ``M x N``,
+    ``w_bits`` is ``N x K``) and every accumulation step is one
     single-rounded ``fmt`` FMA in the hardware's strictly-increasing inner
-    order.  The accumulation order per output element is independent of the
-    packed-lane layout (lanes pack along K, each output element still walks
-    ``n`` in order), so this is the oracle for every precision.
+    order.  ``acc_bits`` (``M x K``) is the initial accumulator used by
+    accumulation jobs (``Z += X . W``); it defaults to positive zeros.  The
+    accumulation order per output element is independent of the packed-lane
+    layout (lanes pack along K, each output element still walks ``n`` in
+    order), so this is the oracle for every precision.
     """
     m = len(x_bits)
     n = len(w_bits)

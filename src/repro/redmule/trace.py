@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import BinaryFormat
-from repro.fp.simd import fma16_guarded_f64
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
@@ -435,7 +434,7 @@ def replay_dataplane(
     chain walks the active steps in recorded order, exactly the order the
     engine's chunk/column schedule consumes the inner dimension, so the
     result is bit-identical to the event-stepped datapath (and to the
-    scalar oracle :func:`repro.redmule.functional.matmul_hw_order_exact`).
+    scalar oracle :func:`repro.redmule.functional.matmul_hw_order_exact_fmt`).
 
     Without ``flags`` each step runs the guarded float64 kernel (fast path;
     lanes at double-rounding risk fall back to the integer kernels).  With
@@ -453,18 +452,6 @@ def replay_dataplane(
             b = np.broadcast_to(w[:, n, :][:, None, :], acc.shape)
             acc = fma_many_fmt(a, b, acc, fmt, flags=flags)
         return acc
-    if fmt.name == "fp16":
-        # Specialised binary16 kernel (same guarded construction, much
-        # cheaper rounding than the format-generic path).
-        x64 = np.asarray(x_bits, np.uint16).view(np.float16).astype(np.float64)
-        w64 = np.asarray(w_bits, np.uint16).view(np.float16).astype(np.float64)
-        acc = np.asarray(acc_bits, np.uint16).view(np.float16)
-        for n in steps:
-            acc = fma16_guarded_f64(
-                x64[:, :, n][:, :, None], w64[:, n, :][:, None, :],
-                acc.astype(np.float64),
-            )
-        return acc.view(np.uint16)
     x64 = bits_to_f64_many(x_bits, fmt)
     w64 = bits_to_f64_many(w_bits, fmt)
     acc64 = bits_to_f64_many(acc_bits, fmt)

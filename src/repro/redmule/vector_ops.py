@@ -10,10 +10,10 @@ the arithmetic on those vectors:
   (:func:`repro.fp.formats.fma_bits`).  Slow; the ground-truth oracle.
 * :class:`ExactSimdVectorOps` -- bit-identical to :class:`ExactVectorOps`,
   array-backed: FMAs are evaluated with the vectorised bit-exact kernels of
-  :mod:`repro.fp.simd` / :mod:`repro.fp.simd_formats`.  Issued FMAs are
-  recorded as a lazy dependency chain and evaluated in batches (all of a
-  tile's independent accumulator chains side by side) when results are
-  observed, so the per-element kernel cost is amortised over whole rows.
+  :mod:`repro.fp.simd_formats`.  Issued FMAs are recorded as a lazy
+  dependency chain and evaluated in batches (all of a tile's independent
+  accumulator chains side by side) when results are observed, so the
+  per-element kernel cost is amortised over whole rows.
 * :class:`FastVectorOps` -- vectors are numpy ``float64`` arrays holding
   exactly representable format values; the FMA is evaluated in ``float64``
   and rounded once per step.  Fast, used for performance sweeps.
@@ -21,6 +21,10 @@ the arithmetic on those vectors:
   compilation: the engine records each tile signature's cycle schedule once
   and replays later tiles as batched data-plane computations
   (:mod:`repro.redmule.trace`), bit-identical to the oracle.
+
+The array strategies convert between patterns and values through the
+codec of :mod:`repro.fp.simd_formats`, which owns any per-format fast path,
+so no strategy here branches on the element format.
 
 Every strategy is constructed for one element format
 (:class:`~repro.fp.formats.BinaryFormat`, default binary16).  For the 8-bit
@@ -47,11 +51,11 @@ from typing import Callable, Dict, List, Sequence, Union
 import numpy as np
 
 from repro.fp.formats import FP16, BinaryFormat, fma_bits, get_format
-from repro.fp.simd import fma16_guarded_f64
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
     fma_guarded_f64_fmt,
+    round_f64_many,
 )
 
 #: Datapath slot width in bits (one FPnew FMA register).
@@ -216,34 +220,11 @@ class FastVectorOps(VectorOps):
     name = "fast"
     bit_exact = False
 
-    def __init__(self, fmt: Union[str, BinaryFormat, None] = None) -> None:
-        super().__init__(fmt)
-        self._is_fp16 = self.fmt.name == "fp16"
-
-    # -- representation bridges ---------------------------------------------
-    def _decode(self, bits) -> np.ndarray:
-        if self._is_fp16:
-            u16 = np.asarray(bits, dtype=np.uint16)
-            return u16.view(np.float16).astype(np.float64)
+    def from_bits(self, bits) -> np.ndarray:
         return bits_to_f64_many(bits, self.fmt)
 
-    def _encode(self, values: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return np.asarray(values, dtype=np.float64).astype(
-                np.float16).view(np.uint16)
-        return f64_to_bits_many(np.asarray(values, dtype=np.float64), self.fmt)
-
-    def _round(self, values: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return values.astype(np.float16).astype(np.float64)
-        return bits_to_f64_many(self._encode(values), self.fmt)
-
-    def from_bits(self, bits) -> np.ndarray:
-        return self._decode(bits)
-
     def to_bits(self, vector: np.ndarray) -> List[int]:
-        return [int(v) for v in self._encode(np.asarray(vector,
-                                                        dtype=np.float64))]
+        return [int(v) for v in f64_to_bits_many(vector, self.fmt)]
 
     def zeros(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
@@ -259,7 +240,7 @@ class FastVectorOps(VectorOps):
         else:
             w = np.asarray(w_slot, dtype=np.float64)
             raw = (np.asarray(x_vector)[:, None] * w[None, :]).ravel() + acc_vector
-        return self._round(raw)
+        return round_f64_many(raw, self.fmt)
 
     def gather(self, lines: Sequence[np.ndarray], offset: int) -> np.ndarray:
         return np.array([line[offset] for line in lines], dtype=np.float64)
@@ -277,7 +258,7 @@ class FastVectorOps(VectorOps):
     def from_line(self, line) -> np.ndarray:
         # W lines are decoded to float64 values once per line, so the per
         # issue hot path no longer decodes the broadcast operands from bits.
-        return self._decode(line)
+        return bits_to_f64_many(line, self.fmt)
 
     def zero_line(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
@@ -293,7 +274,7 @@ class FastVectorOps(VectorOps):
                                                          n_slots * lanes)
         else:
             stacked = stacked.T
-        return self._encode(stacked)
+        return f64_to_bits_many(stacked, self.fmt)
 
 
 class ExactSimdVectorOps(FastVectorOps):
@@ -307,12 +288,11 @@ class ExactSimdVectorOps(FastVectorOps):
     requested values depend on is evaluated level by level with one guarded
     kernel call per dependency depth, stacking all same-depth nodes (e.g.
     the ``block_k`` independent accumulator chains of a tile) into a single
-    kernel batch.  The guarded kernel (:func:`repro.fp.simd.
-    fma16_guarded_f64` for binary16, :func:`repro.fp.simd_formats.
-    fma_guarded_f64_fmt` for every other format) routes any lane where
-    float64 evaluation could double-round through the integer kernels, so
-    deferral and the float hot path never change the produced bits -- only
-    how many elements each kernel invocation covers.
+    kernel batch.  The guarded kernel
+    (:func:`repro.fp.simd_formats.fma_guarded_f64_fmt`) routes any lane
+    where float64 evaluation could double-round through the integer
+    kernels, so deferral and the float hot path never change the produced
+    bits -- only how many elements each kernel invocation covers.
     """
 
     name = "exact-simd"
@@ -346,12 +326,6 @@ class ExactSimdVectorOps(FastVectorOps):
 
     def to_lines(self, columns: Sequence) -> np.ndarray:
         return super().to_lines(self._force(list(columns)))
-
-    def _guarded(self, x: np.ndarray, w: np.ndarray,
-                 acc: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return fma16_guarded_f64(x, w, acc).astype(np.float64)
-        return fma_guarded_f64_fmt(x, w, acc, self.fmt)
 
     # -- lazy-chain evaluation ---------------------------------------------
     def _materialise(self, vector) -> np.ndarray:
@@ -402,7 +376,7 @@ class ExactSimdVectorOps(FastVectorOps):
                 node.acc.values if isinstance(node.acc, _PendingFma) else node.acc
                 for node in level
             ])
-            values = self._guarded(x, w, acc)
+            values = fma_guarded_f64_fmt(x, w, acc, self.fmt)
             for row, node in enumerate(level):
                 node.values = values[row]
         return [self._materialise(v) for v in vectors]

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.redmule.functional import matmul_hw_order_simd
+from repro.fp.formats import FP16
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.sw.kernel import KernelCostModel, KernelParameters
 from repro.sw.parallel import ParallelizationModel, ParallelParameters
 
@@ -82,9 +83,10 @@ class SoftwareBaseline:
         """Numerical result of the software kernel (bit-identical to the HW result).
 
         Evaluated with the guarded SIMD kernels, so it reproduces the
-        accelerator's single-rounded FP16 accumulation exactly.
+        accelerator's single-rounded FP16 accumulation exactly.  Returns
+        float32 holding exact binary16 values.
         """
-        return matmul_hw_order_simd(x, w)
+        return matmul_hw_order_simd_fmt(x, w, FP16).astype(np.float32)
 
     @property
     def peak_macs_per_cycle(self) -> float:

@@ -1,6 +1,7 @@
 """Tests for timing-cache persistence (`TimingCache.save` / `load`)."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -81,6 +82,56 @@ class TestTimingCachePersistence:
         path.write_text(json.dumps({"version": 99, "entries": []}))
         with pytest.raises(ValueError):
             TimingCache().load(path)
+
+    @pytest.mark.parametrize("bad", [
+        {"key": {"m": 8}},                                   # no record
+        {"record": {"cycles": 1}, "key": {"config": [1]}},   # missing fields
+        {"key": dict(asdict(_key()), m=[8]), "record": asdict(_record())},
+        "not-an-object",
+        None,
+    ], ids=["no-record", "missing-fields", "unhashable", "string", "null"])
+    def test_malformed_entry_raises_value_error_and_merges_nothing(
+            self, tmp_path, bad):
+        path = tmp_path / "cache.json"
+        saved = TimingCache()
+        saved.store(_key(m=32), _record(5))
+        saved.save(path)
+        payload = json.loads(path.read_text())
+        payload["entries"].append(bad)
+        path.write_text(json.dumps(payload))
+        cache = TimingCache()
+        cache.store(_key(), _record(1))
+        with pytest.raises(ValueError, match="entry 1"):
+            cache.load(path, merge=False)
+        assert len(cache) == 1 and cache.peek(_key()).cycles == 1
+
+    @pytest.mark.parametrize("payload", [[], {"version": 4}, {
+        "version": 4, "entries": [], "traces": []}],
+        ids=["list", "no-entries", "traces-list"])
+    def test_malformed_layout_raises_value_error(self, tmp_path, payload):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            TimingCache().load(path)
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = TimingCache()
+        cache.store(_key(), _record())
+        cache.save(path)
+        before = path.read_bytes()
+
+        def interrupted_dump(payload, handle):
+            handle.write('{"version": 4, "entr')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        cache.store(_key(m=64), _record(3))
+        with pytest.raises(KeyboardInterrupt):
+            cache.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
     def test_load_does_not_count_lookups(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -24,7 +24,6 @@ from repro.fp.formats import (
     mul_bits,
 )
 from repro.fp.rounding import RoundingMode
-from repro.fp.simd import fma16_many, mul16_many
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
@@ -139,16 +138,3 @@ def test_guarded_f64_kernel_matches_integer_kernel(data, fmt):
     reference = bits_to_f64_many(fma_many_fmt(a, b, c, fmt), fmt)
     same = (guarded == reference) | (np.isnan(guarded) & np.isnan(reference))
     assert bool(same.all())
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), mode=modes)
-def test_fp16_generic_kernels_match_the_legacy_simd_module(data, mode):
-    n = 64
-    a = data.draw(patterns(FP16, n))
-    b = data.draw(patterns(FP16, n))
-    c = data.draw(patterns(FP16, n))
-    assert np.array_equal(fma_many_fmt(a, b, c, FP16, mode),
-                          fma16_many(a, b, c, mode))
-    assert np.array_equal(mul_many_fmt(a, b, FP16, mode),
-                          mul16_many(a, b, mode))

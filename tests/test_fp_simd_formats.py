@@ -1,45 +1,35 @@
-"""Tests for the vectorised bit-exact FP16 kernels (:mod:`repro.fp.simd`).
+"""Directed binary16 tests of the vectorised kernels (:mod:`repro.fp.simd_formats`).
 
-The scalar substrate (:mod:`repro.fp.fma` et al.) is the oracle: every kernel
-must match it bit for bit, element by element, over directed special-value
-grids and large random sweeps, for every rounding mode.
+The scalar substrate (:mod:`repro.fp.fma` et al.) is the oracle: every
+kernel must match it bit for bit, element by element, over directed
+special-value grids and large random sweeps, for every rounding mode.  The
+hypothesis properties of ``test_fp_formats_properties`` cover the other
+formats; binary16 gets the exhaustive directed grids here because its float
+codec and guarded kernel take numpy's native ``float16`` path.
 """
 
 import itertools
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from repro.fp.flags import ExceptionFlags
-from repro.fp.float16 import (
-    classify,
-    decompose,
-    is_finite,
-    is_inf,
-    is_nan,
-    is_subnormal,
-    is_zero,
-    pack,
-)
+from repro.fp.float16 import pack
 from repro.fp.fma import add16, fma16, mul16, neg16, sub16
-from repro.fp.rounding import RoundingMode, round_shifted
-from repro.fp.simd import (
-    add16_many,
-    as_u16,
-    classify_many,
-    decompose_many,
-    fma16_guarded_f64,
-    fma16_many,
-    is_finite_many,
-    is_inf_many,
-    is_nan_many,
-    is_subnormal_many,
-    is_zero_many,
-    mul16_many,
-    neg16_many,
-    pack_many,
-    round_shifted_many,
-    sub16_many,
+from repro.fp.formats import FORMATS, FP16
+from repro.fp.rounding import RoundingMode
+from repro.fp.simd_formats import (
+    add_many_fmt,
+    bits_to_f64_many,
+    f64_to_bits_many,
+    fma_guarded_f64_fmt,
+    fma_many_fmt,
+    mul_many_fmt,
+    neg_many_fmt,
+    pack_many_fmt,
+    round_f64_many,
 )
 
 #: Directed patterns covering every interesting encoding class: signed zeros,
@@ -60,6 +50,11 @@ SPECIAL_PATTERNS = [
 ALL_MODES = list(RoundingMode)
 
 
+def _f64(raw: int) -> float:
+    """The binary64 value with bit pattern ``raw`` (keeps NaN sign/payload)."""
+    return struct.unpack("<d", struct.pack("<Q", raw))[0]
+
+
 def _triples_as_arrays(triples):
     a = np.array([t[0] for t in triples], dtype=np.uint16)
     b = np.array([t[1] for t in triples], dtype=np.uint16)
@@ -69,11 +64,11 @@ def _triples_as_arrays(triples):
 
 def _assert_fma_matches_scalar(triples, mode):
     a, b, c = _triples_as_arrays(triples)
-    got = fma16_many(a, b, c, mode)
+    got = fma_many_fmt(a, b, c, FP16, mode)
     for i, (x, y, z) in enumerate(triples):
         want = fma16(x, y, z, mode)
         assert int(got[i]) == want, (
-            f"fma16_many mismatch at {mode}: "
+            f"fma_many_fmt mismatch at {mode}: "
             f"a={x:#06x} b={y:#06x} c={z:#06x} "
             f"want={want:#06x} got={int(got[i]):#06x}"
         )
@@ -119,15 +114,15 @@ class TestFmaDirected:
     def test_broadcasting_and_shape(self):
         a = np.array([[0x3C00, 0x4000]], dtype=np.uint16)
         c = np.array([[0x0000], [0x3C00]], dtype=np.uint16)
-        out = fma16_many(a, np.uint16(0x3C00), c)
+        out = fma_many_fmt(a, np.uint16(0x3C00), c, FP16)
         assert out.shape == (2, 2)
         assert int(out[1, 0]) == fma16(0x3C00, 0x3C00, 0x3C00)
 
     def test_rejects_out_of_range_patterns(self):
         with pytest.raises(ValueError):
-            fma16_many([0x10000], [0], [0])
+            fma_many_fmt([0x10000], [0], [0], FP16)
         with pytest.raises(TypeError):
-            fma16_many([1.5], [0], [0])
+            fma_many_fmt([1.5], [0], [0], FP16)
 
 
 class TestFmaRandom:
@@ -151,7 +146,7 @@ class TestOtherKernels:
                   for _ in range(4000)]
         a = np.array([p[0] for p in pairs], dtype=np.uint16)
         b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        got = mul16_many(a, b, mode)
+        got = mul_many_fmt(a, b, FP16, mode)
         for i, (x, y) in enumerate(pairs):
             assert int(got[i]) == mul16(x, y, mode)
 
@@ -163,79 +158,17 @@ class TestOtherKernels:
                   for _ in range(2000)]
         a = np.array([p[0] for p in pairs], dtype=np.uint16)
         b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        added = add16_many(a, b, mode)
-        subbed = sub16_many(a, b, mode)
+        added = add_many_fmt(a, b, FP16, mode)
+        subbed = add_many_fmt(a, neg_many_fmt(b, FP16), FP16, mode)
         for i, (x, y) in enumerate(pairs):
             assert int(added[i]) == add16(x, y, mode)
             assert int(subbed[i]) == sub16(x, y, mode)
 
     def test_neg_matches_scalar(self):
         bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
-        got = neg16_many(bits)
+        got = neg_many_fmt(bits, FP16)
         for i, value in enumerate(SPECIAL_PATTERNS):
             assert int(got[i]) == neg16(value)
-
-
-class TestFlags:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_flags_aggregate_the_scalar_flags(self, mode):
-        rng = np.random.default_rng(3)
-        triples = list(itertools.product(SPECIAL_PATTERNS[:12], repeat=3))[:3000]
-        triples += [tuple(int(v) for v in rng.integers(0, 0x10000, 3))
-                    for _ in range(1000)]
-        vector_flags = ExceptionFlags()
-        a, b, c = _triples_as_arrays(triples)
-        fma16_many(a, b, c, mode, vector_flags)
-        scalar_flags = ExceptionFlags()
-        for x, y, z in triples:
-            fma16(x, y, z, mode, scalar_flags)
-        assert vector_flags == scalar_flags
-
-    def test_flags_quiet_on_exact_lanes(self):
-        flags = ExceptionFlags()
-        fma16_many([0x3C00], [0x4000], [0x3C00], RoundingMode.RNE, flags)
-        assert not flags.any()
-
-
-class TestHelpers:
-    def test_classification_matches_scalar(self):
-        bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
-        classes = classify_many(bits)
-        for i, value in enumerate(SPECIAL_PATTERNS):
-            assert is_nan_many(bits)[i] == is_nan(value)
-            assert is_inf_many(bits)[i] == is_inf(value)
-            assert is_zero_many(bits)[i] == is_zero(value)
-            assert is_subnormal_many(bits)[i] == is_subnormal(value)
-            assert is_finite_many(bits)[i] == is_finite(value)
-            assert classes[i] is classify(value)
-
-    def test_decompose_matches_scalar(self):
-        finite = [b for b in SPECIAL_PATTERNS if is_finite(b) and not is_zero(b)]
-        sign, sig, exp = decompose_many(np.array(finite, dtype=np.uint16))
-        for i, value in enumerate(finite):
-            assert (int(sign[i]), int(sig[i]), int(exp[i])) == decompose(value)
-
-    def test_decompose_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            decompose_many([0x7C00])
-        with pytest.raises(ValueError):
-            decompose_many([0x0000])
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_round_shifted_matches_scalar(self, mode):
-        rng = np.random.default_rng(5)
-        cases = [(int(m), int(s), bool(n)) for m, s, n in zip(
-            rng.integers(0, 1 << 40, 800),
-            rng.integers(-8, 45, 800),
-            rng.integers(0, 2, 800),
-        )]
-        magnitude = np.array([c[0] for c in cases], dtype=np.int64)
-        rshift = np.array([c[1] for c in cases], dtype=np.int64)
-        negative = np.array([c[2] for c in cases], dtype=bool)
-        rounded, inexact = round_shifted_many(magnitude, rshift, mode, negative)
-        for i, (m, s, n) in enumerate(cases):
-            want_r, want_i = round_shifted(m, s, mode, n)
-            assert (int(rounded[i]), bool(inexact[i])) == (want_r, want_i)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_pack_matches_scalar(self, mode):
@@ -249,17 +182,87 @@ class TestHelpers:
         magnitude = np.array([c[1] for c in cases], dtype=np.int64)
         exponent = np.array([c[2] for c in cases], dtype=np.int64)
         vector_flags = ExceptionFlags()
-        bits = pack_many(sign, magnitude, exponent, mode, vector_flags)
+        bits = pack_many_fmt(sign, magnitude, exponent, FP16, mode, vector_flags)
         scalar_flags = ExceptionFlags()
         for i, (s, m, e) in enumerate(cases):
             assert int(bits[i]) == pack(s, m, e, mode, scalar_flags)
         assert vector_flags == scalar_flags
 
-    def test_as_u16_accepts_and_validates(self):
-        assert as_u16(np.array([1, 2], dtype=np.uint16)).dtype == np.uint16
-        assert list(as_u16([0, 0xFFFF])) == [0, 0xFFFF]
-        with pytest.raises(ValueError):
-            as_u16([-1])
+
+class TestFlags:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_flags_aggregate_the_scalar_flags(self, mode):
+        rng = np.random.default_rng(3)
+        triples = list(itertools.product(SPECIAL_PATTERNS[:12], repeat=3))[:3000]
+        triples += [tuple(int(v) for v in rng.integers(0, 0x10000, 3))
+                    for _ in range(1000)]
+        vector_flags = ExceptionFlags()
+        a, b, c = _triples_as_arrays(triples)
+        fma_many_fmt(a, b, c, FP16, mode, vector_flags)
+        scalar_flags = ExceptionFlags()
+        for x, y, z in triples:
+            fma16(x, y, z, mode, scalar_flags)
+        assert vector_flags == scalar_flags
+
+    def test_flags_quiet_on_exact_lanes(self):
+        flags = ExceptionFlags()
+        fma_many_fmt([0x3C00], [0x4000], [0x3C00], FP16, RoundingMode.RNE, flags)
+        assert not flags.any()
+
+
+class TestCodec:
+    """The native binary16 float codec against the scalar conversions."""
+
+    #: Values whose binary16 rounding is a corner case of the native cast.
+    VALUES = [
+        _f64(0xFFF8000000000000),    # -NaN (x86's default NaN)
+        _f64(0x7FF0000000000001),    # signalling NaN with a payload
+        _f64(0xFFF4000000000123),    # negative NaN with a payload
+        math.inf, -math.inf,
+        65504.0, 65519.99, 65520.0, -65520.0, 1e6, -1e300,   # overflow edge
+        2.0 ** -24, 2.0 ** -25, 1.5 * 2.0 ** -24, 2.5 * 2.0 ** -24,
+        -3.0 * 2.0 ** -26, 2.0 ** -26, 2.0 ** -14 - 2.0 ** -25,
+        2.0 ** -14 - 2.0 ** -26, 5e-324, -5e-324,            # subnormal rounding
+        0.0, -0.0, 1.0 + 2.0 ** -11, 1.0 + 3 * 2.0 ** -11,
+    ]
+
+    def test_encode_matches_scalar(self):
+        got = f64_to_bits_many(np.array(self.VALUES), FP16)
+        assert got.dtype == np.uint16
+        assert got.tolist() == [FP16.float_to_bits(v) for v in self.VALUES]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_encode_with_flags_matches_scalar_per_mode(self, mode):
+        vector_flags, scalar_flags = ExceptionFlags(), ExceptionFlags()
+        got = f64_to_bits_many(np.array(self.VALUES), FP16, mode, vector_flags)
+        want = [FP16.float_to_bits(v, mode, scalar_flags) for v in self.VALUES]
+        assert got.tolist() == want
+        assert vector_flags == scalar_flags
+
+    def test_encode_keeps_the_shape(self):
+        values = np.array(self.VALUES[:6]).reshape(2, 3)
+        assert f64_to_bits_many(values, FP16).shape == (2, 3)
+
+    @pytest.mark.parametrize("fmt", list(FORMATS.values()), ids=list(FORMATS))
+    def test_round_is_the_value_round_trip(self, fmt):
+        values = np.array(self.VALUES)
+        with np.errstate(over="ignore"):
+            got = round_f64_many(values, fmt)
+        want = bits_to_f64_many(f64_to_bits_many(values, fmt), fmt)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()   # signed zeros too
+
+    def test_decode_matches_scalar(self):
+        got = bits_to_f64_many(np.array(SPECIAL_PATTERNS, np.uint16), FP16)
+        assert got.dtype == np.float64
+        for value, bits in zip(got, SPECIAL_PATTERNS):
+            want = FP16.bits_to_float(bits)
+            if math.isnan(want):
+                assert math.isnan(value)
+            else:
+                assert value == want
+                assert math.copysign(1.0, value) == math.copysign(1.0, want)
 
 
 class TestGuardedF64:
@@ -267,9 +270,8 @@ class TestGuardedF64:
     def test_matches_scalar_on_random_fp16_values(self, seed):
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 0x10000, (3, 4096)).astype(np.uint16)
-        x64, w64, c64 = (bits[i].view(np.float16).astype(np.float64)
-                         for i in range(3))
-        got = fma16_guarded_f64(x64, w64, c64).view(np.uint16)
+        x64, w64, c64 = (bits_to_f64_many(bits[i], FP16) for i in range(3))
+        got = f64_to_bits_many(fma_guarded_f64_fmt(x64, w64, c64, FP16), FP16)
         for i in range(bits.shape[1]):
             want = fma16(int(bits[0, i]), int(bits[1, i]), int(bits[2, i]))
             assert int(got[i]) == want
@@ -280,5 +282,5 @@ class TestGuardedF64:
         x = np.array([2.0 ** -24], dtype=np.float64)
         w = np.array([2.0 ** -14], dtype=np.float64)
         c = np.array([65504.0], dtype=np.float64)
-        got = int(fma16_guarded_f64(x, w, c).view(np.uint16)[0])
+        got = int(f64_to_bits_many(fma_guarded_f64_fmt(x, w, c, FP16), FP16)[0])
         assert got == fma16(0x0001, 0x0400, 0x7BFF)

@@ -237,7 +237,7 @@ def test_manifest_queries():
     assert manifest.clock_of("repro.serve.loop") == "sim-cycles"
     assert manifest.clock_of("repro.redmule.engine") == "engine-cycles"
     assert manifest.clock_of("repro.farm.farm") == "wall"
-    assert manifest.clock_of("repro.fp.simd") is None
+    assert manifest.clock_of("repro.fp.simd_formats") is None
 
 
 def test_module_name_resolution():

@@ -9,7 +9,7 @@ The acceptance criteria of the multi-precision work:
   reference-instance domain for every format;
 * the engine-hang guards (P=0, shallow Z queues) reject bad configurations
   and jobs with a ``ValueError`` instead of spinning;
-* the farm's timing-cache identity includes the element format (schema v3).
+* the farm's timing-cache identity includes the element format (schema v4).
 """
 
 import json
@@ -36,6 +36,7 @@ from repro.redmule.functional import (
 )
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.trace import TraceStore
 
 NARROW_FORMATS = ("bf16", "fp8-e4m3", "fp8-e5m2")
 
@@ -177,6 +178,48 @@ class TestEngineBitExactness:
         assert res16.cycles / res8.cycles > 1.8
 
 
+class TestPaddingLanesAreOperandGated:
+    """Inner-dimension padding lanes must not touch the accumulator.
+
+    N = 6 leaves two padding lanes in the last H = 4 chunk.  Every real
+    product (min subnormal times its negative) rounds to -0, so a -0
+    accumulator stays -0 -- unless a padding lane computes ``x * (+0) + acc``,
+    whose ``+0 + -0`` flips it to +0.
+    """
+
+    @pytest.mark.parametrize("backend", ["exact", "exact-simd", "trace"])
+    @pytest.mark.parametrize("fmt", ["fp16", "fp8-e4m3"])
+    def test_signed_zero_accumulator_survives_padding(self, fmt, backend):
+        m, n, k = 8, 6, 16
+        config = RedMulEConfig(format=fmt)
+        bf = config.binary_format
+        tiny = bf.bits_to_float(1)
+        tcdm = Tcdm(TcdmConfig())
+        engine = RedMulE(config, Hci(tcdm, HciConfig()), backend=backend,
+                         trace_store=TraceStore())
+        allocator = MemoryAllocator(tcdm.base, tcdm.size)
+        hx = allocator.alloc_matrix(m, n, "X", fmt=fmt)
+        hw = allocator.alloc_matrix(n, k, "W", fmt=fmt)
+        hz = allocator.alloc_matrix(m, k, "Z", fmt=fmt)
+        x = np.full((m, n), tiny)
+        w = np.full((n, k), -tiny)
+        z0 = np.full((m, k), -0.0)
+        golden = matmul_hw_order_exact_fmt(
+            bf.f64_to_bits_array(x).tolist(), bf.f64_to_bits_array(w).tolist(),
+            bf, bf.f64_to_bits_array(z0).tolist())
+        assert golden == [[bf.sign_mask] * k] * m
+        hx.store(tcdm, x)
+        hw.store(tcdm, w)
+        # Twice, so the trace backend replays what it recorded.
+        for _ in range(2):
+            hz.store(tcdm, z0)
+            engine.run_job(MatmulJob.from_handles(hx, hw, hz, accumulate=True))
+            image = tcdm.dump_image(hz.base, m * k * config.element_bytes)
+            dtype = np.uint8 if bf.storage_bytes == 1 else "<u2"
+            z = np.frombuffer(image, dtype=dtype).reshape(m, k)
+            assert z.tolist() == golden
+
+
 class TestPerfModelExactness:
     @pytest.mark.parametrize("fmt", ("fp16",) + NARROW_FORMATS)
     def test_reference_instance_domain_is_bit_exact(self, fmt):
@@ -235,21 +278,20 @@ class TestFarmFormatIdentity:
     def test_legacy_five_field_keys_decode_as_fp16(self):
         assert config_from_key((4, 8, 3, 1, 8)).format == "fp16"
 
-    def test_cache_schema_v4_decodes_legacy_and_rejects_v1(self, tmp_path):
+    def test_cache_schema_v4_rejects_older_versions(self, tmp_path):
         cache = TimingCache()
         path = tmp_path / "cache.json"
         cache.save(path)
         payload = json.loads(path.read_text())
         assert payload["version"] == CACHE_FILE_VERSION == 4
-        # v2 (pre-format keys) and v3 (pre-trace payload) files still load;
-        # only the pre-format-semantics v1 layout is rejected.
-        payload["version"] = 3
-        path.write_text(json.dumps(payload))
         assert cache.load(path) == 0
-        payload["version"] = 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            cache.load(path)
+        # v3 (pre-trace payload), v2 (pre-format keys) and v1 files are
+        # rejected; the runner then treats the cache file as empty.
+        for version in (3, 2, 1):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="version"):
+                cache.load(path)
 
     def test_cache_entries_round_trip_with_format_keys(self, tmp_path):
         farm = SimulationFarm(config=RedMulEConfig(format="bf16"))

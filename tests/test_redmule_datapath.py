@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fp.float16 import POS_ZERO_BITS, bits_to_float, float_to_bits
+from repro.fp.formats import FP16
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.datapath import Datapath
 from repro.redmule.vector_ops import (
@@ -66,6 +67,19 @@ class TestVectorOps:
             simd_result = simd.to_bits(simd.fma(simd.from_bits(x_bits), w,
                                                 simd.from_bits(acc_bits)))
             assert simd_result == exact_result
+
+    @pytest.mark.parametrize("acc", [0x0000, 0xFC00], ids=["inf*0", "inf*0-inf"])
+    def test_invalid_fma_writes_the_canonical_nan_on_every_backend(self, acc):
+        # x86's default NaN has its sign bit set; a raw float16 cast would
+        # store 0xFE00 where FPnew writes its canonical quiet NaN.
+        x_bits = [f2b(float("inf")), 0x0000]
+        w = 0x0000
+        results = []
+        for ops in (ExactVectorOps(), ExactSimdVectorOps(), FastVectorOps()):
+            out = ops.fma(ops.from_bits(x_bits), w, ops.from_bits([acc, acc]))
+            results.append(ops.to_bits(out))
+        assert results[0][0] == FP16.nan_bits == 0x7E00
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_factory(self):
         # Legacy boolean selection keeps working next to the name registry.

@@ -13,13 +13,14 @@ The engine is verified on two axes:
 import numpy as np
 import pytest
 
+from repro.fp.formats import FP16
 from repro.fp.vector import matrix_from_bits, matrix_to_bits, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
 from repro.mem.tcdm import Tcdm
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
-from repro.redmule.functional import matmul_hw_order_exact, matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_exact_fmt, matmul_hw_order_fast
 from tests.conftest import MatmulHarness
 
 
@@ -45,7 +46,7 @@ class TestFunctionalCorrectness:
     def test_bit_exact_mode_matches_exact_golden(self, exact_harness):
         x, w, z, _ = exact_harness.run_random(9, 10, 11, seed=5)
         golden = matrix_from_bits(
-            matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w))
+            matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
         )
         assert np.array_equal(z, golden)
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.fp.formats import FP16
 from repro.fp.vector import matrix_from_bits, matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.redmule.functional import (
-    matmul_hw_order_exact,
+    matmul_hw_order_exact_fmt,
     matmul_hw_order_fast,
-    matmul_hw_order_fast_bits,
     matmul_reference_fp32,
 )
 
@@ -16,23 +16,23 @@ class TestExactModel:
     def test_identity(self):
         x = matrix_to_bits(np.eye(4))
         w = matrix_to_bits(np.arange(16, dtype=np.float64).reshape(4, 4) / 8.0)
-        z = matmul_hw_order_exact(x, w)
+        z = matmul_hw_order_exact_fmt(x, w, FP16)
         assert z == w
 
     def test_small_known_result(self):
         x = matrix_to_bits(np.array([[1.0, 2.0], [3.0, 4.0]]))
         w = matrix_to_bits(np.array([[5.0, 6.0], [7.0, 8.0]]))
-        z = matrix_from_bits(matmul_hw_order_exact(x, w))
+        z = matrix_from_bits(matmul_hw_order_exact_fmt(x, w, FP16))
         assert np.array_equal(z, np.array([[19.0, 22.0], [43.0, 50.0]],
                                           dtype=np.float32))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            matmul_hw_order_exact([], [[0]])
+            matmul_hw_order_exact_fmt([], [[0]], FP16)
         with pytest.raises(ValueError):
-            matmul_hw_order_exact([[0, 1], [2]], [[0], [1]])
+            matmul_hw_order_exact_fmt([[0, 1], [2]], [[0], [1]], FP16)
         with pytest.raises(ValueError):
-            matmul_hw_order_exact([[0, 1]], [[0], [1, 2]])
+            matmul_hw_order_exact_fmt([[0, 1]], [[0], [1, 2]], FP16)
 
 
 class TestFastModel:
@@ -40,18 +40,10 @@ class TestFastModel:
         x = random_fp16_matrix(7, 11, scale=0.3, seed=0)
         w = random_fp16_matrix(11, 9, scale=0.3, seed=1)
         exact = matrix_from_bits(
-            matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w))
+            matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
         )
         fast = matmul_hw_order_fast(x, w)
         assert np.array_equal(exact, fast)
-
-    def test_bits_wrapper(self):
-        x = random_fp16_matrix(3, 5, seed=2)
-        w = random_fp16_matrix(5, 4, seed=3)
-        via_bits = matrix_from_bits(
-            matmul_hw_order_fast_bits(matrix_to_bits(x), matrix_to_bits(w))
-        )
-        assert np.array_equal(via_bits, matmul_hw_order_fast(x, w))
 
     def test_accumulation_order_matters(self):
         """FP16 step-wise accumulation differs from an fp32 matmul rounded once,

@@ -243,10 +243,12 @@ class TestContentionHandling:
         assert len(store) == 0
         assert store.stats.discarded > 0
         # Functional output is unaffected by the discarded recording.
+        from repro.fp.formats import FP16
         from repro.fp.vector import matrix_to_bits
-        from repro.redmule.functional import matmul_hw_order_exact
+        from repro.redmule.functional import matmul_hw_order_exact_fmt
         got = tcdm.dump_image(hz.base, 8 * 16 * 2)
-        want = matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w))
+        want = matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w),
+                                         FP16)
         want_bits = np.array(want, dtype=np.uint16).tobytes()
         assert got == want_bits
 
@@ -336,32 +338,19 @@ class TestTimingCacheSchema:
         assert payload["version"] == CACHE_FILE_VERSION == 4
         assert trace_tag(farm.config) in payload["traces"]
 
-    def test_version_3_files_load_without_traces(self, tmp_path):
-        path = tmp_path / "v3.json"
-        config = (4, 8, 3, 1, 8, "fp16")
+    @pytest.mark.parametrize("version,config", [
+        (3, (4, 8, 3, 1, 8, "fp16")),   # pre-trace payload
+        (2, (4, 8, 3, 1, 8)),           # pre-format five-field keys
+        (1, (4, 8, 3, 1, 8)),           # pre-exact analytical model
+    ])
+    def test_older_versions_are_rejected(self, tmp_path, version, config):
+        path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(
-            {"version": 3, "entries": [self._entry(config)]}))
+            {"version": version, "entries": [self._entry(config)]}))
         cache = TimingCache()
-        assert cache.load(path) == 1
-        assert cache.traces == {}
-        key = next(iter(cache._entries))
-        assert key.config == config
-
-    def test_version_2_files_decode_with_implicit_fp16(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(
-            {"version": 2, "entries": [self._entry((4, 8, 3, 1, 8))]}))
-        cache = TimingCache()
-        assert cache.load(path) == 1
-        key = next(iter(cache._entries))
-        assert key.config == (4, 8, 3, 1, 8, "fp16")
-        assert cache.traces == {}
-
-    def test_version_1_files_are_rejected(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({"version": 1, "entries": []}))
         with pytest.raises(ValueError, match="version"):
-            TimingCache().load(path)
+            cache.load(path)
+        assert len(cache) == 0
 
     def test_farm_cache_round_trip_warms_trace_store(self, tmp_path):
         farm = SimulationFarm(arithmetic="trace", max_workers=1)

@@ -5,8 +5,8 @@ The acceptance bar of the array-oriented backend: on the experiment job set
 training GEMMs), `ExactSimdVectorOps` must leave bit-identical TCDM contents
 and report identical cycle counts to the scalar `ExactVectorOps` oracle.
 Larger shapes of the same sweeps are covered at the kernel level
-(`test_fp_simd`) and by the golden-model equivalence below, which evaluates
-the exact accumulation order without the cycle-accurate machinery.
+(`test_fp_simd_formats`) and by the golden-model equivalence below, which
+evaluates the exact accumulation order without the cycle-accurate machinery.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.farm import (
     BackendValidationReport,
     SimulationFarm,
 )
+from repro.fp.formats import FP16
 from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -24,9 +25,8 @@ from repro.mem.tcdm import Tcdm, TcdmConfig
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.functional import (
-    matmul_hw_order_exact,
-    matmul_hw_order_simd,
-    matmul_hw_order_simd_bits,
+    matmul_hw_order_exact_fmt,
+    matmul_hw_order_simd_fmt,
 )
 from repro.redmule.job import MatmulJob
 from repro.redmule.vector_ops import (
@@ -118,28 +118,27 @@ class TestGoldenModelEquivalence:
         rng = np.random.default_rng(0)
         x = quantize_fp16(rng.standard_normal((12, 37)) * 0.3)
         w = quantize_fp16(rng.standard_normal((37, 9)) * 0.3)
-        assert (matmul_hw_order_simd_bits(matrix_to_bits(x), matrix_to_bits(w))
-                == matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w)))
+        assert (matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16))
+                == matmul_hw_order_exact_fmt(matrix_to_bits(x),
+                                             matrix_to_bits(w), FP16))
 
     def test_simd_matmul_with_accumulator(self):
         rng = np.random.default_rng(1)
         x = quantize_fp16(rng.standard_normal((5, 16)) * 0.3)
         w = quantize_fp16(rng.standard_normal((16, 7)) * 0.3)
         acc = quantize_fp16(rng.standard_normal((5, 7)))
-        want = matmul_hw_order_exact(
-            matrix_to_bits(x), matrix_to_bits(w), matrix_to_bits(acc)
+        want = matmul_hw_order_exact_fmt(
+            matrix_to_bits(x), matrix_to_bits(w), FP16, matrix_to_bits(acc)
         )
-        got = matmul_hw_order_simd_bits(
-            matrix_to_bits(x), matrix_to_bits(w), matrix_to_bits(acc)
-        )
+        got = matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16, acc))
         assert got == want
 
     def test_simd_matmul_shape_checks(self):
         with pytest.raises(ValueError):
-            matmul_hw_order_simd(np.zeros((2, 3)), np.zeros((4, 2)))
+            matmul_hw_order_simd_fmt(np.zeros((2, 3)), np.zeros((4, 2)), FP16)
         with pytest.raises(ValueError):
-            matmul_hw_order_simd(np.zeros((2, 3)), np.zeros((3, 2)),
-                                 acc=np.zeros((3, 3)))
+            matmul_hw_order_simd_fmt(np.zeros((2, 3)), np.zeros((3, 2)), FP16,
+                                     acc=np.zeros((3, 3)))
 
 
 class TestVectorOpsLevel:

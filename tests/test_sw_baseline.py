@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast, matmul_hw_order_simd
+from repro.redmule.functional import matmul_hw_order_fast, matmul_hw_order_simd_fmt
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.sw.baseline import SoftwareBaseline
 from repro.sw.kernel import KernelCostModel, KernelParameters
@@ -79,7 +80,9 @@ class TestSoftwareBaseline:
         baseline = SoftwareBaseline()
         x = random_fp16_matrix(8, 32, scale=0.3, seed=0)
         w = random_fp16_matrix(32, 8, scale=0.3, seed=1)
-        assert np.array_equal(baseline.compute(x, w), matmul_hw_order_simd(x, w))
+        result = baseline.compute(x, w)
+        assert result.dtype == np.float32
+        assert np.array_equal(result, matmul_hw_order_simd_fmt(x, w, FP16))
         # The float64 fast model agrees on this data too (no double rounding).
         assert np.array_equal(baseline.compute(x, w), matmul_hw_order_fast(x, w))
 
