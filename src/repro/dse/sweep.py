@@ -5,11 +5,12 @@
 point's configuration, times the lowered job stream through a
 ``backend="analytic"`` :class:`~repro.farm.SimulationFarm`, and joins the
 timing with the area and energy models into one :class:`DsePoint` record
-per grid point.  Configuration-dependent work (lowering, the farm batch,
-the exactness scan, accelerator area) is computed once per distinct
-configuration -- the environment axes (banks, latency) only re-derive the
-per-point metrics -- and one :class:`~repro.farm.TimingCache` serves the
-whole sweep (pass ``cache=`` to share it across sweeps and workloads too).
+per grid point.  Configuration-dependent work (lowering, the job
+dependency list, the farm batch, the exactness scan, accelerator area) is
+computed once per distinct configuration -- the environment axes (banks,
+latency) only re-derive the per-point metrics -- and one
+:class:`~repro.farm.TimingCache` serves the whole sweep (pass ``cache=`` to
+share it across sweeps and workloads too).
 
 Per point the record carries the three objective families of the paper's
 design argument:
@@ -42,7 +43,8 @@ from repro.graph.zoo import build_model
 from repro.power.area import AreaModel, ClusterAreaModel
 from repro.power.energy import EnergyModel
 from repro.power.technology import OperatingPoint, TECH_22NM, TechnologyParams
-from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.config import RedMulEConfig
+from repro.redmule.perf_model import RedMulEPerfModel, critical_path_cycles
 from repro.workloads.gemm import GemmShape
 
 #: Default Pareto objectives: the paper's area-vs-speed trade-off.
@@ -325,11 +327,11 @@ def sweep(
 
     started = time.perf_counter()
     records: List[DsePoint] = []
-    # Lowering, the farm batch, the exactness scan and the accelerator area
-    # depend only on the configuration, not on the environment axes
-    # (tcdm_banks / memory_latency), so they are computed once per config:
-    # a grid with E environment combinations per config would otherwise
-    # redo them E times.
+    # Lowering, the job dependency list, the farm batch, the exactness scan
+    # and the accelerator area depend only on the configuration, not on the
+    # environment axes (tcdm_banks / memory_latency), so they are computed
+    # once per config: a grid with E environment combinations per config
+    # would otherwise redo them E times.
     per_config: Dict[RedMulEConfig, tuple] = {}
     for point in space.points():
         config = point.config
@@ -342,13 +344,14 @@ def sweep(
             model = RedMulEPerfModel(config)
             cached = (
                 program,
+                program.job_deps(),
                 [(result.cycles, result.record.n_tiles)
                  for result in results],
                 all(model.is_exact(job) for job in program.jobs),
                 AreaModel(config, technology).total(),
             )
             per_config[config] = cached
-        program, base_timing, model_exact, area = cached
+        program, deps, base_timing, model_exact, area = cached
         # The memory-latency axis charges the extra access latency once per
         # tile pre-load, exactly like RedMulEPerfModel(memory_latency=...)
         # (the per-record tile counts make the two formulations identical).
@@ -357,7 +360,7 @@ def sweep(
             for cycles, n_tiles in base_timing
         ]
         serial = float(sum(costs))
-        makespan = program.critical_path_cycles(costs)
+        makespan = critical_path_cycles(deps, costs)
         total_macs = program.total_macs
         macs_per_cycle = total_macs / serial if serial > 0 else 0.0
         utilisation = macs_per_cycle / config.ideal_macs_per_cycle

@@ -15,8 +15,6 @@ Caveats the report makes explicit:
 * jobs above ``max_macs_per_job`` are skipped (running them through the
   Python engine is exactly the cost the analytic backend exists to avoid)
   and counted in ``jobs_skipped``;
-* points whose configuration the engine cannot execute (``P = 0``) are
-  skipped entirely;
 * on the model's provably-exact domain
   (:meth:`~repro.redmule.perf_model.RedMulEPerfModel.is_exact`) the expected
   error is zero; elsewhere the wide port can saturate and the report's
@@ -150,9 +148,6 @@ def cross_validate(
     points_skipped = 0
     for dse_point in chosen:
         config = dse_point.point.config
-        if config.pipeline_regs < 1:
-            points_skipped += 1
-            continue
         lower_kwargs = {"tile": result.tile}
         if result.tcdm_budget_bytes is not None:
             lower_kwargs["tcdm_budget_bytes"] = result.tcdm_budget_bytes

@@ -30,8 +30,7 @@ from repro.redmule.perf_model import RedMulEPerfModel
 
 def config_from_key(key: Tuple[int, ...]) -> RedMulEConfig:
     """Rebuild the architectural configuration from a cache key tuple."""
-    height, length, pipeline_regs, w_prefetch_lines, z_queue_depth = key[:5]
-    fmt = key[5] if len(key) > 5 else "fp16"
+    height, length, pipeline_regs, w_prefetch_lines, z_queue_depth, fmt = key
     return RedMulEConfig(
         height=height,
         length=length,

@@ -19,6 +19,17 @@ same execution structure:
 * after the last tile the remaining Z lines trickle out at one line per
   cycle.
 
+A tile's cost depends on its position only through its valid row count,
+and that count takes two values: the ``(tiles_m - 1) * tiles_k`` tiles
+above the last tile row are full (``L`` rows), and the ``tiles_k`` tiles of
+the last tile row hold ``r = M - (tiles_m - 1) * L`` rows (``r = L`` when
+``L`` divides ``M``).  Tiles run row-major, so the last tile is one of the
+``r``-row class.  The model therefore sums the per-tile expression over
+the two classes in closed form instead of walking the tile grid, and
+:meth:`RedMulEPerfModel.is_exact` checks the only three (previous,
+current) row-class pairs the row-major order produces.  Both cost O(1) per
+job, whatever its shape.
+
 On the *uncontended* domain -- where the wide port has enough spare slots per
 ``block_k``-cycle chunk window to serve the mid-tile W and X refills (see
 :meth:`RedMulEPerfModel.is_exact`) -- the estimate is **bit-exact**: it equals
@@ -165,24 +176,31 @@ class RedMulEPerfModel:
         self.memory_latency = memory_latency
 
     # ------------------------------------------------------------------
-    def _initial_w_lines(self, n_chunks: int, n: int) -> int:
-        """W lines enqueued before the first issue of a tile.
+    def _fixed_tile_cycles(self, job: MatmulJob,
+                           schedule: TileSchedule) -> int:
+        """Cycles of one tile that do not depend on its row count.
 
-        These are the lines whose first broadcast falls within the first
-        ``block_k`` cycles of the tile (the streamer's prefetch horizon), and
-        whose inner index lies inside the real matrix (padding rows are not
-        fetched).
+        The pre-load of the initial W lines (the first issue happens on the
+        cycle the last pre-load access lands, hence the ``- 1``), the issue
+        window, the last column's ``P+1``-cycle drain and, without
+        accumulation, the boundary cycle.  The callers add the per-row
+        pre-load lines (one X line, plus one Y line when accumulating) and
+        the memory latency.
         """
         cfg = self.config
-        count = 0
-        for chunk in range(n_chunks):
-            for col in range(cfg.height):
-                need = col * cfg.latency + chunk * cfg.block_k
-                if need > cfg.block_k * cfg.w_prefetch_lines:
-                    continue
-                if chunk * cfg.height + col < n:
-                    count += 1
-        return count
+        # The initial W lines are those whose first broadcast falls within
+        # the streamer's prefetch horizon of ``w_prefetch_lines * block_k``
+        # cycles and whose inner index lies inside the real matrix (padding
+        # rows are not fetched).  Line ``j`` (chunk ``j // H``, column
+        # ``j % H``) is first broadcast ``j * (P+1)`` cycles into the tile
+        # and ``block_k = H * (P+1)``, so the horizon admits lines
+        # ``0 .. w_prefetch_lines * H``.
+        initial_w_lines = min(job.n, cfg.w_prefetch_lines * cfg.height + 1)
+        issue_cycles = ((cfg.height - 1) * cfg.latency
+                        + schedule.n_chunks * cfg.block_k)
+        boundary = 0 if job.accumulate else 1
+        return (initial_w_lines - 1 + issue_cycles + cfg.latency
+                + boundary)
 
     def is_exact(self, job: MatmulJob) -> bool:
         """True when the closed form provably equals the engine on ``job``.
@@ -203,74 +221,57 @@ class RedMulEPerfModel:
           multi-precision property tests: tiny tiles after full-height
           ones).
 
-        ``P = 0`` (single-cycle FMAs) is excluded: the engine's X prefetch
-        outruns its buffer there, so no ground truth exists to match.
+        The spare slots depend on the tile only through its row count, so
+        the backlog check covers the three (previous, current) pairs of
+        the two row classes (see the module docstring) that row-major
+        order produces: full -> full when at least two full tiles exist,
+        full -> last when there is more than one tile row, and
+        last -> last when there is more than one tile column.
         """
         cfg = self.config
-        if cfg.pipeline_regs < 1:
-            return False
         schedule = TileSchedule(job, cfg)
-        rows = min(job.m, cfg.length)
+        n_blocks = schedule.n_blocks
         w_demand = min(cfg.height, job.n)
-        x_demand = rows if schedule.n_blocks > 1 else 0
+        x_demand = min(job.m, cfg.length) if n_blocks > 1 else 0
         if w_demand + x_demand > cfg.block_k:
             return False
 
-        # Z-backlog condition: every non-first tile needs enough spare
-        # slots (duration minus every access it performs itself) to drain
-        # the previous tile's queued rows before its own compute ends.
-        n_chunks = schedule.n_chunks
-        issue_cycles = (cfg.height - 1) * cfg.latency + n_chunks * cfg.block_k
-        w_initial = self._initial_w_lines(n_chunks, job.n)
-        boundary = 0 if job.accumulate else 1
-        w_total = sum(
-            1
-            for chunk in range(n_chunks)
-            for col in range(cfg.height)
-            if chunk * cfg.height + col < job.n
+        # Z-backlog condition.  A tile of ``rows`` valid rows lasts its
+        # fixed cycles plus one X and (accumulating) one Y pre-load line per
+        # row; it performs N W accesses, ``n_blocks`` X accesses per row and
+        # its Y lines itself.  The Y lines cancel, leaving
+        # ``spare - rows * (n_blocks - 1)`` spare port slots.
+        spare = self._fixed_tile_cycles(job, schedule) - job.n
+        tiles_m, tiles_k = schedule.tiles_m, schedule.tiles_k
+        full = cfg.length
+        last = job.m - (tiles_m - 1) * full
+        pairs = (
+            (full, full, (tiles_m - 1) * tiles_k >= 2),
+            (full, last, tiles_m >= 2),
+            (last, last, tiles_k >= 2),
         )
-        previous_rows = None
-        for tile in schedule:
-            y_lines = tile.rows if job.accumulate else 0
-            accesses = w_total + tile.rows * schedule.n_blocks + y_lines
-            preload = max(w_initial + y_lines + tile.rows - 1, 0)
-            duration = preload + issue_cycles + cfg.latency + boundary
-            if (previous_rows is not None
-                    and duration - accesses < previous_rows):
-                return False
-            previous_rows = tile.rows
-        return True
+        return all(spare - rows * (n_blocks - 1) >= previous_rows
+                   for previous_rows, rows, occurs in pairs if occurs)
 
     def estimate(self, job: MatmulJob) -> PerfEstimate:
-        """Estimate the cycle count of ``job`` on this configuration."""
+        """Estimate the cycle count of ``job`` on this configuration.
+
+        Every tile costs its fixed cycles, the memory latency and its
+        per-row pre-load lines.  Over the two row classes the rows of one
+        tile column add up to ``M``, so the row terms total ``tiles_k * M``
+        lines per pre-load line kind.  The final drain adds the last tile's
+        ``r`` Z lines.
+        """
         cfg = self.config
         schedule = TileSchedule(job, cfg)
-        n_chunks = schedule.n_chunks
-        issue_cycles = (cfg.height - 1) * cfg.latency + n_chunks * cfg.block_k
-        w_initial = self._initial_w_lines(n_chunks, job.n)
-        # A non-accumulating tile pays one boundary cycle handing its first
-        # Z row to the store path; an accumulating tile hides it behind the
-        # Y pre-load (measured against the engine, see the module docstring).
-        boundary = 0 if job.accumulate else 1
-
-        total = 0
-        for tile in schedule:
-            # Stall cycles before the first issue: the wide port serves the
-            # initial W lines (higher priority), the Z pre-load lines of an
-            # accumulation job, and the first X block, one access per cycle;
-            # the first issue happens on the cycle the last of those lands.
-            # With a slow memory the first access additionally waits out the
-            # extra latency before the pipelined stream starts.
-            x0_lines = tile.rows if job.n > 0 else 0
-            y_lines = tile.rows if job.accumulate else 0
-            preload_stalls = max(w_initial + y_lines + x0_lines - 1, 0)
-            preload_stalls += self.memory_latency
-            total += preload_stalls + issue_cycles + cfg.latency + boundary
-
-        # Final Z drain: the last tile's lines leave the Z queue at one line
-        # per cycle (queue -> streamer -> memory) once compute has finished.
-        last_tile = schedule.tile(schedule.n_tiles - 1)
-        total += last_tile.rows
+        per_tile = (self._fixed_tile_cycles(job, schedule)
+                    + self.memory_latency)
+        row_lines = 2 if job.accumulate else 1
+        tiles_m, tiles_k = schedule.tiles_m, schedule.tiles_k
+        last_rows = job.m - (tiles_m - 1) * cfg.length
+        n_tiles = tiles_m * tiles_k
+        total = (n_tiles * per_tile + row_lines * tiles_k * job.m
+                 + last_rows)
 
         ideal = -(-job.total_macs // cfg.ideal_macs_per_cycle)
         return PerfEstimate(
@@ -279,7 +280,7 @@ class RedMulEPerfModel:
             cycles=total,
             ideal_cycles=ideal,
             overhead_cycles=total - ideal,
-            n_tiles=schedule.n_tiles,
+            n_tiles=n_tiles,
         )
 
     # -- convenience -------------------------------------------------------

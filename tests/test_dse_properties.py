@@ -3,9 +3,9 @@
 The design-space explorer rests on one claim: on the uncontended domain
 (:meth:`RedMulEPerfModel.is_exact`), the closed-form estimate equals the
 cycle-accurate engine *exactly* -- not within a tolerance.  These tests
-randomise (M, N, K) x (H, L, P) x accumulate and assert bit-for-bit cycle
-equality wherever the predicate holds, plus a tolerance-bounded check for
-the program-level estimator built on top.
+randomise (M, N, K) x (H, L, P, W prefetch depth, format) x accumulate and
+assert bit-for-bit cycle equality wherever the predicate holds, plus a
+tolerance-bounded check for the program-level estimator built on top.
 """
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -23,6 +23,8 @@ from repro.redmule.perf_model import RedMulEPerfModel
 heights = st.integers(min_value=1, max_value=6)
 lengths = st.integers(min_value=1, max_value=8)
 pipeline = st.integers(min_value=1, max_value=4)
+prefetch = st.integers(min_value=1, max_value=3)
+precisions = st.sampled_from(["fp16", "fp8-e4m3"])
 dims_m = st.integers(min_value=1, max_value=16)
 dims_n = st.integers(min_value=1, max_value=32)
 dims_k = st.integers(min_value=1, max_value=16)
@@ -32,12 +34,16 @@ dims_k = st.integers(min_value=1, max_value=16)
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(height=heights, length=lengths, pipeline_regs=pipeline,
+       w_prefetch_lines=prefetch, precision=precisions,
        m=dims_m, n=dims_n, k=dims_k, accumulate=st.booleans())
 def test_estimate_equals_engine_cycles_on_exact_domain(
-    height, length, pipeline_regs, m, n, k, accumulate
+    height, length, pipeline_regs, w_prefetch_lines, precision, m, n, k,
+    accumulate
 ):
     config = RedMulEConfig(height=height, length=length,
-                           pipeline_regs=pipeline_regs)
+                           pipeline_regs=pipeline_regs,
+                           w_prefetch_lines=w_prefetch_lines,
+                           format=precision)
     job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=m, n=n, k=k,
                     accumulate=accumulate)
     model = RedMulEPerfModel(config)
@@ -48,9 +54,9 @@ def test_estimate_equals_engine_cycles_on_exact_domain(
     )
     estimate = model.estimate(job)
     assert estimate.cycles == measured.cycles, (
-        f"H{height} L{length} P{pipeline_regs} {m}x{n}x{k} "
-        f"accumulate={accumulate}: engine {measured.cycles} vs "
-        f"model {estimate.cycles}"
+        f"H{height} L{length} P{pipeline_regs} prefetch{w_prefetch_lines} "
+        f"{precision} {m}x{n}x{k} accumulate={accumulate}: "
+        f"engine {measured.cycles} vs model {estimate.cycles}"
     )
     assert estimate.n_tiles == measured.n_tiles
 

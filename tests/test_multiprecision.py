@@ -275,8 +275,11 @@ class TestFarmFormatIdentity:
                                format="fp8-e4m3")
         assert config_from_key(config_key(config)) == config
 
-    def test_legacy_five_field_keys_decode_as_fp16(self):
-        assert config_from_key((4, 8, 3, 1, 8)).format == "fp16"
+    def test_five_field_keys_are_rejected(self):
+        # config_key always emits six fields and only schema v4 cache files
+        # (six-field keys) load, so a key without the format is malformed.
+        with pytest.raises(ValueError):
+            config_from_key((4, 8, 3, 1, 8))
 
     def test_cache_schema_v4_rejects_older_versions(self, tmp_path):
         cache = TimingCache()
