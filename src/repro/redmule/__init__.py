@@ -8,8 +8,8 @@ coupled FP16 matrix-multiplication accelerator.  It contains
 * structural models of the datapath building blocks -- the semi-systolic
   array of pipelined FMA rows with feedback, and the X/W/Z buffers
   (:mod:`repro.redmule.datapath`, :mod:`repro.redmule.buffers`),
-* the row-vector arithmetic strategies the datapath evaluates with, one per
-  backend (:mod:`repro.redmule.vector_ops`),
+* the per-tile chain kernels, one per arithmetic backend, that evaluate a
+  tile's arithmetic once it drains (:mod:`repro.redmule.vector_ops`),
 * the streamer that schedules the single 288-bit memory port
   (:mod:`repro.redmule.streamer`),
 * the tiling scheduler (:mod:`repro.redmule.scheduler`),

@@ -3,21 +3,23 @@
 The streamer fills these buffers through the single 288-bit port; the datapath
 consumes them.  Their geometry follows Section II-B of the paper:
 
-* **X buffer** -- one ``block_k``-element line per row; the datapath consumes
-  one element per row per ``H*(P+1)``-cycle column slot, so a full block of
-  ``L`` lines covers ``block_k / H`` inner-dimension chunks.  The model keeps
-  up to two blocks resident (the one being consumed and the one being
-  prefetched), which is what the element-wise refill of the real buffer
-  achieves.
-* **W buffer** -- ``H`` shift registers of ``block_k`` elements; each column
-  broadcasts one element per cycle and needs a fresh line every ``block_k``
+* **X buffer** -- one ``elements_per_line``-element line per row (``block_k``
+  elements for the 16-bit formats, ``2 * block_k`` for FP8); the datapath
+  consumes one element per row per ``H*(P+1)``-cycle column slot, so a full
+  block of ``L`` lines covers ``elements_per_line / H`` inner-dimension
+  chunks.  The model keeps up to two blocks resident (the one being consumed
+  and the one being prefetched), which is what the element-wise refill of
+  the real buffer achieves.
+* **W buffer** -- ``H`` shift registers of one line each; each column
+  broadcasts one slot per cycle and needs a fresh line every ``block_k``
   cycles, staggered by ``P+1`` cycles between columns.
 * **Z buffer** -- collects one output line per row at the end of a tile and
   drains it to memory through the streamer's spare port slots.
 
-Lines are stored in whatever vector representation the engine's
-:class:`~repro.redmule.vector_ops.VectorOps` strategy uses; the buffers treat
-them as opaque objects.
+The X and W buffers model residency and back-pressure: the engine stores the
+raw pattern lines the streamer delivered (the arithmetic runs once per tile,
+on the operand lines the engine keeps alongside), and the buffers treat them
+as opaque objects.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from repro.redmule.config import RedMulEConfig
 
 
 class XBlockBuffer:
-    """Per-row X lines, organised in ``block_k``-wide blocks of the inner dimension.
+    """Per-row X lines, organised in line-wide blocks of the inner dimension.
 
-    A *block* ``b`` holds elements ``n in [b*block_k, (b+1)*block_k)`` of the
-    current tile's ``L`` rows.  The buffer can hold ``capacity_blocks`` blocks
-    at once (2 by default: consume + prefetch).
+    A *block* ``b`` holds elements ``n in [b*E, (b+1)*E)`` of the current
+    tile's ``L`` rows, where ``E = config.elements_per_line`` (``block_k``
+    for the 16-bit formats, ``2 * block_k`` for FP8).  The buffer can hold
+    ``capacity_blocks`` blocks at once (2 by default: consume + prefetch).
     """
 
     def __init__(self, config: RedMulEConfig, capacity_blocks: int = 2) -> None:
@@ -99,7 +102,7 @@ class XBlockBuffer:
 
 
 class WLineBuffer:
-    """W shift registers: one ``block_k``-element line per (column, chunk).
+    """W shift registers: one line (``block_k`` slots) per (column, chunk).
 
     Lines are keyed by the chunk they serve; a column's line for chunk ``p``
     is consumed over the ``block_k`` cycles the column spends on that chunk

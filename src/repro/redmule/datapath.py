@@ -1,59 +1,52 @@
 """The semi-systolic FMA array (column-pipeline implementation).
 
 All ``L`` rows of the array execute the same schedule, so the cycle-accurate
-model keeps one pipeline per *column* whose entries carry a vector of ``L``
-values (one per row).  An entry issued into column ``c`` at cycle ``t``
-completes at ``t + P + 1`` and its result vector becomes the accumulation
-input of column ``c + 1`` (or the feedback / output of the row when ``c`` is
-the last column), exactly reproducing the wiring of Fig. 2b.
+model keeps one pipeline per *column* whose entries stand for one issue into
+all ``L`` rows.  An entry issued into column ``c`` completes ``P + 1``
+datapath cycles later and feeds column ``c + 1`` (or the feedback / output
+of the row when ``c`` is the last column), exactly reproducing the wiring of
+Fig. 2b.
 
-The datapath does not know about tiles, memory or stalls -- the engine decides
-when to issue what.  It only enforces structural legality (one issue per
-column per cycle, bounded pipeline depth) and evaluates the FP16 arithmetic
-through a :class:`~repro.redmule.vector_ops.VectorOps` strategy.
+The datapath carries issue tags and timing only, never values: the engine
+evaluates a tile's arithmetic once, when the tile drains (see
+:meth:`repro.redmule.vector_ops.VectorOps.chain`).  It does not know about
+tiles, memory or stalls either -- the engine decides when to issue what and
+when the array advances.  It only enforces structural legality (one issue
+per column per cycle, bounded pipeline depth).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.redmule.config import RedMulEConfig
-from repro.redmule.vector_ops import VectorOps, make_vector_ops
 
 
 @dataclass
 class ColumnEntry:
-    """An FMA operation (for all L rows at once) in flight in one column."""
+    """An FMA issue (for all L rows at once) in flight in one column."""
 
     #: Tag identifying the operation: (chunk index, k index within the tile).
     chunk: int
     k: int
-    #: Result vector (evaluated at issue; the pipeline models latency only).
-    values: object
-    #: Remaining cycles until the result is available downstream.
-    remaining: int
+    #: Datapath cycle (count of :meth:`Datapath.tick` calls) at which the
+    #: entry leaves the column.
+    due: int
 
 
 class Datapath:
-    """``H`` column pipelines of ``L``-wide FP16 FMA vectors.
+    """``H`` column pipelines, each ``L`` FMA rows wide."""
 
-    ``exact`` selects the arithmetic strategy from the vector-ops registry:
-    it accepts a backend name (``"exact"``, ``"exact-simd"``, ``"fast"``) or
-    the legacy boolean (``True`` = scalar bit-exact, ``False`` = float64).
-    """
-
-    def __init__(self, config: RedMulEConfig, exact=True,
-                 vector_ops: Optional[VectorOps] = None) -> None:
+    def __init__(self, config: RedMulEConfig) -> None:
         self.config = config
-        if vector_ops is None:
-            vector_ops = make_vector_ops(exact, config.binary_format)
-        self.ops = vector_ops
         self._pipes: List[Deque[ColumnEntry]] = [
             deque() for _ in range(config.height)
         ]
         self._issued_this_cycle = [False] * config.height
+        #: Datapath cycles advanced so far (one per :meth:`tick`).
+        self._now = 0
         #: Total column issues performed (each is ``L * lanes`` MAC lanes).
         self.column_issues = 0
         #: Total MAC lanes issued (``column_issues * L * elements_per_slot``).
@@ -70,23 +63,28 @@ class Datapath:
         return len(self._pipes[column])
 
     def tick(self) -> Dict[int, ColumnEntry]:
-        """Advance one cycle.
+        """Advance the array one cycle.
 
         Returns a map ``column -> entry`` of the operations that completed
-        this cycle (at most one per column).  Must be called exactly once per
-        simulated cycle, before any :meth:`issue` of that cycle.
+        this cycle (at most one per column).  The engine calls it once per
+        cycle in which the array advances -- never on stall cycles, when
+        the whole array is frozen -- before any :meth:`issue` of that cycle.
         """
+        self._now = now = self._now + 1
+        self._issued_this_cycle = [False] * self.config.height
         completed: Dict[int, ColumnEntry] = {}
         for column, pipe in enumerate(self._pipes):
-            self._issued_this_cycle[column] = False
-            for entry in pipe:
-                entry.remaining -= 1
-            if pipe and pipe[0].remaining == 0:
+            if pipe and pipe[0].due == now:
                 completed[column] = pipe.popleft()
         return completed
 
-    def _enqueue(self, column: int, chunk: int, k: int, values) -> None:
-        """Structural-legality checks plus bookkeeping shared by both issues."""
+    def issue(self, column: int, chunk: int, k: int) -> None:
+        """Issue tag ``(chunk, k)`` into ``column``.
+
+        Inner-dimension padding slots issue like any other: the gated lane
+        still occupies its pipeline stage (same timing, same issue
+        accounting); the arithmetic skips it.
+        """
         config = self.config
         if not (0 <= column < config.height):
             raise IndexError(f"column {column} out of range")
@@ -99,29 +97,10 @@ class Datapath:
                 f"column {column}: pipeline overflow "
                 f"({len(pipe)} entries, latency {latency})"
             )
-        pipe.append(
-            ColumnEntry(chunk=chunk, k=k, values=values, remaining=latency)
-        )
+        pipe.append(ColumnEntry(chunk=chunk, k=k, due=self._now + latency))
         self._issued_this_cycle[column] = True
         self.column_issues += 1
         self.fma_issues += config.length * config.elements_per_slot
-
-    def issue(self, column: int, chunk: int, k: int, x_vector, w_bits: int,
-              acc_vector) -> None:
-        """Issue ``x * w + acc`` into ``column`` for tag ``(chunk, k)``."""
-        self._enqueue(column, chunk, k,
-                      self.ops.fma(x_vector, w_bits, acc_vector))
-
-    def issue_gated(self, column: int, chunk: int, k: int, acc_vector) -> None:
-        """Issue a padding slot: the accumulator passes through unchanged.
-
-        Inner-dimension padding lanes (``n >= N`` in the last chunk) are
-        operand-gated in the array -- the slot still occupies its pipeline
-        stage (same timing, same issue accounting) but performs no
-        arithmetic, so a signed-zero accumulator is not disturbed by a
-        ``x * (+0)`` product the real gated lane never computes.
-        """
-        self._enqueue(column, chunk, k, acc_vector)
 
     def flush(self) -> None:
         """Drop all in-flight operations (between jobs)."""

@@ -14,6 +14,12 @@ controller into a cycle-by-cycle simulation of a complete matmul job:
 * computed Z lines are queued in the Z buffer and drained through spare port
   slots.
 
+The cycle loop carries issue tags and timing only.  A tile's arithmetic is
+evaluated once, when the tile drains: the operand lines the streamer loaded
+go to the backend's chain kernel
+(:meth:`repro.redmule.vector_ops.VectorOps.chain`), which walks the inner
+dimension in the order the schedule issued it and returns the Z lines.
+
 The engine reports cycle counts, stall breakdowns and utilisation, and -- by
 construction -- leaves the bit-exact (or numpy-exact) result of the
 computation in the TCDM, so functional and timing verification use the same
@@ -25,6 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
+from repro.fp.simd_formats import format_dtype
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.tcdm import Tcdm, TcdmConfig
 from repro.obs import active as _telemetry_active
@@ -134,7 +143,7 @@ class RedMulE:
         self.backend = self.ops.name
         #: True when the backend reproduces the hardware bits exactly.
         self.exact = self.ops.bit_exact
-        self.datapath = Datapath(self.config, vector_ops=self.ops)
+        self.datapath = Datapath(self.config)
         self.controller = RedMulEController()
         self.streamer = Streamer(self.config, hci)
         #: Schedule-trace store driving record/replay (None for plain backends).
@@ -238,6 +247,9 @@ class RedMulE:
             for chunk in range(schedule.n_chunks)
             for col in range(cfg.height)
         )
+        # Inner steps in issue order (chunk-major, then column); the steps
+        # past N are the operand-gated padding lanes of the last chunk.
+        active_mask = np.arange(schedule.n_chunks * cfg.height) < job.n
 
         session: Optional[ReplaySession] = None
         if self._trace_store is not None:
@@ -275,7 +287,7 @@ class RedMulE:
                     else:
                         recorder = None
                     self._run_tile(job, schedule, tile, xbuf, wbuf, zbuf,
-                                   w_need_order, state, recorder)
+                                   w_need_order, active_mask, state, recorder)
                     if recorder is not None:
                         session.commit_recording(tile, recorder)
                 if monitor:
@@ -333,8 +345,18 @@ class RedMulE:
 
     def _run_tile(self, job: MatmulJob, schedule: TileSchedule, tile: Tile,
                   xbuf: XBlockBuffer, wbuf: WLineBuffer, zbuf: ZStoreBuffer,
-                  w_need_order, state: _JobState, recorder) -> None:
-        """Event-step one tile of the job (the original engine hot loop).
+                  w_need_order, active_mask: np.ndarray, state: _JobState,
+                  recorder) -> None:
+        """Event-step one tile of the job (the engine hot loop).
+
+        The cycle loop tracks issue tags and timing only.  Every operand
+        line the streamer delivers is also kept in the tile's operand
+        arrays -- X columns, W lines and the Y pre-load, indexed by inner
+        step in issue order -- and once the tile drains they go to the
+        backend's chain kernel in one call, which returns the Z lines.
+        Using the lines as loaded (never re-reading the TCDM at tile end)
+        keeps jobs whose Z region aliases X or W computing what the
+        hardware computes.
 
         When ``recorder`` is given (trace backend, cold tile) every control
         event of the tile -- streamer enqueues/completions via the observer
@@ -343,50 +365,41 @@ class RedMulE:
         signature.
         """
         cfg = self.config
-        height, length = cfg.height, cfg.length
-        latency, block_k = cfg.latency, cfg.block_k
-        lanes = cfg.elements_per_slot
+        height, latency, block_k = cfg.height, cfg.latency, cfg.block_k
         epl = cfg.elements_per_line
-        ops = self.ops
         n_chunks = schedule.n_chunks
         n_blocks = schedule.n_blocks
         issue_end = (height - 1) * latency + n_chunks * block_k
+        rows, cols = tile.rows, tile.cols
 
-        # Shared read-only zero lines in the strategy's own representations:
-        # a vector-shaped line for X/Y padding and a W-line for padded chunks.
-        zero_line_vec = ops.zeros(epl)
-        zero_w_line = ops.zero_line(epl)
-        zero_vec = ops.zeros(length * lanes)
+        dtype = format_dtype(cfg.binary_format)
+        x_cols = np.zeros((rows, n_blocks * epl), dtype)
+        w_lines = np.zeros((job.n, cols), dtype)
+        y_lines = np.zeros((rows, cols), dtype)
+        # Shared read-only zero line for the padding rows and columns.
+        zero_line = np.zeros(epl, dtype)
 
         xbuf.reset()
         wbuf.reset()
-        feedback = [zero_vec] * block_k
-        z_tile: List[Optional[object]] = [None] * block_k
         z_done = 0
-        x_current = [zero_vec] * height
         x_enqueued_blocks = 0
         w_ptr = 0
         t = 0
 
         # Accumulation jobs (Z += X . W) pre-load the existing Z lines of
         # this tile into the row accumulators before the first issue.
-        y_lines: List[Optional[object]] = [None] * length
         y_pending = 0
-        y_applied = not job.accumulate
         if job.accumulate:
-            for row in range(length):
-                if row < tile.rows:
-                    self.streamer.enqueue(
-                        StreamRequest(
-                            kind="y",
-                            addr=job.z_element_addr(tile.m0 + row, tile.k0),
-                            n_elements=tile.cols,
-                            meta=("y", row),
-                        )
+            for row in range(rows):
+                self.streamer.enqueue(
+                    StreamRequest(
+                        kind="y",
+                        addr=job.z_element_addr(tile.m0 + row, tile.k0),
+                        n_elements=cols,
+                        meta=("y", row),
                     )
-                    y_pending += 1
-                else:
-                    y_lines[row] = zero_line_vec
+                )
+            y_pending = rows
 
         while True:
             if recorder is not None:
@@ -403,32 +416,24 @@ class RedMulE:
             finished = self.streamer.cycle()
             if finished is not None and not finished.write:
                 if finished.kind == "y":
-                    _, row = finished.meta
-                    y_lines[row] = ops.from_bits(finished.data_bits)
+                    y_lines[finished.meta[1]] = finished.data_bits[:cols]
                     y_pending -= 1
                 else:
-                    self._fill_buffer(finished, xbuf, wbuf, ops)
-
-            # Once every Z pre-load line has arrived, seed the feedback
-            # registers with the existing Z values (column-major view).
-            if not y_applied and y_pending == 0:
-                for k in range(block_k):
-                    feedback[k] = ops.gather_slot(y_lines, k)
-                y_applied = True
+                    self._fill_buffer(finished, xbuf, wbuf, x_cols, w_lines)
 
             # ---- 2. demand-driven request generation ----------------------
             x_enqueued_blocks = self._enqueue_x(
-                job, tile, xbuf, zero_line_vec,
-                x_enqueued_blocks, n_blocks, t,
+                job, tile, xbuf, zero_line, x_enqueued_blocks, n_blocks, t,
             )
             w_ptr = self._enqueue_w(
-                job, tile, wbuf, zero_w_line, w_need_order, w_ptr, t,
+                job, tile, wbuf, zero_line, w_need_order, w_ptr, t,
             )
 
             # ---- 3. datapath ----------------------------------------------
+            # The first issue waits for every Z pre-load line.
             if t < issue_end:
-                ready = y_applied and self._resources_ready(
-                    job, tile, xbuf, wbuf, t, n_chunks
+                ready = y_pending == 0 and self._resources_ready(
+                    job, xbuf, wbuf, t, n_chunks
                 )
             else:
                 ready = True
@@ -436,18 +441,11 @@ class RedMulE:
             if ready:
                 completions = self.datapath.tick()
                 last = completions.get(height - 1)
-                if last is not None:
-                    if last.chunk == n_chunks - 1:
-                        z_tile[last.k] = last.values
-                        z_done += 1
-                    else:
-                        feedback[last.k] = last.values
+                if last is not None and last.chunk == n_chunks - 1:
+                    z_done += 1
                 if t < issue_end:
-                    issued = self._issue_cycle(
-                        job, tile, xbuf, wbuf, x_current, feedback,
-                        completions, t, n_chunks, recorder,
-                    )
-                    if issued:
+                    if self._issue_cycle(job, xbuf, wbuf, completions, t,
+                                         n_chunks, recorder):
                         state.active_cycles += 1
                 t += 1
             else:
@@ -460,7 +458,7 @@ class RedMulE:
             if (
                 t >= issue_end
                 and not self.datapath.busy
-                and zbuf.occupancy + tile.rows <= zbuf.depth
+                and zbuf.occupancy + rows <= zbuf.depth
             ):
                 break
 
@@ -469,7 +467,18 @@ class RedMulE:
                 f"tile {tile.index}: expected {block_k} output columns, "
                 f"got {z_done}"
             )
-        self._push_z(job, tile, z_tile, zbuf, ops)
+        z_lines = self.ops.chain(x_cols[None, :, : job.n], w_lines[None],
+                                 y_lines[None], active_mask)[0]
+        for row in range(rows):
+            accepted = zbuf.push(
+                ZStoreRequest(
+                    addr=job.z_element_addr(tile.m0 + row, tile.k0),
+                    bits=z_lines[row],
+                    valid_elements=cols,
+                )
+            )
+            if not accepted:
+                raise RuntimeError("Z store buffer overflow")
 
     # -- helpers -----------------------------------------------------------
     def _drain_zbuf(self, zbuf: ZStoreBuffer) -> None:
@@ -487,19 +496,24 @@ class RedMulE:
             )
 
     def _fill_buffer(self, finished: StreamRequest, xbuf: XBlockBuffer,
-                     wbuf: WLineBuffer, ops) -> None:
-        """Route a completed load into the X or W buffer."""
+                     wbuf: WLineBuffer, x_cols: np.ndarray,
+                     w_lines: np.ndarray) -> None:
+        """Route a completed load into its buffer and the tile's operands."""
+        data = finished.data_bits
         if finished.kind == "w":
             _, col, chunk = finished.meta
-            wbuf.load_line(col, chunk, ops.from_line(finished.data_bits))
+            wbuf.load_line(col, chunk, data)
+            w_lines[chunk * self.config.height + col] = data[: w_lines.shape[1]]
         elif finished.kind == "x":
             _, block, row = finished.meta
-            xbuf.load_line(block, row, ops.from_bits(finished.data_bits))
+            xbuf.load_line(block, row, data)
+            epl = self.config.elements_per_line
+            x_cols[row, block * epl : (block + 1) * epl] = data
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unexpected load kind {finished.kind!r}")
 
     def _enqueue_x(self, job: MatmulJob, tile: Tile, xbuf: XBlockBuffer,
-                   zero_line_vec, next_block: int, n_blocks: int,
+                   zero_line: np.ndarray, next_block: int, n_blocks: int,
                    t: int) -> int:
         """Enqueue X block loads one block ahead of consumption."""
         cfg = self.config
@@ -524,12 +538,12 @@ class RedMulE:
                         )
                     )
                 else:
-                    xbuf.load_line(next_block, row, zero_line_vec)
+                    xbuf.load_line(next_block, row, zero_line)
             next_block += 1
         return next_block
 
     def _enqueue_w(self, job: MatmulJob, tile: Tile, wbuf: WLineBuffer,
-                   zero_w_line, w_need_order, w_ptr: int,
+                   zero_line: np.ndarray, w_need_order, w_ptr: int,
                    t: int) -> int:
         """Enqueue W line loads one line-time ahead of their first broadcast."""
         cfg = self.config
@@ -547,11 +561,11 @@ class RedMulE:
                     )
                 )
             else:
-                wbuf.load_line(col, chunk, zero_w_line)
+                wbuf.load_line(col, chunk, zero_line)
             w_ptr += 1
         return w_ptr
 
-    def _resources_ready(self, job: MatmulJob, tile: Tile, xbuf: XBlockBuffer,
+    def _resources_ready(self, job: MatmulJob, xbuf: XBlockBuffer,
                          wbuf: WLineBuffer, t: int, n_chunks: int) -> bool:
         """Check whether the column crossing a chunk boundary has its operands."""
         cfg = self.config
@@ -571,13 +585,19 @@ class RedMulE:
                 return False
         return True
 
-    def _issue_cycle(self, job: MatmulJob, tile: Tile, xbuf: XBlockBuffer,
-                     wbuf: WLineBuffer, x_current: List[object],
-                     feedback: List[object], completions: Dict[int, object],
+    def _issue_cycle(self, job: MatmulJob, xbuf: XBlockBuffer,
+                     wbuf: WLineBuffer, completions: Dict[int, object],
                      t: int, n_chunks: int, recorder=None) -> bool:
-        """Issue every active column for tile-time ``t``; returns True if any."""
+        """Issue every active column for tile-time ``t``; returns True if any.
+
+        Column 0 of chunk ``c`` consumes the feedback of the last column's
+        chunk ``c - 1`` issue with the same ``k``, which completes in this
+        very cycle; every other column must chain on the tag its left
+        neighbour completed this cycle.  Inner-dimension padding slots
+        (``n >= N``) issue too -- the lane is operand-gated, so the chain
+        kernel skips them -- and the recorder notes the gating.
+        """
         cfg = self.config
-        ops = self.ops
         issued = False
         for col in range(cfg.height):
             slot = t - col * cfg.latency
@@ -586,31 +606,15 @@ class RedMulE:
             chunk, k = divmod(slot, cfg.block_k)
             if chunk >= n_chunks:
                 continue
-            n = chunk * cfg.height + col
-
-            if k == 0 and n < job.n:
-                block, offset = divmod(n, cfg.elements_per_line)
-                x_current[col] = ops.gather(xbuf.lines(block), offset)
-
-            if col == 0:
-                acc = feedback[k]
-            else:
+            if col > 0:
                 previous = completions.get(col - 1)
                 if previous is None or previous.chunk != chunk or previous.k != k:
                     raise RuntimeError(
                         f"systolic chaining broken at t={t}, column {col}, "
                         f"chunk {chunk}, k {k}"
                     )
-                acc = previous.values
-
-            if n < job.n:
-                w_bits = ops.w_slot(wbuf.line(col, chunk), k)
-                self.datapath.issue(col, chunk, k, x_current[col], w_bits, acc)
-            else:
-                # Inner-dimension padding: the lane is operand-gated and the
-                # accumulator passes through untouched (preserves -0 exactly
-                # like the hardware's gated FMA does).
-                self.datapath.issue_gated(col, chunk, k, acc)
+            self.datapath.issue(col, chunk, k)
+            n = chunk * cfg.height + col
             if recorder is not None:
                 recorder.issue(col, chunk, k, n >= job.n)
             issued = True
@@ -623,28 +627,3 @@ class RedMulE:
                         ((chunk + 1) * cfg.height) // cfg.elements_per_line
                     )
         return issued
-
-    def _push_z(self, job: MatmulJob, tile: Tile, z_tile: List[object],
-                zbuf: ZStoreBuffer, ops) -> None:
-        """Convert the finished tile into Z line store requests.
-
-        The whole tile is transposed to per-row lines in one strategy call,
-        which is also where a lazily evaluating strategy materialises all of
-        the tile's accumulator chains in a single batch.  For packed formats
-        the tile covers ``lanes`` elements per slot, so only the slots whose
-        leading lane is architecturally valid are stored (the store request
-        then truncates the possibly half-valid last slot to ``tile.cols``
-        elements).
-        """
-        n_slots = -(-tile.cols // self.config.elements_per_slot)
-        lines = ops.to_lines(z_tile[:n_slots])
-        for row in range(tile.rows):
-            accepted = zbuf.push(
-                ZStoreRequest(
-                    addr=job.z_element_addr(tile.m0 + row, tile.k0),
-                    bits=lines[row],
-                    valid_elements=tile.cols,
-                )
-            )
-            if not accepted:
-                raise RuntimeError("Z store buffer overflow")

@@ -2,10 +2,12 @@
 
 The streamer owns the accelerator's 9 x 32-bit (288-bit) connection to the
 HCI shallow branch.  One wide access can be performed per cycle, shared
-between three traffic classes:
+between four traffic classes:
 
-* **W loads** -- one ``block_k``-element line every ``P+1`` cycles in steady
+* **W loads** -- one line (``block_k`` slots) every ``P+1`` cycles in steady
   state (highest priority: a missing W line stalls the whole array);
+* **Y loads** -- an accumulation job's existing Z lines, pre-loaded at the
+  start of each tile;
 * **X loads** -- refills of the X block buffer, interleaved between W loads;
 * **Z stores** -- draining of computed output lines, using left-over slots.
 
@@ -13,9 +15,9 @@ The engine enqueues :class:`StreamRequest` descriptors as it discovers the
 demand; every simulated cycle the streamer picks the highest-priority pending
 request, performs it through :meth:`repro.interco.hci.Hci.wide_line_cycle`
 (which may stall it when the branch rotation favours the cores), and hands
-the completed request back to the engine.  Lines travel as ``uint16``
-pattern arrays end to end -- one bulk TCDM access per line, no per-element
-marshalling at this boundary.
+the completed request back to the engine.  Lines travel as pattern arrays
+(``uint16``, or ``uint8`` for FP8) end to end -- one bulk TCDM access per
+line, no per-element marshalling at this boundary.
 """
 
 from __future__ import annotations
@@ -40,22 +42,22 @@ PRIORITY_Z = 3
 class StreamRequest:
     """One wide memory access requested by the engine.
 
-    For loads, ``n_elements`` FP16 values are read starting at ``addr`` and
+    For loads, ``n_elements`` elements are read starting at ``addr`` and
     padded with zeros up to the configured line width; for stores,
-    ``payload_bits`` (already truncated to the valid elements; a ``uint16``
-    array or any 16-bit integer sequence) are written.  ``meta`` is an opaque
-    tag the engine uses to route the completed data (e.g. ``("w", column,
-    chunk)`` or ``("x", block, row)``).
+    ``payload_bits`` (already truncated to the valid elements; a pattern
+    array or any integer sequence) are written.  ``meta`` is an opaque tag
+    the engine uses to route the completed data (e.g. ``("w", column,
+    chunk)``, ``("x", block, row)`` or ``("y", row)``).
     """
 
-    kind: str  # "w", "x" or "z"
+    kind: str  # "w", "y" (Z pre-load of an accumulation job), "x" or "z"
     addr: int
     n_elements: int
     write: bool = False
     payload_bits: Optional[Sequence[int]] = None
     meta: tuple = ()
-    #: Filled in by the streamer for completed loads: a ``uint16`` pattern
-    #: array padded to the line width.
+    #: Filled in by the streamer for completed loads: a pattern array
+    #: (``uint16``, or ``uint8`` for FP8) padded to the line width.
     data_bits: Optional[np.ndarray] = None
 
 

@@ -19,7 +19,9 @@ way schedule-compilation passes in cycle-level simulators (pymtl3's
   ``(config_key, tile signature, contention env)``;
 * :func:`replay_dataplane` -- the batched format-parametric FMA chain that
   re-computes only the data plane of a recorded schedule, driven by the
-  recorded lane-activity mask (bit-identical to the scalar oracle);
+  recorded lane-activity mask (bit-identical to the scalar oracle; the same
+  chain kernel the event-stepped engine runs per tile, plus an
+  exception-flag-exact variant);
 * :class:`ReplaySession` -- the hybrid executor used by
   ``RedMulE(backend="trace")``: tiles whose schedule is already recorded are
   replayed in signature-grouped batches at numpy speed, unseen tiles are
@@ -30,8 +32,9 @@ way schedule-compilation passes in cycle-level simulators (pymtl3's
 Replayed tiles reproduce the event-stepped engine exactly where it is
 observable: TCDM contents, ``RedMulEResult`` cycle/stall/issue counters and
 streamer statistics are bit-identical.  Low-level interconnect counters the
-result does not carry (HCI grant counts, per-bank access tallies) are not
-re-simulated during replay windows.
+result does not carry (HCI grant counts, per-bank access tallies, the flat
+memory's read/write counts) are not re-simulated during replay windows: a
+replayed batch reads its operands and lands its Z lines in bulk.
 
 Why the key is sufficient (uncontended case): at a tile boundary the X/W/Y
 queues are empty and the datapath is idle -- the only state crossing the
@@ -53,15 +56,10 @@ import numpy as np
 
 from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import BinaryFormat
-from repro.fp.simd_formats import (
-    bits_to_f64_many,
-    f64_to_bits_many,
-    fma_guarded_f64_fmt,
-    fma_many_fmt,
-    format_dtype,
-)
+from repro.fp.simd_formats import fma_many_fmt, format_dtype
 from repro.redmule.buffers import ZStoreRequest
 from repro.redmule.streamer import StreamRequest
+from repro.redmule.vector_ops import ExactSimdVectorOps
 
 #: The only contention environment a trace can be replayed under: no
 #: logarithmic-branch traffic contends with the wide port, so the branch
@@ -436,30 +434,26 @@ def replay_dataplane(
     result is bit-identical to the event-stepped datapath (and to the
     scalar oracle :func:`repro.redmule.functional.matmul_hw_order_exact_fmt`).
 
-    Without ``flags`` each step runs the guarded float64 kernel (fast path;
-    lanes at double-rounding risk fall back to the integer kernels).  With
-    ``flags`` every step runs the integer kernels outright and aggregates
-    the IEEE exception flags -- bit-identical values, scalar-oracle flags.
+    Without ``flags`` this is the ``exact-simd``/``trace`` chain kernel
+    (:meth:`repro.redmule.vector_ops.ExactSimdVectorOps.chain`, the one the
+    engine runs on every event-stepped tile): the guarded float64 kernel
+    per step, lanes at double-rounding risk falling back to the integer
+    kernels.  With ``flags`` every step runs the integer kernels outright
+    and aggregates the IEEE exception flags -- bit-identical values,
+    scalar-oracle flags.
     """
-    steps = np.flatnonzero(np.asarray(active_mask, dtype=bool))
-    if flags is not None:
-        dtype = format_dtype(fmt)
-        acc = np.array(acc_bits, dtype=dtype)
-        x = np.asarray(x_bits, dtype=dtype)
-        w = np.asarray(w_bits, dtype=dtype)
-        for n in steps:
-            a = np.broadcast_to(x[:, :, n][:, :, None], acc.shape)
-            b = np.broadcast_to(w[:, n, :][:, None, :], acc.shape)
-            acc = fma_many_fmt(a, b, acc, fmt, flags=flags)
-        return acc
-    x64 = bits_to_f64_many(x_bits, fmt)
-    w64 = bits_to_f64_many(w_bits, fmt)
-    acc64 = bits_to_f64_many(acc_bits, fmt)
-    for n in steps:
-        acc64 = fma_guarded_f64_fmt(
-            x64[:, :, n][:, :, None], w64[:, n, :][:, None, :], acc64, fmt
-        )
-    return f64_to_bits_many(acc64, fmt)
+    if flags is None:
+        return ExactSimdVectorOps(fmt).chain(x_bits, w_bits, acc_bits,
+                                             active_mask)
+    dtype = format_dtype(fmt)
+    acc = np.array(acc_bits, dtype=dtype)
+    x = np.asarray(x_bits, dtype=dtype)
+    w = np.asarray(w_bits, dtype=dtype)
+    for n in np.flatnonzero(np.asarray(active_mask, dtype=bool)):
+        a = np.broadcast_to(x[:, :, n][:, :, None], acc.shape)
+        b = np.broadcast_to(w[:, n, :][:, None, :], acc.shape)
+        acc = fma_many_fmt(a, b, acc, fmt, flags=flags)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -625,23 +619,26 @@ class ReplaySession:
         """Materialise every deferred batch and restore the live backlog."""
         if self._live:
             return
+        job = self.job
+        x_all = self._read_matrix(job.x_addr, job.m, job.n, job.x_stride)[1]
+        w_all = self._read_matrix(job.w_addr, job.n, job.k, job.w_stride)[1]
+        z_image, z_all = self._read_matrix(job.z_addr, job.m, job.k,
+                                           job.z_stride)
         outputs = {
-            group_key: self._compute_group(group_key, entries)
+            group_key: self._compute_group(group_key, entries, x_all, w_all,
+                                           z_all if job.accumulate else None)
             for group_key, entries in self._groups.items()
         }
-        # Write every replayed line: completed stores land now, backlog
-        # entries are re-written (identically) when the restored queues
-        # drain through the streamer.
-        tcdm = self.engine.tcdm
-        eb = self.job.element_bytes
+        # Land every replayed line in one write of the Z extent: completed
+        # stores land now, backlog entries are re-written (identically)
+        # when the restored queues drain through the streamer.  Z lines of
+        # tiles that were not replayed are written back unchanged.
         for group_key, entries in self._groups.items():
             out = outputs[group_key]
             for slot, (tile, _trace) in enumerate(entries):
-                for row in range(tile.rows):
-                    tcdm.write_element_line(
-                        self.job.z_element_addr(tile.m0 + row, tile.k0),
-                        out[slot, row], eb,
-                    )
+                z_all[tile.m0: tile.m0 + tile.rows,
+                      tile.k0: tile.k0 + tile.cols] = out[slot]
+        self.engine.tcdm.load_image(job.z_addr, z_image.tobytes())
         tail = []
         for addr, valid, bits, ref in self._backlog:
             if bits is None:
@@ -661,17 +658,12 @@ class ReplaySession:
         self._backlog = []
         self._live = True
 
-    def _compute_group(self, group_key, entries) -> np.ndarray:
+    def _compute_group(self, group_key, entries, x_all: np.ndarray,
+                       w_all: np.ndarray,
+                       z_all: Optional[np.ndarray]) -> np.ndarray:
         """Batched data plane of every deferred tile sharing a signature."""
         rows, cols = group_key
-        job = self.job
-        n = job.n
-        eb = job.element_bytes
-        x_all = self._dump_matrix(job.x_addr, job.m, job.n, job.x_stride)
-        w_all = self._dump_matrix(job.w_addr, job.n, job.k, job.w_stride)
-        z_all = None
-        if job.accumulate:
-            z_all = self._dump_matrix(job.z_addr, job.m, job.k, job.z_stride)
+        n = self.job.n
         count = len(entries)
         dtype = format_dtype(self.fmt)
         x = np.empty((count, rows, n), dtype=dtype)
@@ -686,24 +678,23 @@ class ReplaySession:
         # Every trace of the group was recorded for the same (n, rows,
         # cols) signature, so they share one lane mask by construction.
         mask = entries[0][1].active_mask
-        _ = eb  # element width is carried by the dtype
-        return replay_dataplane(x, w, acc, mask, self.fmt)
+        return self.engine.ops.chain(x, w, acc, mask)
 
-    def _dump_matrix(self, addr: int, n_rows: int, n_cols: int,
-                     stride: int) -> np.ndarray:
-        """Bulk-read a (possibly strided) operand matrix as a pattern array."""
+    def _read_matrix(self, addr: int, n_rows: int, n_cols: int,
+                     stride: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Bulk-read a (possibly strided) operand matrix.
+
+        Returns the writable pattern array of the whole extent (row gaps
+        included) and an ``(n_rows, n_cols)`` view of the matrix into it.
+        """
         eb = self.job.element_bytes
         dtype = np.dtype("<u2") if eb == 2 else np.dtype(np.uint8)
         nbytes = (n_rows - 1) * stride + n_cols * eb
-        flat = np.frombuffer(self.engine.tcdm.dump_image(addr, nbytes),
-                             dtype=dtype)
-        if stride == n_cols * eb:
-            return flat.reshape(n_rows, n_cols)
-        row_stride = stride // eb
-        return np.lib.stride_tricks.as_strided(
-            flat, shape=(n_rows, n_cols),
-            strides=(row_stride * dtype.itemsize, dtype.itemsize),
-        ).copy()
+        image = np.frombuffer(self.engine.tcdm.dump_image(addr, nbytes),
+                              dtype=dtype).copy()
+        matrix = np.lib.stride_tricks.as_strided(
+            image, shape=(n_rows, n_cols), strides=(stride, dtype.itemsize))
+        return image, matrix
 
     # -- recording ----------------------------------------------------------
     def begin_recording(self, tile) -> Optional[TileRecorder]:

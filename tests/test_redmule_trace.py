@@ -253,6 +253,55 @@ class TestContentionHandling:
         assert got == want_bits
 
 
+class TestStridedJobsReplay:
+    @pytest.mark.parametrize("accumulate", [False, True])
+    def test_row_gaps_survive_recording_and_replay(self, accumulate):
+        """Strided X, W and Z leave gaps between rows; a replayed batch
+        lands its Z lines in bulk and must leave the gaps (filled with a
+        sentinel here) and every Z element exactly as the event-stepped
+        engine does."""
+        m, n, k, pad = 20, 24, 40, 3
+        eb = 2
+        x_stride, w_stride, z_stride = (n + pad) * eb, (k + pad) * eb, (k + pad) * eb
+        x_size = (m - 1) * x_stride + n * eb
+        w_size = (n - 1) * w_stride + k * eb
+        z_size = (m - 1) * z_stride + k * eb
+        x = random_fp16_matrix(m, n, scale=0.25, seed=5)
+        w = random_fp16_matrix(n, k, scale=0.25, seed=6)
+        z0 = random_fp16_matrix(m, k, scale=0.25, seed=7)
+
+        def run(backend, store):
+            tcdm = Tcdm()
+            base = tcdm.base
+            x_addr, w_addr = base, base + x_size
+            z_addr = w_addr + w_size
+            tcdm.load_image(base, bytes([0xA5]) * (x_size + w_size + z_size))
+            for addr, matrix, stride in ((x_addr, x, x_stride),
+                                         (w_addr, w, w_stride),
+                                         (z_addr, z0, z_stride)):
+                for row, values in enumerate(matrix):
+                    tcdm.load_image(addr + row * stride,
+                                    values.astype("<f2").tobytes())
+            engine = RedMulE(RedMulEConfig.reference(), Hci(tcdm, HciConfig()),
+                             backend=backend, trace_store=store)
+            job = MatmulJob(x_addr=x_addr, w_addr=w_addr, z_addr=z_addr,
+                            m=m, n=n, k=k, x_stride=x_stride,
+                            w_stride=w_stride, z_stride=z_stride,
+                            accumulate=accumulate)
+            result = engine.run_job(job)
+            return _result_tuple(result), tcdm.dump_image(
+                base, x_size + w_size + z_size)
+
+        want = run("exact-simd", None)
+        store = TraceStore()
+        cold = run("trace", store)
+        recordings = store.stats.recordings
+        warm = run("trace", store)
+        assert recordings > 0 and store.stats.recordings == recordings
+        assert store.stats.hits > 0
+        assert cold == want and warm == want
+
+
 class TestUnsupportedJobsFallBack:
     def test_misaligned_stride_event_steps(self):
         """Jobs replay cannot shortcut safely (odd strides) still run --

@@ -11,13 +11,16 @@ evaluates the exact accumulation order without the cycle-accurate machinery.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.farm import (
     DEFAULT_ENGINE_MACS_THRESHOLD,
     BackendValidationReport,
     SimulationFarm,
 )
-from repro.fp.formats import FP16
+from repro.fp.formats import FORMATS, FP16, fma_bits
+from repro.fp.simd_formats import format_dtype
 from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -32,6 +35,7 @@ from repro.redmule.job import MatmulJob
 from repro.redmule.vector_ops import (
     ExactSimdVectorOps,
     ExactVectorOps,
+    FastVectorOps,
     make_vector_ops,
 )
 from repro.experiments.fig3 import DEFAULT_SWEEP_SIZES
@@ -149,35 +153,110 @@ class TestVectorOpsLevel:
         with pytest.raises(ValueError):
             make_vector_ops("bogus")
 
-    def test_lazy_chain_matches_scalar_chain(self):
+    def test_simd_chain_matches_scalar_chain(self):
         rng = np.random.default_rng(2)
-        exact, simd = ExactVectorOps(), ExactSimdVectorOps()
-        bits = [int(v) for v in rng.integers(0, 0x8000, 8)]
-        exact_vec = exact.from_bits(bits)
-        simd_vec = simd.from_bits(bits)
-        for _ in range(40):
-            w = int(rng.integers(0, 0x8000))
-            x_bits = [int(v) for v in rng.integers(0, 0x8000, 8)]
-            exact_vec = exact.fma(exact.from_bits(x_bits), w, exact_vec)
-            simd_vec = simd.fma(simd.from_bits(x_bits), w, simd_vec)
-        assert simd.to_bits(simd_vec) == exact.to_bits(exact_vec)
+        x = rng.integers(0, 0x8000, (1, 8, 40), dtype=np.uint16)
+        w = rng.integers(0, 0x8000, (1, 40, 1), dtype=np.uint16)
+        acc = rng.integers(0, 0x8000, (1, 8, 1), dtype=np.uint16)
+        mask = np.ones(40, dtype=bool)
+        assert np.array_equal(ExactSimdVectorOps().chain(x, w, acc, mask),
+                              ExactVectorOps().chain(x, w, acc, mask))
 
-    def test_to_lines_forces_all_columns(self):
+    def test_guarded_chain_survives_a_double_rounding_tie(self):
+        """bf16 ``(1 + ulp) * 1.5`` is a tie, which a negative minimum
+        subnormal accumulator breaks downwards; plain float64 evaluation
+        loses the accumulator and rounds the tie to even.  The guarded
+        chain must follow the oracle, the float64 one (``fast``) does not."""
+        x = np.array([[[0x3F81]]], dtype=np.uint16)
+        w = np.array([[[0x3FC0]]], dtype=np.uint16)
+        acc = np.array([[[0x8001]]], dtype=np.uint16)
+        want = ExactVectorOps("bf16").chain(x, w, acc, [True])
+        assert int(want[0, 0, 0]) == 0x3FC1
+        got = ExactSimdVectorOps("bf16").chain(x, w, acc, [True])
+        assert np.array_equal(got, want)
+        fast = FastVectorOps("bf16").chain(x, w, acc, [True])
+        assert int(fast[0, 0, 0]) == 0x3FC2
+
+    def test_batched_chain_matches_per_tile_calls(self):
+        """Replay runs the chain over T tiles at once, the engine over one:
+        both must produce the same bits."""
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 0x8000, (4, 8, 12), dtype=np.uint16)
+        w = rng.integers(0, 0x8000, (4, 12, 16), dtype=np.uint16)
+        acc = rng.integers(0, 0x8000, (4, 8, 16), dtype=np.uint16)
+        mask = np.arange(16) < 12  # gated tail, as in a padded last chunk
         simd = ExactSimdVectorOps()
-        columns = []
-        for k in range(4):
-            acc = simd.zeros(8)
-            acc = simd.fma(simd.from_bits([0x3C00 + k] * 8), 0x3C00, acc)
-            acc = simd.fma(simd.from_bits([0x4000] * 8), 0x3800, acc)
-            columns.append(acc)
-        lines = simd.to_lines(columns)
-        exact = ExactVectorOps()
-        for k in range(4):
-            acc = exact.zeros(8)
-            acc = exact.fma(exact.from_bits([0x3C00 + k] * 8), 0x3C00, acc)
-            acc = exact.fma(exact.from_bits([0x4000] * 8), 0x3800, acc)
-            for row in range(8):
-                assert int(lines[row][k]) == acc[row]
+        batched = simd.chain(x, w, acc, mask)
+        for t in range(4):
+            one = simd.chain(x[t:t + 1], w[t:t + 1], acc[t:t + 1], mask)
+            assert np.array_equal(batched[t:t + 1], one)
+        assert np.array_equal(batched, ExactVectorOps().chain(x, w, acc, mask))
+
+
+def _special_patterns(fmt):
+    """Signed zeros, infinities, the canonical NaN, the subnormal extremes,
+    the largest finite value and a tie-producing pair of ``fmt``."""
+    sign = fmt.sign_mask
+    one = fmt.one_bits
+    return [0, sign, fmt.pos_inf_bits, fmt.neg_inf_bits, fmt.nan_bits,
+            1, sign | 1, fmt.man_mask, sign | fmt.man_mask,
+            fmt.max_finite_bits, sign | fmt.max_finite_bits, one,
+            # (1 + ulp) * 1.5 lands exactly between two neighbours.
+            one | 1, one | (1 << (fmt.man_bits - 1))]
+
+
+@st.composite
+def _chain_tiles(draw):
+    """A batch of random tiles in pattern space: ``rows <= L`` (reference
+    instance), a few inner steps followed by a gated tail, accumulators
+    from +0, from -0 or random, and operands mixing special values in."""
+    fmt = draw(st.sampled_from(list(FORMATS.values())))
+    t = draw(st.integers(1, 2))
+    rows = draw(st.integers(1, RedMulEConfig.reference().length))
+    cols = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    gated = draw(st.integers(0, 3))
+    element = st.one_of(st.integers(0, fmt.full_mask),
+                        st.sampled_from(_special_patterns(fmt)))
+
+    def matrix(shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(element, min_size=size, max_size=size))
+        return np.array(values, dtype=format_dtype(fmt)).reshape(shape)
+
+    start = draw(st.sampled_from(["+0", "-0", "random"]))
+    if start == "random":
+        acc = matrix((t, rows, cols))
+    else:
+        acc = np.full((t, rows, cols), 0 if start == "+0" else fmt.sign_mask,
+                      dtype=format_dtype(fmt))
+    mask = np.arange(n + gated) < n
+    return fmt, matrix((t, rows, n)), matrix((t, n, cols)), acc, mask
+
+
+def _scalar_chain(fmt, x, w, acc, mask):
+    out = np.array(acc, dtype=np.int64)
+    for index in np.ndindex(out.shape):
+        t, r, c = index
+        value = int(acc[index])
+        for n in np.flatnonzero(mask):
+            value = fma_bits(int(x[t, r, n]), int(w[t, n, c]), value, fmt)
+        out[index] = value
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiles=_chain_tiles(),
+       backend=st.sampled_from(["exact", "exact-simd"]))
+def test_chain_kernel_equals_scalar_fma_loop(tiles, backend):
+    """The per-tile chain kernels of the bit-exact backends equal a plain
+    scalar ``fma_bits`` loop in every format (``fast`` is pinned by the
+    ``matmul_hw_order_fast`` tests instead: it is not bit-exact)."""
+    fmt, x, w, acc, mask = tiles
+    got = make_vector_ops(backend, fmt).chain(x, w, acc, mask)
+    assert got.dtype == format_dtype(fmt)
+    assert np.array_equal(got.astype(np.int64),
+                          _scalar_chain(fmt, x, w, acc, mask))
 
 
 class TestBackendSelection:
