@@ -8,8 +8,8 @@ Two properties of the :mod:`repro.obs` layer are pinned here:
   one attribute check.  The sustained simulated-request throughput must
   stay within 2 % of the committed serve-million baseline's
   ``sim_req_per_second`` budget (a 60k floor -- the loop actually
-  sustains ~150k+ locally, so a >=2 % true overhead regression shows up
-  long before the budget does).  Like the serve-million wall gate, the
+  sustains ~140-230k on a 2-core x86-64 host, so a >=2 % true overhead
+  regression shows up long before the budget does).  Like the serve-million wall gate, the
   strict assertion arms at the default request scale and stands down on
   short CI smokes whose fixed costs are not amortised; the measured
   throughput is recorded either way and gated by

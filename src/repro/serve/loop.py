@@ -4,8 +4,10 @@
 node-granular :class:`~repro.serve.scheduler.ServingSimulator`: one event
 heap of arrival / completion / provision / autoscale-evaluation events, no
 global waves, and a request stream that is consumed lazily -- the loop holds
-O(in-flight + queued) state no matter how many million requests the traffic
-window contains.
+O(in-flight + queued) state plus a fixed-size buffer of completion
+latencies (folded into the streaming statistics when full and at
+``finalize``) no matter how many million requests the traffic window
+contains; the generator's windowed merge adds O(tenants x 512).
 
 Requests are served as atomic units: a request occupies one cluster for its
 graph's *serial* service time, which the loop memoises per (graph,
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -77,6 +79,7 @@ from repro.serve.report import (
     ServePoolStats,
     StreamingLatencyStats,
     TenantReport,
+    nearest_rank,
 )
 from repro.serve.requests import DEFAULT_FREQUENCY_HZ, Request
 from repro.serve.scheduler import derive_precision_farm
@@ -95,6 +98,10 @@ _EVENT_EVAL = 3
 
 #: ``drain()``'s pump limit: beyond any schedulable cycle.
 _FOREVER = 1 << 62
+
+#: Completions buffered before their latencies are folded into the
+#: streaming statistics in one batch (``finalize`` folds the remainder).
+_COMPLETION_BUFFER = 1024
 
 
 @dataclass(frozen=True)
@@ -371,8 +378,11 @@ class ContinuousServer:
         self.rejection_reasons: Dict[str, int] = {}
         self._overall = StreamingLatencyStats(stats_mode, reservoir_size)
         self._per_tenant: Dict[str, StreamingLatencyStats] = {}
-        self._tenant_cycles: Dict[str, int] = {}
-        self._models: Dict[str, int] = {}
+        self._models: Dict[str, int] = defaultdict(int)
+        #: Latencies not yet folded into the statistics above, in
+        #: completion order, overall and per tenant.
+        self._latency_buffer: List[int] = []
+        self._tenant_buffers: Dict[str, List[int]] = defaultdict(list)
         self._stats_mode = stats_mode
         self._reservoir_size = reservoir_size
         self._busy_cycles = 0.0
@@ -703,23 +713,34 @@ class ContinuousServer:
                    track="serve")
 
     def _record_completion(self, request: Request) -> int:
-        """Fold one finished request (or decode session) into the latency
-        accounting; returns the arrival-to-completion latency."""
+        """Buffer one finished request's (or decode session's) latency for
+        the statistics; returns the arrival-to-completion latency."""
         latency = self._now - request.arrival_cycle
-        self._overall.add(latency)
-        tenant = self._per_tenant.get(request.tenant)
-        if tenant is None:
-            tenant = self._per_tenant[request.tenant] = StreamingLatencyStats(
-                self._stats_mode, self._reservoir_size)
-        tenant.add(latency)
-        self._tenant_cycles[request.tenant] = (
-            self._tenant_cycles.get(request.tenant, 0) + latency)
-        self._models[request.model] = self._models.get(request.model, 0) + 1
+        buffer = self._latency_buffer
+        buffer.append(latency)
+        self._tenant_buffers[request.tenant].append(latency)
+        self._models[request.model] += 1
+        if len(buffer) >= _COMPLETION_BUFFER:
+            self._fold_completions()
         if self._window is not None:
             self._window.append(latency)
         if self.keep_latencies:
             self.latencies.append(latency)
         return latency
+
+    def _fold_completions(self) -> None:
+        """Fold the buffered completions into the streaming statistics."""
+        if not self._latency_buffer:
+            return
+        self._overall.add_many(self._latency_buffer)
+        for tenant, latencies in self._tenant_buffers.items():
+            stats = self._per_tenant.get(tenant)
+            if stats is None:
+                stats = self._per_tenant[tenant] = StreamingLatencyStats(
+                    self._stats_mode, self._reservoir_size)
+            stats.add_many(latencies)
+        self._latency_buffer.clear()
+        self._tenant_buffers.clear()
 
     def _serve_queues(self) -> None:
         """Hand freed (or newly provisioned) capacity to waiting work.
@@ -736,25 +757,11 @@ class ContinuousServer:
         while self._idle > 0 and self._decode_queue:
             self._launch_decode_head()
 
-    def _complete(self, request: Request) -> None:
-        self._in_flight -= 1
-        self._idle += 1
-        self._last_completion = self._now
-        latency = self._record_completion(request)
-        if self._obs.enabled:
-            self._obs_completed(request, latency)
-        # Freed capacity immediately serves the head of the queues.
-        self._serve_queues()
-
-    def _fast_service(self, request: Request) -> int:
-        """One-lookup service memo keyed by the requested precision."""
-        key = (request.graph, request.precision)
-        service = self._service_fast.get(key)
-        if service is None:
-            service = self.service_cycles(request.graph, request.precision)
-            self._service_fast[key] = service
-        else:
-            self.memo_hits += 1
+    def _prime_service(self, request: Request) -> int:
+        """Service cycles of the first request of a (graph, requested
+        precision) pair, aliased so later ones resolve in one lookup."""
+        service = self.service_cycles(request.graph, request.precision)
+        self._service_fast[(request.graph, request.precision)] = service
         return service
 
     # -- decode sessions -----------------------------------------------------
@@ -938,9 +945,7 @@ class ContinuousServer:
     def _window_p99(self) -> Optional[float]:
         if not self._window:
             return None
-        ordered = sorted(self._window)
-        rank = min(len(ordered), max(1, math.ceil(0.99 * len(ordered))))
-        return float(ordered[rank - 1])
+        return nearest_rank(sorted(self._window), 0.99)
 
     def _evaluate_scaling(self) -> None:
         policy = self.autoscaler
@@ -993,9 +998,9 @@ class ContinuousServer:
     def _pump(self, limit: int) -> None:
         """Process every event at or before ``limit``.
 
-        The completion case -- millions of firings on the hot path -- is
-        inlined here rather than dispatched through a helper; the rare
-        provision/eval events take the out-of-line branches.
+        The atomic completion -- millions of firings on the hot path -- is
+        inlined here; decode steps and the rare provision/eval events take
+        the out-of-line branches.
         """
         events = self._events
         heappop = heapq.heappop
@@ -1007,7 +1012,15 @@ class ContinuousServer:
                 self._pool_marker = cycle
             self._now = cycle
             if kind == _EVENT_COMPLETION:
-                self._complete(payload)
+                self._in_flight -= 1
+                self._idle += 1
+                self._last_completion = cycle
+                latency = self._record_completion(payload)
+                if self._obs.enabled:
+                    self._obs_completed(payload, latency)
+                # Freed capacity immediately serves the head of the queues.
+                if self._queue or self._decode_queue:
+                    self._serve_queues()
             elif kind == _EVENT_STEP:
                 self._on_step(payload)
             elif kind == _EVENT_PROVISION:
@@ -1047,11 +1060,16 @@ class ContinuousServer:
                                   * (arrival - self._pool_marker))
             self._pool_marker = arrival
         self._now = arrival
-        if request.decode is not None:
-            service = self.decode_session_cycles(request.decode,
-                                                 request.precision)
+        decode = request.decode
+        if decode is not None:
+            service = self.decode_session_cycles(decode, request.precision)
         else:
-            service = self._fast_service(request)
+            service = self._service_fast.get((request.graph,
+                                              request.precision))
+            if service is None:
+                service = self._prime_service(request)
+            else:
+                self.memo_hits += 1
         if self.admission is not None:
             reason = self._admit(request, service)
             if reason is not None:
@@ -1071,11 +1089,21 @@ class ContinuousServer:
         self.admitted += 1
         if self._obs.enabled:
             self._obs.count("serve.admitted")
-        if request.decode is not None:
+        if decode is not None:
             self._admit_decode_session(request, service)
             return True
         if self._idle > 0 and not self._queue:
-            self._dispatch(request, service)
+            # Inlined _dispatch: straight onto an idle cluster.
+            self._idle -= 1
+            self._in_flight += 1
+            self._busy_cycles += service
+            heapq.heappush(events, (arrival + service, _EVENT_COMPLETION,
+                                    self._sequence, request))
+            self._sequence += 1
+            if self._obs.enabled:
+                self._obs_dispatched(request)
+            if self.autoscaler is not None:
+                self._arm_autoscaler()
         else:
             self._queue.append((request, service))
             self._queued_service += service
@@ -1102,13 +1130,15 @@ class ContinuousServer:
         self._pump(_FOREVER)
 
     def finalize(self, scenario: str = "serve-continuous") -> ContinuousReport:
-        """Snapshot the run as a :class:`ContinuousReport`."""
+        """Snapshot the run as a :class:`ContinuousReport` (folding the
+        buffered completions in first; the run may go on afterwards)."""
+        self._fold_completions()
         self._advance_pool_integral(self._now)
         stats = self.farm.cache.stats
         tenants = {
             name: TenantReport(
                 tenant=name, completed=acc.count,
-                total_cycles=self._tenant_cycles[name],
+                total_cycles=int(acc.total),
                 latency=acc.finalize(),
             )
             for name, acc in self._per_tenant.items()

@@ -12,7 +12,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.perf.report import TextTable
+
+
+def nearest_rank(ordered: Sequence[float], quantile: float) -> float:
+    """Nearest-rank quantile of a sorted, non-empty sample: the
+    ``ceil(quantile * n)``-th value, clamped into the sample."""
+    count = len(ordered)
+    return float(ordered[min(count, max(1, math.ceil(quantile * count))) - 1])
 
 
 def percentile(values: Sequence[float], quantile: float) -> float:
@@ -21,10 +30,7 @@ def percentile(values: Sequence[float], quantile: float) -> float:
         raise ValueError("percentile of an empty sample")
     if not 0.0 < quantile <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-    ordered = sorted(values)
-    # Nearest-rank: ceil(q * n), clamped into the sample.
-    rank = min(len(ordered), max(1, math.ceil(quantile * len(ordered))))
-    return float(ordered[rank - 1])
+    return nearest_rank(sorted(values), quantile)
 
 
 @dataclass(frozen=True)
@@ -50,18 +56,12 @@ class LatencyStats:
         if not latencies:
             return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0)
         ordered = sorted(latencies)
-        count = len(ordered)
-
-        def nearest_rank(quantile: float) -> float:
-            rank = min(count, max(1, math.ceil(quantile * count)))
-            return float(ordered[rank - 1])
-
         return cls(
-            count=count,
-            mean=sum(ordered) / count,
-            p50=nearest_rank(0.50),
-            p95=nearest_rank(0.95),
-            p99=nearest_rank(0.99),
+            count=len(ordered),
+            mean=sum(ordered) / len(ordered),
+            p50=nearest_rank(ordered, 0.50),
+            p95=nearest_rank(ordered, 0.95),
+            p99=nearest_rank(ordered, 0.99),
             max=float(ordered[-1]),
         )
 
@@ -157,9 +157,7 @@ class P2Quantile:
         if self.count == 0:
             return 0.0
         if self.count <= 5:
-            rank = min(self.count, max(1, math.ceil(self.quantile
-                                                    * self.count)))
-            return float(self._heights[rank - 1])
+            return nearest_rank(self._heights, self.quantile)
         return float(self._heights[2])
 
 
@@ -168,6 +166,21 @@ class P2Quantile:
 _LCG_MULTIPLIER = 6364136223846793005
 _LCG_INCREMENT = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+
+
+def _lcg_jump_table(length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a^i, c * sum_{j<i} a^j) mod 2^64`` for i = 1..length: the LCG
+    state i steps after ``s`` is ``a^i * s + c * sum_{j<i} a^j``."""
+    powers, offsets = [_LCG_MULTIPLIER], [_LCG_INCREMENT]
+    while len(powers) < length:
+        powers.append(powers[-1] * _LCG_MULTIPLIER & _LCG_MASK)
+        offsets.append((offsets[-1] * _LCG_MULTIPLIER + _LCG_INCREMENT)
+                       & _LCG_MASK)
+    return np.array(powers, np.uint64), np.array(offsets, np.uint64)
+
+
+#: Jump-ahead table of :meth:`ReservoirSampler.add_many` (its vector step).
+_LCG_POWERS, _LCG_OFFSETS = _lcg_jump_table(1024)
 
 
 class ReservoirSampler:
@@ -207,19 +220,37 @@ class ReservoirSampler:
         if slot < self.size:
             self.values[slot] = value
 
+    def add_many(self, values: Sequence[float]) -> None:
+        """Offer observations in order; the same sample and LCG state as
+        calling :meth:`add` on each.
+
+        Past the fill phase the LCG states of a whole step come from the
+        jump-ahead table at once, so only admitted values cost Python work.
+        """
+        fill = max(0, min(len(values), self.size - self.count))
+        self.values.extend(values[:fill])
+        self.count += fill
+        for start in range(fill, len(values), len(_LCG_POWERS)):
+            batch = values[start:start + len(_LCG_POWERS)]
+            states = (_LCG_POWERS[:len(batch)] * np.uint64(self._state)
+                      + _LCG_OFFSETS[:len(batch)])
+            counts = np.arange(self.count + 1, self.count + len(batch) + 1,
+                               dtype=np.uint64)
+            slots = (states >> np.uint64(11)) % counts
+            for index in np.flatnonzero(slots < self.size).tolist():
+                self.values[int(slots[index])] = batch[index]
+            self.count += len(batch)
+            self._state = int(states[-1])
+
     def quantiles(self, quantiles: Sequence[float]) -> List[float]:
         """Nearest-rank quantiles over the current sample (sorted once)."""
-        if not self.values:
-            return [0.0 for _ in quantiles]
-        ordered = sorted(self.values)
-        n = len(ordered)
-        out = []
         for quantile in quantiles:
             if not 0.0 < quantile <= 1.0:
                 raise ValueError(f"quantile must be in (0, 1], {quantile}")
-            rank = min(n, max(1, math.ceil(quantile * n)))
-            out.append(float(ordered[rank - 1]))
-        return out
+        if not self.values:
+            return [0.0 for _ in quantiles]
+        ordered = sorted(self.values)
+        return [nearest_rank(ordered, quantile) for quantile in quantiles]
 
 
 class StreamingLatencyStats:
@@ -276,6 +307,28 @@ class StreamingLatencyStats:
                 marker.add(value)
         else:
             self._values.append(value)
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """Fold observations in order; the same state as :meth:`add` on
+        each (the running total is summed left to right, as ``add`` does).
+        """
+        if not len(values):
+            return
+        self.count += len(values)
+        totals = np.array(values, dtype=np.float64)
+        totals[0] += self.total
+        self.total = float(np.add.accumulate(totals)[-1])
+        peak = max(values)
+        if peak > self.max:
+            self.max = peak
+        if self._reservoir is not None:
+            self._reservoir.add_many(values)
+        elif self._markers is not None:
+            for marker in self._markers:
+                for value in values:
+                    marker.add(value)
+        else:
+            self._values.extend(values)
 
     def finalize(self) -> LatencyStats:
         """Snapshot the stream as a :class:`LatencyStats`."""

@@ -19,9 +19,12 @@ Three arrival processes are supported (see :class:`ArrivalSpec`):
   multiple of it, with exponentially-distributed sojourns.  The state rates
   are normalised so the *mean* rate still equals the tenant's ``rps``.
 
-The generation API is **streaming**: :meth:`RequestGenerator.stream` is a
-lazy per-tenant merged iterator holding O(active tenants) state, so a
-million-request window never materialises a million-element list.  The
+The generation API is **streaming**, and it works per chunk rather than
+per request: each tenant draws its arrival gaps and model choices from
+numpy 512 at a time, and a windowed merge releases every buffered arrival
+that no tenant's next chunk can precede, stably sorted into arrival order.
+:meth:`RequestGenerator.stream` therefore holds O(tenants x 512) state, so
+a million-request window never materialises a million-element list.  The
 eager :meth:`RequestGenerator.generate` is a thin ``list(stream(...))``
 wrapper kept for small scenarios and backwards compatibility; a regression
 test pins that the two produce identical streams under the same seed.
@@ -33,7 +36,6 @@ frequency (default: the 22 nm performance point of the paper's cluster).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Iterator, List, Optional, Sequence,
@@ -229,22 +231,30 @@ class Request:
                 "a request needs a workload graph or a decode session")
 
 
-# -- per-tenant arrival-time processes (lazy, seconds domain) ----------------
-def _poisson_times(rng: np.random.Generator, rps: float,
-                   duration_s: float) -> Iterator[float]:
+# -- per-tenant arrival processes: one float64 array per gap draw -----------
+def _accumulate(gaps: np.ndarray, clock: float) -> np.ndarray:
+    """Arrival times ``clock + g0, clock + g0 + g1, ...`` of one gap draw,
+    summed left to right: the values a scalar ``clock += gap`` loop makes."""
+    gaps[0] += clock
+    return np.add.accumulate(gaps)
+
+
+def _poisson_draws(rng: np.random.Generator, rps: float,
+                   duration_s: float) -> Iterator[np.ndarray]:
     """Homogeneous Poisson arrival times in ``[0, duration_s)``."""
     clock = 0.0
     scale = 1.0 / rps
     while True:
-        for gap in rng.exponential(scale, _CHUNK).tolist():
-            clock += gap
-            if clock >= duration_s:
-                return
-            yield clock
+        times = _accumulate(rng.exponential(scale, _CHUNK), clock)
+        stop = int(np.searchsorted(times, duration_s))
+        yield times[:stop]
+        if stop < _CHUNK:
+            return
+        clock = float(times[-1])
 
 
-def _diurnal_times(rng: np.random.Generator, rps: float, duration_s: float,
-                   spec: ArrivalSpec) -> Iterator[float]:
+def _diurnal_draws(rng: np.random.Generator, rps: float, duration_s: float,
+                   spec: ArrivalSpec) -> Iterator[np.ndarray]:
     """Sinusoidally-modulated Poisson arrivals, sampled by thinning."""
     period = spec.diurnal_period_s or duration_s
     amplitude = spec.diurnal_amplitude
@@ -252,19 +262,23 @@ def _diurnal_times(rng: np.random.Generator, rps: float, duration_s: float,
     omega = 2.0 * math.pi / period
     clock = 0.0
     while True:
-        gaps = rng.exponential(1.0 / lam_max, _CHUNK).tolist()
-        accepts = rng.random(_CHUNK).tolist()
-        for gap, u in zip(gaps, accepts):
-            clock += gap
-            if clock >= duration_s:
-                return
-            rate = rps * (1.0 + amplitude * math.sin(omega * clock))
-            if u * lam_max < rate:
-                yield clock
+        candidates = _accumulate(rng.exponential(1.0 / lam_max, _CHUNK),
+                                 clock)
+        accepts = rng.random(_CHUNK)
+        stop = int(np.searchsorted(candidates, duration_s))
+        times = candidates[:stop]
+        # math.sin per candidate: np.sin need not match it bit for bit.
+        sines = np.fromiter(map(math.sin, (omega * times).tolist()),
+                            np.float64, stop)
+        rate = rps * (1.0 + amplitude * sines)
+        yield times[accepts[:stop] * lam_max < rate]
+        if stop < _CHUNK:
+            return
+        clock = float(candidates[-1])
 
 
-def _bursty_times(rng: np.random.Generator, rps: float, duration_s: float,
-                  spec: ArrivalSpec) -> Iterator[float]:
+def _bursty_draws(rng: np.random.Generator, rps: float, duration_s: float,
+                  spec: ArrivalSpec) -> Iterator[np.ndarray]:
     """Two-state Markov-modulated Poisson arrivals (quiet/burst)."""
     lam_burst = rps * spec.burst_factor
     lam_quiet = (rps * (1.0 - spec.burst_fraction * spec.burst_factor)
@@ -278,38 +292,106 @@ def _bursty_times(rng: np.random.Generator, rps: float, duration_s: float,
         end = min(clock + sojourn, duration_s)
         scale = 1.0 / (lam_burst if in_burst else lam_quiet)
         t = clock
-        over = False
-        while not over:
-            for gap in rng.exponential(scale, _CHUNK).tolist():
-                t += gap
-                if t >= end:
-                    over = True
-                    break
-                yield t
+        while True:
+            times = _accumulate(rng.exponential(scale, _CHUNK), t)
+            stop = int(np.searchsorted(times, end))
+            yield times[:stop]
+            if stop < _CHUNK:
+                break
+            t = float(times[-1])
         clock = end
         in_burst = not in_burst
 
 
-def _arrival_times(rng: np.random.Generator, rps: float, duration_s: float,
-                   spec: ArrivalSpec) -> Iterator[float]:
+def _arrival_draws(rng: np.random.Generator, rps: float, duration_s: float,
+                   spec: ArrivalSpec) -> Iterator[np.ndarray]:
     if spec.kind == "poisson":
-        return _poisson_times(rng, rps, duration_s)
+        return _poisson_draws(rng, rps, duration_s)
     if spec.kind == "diurnal":
-        return _diurnal_times(rng, rps, duration_s, spec)
-    return _bursty_times(rng, rps, duration_s, spec)
+        return _diurnal_draws(rng, rps, duration_s, spec)
+    return _bursty_draws(rng, rps, duration_s, spec)
 
 
-def _model_indices(rng: np.random.Generator,
-                   weights: Sequence[float]) -> Iterator[int]:
-    """Endless per-tenant model choices, drawn in vectorised chunks."""
+def _tenant_chunks(rng: np.random.Generator, draws: Iterator[np.ndarray],
+                   weights: Sequence[float], frequency_hz: float,
+                   base: int = 0) -> Iterator[np.ndarray]:
+    """One source's ``[arrival cycles; base + model indices]`` per gap draw.
+
+    Model choices come from the same rng in chunks of ``_CHUNK``: chunk k
+    is drawn right after the gap draw that holds the source's request
+    ``_CHUNK * k`` and before the next gap draw, so the rng sequence is
+    the one a per-request stream drawing each choice on demand consumes.
+    A one-model mix draws no choices at all.
+    """
     n_models = len(weights)
-    if n_models == 1:
-        while True:
-            yield 0
     probabilities = np.asarray(weights)
-    while True:
-        for index in rng.choice(n_models, _CHUNK, p=probabilities).tolist():
-            yield int(index)
+    choices = np.empty(0, dtype=np.int64)
+    produced = drawn = 0
+    for times in draws:
+        count = len(times)
+        produced += count
+        while drawn < produced:
+            choices = np.concatenate((choices, rng.choice(
+                n_models, _CHUNK, p=probabilities) if n_models > 1
+                else np.zeros(_CHUNK, dtype=np.int64)))
+            drawn += _CHUNK
+        if count:
+            yield np.stack(((times * frequency_hz).astype(np.int64),
+                            choices[:count] + base))
+        choices = choices[count:]
+
+
+def _merge(sources: Sequence[Iterator[np.ndarray]]) -> Iterator[np.ndarray]:
+    """Merge per-source ``[cycles; keys]`` chunks into arrival order.
+
+    A windowed merge: any buffered arrival below the smallest live
+    source's last buffered cycle is final (no later chunk can precede it),
+    so each pull of that source releases a batch.  A batch is sorted
+    stably by cycle over the source-ordered concatenation -- the
+    ``(cycle, source)`` order of a heap over per-source heads.  Memory is
+    O(sources x chunk).
+    """
+    pending = [np.empty((2, 0), dtype=np.int64) for _ in sources]
+    #: Live source index -> its last buffered cycle (-1 before its first).
+    live = {index: -1 for index in range(len(sources))}
+    while live:
+        index = min(live, key=live.__getitem__)
+        chunk = next(sources[index], None)
+        if chunk is None:
+            del live[index]
+        else:
+            pending[index] = np.concatenate((pending[index], chunk), axis=1)
+            live[index] = int(chunk[0, -1])
+        bound = min(live.values(), default=None)
+        cuts = [held.shape[1] if bound is None
+                else int(np.searchsorted(held[0], bound)) for held in pending]
+        if any(cuts):
+            ready = np.concatenate([held[:, :cut] for held, cut
+                                    in zip(pending, cuts)], axis=1)
+            pending = [held[:, cut:] for held, cut in zip(pending, cuts)]
+            yield ready[:, np.argsort(ready[0], kind="stable")]
+
+
+def _requests(batches: Iterator[np.ndarray],
+              templates: Sequence[dict]) -> Iterator[Request]:
+    """Requests numbered in stream order, one per ``[cycle; key]`` column.
+
+    ``templates[key]`` holds the fields of a :class:`Request` built (and
+    validated) once per tenant model; arrival cycles are non-negative by
+    construction, so each request copies the template instead of paying
+    the frozen dataclass's per-field ``__setattr__`` and ``__post_init__``.
+    """
+    new = object.__new__
+    request_id = 0
+    for batch in batches:
+        for cycle, key in zip(*batch.tolist()):
+            request = new(Request)
+            fields = request.__dict__
+            fields.update(templates[key])
+            fields["request_id"] = request_id
+            fields["arrival_cycle"] = cycle
+            request_id += 1
+            yield request
 
 
 class RequestGenerator:
@@ -359,45 +441,32 @@ class RequestGenerator:
     def stream(self, duration_s: float,
                arrival: Union[str, ArrivalSpec] = "poisson",
                ) -> Iterator[Request]:
-        """Lazily yield the merged, arrival-ordered request stream.
+        """The lazy, merged, arrival-ordered request stream.
 
         Per tenant, arrivals follow ``arrival`` (a kind name or an
         :class:`ArrivalSpec`) at the tenant's mean rate and each request
         picks a model from the tenant's weighted mix; the merged stream is
         ordered by arrival cycle (ties broken by tenant order) and numbered
-        in merge order.  Memory is O(active tenants): nothing is
-        materialised, which is what lets the continuous serving loop
-        sustain million-request windows.
+        in merge order.  Nothing is materialised: each tenant buffers at
+        most a chunk of draws (O(tenants x chunk) memory), which is what
+        lets the continuous serving loop sustain million-request windows.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         spec = ArrivalSpec.of(arrival)
-        frequency_hz = self.frequency_hz
-        tenants = self.tenants
-        arrivals: List[Iterator[float]] = []
-        models: List[Iterator[int]] = []
-        heads: List[Tuple[int, int]] = []
-        for index, tenant in enumerate(tenants):
+        templates: List[dict] = []
+        sources = []
+        for index, tenant in enumerate(self.tenants):
             rng = self._tenant_rng(index)
-            times = _arrival_times(rng, tenant.rps, duration_s, spec)
-            arrivals.append(times)
-            models.append(_model_indices(rng, tenant.mix_weights))
-            first = next(times, None)
-            if first is not None:
-                heads.append((int(first * frequency_hz), index))
-        heapq.heapify(heads)
-        request_id = 0
-        while heads:
-            cycle, index = heapq.heappop(heads)
-            tenant = tenants[index]
-            model = tenant.models[next(models[index])]
-            yield Request(request_id=request_id, tenant=tenant.name,
-                          model=model.name, graph=model.graph,
-                          arrival_cycle=cycle, precision=tenant.precision)
-            request_id += 1
-            nxt = next(arrivals[index], None)
-            if nxt is not None:
-                heapq.heappush(heads, (int(nxt * frequency_hz), index))
+            sources.append(_tenant_chunks(
+                rng, _arrival_draws(rng, tenant.rps, duration_s, spec),
+                tenant.mix_weights, self.frequency_hz, base=len(templates)))
+            templates.extend(
+                vars(Request(request_id=0, tenant=tenant.name,
+                             model=model.name, graph=model.graph,
+                             arrival_cycle=0, precision=tenant.precision))
+                for model in tenant.models)
+        return _requests(_merge(sources), templates)
 
     def generate(self, duration_s: float,
                  arrival: Union[str, ArrivalSpec] = "poisson",
@@ -445,7 +514,7 @@ def decode_session_stream(
     tenant: str = "decode",
     precision: Optional[str] = None,
 ) -> Iterator[Request]:
-    """Lazily yield decode-session arrivals (Poisson at aggregate ``rps``).
+    """Lazy decode-session arrivals (Poisson at aggregate ``rps``).
 
     Each arrival picks one of ``sessions`` uniformly (deterministically
     under ``seed``) and is stamped with the tenant name and precision
@@ -459,16 +528,15 @@ def decode_session_stream(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 7)))
-    choices = _model_indices(rng, [1.0 / len(sessions)] * len(sessions))
-    request_id = 0
-    for time_s in _poisson_times(rng, rps, duration_s):
-        session = sessions[next(choices)]
-        yield Request(
-            request_id=request_id, tenant=tenant, model=session.model,
-            graph=None, arrival_cycle=int(time_s * frequency_hz),
-            precision=precision, decode=session,
-        )
-        request_id += 1
+    chunks = _tenant_chunks(rng, _poisson_draws(rng, rps, duration_s),
+                            [1.0 / len(sessions)] * len(sessions),
+                            frequency_hz)
+    templates = [vars(Request(request_id=0, tenant=tenant,
+                              model=session.model, graph=None,
+                              arrival_cycle=0, precision=precision,
+                              decode=session))
+                 for session in sessions]
+    return _requests(chunks, templates)
 
 
 def decode_burst(

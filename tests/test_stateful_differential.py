@@ -223,13 +223,20 @@ class ServeLoopMachine(RuleBasedStateMachine):
         self.last_arrival = 0
 
     def _state(self, server):
-        """Everything a replay must reproduce exactly."""
+        """Everything a replay must reproduce exactly.
+
+        The completion statistics come from a ``finalize()`` snapshot,
+        which folds the buffered completions in: the machine snapshots
+        after every command while the replay snapshots once, so equality
+        also shows that fold timing never changes a result.
+        """
+        report = server.finalize()
         return (server.now, server.offered, server.admitted, server.rejected,
                 server.queue_depth, server.in_flight, server.n_clusters,
                 server.scale_ups, server.scale_downs,
-                server._overall.count, server._overall.total,
-                server._overall.max, dict(server.rejection_reasons),
-                dict(server._models), sorted(server._service.values()))
+                report.completed, report.latency, report.models,
+                dict(server.rejection_reasons),
+                sorted(server._service.values()))
 
     @rule(model=st.sampled_from(sorted(_SERVE_GRAPHS)),
           precision=st.sampled_from([None, "fp8-e4m3"]),
@@ -267,7 +274,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
             return  # before @initialize
         server = self.server
         assert server.offered == server.admitted + server.rejected
-        assert server.admitted == (server._overall.count
+        assert server.admitted == (server.finalize().completed
                                    + server.queue_depth + server.in_flight)
         assert server.in_flight + server._idle == server.n_clusters
         assert 0 <= server.queue_depth <= _SERVE_ADMISSION.max_queue
@@ -336,14 +343,16 @@ class DecodeSessionMachine(RuleBasedStateMachine):
         self.last_arrival = 0
 
     def _state(self, server):
-        """Everything a replay must reproduce exactly."""
+        """Everything a replay must reproduce exactly (completion
+        statistics from a ``finalize()`` snapshot, as in
+        :class:`ServeLoopMachine`)."""
+        report = server.finalize()
         return (server.now, server.offered, server.admitted, server.rejected,
                 server.queue_depth, server.in_flight, server.n_clusters,
                 server.decode_active, server.decode_queue_depth,
                 server.decode_sessions_completed, server.decode_steps,
                 server.decode_batched_steps, server.decode_max_occupancy,
-                server._overall.count, server._overall.total,
-                server._overall.max, dict(server._models),
+                report.completed, report.latency, report.models,
                 sorted(server._decode_full.values()))
 
     def _offer(self, request):
@@ -399,7 +408,7 @@ class DecodeSessionMachine(RuleBasedStateMachine):
         atomic_in_flight = server.in_flight - len(groups)
         assert atomic_in_flight >= 0
         assert server.offered == server.admitted + server.rejected
-        assert server.admitted == (server._overall.count
+        assert server.admitted == (server.finalize().completed
                                    + server.queue_depth + atomic_in_flight
                                    + server.decode_active)
         # Active sessions are either decode-queued or riding a group.

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import (
     LatencyStats,
@@ -144,6 +145,26 @@ class TestReservoirSampler:
         with pytest.raises(ValueError):
             sampler.quantiles([0.0])
 
+    def test_quantiles_are_validated_on_an_empty_sample(self):
+        """Out-of-range quantiles raise before the empty-sample shortcut,
+        exactly as they do once a value is in."""
+        with pytest.raises(ValueError):
+            ReservoirSampler().quantiles([1.5, -2])
+        assert ReservoirSampler().quantiles([0.5, 1.0]) == [0.0, 0.0]
+
+    def test_add_many_beyond_the_jump_table(self):
+        """One batch longer than the LCG jump-ahead table, starting inside
+        the fill phase, equals one-by-one ``add``."""
+        values = _heavy_tail(n=5_000).tolist()
+        one = ReservoirSampler(size=100)
+        for value in values:
+            one.add(value)
+        batched = ReservoirSampler(size=100)
+        batched.add_many(values)
+        assert batched.count == one.count
+        assert batched.values == one.values
+        assert batched._state == one._state
+
 
 class TestStreamingLatencyStats:
     def test_exact_mode_matches_from_latencies(self):
@@ -186,3 +207,29 @@ class TestStreamingLatencyStats:
     def test_validation(self):
         with pytest.raises(ValueError):
             StreamingLatencyStats("histogram")
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(0, 1 << 40),
+                                     st.floats(0.0, 1e12)), max_size=150),
+           cuts=st.lists(st.integers(0, 150), max_size=8),
+           mode=st.sampled_from(["reservoir", "p2", "exact"]),
+           size=st.integers(1, 48))
+    def test_add_many_equals_one_by_one(self, values, cuts, mode, size):
+        """Any split of a stream into ``add_many`` batches (empty ones and
+        ones crossing the reservoir size included) leaves the same state
+        as ``add`` per value: count, left-to-right total, max, snapshot,
+        and the reservoir's sample and LCG state."""
+        one = StreamingLatencyStats(mode, reservoir_size=size)
+        for value in values:
+            one.add(value)
+        batched = StreamingLatencyStats(mode, reservoir_size=size)
+        bounds = sorted([0, len(values)]
+                        + [min(cut, len(values)) for cut in cuts])
+        for low, high in zip(bounds, bounds[1:]):
+            batched.add_many(values[low:high])
+        assert (batched.count, batched.total, batched.max) == (
+            one.count, one.total, one.max)
+        assert batched.finalize() == one.finalize()
+        if mode == "reservoir":
+            assert batched._reservoir.values == one._reservoir.values
+            assert batched._reservoir._state == one._reservoir._state
