@@ -1093,17 +1093,7 @@ class ContinuousServer:
             self._admit_decode_session(request, service)
             return True
         if self._idle > 0 and not self._queue:
-            # Inlined _dispatch: straight onto an idle cluster.
-            self._idle -= 1
-            self._in_flight += 1
-            self._busy_cycles += service
-            heapq.heappush(events, (arrival + service, _EVENT_COMPLETION,
-                                    self._sequence, request))
-            self._sequence += 1
-            if self._obs.enabled:
-                self._obs_dispatched(request)
-            if self.autoscaler is not None:
-                self._arm_autoscaler()
+            self._dispatch(request, service)
         else:
             self._queue.append((request, service))
             self._queued_service += service
