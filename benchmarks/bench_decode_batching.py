@@ -12,9 +12,11 @@ properties are asserted:
   pads ``k <= 16`` to its 16-wide line anyway, so running them once at
   ``k = 8`` costs roughly what ``k = 1`` does -- near-8x on the shared
   half, diluted by the per-member attention that cannot coalesce;
-* **step memoisation** -- warm steps resolve from the (step-signature,
-  occupancy) memo: after the first session's positions are priced, the
-  farm sees no new work from the remaining traffic.
+* **step memoisation** -- warm steps resolve from the per-(spec,
+  precision) step-cost lists (full steps and attention halves by KV
+  position, shared halves by batch width): after the first session's
+  positions are priced, the farm sees no new work from the remaining
+  traffic.
 
 Wall-clock speed is tracked by ``pytest-benchmark`` on the batched run.
 """

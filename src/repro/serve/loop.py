@@ -44,12 +44,13 @@ On top of the loop sit the production concerns it unlocks:
   ``k = batch`` while each member's attention (whose shapes depend on its
   own cache length) is charged per member.  Members join and leave only at
   step boundaries; arrivals join a running group mid-stream (absorbed at
-  the next boundary) when no cluster is idle.  Step costs memoise per
-  (step-signature, batch-occupancy), so warm steady-state steps are
-  dictionary lookups.  The decode conservation law -- a 1-session run on
-  one cluster equals the serial sum of its per-step
-  ``farm.time_program`` makespans -- holds by construction and is pinned
-  per precision by the test suite.
+  the next boundary) when no cluster is idle.  Step costs memoise in
+  lists per (block spec, effective precision) -- full steps and attention
+  halves indexed by KV position, shared halves by batch width -- so a
+  warm step boundary is a few list indexings per member.  The decode
+  conservation law -- a 1-session run on one cluster equals the serial
+  sum of its per-step ``farm.time_program`` makespans -- holds by
+  construction and is pinned per precision by the test suite.
 
 The loop is instrumented through :mod:`repro.obs`: per-request lifecycle
 spans stamped in *simulated* cycles on per-cluster-lane tracks (attrs:
@@ -71,6 +72,11 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.farm import SimulationFarm, default_farm
 from repro.graph.ir import WorkloadGraph
+from repro.graph.llm import (
+    decode_attention_graph,
+    decode_shared_graph,
+    decode_step_graph,
+)
 from repro.obs import active as _telemetry_active
 from repro.graph.lower import LoweredProgram
 from repro.redmule.config import RedMulEConfig
@@ -82,7 +88,6 @@ from repro.serve.report import (
     nearest_rank,
 )
 from repro.serve.requests import DEFAULT_FREQUENCY_HZ, Request
-from repro.serve.scheduler import derive_precision_farm
 
 #: Event kinds, ordered so capacity freed or provisioned at cycle t serves
 #: an arrival at the same cycle: completions first, then decode step
@@ -195,31 +200,59 @@ class AutoscalePolicy:
             raise ValueError("window must be at least 8")
 
 
+class _DecodeCosts:
+    """Step-cost memo of one (block spec, effective precision).
+
+    Three lists whose slots fill lazily, each on its first lookup (a memo
+    miss timed through the farm): ``full`` holds the rounded cycles of the
+    whole single-session step graph and ``attn`` the unrounded cycles of
+    one member's attention half, both indexed by KV position; ``shared``
+    holds the unrounded cycles of the batchable half, indexed by batch
+    width.
+    """
+
+    __slots__ = ("spec", "effective", "full", "attn", "shared")
+
+    def __init__(self, spec, effective: str, batch_cap: int) -> None:
+        self.spec = spec
+        self.effective = effective
+        self.full: List[Optional[int]] = [None] * spec.context_limit
+        self.attn: List[Optional[float]] = [None] * spec.context_limit
+        self.shared: List[Optional[float]] = [None] * (batch_cap + 1)
+
+
+class _JoinSignature:
+    """Sessions of one (block spec, requested precision): they may share a
+    batch group.  Holds the step costs of the effective precision and the
+    groups of this signature currently stepping (one cluster each)."""
+
+    __slots__ = ("costs", "groups")
+
+    def __init__(self, costs: _DecodeCosts) -> None:
+        self.costs = costs
+        self.groups: List[_DecodeGroup] = []
+
+
 class _DecodeSession:
     """Progress of one admitted decode session.
 
-    ``index`` walks the session's KV-position list; ``queued_service`` is
-    the serial-service estimate charged to the admission accounting while
-    the session waits in the decode queue (zero otherwise).
+    The session's steps run at the contiguous KV positions ``position ..
+    stop - 1``; ``position`` is that of its next (or current) step.
+    ``queued_service`` is the serial-service estimate charged to the
+    admission accounting while the session waits in the decode queue (zero
+    otherwise).
     """
 
-    __slots__ = ("request", "positions", "index", "queued_service")
+    __slots__ = ("request", "signature", "position", "stop",
+                 "queued_service")
 
-    def __init__(self, request: Request, positions: Tuple[int, ...]) -> None:
+    def __init__(self, request: Request, signature: _JoinSignature) -> None:
+        decode = request.decode
         self.request = request
-        self.positions = positions
-        self.index = 0
+        self.signature = signature
+        self.position = decode.prefill
+        self.stop = decode.prefill + decode.decode_steps
         self.queued_service = 0
-
-    @property
-    def position(self) -> int:
-        """KV position of the session's next (or current) step."""
-        return self.positions[self.index]
-
-    @property
-    def done(self) -> bool:
-        """True once every step has completed."""
-        return self.index >= len(self.positions)
 
 
 class _DecodeGroup:
@@ -230,15 +263,14 @@ class _DecodeGroup:
     The group exists exactly while it occupies a cluster.
     """
 
-    __slots__ = ("key", "members", "joiners", "step_started", "step_cost",
-                 "lane")
+    __slots__ = ("signature", "members", "joiners", "step_started", "lane")
 
-    def __init__(self, key, members: List[_DecodeSession]) -> None:
-        self.key = key
+    def __init__(self, signature: _JoinSignature,
+                 members: List[_DecodeSession]) -> None:
+        self.signature = signature
         self.members = members
         self.joiners: List[_DecodeSession] = []
         self.step_started = 0
-        self.step_cost = 0
         self.lane = -1
 
     @property
@@ -318,10 +350,10 @@ class ContinuousServer:
         #: Sessions admitted but waiting for a cluster (FIFO; compatible
         #: runs are pulled together when a group starts).
         self._decode_queue: Deque[_DecodeSession] = deque()
-        #: Join signature (block spec, requested precision) -> groups
-        #: currently stepping (each occupies one cluster).
-        self._decode_groups: Dict[Tuple[object, Optional[str]],
-                                  List[_DecodeGroup]] = {}
+        #: (block spec, requested precision) -> its join signature, which
+        #: holds the groups currently stepping (each occupies one cluster).
+        self._decode_signatures: Dict[Tuple[object, Optional[str]],
+                                      _JoinSignature] = {}
         #: Sessions admitted and not yet completed (queued + grouped).
         self._decode_active = 0
         self.decode_sessions_completed = 0
@@ -339,8 +371,6 @@ class ContinuousServer:
         self._eval_scheduled = False
 
         # -- timing services -------------------------------------------------
-        self._farms: Dict[str, SimulationFarm] = {self.farm.config.format:
-                                                  self.farm}
         self._programs: Dict[Tuple[WorkloadGraph, str], LoweredProgram] = {}
         #: (graph, effective precision) -> serial service cycles.
         self._service: Dict[Tuple[WorkloadGraph, str], int] = {}
@@ -349,18 +379,11 @@ class ContinuousServer:
         #: without re-deriving the effective precision.
         self._service_fast: Dict[Tuple[WorkloadGraph, Optional[str]],
                                  int] = {}
-        # -- decode step-cost memos (keyed by step signature) ----------------
-        #: (block spec, effective precision, KV position) -> rounded serial
-        #: cycles of the *full* single-session step graph.  The B == 1 cost,
-        #: exactly ``int(round(farm.time_program(step graph)))`` -- the
-        #: decode conservation law rests on this memo.
-        self._decode_full: Dict[Tuple[object, str, int], int] = {}
-        #: (block spec, effective precision, batch) -> unrounded cycles of
-        #: the shared (projections + MLP) half at width ``batch``.
-        self._decode_shared: Dict[Tuple[object, str, int], float] = {}
-        #: (block spec, effective precision, KV position) -> unrounded
-        #: cycles of one member's attention half at that position.
-        self._decode_attn: Dict[Tuple[object, str, int], float] = {}
+        #: (block spec, effective precision) -> its step-cost memo.  A full
+        #: slot is the B == 1 step cost, exactly ``int(round(
+        #: farm.time_program(step graph)))`` -- the decode conservation law
+        #: rests on it.
+        self._decode_costs: Dict[Tuple[object, str], _DecodeCosts] = {}
         #: (session spec, effective precision) -> whole-session serial
         #: cycles (the admission estimate).
         self._decode_session: Dict[Tuple[object, str], int] = {}
@@ -446,13 +469,6 @@ class ContinuousServer:
             self._pool_marker = cycle
 
     # -- service timing ------------------------------------------------------
-    def _farm_for(self, precision: str) -> SimulationFarm:
-        farm = self._farms.get(precision)
-        if farm is None:
-            farm = derive_precision_farm(self.farm, precision)
-            self._farms[precision] = farm
-        return farm
-
     def service_cycles(self, graph: WorkloadGraph,
                        precision: Optional[str] = None) -> int:
         """Serial service cycles of one request of ``graph``.
@@ -471,7 +487,7 @@ class ContinuousServer:
             self.memo_hits += 1
             return cycles
         self.memo_misses += 1
-        farm = self._farm_for(effective)
+        farm = self.farm.with_format(effective)
         program = self._programs.get(key)
         if program is None:
             program = graph.lower(config=farm.config)
@@ -508,13 +524,15 @@ class ContinuousServer:
                                effective: str) -> float:
         """Unrounded serial cycles of one decode graph (farm-timed).
 
-        Lowers against the effective-format farm and times through
+        Runs on a step-cost memo miss, which it counts.  Lowers against
+        the effective-format farm and times through
         :meth:`SimulationFarm.time_program`, which routes each node's jobs
         through the farm of *its* precision -- the per-node KV-cache
         overrides are honoured here.  Offload and elementwise core costs
         are charged exactly like :meth:`service_cycles`.
         """
-        farm = self._farm_for(effective)
+        self.memo_misses += 1
+        farm = self.farm.with_format(effective)
         program = graph.lower(config=farm.config)
         timing = farm.time_program(program, backend=self.backend)
         self._jobs_timed += program.n_jobs
@@ -525,77 +543,37 @@ class ContinuousServer:
                 node.elements for node in program.nodes if not node.is_gemm)
         return total
 
-    def _decode_full_cycles(self, spec, effective: str, position: int) -> int:
-        """Rounded cycles of a full single-session step at one KV position.
+    def _decode_costs_for(self, spec, effective: str) -> _DecodeCosts:
+        key = (spec, effective)
+        costs = self._decode_costs.get(key)
+        if costs is None:
+            costs = self._decode_costs[key] = _DecodeCosts(
+                spec, effective, self.batch_cap)
+        return costs
 
-        This is the B == 1 step cost: ``int(round(farm.time_program(step
-        graph)))`` by construction, which is what makes the decode
-        conservation law exact.
-        """
-        key = (spec, effective, position)
-        cycles = self._decode_full.get(key)
+    def _decode_signature(self, spec, precision: Optional[str]
+                          ) -> _JoinSignature:
+        key = (spec, precision)
+        signature = self._decode_signatures.get(key)
+        if signature is None:
+            signature = self._decode_signatures[key] = _JoinSignature(
+                self._decode_costs_for(spec,
+                                       self._decode_effective(precision)))
+        return signature
+
+    def _full_step_cycles(self, costs: _DecodeCosts, position: int) -> int:
+        """Rounded cycles of a full single-session step at one KV position:
+        ``int(round(farm.time_program(step graph)))`` by construction,
+        which is what makes the decode conservation law exact."""
+        cycles = costs.full[position]
         if cycles is None:
-            self.memo_misses += 1
-            from repro.graph.llm import decode_step_graph
-
-            cycles = int(round(self._decode_program_cycles(
-                decode_step_graph(spec, position), effective)))
-            self._decode_full[key] = cycles
+            cycles = costs.full[position] = int(round(
+                self._decode_program_cycles(
+                    decode_step_graph(costs.spec, position),
+                    costs.effective)))
         else:
             self.memo_hits += 1
         return cycles
-
-    def _decode_shared_cycles(self, spec, effective: str,
-                              batch: int) -> float:
-        """Unrounded cycles of the batchable half at ``batch`` width."""
-        key = (spec, effective, batch)
-        cycles = self._decode_shared.get(key)
-        if cycles is None:
-            self.memo_misses += 1
-            from repro.graph.llm import decode_shared_graph
-
-            cycles = self._decode_program_cycles(
-                decode_shared_graph(spec, batch), effective)
-            self._decode_shared[key] = cycles
-        else:
-            self.memo_hits += 1
-        return cycles
-
-    def _decode_attn_cycles(self, spec, effective: str,
-                            position: int) -> float:
-        """Unrounded cycles of one member's attention half at a position."""
-        key = (spec, effective, position)
-        cycles = self._decode_attn.get(key)
-        if cycles is None:
-            self.memo_misses += 1
-            from repro.graph.llm import decode_attention_graph
-
-            cycles = self._decode_program_cycles(
-                decode_attention_graph(spec, position), effective)
-            self._decode_attn[key] = cycles
-        else:
-            self.memo_hits += 1
-        return cycles
-
-    def _group_step_cost(self, group: _DecodeGroup) -> int:
-        """Cycles of the group's next batched step.
-
-        A lone member runs its full step graph (the conservation-exact
-        path).  A batch runs the shared half once at ``k = batch`` plus
-        each member's own attention half -- the weight-stationary GEMMs
-        coalesce, the KV-cache-shaped GEMMs cannot.
-        """
-        spec, precision = group.key
-        effective = self._decode_effective(precision)
-        members = group.members
-        if len(members) == 1:
-            return self._decode_full_cycles(spec, effective,
-                                            members[0].position)
-        total = self._decode_shared_cycles(spec, effective, len(members))
-        for session in members:
-            total += self._decode_attn_cycles(spec, effective,
-                                              session.position)
-        return int(round(total))
 
     def decode_session_cycles(self, session,
                               precision: Optional[str] = None) -> int:
@@ -609,9 +587,9 @@ class ContinuousServer:
         key = (session, effective)
         cycles = self._decode_session.get(key)
         if cycles is None:
-            cycles = sum(
-                self._decode_full_cycles(session.spec, effective, position)
-                for position in session.positions)
+            costs = self._decode_costs_for(session.spec, effective)
+            cycles = sum(self._full_step_cycles(costs, position)
+                         for position in session.positions)
             self._decode_session[key] = cycles
         else:
             self.memo_hits += 1
@@ -769,13 +747,14 @@ class ContinuousServer:
         """Place a just-admitted decode session: own cluster, running
         group of the same signature, or the decode queue -- in that order.
         """
-        session = _DecodeSession(request, tuple(request.decode.positions))
+        signature = self._decode_signature(request.decode.spec,
+                                           request.precision)
+        session = _DecodeSession(request, signature)
         self._decode_active += 1
-        key = (request.decode.spec, request.precision)
         if self._idle > 0:
-            self._start_decode_group(session, key)
+            self._start_decode_group(session)
             return
-        for group in self._decode_groups.get(key, ()):
+        for group in signature.groups:
             if group.occupancy < self.batch_cap:
                 # Absorbed at the group's next step boundary.
                 group.joiners.append(session)
@@ -802,28 +781,28 @@ class ContinuousServer:
         """Seed a new group from the decode-queue head (cluster is idle)."""
         session = self._decode_queue.popleft()
         self._dequeue_decode(session)
-        self._start_decode_group(
-            session, (session.request.decode.spec, session.request.precision))
+        self._start_decode_group(session)
 
-    def _start_decode_group(self, first: _DecodeSession, key) -> None:
+    def _start_decode_group(self, first: _DecodeSession) -> None:
         """Occupy an idle cluster with a new group led by ``first``,
-        pulling compatible decode-queued sessions along up to the cap."""
+        pulling decode-queued sessions of its signature along up to the
+        cap."""
+        signature = first.signature
         members = [first]
         if self._decode_queue and self.batch_cap > 1:
             remaining: Deque[_DecodeSession] = deque()
             for session in self._decode_queue:
                 if (len(members) < self.batch_cap
-                        and (session.request.decode.spec,
-                             session.request.precision) == key):
+                        and session.signature is signature):
                     self._dequeue_decode(session)
                     members.append(session)
                 else:
                     remaining.append(session)
             self._decode_queue = remaining
-        group = _DecodeGroup(key, members)
+        group = _DecodeGroup(signature, members)
         self._idle -= 1
         self._in_flight += 1
-        self._decode_groups.setdefault(key, []).append(group)
+        signature.groups.append(group)
         if self._obs.enabled:
             group.lane = self._obs_claim_lane()
             self._obs.sample("serve.in_flight", self._in_flight,
@@ -832,42 +811,78 @@ class ContinuousServer:
         self._arm_autoscaler()
 
     def _begin_step(self, group: _DecodeGroup) -> None:
-        """Schedule the group's next batched step from the current cycle."""
-        cost = self._group_step_cost(group)
-        group.step_started = self._now
-        group.step_cost = cost
-        occupancy = len(group.members)
+        """Schedule the group's next batched step from the current cycle.
+
+        A lone member runs its full step graph (the conservation-exact
+        path).  A batch runs the shared half once at ``k = batch`` plus
+        each member's own attention half -- the weight-stationary GEMMs
+        coalesce, the KV-cache-shaped GEMMs cannot.  The halves are summed
+        shared first, then in member order, and rounded once.  Each cost
+        read is one memo lookup; an empty slot is timed on the spot.
+        """
+        costs = group.signature.costs
+        members = group.members
+        occupancy = len(members)
+        if occupancy == 1:
+            cost = self._full_step_cycles(costs, members[0].position)
+        else:
+            hits = occupancy + 1
+            total = costs.shared[occupancy]
+            if total is None:
+                hits -= 1
+                total = costs.shared[occupancy] = self._decode_program_cycles(
+                    decode_shared_graph(costs.spec, occupancy),
+                    costs.effective)
+            attn = costs.attn
+            for session in members:
+                half = attn[session.position]
+                if half is None:
+                    hits -= 1
+                    half = attn[session.position] = (
+                        self._decode_program_cycles(
+                            decode_attention_graph(costs.spec,
+                                                   session.position),
+                            costs.effective))
+                total += half
+            self.memo_hits += hits
+            cost = int(round(total))
+            self.decode_batched_steps += 1
+        now = self._now
+        group.step_started = now
         self._busy_cycles += cost
         self.decode_steps += 1
-        if occupancy > 1:
-            self.decode_batched_steps += 1
         self._decode_occupancy_sum += occupancy
         if occupancy > self.decode_max_occupancy:
             self.decode_max_occupancy = occupancy
-        self._push(self._now + cost, _EVENT_STEP, group)
+        self._push(now + cost, _EVENT_STEP, group)
 
     def _on_step(self, group: _DecodeGroup) -> None:
         """A batched step finished: advance every member, retire the done
         ones, absorb joiners, and either step again or free the cluster."""
         obs = self._obs
+        members = group.members
         if obs.enabled:
-            spec, _ = group.key
             obs.complete_span(
-                f"{spec.name}.step", group.step_started, self._now,
-                track="serve", lane=f"cluster{group.lane}", cat="decode-step",
-                occupancy=len(group.members),
+                f"{group.signature.costs.spec.name}.step", group.step_started,
+                self._now, track="serve", lane=f"cluster{group.lane}",
+                cat="decode-step", occupancy=len(members),
                 positions=",".join(
-                    str(session.position) for session in group.members))
-        finished = []
-        for session in group.members:
-            session.index += 1
-            if session.done:
-                finished.append(session)
+                    str(session.position) for session in members))
+        finished = False
+        for session in members:
+            session.position += 1
+            if session.position == session.stop:
+                finished = True
+        if not finished and not group.joiners:
+            self._begin_step(group)
+            return
         if finished:
-            group.members = [session for session in group.members
-                             if not session.done]
+            group.members = [session for session in members
+                             if session.position != session.stop]
             self._last_completion = self._now
-            for session in finished:
+            for session in members:
+                if session.position != session.stop:
+                    continue
                 latency = self._record_completion(session.request)
                 self.decode_sessions_completed += 1
                 self._decode_active -= 1
@@ -884,10 +899,7 @@ class ContinuousServer:
             return
         # Drained (joiners are promoted before this point, so an empty
         # member list implies no joiners either): free the cluster.
-        siblings = self._decode_groups[group.key]
-        siblings.remove(group)
-        if not siblings:
-            del self._decode_groups[group.key]
+        group.signature.groups.remove(group)
         self._in_flight -= 1
         self._idle += 1
         if obs.enabled:

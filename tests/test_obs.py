@@ -10,11 +10,13 @@ that must be identical between the event-stepped and trace-replay
 backends).
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.farm import SimulationFarm
+from repro.graph.llm import build_decode_spec
 from repro.graph.zoo import build_model
 from repro.obs import (
     ChromeTraceError,
@@ -28,7 +30,14 @@ from repro.obs import (
     install,
     validate_chrome_trace,
 )
-from repro.serve import AdmissionPolicy, AutoscalePolicy, ContinuousServer, Request
+from repro.serve import (
+    AdmissionPolicy,
+    AutoscalePolicy,
+    ContinuousServer,
+    DecodeSessionSpec,
+    Request,
+    decode_session_stream,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -318,6 +327,42 @@ class TestServeIntegration:
                 if event["ph"] == "i" and event["name"] == "serve.shed"]
         assert len(shed) == report.rejected
         assert {event["args"]["reason"] for event in shed} == {"queue"}
+
+    def test_decode_step_spans_and_counters_match_the_report(self):
+        sessions = tuple(
+            DecodeSessionSpec(spec=build_decode_spec(name), prefill=4,
+                              decode_steps=4)
+            for name in ("llm-decode-tiny", "llm-decode-tiny-kv8"))
+        requests = list(decode_session_stream(sessions, rps=20_000.0,
+                                              duration_s=0.002, seed=3))
+        farm = _model_farm()
+
+        def serve(telemetry):
+            server = ContinuousServer(n_clusters=2, farm=farm,
+                                      backend="model", batch_cap=4,
+                                      telemetry=telemetry)
+            return server.simulate(requests)
+
+        telemetry = Telemetry()
+        report = serve(telemetry)  # cold farm
+        assert report.decode_batched_steps > 0
+        snap = telemetry.metrics_snapshot()
+        assert snap["counters"]["serve.decode_sessions"] == \
+            report.decode_sessions == len(requests)
+        trace = telemetry.chrome_trace()
+        validate_chrome_trace(trace)
+        steps = [event for event in trace["traceEvents"]
+                 if event["ph"] == "X" and event["cat"] == "decode-step"]
+        assert len(steps) == report.decode_steps
+        assert sum(span["args"]["occupancy"] > 1 for span in steps) == \
+            report.decode_batched_steps
+        # Telemetry never changes a result: the obs-off run on the now warm
+        # farm differs only in the farm-cache traffic, and a second traced
+        # run on the warm farm matches it field for field.
+        quiet = serve(NULL_TELEMETRY)
+        assert dataclasses.replace(report, cache_hits=quiet.cache_hits,
+                                   cache_misses=quiet.cache_misses) == quiet
+        assert serve(Telemetry()) == quiet
 
     def test_autoscale_decisions_are_logged_with_the_p99_window(self):
         telemetry = Telemetry()

@@ -1,7 +1,11 @@
 """Decode sessions on the continuous loop: conservation, batching, joins."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.experiments.serve import decode_session_classes
 from repro.farm import SimulationFarm
 from repro.graph import build_decode_spec, decode_step_graph
 from repro.graph.llm import decode_attention_graph, decode_shared_graph
@@ -238,3 +242,49 @@ def test_mixed_atomic_and_decode_traffic(farm):
     assert report.models["mlp-tiny"] == 6
     assert report.models[session.model] == 6
     assert server.in_flight == 0 and server.decode_active == 0
+
+
+# -- pinned outputs -----------------------------------------------------------
+def _pinned_fields(report):
+    """The report fields a decode run must reproduce bit for bit."""
+    return (report.offered, report.admitted, report.rejected,
+            report.completed, report.makespan_cycles,
+            dataclasses.astuple(report.latency), report.busy_cycles,
+            report.memo_hits, report.memo_misses, report.decode_sessions,
+            report.decode_steps, report.decode_batched_steps,
+            report.decode_mean_occupancy, report.decode_max_occupancy,
+            report.pool.pool_cycles, report.pool.scale_ups)
+
+
+#: Two 60k sessions/s, 0.02 s streams of the serve-decode session mix:
+#: (seed, server keyword arguments, sha256 of ``repr(_pinned_fields)``).
+#: A: 1,189 sessions on 4 clusters, makespan 13,416,664, p50 126,755,
+#: p99 165,175, 7,691 steps, memo 23,777 hits / 78 misses.  B: 1,231
+#: offered on an autoscaled pool, 8 shed, makespan 13,407,475, p50
+#: 106,155, p99 126,998, 11,881 steps, memo 24,992 / 70, 5 scale-ups.
+_PINNED_DECODE_RUNS = {
+    "four-clusters-cap8": (
+        11, dict(n_clusters=4, batch_cap=8),
+        "19e443390643589b4f5af340deb133bbdca884e126ea2be16079bc5328c5df54"),
+    "autoscaled-cap4": (
+        12, dict(n_clusters=1, batch_cap=4,
+                 admission=AdmissionPolicy(max_queue=3),
+                 autoscaler=AutoscalePolicy(
+                     min_clusters=1, max_clusters=6, interval_cycles=50_000,
+                     queue_per_cluster=1, slo_p99_cycles=150_000)),
+        "6cc72d21a88b952588ab41b55ca71d49a4e056f0ac119c5b105aac9625fe2daf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DECODE_RUNS))
+def test_decode_stream_reproduces_pinned_outputs(farm, name):
+    """Admission, batching, step costs and autoscaling of two decode
+    streams reproduce the recorded report fields exactly."""
+    seed, kwargs, digest = _PINNED_DECODE_RUNS[name]
+    stream = decode_session_stream(decode_session_classes(8, 16),
+                                   rps=60_000.0, duration_s=0.02, seed=seed)
+    report = ContinuousServer(farm=farm, backend="model",
+                              **kwargs).simulate(stream)
+    fields = _pinned_fields(report)
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == digest, \
+        fields

@@ -23,9 +23,9 @@ Two :class:`~hypothesis.stateful.RuleBasedStateMachine` suites live here:
   batching: random interleavings of atomic requests, multi-step decode
   sessions (two batch-group signatures), clock advances and forced scale
   events, with the accounting closure spanning both kinds (admitted ==
-  completed + queued + occupying), every memoised full-step cost equal to
-  its step graph's serial ``farm.time_program`` makespan, and command-log
-  replay determinism.
+  completed + queued + occupying), every filled step-cost memo slot (full
+  step, attention half, shared half) equal to its graph's serial
+  ``farm.time_program`` makespan, and command-log replay determinism.
 
 All runs are bounded (few examples, short command sequences) so they stay
 quick CI jobs rather than soak tests.
@@ -40,7 +40,12 @@ import pytest
 
 from repro.farm import SimulationFarm
 from repro.fp.vector import pack_matrix, random_matrix
-from repro.graph.llm import build_decode_spec, decode_step_graph
+from repro.graph.llm import (
+    build_decode_spec,
+    decode_attention_graph,
+    decode_shared_graph,
+    decode_step_graph,
+)
 from repro.graph.zoo import build_model
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -289,7 +294,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
         server = self.server
         for key, cycles in server._service.items():
             program = server._programs[key]
-            farm = server._farms[key[1]]
+            farm = server.farm.with_format(key[1])
             assert cycles == int(round(farm.time_program(program).cycles))
 
     @invariant()
@@ -327,9 +332,30 @@ _DECODE_SPECS = {
 }
 
 
+#: Graph of each step-cost memo table, by slot index (KV position for
+#: ``full`` and ``attn``, batch width for ``shared``).
+_STEP_COST_GRAPHS = {
+    "full": decode_step_graph,
+    "attn": decode_attention_graph,
+    "shared": decode_shared_graph,
+}
+
+
 def _fresh_decode_loop():
     return ContinuousServer(n_clusters=2, farm=_SERVE_FARM, backend="model",
                             batch_cap=3)
+
+
+def _filled_step_costs(server):
+    """Every filled step-cost memo slot of ``server``:
+    ``{(spec, effective precision, table, index): cycles}``."""
+    return {
+        (spec, effective, table, index): cycles
+        for (spec, effective), costs in server._decode_costs.items()
+        for table in _STEP_COST_GRAPHS
+        for index, cycles in enumerate(getattr(costs, table))
+        if cycles is not None
+    }
 
 
 class DecodeSessionMachine(RuleBasedStateMachine):
@@ -353,7 +379,7 @@ class DecodeSessionMachine(RuleBasedStateMachine):
                 server.decode_sessions_completed, server.decode_steps,
                 server.decode_batched_steps, server.decode_max_occupancy,
                 report.completed, report.latency, report.models,
-                sorted(server._decode_full.values()))
+                _filled_step_costs(server))
 
     def _offer(self, request):
         self.next_id += 1
@@ -381,6 +407,23 @@ class DecodeSessionMachine(RuleBasedStateMachine):
                             model=session.model, graph=None,
                             arrival_cycle=arrival, decode=session))
 
+    @rule(kind=st.sampled_from(sorted(_DECODE_SPECS)),
+          count=st.integers(min_value=2, max_value=4),
+          prefill=st.integers(min_value=0, max_value=6),
+          steps=st.integers(min_value=2, max_value=3),
+          gap=st.integers(min_value=0, max_value=4000))
+    def arrive_burst(self, kind, count, prefill, steps, gap):
+        """Sessions of one signature arriving together: those beyond the
+        idle clusters join running groups and step batched, which fills
+        attention and shared step-cost slots."""
+        arrival = max(self.last_arrival, self.server.now) + gap
+        session = DecodeSessionSpec(spec=_DECODE_SPECS[kind],
+                                    prefill=prefill, decode_steps=steps)
+        for _ in range(count):
+            self._offer(Request(request_id=self.next_id, tenant="decode",
+                                model=session.model, graph=None,
+                                arrival_cycle=arrival, decode=session))
+
     @rule(delta=st.integers(min_value=1, max_value=8000))
     def advance(self, delta):
         target = self.server.now + delta
@@ -402,8 +445,8 @@ class DecodeSessionMachine(RuleBasedStateMachine):
         if not hasattr(self, "server"):
             return  # before @initialize
         server = self.server
-        groups = [group for siblings in server._decode_groups.values()
-                  for group in siblings]
+        groups = [group for signature in server._decode_signatures.values()
+                  for group in signature.groups]
         # A decode group occupies exactly one cluster.
         atomic_in_flight = server.in_flight - len(groups)
         assert atomic_in_flight >= 0
@@ -420,18 +463,22 @@ class DecodeSessionMachine(RuleBasedStateMachine):
 
     @invariant()
     def memoised_step_cost_is_the_serial_makespan(self):
-        """Conservation: every full-step memo entry equals the serial
-        ``farm.time_program`` makespan of that step graph, lowered for the
-        effective precision's farm."""
+        """Conservation: every filled step-cost slot equals the serial
+        ``farm.time_program`` makespan of its graph, lowered for the
+        effective precision's farm -- rounded for a full step, unrounded
+        for the attention and shared halves a batched step sums."""
         if not hasattr(self, "server"):
             return
         server = self.server
-        for (spec, effective, position), cycles in server._decode_full.items():
-            farm = server._farms[effective]
-            program = decode_step_graph(spec, position).lower(
+        for (spec, effective, table, index), cycles in (
+                _filled_step_costs(server).items()):
+            farm = server.farm.with_format(effective)
+            program = _STEP_COST_GRAPHS[table](spec, index).lower(
                 config=farm.config)
-            assert cycles == int(round(
-                farm.time_program(program, backend="model").cycles))
+            serial = farm.time_program(program, backend="model").cycles
+            if table == "full":
+                serial = int(round(serial))
+            assert cycles == serial
 
     @invariant()
     def replay_is_deterministic(self):
