@@ -63,6 +63,7 @@ from repro.fp.simd_formats import (
     add_many_fmt,
     bits_to_f64_many,
     f64_to_bits_many,
+    fma_chain_f64_fmt,
     fma_guarded_f64_fmt,
     fma_many_fmt,
     fma_mixed_many,
@@ -99,6 +100,7 @@ __all__ = [
     "bits_to_f64_many",
     "f64_to_bits_many",
     "fma_bits",
+    "fma_chain_f64_fmt",
     "fma_guarded_f64_fmt",
     "fma_many_fmt",
     "fma_mixed",

@@ -40,10 +40,18 @@ Implementation notes
   through the integer packer (the engine's hot path), and this module is the
   only place that tests for the format.  NaN lanes are the one difference: the cast
   keeps sign and payload, so native encodes rewrite them to ``nan_bits``.
+* Formats with at most three mantissa bits (the FP8 pair) round and encode
+  ``float64`` values by table lookup (:func:`round_f64_many`,
+  :func:`f64_to_bits_many`); the tables are derived from the integer codec
+  (:func:`f64_to_bits_codec`).
+* Float64 FMA chains (:func:`fma_chain_f64_fmt`) prove their sums exact from
+  operand magnitudes (:func:`exact_sum_bound`, :func:`chain_sums_exact`)
+  and only fall back to the per-lane TwoSum guard when the proof fails.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -54,6 +62,20 @@ from repro.fp.rounding import RoundingMode
 
 #: Per-format decode lookup tables (pattern -> exact float64 value).
 _DECODE_TABLES: Dict[str, np.ndarray] = {}
+
+#: Per-format ``(patterns, values)`` rounding tables of the <= 3-mantissa-
+#: bit formats (see :func:`round_tables`), indexed by :func:`_round_key`.
+_ROUND_TABLES: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+#: Mantissa bits a rounding-table key keeps; formats with fewer stored
+#: mantissa bits than this round by table.
+_ROUND_KEY_MAN_BITS = 4
+
+#: A key is a float64 pattern shifted right by this much: sign, exponent,
+#: the kept mantissa bits and one more bit, into which the sticky bit (any
+#: lower bit set) is OR-ed.
+_ROUND_KEY_SHIFT = 52 - _ROUND_KEY_MAN_BITS - 1
+_ROUND_STICKY_MASK = np.int64((1 << _ROUND_KEY_SHIFT) - 1)
 
 
 def format_dtype(fmt: BinaryFormat):
@@ -126,16 +148,39 @@ def f64_to_bits_many(
     """Round a ``float64`` array to ``fmt`` patterns (bit-exact, any mode).
 
     Element-for-element equivalent to mapping
-    :meth:`BinaryFormat.float_to_bits` over the array.
+    :meth:`BinaryFormat.float_to_bits` over the array.  Without flags and
+    under RNE, binary16 casts natively and the FP8 formats look their
+    patterns up in :func:`round_tables`; everything else runs the integer
+    codec (:func:`f64_to_bits_codec`).
     """
     values = np.asarray(values, dtype=np.float64)
-    if flags is None and mode is RoundingMode.RNE and _native_binary16(fmt):
-        with np.errstate(over="ignore"):
-            bits = values.astype(np.float16).view(np.uint16)
-        nan = np.isnan(values)
-        if nan.any():
-            bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
-        return bits
+    if flags is None and mode is RoundingMode.RNE:
+        if _native_binary16(fmt):
+            with np.errstate(over="ignore"):
+                bits = values.astype(np.float16).view(np.uint16)
+            nan = np.isnan(values)
+            if nan.any():
+                bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
+            return bits
+        if fmt.man_bits < _ROUND_KEY_MAN_BITS:
+            patterns = round_tables(fmt)[0]
+            return np.asarray(patterns.take(_round_key(values.view(np.int64))))
+    return f64_to_bits_codec(values, fmt, mode, flags)
+
+
+def f64_to_bits_codec(
+    values,
+    fmt: BinaryFormat,
+    mode: RoundingMode = RoundingMode.RNE,
+    flags: Optional[ExceptionFlags] = None,
+) -> np.ndarray:
+    """The integer codec behind :func:`f64_to_bits_many`, for every format.
+
+    Decomposes each float64 into sign, integer significand and exponent and
+    packs it with :func:`_pack_arrays_fmt` -- no float arithmetic, so it is
+    the reference the native and table-driven encodings are checked against.
+    """
+    values = np.asarray(values, dtype=np.float64)
     shape = values.shape
     raw = values.ravel().view(np.uint64).astype(np.int64)
     sign = (raw >> 63) & 0x1
@@ -174,16 +219,91 @@ def f64_to_bits_many(
     return bits.astype(format_dtype(fmt)).reshape(shape)
 
 
+def _round_key(raw: np.ndarray) -> np.ndarray:
+    """Rounding-table keys of ``float64`` bit patterns viewed as ``int64``.
+
+    The key is the pattern's sign, exponent and top four mantissa bits with
+    a sticky bit appended (set when any lower bit is).  Negative values
+    shift to negative keys, ``key - 2**17``, which index the table from its
+    end: exactly the slot of the unsigned key.
+    """
+    key = raw >> _ROUND_KEY_SHIFT
+    key |= (raw & _ROUND_STICKY_MASK) != 0
+    return key
+
+
+def _build_round_tables(fmt: BinaryFormat) -> Tuple[np.ndarray, np.ndarray]:
+    """Every rounding-table key's RNE result, derived from the integer codec.
+
+    One representative per key (its top bits, plus the lowest float64 bit
+    when the sticky bit is set) goes through :func:`f64_to_bits_codec`; the
+    keys run in chunks so the codec's temporaries stay small.  Returns the
+    ``uint8`` patterns and their values as ``float32``, which holds every
+    value (and infinity and NaN) of a format this narrow.
+
+    The key determines the rounding: with ``p <= 4`` bits of precision, the
+    format's values and the midpoints between them all have at most five
+    significant bits (subnormal spacing included), so they lie on the grid
+    of float64 values whose mantissa ends after four bits.  Every value
+    strictly between two neighbours of that grid -- one key with its sticky
+    bit set -- therefore rounds the same way, and a grid value -- sticky
+    bit clear -- is its own key.  Float64 subnormals, infinities and NaNs
+    are keyed like any other pattern.
+    """
+    size = 1 << (12 + _ROUND_KEY_MAN_BITS + 1)
+    patterns = np.empty(size, dtype=np.uint8)
+    values = np.empty(size, dtype=np.float32)
+    chunk = 1 << 10
+    for start in range(0, size, chunk):
+        key = np.arange(start, start + chunk, dtype=np.uint64)
+        raw = ((key >> np.uint64(1)) << np.uint64(_ROUND_KEY_SHIFT + 1)) | (
+            key & np.uint64(1))
+        bits = f64_to_bits_codec(raw.view(np.float64), fmt)
+        patterns[start: start + chunk] = bits
+        values[start: start + chunk] = bits_to_f64_many(bits, fmt)
+    return patterns, values
+
+
+def round_tables(fmt: BinaryFormat) -> Tuple[np.ndarray, np.ndarray]:
+    """The RNE rounding tables of a <= 3-mantissa-bit format.
+
+    ``(patterns, values)``: the ``uint8`` pattern and the ``float32`` value
+    every float64 rounds to, indexed by :func:`_round_key` (2**17 entries,
+    640 KiB together).  Built once per format and shared by every later
+    call.
+    """
+    tables = _ROUND_TABLES.get(fmt.name)
+    if tables is None:
+        if fmt.man_bits >= _ROUND_KEY_MAN_BITS:
+            raise ValueError(f"{fmt.name} has too many mantissa bits for a "
+                             "rounding table")
+        tables = _build_round_tables(fmt)
+        _ROUND_TABLES[fmt.name] = tables
+    return tables
+
+
 def round_f64_many(values, fmt: BinaryFormat) -> np.ndarray:
     """Round ``float64`` values to the nearest ``fmt`` values (RNE), as float64.
 
-    The value-level :func:`f64_to_bits_many` + :func:`bits_to_f64_many`
-    round trip; NaN lanes stay NaN.  For binary16 the cast raises numpy's
-    overflow condition on values beyond the format (a warning unless the
-    caller's :func:`numpy.errstate` ignores it).
+    Equal to the value-level :func:`f64_to_bits_many` +
+    :func:`bits_to_f64_many` round trip, element for element; NaN lanes stay
+    NaN.  Three evaluations:
+
+    * binary16 casts through numpy's ``float16``, which raises numpy's
+      overflow condition on values beyond the format (a warning unless the
+      caller's :func:`numpy.errstate` ignores it);
+    * formats with at most three mantissa bits (FP8) are one lookup in
+      :func:`round_tables`, keyed on the float64's sign, exponent, top four
+      mantissa bits and a sticky bit -- the table is built from the integer
+      codec and checked against it on every key;
+    * every other format (bf16) runs the integer codec.
     """
+    values = np.asarray(values, dtype=np.float64)
     if _native_binary16(fmt):
-        return np.asarray(values, dtype=np.float64).astype(np.float16).astype(
+        return values.astype(np.float16).astype(np.float64)
+    if fmt.man_bits < _ROUND_KEY_MAN_BITS:
+        table = round_tables(fmt)[1]
+        return table.take(_round_key(values.view(np.int64))).astype(
             np.float64)
     return bits_to_f64_many(f64_to_bits_many(values, fmt), fmt)
 
@@ -572,22 +692,135 @@ def neg_many_fmt(a, fmt: BinaryFormat) -> np.ndarray:
     return np.where(nan, wide, wide ^ fmt.sign_mask).astype(dtype)
 
 
+def exact_sum_bound(fmt: BinaryFormat) -> float:
+    """Magnitude below which ``x * w + acc`` over ``fmt`` values is exact.
+
+    Proof: every ``fmt`` value is an integer multiple of
+    ``2**subnormal_exp``, so a product of two is a multiple of
+    ``2**(2 * subnormal_exp)`` -- and so is the sum with a third, as
+    ``subnormal_exp < 0``.  A multiple of ``2**q`` whose magnitude is below
+    ``2**(53 + q)`` has at most 53 significant bits: it is a float64.  The
+    product itself is exact (at most ``2 * (man_bits + 1)`` bits), so the
+    float64 sum is the exact sum whenever the exact sum lies below the
+    bound; and as rounding is monotone and the bound a power of two, that
+    holds whenever the *computed* sum lies below it.
+
+    The bound is ``2**5`` for fp16, ``2**35`` for fp8-e4m3 and ``2**21``
+    for fp8-e5m2; bf16's wide exponent range leaves ``2**-213``.
+    """
+    return math.ldexp(1.0, 53 + 2 * fmt.subnormal_exp)
+
+
+#: Longest chain :func:`chain_sums_exact` evaluates; longer ones are guarded.
+_CHAIN_BOUND_MAX_STEPS = 1 << 20
+
+
+def chain_sums_exact(x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray,
+                     fmt: BinaryFormat) -> bool:
+    """True when every float64 sum of the chain ``acc += x @ w`` is exact.
+
+    ``x64`` is ``(..., M, N)``, ``w64`` ``(..., N, K)`` and ``acc64``
+    ``(..., M, K)``, all exact ``fmt`` values; the chain is the one
+    :func:`fma_chain_f64_fmt` runs.  Proof: let ``u = 2**-(man_bits + 1)``
+    and ``e = subnormal_exp``.  RNE rounding to ``fmt`` obeys
+    ``|rnd(v)| <= (1 + u) |v| + 2**(e - 1)`` (half an ulp relative to
+    ``v`` in the normal range, half the subnormal spacing below it), so by
+    induction over the steps every sum ``v_n = x_n w_n + acc_(n-1)`` obeys
+
+        ``|v_n| <= (1 + u)**N * (S + N * 2**(e - 1))``,
+        ``S = |acc| + |x| @ |w|``
+
+    elementwise.  A finite accumulator also never exceeds the format's
+    largest finite value (a larger sum rounds to infinity), so
+    ``|v_n| <= S + max_finite`` as well -- the tighter bound for the FP8
+    formats on long chains.  When the smaller bound stays below
+    :func:`exact_sum_bound`, no step needs a guard.  A step that overflows
+    to infinity leaves the finite domain, and float64 then propagates the
+    infinity exactly as the FMA does.
+
+    ``S`` is one batched matmul, evaluated in ``float32`` to halve its
+    temporaries: the magnitudes of every format here are exact in
+    ``float32``, and the sum of ``N + 1`` non-negative terms errs by less
+    than ``2 * (N + 2) * 2**-24`` relative, which the check adds back for
+    chains up to ``2**20`` steps (longer ones are not proven).  Products
+    that overflow ``float32`` make ``S`` infinite; bf16 products that
+    underflow it are covered by the ``N * 2**(e - 1)`` term, which alone
+    exceeds bf16's bound.  An infinite or NaN operand (``inf * 0``
+    included) makes ``S`` non-finite, which fails the check.
+    """
+    n = x64.shape[-1]
+    if n == 0:
+        return True
+    if n > _CHAIN_BOUND_MAX_STEPS:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.abs(acc64, dtype=np.float32) + np.einsum(
+            "...mn,...nk->...mk", np.abs(x64, dtype=np.float32),
+            np.abs(w64, dtype=np.float32))
+        largest = float(magnitude.max(initial=0.0))
+        growth = float(np.power(1.0 + math.ldexp(1.0, -(fmt.man_bits + 1)),
+                                n))
+    largest *= 1.0 + (n + 2) * 2.0 ** -23
+    underflow = n * math.ldexp(1.0, fmt.subnormal_exp - 1)
+    reach = min(growth * (largest + underflow),
+                largest + fmt.max_finite_value)
+    return reach * (1.0 + 2.0 ** -40) < exact_sum_bound(fmt)
+
+
+def fma_chain_f64_fmt(x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray,
+                      fmt: BinaryFormat, guard: bool = True) -> np.ndarray:
+    """Hardware-order FMA chains ``acc += x @ w`` over exact ``fmt`` values.
+
+    ``x64`` is ``(..., M, N)``, ``w64`` ``(..., N, K)`` and ``acc64``
+    ``(..., M, K)`` float64 arrays of ``fmt`` values.  Step ``n``, in
+    increasing order, sets every element to ``x[..., m, n] * w[..., n, k] +
+    acc[..., m, k]`` rounded once to ``fmt`` (RNE).  Returns a float64 array
+    of exact ``fmt`` values.
+
+    With ``guard`` (the default) the chain is bit-exact: when
+    :func:`chain_sums_exact` proves every float64 sum exact, each step is a
+    multiply, an add and one :func:`round_f64_many`; otherwise each step is
+    :func:`fma_guarded_f64_fmt`, which re-checks exactness per step and
+    recomputes unprovable lanes through the integer kernel.  Without
+    ``guard`` every step rounds its float64 sum directly, which can round
+    twice (the ``fast`` backend's arithmetic).
+    """
+    x_cols = np.moveaxis(x64, -1, 0)[..., None]
+    w_lines = np.moveaxis(w64, -2, 0)[..., None, :]
+    guarded = guard and not chain_sums_exact(x64, w64, acc64, fmt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if guarded:
+            for x_col, w_line in zip(x_cols, w_lines):
+                acc64 = fma_guarded_f64_fmt(x_col, w_line, acc64, fmt)
+        else:
+            for x_col, w_line in zip(x_cols, w_lines):
+                acc64 = round_f64_many(x_col * w_line + acc64, fmt)
+    return acc64
+
+
 def fma_guarded_f64_fmt(
     x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray, fmt: BinaryFormat
 ) -> np.ndarray:
     """Bit-exact FMA (RNE) over float64 operands holding exact ``fmt`` values.
 
     The product of two ``fmt`` values is always exact in float64, so the
-    only rounding hazard is the addition.  A TwoSum error term detects
-    exactly the lanes whose float64 sum is inexact (where the final
-    conversion to ``fmt`` would double-round) and those lanes -- plus NaNs
-    and infinities, whose error term is NaN -- are recomputed through the
-    integer kernel.  Operands must broadcast against each other.  Returns a
-    ``float64`` array of exactly representable ``fmt`` values.
+    only rounding hazard is the addition.  Every sum is a multiple of
+    ``2**(2 * subnormal_exp)``, so one below :func:`exact_sum_bound` in
+    magnitude fits 53 bits and is exact; when the largest computed sum of
+    the step lies below the bound, every lane is rounded once, unguarded.
+    Otherwise (NaN or infinite lanes, large magnitudes, bf16) a TwoSum
+    error term detects exactly the lanes whose float64 sum is inexact
+    (where the final conversion to ``fmt`` would double-round) and those
+    lanes -- plus NaNs and infinities, whose error term is NaN -- are
+    recomputed through the integer kernel.  Operands must broadcast against
+    each other.  Returns a ``float64`` array of exactly representable
+    ``fmt`` values.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         product = x64 * w64
         total = product + acc64
+        if np.abs(total).max(initial=0.0) < exact_sum_bound(fmt):
+            return round_f64_many(total, fmt)
         virtual_product = total - acc64
         error = (product - virtual_product) + (acc64 - (total - virtual_product))
         rounded = round_f64_many(total, fmt)

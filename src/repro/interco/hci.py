@@ -106,9 +106,7 @@ class Hci:
 
         winner = self.rotator.arbitrate(wide_wants, log_wants)
         granted = wide_wants and winner == BranchRotator.WIDE
-        wide_banks: List[int] = []
         if granted:
-            wide_banks = self.shallow_branch.banks_for(addr, size)
             self.stats.wide_grants += 1
         elif wide_wants:
             self.stats.wide_stalls += 1
@@ -116,8 +114,10 @@ class Hci:
         if log_wants:
             # Logarithmic requests can proceed in parallel on banks the wide
             # port does not own this cycle; if the log branch won the
-            # rotation, the wide banks are free anyway.
-            blocked = wide_banks if winner == BranchRotator.WIDE else []
+            # rotation, the wide banks are free anyway.  The bank list is
+            # only read here, so a grant without log traffic never builds it.
+            blocked = (self.shallow_branch.banks_for(addr, size)
+                       if granted else [])
             self.log_branch.cycle(self._pending_log, banks_blocked=blocked)
         self._pending_log = []
         return granted

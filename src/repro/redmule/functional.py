@@ -14,14 +14,15 @@ Three implementations are provided:
   format (integers all the way); the oracle for correctness, used on small
   matrices.
 * :func:`matmul_hw_order_simd_fmt` -- vectorised *and* bit-exact: each FMA
-  step is evaluated over the whole output matrix with the guarded SIMD
-  kernel (:func:`repro.fp.simd_formats.fma_guarded_f64_fmt`), so it matches
-  the scalar oracle bit for bit at array speed.  The default reference for
-  workload-level checks.
+  step is evaluated over the whole output matrix by the exact float64 chain
+  kernel (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`), the one the
+  engine's ``exact-simd`` backend runs, so it matches the scalar oracle bit
+  for bit at array speed.  The default reference for workload-level checks.
 * :func:`matmul_hw_order_fast` -- binary16 only: evaluates each FMA step in
-  float64 with one rounding to binary16 (the ``fast`` backend's arithmetic);
-  it matches the exact model on all practical inputs (double-rounding
-  corner cases excepted).
+  float64 with one rounding to binary16 (the ``fast`` backend's arithmetic,
+  the same kernel without its exactness proof and guard); it matches the
+  exact model on all practical inputs (double-rounding corner cases
+  excepted).
 
 plus :func:`matmul_reference_fp32`, a float32 reference used to bound the
 numerical error of FP16 accumulation in the accuracy examples.
@@ -29,12 +30,32 @@ numerical error of FP16 accumulation in the accuracy examples.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fp.formats import BinaryFormat, fma_bits
-from repro.fp.simd_formats import fma_guarded_f64_fmt
+from repro.fp.formats import FP16, BinaryFormat, fma_bits
+from repro.fp.simd_formats import fma_chain_f64_fmt
+
+
+def _float64_operands(x: np.ndarray, w: np.ndarray,
+                      acc: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Validated float64 ``(x, w, acc)`` of ``Z = acc + X . W``."""
+    x64 = np.asarray(x, dtype=np.float64)
+    w64 = np.asarray(w, dtype=np.float64)
+    if x64.ndim != 2 or w64.ndim != 2:
+        raise ValueError("operands must be 2-D")
+    if x64.shape[1] != w64.shape[0]:
+        raise ValueError(
+            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
+        )
+    m, k = x64.shape[0], w64.shape[1]
+    if acc is None:
+        return x64, w64, np.zeros((m, k), dtype=np.float64)
+    acc64 = np.asarray(acc, dtype=np.float64)
+    if acc64.shape != (m, k):
+        raise ValueError(f"accumulator must be {m}x{k}, got {acc64.shape}")
+    return x64, w64, acc64
 
 
 def matmul_hw_order_fast(x: np.ndarray, w: np.ndarray,
@@ -46,28 +67,8 @@ def matmul_hw_order_fast(x: np.ndarray, w: np.ndarray,
     holding exact binary16 values.  ``acc`` is the optional initial
     accumulator matrix (``M x K``) used by accumulation jobs.
     """
-    x64 = np.asarray(x, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    if x64.ndim != 2 or w64.ndim != 2:
-        raise ValueError("operands must be 2-D")
-    if x64.shape[1] != w64.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
-        )
-    m, n = x64.shape
-    k = w64.shape[1]
-    if acc is None:
-        acc = np.zeros((m, k), dtype=np.float64)
-    else:
-        acc = np.asarray(acc, dtype=np.float64)
-        if acc.shape != (m, k):
-            raise ValueError(f"accumulator must be {m}x{k}, got {acc.shape}")
-        acc = acc.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            raw = np.outer(x64[:, i], w64[i, :]) + acc
-            acc = raw.astype(np.float16).astype(np.float64)
-    return acc.astype(np.float32)
+    return fma_chain_f64_fmt(*_float64_operands(x, w, acc), FP16,
+                             guard=False).astype(np.float32)
 
 
 def matmul_hw_order_exact_fmt(
@@ -119,30 +120,13 @@ def matmul_hw_order_simd_fmt(x: np.ndarray, w: np.ndarray, fmt: BinaryFormat,
     """Vectorised, bit-exact hardware-order matmul for any element format.
 
     ``x`` and ``w`` must contain ``fmt``-representable values (use
-    :func:`repro.fp.vector.quantize`); each of the ``N`` accumulation steps
-    is one guarded SIMD FMA over the whole ``M x K`` output, bit-identical
-    to :func:`matmul_hw_order_exact_fmt` at numpy speed.  Returns float64
+    :func:`repro.fp.vector.quantize`); the ``N`` accumulation steps run as
+    one exact chain (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`) over
+    the whole ``M x K`` output, bit-identical to
+    :func:`matmul_hw_order_exact_fmt` at numpy speed.  Returns float64
     holding exact ``fmt`` values.
     """
-    x64 = np.asarray(x, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    if x64.ndim != 2 or w64.ndim != 2:
-        raise ValueError("operands must be 2-D")
-    if x64.shape[1] != w64.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
-        )
-    m, n = x64.shape
-    k = w64.shape[1]
-    if acc is None:
-        acc = np.zeros((m, k), dtype=np.float64)
-    else:
-        acc = np.asarray(acc, dtype=np.float64)
-        if acc.shape != (m, k):
-            raise ValueError(f"accumulator must be {m}x{k}, got {acc.shape}")
-    for i in range(n):
-        acc = fma_guarded_f64_fmt(x64[:, i, None], w64[i, None, :], acc, fmt)
-    return acc
+    return fma_chain_f64_fmt(*_float64_operands(x, w, acc), fmt)
 
 
 def matmul_reference_fp32(x: np.ndarray, w: np.ndarray) -> np.ndarray:

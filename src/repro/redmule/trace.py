@@ -49,8 +49,9 @@ replayable.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -436,9 +437,9 @@ def replay_dataplane(
 
     Without ``flags`` this is the ``exact-simd``/``trace`` chain kernel
     (:meth:`repro.redmule.vector_ops.ExactSimdVectorOps.chain`, the one the
-    engine runs on every event-stepped tile): the guarded float64 kernel
-    per step, lanes at double-rounding risk falling back to the integer
-    kernels.  With ``flags`` every step runs the integer kernels outright
+    engine runs on every event-stepped tile): an unguarded float64 chain
+    when the batch's sums are proven exact, the guarded kernel per step
+    otherwise.  With ``flags`` every step runs the integer kernels outright
     and aggregates the IEEE exception flags -- bit-identical values,
     scalar-oracle flags.
     """
@@ -474,9 +475,16 @@ class ReplaySession:
     :meth:`commit_recording`.
 
     While replays are pending, the session tracks the Z backlog as a FIFO
-    of line references: each replayed tile retires the recorded number of
-    completed stores from the head and appends its own rows at the tail, so
-    the backlog contents (not just its length) are exact at every boundary.
+    of entries, each ``[rows, retired, source]``: one entry per replayed
+    tile (``source`` is ``(group_key, slot, tile)``, the tile's rows in
+    order) and one for the lines carried over from the live queues when
+    the first replay deferred (``source`` is their list of concrete
+    ``(addr, valid, bits)`` lines).  Each replayed tile retires the recorded
+    number of completed stores from the head -- whole entries, then a count
+    of rows from the next -- and appends one entry at the tail, so the
+    backlog contents (not just its length) are exact at every boundary.
+    Z addresses and bits are produced only at :meth:`flush`, for the rows
+    still queued.
     """
 
     def __init__(self, engine, job, schedule, zbuf, state,
@@ -493,8 +501,9 @@ class ReplaySession:
         self._entry: dict = {}
         # Deferred replay batches, grouped by (rows, cols) signature.
         self._groups: Dict[Tuple[int, int], List[Tuple[object, ScheduleTrace]]] = {}
-        # Z backlog while deferred: [addr, valid, bits-or-None, ref-or-None].
-        self._backlog: List[list] = []
+        # Z backlog while deferred (see the class docstring) and its row count.
+        self._backlog: Deque[list] = deque()
+        self._queued = 0
         self._live = True
         self._q = 0
         self._p = 0
@@ -543,51 +552,64 @@ class ReplaySession:
         if self._live:
             self._seed_backlog()
         # Stores completed during the replayed window retire the oldest
-        # backlog entries; the tile's own rows join at the tail (they are
+        # backlog rows; the tile's own rows join at the tail (they are
         # pushed after the window's last cycle, so they never complete
-        # within it).  Entries carried over from event-stepped tiles hold
-        # concrete bits and must land in the TCDM now -- deferred entries
-        # are written when their batch is computed at flush time.
-        retired = self._backlog[: trace.z_stores]
-        del self._backlog[: trace.z_stores]
-        eb = self.job.element_bytes
-        for addr, valid, bits, _ref in retired:
-            if bits is not None:
-                self.engine.tcdm.write_element_line(
-                    addr, np.asarray(bits)[:valid], eb)
+        # within it).
+        self._retire(tile, trace.z_stores)
         group_key = (tile.rows, tile.cols)
         group = self._groups.setdefault(group_key, [])
-        slot = len(group)
+        self._backlog.append([tile.rows, 0, (group_key, len(group), tile)])
         group.append((tile, trace))
-        for row in range(tile.rows):
-            self._backlog.append([
-                self.job.z_element_addr(tile.m0 + row, tile.k0),
-                tile.cols,
-                None,
-                (group_key, slot, row),
-            ])
+        self._queued += tile.rows
         self._q, self._p = trace.zbuf_out, trace.pending_z_out
-        if len(self._backlog) != self._q + self._p:
+        if self._queued != self._q + self._p:
             raise RuntimeError(
                 f"trace replay desynchronised on tile {tile.index}: backlog "
-                f"{len(self._backlog)} != {self._q} queued + {self._p} pending"
+                f"{self._queued} != {self._q} queued + {self._p} pending"
             )
         self._apply_timing(tile, trace)
         return True
 
+    def _retire(self, tile, count: int) -> None:
+        """Retire the ``count`` oldest backlog rows (completed stores).
+
+        Carried-over lines hold concrete bits and land in the TCDM now;
+        replayed rows are written when their batch is computed at flush.
+        """
+        if count > self._queued:
+            raise RuntimeError(
+                f"trace replay desynchronised on tile {tile.index}: "
+                f"{count} stores retire from a backlog of {self._queued}"
+            )
+        self._queued -= count
+        backlog = self._backlog
+        eb = self.job.element_bytes
+        while count:
+            entry = backlog[0]
+            rows, retired, source = entry
+            taken = min(count, rows - retired)
+            if isinstance(source, list):
+                for addr, valid, bits in source[retired: retired + taken]:
+                    self.engine.tcdm.write_element_line(addr, bits, eb)
+            if retired + taken == rows:
+                backlog.popleft()
+            else:
+                entry[1] = retired + taken
+            count -= taken
+
     def _seed_backlog(self) -> None:
         """Capture the live Z backlog before the first deferred replay."""
-        self._backlog = []
-        for request in self.engine.streamer.snapshot_queue("z"):
-            self._backlog.append([
-                request.addr, request.n_elements,
-                np.asarray(request.payload_bits), None,
-            ])
-        for request in self.zbuf.snapshot():
-            self._backlog.append([
-                request.addr, request.valid_elements,
-                np.asarray(request.bits), None,
-            ])
+        lines = [
+            (request.addr, request.n_elements,
+             np.asarray(request.payload_bits)[: request.n_elements])
+            for request in self.engine.streamer.snapshot_queue("z")
+        ] + [
+            (request.addr, request.valid_elements,
+             np.asarray(request.bits)[: request.valid_elements])
+            for request in self.zbuf.snapshot()
+        ]
+        self._backlog = deque([[len(lines), 0, lines]] if lines else [])
+        self._queued = len(lines)
         self._live = False
 
     def _apply_timing(self, tile, trace: ScheduleTrace) -> None:
@@ -640,11 +662,16 @@ class ReplaySession:
                       tile.k0: tile.k0 + tile.cols] = out[slot]
         self.engine.tcdm.load_image(job.z_addr, z_image.tobytes())
         tail = []
-        for addr, valid, bits, ref in self._backlog:
-            if bits is None:
-                group_key, slot, row = ref
-                bits = outputs[group_key][slot, row]
-            tail.append((addr, valid, np.asarray(bits)[:valid]))
+        for rows, retired, source in self._backlog:
+            if isinstance(source, list):
+                tail.extend(source[retired:])
+                continue
+            group_key, slot, tile = source
+            out = outputs[group_key][slot]
+            tail.extend(
+                (job.z_element_addr(tile.m0 + row, tile.k0), tile.cols,
+                 out[row])
+                for row in range(retired, rows))
         self.engine.streamer.restore_queue("z", [
             StreamRequest(kind="z", addr=addr, n_elements=valid, write=True,
                           payload_bits=bits)
@@ -655,7 +682,8 @@ class ReplaySession:
             for addr, valid, bits in tail[self._p:]
         ])
         self._groups.clear()
-        self._backlog = []
+        self._backlog = deque()
+        self._queued = 0
         self._live = True
 
     def _compute_group(self, group_key, entries, x_all: np.ndarray,
@@ -782,5 +810,6 @@ class ReplaySession:
         """
         self._detach(self._recorder)
         self._groups.clear()
-        self._backlog = []
+        self._backlog = deque()
+        self._queued = 0
         self._live = True

@@ -14,13 +14,14 @@ of tiles, so each backend has exactly one data-plane implementation:
   :func:`repro.fp.formats.fma_bits` per element and step.  Slow; the
   ground-truth oracle.
 * :class:`ExactSimdVectorOps` -- bit-identical to :class:`ExactVectorOps`:
-  every step is one call of the guarded float64 kernel
-  (:func:`repro.fp.simd_formats.fma_guarded_f64_fmt`) over all rows,
-  columns and tiles at once; lanes where float64 evaluation could
-  double-round are recomputed by the integer kernels.
+  the exact float64 chain kernel
+  (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`) over all rows, columns
+  and tiles at once.  Chains whose sums are proven exact from operand
+  magnitudes run unguarded; the others recompute every lane where float64
+  evaluation could double-round through the integer kernels.
 * :class:`FastVectorOps` -- each step is evaluated in ``float64`` and
-  rounded once to the element format.  Matches the oracle except for
-  double-rounding corner cases.
+  rounded once to the element format, without the proof.  Matches the
+  oracle except for double-rounding corner cases.
 * :class:`TraceVectorOps` -- :class:`ExactSimdVectorOps` plus trace
   compilation: the engine records each tile signature's cycle schedule once
   and replays later tiles through the same chain kernel.
@@ -45,9 +46,8 @@ from repro.fp.formats import FP16, BinaryFormat, fma_bits, get_format
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
-    fma_guarded_f64_fmt,
+    fma_chain_f64_fmt,
     format_dtype,
-    round_f64_many,
 )
 
 
@@ -103,22 +103,17 @@ class ExactVectorOps(VectorOps):
 
 class _Float64Chain(VectorOps):
     """Chains evaluated on ``float64`` arrays holding exact format values:
-    patterns are decoded once per call and encoded once at the end."""
-
-    @abc.abstractmethod
-    def _step(self, x64: np.ndarray, w64: np.ndarray,
-              acc64: np.ndarray) -> np.ndarray:
-        """One FMA step; operands broadcast to the accumulator's shape."""
+    patterns are decoded once per call, the active steps run through
+    :func:`~repro.fp.simd_formats.fma_chain_f64_fmt` (guarded when the
+    strategy is bit-exact) and the result is encoded once at the end."""
 
     def chain(self, x_bits, w_bits, acc_bits, active_mask) -> np.ndarray:
         fmt = self.fmt
         steps = np.flatnonzero(np.asarray(active_mask, dtype=bool))
-        # Step-major operand views, broadcastable against (T, rows, cols).
-        x64 = np.moveaxis(bits_to_f64_many(x_bits, fmt)[:, :, steps], 2, 0)
-        w64 = np.moveaxis(bits_to_f64_many(w_bits, fmt)[:, steps, :], 1, 0)
-        acc64 = bits_to_f64_many(acc_bits, fmt)
-        for x_col, w_line in zip(x64[..., None], w64[:, :, None, :]):
-            acc64 = self._step(x_col, w_line, acc64)
+        x64 = bits_to_f64_many(x_bits, fmt)[:, :, steps]
+        w64 = bits_to_f64_many(w_bits, fmt)[:, steps, :]
+        acc64 = fma_chain_f64_fmt(x64, w64, bits_to_f64_many(acc_bits, fmt),
+                                  fmt, guard=self.bit_exact)
         return f64_to_bits_many(acc64, fmt)
 
 
@@ -128,24 +123,29 @@ class FastVectorOps(_Float64Chain):
     name = "fast"
     bit_exact = False
 
-    def _step(self, x64, w64, acc64):
-        return round_f64_many(x64 * w64 + acc64, self.fmt)
-
 
 class ExactSimdVectorOps(_Float64Chain):
-    """Bit-exact array strategy built on the guarded SIMD kernel.
+    """Bit-exact array strategy built on the exact float64 chain kernel.
 
-    Each step is one :func:`~repro.fp.simd_formats.fma_guarded_f64_fmt`
-    call over every row, column and tile of the batch; the kernel routes
-    any lane where float64 evaluation could double-round through the
-    integer kernels, so the float hot path never changes the produced bits.
+    The whole batch -- every row, column and tile -- runs as one chain of
+    :func:`~repro.fp.simd_formats.fma_chain_f64_fmt`.  Every format value
+    is a multiple of ``2**subnormal_exp``, so a float64 sum of magnitude
+    below :func:`~repro.fp.simd_formats.exact_sum_bound` is exact; one
+    batched matmul of operand magnitudes times a rounding-growth factor
+    bounds every sum of the chain
+    (:func:`~repro.fp.simd_formats.chain_sums_exact`).  A proven chain runs
+    a multiply, an add and one rounding per step, the same work as
+    ``fast``; the rounding is a native ``float16`` cast for fp16 and one
+    lookup in a table built from the integer codec for the FP8 formats.  A
+    chain the bound cannot prove (NaN or infinite operands, near-maximum
+    magnitudes, bf16) runs
+    :func:`~repro.fp.simd_formats.fma_guarded_f64_fmt` per step, which
+    routes any lane where float64 evaluation could double-round through the
+    integer kernels.  Either way the produced bits are the scalar oracle's.
     """
 
     name = "exact-simd"
     bit_exact = True
-
-    def _step(self, x64, w64, acc64):
-        return fma_guarded_f64_fmt(x64, w64, acc64, self.fmt)
 
 
 class TraceVectorOps(ExactSimdVectorOps):

@@ -12,6 +12,16 @@ from repro.mem import MemoryAllocator, Tcdm, TcdmConfig
 from repro.redmule import MatmulJob, RedMulE, RedMulEConfig
 
 
+def pytest_configure(config):
+    """Turn numpy ``RuntimeWarning``s into test failures.
+
+    The array kernels evaluate overflowing and invalid lanes (``inf * 0``,
+    ``inf - inf``, casts beyond a format's range) on purpose and must do so
+    inside :func:`numpy.errstate`; a warning escaping a kernel is a leak.
+    """
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 @pytest.fixture
 def reference_config() -> RedMulEConfig:
     """The paper's reference instance (H=4, L=8, P=3)."""

@@ -27,6 +27,7 @@ from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.scheduler import TileSchedule
 from repro.redmule.trace import (
+    ReplaySession,
     ScheduleTrace,
     TraceStore,
     replay_dataplane,
@@ -51,17 +52,18 @@ def _isolated_shared_stores():
 
 
 def _build(m, n, k, backend="trace", accumulate=False, trace_store=None,
-           seed=0):
+           seed=0, config=None):
     """One engine + job + Z image reader on a private TCDM."""
-    config = TcdmConfig()
+    tcdm_config = TcdmConfig()
     needed = 2 * (m * n + n * k + m * k) + 3 * 32
-    if needed > config.size:
-        words = -(-needed // (config.n_banks * config.word_bytes))
-        config = TcdmConfig(bank_words=max(config.bank_words, words))
-    tcdm = Tcdm(config)
+    if needed > tcdm_config.size:
+        words = -(-needed // (tcdm_config.n_banks * tcdm_config.word_bytes))
+        tcdm_config = TcdmConfig(bank_words=max(tcdm_config.bank_words,
+                                                words))
+    tcdm = Tcdm(tcdm_config)
     hci = Hci(tcdm, HciConfig())
-    engine = RedMulE(RedMulEConfig.reference(), hci, backend=backend,
-                     trace_store=trace_store)
+    engine = RedMulE(config or RedMulEConfig.reference(), hci,
+                     backend=backend, trace_store=trace_store)
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
@@ -168,6 +170,61 @@ class TestRecordReplayParity:
             ref = ref_engine.run_job(ref_job)
             assert bits() == ref_bits()
             assert _result_tuple(got) == _result_tuple(ref)
+
+
+class _MissOnce(TraceStore):
+    """A trace store whose ``miss_at``-th lookup misses, forcing a flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+        self.miss_at = None
+
+    def lookup(self, key):
+        self.lookups += 1
+        if self.lookups == self.miss_at:
+            self.stats.misses += 1
+            return None
+        return super().lookup(key)
+
+
+class TestPartiallyRetiredBacklog:
+    def test_flush_finds_a_partially_retired_tile_at_the_head(
+            self, monkeypatch):
+        """A long, shallow array on short chains finishes a tile before the
+        previous tile's Z rows have all been stored, so the replay backlog's
+        head is a tile with only some rows retired.  A trace miss right
+        there makes :meth:`ReplaySession.flush` hand the rest of that tile
+        (and the next) back to the live queues; the run must stay
+        bit-identical to the event-stepped engine."""
+        config = RedMulEConfig(height=2, length=16, pipeline_regs=1,
+                               z_queue_depth=32)
+        store = _MissOnce()
+        engine, job, bits = _build(64, 4, 16, trace_store=store,
+                                   config=config)
+        engine.run_job(job)  # cold: records every schedule
+        heads = []
+        flush = ReplaySession.flush
+
+        def spy(session):
+            if session._backlog:
+                rows, retired, source = session._backlog[0]
+                heads.append((rows, retired, isinstance(source, tuple)))
+            flush(session)
+
+        monkeypatch.setattr(ReplaySession, "flush", spy)
+        store.miss_at = store.lookups + 3  # the warm run's third tile
+        misses = store.stats.misses
+        warm = engine.run_job(job)
+        assert store.stats.misses - misses == 1
+        # The first flush is the one before the event-stepped third tile.
+        rows, retired, replayed = heads[0]
+        assert replayed and 0 < retired < rows
+        ref_engine, ref_job, ref_bits = _build(64, 4, 16, "exact-simd",
+                                               config=config)
+        ref = ref_engine.run_job(ref_job)
+        assert bits() == ref_bits()
+        assert _result_tuple(warm) == _result_tuple(ref)
 
 
 class TestAbortInvalidation:

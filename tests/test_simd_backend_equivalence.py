@@ -20,7 +20,11 @@ from repro.farm import (
     SimulationFarm,
 )
 from repro.fp.formats import FORMATS, FP16, fma_bits
-from repro.fp.simd_formats import format_dtype
+from repro.fp.simd_formats import (
+    bits_to_f64_many,
+    chain_sums_exact,
+    format_dtype,
+)
 from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -205,19 +209,43 @@ def _special_patterns(fmt):
             one | 1, one | (1 << (fmt.man_bits - 1))]
 
 
+#: Spoilers that take a chain out of :func:`chain_sums_exact`'s reach.
+_SPOILERS = ("nan", "inf", "near-max")
+
+
+def _small_patterns(fmt):
+    """Every finite pattern of magnitude below 2: with at most 6 steps,
+    chains over them stay provably exact in every format but bf16."""
+    below_two = np.arange((fmt.bias + 1) << fmt.man_bits)
+    return np.concatenate([below_two, below_two | fmt.sign_mask]).tolist()
+
+
 @st.composite
 def _chain_tiles(draw):
     """A batch of random tiles in pattern space: ``rows <= L`` (reference
     instance), a few inner steps followed by a gated tail, accumulators
-    from +0, from -0 or random, and operands mixing special values in."""
+    from +0, from -0 or random.
+
+    Operands come from one of three pools, so both sides of the exactness
+    proof are drawn in every format: ``small`` (magnitudes below 2, which
+    the proof covers outside bf16), ``random`` (all patterns, specials
+    mixed in) or ``small`` plus one spoiler at an active step -- a NaN, an
+    infinity, or a near-maximum product, which only fp8-e4m3's wide bound
+    still covers.  Returns the tiles and whether the proof must hold
+    (``None`` for the random pool)."""
     fmt = draw(st.sampled_from(list(FORMATS.values())))
     t = draw(st.integers(1, 2))
     rows = draw(st.integers(1, RedMulEConfig.reference().length))
     cols = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     gated = draw(st.integers(0, 3))
-    element = st.one_of(st.integers(0, fmt.full_mask),
-                        st.sampled_from(_special_patterns(fmt)))
+    # Half the draws keep the all-pattern pool, the rest split evenly.
+    pool = draw(st.sampled_from(("random",) * 4 + ("small", *_SPOILERS)))
+    if pool == "random":
+        element = st.one_of(st.integers(0, fmt.full_mask),
+                            st.sampled_from(_special_patterns(fmt)))
+    else:
+        element = st.sampled_from(_small_patterns(fmt))
 
     def matrix(shape):
         size = int(np.prod(shape))
@@ -230,8 +258,22 @@ def _chain_tiles(draw):
     else:
         acc = np.full((t, rows, cols), 0 if start == "+0" else fmt.sign_mask,
                       dtype=format_dtype(fmt))
+    x, w = matrix((t, rows, n)), matrix((t, n, cols))
+    step = draw(st.integers(0, n - 1))
+    sign = draw(st.sampled_from([0, fmt.sign_mask]))
+    if pool == "nan":
+        x[0, 0, step] = fmt.nan_bits
+    elif pool == "inf":
+        acc[0, 0, 0] = fmt.pos_inf_bits | sign
+    elif pool == "near-max":
+        x[0, 0, step] = fmt.max_finite_bits | sign
+        w[0, step, 0] = fmt.max_finite_bits
+    provable = None
+    if pool != "random":
+        provable = fmt.name != "bf16" and (
+            pool == "small" or (pool == "near-max" and fmt.name == "fp8-e4m3"))
     mask = np.arange(n + gated) < n
-    return fmt, matrix((t, rows, n)), matrix((t, n, cols)), acc, mask
+    return fmt, x, w, acc, mask, provable
 
 
 def _scalar_chain(fmt, x, w, acc, mask):
@@ -245,14 +287,22 @@ def _scalar_chain(fmt, x, w, acc, mask):
     return out
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(tiles=_chain_tiles(),
        backend=st.sampled_from(["exact", "exact-simd"]))
 def test_chain_kernel_equals_scalar_fma_loop(tiles, backend):
     """The per-tile chain kernels of the bit-exact backends equal a plain
-    scalar ``fma_bits`` loop in every format (``fast`` is pinned by the
-    ``matmul_hw_order_fast`` tests instead: it is not bit-exact)."""
-    fmt, x, w, acc, mask = tiles
+    scalar ``fma_bits`` loop in every format, on chains the exactness proof
+    covers (unguarded steps) and on chains it cannot (guarded steps);
+    ``fast`` is pinned by the ``matmul_hw_order_fast`` tests instead: it is
+    not bit-exact."""
+    fmt, x, w, acc, mask, provable = tiles
+    if provable is not None:
+        steps = np.flatnonzero(mask)
+        proven = chain_sums_exact(bits_to_f64_many(x, fmt)[:, :, steps],
+                                  bits_to_f64_many(w, fmt)[:, steps, :],
+                                  bits_to_f64_many(acc, fmt), fmt)
+        assert proven == provable
     got = make_vector_ops(backend, fmt).chain(x, w, acc, mask)
     assert got.dtype == format_dtype(fmt)
     assert np.array_equal(got.astype(np.int64),
