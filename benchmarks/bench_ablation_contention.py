@@ -20,7 +20,7 @@ from repro.redmule.job import MatmulJob
 def _run_with_traffic(n_noisy_cores: int, max_wide_streak: int) -> dict:
     tcdm = Tcdm()
     hci = Hci(tcdm, HciConfig(max_wide_streak=max_wide_streak))
-    engine = RedMulE(RedMulEConfig.reference(), hci, exact=False)
+    engine = RedMulE(RedMulEConfig.reference(), hci)
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
 
     x = random_fp16_matrix(16, 64, scale=0.25, seed=0)

@@ -43,7 +43,7 @@ def _run_direct(jobs):
     """Status quo: one serial cycle-accurate simulation per job."""
     key = config_key(RedMulEConfig.reference())
     return [
-        simulate_engine_timing(key, job.m, job.n, job.k, job.accumulate, False)
+        simulate_engine_timing(key, job.m, job.n, job.k, job.accumulate)
         for job in jobs
     ]
 

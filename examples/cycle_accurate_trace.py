@@ -39,7 +39,7 @@ def main() -> None:
     config = RedMulEConfig.reference()
     tcdm = Tcdm(TcdmConfig())
     hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports))
-    engine = RedMulE(config, hci, exact=True)
+    engine = RedMulE(config, hci, backend="exact")
     print(f"Instance: {config.describe()}")
     print()
 

@@ -32,6 +32,7 @@ from repro.mem.tcdm import Tcdm
 from repro.redmule.engine import RedMulE, RedMulEResult
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.vector_ops import DEFAULT_BACKEND
 from repro.sw.baseline import SoftwareBaseline, SoftwareResult
 
 
@@ -63,8 +64,7 @@ class PulpCluster:
     """The 8-core PULP cluster with RedMulE attached as an HWPE."""
 
     def __init__(self, config: Optional[ClusterConfig] = None,
-                 exact_arithmetic: Optional[bool] = None,
-                 arithmetic: Optional[str] = None) -> None:
+                 arithmetic: str = DEFAULT_BACKEND) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.tcdm = Tcdm(self.config.tcdm)
         self.hci = Hci(
@@ -79,10 +79,7 @@ class PulpCluster:
         self.dma = DmaEngine(self.l2, self.tcdm)
         self.event_unit = EventUnit(n_cores=self.config.n_cores)
         self.cores = [RiscvCore(i) for i in range(self.config.n_cores)]
-        # Backend precedence: explicit `arithmetic` name > legacy
-        # `exact_arithmetic` boolean > the configuration's arithmetic field.
         self.redmule = RedMulE(self.config.redmule, self.hci,
-                               exact=exact_arithmetic,
                                backend=arithmetic)
         self.software = SoftwareBaseline(n_cores=self.config.n_cores)
         self.perf_model = RedMulEPerfModel(self.config.redmule)

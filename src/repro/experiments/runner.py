@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import dse, fig3, fig4, serve, table1
 from repro.perf.report import write_out
+from repro.redmule.vector_ops import VECTOR_OPS_BACKENDS
 
 #: Registry of experiment drivers keyed by the paper's identifier, plus the
 #: serving (``serve-*``) and design-space (``dse-*``) scenarios that go
@@ -113,13 +114,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["exact", "exact-simd", "fast", "trace"],
+        choices=VECTOR_OPS_BACKENDS,
         default=None,
         help="arithmetic backend of the farm's cycle-accurate engine "
-        "runs (exact: scalar bit-exact oracle; exact-simd: vectorised "
-        "bit-exact; fast: float64 with per-step rounding; trace: "
-        "bit-exact with schedule record/replay -- repeated tile shapes "
-        "skip the event-stepped loop entirely)",
+        "runs, all bit-exact (exact: scalar oracle; exact-simd: "
+        "vectorised, the default; trace: exact-simd with schedule "
+        "record/replay -- repeated tile shapes skip the event-stepped "
+        "loop entirely)",
     )
     parser.add_argument(
         "--format",

@@ -2,17 +2,17 @@
 
 The cycle-accurate engine and the analytical model are both *data-independent*:
 for a fixed architectural configuration, the cycle count of a matmul job
-depends only on the problem shape ``(M, N, K)``, on whether the job
-accumulates into Z, and on the arithmetic mode -- never on the operand values
-or their placement (the streamer performs one wide access per line per cycle
+depends only on the problem shape ``(M, N, K)`` and on whether the job
+accumulates into Z -- never on the arithmetic backend, the operand values or
+their placement (the streamer performs one wide access per line per cycle
 regardless of the address, see :mod:`repro.redmule.streamer`).  Timing results
 are therefore exactly reusable across a sweep, which is what makes the
 repeated-shape experiments (Fig. 3c/3d, Fig. 4a, the autoencoder batching
 study) cheap to regenerate: the farm simulates each distinct shape once and
 serves every repeat from this cache.
 
-The cache is keyed by ``(config key, m, n, k, accumulate, exact, backend)``
-and stores :class:`TimingRecord` values -- :class:`~repro.redmule.engine.
+The cache is keyed by ``(config key, m, n, k, accumulate, backend)`` and
+stores :class:`TimingRecord` values -- :class:`~repro.redmule.engine.
 RedMulEResult`-shaped records stripped of the job-specific fields (addresses,
 streamer port statistics) that do not survive memoisation.
 """
@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
@@ -39,8 +39,10 @@ from repro.redmule.job import MatmulJob
 #: precisions and must not be reloaded.
 #: v4: an optional ``traces`` side-table carries recorded engine schedule
 #: traces (:mod:`repro.redmule.trace`) keyed by config tag.
+#: v5: keys lost their ``exact`` field -- every arithmetic backend is
+#: bit-exact and timing never depended on it -- so v4 keys no longer decode.
 #: Only the current version loads; callers treat a rejected file as empty.
-CACHE_FILE_VERSION = 4
+CACHE_FILE_VERSION = 5
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -51,8 +53,7 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
     """Hashable, picklable key identifying an architectural configuration.
 
     The element format is part of the key: it changes elements-per-line and
-    therefore tile geometry and cycle counts (unlike the ``arithmetic``
-    backend, which is deliberately excluded).
+    therefore tile geometry and cycle counts.
     """
     return (
         config.height,
@@ -68,11 +69,8 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
 class TimingKey:
     """Cache key: everything the timing of a job can depend on.
 
-    ``exact`` only matters for the engine backend (the bit-exact and numpy
-    vector ops follow identical schedules, but keeping it in the key makes the
-    cache trivially correct should that ever change), and ``backend``
-    separates engine-measured records from model estimates so a validation
-    run never serves one in place of the other.
+    ``backend`` separates engine-measured records from model estimates so a
+    validation run never serves one in place of the other.
     """
 
     config: Tuple[int, int, int, int, int, str]
@@ -80,11 +78,10 @@ class TimingKey:
     n: int
     k: int
     accumulate: bool
-    exact: bool
     backend: str
 
     @classmethod
-    def for_job(cls, config: RedMulEConfig, job: MatmulJob, exact: bool,
+    def for_job(cls, config: RedMulEConfig, job: MatmulJob,
                 backend: str) -> "TimingKey":
         """Build the key of ``job`` on ``config`` under ``backend``."""
         return cls(
@@ -93,7 +90,6 @@ class TimingKey:
             n=job.n,
             k=job.k,
             accumulate=job.accumulate,
-            exact=exact,
             backend=backend,
         )
 
@@ -204,6 +200,36 @@ class CacheStats:
         self.evictions = 0
 
 
+def _check_entry(key: TimingKey, record: TimingRecord) -> None:
+    """Raise ``ValueError`` unless a decoded cache entry is well-typed.
+
+    A file entry must not reach the cache with a field a caller would trip
+    over later (a ``null`` cycle count is served as a hit and only fails in
+    the first derived metric): every count is a non-negative ``int`` (not a
+    ``bool``), ``accumulate`` is a ``bool``, the config key is five counts
+    and a format name, and both backend tags name a known backend.
+    """
+    config = key.config
+    if len(config) != 6 or not isinstance(config[5], str):
+        raise ValueError(
+            f"config must be five counts and a format name, got {config!r}"
+        )
+    counts = [("config", value) for value in config[:5]]
+    counts += [(name, getattr(key, name)) for name in ("m", "n", "k")]
+    counts += [(field.name, getattr(record, field.name))
+               for field in fields(record) if field.name != "backend"]
+    for name, value in counts:
+        if type(value) is not int or value < 0:
+            raise ValueError(
+                f"{name} must be a non-negative integer, got {value!r}"
+            )
+    if type(key.accumulate) is not bool:
+        raise ValueError(f"accumulate must be a bool, got {key.accumulate!r}")
+    for backend in (key.backend, record.backend):
+        if backend not in (BACKEND_ENGINE, BACKEND_MODEL):
+            raise ValueError(f"unknown backend {backend!r}")
+
+
 class TimingCache:
     """Shape-keyed memoisation of timing records with hit/miss statistics.
 
@@ -301,9 +327,10 @@ class TimingCache:
         otherwise the cache is cleared first.  Loading counts neither hits
         nor misses.
 
-        Every entry is decoded before any is stored, so a file that is not
-        a current-version cache, or that holds a malformed entry, raises
-        ``ValueError`` (naming the entry) and leaves the cache untouched.
+        Every entry is decoded and type-checked (:func:`_check_entry`)
+        before any is stored, so a file that is not a current-version cache,
+        or that holds a malformed entry, raises ``ValueError`` (naming the
+        entry) and leaves the cache untouched.
         """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -323,8 +350,9 @@ class TimingCache:
                 raw_key = dict(entry["key"])
                 raw_key["config"] = tuple(raw_key["config"])
                 key = TimingKey(**raw_key)
-                hash(key)  # an unhashable field would fail mid-merge
-                decoded.append((key, TimingRecord(**entry["record"])))
+                record = TimingRecord(**entry["record"])
+                _check_entry(key, record)
+                decoded.append((key, record))
             except (KeyError, TypeError, ValueError) as error:
                 raise ValueError(
                     f"malformed timing-cache entry {index}: {error!r}"

@@ -42,7 +42,11 @@ from repro.farm.workers import run_functional_job, simulate_key
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
 from repro.redmule.trace import shared_trace_store, trace_tag
-from repro.redmule.vector_ops import backend_schedule_compiled, validate_backend_name
+from repro.redmule.vector_ops import (
+    DEFAULT_BACKEND,
+    backend_schedule_compiled,
+    validate_backend_name,
+)
 from repro.workloads.gemm import GemmShape
 
 #: Backend *policy* name routing every job to the analytical model.  Unlike
@@ -61,19 +65,6 @@ MIN_JOBS_FOR_POOL = 2
 #: Relative cycle disagreement tolerated in validation mode (the engine
 #: validation benchmark holds the model within 5 % on every tracked shape).
 DEFAULT_VALIDATION_TOLERANCE = 0.05
-
-
-def _resolve_arithmetic(arithmetic, exact):
-    """Resolve the (arithmetic, exact) pair to its effective backend + flag.
-
-    The single home of the legacy-boolean mapping: bit-exact requests default
-    to the fast bit-exact ``exact-simd`` backend, and an explicit backend
-    name overrides (and re-derives) the exact flag.
-    """
-    if arithmetic is None:
-        return ("exact-simd" if exact else "fast"), exact
-    validate_backend_name(arithmetic)
-    return arithmetic, arithmetic != "fast"
 
 
 class FarmValidationError(AssertionError):
@@ -240,15 +231,11 @@ class SimulationFarm:
     config:
         Architectural configuration of the simulated instances (the paper's
         reference instance when omitted).
-    exact:
-        Use bit-exact FP16 arithmetic in the engine backend (timing is
-        unaffected; the flag participates in the cache key regardless).
     arithmetic:
-        Vector-ops backend the engine simulates with (``"exact"``,
-        ``"exact-simd"``, ``"fast"`` or the schedule-compiling ``"trace"``).
-        Overrides ``exact`` when given; when omitted, bit-exact farms
-        default to the fast bit-exact ``"exact-simd"`` backend and the rest
-        to ``"fast"``.  ``"trace"`` engines share one per-process trace
+        Vector-ops backend the engine simulates with: ``"exact-simd"`` (the
+        default), the scalar oracle ``"exact"`` or the schedule-compiling
+        ``"trace"``.  Timing records do not depend on it, so it is not part
+        of the cache key.  ``"trace"`` engines share one per-process trace
         store per configuration, so worker processes and repeated batches
         replay schedules recorded earlier (see :meth:`save_cache` for
         cross-process persistence).
@@ -279,7 +266,6 @@ class SimulationFarm:
     def __init__(
         self,
         config: Optional[RedMulEConfig] = None,
-        exact: bool = False,
         backend: str = "auto",
         engine_macs_threshold: int = DEFAULT_ENGINE_MACS_THRESHOLD,
         max_workers: Optional[int] = None,
@@ -287,7 +273,7 @@ class SimulationFarm:
         tolerance: float = DEFAULT_VALIDATION_TOLERANCE,
         cache: Optional[TimingCache] = None,
         max_cycles: Optional[int] = None,
-        arithmetic: Optional[str] = None,
+        arithmetic: str = DEFAULT_BACKEND,
     ) -> None:
         if backend not in ("auto", BACKEND_ENGINE, BACKEND_MODEL,
                            POLICY_ANALYTIC):
@@ -298,7 +284,7 @@ class SimulationFarm:
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         self.config = config if config is not None else RedMulEConfig.reference()
-        self.arithmetic, self.exact = _resolve_arithmetic(arithmetic, exact)
+        self.arithmetic = validate_backend_name(arithmetic)
         self.backend = backend
         self.engine_macs_threshold = engine_macs_threshold
         if max_workers is None:
@@ -338,7 +324,7 @@ class SimulationFarm:
         return BACKEND_MODEL
 
     def _key(self, job: MatmulJob, backend: str) -> TimingKey:
-        return TimingKey.for_job(self.config, job, self.exact, backend)
+        return TimingKey.for_job(self.config, job, backend)
 
     def with_format(self, fmt: str) -> "SimulationFarm":
         """A farm timing the same instance at a different element format.
@@ -767,8 +753,7 @@ class SimulationFarm:
         for key in engine_keys:
             model_key = TimingKey(
                 config=key.config, m=key.m, n=key.n, k=key.k,
-                accumulate=key.accumulate, exact=key.exact,
-                backend=BACKEND_MODEL,
+                accumulate=key.accumulate, backend=BACKEND_MODEL,
             )
             model_record = self.cache.peek(model_key)
             if model_record is None:
@@ -818,11 +803,11 @@ class SimulationFarm:
 
 
 # -- shared default farms ----------------------------------------------------
-_DEFAULT_FARMS: Dict[Tuple[Tuple[int, int, int, int, int, str], bool, str],
+_DEFAULT_FARMS: Dict[Tuple[Tuple[int, int, int, int, int, str], str],
                      SimulationFarm] = {}
 
-#: Arithmetic backend newly created default farms use (None = per-farm default).
-_DEFAULT_ARITHMETIC: Optional[str] = None
+#: Arithmetic backend newly created default farms use.
+_DEFAULT_ARITHMETIC: str = DEFAULT_BACKEND
 
 #: Element format default farms are created with when no config is passed.
 _DEFAULT_FORMAT: Optional[str] = None
@@ -833,12 +818,10 @@ def set_default_arithmetic(arithmetic: Optional[str]) -> None:
 
     This is how the runner CLI's ``--backend`` choice reaches the experiment
     drivers, which fetch their farms through :func:`default_farm`.  Pass
-    ``None`` to restore the built-in per-farm default.
+    ``None`` to restore ``exact-simd``.
     """
-    if arithmetic is not None:
-        validate_backend_name(arithmetic)
     global _DEFAULT_ARITHMETIC
-    _DEFAULT_ARITHMETIC = arithmetic
+    _DEFAULT_ARITHMETIC = validate_backend_name(arithmetic or DEFAULT_BACKEND)
 
 
 def set_default_format(fmt: Optional[str]) -> None:
@@ -857,7 +840,6 @@ def set_default_format(fmt: Optional[str]) -> None:
 
 
 def default_farm(config: Optional[RedMulEConfig] = None,
-                 exact: bool = False,
                  arithmetic: Optional[str] = None) -> SimulationFarm:
     """Process-wide shared farm for a configuration.
 
@@ -869,13 +851,11 @@ def default_farm(config: Optional[RedMulEConfig] = None,
         config = RedMulEConfig.reference()
         if _DEFAULT_FORMAT is not None:
             config = replace(config, format=_DEFAULT_FORMAT)
-    if arithmetic is None:
-        arithmetic = _DEFAULT_ARITHMETIC
-    resolved, exact = _resolve_arithmetic(arithmetic, exact)
-    key = (config_key(config), exact, resolved)
+    arithmetic = arithmetic or _DEFAULT_ARITHMETIC
+    key = (config_key(config), arithmetic)
     farm = _DEFAULT_FARMS.get(key)
     if farm is None:
-        farm = SimulationFarm(config=config, exact=exact, arithmetic=arithmetic)
+        farm = SimulationFarm(config=config, arithmetic=arithmetic)
         _DEFAULT_FARMS[key] = farm
     return farm
 

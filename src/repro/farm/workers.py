@@ -26,6 +26,7 @@ from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.vector_ops import DEFAULT_BACKEND
 
 
 def config_from_key(key: Tuple[int, ...]) -> RedMulEConfig:
@@ -90,22 +91,19 @@ def simulate_engine_timing(
     n: int,
     k: int,
     accumulate: bool,
-    exact: bool,
+    *,
     max_cycles: Optional[int] = None,
-    arithmetic: Optional[str] = None,
+    arithmetic: str = DEFAULT_BACKEND,
 ) -> TimingRecord:
     """Run one shape through the cycle-accurate engine and record its timing.
 
-    ``arithmetic`` names the vector-ops backend to simulate with; it defaults
-    to the legacy mapping of the ``exact`` flag.  The choice never changes
-    the record (timing is arithmetic-independent), only the wall-clock cost
-    of producing it -- the farm passes ``"exact-simd"`` for bit-exact runs so
-    cache misses stay cheap.  ``"trace"`` engines reuse the per-process
-    shared trace store of the configuration, so repeated worker invocations
-    in one pool process replay schedules recorded by earlier keys.
+    ``arithmetic`` names the vector-ops backend to simulate with.  The
+    choice never changes the record (timing is arithmetic-independent), only
+    the wall-clock cost of producing it.  ``"trace"`` engines reuse the
+    per-process shared trace store of the configuration, so repeated worker
+    invocations in one pool process replay schedules recorded by earlier
+    keys.
     """
-    if arithmetic is None:
-        arithmetic = "exact" if exact else "fast"
     engine, job, _ = _build_job(key, m, n, k, accumulate, arithmetic)
     result = engine.run_job(job, max_cycles=max_cycles)
     ideal = -(-job.total_macs // engine.config.ideal_macs_per_cycle)
@@ -150,12 +148,12 @@ def estimate_model_timing(
 
 def simulate_key(timing_key: TimingKey,
                  max_cycles: Optional[int] = None,
-                 arithmetic: Optional[str] = None) -> TimingRecord:
+                 arithmetic: str = DEFAULT_BACKEND) -> TimingRecord:
     """Dispatch a cache key to the backend it names (pool entry point)."""
     if timing_key.backend == BACKEND_ENGINE:
         return simulate_engine_timing(
             timing_key.config, timing_key.m, timing_key.n, timing_key.k,
-            timing_key.accumulate, timing_key.exact, max_cycles=max_cycles,
+            timing_key.accumulate, max_cycles=max_cycles,
             arithmetic=arithmetic,
         )
     if timing_key.backend == BACKEND_MODEL:

@@ -768,8 +768,8 @@ def chain_sums_exact(x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray,
 
 
 def fma_chain_f64_fmt(x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray,
-                      fmt: BinaryFormat, guard: bool = True) -> np.ndarray:
-    """Hardware-order FMA chains ``acc += x @ w`` over exact ``fmt`` values.
+                      fmt: BinaryFormat) -> np.ndarray:
+    """Bit-exact hardware-order FMA chains ``acc += x @ w`` over ``fmt`` values.
 
     ``x64`` is ``(..., M, N)``, ``w64`` ``(..., N, K)`` and ``acc64``
     ``(..., M, K)`` float64 arrays of ``fmt`` values.  Step ``n``, in
@@ -777,24 +777,20 @@ def fma_chain_f64_fmt(x64: np.ndarray, w64: np.ndarray, acc64: np.ndarray,
     acc[..., m, k]`` rounded once to ``fmt`` (RNE).  Returns a float64 array
     of exact ``fmt`` values.
 
-    With ``guard`` (the default) the chain is bit-exact: when
-    :func:`chain_sums_exact` proves every float64 sum exact, each step is a
-    multiply, an add and one :func:`round_f64_many`; otherwise each step is
-    :func:`fma_guarded_f64_fmt`, which re-checks exactness per step and
-    recomputes unprovable lanes through the integer kernel.  Without
-    ``guard`` every step rounds its float64 sum directly, which can round
-    twice (the ``fast`` backend's arithmetic).
+    When :func:`chain_sums_exact` proves every float64 sum exact, each step
+    is a multiply, an add and one :func:`round_f64_many`; otherwise each
+    step is :func:`fma_guarded_f64_fmt`, which re-checks exactness per step
+    and recomputes unprovable lanes through the integer kernel.
     """
     x_cols = np.moveaxis(x64, -1, 0)[..., None]
     w_lines = np.moveaxis(w64, -2, 0)[..., None, :]
-    guarded = guard and not chain_sums_exact(x64, w64, acc64, fmt)
     with np.errstate(over="ignore", invalid="ignore"):
-        if guarded:
-            for x_col, w_line in zip(x_cols, w_lines):
-                acc64 = fma_guarded_f64_fmt(x_col, w_line, acc64, fmt)
-        else:
+        if chain_sums_exact(x64, w64, acc64, fmt):
             for x_col, w_line in zip(x_cols, w_lines):
                 acc64 = round_f64_many(x_col * w_line + acc64, fmt)
+        else:
+            for x_col, w_line in zip(x_cols, w_lines):
+                acc64 = fma_guarded_f64_fmt(x_col, w_line, acc64, fmt)
     return acc64
 
 

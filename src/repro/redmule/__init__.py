@@ -38,7 +38,6 @@ from repro.redmule.perf_model import (
 )
 from repro.redmule.functional import (
     matmul_hw_order_exact_fmt,
-    matmul_hw_order_fast,
     matmul_hw_order_simd_fmt,
     matmul_reference_fp32,
 )
@@ -53,7 +52,6 @@ from repro.redmule.vector_ops import (
     VECTOR_OPS_BACKENDS,
     ExactSimdVectorOps,
     ExactVectorOps,
-    FastVectorOps,
     TraceVectorOps,
     backend_schedule_compiled,
     make_vector_ops,
@@ -63,7 +61,6 @@ __all__ = [
     "Datapath",
     "ExactSimdVectorOps",
     "ExactVectorOps",
-    "FastVectorOps",
     "MatmulJob",
     "PerfEstimate",
     "ProgramEstimate",
@@ -87,7 +84,6 @@ __all__ = [
     "backend_schedule_compiled",
     "make_vector_ops",
     "matmul_hw_order_exact_fmt",
-    "matmul_hw_order_fast",
     "matmul_hw_order_simd_fmt",
     "matmul_reference_fp32",
     "replay_dataplane",

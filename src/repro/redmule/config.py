@@ -23,7 +23,7 @@ and peak throughput doubles at identical port width and array geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.fp.formats import BinaryFormat, get_format
@@ -63,12 +63,7 @@ class RedMulEConfig:
         Element format name (``"fp16"``, ``"bf16"``, ``"fp8-e4m3"``,
         ``"fp8-e5m2"``).  Participates in configuration identity: the
         element width changes line geometry, tile geometry and cycle
-        counts, unlike ``arithmetic`` below.
-    arithmetic:
-        Default arithmetic backend of engines built from this
-        configuration (``"exact"``, ``"exact-simd"`` or ``"fast"``).  A pure
-        simulation concern: it never affects timing, geometry, configuration
-        equality or the farm's shape-keyed cache identity.
+        counts.
     """
 
     height: int = 4
@@ -77,7 +72,6 @@ class RedMulEConfig:
     w_prefetch_lines: int = 1
     z_queue_depth: int = 8
     format: str = "fp16"
-    arithmetic: str = field(default="fast", compare=False)
 
     def __post_init__(self) -> None:
         if self.height < 1:
@@ -95,10 +89,6 @@ class RedMulEConfig:
         if self.z_queue_depth < 1:
             raise ValueError("z_queue_depth must be >= 1")
         get_format(self.format)  # raises on unknown names
-        # Imported here to keep the config module free of simulator imports.
-        from repro.redmule.vector_ops import validate_backend_name
-
-        validate_backend_name(self.arithmetic)
 
     # -- element format -----------------------------------------------------
     @cached_property

@@ -21,9 +21,8 @@ go to the backend's chain kernel
 dimension in the order the schedule issued it and returns the Z lines.
 
 The engine reports cycle counts, stall breakdowns and utilisation, and -- by
-construction -- leaves the bit-exact (or numpy-exact) result of the
-computation in the TCDM, so functional and timing verification use the same
-run.
+construction -- leaves the bit-exact result of the computation in the TCDM,
+so functional and timing verification use the same run.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.redmule.job import MatmulJob
 from repro.redmule.scheduler import Tile, TileSchedule
 from repro.redmule.streamer import Streamer, StreamRequest, StreamerStats
 from repro.redmule.trace import ReplaySession, TraceStore, shared_trace_store
-from repro.redmule.vector_ops import make_vector_ops
+from repro.redmule.vector_ops import DEFAULT_BACKEND, make_vector_ops
 
 
 @dataclass
@@ -109,10 +108,9 @@ class _JobState:
 class RedMulE:
     """Cycle-accurate model of one RedMulE instance attached to an HCI.
 
-    The arithmetic backend is selected by ``backend`` (a name from the
-    vector-ops registry: ``"exact"``, ``"exact-simd"``, ``"fast"`` or
-    ``"trace"``), or by the legacy ``exact`` boolean, or -- when neither is
-    given -- by the configuration's ``arithmetic`` field.
+    The arithmetic backend is selected by ``backend``, a name from the
+    vector-ops registry: ``"exact"``, ``"exact-simd"`` (the default) or
+    ``"trace"``.  Every backend leaves the same bits and cycle counts.
 
     The ``"trace"`` backend record/replays compiled cycle schedules (see
     :mod:`repro.redmule.trace`): traces live in the process-wide store of
@@ -124,8 +122,7 @@ class RedMulE:
         self,
         config: Optional[RedMulEConfig] = None,
         hci: Optional[Hci] = None,
-        exact: Optional[bool] = None,
-        backend: Optional[str] = None,
+        backend: str = DEFAULT_BACKEND,
         trace_store: Optional[TraceStore] = None,
     ) -> None:
         self.config = config if config is not None else RedMulEConfig.reference()
@@ -133,16 +130,9 @@ class RedMulE:
             tcdm = Tcdm(TcdmConfig())
             hci = Hci(tcdm, HciConfig(n_wide_ports=self.config.n_mem_ports))
         self.hci = hci
-        if backend is None:
-            if exact is not None:
-                backend = "exact" if exact else "fast"
-            else:
-                backend = self.config.arithmetic
         self.ops = make_vector_ops(backend, self.config.binary_format)
         #: Name of the arithmetic backend driving the datapath.
         self.backend = self.ops.name
-        #: True when the backend reproduces the hardware bits exactly.
-        self.exact = self.ops.bit_exact
         self.datapath = Datapath(self.config)
         self.controller = RedMulEController()
         self.streamer = Streamer(self.config, hci)

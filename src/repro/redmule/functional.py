@@ -8,7 +8,7 @@ general from a float32 matmul rounded at the end; these golden models
 reproduce the exact hardware result so the cycle-accurate engine can be
 verified bit-by-bit.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :func:`matmul_hw_order_exact_fmt` -- scalar, bit-exact for any element
   format (integers all the way); the oracle for correctness, used on small
@@ -17,12 +17,8 @@ Three implementations are provided:
   step is evaluated over the whole output matrix by the exact float64 chain
   kernel (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`), the one the
   engine's ``exact-simd`` backend runs, so it matches the scalar oracle bit
-  for bit at array speed.  The default reference for workload-level checks.
-* :func:`matmul_hw_order_fast` -- binary16 only: evaluates each FMA step in
-  float64 with one rounding to binary16 (the ``fast`` backend's arithmetic,
-  the same kernel without its exactness proof and guard); it matches the
-  exact model on all practical inputs (double-rounding corner cases
-  excepted).
+  for bit at array speed.  The reference for workload-level checks, and the
+  arithmetic of the numeric :class:`~repro.workloads.autoencoder.AutoEncoder`.
 
 plus :func:`matmul_reference_fp32`, a float32 reference used to bound the
 numerical error of FP16 accumulation in the accuracy examples.
@@ -30,45 +26,12 @@ numerical error of FP16 accumulation in the accuracy examples.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.fp.formats import FP16, BinaryFormat, fma_bits
+from repro.fp.formats import BinaryFormat, fma_bits
 from repro.fp.simd_formats import fma_chain_f64_fmt
-
-
-def _float64_operands(x: np.ndarray, w: np.ndarray,
-                      acc: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    """Validated float64 ``(x, w, acc)`` of ``Z = acc + X . W``."""
-    x64 = np.asarray(x, dtype=np.float64)
-    w64 = np.asarray(w, dtype=np.float64)
-    if x64.ndim != 2 or w64.ndim != 2:
-        raise ValueError("operands must be 2-D")
-    if x64.shape[1] != w64.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
-        )
-    m, k = x64.shape[0], w64.shape[1]
-    if acc is None:
-        return x64, w64, np.zeros((m, k), dtype=np.float64)
-    acc64 = np.asarray(acc, dtype=np.float64)
-    if acc64.shape != (m, k):
-        raise ValueError(f"accumulator must be {m}x{k}, got {acc64.shape}")
-    return x64, w64, acc64
-
-
-def matmul_hw_order_fast(x: np.ndarray, w: np.ndarray,
-                         acc: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorised ``Z = acc + X . W`` with per-step FP16 rounding (hardware order).
-
-    ``x`` and ``w`` must contain binary16-representable values (use
-    :func:`repro.fp.vector.quantize_fp16`); the result is returned as float32
-    holding exact binary16 values.  ``acc`` is the optional initial
-    accumulator matrix (``M x K``) used by accumulation jobs.
-    """
-    return fma_chain_f64_fmt(*_float64_operands(x, w, acc), FP16,
-                             guard=False).astype(np.float32)
 
 
 def matmul_hw_order_exact_fmt(
@@ -126,7 +89,22 @@ def matmul_hw_order_simd_fmt(x: np.ndarray, w: np.ndarray, fmt: BinaryFormat,
     :func:`matmul_hw_order_exact_fmt` at numpy speed.  Returns float64
     holding exact ``fmt`` values.
     """
-    return fma_chain_f64_fmt(*_float64_operands(x, w, acc), fmt)
+    x64 = np.asarray(x, dtype=np.float64)
+    w64 = np.asarray(w, dtype=np.float64)
+    if x64.ndim != 2 or w64.ndim != 2:
+        raise ValueError("operands must be 2-D")
+    if x64.shape[1] != w64.shape[0]:
+        raise ValueError(
+            f"inner dimensions disagree: {x64.shape} . {w64.shape}"
+        )
+    m, k = x64.shape[0], w64.shape[1]
+    if acc is None:
+        acc64 = np.zeros((m, k), dtype=np.float64)
+    else:
+        acc64 = np.asarray(acc, dtype=np.float64)
+        if acc64.shape != (m, k):
+            raise ValueError(f"accumulator must be {m}x{k}, got {acc64.shape}")
+    return fma_chain_f64_fmt(x64, w64, acc64, fmt)
 
 
 def matmul_reference_fp32(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -8,20 +8,18 @@ hands the operands the streamer loaded (X columns, W lines and the Y
 pre-load, in issue order) together with the gated-lane mask to its
 strategy's :meth:`VectorOps.chain` kernel, which returns the tile's Z lines.
 Trace replay (:mod:`repro.redmule.trace`) calls the same kernel on a batch
-of tiles, so each backend has exactly one data-plane implementation:
+of tiles, so each backend has exactly one data-plane implementation.  Every
+backend is bit-exact; they differ in speed and in whether the engine
+compiles cycle schedules:
 
 * :class:`ExactVectorOps` -- one scalar bit-exact
   :func:`repro.fp.formats.fma_bits` per element and step.  Slow; the
   ground-truth oracle.
-* :class:`ExactSimdVectorOps` -- bit-identical to :class:`ExactVectorOps`:
-  the exact float64 chain kernel
-  (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`) over all rows, columns
-  and tiles at once.  Chains whose sums are proven exact from operand
-  magnitudes run unguarded; the others recompute every lane where float64
-  evaluation could double-round through the integer kernels.
-* :class:`FastVectorOps` -- each step is evaluated in ``float64`` and
-  rounded once to the element format, without the proof.  Matches the
-  oracle except for double-rounding corner cases.
+* :class:`ExactSimdVectorOps` -- the default: the exact float64 chain
+  kernel (:func:`repro.fp.simd_formats.fma_chain_f64_fmt`) over all rows,
+  columns and tiles at once.  Chains whose sums are proven exact from
+  operand magnitudes run unguarded; the others recompute every lane where
+  float64 evaluation could double-round through the integer kernels.
 * :class:`TraceVectorOps` -- :class:`ExactSimdVectorOps` plus trace
   compilation: the engine records each tile signature's cycle schedule once
   and replays later tiles through the same chain kernel.
@@ -56,8 +54,6 @@ class VectorOps(abc.ABC):
 
     #: Strategy name used in traces, reports and the backend registry.
     name: str = "abstract"
-    #: True when the strategy reproduces the hardware bit patterns exactly.
-    bit_exact: bool = False
     #: True when engines built on this strategy should record and replay
     #: compiled cycle schedules (see :mod:`repro.redmule.trace`).
     schedule_compiled: bool = False
@@ -84,7 +80,6 @@ class ExactVectorOps(VectorOps):
     """Bit-exact scalar strategy: one :func:`fma_bits` per element and step."""
 
     name = "exact"
-    bit_exact = True
 
     def chain(self, x_bits, w_bits, acc_bits, active_mask) -> np.ndarray:
         fmt = self.fmt
@@ -101,11 +96,27 @@ class ExactVectorOps(VectorOps):
         return np.array(out, dtype=format_dtype(fmt)).reshape(np.shape(acc_bits))
 
 
-class _Float64Chain(VectorOps):
-    """Chains evaluated on ``float64`` arrays holding exact format values:
-    patterns are decoded once per call, the active steps run through
-    :func:`~repro.fp.simd_formats.fma_chain_f64_fmt` (guarded when the
-    strategy is bit-exact) and the result is encoded once at the end."""
+class ExactSimdVectorOps(VectorOps):
+    """Bit-exact array strategy built on the exact float64 chain kernel.
+
+    Patterns are decoded to ``float64`` once per call, the whole batch --
+    every row, column and tile -- runs as one chain of
+    :func:`~repro.fp.simd_formats.fma_chain_f64_fmt` over the active steps,
+    and the result is encoded once at the end.  Every format value is a
+    multiple of ``2**subnormal_exp``, so a float64 sum of magnitude below
+    :func:`~repro.fp.simd_formats.exact_sum_bound` is exact; one batched
+    matmul of operand magnitudes times a rounding-growth factor bounds every
+    sum of the chain (:func:`~repro.fp.simd_formats.chain_sums_exact`).  A
+    proven chain runs a multiply, an add and one rounding per step; the
+    rounding is a native ``float16`` cast for fp16 and one lookup in a table
+    built from the integer codec for the FP8 formats.  A chain the bound
+    cannot prove (NaN or infinite operands, near-maximum magnitudes, bf16)
+    runs :func:`~repro.fp.simd_formats.fma_guarded_f64_fmt` per step, which
+    routes any lane where float64 evaluation could double-round through the
+    integer kernels.  Either way the produced bits are the scalar oracle's.
+    """
+
+    name = "exact-simd"
 
     def chain(self, x_bits, w_bits, acc_bits, active_mask) -> np.ndarray:
         fmt = self.fmt
@@ -113,39 +124,8 @@ class _Float64Chain(VectorOps):
         x64 = bits_to_f64_many(x_bits, fmt)[:, :, steps]
         w64 = bits_to_f64_many(w_bits, fmt)[:, steps, :]
         acc64 = fma_chain_f64_fmt(x64, w64, bits_to_f64_many(acc_bits, fmt),
-                                  fmt, guard=self.bit_exact)
+                                  fmt)
         return f64_to_bits_many(acc64, fmt)
-
-
-class FastVectorOps(_Float64Chain):
-    """Float64 strategy: ``x * w + acc`` in float64, rounded once per step."""
-
-    name = "fast"
-    bit_exact = False
-
-
-class ExactSimdVectorOps(_Float64Chain):
-    """Bit-exact array strategy built on the exact float64 chain kernel.
-
-    The whole batch -- every row, column and tile -- runs as one chain of
-    :func:`~repro.fp.simd_formats.fma_chain_f64_fmt`.  Every format value
-    is a multiple of ``2**subnormal_exp``, so a float64 sum of magnitude
-    below :func:`~repro.fp.simd_formats.exact_sum_bound` is exact; one
-    batched matmul of operand magnitudes times a rounding-growth factor
-    bounds every sum of the chain
-    (:func:`~repro.fp.simd_formats.chain_sums_exact`).  A proven chain runs
-    a multiply, an add and one rounding per step, the same work as
-    ``fast``; the rounding is a native ``float16`` cast for fp16 and one
-    lookup in a table built from the integer codec for the FP8 formats.  A
-    chain the bound cannot prove (NaN or infinite operands, near-maximum
-    magnitudes, bf16) runs
-    :func:`~repro.fp.simd_formats.fma_guarded_f64_fmt` per step, which
-    routes any lane where float64 evaluation could double-round through the
-    integer kernels.  Either way the produced bits are the scalar oracle's.
-    """
-
-    name = "exact-simd"
-    bit_exact = True
 
 
 class TraceVectorOps(ExactSimdVectorOps):
@@ -158,7 +138,6 @@ class TraceVectorOps(ExactSimdVectorOps):
     """
 
     name = "trace"
-    bit_exact = True
     schedule_compiled = True
 
 
@@ -166,12 +145,14 @@ class TraceVectorOps(ExactSimdVectorOps):
 VECTOR_OPS_REGISTRY: Dict[str, Callable[..., VectorOps]] = {
     ExactVectorOps.name: ExactVectorOps,
     ExactSimdVectorOps.name: ExactSimdVectorOps,
-    FastVectorOps.name: FastVectorOps,
     TraceVectorOps.name: TraceVectorOps,
 }
 
 #: Valid backend names, in oracle-first order (CLI choices, docs).
 VECTOR_OPS_BACKENDS = tuple(VECTOR_OPS_REGISTRY)
+
+#: Backend engines, clusters and farms use unless told otherwise.
+DEFAULT_BACKEND = ExactSimdVectorOps.name
 
 
 def backend_schedule_compiled(backend: str) -> bool:
@@ -190,15 +171,8 @@ def validate_backend_name(backend: str) -> str:
 
 
 def make_vector_ops(
-    backend: Union[str, bool] = "exact",
-    fmt: Union[str, BinaryFormat, None] = None,
+    backend: str, fmt: Union[str, BinaryFormat, None] = None
 ) -> VectorOps:
-    """Build the strategy registered under ``backend`` for element format ``fmt``.
-
-    Booleans are accepted for backward compatibility: ``True`` selects the
-    scalar bit-exact oracle, ``False`` the float64 fast path.  ``fmt``
-    defaults to binary16.
-    """
-    if isinstance(backend, bool):
-        backend = "exact" if backend else "fast"
+    """Build the strategy registered under ``backend`` for element format
+    ``fmt`` (binary16 when omitted)."""
     return VECTOR_OPS_REGISTRY[validate_backend_name(backend)](fmt)

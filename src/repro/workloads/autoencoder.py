@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fp.formats import FP16
 from repro.fp.vector import quantize_fp16, random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.workloads.gemm import GemmWorkload
 from repro.workloads.training import TrainingGemm, training_step_gemms
 
@@ -111,7 +112,8 @@ class AutoEncoder:
             )
         activations = [activation]
         for layer, weight in enumerate(self.weights):
-            pre = matmul_hw_order_fast(weight, activation)
+            pre = matmul_hw_order_simd_fmt(weight, activation,
+                                           FP16).astype(np.float32)
             if layer < self.n_layers - 1:
                 activation = quantize_fp16(np.maximum(pre, 0.0))
             else:
@@ -137,9 +139,11 @@ class AutoEncoder:
         gradients: List[Optional[np.ndarray]] = [None] * self.n_layers
         for layer in reversed(range(self.n_layers)):
             input_activation = activations[layer]
-            gradients[layer] = matmul_hw_order_fast(delta, input_activation.T)
+            gradients[layer] = matmul_hw_order_simd_fmt(
+                delta, input_activation.T, FP16).astype(np.float32)
             if layer > 0:
-                propagated = matmul_hw_order_fast(self.weights[layer].T, delta)
+                propagated = matmul_hw_order_simd_fmt(
+                    self.weights[layer].T, delta, FP16).astype(np.float32)
                 relu_mask = (activations[layer] > 0).astype(np.float32)
                 delta = quantize_fp16(propagated * relu_mask)
         return gradients  # type: ignore[return-value]

@@ -42,8 +42,8 @@ def hci(tcdm) -> Hci:
 
 @pytest.fixture
 def engine(reference_config, hci) -> RedMulE:
-    """A RedMulE engine (fast numpy arithmetic) on a fresh memory system."""
-    return RedMulE(reference_config, hci, exact=False)
+    """A RedMulE engine (default ``exact-simd`` arithmetic) on a fresh memory system."""
+    return RedMulE(reference_config, hci)
 
 
 @pytest.fixture
@@ -82,13 +82,13 @@ class MatmulHarness:
 
 @pytest.fixture
 def harness(engine) -> MatmulHarness:
-    """Matmul harness bound to the fast-arithmetic engine."""
+    """Matmul harness bound to the default-arithmetic engine."""
     return MatmulHarness(engine)
 
 
 @pytest.fixture
 def exact_harness(reference_config) -> MatmulHarness:
-    """Matmul harness bound to a bit-exact engine on its own memory."""
+    """Matmul harness bound to the scalar ``exact`` oracle engine on its own memory."""
     tcdm = Tcdm(TcdmConfig())
     hci = Hci(tcdm, HciConfig())
-    return MatmulHarness(RedMulE(reference_config, hci, exact=True))
+    return MatmulHarness(RedMulE(reference_config, hci, backend="exact"))

@@ -5,10 +5,11 @@ import pytest
 
 from repro.cluster.cluster import PulpCluster
 from repro.cluster.config import ClusterConfig
+from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
 from repro.mem.tcdm import TcdmConfig
 from repro.redmule.config import RedMulEConfig
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 
 
 class TestClusterConfig:
@@ -32,7 +33,7 @@ class TestOffload:
         x = random_fp16_matrix(16, 24, scale=0.3, seed=0)
         w = random_fp16_matrix(24, 20, scale=0.3, seed=1)
         z, outcome = cluster.matmul(x, w)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.total_cycles > outcome.accelerator.cycles
         assert outcome.offload_cycles > 0
         assert outcome.macs_per_cycle < outcome.accelerator.macs_per_cycle
@@ -42,7 +43,7 @@ class TestOffload:
             x = random_fp16_matrix(8, 16, scale=0.3, seed=seed)
             w = random_fp16_matrix(16, 16, scale=0.3, seed=seed + 10)
             z, _ = cluster.matmul(x, w)
-            assert np.array_equal(z, matmul_hw_order_fast(x, w))
+            assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert cluster.redmule.controller.fsm.jobs_completed == 3
 
     def test_explicit_handle_offload(self, cluster):
@@ -52,7 +53,7 @@ class TestOffload:
         hw = cluster.place_matrix(w, "W")
         hz = cluster.tcdm_allocator().alloc_matrix(8, 16, "Z")
         outcome = cluster.offload_matmul(hx, hw, hz)
-        assert np.array_equal(hz.load(cluster.tcdm), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(cluster.tcdm), matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.exposed_dma_cycles == 0
 
     def test_software_baseline_access(self, cluster):
@@ -73,7 +74,7 @@ class TestOffload:
         x = random_fp16_matrix(6, 10, scale=0.3, seed=1)
         w = random_fp16_matrix(10, 6, scale=0.3, seed=2)
         z, outcome = cluster.matmul(x, w)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.accelerator.peak_macs_per_cycle == 8
 
 
@@ -85,7 +86,7 @@ class TestL2Tiling:
         hw = cluster.place_matrix(w, "W.l2", in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(16, 16, "Z.l2")
         outcome = cluster.offload_matmul_from_l2(hx, hw, hz)
-        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.total_cycles >= outcome.accelerator.cycles
         assert cluster.dma.transfers == 3  # X in, W in, Z out
 

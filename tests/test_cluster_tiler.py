@@ -10,8 +10,9 @@ from repro.cluster.tiler import (
     estimate_tiled_matmul,
     plan_tiled_matmul,
 )
+from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 
 
 class TestPlanning:
@@ -85,7 +86,7 @@ class TestExecution:
         assert plan.n_jobs > 1
         result = TiledMatmul(cluster, plan).run(hx, hw, hz)
 
-        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.n_jobs == plan.n_jobs
         assert result.compute_cycles > 0
         assert result.dma_cycles > 0
@@ -102,7 +103,7 @@ class TestExecution:
         plan = plan_tiled_matmul(m, n, k)
         result = TiledMatmul(cluster, plan).run(hx, hw, hz)
         assert result.n_jobs == 1
-        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(cluster.l2), matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_tcdm_allocations_are_released(self):
         cluster = PulpCluster()

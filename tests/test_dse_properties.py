@@ -49,8 +49,7 @@ def test_estimate_equals_engine_cycles_on_exact_domain(
     model = RedMulEPerfModel(config)
     assume(model.is_exact(job))
     measured = simulate_engine_timing(
-        config_key(config), m, n, k, accumulate, exact=False,
-        max_cycles=500_000,
+        config_key(config), m, n, k, accumulate, max_cycles=500_000,
     )
     estimate = model.estimate(job)
     assert estimate.cycles == measured.cycles, (

@@ -16,9 +16,9 @@ def _record(cycles=100, backend="engine"):
     )
 
 
-def _key(m=8, n=16, k=16, backend="engine", exact=False):
-    return TimingKey(config=(4, 8, 3, 1, 8), m=m, n=n, k=k,
-                     accumulate=False, exact=exact, backend=backend)
+def _key(m=8, n=16, k=16, backend="engine"):
+    return TimingKey(config=(4, 8, 3, 1, 8, "fp16"), m=m, n=n, k=k,
+                     accumulate=False, backend=backend)
 
 
 class TestTimingCachePersistence:
@@ -89,7 +89,12 @@ class TestTimingCachePersistence:
         {"key": dict(asdict(_key()), m=[8]), "record": asdict(_record())},
         "not-an-object",
         None,
-    ], ids=["no-record", "missing-fields", "unhashable", "string", "null"])
+        {"key": asdict(_key()), "record": dict(asdict(_record()), cycles=None)},
+        {"key": dict(asdict(_key()), m="8"), "record": asdict(_record())},
+        {"key": dict(asdict(_key()), backend="fpga"),
+         "record": asdict(_record())},
+    ], ids=["no-record", "missing-fields", "unhashable", "string", "null",
+            "null-cycles", "string-m", "unknown-backend"])
     def test_malformed_entry_raises_value_error_and_merges_nothing(
             self, tmp_path, bad):
         path = tmp_path / "cache.json"
@@ -105,8 +110,8 @@ class TestTimingCachePersistence:
             cache.load(path, merge=False)
         assert len(cache) == 1 and cache.peek(_key()).cycles == 1
 
-    @pytest.mark.parametrize("payload", [[], {"version": 4}, {
-        "version": 4, "entries": [], "traces": []}],
+    @pytest.mark.parametrize("payload", [[], {"version": 5}, {
+        "version": 5, "entries": [], "traces": []}],
         ids=["list", "no-entries", "traces-list"])
     def test_malformed_layout_raises_value_error(self, tmp_path, payload):
         path = tmp_path / "cache.json"

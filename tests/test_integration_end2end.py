@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, PulpCluster
+from repro.fp.formats import FP16
 from repro.fp.vector import quantize_fp16, random_fp16_matrix
 from repro.redmule import RedMulEConfig, RedMulEPerfModel
-from repro.redmule.functional import matmul_hw_order_fast, matmul_reference_fp32
+from repro.redmule.functional import matmul_hw_order_simd_fmt, matmul_reference_fp32
 from repro.sw.baseline import SoftwareBaseline
 from repro.workloads.autoencoder import AutoEncoder
 
@@ -34,7 +35,7 @@ class TestAcceleratedAutoencoderLayer:
 
         # Layer 0 forward on RedMulE: Y = W0 . A0 with the paper's mapping.
         z, outcome = cluster.matmul(model.weights[0], activations[0])
-        expected = matmul_hw_order_fast(model.weights[0], activations[0])
+        expected = matmul_hw_order_simd_fmt(model.weights[0], activations[0], FP16)
         assert np.array_equal(z, expected)
         assert outcome.accelerator.total_macs == 32 * 64 * 8
 
@@ -50,7 +51,7 @@ class TestAcceleratedAutoencoderLayer:
             w = random_fp16_matrix(shape.n, shape.k, scale=0.1,
                                    seed=shape.n + shape.k)
             z, _ = cluster.matmul(x, w)
-            assert np.array_equal(z, matmul_hw_order_fast(x, w))
+            assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
             cluster.reset_tcdm()
         assert cluster.redmule.controller.fsm.jobs_completed == len(gemms)
 
@@ -79,7 +80,7 @@ class TestModelCrossValidation:
         rng = np.random.default_rng(7)
         weights = quantize_fp16(rng.standard_normal((128, 640)) * 0.05)
         batch = quantize_fp16(rng.standard_normal((640, 16)) * 0.1)
-        fp16_result = matmul_hw_order_fast(weights, batch)
+        fp16_result = matmul_hw_order_simd_fmt(weights, batch, FP16)
         fp32_result = matmul_reference_fp32(weights, batch)
         scale = float(np.mean(np.abs(fp32_result)))
         assert float(np.max(np.abs(fp16_result - fp32_result))) / scale < 0.05
@@ -96,12 +97,12 @@ class TestClusterConfigurationVariants:
         x = random_fp16_matrix(10, 14, scale=0.25, seed=height)
         w = random_fp16_matrix(14, 9, scale=0.25, seed=length)
         z, outcome = cluster.matmul(x, w)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.accelerator.utilisation <= 1.0
 
     def test_exact_arithmetic_cluster(self):
-        cluster = PulpCluster(exact_arithmetic=True)
+        cluster = PulpCluster(arithmetic="exact")
         x = random_fp16_matrix(8, 12, scale=0.25, seed=30)
         w = random_fp16_matrix(12, 8, scale=0.25, seed=31)
         z, _ = cluster.matmul(x, w)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))

@@ -103,7 +103,7 @@ class TestEngineHangGuards:
 
     def test_shallow_z_queue_rejected_at_job_submission(self):
         config = RedMulEConfig(length=8, z_queue_depth=4)
-        engine = _engine_for(config, "fast")
+        engine = _engine_for(config, "exact-simd")
         job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=8, n=4, k=4)
         with pytest.raises(ValueError, match="live-row requirement"):
             engine.run_job(job)
@@ -114,7 +114,7 @@ class TestEngineHangGuards:
         assert engine.run_job(small).cycles > 0
 
     def test_element_width_mismatch_rejected(self):
-        engine = _engine_for(RedMulEConfig(format="fp8-e4m3"), "fast")
+        engine = _engine_for(RedMulEConfig(format="fp8-e4m3"), "exact-simd")
         fp16_job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=4, n=4, k=4)
         with pytest.raises(ValueError, match="element width"):
             engine.run_job(fp16_job)
@@ -125,17 +125,16 @@ class TestEngineBitExactness:
     @pytest.mark.parametrize("shape", [(5, 7, 9), (17, 9, 33), (8, 20, 40)])
     def test_scalar_and_simd_strategies_bit_identical(self, fmt, shape):
         m, n, k = shape
-        config_exact = RedMulEConfig(format=fmt, arithmetic="exact")
-        config_simd = RedMulEConfig(format=fmt, arithmetic="exact-simd")
-        res_a, img_a, _ = _run_shape(config_exact, "exact", m, n, k)
-        res_b, img_b, _ = _run_shape(config_simd, "exact-simd", m, n, k)
+        config = RedMulEConfig(format=fmt)
+        res_a, img_a, _ = _run_shape(config, "exact", m, n, k)
+        res_b, img_b, _ = _run_shape(config, "exact-simd", m, n, k)
         assert res_a.cycles == res_b.cycles
         assert img_a == img_b
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_engine_matches_the_generic_golden_model(self, fmt):
         m, n, k = 9, 6, 37
-        config = RedMulEConfig(format=fmt, arithmetic="exact-simd")
+        config = RedMulEConfig(format=fmt)
         _, image, (hx, hw, acc, tcdm) = _run_shape(
             config, "exact-simd", m, n, k, accumulate=True
         )
@@ -155,23 +154,23 @@ class TestEngineBitExactness:
         bf = get_format(fmt)
         x = random_matrix(6, 11, fmt, scale=0.3, seed=5)
         w = random_matrix(11, 7, fmt, scale=0.3, seed=6)
-        fast = matmul_hw_order_simd_fmt(np.asarray(x, np.float64),
+        simd = matmul_hw_order_simd_fmt(np.asarray(x, np.float64),
                                         np.asarray(w, np.float64), bf)
         x_bits = bf.f64_to_bits_array(np.asarray(x, np.float64))
         w_bits = bf.f64_to_bits_array(np.asarray(w, np.float64))
         exact = matmul_hw_order_exact_fmt(x_bits.tolist(), w_bits.tolist(), bf)
-        assert bf.f64_to_bits_array(fast).tolist() == exact
+        assert bf.f64_to_bits_array(simd).tolist() == exact
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_farm_backend_validation_covers_narrow_formats(self, fmt):
-        farm = SimulationFarm(config=RedMulEConfig(format=fmt), exact=True)
+        farm = SimulationFarm(config=RedMulEConfig(format=fmt))
         reports = farm.validate_backends([(6, 9, 18)], accumulate=True)
         assert all(report.ok for report in reports)
 
     def test_fp8_throughput_beats_fp16_on_equal_geometry(self):
         m, n, k = 32, 32, 64
-        res16, _, _ = _run_shape(RedMulEConfig(), "fast", m, n, k)
-        res8, _, _ = _run_shape(RedMulEConfig(format="fp8-e4m3"), "fast",
+        res16, _, _ = _run_shape(RedMulEConfig(), "exact-simd", m, n, k)
+        res8, _, _ = _run_shape(RedMulEConfig(format="fp8-e4m3"), "exact-simd",
                                 m, n, k)
         assert res8.cycles < res16.cycles
         # Large-K jobs approach the full 2x elements-per-line advantage.
@@ -227,7 +226,7 @@ class TestPerfModelExactness:
         model = RedMulEPerfModel(config)
         for (m, n, k) in [(1, 1, 1), (8, 16, 16), (17, 9, 33), (16, 64, 80)]:
             for accumulate in (False, True):
-                result, _, _ = _run_shape(config, "fast", m, n, k, accumulate)
+                result, _, _ = _run_shape(config, "exact-simd", m, n, k, accumulate)
                 job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=m, n=n, k=k,
                                 accumulate=accumulate,
                                 element_bytes=config.element_bytes)
@@ -254,7 +253,7 @@ class TestPerfModelExactness:
                         element_bytes=config.element_bytes)
         model = RedMulEPerfModel(config)
         estimate = model.estimate(job)
-        result, _, _ = _run_shape(config, "fast", m, n, k, accumulate)
+        result, _, _ = _run_shape(config, "exact-simd", m, n, k, accumulate)
         if model.is_exact(job):
             assert estimate.cycles == result.cycles
         else:
@@ -265,8 +264,8 @@ class TestPerfModelExactness:
 class TestFarmFormatIdentity:
     def test_timing_keys_differ_per_format(self):
         job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=8, n=8, k=8)
-        key16 = TimingKey.for_job(RedMulEConfig(), job, True, "engine")
-        key8 = TimingKey.for_job(RedMulEConfig(format="fp8-e5m2"), job, True,
+        key16 = TimingKey.for_job(RedMulEConfig(), job, "engine")
+        key8 = TimingKey.for_job(RedMulEConfig(format="fp8-e5m2"), job,
                                  "engine")
         assert key16 != key8
 
@@ -276,25 +275,42 @@ class TestFarmFormatIdentity:
         assert config_from_key(config_key(config)) == config
 
     def test_five_field_keys_are_rejected(self):
-        # config_key always emits six fields and only schema v4 cache files
+        # config_key always emits six fields and only schema v5 cache files
         # (six-field keys) load, so a key without the format is malformed.
         with pytest.raises(ValueError):
             config_from_key((4, 8, 3, 1, 8))
 
-    def test_cache_schema_v4_rejects_older_versions(self, tmp_path):
+    def test_cache_schema_v5_rejects_older_versions(self, tmp_path):
         cache = TimingCache()
         path = tmp_path / "cache.json"
         cache.save(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 4
+        assert payload["version"] == CACHE_FILE_VERSION == 5
         assert cache.load(path) == 0
-        # v3 (pre-trace payload), v2 (pre-format keys) and v1 files are
-        # rejected; the runner then treats the cache file as empty.
-        for version in (3, 2, 1):
+        # v4 (keys carry ``exact``), v3 (pre-trace payload), v2 (pre-format
+        # keys) and v1 files are rejected; the runner then treats the cache
+        # file as empty.
+        v4_entry = {
+            "key": {"config": list(config_key(RedMulEConfig())), "m": 8,
+                    "n": 16, "k": 16, "accumulate": False, "exact": True,
+                    "backend": "engine"},
+            "record": {"cycles": 100, "stall_cycles": 5, "active_cycles": 90,
+                       "total_macs": 2048, "issued_macs": 4096, "n_tiles": 1,
+                       "peak_macs_per_cycle": 32, "ideal_cycles": 64,
+                       "backend": "engine"},
+        }
+        payload["entries"] = [v4_entry]
+        for version in (4, 3, 2, 1):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match="version"):
                 cache.load(path)
+            assert len(cache) == 0
+        # Relabelled as v5, the v4 key does not decode.
+        payload["version"] = CACHE_FILE_VERSION
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="entry 0"):
+            cache.load(path)
 
     def test_cache_entries_round_trip_with_format_keys(self, tmp_path):
         farm = SimulationFarm(config=RedMulEConfig(format="bf16"))

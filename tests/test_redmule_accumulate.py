@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import PulpCluster
+from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.controller import FLAG_ACCUMULATE, REG_FLAGS, RedMulEController
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
 
@@ -46,13 +47,13 @@ class TestAccumulateFunctional:
     def test_matches_golden_with_initial_accumulator(self, harness, m, n, k):
         acc_harness = AccumulateHarness(harness)
         x, w, z0, z, _ = acc_harness.run(m, n, k, seed=m + n + k)
-        golden = matmul_hw_order_fast(x, w, acc=z0)
+        golden = matmul_hw_order_simd_fmt(x, w, FP16, z0)
         assert np.array_equal(z, golden)
 
     def test_differs_from_non_accumulating_job(self, harness):
         acc_harness = AccumulateHarness(harness)
         x, w, z0, z, _ = acc_harness.run(8, 16, 16, seed=3)
-        plain = matmul_hw_order_fast(x, w)
+        plain = matmul_hw_order_simd_fmt(x, w, FP16)
         assert not np.array_equal(z, plain)
 
     def test_zero_initial_accumulator_equals_plain_matmul(self, harness):
@@ -68,12 +69,12 @@ class TestAccumulateFunctional:
         hz.store(harness.tcdm, np.zeros((m, k), dtype=np.float32))
         job = MatmulJob.from_handles(hx, hw, hz, accumulate=True)
         harness.engine.run_job(job)
-        assert np.array_equal(hz.load(harness.tcdm), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(harness.tcdm), matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_bit_exact_mode(self, exact_harness):
         acc_harness = AccumulateHarness(exact_harness)
         x, w, z0, z, _ = acc_harness.run(6, 9, 7, seed=21)
-        golden = matmul_hw_order_fast(x, w, acc=z0)
+        golden = matmul_hw_order_simd_fmt(x, w, FP16, z0)
         assert np.array_equal(z, golden)
 
     def test_tiled_composition_over_inner_dimension(self, harness):
@@ -95,7 +96,7 @@ class TestAccumulateFunctional:
             hw.store(tcdm, w_half)
             job = MatmulJob.from_handles(hx, hw, hz, accumulate=True)
             harness.engine.run_job(job)
-        assert np.array_equal(hz.load(tcdm), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(tcdm), matmul_hw_order_simd_fmt(x, w, FP16))
 
 
 class TestAccumulateTimingAndPlumbing:
@@ -145,5 +146,5 @@ class TestAccumulateTimingAndPlumbing:
         hw = cluster.place_matrix(w, "W")
         hz = cluster.place_matrix(bias, "Z")
         cluster.offload_matmul(hx, hw, hz, accumulate=True)
-        expected = matmul_hw_order_fast(x, w, acc=bias)
+        expected = matmul_hw_order_simd_fmt(x, w, FP16, bias)
         assert np.array_equal(hz.load(cluster.tcdm), expected)

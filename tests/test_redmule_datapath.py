@@ -10,7 +10,6 @@ from repro.redmule.datapath import Datapath
 from repro.redmule.vector_ops import (
     ExactSimdVectorOps,
     ExactVectorOps,
-    FastVectorOps,
     make_vector_ops,
 )
 
@@ -24,8 +23,8 @@ def tile(rows):
     return np.array([rows], dtype=np.uint16)
 
 
-ALL_OPS = [ExactVectorOps(), ExactSimdVectorOps(), FastVectorOps()]
-ALL_IDS = ["exact", "exact-simd", "fast"]
+ALL_OPS = [ExactVectorOps(), ExactSimdVectorOps()]
+ALL_IDS = ["exact", "exact-simd"]
 
 
 class TestVectorOps:
@@ -48,20 +47,6 @@ class TestVectorOps:
         acc = tile([[0x8000]])
         assert int(ops.chain(x, w, acc, [False, False])[0, 0, 0]) == 0x8000
         assert int(ops.chain(x, w, acc, [True, False])[0, 0, 0]) == 0x0000
-
-    def test_exact_and_fast_chains_agree(self):
-        rng = np.random.default_rng(7)
-        exact, fast = ExactVectorOps(), FastVectorOps()
-        for _ in range(10):
-            x = tile([[f2b(v) for v in row]
-                      for row in rng.standard_normal((8, 6)) * 0.5])
-            w = tile([[f2b(v) for v in row]
-                      for row in rng.standard_normal((6, 4)) * 0.5])
-            acc = tile([[f2b(v) for v in row]
-                        for row in rng.standard_normal((8, 4)) * 0.5])
-            mask = np.ones(6, dtype=bool)
-            assert np.array_equal(exact.chain(x, w, acc, mask),
-                                  fast.chain(x, w, acc, mask))
 
     def test_exact_simd_chain_is_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -96,12 +81,8 @@ class TestVectorOps:
         assert z.dtype == np.uint16
 
     def test_factory(self):
-        # Legacy boolean selection keeps working next to the name registry.
-        assert isinstance(make_vector_ops(True), ExactVectorOps)
-        assert isinstance(make_vector_ops(False), FastVectorOps)
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
-        assert isinstance(make_vector_ops("fast"), FastVectorOps)
         with pytest.raises(ValueError):
             make_vector_ops("nope")
 

@@ -2,9 +2,9 @@
 
 The engine is verified on two axes:
 
-* **functional** -- the Z matrix written to the TCDM must equal the golden
-  FP16 model (bit-exact in exact mode, numpy-exact in fast mode) for a wide
-  range of shapes including edge tiles and padding;
+* **functional** -- the Z matrix written to the TCDM must equal the
+  bit-exact golden FP16 model for a wide range of shapes including edge
+  tiles and padding;
 * **timing** -- cycle counts must behave like the paper describes: utilisation
   grows with the matrix size, approaches the 32 MAC/cycle ideal for large
   inner dimensions, and degrades under TCDM contention.
@@ -20,7 +20,7 @@ from repro.interco.log_interco import CoreRequest
 from repro.mem.tcdm import Tcdm
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
-from repro.redmule.functional import matmul_hw_order_exact_fmt, matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_exact_fmt, matmul_hw_order_simd_fmt
 from tests.conftest import MatmulHarness
 
 
@@ -40,7 +40,7 @@ class TestFunctionalCorrectness:
     )
     def test_matches_golden_model(self, harness, m, n, k):
         x, w, z, _ = harness.run_random(m, n, k, seed=m * 100 + n + k)
-        golden = matmul_hw_order_fast(x, w)
+        golden = matmul_hw_order_simd_fmt(x, w, FP16)
         assert np.array_equal(z, golden)
 
     def test_bit_exact_mode_matches_exact_golden(self, exact_harness):
@@ -50,12 +50,12 @@ class TestFunctionalCorrectness:
         )
         assert np.array_equal(z, golden)
 
-    def test_exact_and_fast_modes_agree(self, harness, exact_harness):
+    def test_exact_and_simd_modes_agree(self, harness, exact_harness):
         x = random_fp16_matrix(10, 13, scale=0.3, seed=21)
         w = random_fp16_matrix(13, 9, scale=0.3, seed=22)
-        z_fast, _ = harness.run(x, w)
+        z_simd, _ = harness.run(x, w)
         z_exact, _ = exact_harness.run(x, w)
-        assert np.array_equal(z_fast, z_exact)
+        assert np.array_equal(z_simd, z_exact)
 
     def test_does_not_clobber_neighbouring_memory(self, engine):
         """The engine must only write the Z region (plus nothing else)."""
@@ -69,15 +69,15 @@ class TestFunctionalCorrectness:
     def test_back_to_back_jobs_on_same_engine(self, harness):
         for seed, shape in enumerate([(8, 16, 16), (5, 9, 7), (16, 8, 24)]):
             x, w, z, _ = harness.run_random(*shape, seed=seed)
-            assert np.array_equal(z, matmul_hw_order_fast(x, w))
+            assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_non_reference_geometry(self):
         config = RedMulEConfig(height=2, length=4, pipeline_regs=1)
         tcdm = Tcdm()
         hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports))
-        harness = MatmulHarness(RedMulE(config, hci, exact=False))
+        harness = MatmulHarness(RedMulE(config, hci))
         x, w, z, result = harness.run_random(9, 11, 6, seed=1)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.peak_macs_per_cycle == config.n_fma
 
 
@@ -138,7 +138,7 @@ class TestTiming:
         result = engine.offload(MatmulJob.from_handles(hx, hw, hz))
         assert engine.controller.fsm.jobs_completed == 1
         assert engine.controller.fsm.job_history == [result.cycles]
-        assert np.array_equal(hz.load(engine.tcdm), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(engine.tcdm), matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_max_cycles_guard(self, harness):
         with pytest.raises(RuntimeError):
@@ -181,7 +181,7 @@ class TestTiming:
         # The same instance accepts and completes the next offload.
         result = engine.offload(job)
         assert engine.controller.fsm.jobs_completed == 1
-        assert np.array_equal(hz.load(engine.tcdm), matmul_hw_order_fast(x, w))
+        assert np.array_equal(hz.load(engine.tcdm), matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.cycles > 0
         assert not engine.controller.busy
 
@@ -193,7 +193,7 @@ class TestContention:
         def run(with_traffic: bool) -> int:
             tcdm = Tcdm()
             hci = Hci(tcdm, HciConfig(max_wide_streak=2))
-            engine = RedMulE(RedMulEConfig.reference(), hci, exact=False)
+            engine = RedMulE(RedMulEConfig.reference(), hci)
             harness = MatmulHarness(engine)
             x = random_fp16_matrix(8, 64, scale=0.3, seed=1)
             w = random_fp16_matrix(64, 16, scale=0.3, seed=2)
@@ -209,7 +209,7 @@ class TestContention:
 
                 hci.wide_line_cycle = noisy_wide_cycle
             _, result = harness.run(x, w)
-            golden = matmul_hw_order_fast(x, w)
+            golden = matmul_hw_order_simd_fmt(x, w, FP16)
             z = harness.allocator  # silence linters; correctness checked below
             return result.cycles
 
@@ -220,7 +220,7 @@ class TestContention:
     def test_contention_does_not_corrupt_results(self):
         tcdm = Tcdm()
         hci = Hci(tcdm, HciConfig(max_wide_streak=1))
-        engine = RedMulE(RedMulEConfig.reference(), hci, exact=False)
+        engine = RedMulE(RedMulEConfig.reference(), hci)
         harness = MatmulHarness(engine)
         x = random_fp16_matrix(8, 32, scale=0.3, seed=11)
         w = random_fp16_matrix(32, 16, scale=0.3, seed=12)
@@ -233,5 +233,5 @@ class TestContention:
 
         hci.wide_line_cycle = noisy_wide_cycle
         z, result = harness.run(x, w)
-        assert np.array_equal(z, matmul_hw_order_fast(x, w))
+        assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.streamer.stall_cycles > 0

@@ -7,7 +7,7 @@ from repro.fp.formats import FP16
 from repro.fp.vector import matrix_from_bits, matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.redmule.functional import (
     matmul_hw_order_exact_fmt,
-    matmul_hw_order_fast,
+    matmul_hw_order_simd_fmt,
     matmul_reference_fp32,
 )
 
@@ -35,15 +35,15 @@ class TestExactModel:
             matmul_hw_order_exact_fmt([[0, 1]], [[0], [1, 2]], FP16)
 
 
-class TestFastModel:
+class TestSimdModel:
     def test_matches_exact_on_random_matrices(self):
         x = random_fp16_matrix(7, 11, scale=0.3, seed=0)
         w = random_fp16_matrix(11, 9, scale=0.3, seed=1)
         exact = matrix_from_bits(
             matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
         )
-        fast = matmul_hw_order_fast(x, w)
-        assert np.array_equal(exact, fast)
+        simd = matmul_hw_order_simd_fmt(x, w, FP16)
+        assert np.array_equal(exact, simd)
 
     def test_accumulation_order_matters(self):
         """FP16 step-wise accumulation differs from an fp32 matmul rounded once,
@@ -51,7 +51,7 @@ class TestFastModel:
         rng = np.random.default_rng(5)
         x = quantize_fp16(rng.standard_normal((8, 256)))
         w = quantize_fp16(rng.standard_normal((256, 8)))
-        fp16_result = matmul_hw_order_fast(x, w)
+        fp16_result = matmul_hw_order_simd_fmt(x, w, FP16)
         fp32_result = quantize_fp16(matmul_reference_fp32(x, w))
         assert not np.array_equal(fp16_result, fp32_result)
 
@@ -59,7 +59,7 @@ class TestFastModel:
         """The FP16 accumulation error stays small for well-scaled operands."""
         x = random_fp16_matrix(16, 64, scale=0.1, seed=7)
         w = random_fp16_matrix(64, 16, scale=0.1, seed=8)
-        fp16_result = matmul_hw_order_fast(x, w)
+        fp16_result = matmul_hw_order_simd_fmt(x, w, FP16)
         fp32_result = matmul_reference_fp32(x, w)
         scale = float(np.mean(np.abs(fp32_result)))
         normalised = np.abs(fp16_result - fp32_result) / scale
@@ -67,12 +67,12 @@ class TestFastModel:
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            matmul_hw_order_fast(np.zeros((2, 3)), np.zeros((4, 2)))
+            matmul_hw_order_simd_fmt(np.zeros((2, 3)), np.zeros((4, 2)), FP16)
         with pytest.raises(ValueError):
-            matmul_hw_order_fast(np.zeros(3), np.zeros((3, 2)))
+            matmul_hw_order_simd_fmt(np.zeros(3), np.zeros((3, 2)), FP16)
 
     def test_overflow_saturates_to_infinity(self):
         x = quantize_fp16(np.full((1, 4), 200.0))
         w = quantize_fp16(np.full((4, 1), 200.0))
-        result = matmul_hw_order_fast(x, w)
+        result = matmul_hw_order_simd_fmt(x, w, FP16)
         assert np.isinf(result[0, 0])

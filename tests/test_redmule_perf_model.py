@@ -166,7 +166,7 @@ class TestZBacklogCorner:
         model = RedMulEPerfModel(config)
         assert not model.is_exact(job)
         measured = simulate_engine_timing(config_key(config), 5, 1, 1, True,
-                                          exact=False, max_cycles=10_000)
+                                          max_cycles=10_000)
         assert model.estimate(job).cycles == 19
         assert measured.cycles == 20
 

@@ -9,12 +9,13 @@ within a sane envelope of it.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.tcdm import Tcdm
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.perf_model import RedMulEPerfModel
 from tests.conftest import MatmulHarness
 
@@ -27,7 +28,7 @@ small_dims = st.integers(min_value=1, max_value=12)
 def _fresh_harness() -> MatmulHarness:
     tcdm = Tcdm()
     hci = Hci(tcdm, HciConfig())
-    return MatmulHarness(RedMulE(RedMulEConfig.reference(), hci, exact=False))
+    return MatmulHarness(RedMulE(RedMulEConfig.reference(), hci))
 
 
 @settings(max_examples=25, deadline=None,
@@ -38,7 +39,7 @@ def test_engine_matches_golden_model_for_any_shape(m, n, k, seed):
     x = random_fp16_matrix(m, n, scale=0.25, seed=seed)
     w = random_fp16_matrix(n, k, scale=0.25, seed=seed + 1)
     z, result = harness.run(x, w)
-    assert np.array_equal(z, matmul_hw_order_fast(x, w))
+    assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
     assert result.total_macs == m * n * k
 
 
@@ -69,4 +70,4 @@ def test_inner_dimension_padding_never_corrupts_results(n, seed):
     x = random_fp16_matrix(8, n, scale=0.25, seed=seed)
     w = random_fp16_matrix(n, 16, scale=0.25, seed=seed + 7)
     z, _ = harness.run(x, w)
-    assert np.array_equal(z, matmul_hw_order_fast(x, w))
+    assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))

@@ -91,16 +91,14 @@ class TestBackendRegistration:
     def test_trace_backend_registered(self):
         ops = make_vector_ops("trace")
         assert isinstance(ops, TraceVectorOps)
-        assert ops.bit_exact
         assert ops.schedule_compiled
         assert backend_schedule_compiled("trace")
         assert not backend_schedule_compiled("exact-simd")
-        assert not backend_schedule_compiled("fast")
+        assert not backend_schedule_compiled("exact")
 
     def test_engine_wires_shared_store(self):
         engine = RedMulE(backend="trace")
         assert engine.backend == "trace"
-        assert engine.exact
         assert engine._trace_store is shared_trace_store(engine.config)
         plain = RedMulE(backend="exact-simd")
         assert plain._trace_store is None
@@ -433,7 +431,7 @@ class TestTimingCacheSchema:
                        "backend": "engine"},
         }
 
-    def test_save_produces_version_4_with_traces(self, tmp_path):
+    def test_save_produces_version_5_with_traces(self, tmp_path):
         engine, job, _ = _build(32, 32, 32)
         engine.run_job(job)
         farm = SimulationFarm(arithmetic="trace", max_workers=1)
@@ -441,7 +439,7 @@ class TestTimingCacheSchema:
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 4
+        assert payload["version"] == CACHE_FILE_VERSION == 5
         assert trace_tag(farm.config) in payload["traces"]
 
     @pytest.mark.parametrize("version,config", [

@@ -39,7 +39,6 @@ from repro.redmule.job import MatmulJob
 from repro.redmule.vector_ops import (
     ExactSimdVectorOps,
     ExactVectorOps,
-    FastVectorOps,
     make_vector_ops,
 )
 from repro.experiments.fig3 import DEFAULT_SWEEP_SIZES
@@ -153,7 +152,6 @@ class TestVectorOpsLevel:
     def test_registry(self):
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
-        assert make_vector_ops("fast").name == "fast"
         with pytest.raises(ValueError):
             make_vector_ops("bogus")
 
@@ -169,8 +167,9 @@ class TestVectorOpsLevel:
     def test_guarded_chain_survives_a_double_rounding_tie(self):
         """bf16 ``(1 + ulp) * 1.5`` is a tie, which a negative minimum
         subnormal accumulator breaks downwards; plain float64 evaluation
-        loses the accumulator and rounds the tie to even.  The guarded
-        chain must follow the oracle, the float64 one (``fast``) does not."""
+        loses the accumulator and rounds the tie to even (0x3FC2).  The
+        guarded chain must follow the oracle, and so must a default-built
+        engine running the same FMA as a 1x1x1 accumulate job."""
         x = np.array([[[0x3F81]]], dtype=np.uint16)
         w = np.array([[[0x3FC0]]], dtype=np.uint16)
         acc = np.array([[[0x8001]]], dtype=np.uint16)
@@ -178,8 +177,15 @@ class TestVectorOpsLevel:
         assert int(want[0, 0, 0]) == 0x3FC1
         got = ExactSimdVectorOps("bf16").chain(x, w, acc, [True])
         assert np.array_equal(got, want)
-        fast = FastVectorOps("bf16").chain(x, w, acc, [True])
-        assert int(fast[0, 0, 0]) == 0x3FC2
+        engine = RedMulE(RedMulEConfig(format="bf16"))
+        tcdm = engine.tcdm
+        x_addr, w_addr, z_addr = tcdm.base, tcdm.base + 32, tcdm.base + 64
+        tcdm.write_u16(x_addr, 0x3F81)
+        tcdm.write_u16(w_addr, 0x3FC0)
+        tcdm.write_u16(z_addr, 0x8001)
+        engine.run_job(MatmulJob(x_addr=x_addr, w_addr=w_addr, z_addr=z_addr,
+                                 m=1, n=1, k=1, accumulate=True))
+        assert tcdm.read_u16(z_addr) == 0x3FC1
 
     def test_batched_chain_matches_per_tile_calls(self):
         """Replay runs the chain over T tiles at once, the engine over one:
@@ -293,9 +299,7 @@ def _scalar_chain(fmt, x, w, acc, mask):
 def test_chain_kernel_equals_scalar_fma_loop(tiles, backend):
     """The per-tile chain kernels of the bit-exact backends equal a plain
     scalar ``fma_bits`` loop in every format, on chains the exactness proof
-    covers (unguarded steps) and on chains it cannot (guarded steps);
-    ``fast`` is pinned by the ``matmul_hw_order_fast`` tests instead: it is
-    not bit-exact."""
+    covers (unguarded steps) and on chains it cannot (guarded steps)."""
     fmt, x, w, acc, mask, provable = tiles
     if provable is not None:
         steps = np.flatnonzero(mask)
@@ -310,26 +314,21 @@ def test_chain_kernel_equals_scalar_fma_loop(tiles, backend):
 
 
 class TestBackendSelection:
-    def test_cluster_respects_config_arithmetic(self):
+    def test_cluster_arithmetic_defaults_to_exact_simd(self):
         from repro.cluster import PulpCluster
-        from repro.cluster.config import ClusterConfig
 
-        config = ClusterConfig(redmule=RedMulEConfig(arithmetic="exact-simd"))
-        assert PulpCluster(config).redmule.backend == "exact-simd"
         assert PulpCluster(arithmetic="exact").redmule.backend == "exact"
-        assert PulpCluster(exact_arithmetic=True).redmule.backend == "exact"
-        assert PulpCluster().redmule.backend == "fast"
+        assert PulpCluster().redmule.backend == "exact-simd"
 
     def test_engine_backend_resolution_order(self):
-        config = RedMulEConfig(arithmetic="exact-simd")
+        config = RedMulEConfig(format="bf16")
         assert RedMulE(config).backend == "exact-simd"
-        assert RedMulE(config, exact=False).backend == "fast"
         assert RedMulE(config, backend="exact").backend == "exact"
 
 
 class TestFarmBackendValidation:
     def test_validate_backends_passes_on_equivalent_backends(self):
-        farm = SimulationFarm(exact=True)
+        farm = SimulationFarm()
         reports = farm.validate_backends([(8, 16, 16), (13, 7, 5)])
         assert all(isinstance(r, BackendValidationReport) and r.ok
                    for r in reports)
@@ -337,10 +336,9 @@ class TestFarmBackendValidation:
         assert farm.stats.validations == 0  # timing cross-checks untouched
 
     def test_validate_backends_detects_divergence(self):
-        farm = SimulationFarm(exact=True)
-        # The float64 fast path is *not* bit-exact in general; a shape whose
-        # data hits a double-rounding case is not guaranteed, so assert on
-        # the report plumbing instead: identical backends always match.
+        farm = SimulationFarm()
+        # Every backend is bit-exact, so no pair diverges; assert on the
+        # report plumbing instead: identical backends always match.
         reports = farm.validate_backends([(8, 16, 16)], reference="exact",
                                          candidate="exact")
         assert reports[0].ok
@@ -348,18 +346,15 @@ class TestFarmBackendValidation:
             farm.validate_backends([(8, 16, 16)], candidate="bogus")
 
     def test_farm_exact_runs_use_simd_arithmetic_by_default(self):
-        farm = SimulationFarm(exact=True)
-        assert farm.arithmetic == "exact-simd"
-        assert farm.exact
-        fast_farm = SimulationFarm()
-        assert fast_farm.arithmetic == "fast"
-        oracle_farm = SimulationFarm(arithmetic="exact")
-        assert oracle_farm.exact
+        assert SimulationFarm().arithmetic == "exact-simd"
+        assert SimulationFarm(arithmetic="exact").arithmetic == "exact"
+        with pytest.raises(ValueError):
+            SimulationFarm(arithmetic="bogus")
 
     def test_farm_timing_identical_across_arithmetic_backends(self):
         shapes = [(8, 16, 16), (16, 16, 16)]
         records = {}
-        for arithmetic in ("exact", "exact-simd", "fast"):
+        for arithmetic in ("exact", "exact-simd", "trace"):
             farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
             records[arithmetic] = [
                 (r.cycles, r.stall_cycles, r.total_macs, r.n_tiles)
@@ -367,7 +362,7 @@ class TestFarmBackendValidation:
                     [_Shape(*s) for s in shapes], backend="engine"
                 )
             ]
-        assert records["exact"] == records["exact-simd"] == records["fast"]
+        assert records["exact"] == records["exact-simd"] == records["trace"]
 
 
 class _Shape:

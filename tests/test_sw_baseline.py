@@ -5,7 +5,7 @@ import pytest
 
 from repro.fp.formats import FP16
 from repro.fp.vector import random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast, matmul_hw_order_simd_fmt
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.sw.baseline import SoftwareBaseline
 from repro.sw.kernel import KernelCostModel, KernelParameters
@@ -84,7 +84,7 @@ class TestSoftwareBaseline:
         assert result.dtype == np.float32
         assert np.array_equal(result, matmul_hw_order_simd_fmt(x, w, FP16))
         # The float64 fast model agrees on this data too (no double rounding).
-        assert np.array_equal(baseline.compute(x, w), matmul_hw_order_fast(x, w))
+        assert np.array_equal(baseline.compute(x, w), matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_core_count_parameter(self):
         slow = SoftwareBaseline(n_cores=2).run_gemm(64, 64, 64)
