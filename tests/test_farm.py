@@ -381,6 +381,16 @@ class TestWorkerHelpers:
         assert record.cycles > record.ideal_cycles
         assert record.total_macs == 256 * 256 * 4
 
+    def test_options_are_keyword_only(self):
+        # A caller passing a sixth positional argument (the retired
+        # ``exact`` flag) must fail loudly, not bind it to ``max_cycles``.
+        key = config_key(RedMulEConfig.reference())
+        with pytest.raises(TypeError):
+            simulate_engine_timing(key, 1, 1, 1, False, False)
+        record = simulate_engine_timing(key, 1, 1, 1, False, max_cycles=10_000,
+                                        arithmetic="exact")
+        assert record.total_macs == 1
+
     def test_unknown_backend_rejected(self):
         from repro.farm.workers import simulate_key
 

@@ -8,8 +8,10 @@ from repro.fp.formats import FP16
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.datapath import Datapath
 from repro.redmule.vector_ops import (
+    VECTOR_OPS_BACKENDS,
     ExactSimdVectorOps,
     ExactVectorOps,
+    TraceVectorOps,
     make_vector_ops,
 )
 
@@ -23,8 +25,9 @@ def tile(rows):
     return np.array([rows], dtype=np.uint16)
 
 
-ALL_OPS = [ExactVectorOps(), ExactSimdVectorOps()]
-ALL_IDS = ["exact", "exact-simd"]
+#: Every registered backend, oracle first (the registry's order).
+ALL_IDS = list(VECTOR_OPS_BACKENDS)
+ALL_OPS = [make_vector_ops(name) for name in ALL_IDS]
 
 
 class TestVectorOps:
@@ -83,6 +86,8 @@ class TestVectorOps:
     def test_factory(self):
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
+        assert isinstance(make_vector_ops("trace"), TraceVectorOps)
+        assert ALL_IDS[0] == "exact"
         with pytest.raises(ValueError):
             make_vector_ops("nope")
 
