@@ -92,19 +92,28 @@ class DesignAxis:
                         f"axis {self.name!r}: unknown format {value!r}; "
                         f"valid: {', '.join(FORMAT_NAMES)}"
                     )
-            return
-        floor = 1 if self.name in _MIN_ONE else 0
+        else:
+            floor = 1 if self.name in _MIN_ONE else 0
+            for value in self.values:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise DesignSpaceError(
+                        f"axis {self.name!r}: values must be integers, "
+                        f"got {value!r}"
+                    )
+                if value < floor:
+                    raise DesignSpaceError(
+                        f"axis {self.name!r}: values must be >= {floor}, "
+                        f"got {value}"
+                    )
+        # A repeated value would repeat every grid point it spans (and
+        # every frontier member among them).
+        seen = set()
         for value in self.values:
-            if not isinstance(value, int) or isinstance(value, bool):
+            if value in seen:
                 raise DesignSpaceError(
-                    f"axis {self.name!r}: values must be integers, "
-                    f"got {value!r}"
+                    f"axis {self.name!r}: value {value!r} given twice"
                 )
-            if value < floor:
-                raise DesignSpaceError(
-                    f"axis {self.name!r}: values must be >= {floor}, "
-                    f"got {value}"
-                )
+            seen.add(value)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -185,12 +194,18 @@ class DesignSpace:
             return axis.values
         return (AXIS_DEFAULTS[name],)
 
-    def points(self) -> Iterator[DesignPoint]:
-        """Iterate the grid in deterministic (canonical axis) order."""
+    def configs(self) -> Iterator[RedMulEConfig]:
+        """Iterate the distinct accelerator configurations in canonical order.
+
+        One :class:`RedMulEConfig` per combination of the configuration and
+        precision axes, with the Z queue auto-deepened unless it is swept.
+        Axis values are distinct, so no configuration repeats.
+        """
         swept_z_queue = "z_queue_depth" in self.axes
-        value_lists = [self.axis_values(name) for name in AXIS_ORDER]
-        for values in itertools.product(*value_lists):
-            resolved = dict(zip(AXIS_ORDER, values))
+        names = CONFIG_AXES + (PRECISION_AXIS,)
+        for values in itertools.product(
+                *(self.axis_values(name) for name in names)):
+            resolved = dict(zip(names, values))
             if not swept_z_queue:
                 # Deepen the Z queue alongside L so the engine (which
                 # deadlocks when a tile has more live rows than queue
@@ -198,15 +213,21 @@ class DesignSpace:
                 resolved["z_queue_depth"] = max(
                     AXIS_DEFAULTS["z_queue_depth"], resolved["length"]
                 )
-            config = RedMulEConfig(
-                format=resolved[PRECISION_AXIS],
-                **{name: resolved[name] for name in CONFIG_AXES},
-            )
-            yield DesignPoint(
-                config=config,
-                tcdm_banks=resolved["tcdm_banks"],
-                memory_latency=resolved["memory_latency"],
-            )
+            yield RedMulEConfig(format=resolved.pop(PRECISION_AXIS),
+                                **resolved)
+
+    def points(self) -> Iterator[DesignPoint]:
+        """Iterate the grid in deterministic (canonical axis) order.
+
+        :meth:`configs` crossed with the environment axes, which iterate
+        innermost; the points of one configuration share its config object.
+        """
+        banks_axis = self.axis_values("tcdm_banks")
+        latency_axis = self.axis_values("memory_latency")
+        for config in self.configs():
+            for tcdm_banks in banks_axis:
+                for memory_latency in latency_axis:
+                    yield DesignPoint(config, tcdm_banks, memory_latency)
 
     def describe(self) -> str:
         """One line per swept axis plus the grid size."""

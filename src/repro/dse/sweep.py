@@ -1,14 +1,15 @@
 """The analytic design-space sweep driver.
 
-:func:`sweep` walks every :class:`~repro.dse.space.DesignPoint` of a
-:class:`~repro.dse.space.DesignSpace`, lowers the workload graph for that
-point's configuration, times the lowered job stream through a
-``backend="analytic"`` :class:`~repro.farm.SimulationFarm`, and joins the
-timing with the area and energy models into one :class:`DsePoint` record
-per grid point.  Configuration-dependent work (lowering, the job
-dependency list, the farm batch, the exactness scan, accelerator area) is
-computed once per distinct configuration -- the environment axes (banks,
-latency) only re-derive the per-point metrics -- and one
+:func:`sweep` walks the configurations of a
+:class:`~repro.dse.space.DesignSpace`, lowers the workload graph for each,
+times the lowered job stream through a ``backend="analytic"``
+:class:`~repro.farm.SimulationFarm`, and joins the timing with the area and
+energy models into one :class:`DsePoint` record per grid point.  Each piece
+of work runs once per distinct input it depends on: lowering, the job
+dependency list, the farm batch, the exactness scan and the accelerator
+area once per configuration; the cycles, critical path, throughput, power
+and energy once per (configuration, memory latency); the cluster area once
+per (configuration, TCDM bank count).  One
 :class:`~repro.farm.TimingCache` serves the whole sweep (pass ``cache=`` to
 share it across sweeps and workloads too).
 
@@ -43,7 +44,6 @@ from repro.graph.zoo import build_model
 from repro.power.area import AreaModel, ClusterAreaModel
 from repro.power.energy import EnergyModel
 from repro.power.technology import OperatingPoint, TECH_22NM, TechnologyParams
-from repro.redmule.config import RedMulEConfig
 from repro.redmule.perf_model import RedMulEPerfModel, critical_path_cycles
 from repro.workloads.gemm import GemmShape
 
@@ -313,6 +313,12 @@ def sweep(
     analytic farm cache; the closed form makes thousand-point sweeps a
     matter of seconds where the cycle-accurate engine would need hours
     (``benchmarks/bench_dse_frontier.py`` pins the >= 50x gap).
+
+    The sweep walks :meth:`DesignSpace.configs`: each configuration is
+    lowered and timed once, its latency-dependent metrics are derived once
+    per ``memory_latency`` value and its cluster area once per
+    ``tcdm_banks`` value.  The records come out in
+    :meth:`DesignSpace.points` order.
     """
     if offload_cycles_per_job < 0:
         raise ValueError("offload_cycles_per_job must be >= 0")
@@ -325,83 +331,83 @@ def sweep(
     if tcdm_budget_bytes is not None:
         lower_kwargs["tcdm_budget_bytes"] = tcdm_budget_bytes
 
+    banks_axis = space.axis_values("tcdm_banks")
+    latency_axis = space.axis_values("memory_latency")
     started = time.perf_counter()
     records: List[DsePoint] = []
-    # Lowering, the job dependency list, the farm batch, the exactness scan
-    # and the accelerator area depend only on the configuration, not on the
-    # environment axes (tcdm_banks / memory_latency), so they are computed
-    # once per config: a grid with E environment combinations per config
-    # would otherwise redo them E times.
-    per_config: Dict[RedMulEConfig, tuple] = {}
-    for point in space.points():
-        config = point.config
-        cached = per_config.get(config)
-        if cached is None:
-            program = graph.lower(config=config, **lower_kwargs)
-            farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
-                                  max_workers=1, cache=shared_cache)
-            results = farm.run(program.jobs)
-            model = RedMulEPerfModel(config)
-            cached = (
-                program,
-                program.job_deps(),
-                [(result.cycles, result.record.n_tiles)
-                 for result in results],
-                all(model.is_exact(job) for job in program.jobs),
-                AreaModel(config, technology).total(),
-            )
-            per_config[config] = cached
-        program, deps, base_timing, model_exact, area = cached
-        # The memory-latency axis charges the extra access latency once per
-        # tile pre-load, exactly like RedMulEPerfModel(memory_latency=...)
-        # (the per-record tile counts make the two formulations identical).
-        costs = [
-            cycles + point.memory_latency * n_tiles + offload_cycles_per_job
-            for cycles, n_tiles in base_timing
-        ]
-        serial = float(sum(costs))
-        makespan = critical_path_cycles(deps, costs)
+    for config in space.configs():
+        # Configuration-level work: shared by every environment point.
+        program = graph.lower(config=config, **lower_kwargs)
+        farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
+                              max_workers=1, cache=shared_cache)
+        base_timing = [(result.cycles, result.record.n_tiles)
+                       for result in farm.run(program.jobs)]
+        deps = program.job_deps()
+        model = RedMulEPerfModel(config)
         total_macs = program.total_macs
-        macs_per_cycle = total_macs / serial if serial > 0 else 0.0
-        utilisation = macs_per_cycle / config.ideal_macs_per_cycle
-
-        cluster_area = ClusterAreaModel(
-            config, technology, tcdm_banks=point.tcdm_banks
-        ).total()
         energy_model = EnergyModel(config, technology)
-        power_w = energy_model.cluster_power_accel_w(point_op, utilisation)
-        runtime_s = serial / point_op.frequency_hz
-        energy_j = power_w * runtime_s
-        gflops = 2.0 * macs_per_cycle * point_op.frequency_hz / 1e9
+        config_fields = {
+            "height": config.height,
+            "length": config.length,
+            "pipeline_regs": config.pipeline_regs,
+            "w_prefetch_lines": config.w_prefetch_lines,
+            "z_queue_depth": config.z_queue_depth,
+            "precision": config.format,
+            "n_fma": config.n_fma,
+            "n_mem_ports": config.n_mem_ports,
+            "n_jobs": program.n_jobs,
+            "total_macs": total_macs,
+            "area_mm2": AreaModel(config, technology).total(),
+            "model_exact": all(model.is_exact(job) for job in program.jobs),
+        }
 
-        records.append(DsePoint(
-            height=config.height,
-            length=config.length,
-            pipeline_regs=config.pipeline_regs,
-            w_prefetch_lines=config.w_prefetch_lines,
-            z_queue_depth=config.z_queue_depth,
-            precision=config.format,
-            tcdm_banks=point.tcdm_banks,
-            memory_latency=point.memory_latency,
-            n_fma=config.n_fma,
-            n_mem_ports=config.n_mem_ports,
-            n_jobs=program.n_jobs,
-            total_macs=total_macs,
-            serial_cycles=serial,
-            makespan_cycles=makespan,
-            macs_per_cycle=macs_per_cycle,
-            utilisation=utilisation,
-            parallelism=serial / makespan if makespan > 0 else 1.0,
-            area_mm2=area,
-            cluster_area_mm2=cluster_area,
-            gflops=gflops,
-            gflops_per_w=gflops / power_w if power_w > 0 else 0.0,
-            energy_uj=energy_j * 1e6,
-            energy_per_mac_pj=(energy_j / total_macs * 1e12
-                               if total_macs else 0.0),
-            model_exact=model_exact,
-            point=point,
-        ))
+        # Latency-level work: timing, throughput and energy.
+        latency_fields = []
+        for memory_latency in latency_axis:
+            # The memory-latency axis charges the extra access latency once
+            # per tile pre-load, exactly like RedMulEPerfModel(
+            # memory_latency=...) (the per-record tile counts make the two
+            # formulations identical).
+            costs = [
+                cycles + memory_latency * n_tiles + offload_cycles_per_job
+                for cycles, n_tiles in base_timing
+            ]
+            serial = float(sum(costs))
+            makespan = critical_path_cycles(deps, costs)
+            macs_per_cycle = total_macs / serial if serial > 0 else 0.0
+            utilisation = macs_per_cycle / config.ideal_macs_per_cycle
+            power_w = energy_model.cluster_power_accel_w(point_op,
+                                                         utilisation)
+            runtime_s = serial / point_op.frequency_hz
+            energy_j = power_w * runtime_s
+            gflops = 2.0 * macs_per_cycle * point_op.frequency_hz / 1e9
+            latency_fields.append((memory_latency, {
+                "serial_cycles": serial,
+                "makespan_cycles": makespan,
+                "macs_per_cycle": macs_per_cycle,
+                "utilisation": utilisation,
+                "parallelism": serial / makespan if makespan > 0 else 1.0,
+                "gflops": gflops,
+                "gflops_per_w": gflops / power_w if power_w > 0 else 0.0,
+                "energy_uj": energy_j * 1e6,
+                "energy_per_mac_pj": (energy_j / total_macs * 1e12
+                                      if total_macs else 0.0),
+            }))
+
+        # Bank-level work: the cluster area; then one record per point.
+        for tcdm_banks in banks_axis:
+            cluster_area = ClusterAreaModel(
+                config, technology, tcdm_banks=tcdm_banks
+            ).total()
+            for memory_latency, timing_fields in latency_fields:
+                records.append(DsePoint(
+                    tcdm_banks=tcdm_banks,
+                    memory_latency=memory_latency,
+                    cluster_area_mm2=cluster_area,
+                    point=DesignPoint(config, tcdm_banks, memory_latency),
+                    **config_fields,
+                    **timing_fields,
+                ))
     elapsed = time.perf_counter() - started
 
     return SweepResult(

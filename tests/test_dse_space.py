@@ -31,6 +31,21 @@ class TestDesignAxis:
         with pytest.raises(DesignSpaceError, match="integers"):
             DesignAxis("height", (True,))
 
+    @pytest.mark.parametrize("name, values", [
+        ("height", (4, 2, 4)),
+        ("precision", ("fp16", "fp16")),
+        ("memory_latency", (0, 4, 0)),
+    ])
+    def test_repeated_values_rejected(self, name, values):
+        # A repeated value would sweep (and return on a frontier) the
+        # same point twice.
+        with pytest.raises(DesignSpaceError,
+                           match=rf"axis '{name}': value {values[0]!r} "
+                                 "given twice"):
+            DesignAxis(name, values)
+        with pytest.raises(DesignSpaceError, match="given twice"):
+            DesignSpace.grid(**{name: values})
+
     def test_zero_rejected_for_config_axes_allowed_for_latency(self):
         with pytest.raises(DesignSpaceError, match=">= 1"):
             DesignAxis("height", (0,))
@@ -71,6 +86,35 @@ class TestDesignSpace:
         # regardless of keyword order.
         assert order == [(2, 4), (2, 8), (4, 4), (4, 8)]
         assert AXIS_ORDER.index("height") < AXIS_ORDER.index("length")
+
+    def test_configs_yield_each_configuration_once_in_canonical_order(self):
+        space = DesignSpace.grid(
+            length=(4, 16), height=(2, 4), precision=("fp16", "fp8-e4m3"),
+            tcdm_banks=(8, 16), memory_latency=(0, 4, 8),
+        )
+        configs = list(space.configs())
+        assert [(c.height, c.length, c.format) for c in configs] == [
+            (h, length, fmt)
+            for h in (2, 4) for length in (4, 16)
+            for fmt in ("fp16", "fp8-e4m3")
+        ]
+        assert len(set(configs)) == len(configs) == 8
+        # configs() carries the Z-queue auto-deepening too.
+        assert [c.z_queue_depth for c in configs][:4] == [8, 8, 16, 16]
+
+    def test_environment_points_share_their_config_object(self):
+        space = DesignSpace.grid(height=(2, 4), tcdm_banks=(8, 16),
+                                 memory_latency=(0, 4, 8))
+        points = list(space.points())
+        configs = list(space.configs())
+        n_env = 2 * 3
+        assert len(points) == n_env * len(configs)
+        for index, point in enumerate(points):
+            assert point.config == configs[index // n_env]
+            assert point.config is points[index - index % n_env].config
+        # Banks outside latency: the latency axis iterates innermost.
+        assert [(p.tcdm_banks, p.memory_latency) for p in points[:n_env]] \
+            == [(8, 0), (8, 4), (8, 8), (16, 0), (16, 4), (16, 8)]
 
     def test_z_queue_auto_deepens_with_length(self):
         space = DesignSpace.grid(length=(4, 32))

@@ -1,16 +1,24 @@
 """Tests of the analytic design-space sweep driver and its exports."""
 
 import csv
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from repro.dse import (
+    AXIS_DEFAULTS,
+    AXIS_ORDER,
+    CONFIG_AXES,
+    DesignPoint,
     DesignSpace,
+    DsePoint,
     EXPORT_COLUMNS,
     cross_validate,
     sweep,
 )
+from repro.dse.sweep import _resolve_workload
 from repro.farm import (
     BACKEND_MODEL,
     POLICY_ANALYTIC,
@@ -18,9 +26,12 @@ from repro.farm import (
     TimingCache,
 )
 from repro.graph.zoo import mlp_training_graph
+from repro.power.area import AreaModel, ClusterAreaModel
+from repro.power.energy import EnergyModel
+from repro.power.technology import TECH_22NM
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
-from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.perf_model import RedMulEPerfModel, critical_path_cycles
 from repro.workloads.gemm import GemmShape
 
 
@@ -31,6 +42,178 @@ def small_graph():
 def small_space():
     return DesignSpace.grid(height=(2, 4), length=(4, 8),
                             pipeline_regs=(2, 3))
+
+
+# -- per-point reference -----------------------------------------------------
+# sweep() runs configuration-level work once per configuration, latency-level
+# metrics once per (configuration, memory latency) and the cluster area once
+# per (configuration, bank count).  The reference is the loop it replaced:
+# one freshly built config per grid point, a memo of the configuration-level
+# work keyed on the config, and every other metric re-derived per point.
+def reference_points(space):
+    swept_z_queue = "z_queue_depth" in space.axes
+    value_lists = [space.axis_values(name) for name in AXIS_ORDER]
+    for values in itertools.product(*value_lists):
+        resolved = dict(zip(AXIS_ORDER, values))
+        if not swept_z_queue:
+            resolved["z_queue_depth"] = max(
+                AXIS_DEFAULTS["z_queue_depth"], resolved["length"]
+            )
+        config = RedMulEConfig(
+            format=resolved["precision"],
+            **{name: resolved[name] for name in CONFIG_AXES},
+        )
+        yield DesignPoint(
+            config=config,
+            tcdm_banks=resolved["tcdm_banks"],
+            memory_latency=resolved["memory_latency"],
+        )
+
+
+def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
+                    offload_cycles_per_job=0.0):
+    """(records, cache hits, cache misses) of the per-point loop."""
+    graph = _resolve_workload(workload)
+    technology = TECH_22NM
+    point_op = technology.reference_point
+    cache = TimingCache()
+    lower_kwargs = {"tile": tile}
+    if tcdm_budget_bytes is not None:
+        lower_kwargs["tcdm_budget_bytes"] = tcdm_budget_bytes
+    records = []
+    per_config = {}
+    for point in reference_points(space):
+        config = point.config
+        cached = per_config.get(config)
+        if cached is None:
+            program = graph.lower(config=config, **lower_kwargs)
+            farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
+                                  max_workers=1, cache=cache)
+            results = farm.run(program.jobs)
+            model = RedMulEPerfModel(config)
+            cached = (
+                program,
+                program.job_deps(),
+                [(result.cycles, result.record.n_tiles)
+                 for result in results],
+                all(model.is_exact(job) for job in program.jobs),
+                AreaModel(config, technology).total(),
+            )
+            per_config[config] = cached
+        program, deps, base_timing, model_exact, area = cached
+        costs = [
+            cycles + point.memory_latency * n_tiles + offload_cycles_per_job
+            for cycles, n_tiles in base_timing
+        ]
+        serial = float(sum(costs))
+        makespan = critical_path_cycles(deps, costs)
+        total_macs = program.total_macs
+        macs_per_cycle = total_macs / serial if serial > 0 else 0.0
+        utilisation = macs_per_cycle / config.ideal_macs_per_cycle
+        cluster_area = ClusterAreaModel(
+            config, technology, tcdm_banks=point.tcdm_banks
+        ).total()
+        energy_model = EnergyModel(config, technology)
+        power_w = energy_model.cluster_power_accel_w(point_op, utilisation)
+        runtime_s = serial / point_op.frequency_hz
+        energy_j = power_w * runtime_s
+        gflops = 2.0 * macs_per_cycle * point_op.frequency_hz / 1e9
+        records.append(DsePoint(
+            height=config.height,
+            length=config.length,
+            pipeline_regs=config.pipeline_regs,
+            w_prefetch_lines=config.w_prefetch_lines,
+            z_queue_depth=config.z_queue_depth,
+            precision=config.format,
+            tcdm_banks=point.tcdm_banks,
+            memory_latency=point.memory_latency,
+            n_fma=config.n_fma,
+            n_mem_ports=config.n_mem_ports,
+            n_jobs=program.n_jobs,
+            total_macs=total_macs,
+            serial_cycles=serial,
+            makespan_cycles=makespan,
+            macs_per_cycle=macs_per_cycle,
+            utilisation=utilisation,
+            parallelism=serial / makespan if makespan > 0 else 1.0,
+            area_mm2=area,
+            cluster_area_mm2=cluster_area,
+            gflops=gflops,
+            gflops_per_w=gflops / power_w if power_w > 0 else 0.0,
+            energy_uj=energy_j * 1e6,
+            energy_per_mac_pj=(energy_j / total_macs * 1e12
+                               if total_macs else 0.0),
+            model_exact=model_exact,
+            point=point,
+        ))
+    return records, cache.stats.hits, cache.stats.misses
+
+
+#: The perfbench ``dse-sweep`` grid: 32 configurations x 20 environment
+#: points.
+DSE_SWEEP_AXES = {
+    "height": (4, 8),
+    "length": (4, 8),
+    "pipeline_regs": (2, 3),
+    "w_prefetch_lines": (1, 2),
+    "memory_latency": (0, 1, 2, 4, 8),
+    "tcdm_banks": (8, 16, 32, 64),
+    "precision": ("fp16", "fp8-e4m3"),
+}
+
+#: The ``runner dse-memory`` grid: 18 configurations x 12 environment points.
+DSE_MEMORY_AXES = {
+    "height": (2, 4, 8),
+    "length": (4, 8, 16),
+    "pipeline_regs": (2, 3),
+    "tcdm_banks": (8, 16, 32),
+    "memory_latency": (0, 4, 16, 64),
+}
+
+ENVIRONMENT = {"tcdm_banks": (8, 32), "memory_latency": (0, 4, 16)}
+
+ORACLE_CASES = {
+    "dse-sweep-grid": (DSE_SWEEP_AXES, "transformer-tiny", {}),
+    "offload": ({"height": (2, 4), "length": (4, 8), **ENVIRONMENT},
+                "mlp-tiny", {"offload_cycles_per_job": 50.0}),
+    "tiled": ({"height": (2, 4), "pipeline_regs": (2, 3), **ENVIRONMENT},
+              "autoencoder-b1",
+              {"tile": True, "tcdm_budget_bytes": 16 * 1024}),
+    "shapes": ({"height": (2, 4), "length": (4, 16), **ENVIRONMENT},
+               [GemmShape(8, 8, 8, "a"), GemmShape(4, 16, 4, "b"),
+                GemmShape(24, 40, 12, "c")], {}),
+    "z-queue-x-precision": ({"length": (4, 16), "z_queue_depth": (8, 16),
+                             "precision": ("fp16", "bf16", "fp8-e5m2"),
+                             **ENVIRONMENT}, "mlp-tiny", {}),
+    "one-point": ({"height": (4,)}, "mlp-tiny", {}),
+}
+
+
+class TestPerPointReference:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_records_equal_the_per_point_loop(self, case):
+        axes, workload, kwargs = ORACLE_CASES[case]
+        space = DesignSpace(axes)
+        result = sweep(space, workload, **kwargs)
+        expected, hits, misses = reference_sweep(space, workload, **kwargs)
+        assert len(result) == len(expected) == len(space)
+        assert [p.as_row() for p in result.points] == \
+            [p.as_row() for p in expected]
+        assert [p.point for p in result.points] == \
+            [p.point for p in expected]
+        assert (result.cache_hits, result.cache_misses) == (hits, misses)
+
+    def test_dse_memory_grid_is_pinned(self):
+        # Absolute values too: the reference shares the lowering, the farm
+        # and the area/energy models with sweep().
+        result = sweep(DesignSpace(DSE_MEMORY_AXES), "autoencoder-b1")
+        text = json.dumps([point.as_row() for point in result.points],
+                          sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "db602c6940dd18de9d81cc9615dac51c2a81f7135b7d38e5a907766caff8735d"
+        )
+        assert (len(result), result.cache_hits, result.cache_misses) == \
+            (216, 342, 180)
 
 
 class TestAnalyticFarmPolicy:
