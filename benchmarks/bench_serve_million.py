@@ -43,7 +43,6 @@ from repro.serve import (
     Request,
     RequestGenerator,
 )
-from repro.serve.scheduler import derive_precision_farm
 
 #: Headline request volume; CI smokes at 10^4 via the environment variable.
 N_REQUESTS = int(os.environ.get("SERVE_MILLION_REQUESTS", "1000000"))
@@ -93,7 +92,7 @@ def test_serve_million_event_loop(benchmark):
             report = single.simulate(
                 [Request(0, tenant.name, model.name, model.graph, 0,
                          precision=tenant.precision)])
-            timing_farm = (derive_precision_farm(farm, tenant.precision)
+            timing_farm = (farm.with_format(tenant.precision)
                            if tenant.precision else farm)
             program = model.graph.lower(config=timing_farm.config)
             serial = int(round(timing_farm.time_program(program).cycles))

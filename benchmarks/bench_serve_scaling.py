@@ -1,4 +1,4 @@
-"""Serving-scheduler scaling benchmark: throughput vs. cluster-pool size.
+"""Node-dispatch serving benchmark: throughput vs. cluster-pool size.
 
 A saturation burst of mixed-model requests (the three-tenant ``serve-mix``
 composition, scaled down) is served on growing cluster pools sharing one
@@ -6,7 +6,7 @@ simulation farm.  Two properties are asserted:
 
 * **scaling** -- simulated throughput (requests per simulated cycle) grows
   at least 3x from 1 to 4 clusters: the burst holds plenty of independent
-  requests, so the dependency-aware scheduler should keep all four
+  requests, so dependency-aware node dispatch should keep all four
   clusters busy (losses come only from critical-path tails);
 * **caching** -- after a warm-up run has memoised every distinct GEMM
   shape, the measured runs serve >90 % of their timing lookups from the
@@ -19,7 +19,7 @@ Wall-clock speed is tracked by ``pytest-benchmark`` on the 4-cluster run.
 from benchmarks.conftest import print_series, record_info
 from repro.farm import SimulationFarm
 from repro.graph import build_model
-from repro.serve import ModelSpec, RequestGenerator, ServingSimulator, TenantSpec
+from repro.serve import ContinuousServer, ModelSpec, RequestGenerator, TenantSpec
 
 #: Pool sizes of the scaling series.
 POOL_SIZES = (1, 2, 4)
@@ -60,23 +60,24 @@ def _tenants():
     )
 
 
+def _serve(pool, farm, requests):
+    return ContinuousServer(n_clusters=pool, farm=farm,
+                            node_dispatch=True).simulate(requests)
+
+
 def test_serve_throughput_scales_with_clusters(benchmark):
     farm = SimulationFarm(backend="model", max_workers=1)
     requests = RequestGenerator(_tenants(), seed=0).burst(PER_TENANT)
 
     # Warm-up: memoise every distinct shape of the request mix.
-    ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+    _serve(1, farm, requests)
 
     reports = {}
     for pool in POOL_SIZES:
         if pool == max(POOL_SIZES):
-            report = benchmark(
-                lambda pool=pool: ServingSimulator(n_clusters=pool,
-                                                   farm=farm).simulate(requests)
-            )
+            report = benchmark(lambda pool=pool: _serve(pool, farm, requests))
         else:
-            report = ServingSimulator(n_clusters=pool,
-                                      farm=farm).simulate(requests)
+            report = _serve(pool, farm, requests)
         reports[pool] = report
 
     print_series(
@@ -87,9 +88,9 @@ def test_serve_throughput_scales_with_clusters(benchmark):
             [
                 pool,
                 reports[pool].makespan_cycles,
-                reports[pool].throughput_per_mcycle,
+                reports[pool].completed * 1e6 / reports[pool].makespan_cycles,
                 reports[1].makespan_cycles / reports[pool].makespan_cycles,
-                100 * reports[pool].mean_utilisation,
+                100 * reports[pool].utilisation,
                 100 * reports[pool].cache_hit_rate,
             ]
             for pool in POOL_SIZES
@@ -115,5 +116,5 @@ def test_serve_throughput_scales_with_clusters(benchmark):
         "requests": len(requests),
         "speedup_1_to_4": speedup,
         "hit_rate": reports[max(POOL_SIZES)].cache_hit_rate,
-        "mean_utilisation_4c": reports[max(POOL_SIZES)].mean_utilisation,
+        "mean_utilisation_4c": reports[max(POOL_SIZES)].utilisation,
     })

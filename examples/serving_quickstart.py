@@ -4,10 +4,10 @@
 1. build a workload graph from the model zoo and inspect it (topology,
    critical path, lowered job stream);
 2. serve a burst of requests on one simulated cluster, then on four --
-   the dependency-aware scheduler overlaps independent requests and the
+   node dispatch overlaps independent graph nodes and requests, and the
    shape-keyed timing cache makes repeats nearly free;
 3. run a two-tenant Poisson scenario and print the full serving report
-   (p50/p95/p99 latency, throughput, per-cluster utilisation).
+   (p50/p95/p99 latency, throughput, pool utilisation).
 
 Run with:  python examples/serving_quickstart.py
 """
@@ -15,9 +15,9 @@ Run with:  python examples/serving_quickstart.py
 from repro import SimulationFarm
 from repro.graph import build_model
 from repro.serve import (
+    ContinuousServer,
     ModelSpec,
     RequestGenerator,
-    ServingSimulator,
     TenantSpec,
 )
 
@@ -52,16 +52,16 @@ def main() -> None:
     )
     generator = RequestGenerator([tenant], seed=0)
     burst = generator.burst(per_tenant=12)
-    single = ServingSimulator(n_clusters=1, farm=farm).simulate(
-        burst, scenario="burst-1c")
-    quad = ServingSimulator(n_clusters=4, farm=farm).simulate(
-        burst, scenario="burst-4c")
+    single = ContinuousServer(n_clusters=1, farm=farm,
+                              node_dispatch=True).simulate(burst)
+    quad = ContinuousServer(n_clusters=4, farm=farm,
+                            node_dispatch=True).simulate(burst)
     speedup = single.makespan_cycles / quad.makespan_cycles
     print(f"burst of {len(burst)} training-step requests:")
     print(f"  1 cluster : {single.makespan_cycles} cycles makespan")
     print(f"  4 clusters: {quad.makespan_cycles} cycles makespan "
           f"({speedup:.2f}x, mean utilisation "
-          f"{100 * quad.mean_utilisation:.0f}%)")
+          f"{100 * quad.utilisation:.0f}%)")
     print(f"  timing cache during the 4-cluster run: "
           f"{100 * quad.cache_hit_rate:.0f}% hits "
           f"(every shape was memoised by the 1-cluster run)")
@@ -77,8 +77,9 @@ def main() -> None:
             rps=200.0,
         ),
     )
-    stream = RequestGenerator(tenants, seed=1).generate(duration_s=0.05)
-    report = ServingSimulator(n_clusters=4, farm=farm).simulate(
+    stream = RequestGenerator(tenants, seed=1).stream(duration_s=0.05)
+    report = ContinuousServer(n_clusters=4, farm=farm,
+                              node_dispatch=True).simulate(
         stream, scenario="two-tenants")
     print(report.render())
 

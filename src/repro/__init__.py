@@ -32,8 +32,9 @@ Subpackages
     auto-encoder, transformer encoder, im2col conv, LSTM/GRU) and the
     lowering pass to dependency-annotated job streams.
 ``repro.serve``
-    Multi-tenant serving simulator: Poisson request generation and a
-    dependency-aware list scheduler over a pool of simulated clusters.
+    Multi-tenant serving simulator: streaming request generation and one
+    event loop serving a pool of simulated clusters, request by request or
+    node by node.
 ``repro.perf`` / ``repro.experiments``
     Metrics, the Table I comparison and one driver per paper table/figure.
 
@@ -87,10 +88,10 @@ from repro.graph import (
 )
 from repro.power import AreaModel, ClusterAreaModel, EnergyModel
 from repro.serve import (
+    ContinuousReport,
+    ContinuousServer,
     ModelSpec,
     RequestGenerator,
-    ServeReport,
-    ServingSimulator,
     TenantSpec,
 )
 from repro.sw import SoftwareBaseline
@@ -105,6 +106,8 @@ __all__ = [
     "FORMATS",
     "ClusterAreaModel",
     "ClusterConfig",
+    "ContinuousReport",
+    "ContinuousServer",
     "DesignSpace",
     "ElementwiseNode",
     "EnergyModel",
@@ -126,8 +129,6 @@ __all__ = [
     "RedMulEResult",
     "RequestGenerator",
     "RoundingMode",
-    "ServeReport",
-    "ServingSimulator",
     "SimulationFarm",
     "SoftwareBaseline",
     "SweepResult",

@@ -20,8 +20,8 @@ driver         paper result
 =============  =======================================================
 
 Beyond the paper, the ``serve-mlp`` / ``serve-mix`` scenarios run
-multi-tenant request traffic through the dependency-aware serving
-scheduler (:mod:`repro.experiments.serve`), parameterised from the CLI via
+multi-tenant request traffic through node-granular dispatch on the serving
+loop (:mod:`repro.experiments.serve`), parameterised from the CLI via
 ``--clusters`` and ``--rps``.
 """
 

@@ -27,11 +27,10 @@ roadmap's serving ambitions:
   FP16 block whose KV-cache reads run FP8 via per-node precision
   overrides.
 
-The first two run Poisson arrivals through the dependency-aware list
-scheduler on a pool of simulated clusters and return a
-:class:`~repro.serve.report.ServeReport`; ``serve-million`` and
-``serve-decode`` return a
-:class:`~repro.serve.report.ContinuousReport`.  The runner CLI
+All four run on :class:`~repro.serve.loop.ContinuousServer` and return a
+:class:`~repro.serve.report.ContinuousReport`; the first two serve Poisson
+arrivals with node dispatch (dependency-aware list scheduling of each
+request's graph nodes) on a pool of simulated clusters.  The runner CLI
 parameterises them through :func:`set_serve_defaults` (``--clusters`` /
 ``--rps``), :func:`set_serve_million_defaults` (``--duration`` /
 ``--arrival`` / ``--autoscale`` / ``--slo-p99-ms``) and
@@ -53,8 +52,6 @@ from repro.serve import (
     ContinuousServer,
     ModelSpec,
     RequestGenerator,
-    ServeReport,
-    ServingSimulator,
     TenantSpec,
 )
 from repro.graph.zoo import build_model
@@ -113,11 +110,14 @@ def set_serve_defaults(clusters: Optional[int] = None,
     _DEFAULT_RPS_OVERRIDE = rps
 
 
-def _resolve(clusters: Optional[int], rps: Optional[float]):
+def _resolve(clusters: Optional[int], rps: Optional[float],
+             default_rps: float = DEFAULT_RPS):
+    """Explicit arguments win, then the CLI overrides, then the defaults
+    (``default_rps`` is the scenario's own rate)."""
     if clusters is None:
         clusters = _DEFAULT_CLUSTERS_OVERRIDE or DEFAULT_CLUSTERS
     if rps is None:
-        rps = _DEFAULT_RPS_OVERRIDE or DEFAULT_RPS
+        rps = _DEFAULT_RPS_OVERRIDE or default_rps
     return clusters, rps
 
 
@@ -179,16 +179,17 @@ def set_serve_decode_defaults(
 
 
 def _simulate(tenants, clusters: int, duration_s: float, seed: int,
-              scenario: str, farm: Optional[SimulationFarm]) -> ServeReport:
+              scenario: str,
+              farm: Optional[SimulationFarm]) -> ContinuousReport:
     farm = farm if farm is not None else default_farm()
     generator = RequestGenerator(tenants, seed=seed)
-    requests = generator.generate(duration_s)
     # The analytical backend keeps the scenarios closed-form fast; every
     # distinct shape is still memoised in the shared farm cache.
-    simulator = ServingSimulator(n_clusters=clusters, farm=farm,
-                                 backend=BACKEND_MODEL,
-                                 frequency_hz=generator.frequency_hz)
-    return simulator.simulate(requests, scenario=scenario)
+    server = ContinuousServer(n_clusters=clusters, farm=farm,
+                              backend=BACKEND_MODEL,
+                              frequency_hz=generator.frequency_hz,
+                              node_dispatch=True)
+    return server.simulate(generator.stream(duration_s), scenario=scenario)
 
 
 def serve_mlp(
@@ -197,7 +198,7 @@ def serve_mlp(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     farm: Optional[SimulationFarm] = None,
-) -> ServeReport:
+) -> ContinuousReport:
     """Single-tenant auto-encoder serving (batch-1 : batch-16 mixed 3:1)."""
     clusters, rps = _resolve(clusters, rps)
     tenant = TenantSpec(
@@ -219,7 +220,7 @@ def serve_mix(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     farm: Optional[SimulationFarm] = None,
-) -> ServeReport:
+) -> ContinuousReport:
     """Three tenants, heterogeneous model mix, shared pool and cache."""
     clusters, rps = _resolve(clusters, rps)
     tenants = (
@@ -326,9 +327,7 @@ def serve_million(
         autoscale = bool(_MILLION_AUTOSCALE_OVERRIDE)
     if slo_p99_ms is None:
         slo_p99_ms = _MILLION_SLO_P99_MS_OVERRIDE
-    clusters, rps = _resolve(clusters, rps)
-    if rps == DEFAULT_RPS and _DEFAULT_RPS_OVERRIDE is None:
-        rps = DEFAULT_MILLION_RPS
+    clusters, rps = _resolve(clusters, rps, DEFAULT_MILLION_RPS)
 
     farm = farm if farm is not None else default_farm()
     generator = RequestGenerator(million_tenants(rps), seed=seed)
@@ -406,9 +405,7 @@ def serve_decode(
         decode_steps = _DECODE_STEPS_OVERRIDE or DEFAULT_DECODE_STEPS
     if batch_cap is None:
         batch_cap = _DECODE_BATCH_CAP_OVERRIDE or DEFAULT_DECODE_BATCH_CAP
-    clusters, rps = _resolve(clusters, rps)
-    if rps == DEFAULT_RPS and _DEFAULT_RPS_OVERRIDE is None:
-        rps = DEFAULT_DECODE_RPS
+    clusters, rps = _resolve(clusters, rps, DEFAULT_DECODE_RPS)
 
     farm = farm if farm is not None else default_farm()
     sessions = decode_session_classes(prefill, decode_steps)

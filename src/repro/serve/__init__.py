@@ -7,14 +7,15 @@ latency, for which tenant mix?
 * :mod:`repro.serve.requests` -- tenants, per-tenant model mixes, and the
   deterministic streaming request generator (Poisson, diurnal and bursty
   MMPP arrival processes, lazily merged across tenants);
-* :mod:`repro.serve.scheduler` -- the event-driven, dependency-aware list
-  scheduler dispatching ready graph nodes onto free clusters, with a
-  per-program service-time memo so warm models never re-enter the farm;
-* :mod:`repro.serve.loop` -- the continuous request-granularity serving
-  loop: SLO-aware admission control with tenant fairness, queue/p99-driven
-  autoscaling pools, online precision routing, and continuous batching of
-  LLM decode sessions (join/leave at step boundaries), sustaining 10^6+
-  simulated requests at interactive wall-clock;
+* :mod:`repro.serve.loop` -- the serving engine, one event loop with a
+  per-(graph, precision) service-time memo so warm models never re-enter
+  the farm.  It serves requests atomically -- with SLO-aware admission
+  control and tenant fairness, queue/p99-driven autoscaling pools, online
+  precision routing, and continuous batching of LLM decode sessions
+  (join/leave at step boundaries), sustaining 10^6+ simulated requests at
+  interactive wall-clock -- or, with ``node_dispatch=True``, by
+  dependency-aware list scheduling of each request's graph nodes onto free
+  clusters;
 * :mod:`repro.serve.report` -- latency percentiles (p50/p95/p99) via exact
   or streaming (reservoir / P-square) estimators, throughput, utilisation
   and per-tenant breakdowns.
@@ -31,7 +32,6 @@ from repro.serve.report import (
     P2Quantile,
     ReservoirSampler,
     ServePoolStats,
-    ServeReport,
     StreamingLatencyStats,
     TenantReport,
     percentile,
@@ -48,7 +48,6 @@ from repro.serve.requests import (
     decode_burst,
     decode_session_stream,
 )
-from repro.serve.scheduler import ScheduledNode, ServingSimulator
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -65,10 +64,7 @@ __all__ = [
     "Request",
     "RequestGenerator",
     "ReservoirSampler",
-    "ScheduledNode",
     "ServePoolStats",
-    "ServeReport",
-    "ServingSimulator",
     "StreamingLatencyStats",
     "TenantReport",
     "TenantSpec",

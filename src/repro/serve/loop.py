@@ -1,27 +1,36 @@
 """Continuous serving loop: admission, autoscaling, precision routing.
 
-:class:`ContinuousServer` is the production-shaped counterpart of the
-node-granular :class:`~repro.serve.scheduler.ServingSimulator`: one event
-heap of arrival / completion / provision / autoscale-evaluation events, no
-global waves, and a request stream that is consumed lazily -- the loop holds
-O(in-flight + queued) state plus a fixed-size buffer of completion
-latencies (folded into the streaming statistics when full and at
+:class:`ContinuousServer` serves a stream of requests on a pool of
+simulated clusters: one event heap of completion / step / provision /
+autoscale-evaluation events, and a request stream that is consumed lazily --
+the loop holds O(in-flight + queued) state plus a fixed-size buffer of
+completion latencies (folded into the streaming statistics when full and at
 ``finalize``) no matter how many million requests the traffic window
 contains; the generator's windowed merge adds O(tenants x 512).
 
-Requests are served as atomic units: a request occupies one cluster for its
-graph's *serial* service time, which the loop memoises per (graph,
-precision) -- the first request of a model/precision pair sends every
-accelerator job through the farm in one batched call, every later request
-resolves in a dictionary lookup and never touches the farm.  By
-construction that service time equals
-``SimulationFarm.time_program(program, offload)`` rounded to a cycle, so
-the wave scheduler's conservation law (one cluster x one request makespan
-== serial farm timing) holds on the continuous loop too, and is pinned by
-the test suite.  Intra-request node parallelism remains the wave-free
-:class:`ServingSimulator`'s department.
+Every request's graph is timed once per (graph, effective precision): the
+first request of a model/precision pair sends every accelerator job through
+the farm in one batched call, every later request resolves in a dictionary
+lookup and never touches the farm.  The memo serves two dispatch modes:
 
-On top of the loop sit the production concerns it unlocks:
+* **atomic** (the default): a request occupies one cluster for its graph's
+  *serial* service time, which by construction equals
+  ``SimulationFarm.time_program(program, offload)`` rounded to a cycle --
+  the conservation law (one cluster x one request makespan == serial farm
+  timing), pinned by the test suite;
+* **node dispatch** (``node_dispatch=True``): dependency-aware list
+  scheduling of each request's lowered DAG.  A node becomes ready once its
+  request has arrived and its dependencies have completed; GEMM nodes take
+  idle clusters oldest-first (by arrival, admission index, topological
+  index), elementwise nodes run on the host cores and never occupy a
+  cluster.  Time advances in *passes*: a pass handles every completion and
+  then every arrival at its cycle before it dispatches anything, and work
+  started at zero cost completes in the next pass at the same cycle.  With
+  one cluster and one request this is serial execution, so the
+  conservation law holds here too.
+
+On top of the loop sit the production concerns it unlocks (all but
+precision routing in the atomic mode only):
 
 * **admission control** (:class:`AdmissionPolicy`): bounded queue,
   per-tenant fairness caps, and SLO-aware rejection (refuse a request whose
@@ -53,9 +62,11 @@ On top of the loop sit the production concerns it unlocks:
   construction and is pinned per precision by the test suite.
 
 The loop is instrumented through :mod:`repro.obs`: per-request lifecycle
-spans stamped in *simulated* cycles on per-cluster-lane tracks (attrs:
-tenant, model/precision, queue wait), shed/autoscale decision events,
-and queue-depth / in-flight / pool-size gauges.  The telemetry is
+spans (per-node spans under node dispatch, host nodes as instants on lane
+``host``) stamped in *simulated* cycles on per-cluster lanes of the
+``serve`` track (attrs: tenant, model/precision, queue wait),
+shed/autoscale decision events, and queue-depth / in-flight / pool-size
+gauges.  The telemetry is
 captured at construction (``telemetry=`` parameter, defaulting to the
 process-wide :func:`repro.obs.active`); with the default
 :data:`~repro.obs.NULL_TELEMETRY` every hook is a single attribute
@@ -92,14 +103,17 @@ from repro.serve.requests import DEFAULT_FREQUENCY_HZ, Request
 #: Event kinds, ordered so capacity freed or provisioned at cycle t serves
 #: an arrival at the same cycle: completions first, then decode step
 #: boundaries (which may free a cluster too), then provisions, then
-#: autoscale evaluations.  Arrivals are not heap events at all -- ``offer``
-#: pumps the heap up to (and including) the arrival cycle first, which
-#: yields exactly the same ordering without a push/pop round-trip per
-#: request on the hot path.
+#: autoscale evaluations.  Atomic arrivals are not heap events at all --
+#: ``offer`` pumps the heap up to (and including) the arrival cycle first,
+#: which yields exactly the same ordering without a push/pop round-trip per
+#: request on the hot path.  Under node dispatch an arrival is an event
+#: that sorts after the completions of its cycle, and node completions are
+#: ``_EVENT_COMPLETION`` events.
 _EVENT_COMPLETION = 0
 _EVENT_STEP = 1
 _EVENT_PROVISION = 2
 _EVENT_EVAL = 3
+_EVENT_ARRIVAL = 4
 
 #: ``drain()``'s pump limit: beyond any schedulable cycle.
 _FOREVER = 1 << 62
@@ -200,6 +214,66 @@ class AutoscalePolicy:
             raise ValueError("window must be at least 8")
 
 
+class _ProgramCosts:
+    """Service-time memo of one (graph, effective precision).
+
+    Filled from one batched farm run over the lowered program's jobs.
+    ``serial`` is an atomic request's service: every node's cycles summed
+    unrounded, then rounded once.  ``cycles`` holds each node's own cost,
+    rounded -- a GEMM node's jobs plus their offload charge, or an
+    elementwise node's host-core cycles -- and ``gemm``, ``deps`` and
+    ``dependents`` index the DAG for node dispatch.
+    """
+
+    __slots__ = ("program", "serial", "cycles", "gemm", "deps", "dependents")
+
+    def __init__(self, program: LoweredProgram, results: list,
+                 offload_cycles_per_job: float,
+                 elementwise_cycles_per_element: float) -> None:
+        self.program = program
+        self.cycles: List[int] = []
+        total = 0.0
+        offset = 0
+        for node in program.nodes:
+            if node.is_gemm:
+                accelerator = sum(result.cycles for result in
+                                  results[offset:offset + node.n_jobs])
+                offload = offload_cycles_per_job * node.n_jobs
+                total += accelerator
+                total += offload
+                self.cycles.append(int(round(accelerator + offload)))
+                offset += node.n_jobs
+            else:
+                host = elementwise_cycles_per_element * node.elements
+                total += host
+                self.cycles.append(int(round(host)))
+        self.serial = int(round(total))
+        self.gemm = [node.is_gemm for node in program.nodes]
+        self.deps = [len(node.deps) for node in program.nodes]
+        index_of = {node.name: i for i, node in enumerate(program.nodes)}
+        self.dependents: List[List[int]] = [[] for _ in program.nodes]
+        for i, node in enumerate(program.nodes):
+            for dep in node.deps:
+                self.dependents[index_of[dep]].append(i)
+
+
+class _NodeRequest:
+    """A request in flight under node dispatch: ``waiting`` counts each
+    node's unfinished dependencies, ``unfinished`` the request's nodes not
+    yet complete, and ``index`` is its admission order (the ready-queue
+    tie-break after the arrival cycle)."""
+
+    __slots__ = ("request", "costs", "index", "waiting", "unfinished")
+
+    def __init__(self, request: Request, costs: _ProgramCosts,
+                 index: int) -> None:
+        self.request = request
+        self.costs = costs
+        self.index = index
+        self.waiting = list(costs.deps)
+        self.unfinished = len(costs.deps)
+
+
 class _DecodeCosts:
     """Step-cost memo of one (block spec, effective precision).
 
@@ -288,11 +362,23 @@ class ContinuousServer:
     simulations; :meth:`simulate` wraps it for the common stream-in,
     report-out case.
 
-    Parameters mirror :class:`ServingSimulator` where they overlap;
-    ``admission`` and ``autoscaler`` are optional policies (both default
-    to off: unbounded queue, fixed pool).  ``batch_cap`` bounds how many
-    decode sessions may share one cluster's batched steps (1 = no
-    cross-request batching: every session steps alone).
+    ``farm`` is the timing service shared by the pool (default: the
+    process-wide :func:`repro.farm.default_farm` of ``config``) and
+    ``backend`` an optional per-call farm backend override.
+    ``offload_cycles_per_job`` is the core-side cost charged per
+    accelerator job and ``elementwise_cycles_per_element`` the host-core
+    cost of elementwise nodes (0 models them as hidden behind accelerator
+    work).  ``admission`` and ``autoscaler`` are optional policies (both
+    default to off: unbounded queue, fixed pool).  ``batch_cap`` bounds how
+    many decode sessions may share one cluster's batched steps (1 = no
+    cross-request batching: every session steps alone).  ``stats_mode`` /
+    ``reservoir_size`` choose the latency estimator (see
+    :class:`~repro.serve.report.StreamingLatencyStats`).
+
+    ``node_dispatch`` switches from atomic requests to node-granular list
+    scheduling of each request's DAG (see the module docstring).  It serves
+    graph requests on a fixed pool: it takes no admission policy, no
+    autoscaler and no decode sessions.
     """
 
     def __init__(
@@ -311,7 +397,13 @@ class ContinuousServer:
         keep_latencies: bool = False,
         batch_cap: int = 1,
         telemetry=None,
+        *,
+        node_dispatch: bool = False,
     ) -> None:
+        if node_dispatch and (admission is not None
+                              or autoscaler is not None):
+            raise ValueError("node dispatch runs a fixed pool without "
+                             "admission control or autoscaling")
         if n_clusters < 1:
             raise ValueError("the pool needs at least one cluster")
         if frequency_hz <= 0:
@@ -327,6 +419,7 @@ class ContinuousServer:
         if batch_cap < 1:
             raise ValueError("batch_cap must be at least 1")
         self.batch_cap = batch_cap
+        self.node_dispatch = node_dispatch
         self.farm = farm if farm is not None else default_farm(config)
         self.backend = backend
         self.frequency_hz = frequency_hz
@@ -361,6 +454,12 @@ class ContinuousServer:
         self.decode_batched_steps = 0
         self._decode_occupancy_sum = 0
         self.decode_max_occupancy = 0
+        # -- node-dispatch state ---------------------------------------------
+        #: Ready nodes as (arrival, admission index, topological index,
+        #: request) heaps: GEMM nodes wait for a cluster, host nodes start
+        #: in the pass that readies them.
+        self._ready_gemm: List[Tuple[int, int, int, _NodeRequest]] = []
+        self._ready_host: List[Tuple[int, int, int, _NodeRequest]] = []
 
         # -- clock / events --------------------------------------------------
         self._events: List[Tuple[int, int, int, object]] = []
@@ -371,12 +470,11 @@ class ContinuousServer:
         self._eval_scheduled = False
 
         # -- timing services -------------------------------------------------
-        self._programs: Dict[Tuple[WorkloadGraph, str], LoweredProgram] = {}
-        #: (graph, effective precision) -> serial service cycles.
-        self._service: Dict[Tuple[WorkloadGraph, str], int] = {}
-        #: Hot-path alias of ``_service`` keyed by the *requested* (graph,
-        #: precision) pair, so the common case resolves in one dict lookup
-        #: without re-deriving the effective precision.
+        #: (graph, effective precision) -> its service-time memo.
+        self._programs: Dict[Tuple[WorkloadGraph, str], _ProgramCosts] = {}
+        #: Hot-path alias of the serial service keyed by the *requested*
+        #: (graph, precision) pair, so the common atomic case resolves in
+        #: one dict lookup without re-deriving the effective precision.
         self._service_fast: Dict[Tuple[WorkloadGraph, Optional[str]],
                                  int] = {}
         #: (block spec, effective precision) -> its step-cost memo.  A full
@@ -450,7 +548,8 @@ class ContinuousServer:
 
     @property
     def in_flight(self) -> int:
-        """Cluster-occupying units in flight (a decode group counts once)."""
+        """Cluster-occupying units in flight: requests, decode groups (one
+        each), or under node dispatch GEMM nodes."""
         return self._in_flight
 
     @property
@@ -479,36 +578,29 @@ class ContinuousServer:
         per (graph, precision) primes the memo through one batched farm
         run; later calls are dictionary lookups.
         """
+        return self._program_costs(graph, precision).serial
+
+    def _program_costs(self, graph: WorkloadGraph,
+                       precision: Optional[str]) -> _ProgramCosts:
+        """The memo entry of ``graph`` at the request's effective
+        precision, timed through that precision's farm on a miss."""
         effective = (graph.precision or precision
                      or self.farm.config.format)
         key = (graph, effective)
-        cycles = self._service.get(key)
-        if cycles is not None:
+        costs = self._programs.get(key)
+        if costs is not None:
             self.memo_hits += 1
-            return cycles
+            return costs
         self.memo_misses += 1
         farm = self.farm.with_format(effective)
-        program = self._programs.get(key)
-        if program is None:
-            program = graph.lower(config=farm.config)
-            self._programs[key] = program
+        program = graph.lower(config=farm.config)
         jobs = [job for node in program.nodes for job in node.jobs]
         results = farm.run(jobs, backend=self.backend) if jobs else []
         self._jobs_timed += len(jobs)
-        total = 0.0
-        offset = 0
-        for node in program.nodes:
-            if node.is_gemm:
-                total += sum(result.cycles for result in
-                             results[offset:offset + node.n_jobs])
-                total += self.offload_cycles_per_job * node.n_jobs
-                offset += node.n_jobs
-            else:
-                total += (self.elementwise_cycles_per_element
-                          * node.elements)
-        cycles = int(round(total))
-        self._service[key] = cycles
-        return cycles
+        costs = self._programs[key] = _ProgramCosts(
+            program, results, self.offload_cycles_per_job,
+            self.elementwise_cycles_per_element)
+        return costs
 
     # -- decode step costing -------------------------------------------------
     def _decode_effective(self, precision: Optional[str]) -> str:
@@ -1041,6 +1133,110 @@ class ContinuousServer:
             else:
                 self._evaluate_scaling()
 
+    # -- node dispatch -------------------------------------------------------
+    def _offer_nodes(self, request: Request) -> bool:
+        """Node-dispatch ``offer``: run every pass before the arrival, then
+        queue the request as an arrival event of its cycle's pass."""
+        if request.decode is not None:
+            raise ValueError("node dispatch serves graph requests; decode "
+                             "sessions need the atomic mode")
+        arrival = request.arrival_cycle
+        self._node_passes(arrival)
+        self._now = arrival
+        self._last_offer = arrival
+        self.offered += 1
+        self.admitted += 1
+        if self._obs.enabled:
+            self._obs.count("serve.admitted")
+        costs = self._program_costs(request.graph, request.precision)
+        self._push(arrival, _EVENT_ARRIVAL,
+                   _NodeRequest(request, costs, self.admitted))
+        return True
+
+    def _node_passes(self, stop: int) -> None:
+        """Run every node-dispatch pass at a cycle below ``stop``.
+
+        A pass handles every completion and then every arrival at its
+        cycle, starts the ready host nodes, and hands idle clusters to the
+        oldest ready GEMM nodes.
+        """
+        events = self._events
+        heappop = heapq.heappop
+        ready_gemm = self._ready_gemm
+        ready_host = self._ready_host
+        while events and events[0][0] < stop:
+            now = self._now = events[0][0]
+            while events and events[0][0] <= now:
+                _, kind, _, payload = heappop(events)
+                if kind == _EVENT_ARRIVAL:
+                    if not payload.unfinished:  # a graph without nodes
+                        self._node_request_done(payload)
+                    for node, waiting in enumerate(payload.waiting):
+                        if not waiting:
+                            self._node_ready(payload, node)
+                    continue
+                state, node, lane = payload
+                costs = state.costs
+                if costs.gemm[node]:
+                    self._idle += 1
+                    self._in_flight -= 1
+                    if self._obs.enabled:
+                        heapq.heappush(self._obs_lanes, lane)
+                waiting = state.waiting
+                for dependent in costs.dependents[node]:
+                    waiting[dependent] -= 1
+                    if not waiting[dependent]:
+                        self._node_ready(state, dependent)
+                state.unfinished -= 1
+                if not state.unfinished:
+                    self._node_request_done(state)
+            while ready_host:
+                _, _, node, state = heappop(ready_host)
+                self._start_node(state, node)
+            while self._idle and ready_gemm:
+                _, _, node, state = heappop(ready_gemm)
+                self._start_node(state, node)
+
+    def _node_ready(self, state: _NodeRequest, node: int) -> None:
+        heapq.heappush(
+            self._ready_gemm if state.costs.gemm[node] else self._ready_host,
+            (state.request.arrival_cycle, state.index, node, state))
+
+    def _start_node(self, state: _NodeRequest, node: int) -> None:
+        """Start a ready node now: a GEMM node on an idle cluster, an
+        elementwise node on the host cores."""
+        now = self._now
+        end = now + state.costs.cycles[node]
+        gemm = state.costs.gemm[node]
+        lane = -1
+        if gemm:
+            self._idle -= 1
+            self._in_flight += 1
+            self._busy_cycles += end - now
+        obs = self._obs
+        if obs.enabled:
+            request = state.request
+            name = state.costs.program.nodes[node].name
+            if gemm:
+                lane = self._obs_claim_lane()
+                obs.complete_span(
+                    name, now, end, track="serve", lane=f"cluster{lane}",
+                    cat="node", request_id=request.request_id,
+                    tenant=request.tenant)
+            else:
+                obs.instant(
+                    name, ts=now, track="serve", lane="host", cat="node",
+                    duration=end - now, request_id=request.request_id,
+                    tenant=request.tenant)
+        self._push(end, _EVENT_COMPLETION, (state, node, lane))
+
+    def _node_request_done(self, state: _NodeRequest) -> None:
+        self._last_completion = self._now
+        latency = self._record_completion(state.request)
+        if self._obs.enabled:
+            self._obs.count("serve.completed")
+            self._obs.observe("serve.latency_cycles", latency)
+
     # -- public API ----------------------------------------------------------
     def offer(self, request: Request) -> bool:
         """Offer one request at its arrival cycle; True if admitted.
@@ -1058,6 +1254,8 @@ class ContinuousServer:
             raise ValueError(
                 f"cannot offer a request at past cycle {arrival} "
                 f"(clock is at {self._now})")
+        if self.node_dispatch:
+            return self._offer_nodes(request)
         self._last_offer = arrival
         self.offered += 1
         # Catch the clock up to the arrival before deciding admission, so
@@ -1118,18 +1316,25 @@ class ContinuousServer:
         return True
 
     def run_until(self, cycle: int) -> None:
-        """Advance the loop (and the clock) to ``cycle``."""
+        """Advance the loop (and the clock) to ``cycle``, processing every
+        event (under node dispatch: every pass) at or before it."""
         if cycle < self._now:
             raise ValueError(f"cannot run backwards to {cycle} "
                              f"(clock is at {self._now})")
-        self._pump(cycle)
+        if self.node_dispatch:
+            self._node_passes(cycle + 1)
+        else:
+            self._pump(cycle)
         self._advance_pool_integral(cycle)
         self._now = cycle
 
     def drain(self) -> None:
         """Run every remaining event (autoscaler evaluations stop arming
         themselves once no work is left, so this terminates)."""
-        self._pump(_FOREVER)
+        if self.node_dispatch:
+            self._node_passes(_FOREVER)
+        else:
+            self._pump(_FOREVER)
 
     def finalize(self, scenario: str = "serve-continuous") -> ContinuousReport:
         """Snapshot the run as a :class:`ContinuousReport` (folding the
@@ -1181,9 +1386,9 @@ class ContinuousServer:
                  scenario: str = "serve-continuous") -> ContinuousReport:
         """Stream requests through the loop, drain, and report.
 
-        ``requests`` is consumed lazily -- pair it with
-        :meth:`RequestGenerator.stream` to serve million-request windows in
-        O(in-flight) memory.
+        ``requests`` must be arrival-ordered (it is not sorted) and is
+        consumed lazily -- pair it with :meth:`RequestGenerator.stream` to
+        serve million-request windows in O(in-flight) memory.
         """
         offer = self.offer
         for request in requests:

@@ -366,108 +366,6 @@ class TenantReport:
 
 
 @dataclass
-class ServeReport:
-    """Outcome of one serving simulation."""
-
-    scenario: str
-    n_clusters: int
-    frequency_hz: float
-    #: Last completion cycle (0 when nothing ran).
-    makespan_cycles: int
-    completed: int
-    latency: LatencyStats
-    tenants: Dict[str, TenantReport]
-    #: Busy cycles per cluster, index-aligned with the pool.
-    busy_cycles: List[int]
-    #: Accelerator jobs dispatched / served from the timing cache.
-    jobs_timed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Per-model completion counts.
-    models: Dict[str, int] = field(default_factory=dict)
-
-    # -- derived -------------------------------------------------------------
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per wall-clock second over the makespan."""
-        if self.makespan_cycles <= 0:
-            return 0.0
-        return self.completed / (self.makespan_cycles / self.frequency_hz)
-
-    @property
-    def throughput_per_mcycle(self) -> float:
-        """Completed requests per million cycles (frequency-independent)."""
-        if self.makespan_cycles <= 0:
-            return 0.0
-        return self.completed * 1e6 / self.makespan_cycles
-
-    @property
-    def utilisation(self) -> List[float]:
-        """Per-cluster busy fraction of the makespan."""
-        if self.makespan_cycles <= 0:
-            return [0.0 for _ in self.busy_cycles]
-        return [busy / self.makespan_cycles for busy in self.busy_cycles]
-
-    @property
-    def mean_utilisation(self) -> float:
-        """Pool-wide mean busy fraction."""
-        utilisation = self.utilisation
-        if not utilisation:
-            return 0.0
-        return sum(utilisation) / len(utilisation)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Timing-cache hit rate over this simulation's lookups."""
-        lookups = self.cache_hits + self.cache_misses
-        if lookups == 0:
-            return 0.0
-        return self.cache_hits / lookups
-
-    # -- rendering -----------------------------------------------------------
-    def render(self) -> str:
-        """Multi-line human-readable report."""
-        lines = [
-            f"serving scenario {self.scenario}: {self.completed} requests on "
-            f"{self.n_clusters} cluster(s), makespan "
-            f"{self.makespan_cycles} cycles "
-            f"({self.makespan_cycles / self.frequency_hz * 1e3:.2f} ms at "
-            f"{self.frequency_hz / 1e6:.0f} MHz)",
-            f"  throughput : {self.throughput_rps:.1f} req/s "
-            f"({self.throughput_per_mcycle:.3f} req/Mcycle)",
-            f"  latency    : p50 {self.latency.p50:.0f}  "
-            f"p95 {self.latency.p95:.0f}  p99 {self.latency.p99:.0f}  "
-            f"max {self.latency.max:.0f} cycles",
-            "  utilisation: "
-            + "  ".join(f"c{index}={100 * value:.1f}%"
-                        for index, value in enumerate(self.utilisation))
-            + f"  (mean {100 * self.mean_utilisation:.1f}%)",
-            f"  farm       : {self.jobs_timed} jobs timed, "
-            f"{self.cache_hits} hits / {self.cache_misses} misses "
-            f"({100 * self.cache_hit_rate:.1f}% hit rate)",
-        ]
-        if self.models:
-            mix = ", ".join(f"{name}: {count}"
-                            for name, count in sorted(self.models.items()))
-            lines.append(f"  models     : {mix}")
-        if self.tenants:
-            table = TextTable(["tenant", "requests", "p50", "p95", "p99",
-                               "mean", "req/s"])
-            for name in sorted(self.tenants):
-                tenant = self.tenants[name]
-                table.add_row([
-                    name, tenant.completed, tenant.latency.p50,
-                    tenant.latency.p95, tenant.latency.p99,
-                    tenant.latency.mean,
-                    tenant.throughput_rps(self.makespan_cycles,
-                                          self.frequency_hz),
-                ])
-            lines.append("  per tenant (latency in cycles):")
-            lines.extend("    " + line for line in table.render().splitlines())
-        return "\n".join(lines)
-
-
-@dataclass
 class ServePoolStats:
     """Cluster-pool shape over one continuous serving run."""
 
@@ -486,12 +384,11 @@ class ServePoolStats:
 
 @dataclass
 class ContinuousReport:
-    """Outcome of one continuous (streaming) serving run.
+    """Outcome of one serving run.
 
-    The continuous loop's counterpart of :class:`ServeReport`: requests are
-    admitted or rejected at arrival, the pool may resize mid-run, and the
-    latency distribution is tracked by a streaming estimator rather than a
-    kept-everything sort.
+    Requests are admitted or rejected at arrival, the pool may resize
+    mid-run, and the latency distribution is tracked by a streaming
+    estimator rather than a kept-everything sort.
     """
 
     scenario: str

@@ -445,9 +445,9 @@ class TestServeMixedPrecision:
     def test_mixed_precision_serving_routes_per_format_farms(self):
         from repro.graph.zoo import build_model
         from repro.serve import (
+            ContinuousServer,
             ModelSpec,
             RequestGenerator,
-            ServingSimulator,
             TenantSpec,
         )
 
@@ -459,14 +459,15 @@ class TestServeMixedPrecision:
                        rps=1000.0),
         )
         generator = RequestGenerator(tenants, seed=0)
-        simulator = ServingSimulator(n_clusters=2, backend="model")
-        report = simulator.simulate(generator.generate(0.02), "mixed")
+        server = ContinuousServer(n_clusters=2, backend="model",
+                                  node_dispatch=True)
+        report = server.simulate(generator.generate(0.02), "mixed")
         assert report.completed > 0
         assert set(report.tenants) == {"fp16", "fp8"}
-        # Both precision farms were exercised and share one cache.
-        assert set(simulator._farms) >= {"fp16", "fp8-e4m3"}
-        assert (simulator._farms["fp8-e4m3"].cache
-                is simulator.farm.cache)
+        # Both precisions were served, and the derived farm shares the
+        # base farm's cache.
+        assert {key[1] for key in server._programs} == {"fp16", "fp8-e4m3"}
+        assert server.farm.with_format("fp8-e4m3").cache is server.farm.cache
 
 
 class TestServeSatelliteRegressions:

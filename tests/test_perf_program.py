@@ -6,7 +6,7 @@ from repro.farm import BACKEND_MODEL, SimulationFarm
 from repro.graph.zoo import autoencoder_training_graph, mlp_training_graph
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.serve.scheduler import ServingSimulator
+from repro.serve import ContinuousServer
 from repro.serve.requests import Request
 
 
@@ -66,8 +66,8 @@ class TestEstimateProgram:
                                                 offload_cycles_per_job=-1)
 
     def test_single_cluster_serve_makespan_equals_serial_estimate(self):
-        """The estimator's conservation law: the serving scheduler with one
-        cluster and one request reproduces the analytic serial time."""
+        """The estimator's conservation law: node dispatch with one cluster
+        and one request reproduces the analytic serial time."""
         config = RedMulEConfig.reference()
         graph = autoencoder_training_graph(batch=4)
         program = graph.lower(config=config)
@@ -75,8 +75,9 @@ class TestEstimateProgram:
 
         farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
                               max_workers=1)
-        simulator = ServingSimulator(n_clusters=1, farm=farm)
-        report = simulator.simulate([
+        server = ContinuousServer(n_clusters=1, farm=farm,
+                                  node_dispatch=True)
+        report = server.simulate([
             Request(request_id=0, tenant="t", model="ae", graph=graph,
                     arrival_cycle=0)
         ])

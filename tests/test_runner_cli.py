@@ -378,3 +378,22 @@ class TestObservabilityFlags:
                             lambda: seen.append(active().enabled) or "stub")
         runner.main(["fig3a"])
         assert seen == [False]
+
+
+class TestScenarioRates:
+    """An explicit rate always wins; the scenario's own default applies
+    only when no rate is given and no ``--rps`` override is set."""
+
+    @pytest.mark.parametrize("scenario", ["serve_million", "serve_decode"])
+    def test_explicit_default_valued_rate_is_honoured(self, scenario):
+        from repro.experiments import serve
+        from repro.farm import SimulationFarm
+
+        farm = SimulationFarm(backend="model", max_workers=1)
+        run = getattr(serve, scenario)
+        offered = {rps: run(duration_s=0.05, rps=rps, farm=farm).offered
+                   for rps in (199.0, serve.DEFAULT_RPS, 201.0)}
+        assert offered[199.0] <= offered[serve.DEFAULT_RPS] <= offered[201.0]
+        # Without a rate the scenario runs at its own, far higher default.
+        scenario_rate = run(duration_s=0.005, farm=farm).offered / 0.005
+        assert scenario_rate > 10 * offered[serve.DEFAULT_RPS] / 0.05

@@ -1,11 +1,14 @@
-"""Tests of the multi-tenant serving simulator (requests, scheduler, report)."""
+"""Tests of the multi-tenant serving simulator (requests, server, report)."""
 
 import itertools
+import json
+from typing import NamedTuple
 
 import pytest
 
 from repro.farm import SimulationFarm
 from repro.graph.zoo import build_model, mlp_training_graph
+from repro.obs import Telemetry, validate_chrome_trace
 from repro.serve import (
     ARRIVAL_KINDS,
     AdmissionPolicy,
@@ -16,11 +19,9 @@ from repro.serve import (
     ModelSpec,
     Request,
     RequestGenerator,
-    ServingSimulator,
     TenantSpec,
     percentile,
 )
-from repro.serve.scheduler import derive_precision_farm
 
 
 def _model_farm():
@@ -114,7 +115,35 @@ class TestGenerator:
             RequestGenerator([_tenant()], seed=0).burst(0)
 
 
-class TestSchedulerParity:
+def _nodes(n_clusters, farm, **kwargs):
+    """A node-dispatch server on ``farm``."""
+    return ContinuousServer(n_clusters=n_clusters, farm=farm,
+                            node_dispatch=True, **kwargs)
+
+
+class _NodeRecord(NamedTuple):
+    request_id: int
+    node: str
+    lane: str
+    start: int
+    end: int
+
+
+def _node_trace(telemetry):
+    """Every node placement recorded on the ``serve`` track: GEMM spans on
+    ``cluster<N>`` lanes, host nodes as instants on lane ``host``."""
+    records = []
+    for _, track, lane, start, length, name, cat, attrs in telemetry.events():
+        if cat != "node":
+            continue
+        assert track == "serve"
+        end = start + (attrs["duration"] if lane == "host" else length)
+        records.append(_NodeRecord(attrs["request_id"], name, lane,
+                                   int(start), int(end)))
+    return records
+
+
+class TestNodeDispatchParity:
     """Acceptance criterion: one tenant + one cluster == serial farm timing."""
 
     @pytest.mark.parametrize("model", ["mlp-tiny", "autoencoder-b16",
@@ -124,7 +153,7 @@ class TestSchedulerParity:
         graph = build_model(model)
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec(model, graph),))], seed=0).burst(1)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _nodes(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == int(serial.cycles)
         assert report.completed == 1
@@ -136,29 +165,43 @@ class TestSchedulerParity:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("mlp-tiny", graph),))],
             seed=0).burst(3)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _nodes(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == 3 * int(serial.cycles)
 
+    @pytest.mark.parametrize("precision", ["bf16", "fp8-e4m3", "fp8-e5m2"])
+    def test_routed_precision_is_timed_on_its_farm(self, precision):
+        """A tenant-routed request is timed at its precision, exactly as
+        the atomic mode and the routed farm's serial timing time it."""
+        farm = _model_farm()
+        graph = build_model("mlp-tiny")
+        routed = farm.with_format(precision)
+        serial = int(round(routed.time_program(
+            graph.lower(config=routed.config)).cycles))
+        report = _nodes(1, farm).simulate([Request(
+            request_id=0, tenant="t", model="m", graph=graph,
+            arrival_cycle=0, precision=precision)])
+        assert report.makespan_cycles == serial
+        atomic = ContinuousServer(n_clusters=1, farm=farm)
+        assert atomic.service_cycles(graph, precision) == serial
 
-class TestSchedulerSemantics:
+
+class TestNodeDispatch:
     def test_dependencies_respected_in_trace(self):
         farm = _model_farm()
         graph = build_model("transformer-tiny")
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("t", graph),))], seed=0).burst(2)
-        simulator = ServingSimulator(n_clusters=3, farm=farm,
-                                     keep_trace=True)
-        simulator.simulate(requests)
+        telemetry = Telemetry()
+        _nodes(3, farm, telemetry=telemetry).simulate(requests)
+        trace = _node_trace(telemetry)
         program = graph.lower(config=farm.config)
+        assert len(trace) == 2 * len(program.nodes)
         deps_of = {node.name: node.deps for node in program.nodes}
-        finished = {}
-        for record in simulator.trace:
-            finished[(record.request_id, record.node)] = record.end_cycle
-        for record in simulator.trace:
+        finished = {(r.request_id, r.node): r.end for r in trace}
+        for record in trace:
             for dep in deps_of[record.node]:
-                assert record.start_cycle >= \
-                    finished[(record.request_id, dep)]
+                assert record.start >= finished[(record.request_id, dep)]
 
     def test_identical_chain_requests_overlap_on_two_clusters(self):
         farm = _model_farm()
@@ -170,7 +213,7 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _nodes(2, farm).simulate(requests)
         assert report.makespan_cycles == serial
         assert report.completed == 2
 
@@ -180,27 +223,29 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _nodes(2, farm).simulate(requests)
         # The training graph has dw/dx parallelism, so the pool is never
         # idle (busy cycles account for every cycle of work) and the
         # makespan lands strictly between the one-request serial time and
         # the fully-serialised two requests.
         assert serial <= report.makespan_cycles < 2 * serial
-        assert sum(report.busy_cycles) == 2 * serial
+        assert report.busy_cycles == 2 * serial
 
     def test_no_cluster_runs_two_nodes_at_once(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(4)
-        simulator = ServingSimulator(n_clusters=2, farm=farm,
-                                     keep_trace=True)
-        simulator.simulate(requests)
-        per_cluster = {}
-        for record in simulator.trace:
-            if record.cluster < 0:
+        telemetry = Telemetry()
+        _nodes(2, farm, telemetry=telemetry).simulate(requests)
+        per_lane = {}
+        for record in _node_trace(telemetry):
+            if record.lane == "host":
                 continue  # elementwise nodes run host-side, off the pool
-            per_cluster.setdefault(record.cluster, []).append(
-                (record.start_cycle, record.end_cycle))
-        for spans in per_cluster.values():
+            per_lane.setdefault(record.lane, []).append(
+                (record.start, record.end))
+        # Lanes number the clusters the way the pool's lowest-free order
+        # hands them out.
+        assert set(per_lane) == {"cluster0", "cluster1"}
+        for spans in per_lane.values():
             spans.sort()
             for (_, end), (start, _) in zip(spans, spans[1:]):
                 assert start >= end
@@ -210,10 +255,9 @@ class TestSchedulerSemantics:
         graph = build_model("mlp-tiny")
         late = [Request(request_id=0, tenant="t", model="m", graph=graph,
                         arrival_cycle=10_000)]
-        simulator = ServingSimulator(n_clusters=1, farm=farm,
-                                     keep_trace=True)
-        report = simulator.simulate(late)
-        assert min(r.start_cycle for r in simulator.trace) >= 10_000
+        telemetry = Telemetry()
+        report = _nodes(1, farm, telemetry=telemetry).simulate(late)
+        assert min(r.start for r in _node_trace(telemetry)) >= 10_000
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
         assert report.latency.max == serial  # waited for nothing else
 
@@ -222,8 +266,8 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant("a", rps=300.0), _tenant("b", rps=300.0)],
             seed=5).generate(0.05)
-        first = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
-        second = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        first = _nodes(2, farm).simulate(requests)
+        second = _nodes(2, farm).simulate(requests)
         assert first.makespan_cycles == second.makespan_cycles
         assert first.latency == second.latency
 
@@ -232,10 +276,9 @@ class TestSchedulerSemantics:
         graph = mlp_training_graph((8, 6, 4), batch=2, name="tiny")
         requests = [Request(request_id=0, tenant="t", model="m",
                             graph=graph, arrival_cycle=0)]
-        base = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        priced = ServingSimulator(
-            n_clusters=1, farm=farm,
-            elementwise_cycles_per_element=2.0).simulate(requests)
+        base = _nodes(1, farm).simulate(requests)
+        priced = _nodes(1, farm, elementwise_cycles_per_element=2.0
+                        ).simulate(requests)
         program = graph.lower(config=farm.config)
         elementwise = sum(node.elements for node in program.nodes
                           if not node.is_gemm)
@@ -247,75 +290,122 @@ class TestSchedulerSemantics:
         graph = build_model("mlp-tiny")
         requests = [Request(request_id=0, tenant="t", model="m",
                             graph=graph, arrival_cycle=0)]
-        base = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        priced = ServingSimulator(n_clusters=1, farm=farm,
-                                  offload_cycles_per_job=30.0
-                                  ).simulate(requests)
+        base = _nodes(1, farm).simulate(requests)
+        priced = _nodes(1, farm, offload_cycles_per_job=30.0
+                        ).simulate(requests)
         program = graph.lower(config=farm.config)
         assert priced.makespan_cycles == \
             base.makespan_cycles + 30 * program.n_jobs
 
     def test_elementwise_nodes_run_host_side(self):
-        """Elementwise nodes never occupy a cluster: trace shows cluster -1
-        and a priced relu does not block another request's ready GEMM."""
+        """Elementwise nodes never occupy a cluster: the trace shows them
+        on lane ``host`` and a priced relu does not block another
+        request's ready GEMM."""
         farm = _model_farm()
         graph = build_model("mlp-tiny")
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
-        simulator = ServingSimulator(n_clusters=1, farm=farm,
-                                     elementwise_cycles_per_element=50.0,
-                                     keep_trace=True)
-        report = simulator.simulate(requests)
+        telemetry = Telemetry()
+        report = _nodes(1, farm, elementwise_cycles_per_element=50.0,
+                        telemetry=telemetry).simulate(requests)
         program = graph.lower(config=farm.config)
-        host = [r for r in simulator.trace if r.cluster == -1]
+        host = [r for r in _node_trace(telemetry) if r.lane == "host"]
         assert {r.node for r in host} == {n.name for n in program.nodes
                                           if not n.is_gemm}
         # Cluster busy cycles account for accelerator work only, so with
         # one cluster and two requests the pool is saturated: while one
         # request sits in its host-side relu, the other's GEMMs run.
         serial_gemm = int(farm.time_program(program).cycles)
-        assert report.busy_cycles == [2 * serial_gemm]
+        assert report.busy_cycles == 2 * serial_gemm
         assert report.makespan_cycles < 2 * int(
             serial_gemm + 50 * sum(n.elements for n in program.nodes
                                    if not n.is_gemm))
 
-    def test_program_cache_keyed_by_graph_identity(self):
+    def test_program_memo_keyed_by_graph_identity(self):
         farm = _model_farm()
-        simulator = ServingSimulator(n_clusters=1, farm=farm)
+        server = _nodes(1, farm)
         graph_a = build_model("mlp-tiny")
-        simulator.simulate([Request(request_id=0, tenant="t", model="a",
-                                    graph=graph_a, arrival_cycle=0)])
-        # The simulator retains the graph, so a dropped caller reference
-        # cannot let a recycled object id alias a different model.
-        assert graph_a in simulator._programs
         graph_b = build_model("conv-tiny")
-        report = simulator.simulate([Request(request_id=0, tenant="t",
-                                             model="b", graph=graph_b,
-                                             arrival_cycle=0)])
+        report = server.simulate([
+            Request(request_id=0, tenant="t", model="a", graph=graph_a,
+                    arrival_cycle=0),
+            Request(request_id=1, tenant="t", model="b", graph=graph_b,
+                    arrival_cycle=10**9)])
+        # The memo retains the graph, so a dropped caller reference cannot
+        # let a recycled object id alias a different model.
+        assert set(server._programs) == {(graph_a, "fp16"),
+                                         (graph_b, "fp16")}
         serial_b = farm.time_program(graph_b.lower(config=farm.config))
-        assert report.makespan_cycles == int(serial_b.cycles)
-        assert len(simulator._programs) == 2
+        assert report.makespan_cycles == 10**9 + int(serial_b.cycles)
 
-    def test_cache_reuse_across_simulations(self):
+    def test_incremental_api(self):
+        """``run_until`` runs every pass at or before its cycle, so stepping
+        the clock between arrivals leaves the outcome unchanged."""
+        farm = _model_farm()
+        requests = RequestGenerator([_tenant(rps=2000.0)],
+                                    seed=3).generate(0.01)
+        whole = _nodes(2, farm).simulate(requests)
+        server = _nodes(2, farm)
+        for request in requests:
+            if request.arrival_cycle > server.now + 1:
+                server.run_until(request.arrival_cycle - 1)
+            server.offer(request)
+        server.run_until(whole.makespan_cycles)
+        assert server.in_flight == 0
+        stepped = server.finalize()
+        assert stepped.completed == whole.completed == len(requests)
+        assert stepped.makespan_cycles == whole.makespan_cycles
+        assert stepped.latency == whole.latency
+        assert stepped.utilisation == whole.utilisation
+
+    def test_cache_reuse_across_servers(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(2)
-        ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        warm = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        _nodes(1, farm).simulate(requests)
+        warm = _nodes(1, farm).simulate(requests)
         assert warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
 
     def test_empty_request_list(self):
-        report = ServingSimulator(n_clusters=2,
-                                  farm=_model_farm()).simulate([])
+        report = _nodes(2, _model_farm()).simulate([])
         assert report.completed == 0
         assert report.makespan_cycles == 0
-        assert report.utilisation == [0.0, 0.0]
+        assert report.utilisation == 0.0
+
+    def test_trace_passes_the_chrome_validator(self):
+        telemetry = Telemetry()
+        requests = RequestGenerator(
+            [_tenant("a"), _tenant("b", models=(
+                ModelSpec("conv-tiny", build_model("conv-tiny")),))],
+            seed=0).burst(3)
+        _nodes(2, _model_farm(), telemetry=telemetry,
+               elementwise_cycles_per_element=1.0).simulate(requests)
+        trace = json.loads(json.dumps(telemetry.chrome_trace()))
+        stats = validate_chrome_trace(trace)
+        assert stats["phases"]["X"] > 0 and stats["phases"]["i"] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ServingSimulator(n_clusters=0, farm=_model_farm())
+            _nodes(0, _model_farm())
         with pytest.raises(ValueError):
-            ServingSimulator(farm=_model_farm(), offload_cycles_per_job=-1)
+            _nodes(1, _model_farm(), offload_cycles_per_job=-1)
+
+    @pytest.mark.parametrize("policy", [
+        {"admission": AdmissionPolicy(max_queue=4)},
+        {"autoscaler": AutoscalePolicy(max_clusters=2)},
+    ], ids=["admission", "autoscaler"])
+    def test_rejects_queueing_policies(self, policy):
+        with pytest.raises(ValueError, match="node dispatch"):
+            _nodes(1, _model_farm(), **policy)
+
+    def test_rejects_decode_sessions(self):
+        from repro.experiments.serve import decode_session_classes
+        from repro.serve import decode_burst
+
+        session = decode_session_classes(prefill=2, decode_steps=2)[0]
+        server = _nodes(1, _model_farm())
+        with pytest.raises(ValueError, match="decode"):
+            server.offer(decode_burst([session], 1)[0])
 
 
 class TestEngineBackend:
@@ -324,7 +414,7 @@ class TestEngineBackend:
         graph = mlp_training_graph((8, 4), batch=2, name="micro")
         requests = [Request(request_id=0, tenant="t", model="micro",
                             graph=graph, arrival_cycle=0)]
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _nodes(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == int(serial.cycles) > 0
 
@@ -360,7 +450,7 @@ class TestReport:
                                               build_model("conv-tiny")),)),
         ]
         requests = RequestGenerator(tenants, seed=0).burst(3)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _nodes(2, farm).simulate(requests)
         assert set(report.tenants) == {"alpha", "beta"}
         assert report.tenants["alpha"].completed == 3
         assert report.models == {"mlp-tiny": 3, "conv-tiny": 3}
@@ -369,16 +459,14 @@ class TestReport:
     def test_utilisation_bounds(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(6)
-        report = ServingSimulator(n_clusters=3, farm=farm).simulate(requests)
-        assert len(report.utilisation) == 3
-        assert all(0.0 <= u <= 1.0 for u in report.utilisation)
-        assert 0.0 <= report.mean_utilisation <= 1.0
+        report = _nodes(3, farm).simulate(requests)
+        assert 0.0 < report.utilisation <= 1.0
+        assert report.pool.pool_cycles == 3 * report.makespan_cycles
 
     def test_render_mentions_the_headline_numbers(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(2)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(
-            requests, scenario="demo")
+        report = _nodes(1, farm).simulate(requests, scenario="demo")
         text = report.render()
         assert "demo" in text
         assert "p95" in text
@@ -388,9 +476,9 @@ class TestReport:
     def test_throughput_metrics(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(4)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
-        assert report.throughput_per_mcycle == pytest.approx(
-            4 * 1e6 / report.makespan_cycles)
+        report = _nodes(2, farm).simulate(requests)
+        assert report.throughput_rps == pytest.approx(
+            4 * report.frequency_hz / report.makespan_cycles)
         assert report.throughput_rps > 0
 
 
@@ -525,15 +613,14 @@ class TestContinuousServer:
                        precision=precision)
 
     def _serial(self, farm, graph, precision=None):
-        timing = (derive_precision_farm(farm, precision)
-                  if precision else farm)
+        timing = farm.with_format(precision) if precision else farm
         program = graph.lower(config=timing.config)
         return int(round(timing.time_program(program).cycles))
 
     @pytest.mark.parametrize("model", ["mlp-tiny", "autoencoder-b16"])
     def test_conservation_single_request(self, model):
         """One cluster x one request == the serial farm makespan -- the
-        wave scheduler's conservation law holds on the continuous loop."""
+        conservation law of the atomic mode."""
         farm = _model_farm()
         graph = build_model(model)
         server = ContinuousServer(n_clusters=1, farm=farm, backend="model")

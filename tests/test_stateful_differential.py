@@ -241,7 +241,7 @@ class ServeLoopMachine(RuleBasedStateMachine):
                 server.scale_ups, server.scale_downs,
                 report.completed, report.latency, report.models,
                 dict(server.rejection_reasons),
-                sorted(server._service.values()))
+                sorted(costs.serial for costs in server._programs.values()))
 
     @rule(model=st.sampled_from(sorted(_SERVE_GRAPHS)),
           precision=st.sampled_from([None, "fp8-e4m3"]),
@@ -292,10 +292,10 @@ class ServeLoopMachine(RuleBasedStateMachine):
         if not hasattr(self, "server"):
             return
         server = self.server
-        for key, cycles in server._service.items():
-            program = server._programs[key]
+        for key, costs in server._programs.items():
             farm = server.farm.with_format(key[1])
-            assert cycles == int(round(farm.time_program(program).cycles))
+            assert costs.serial == int(round(
+                farm.time_program(costs.program).cycles))
 
     @invariant()
     def replay_is_deterministic(self):
