@@ -3,10 +3,11 @@
 Not a paper figure, but the acceptance bar of the array-oriented arithmetic
 refactor: cycle-accurate *bit-exact* runs must get at least 5x cheaper in
 wall-clock when the engine evaluates whole row-vectors through the guarded
-SIMD kernels (`exact-simd`) instead of one pure-Python `fma16` per element
-(`exact`).  The comparison runs the engine-eligible Fig. 4a sweep shapes on
-both backends, asserts the speedup, and re-checks that the two backends left
-bit-identical result images in the TCDM (the speed must never cost a bit).
+SIMD kernels (`exact-simd`) instead of one pure-Python `fma_bits` per
+element (`exact`).  The comparison runs the engine-eligible Fig. 4a sweep
+shapes on both backends, asserts the speedup, and re-checks that the two
+backends left bit-identical result images in the TCDM (the speed must never
+cost a bit).
 """
 
 import time

@@ -8,7 +8,7 @@ Thin wrapper around the experiment registry: runs Table I and Figs. 3a-3d /
 Run with:  python examples/reproduce_paper.py
 """
 
-from repro.experiments import run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.table1 import render_table1
 from repro.perf.report import TextTable
 

@@ -61,9 +61,7 @@ from repro.farm import (
 from repro.fp import (
     FORMATS,
     BinaryFormat,
-    Float16,
     RoundingMode,
-    fma16,
     fma_mixed,
     get_format,
     quantize,
@@ -112,7 +110,6 @@ __all__ = [
     "ElementwiseNode",
     "EnergyModel",
     "FarmResult",
-    "Float16",
     "GemmNode",
     "GemmShape",
     "GemmWorkload",
@@ -143,7 +140,6 @@ __all__ = [
     "cross_validate",
     "default_farm",
     "sweep",
-    "fma16",
     "fma_mixed",
     "get_format",
     "quantize",

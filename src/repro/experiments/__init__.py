@@ -40,10 +40,8 @@ from repro.experiments.fig4 import (
     hw_vs_sw_sweep,
 )
 from repro.experiments.serve import serve_mix, serve_mlp, set_serve_defaults
-from repro.experiments.runner import EXPERIMENTS, run_experiment, run_all
 
 __all__ = [
-    "EXPERIMENTS",
     "area_breakdown",
     "area_sweep",
     "autoencoder_batching",
@@ -54,8 +52,6 @@ __all__ = [
     "hw_vs_sw_sweep",
     "power_breakdown",
     "render_table1",
-    "run_all",
-    "run_experiment",
     "serve_mix",
     "serve_mlp",
     "set_serve_defaults",

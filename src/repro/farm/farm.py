@@ -47,7 +47,7 @@ from repro.redmule.vector_ops import (
     backend_schedule_compiled,
     validate_backend_name,
 )
-from repro.workloads.gemm import GemmShape
+from repro.workloads.gemm import GemmShape, WorkloadTiming
 
 #: Backend *policy* name routing every job to the analytical model.  Unlike
 #: the per-record ``BACKEND_MODEL`` tag it is a farm/request-level policy:
@@ -459,7 +459,7 @@ class SimulationFarm:
         shapes: Iterable[GemmShape],
         offload_cycles_per_job: float = 0.0,
         backend: str = BACKEND_MODEL,
-    ) -> "WorkloadTiming":
+    ) -> WorkloadTiming:
         """Time a multi-GEMM workload (drop-in for ``time_workload_hw``).
 
         The model backend (the default -- ``None`` is normalised to it, so
@@ -469,11 +469,6 @@ class SimulationFarm:
         ``"engine"`` explicitly to time through the cycle-accurate engine.
         """
         backend = backend or BACKEND_MODEL
-        # Imported here: repro.perf.comparison routes Table I through the
-        # farm, so a module-level import would be circular.
-        # lint: ignore[ARCH001] lazy result-shaping import; perf sits above
-        from repro.perf.metrics import WorkloadTiming
-
         shapes = list(shapes)
         results = self.run_shapes(shapes, backend=backend)
         per_gemm: Dict[str, float] = {}
@@ -492,7 +487,7 @@ class SimulationFarm:
         program,
         offload_cycles_per_job: float = 0.0,
         backend: Optional[str] = None,
-    ) -> "WorkloadTiming":
+    ) -> WorkloadTiming:
         """Serially time a lowered graph program (one batched ``run()`` call).
 
         ``program`` is a :class:`~repro.graph.lower.LoweredProgram` (duck
@@ -511,9 +506,6 @@ class SimulationFarm:
         effective format, so every job is timed on the line geometry it was
         lowered for while all records land in the one shared cache.
         """
-        # lint: ignore[ARCH001] lazy result-shaping import; perf sits above
-        from repro.perf.metrics import WorkloadTiming
-
         jobs = [(node.name, getattr(node, "precision", None), job)
                 for node in program.nodes for job in node.jobs]
         overrides = {precision for _, precision, _ in jobs

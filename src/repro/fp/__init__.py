@@ -11,9 +11,6 @@ package provides the numerical foundation used by the cycle-accurate model:
 * :mod:`repro.fp.simd_formats` -- vectorised bit-exact kernels over pattern
   arrays for every format, plus the float64 codec and guarded FMA used by
   the array-oriented simulator backends (binary16 runs natively there).
-* :mod:`repro.fp.float16` / :mod:`repro.fp.fma` -- the binary16 vocabulary
-  (encoding, classification, ``fma16`` and friends) as thin shims over
-  :data:`FP16`.
 * :mod:`repro.fp.rounding` -- the rounding modes supported by FPnew-style FPUs
   and the shared round-and-increment helper.
 * :mod:`repro.fp.flags` -- IEEE exception flags raised by an operation.
@@ -22,26 +19,6 @@ package provides the numerical foundation used by the cycle-accurate model:
 """
 
 from repro.fp.flags import ExceptionFlags
-from repro.fp.float16 import (
-    BIAS,
-    EXP_BITS,
-    MAN_BITS,
-    MAX_FINITE_BITS,
-    NAN_BITS,
-    NEG_INF_BITS,
-    POS_INF_BITS,
-    Float16,
-    FloatClass,
-    bits_to_float,
-    classify,
-    float_to_bits,
-    is_finite,
-    is_inf,
-    is_nan,
-    is_subnormal,
-    is_zero,
-)
-from repro.fp.fma import add16, fma16, mul16, neg16
 from repro.fp.formats import (
     BF16,
     FORMAT_NAMES,
@@ -50,6 +27,7 @@ from repro.fp.formats import (
     FP8_E5M2,
     FP16,
     BinaryFormat,
+    FloatClass,
     add_bits,
     fma_bits,
     fma_mixed,
@@ -73,9 +51,7 @@ from repro.fp.simd_formats import (
 )
 from repro.fp.vector import (
     matrix_from_bits,
-    matrix_from_bits_fmt,
     matrix_to_bits,
-    matrix_to_bits_fmt,
     pack_fp16_matrix,
     pack_matrix,
     quantize,
@@ -88,7 +64,6 @@ from repro.fp.vector import (
 
 __all__ = [
     "BF16",
-    "BIAS",
     "BinaryFormat",
     "FORMATS",
     "FORMAT_NAMES",
@@ -106,8 +81,6 @@ __all__ = [
     "fma_mixed",
     "fma_mixed_many",
     "get_format",
-    "matrix_from_bits_fmt",
-    "matrix_to_bits_fmt",
     "mul_bits",
     "mul_many_fmt",
     "neg_bits",
@@ -118,30 +91,11 @@ __all__ = [
     "random_matrix",
     "sub_bits",
     "unpack_matrix",
-    "EXP_BITS",
-    "MAN_BITS",
-    "MAX_FINITE_BITS",
-    "NAN_BITS",
-    "NEG_INF_BITS",
-    "POS_INF_BITS",
     "ExceptionFlags",
-    "Float16",
     "FloatClass",
     "RoundingMode",
-    "add16",
-    "bits_to_float",
-    "classify",
-    "float_to_bits",
-    "fma16",
-    "is_finite",
-    "is_inf",
-    "is_nan",
-    "is_subnormal",
-    "is_zero",
     "matrix_from_bits",
     "matrix_to_bits",
-    "mul16",
-    "neg16",
     "pack_fp16_matrix",
     "quantize_fp16",
     "random_fp16_matrix",

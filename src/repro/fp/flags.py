@@ -1,10 +1,11 @@
 """IEEE 754 exception flags.
 
 FPnew (the FPU RedMulE's FMA units are derived from) reports the five standard
-IEEE exception flags.  The bit-exact operations in :mod:`repro.fp.fma` return
-an :class:`ExceptionFlags` instance alongside the result so that tests and the
-datapath model can observe overflow/underflow behaviour, exactly like the
-status flags of the hardware unit.
+IEEE exception flags.  The bit-exact scalar operations of
+:mod:`repro.fp.formats` raise them on an optional :class:`ExceptionFlags`
+accumulator so that tests and the datapath model can observe
+overflow/underflow behaviour, exactly like the status flags of the hardware
+unit.
 """
 
 from __future__ import annotations
@@ -66,14 +67,3 @@ class ExceptionFlags:
         if self.invalid:
             value |= 1 << 4
         return value
-
-    @classmethod
-    def from_fflags(cls, value: int) -> "ExceptionFlags":
-        """Decode a RISC-V ``fflags`` CSR value into an :class:`ExceptionFlags`."""
-        return cls(
-            inexact=bool(value & (1 << 0)),
-            underflow=bool(value & (1 << 1)),
-            overflow=bool(value & (1 << 2)),
-            div_by_zero=bool(value & (1 << 3)),
-            invalid=bool(value & (1 << 4)),
-        )

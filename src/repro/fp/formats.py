@@ -1,12 +1,11 @@
 """Parameterised IEEE-style binary floating-point formats.
 
-The FP16 substrate of :mod:`repro.fp.float16` generalises to any small
-IEEE-style binary format described by three numbers -- exponent width,
-mantissa width and storage width.  :class:`BinaryFormat` captures that
-description together with every derived constant (bias, masks, canonical
-special patterns) and the bit-exact scalar algorithms (classification,
-decompose, round-and-pack, conversion).  The historic binary16 module is a
-thin compatibility shim over the :data:`FP16` instance of this class.
+Every format is an IEEE-style binary format described by three numbers --
+exponent width, mantissa width and storage width.  :class:`BinaryFormat`
+captures that description together with every derived constant (bias,
+masks, canonical special patterns) and the bit-exact scalar algorithms
+(classification, decompose, round-and-pack, conversion); the binary16 of
+the paper is its :data:`FP16` instance.
 
 Four formats are registered, mirroring the precisions an FPnew-derived
 datapath offers (the RedMulE follow-on direction is reduced-precision FP8
@@ -346,13 +345,7 @@ class BinaryFormat:
         _, sig, exp = self.decompose(bits)
         return sign * math.ldexp(float(sig), exp)
 
-    # -- numpy array bridges (implemented in repro.fp.simd_formats) ----------
-    def bits_to_f64_array(self, bits):
-        """Decode a pattern array to the exact ``float64`` values (vectorised)."""
-        from repro.fp.simd_formats import bits_to_f64_many
-
-        return bits_to_f64_many(bits, self)
-
+    # -- numpy array bridge (implemented in repro.fp.simd_formats) -----------
     def f64_to_bits_array(self, values, mode: RoundingMode = RoundingMode.RNE):
         """Round a ``float64`` array to patterns (vectorised, bit-exact)."""
         from repro.fp.simd_formats import f64_to_bits_many

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.fp.formats import FP16, BinaryFormat, get_format
-from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many, format_dtype
+from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many
 
 FormatLike = Union[str, BinaryFormat]
 
@@ -36,30 +36,6 @@ def quantize(matrix: np.ndarray, fmt: FormatLike = FP16) -> np.ndarray:
 def quantize_fp16(matrix: np.ndarray) -> np.ndarray:
     """Round an arbitrary float array to binary16 and return it as float32."""
     return np.asarray(matrix, dtype=np.float64).astype(np.float16).astype(np.float32)
-
-
-def matrix_to_bits_fmt(matrix: np.ndarray, fmt: FormatLike) -> List[List[int]]:
-    """Convert a 2-D array to a list-of-lists of ``fmt`` patterns."""
-    fmt = get_format(fmt)
-    array = np.asarray(matrix, dtype=np.float64)
-    if array.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {array.shape}")
-    bits = f64_to_bits_many(array, fmt)
-    return [[int(v) for v in row] for row in bits]
-
-
-def matrix_from_bits_fmt(bits: Sequence[Sequence[int]],
-                         fmt: FormatLike) -> np.ndarray:
-    """Convert a list-of-lists of ``fmt`` patterns to a float64 numpy array."""
-    fmt = get_format(fmt)
-    rows = len(bits)
-    cols = len(bits[0]) if rows else 0
-    out = np.empty((rows, cols), dtype=format_dtype(fmt))
-    for i, row in enumerate(bits):
-        if len(row) != cols:
-            raise ValueError("ragged bit matrix")
-        out[i, :] = row
-    return bits_to_f64_many(out, fmt)
 
 
 def matrix_to_bits(matrix: np.ndarray) -> List[List[int]]:

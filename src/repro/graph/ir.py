@@ -327,10 +327,6 @@ class WorkloadGraph:
         """Look a node up by name."""
         return self.nodes[self._node_index[name]]
 
-    def node_index(self, name: str) -> int:
-        """Insertion index of a node (the deterministic tie-break key)."""
-        return self._node_index[name]
-
     def producer(self, tensor: str) -> Optional[GraphNode]:
         """The node producing ``tensor`` (None for graph inputs)."""
         producer = self._producer.get(tensor)

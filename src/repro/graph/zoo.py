@@ -33,10 +33,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence
 
 from repro.graph.ir import WorkloadGraph
+from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 from repro.workloads.gemm import GemmShape
 
-#: Tag keys the MLP builders attach to their GEMM nodes so flat-list
-#: consumers (``repro.workloads.training``) can reconstruct role and layer.
+#: Tag keys the MLP builders attach to their GEMM nodes: each GEMM's role in
+#: the training step and its layer, the same annotation
+#: :class:`repro.workloads.training.TrainingGemm` carries.
 TAG_ROLE = "role"
 TAG_LAYER = "layer"
 
@@ -155,10 +157,6 @@ def autoencoder_training_graph(batch: int) -> WorkloadGraph:
     is job-for-job identical to the legacy hand-written
     ``autoencoder_training_gemms`` flat list.
     """
-    # Imported here so repro.workloads can wrap this builder without a
-    # circular module-level import.
-    from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
-
     return mlp_training_graph(AUTOENCODER_LAYER_SIZES, batch,
                               name=f"autoencoder-b{batch}")
 

@@ -67,12 +67,6 @@ class Hci:
         # wide_cycle's arbitration and then cleared).
         self._pending_log: List[CoreRequest] = []
 
-    # ------------------------------------------------------------------
-    @property
-    def wide_port_bytes(self) -> int:
-        """Bytes movable per wide access."""
-        return self.shallow_branch.width_bytes
-
     # -- logarithmic branch -------------------------------------------------
     def submit_log_requests(self, requests: Sequence[CoreRequest]) -> None:
         """Register core/DMA requests for the current cycle.

@@ -50,11 +50,6 @@ class TcdmConfig:
         """Total TCDM size in bytes."""
         return self.n_banks * self.bank_bytes
 
-    @property
-    def interleave_bytes(self) -> int:
-        """Number of contiguous bytes mapped to one bank before wrapping."""
-        return self.word_bytes
-
 
 class Tcdm:
     """Behavioural model of the banked TCDM.

@@ -8,13 +8,12 @@ adding the per-job offload cost) and the 8-core software baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.sw.baseline import SoftwareBaseline
-from repro.workloads.gemm import GemmShape
+from repro.workloads.gemm import GemmShape, WorkloadTiming
 
 
 def gmacs(macs_per_cycle: float, frequency_hz: float) -> float:
@@ -37,30 +36,6 @@ def speedup(baseline_cycles: float, accelerated_cycles: float) -> float:
 def fraction_of_ideal(macs_per_cycle: float, config: RedMulEConfig) -> float:
     """Achieved throughput relative to the array's peak (Fig. 4a metric)."""
     return macs_per_cycle / config.ideal_macs_per_cycle
-
-
-@dataclass
-class WorkloadTiming:
-    """Cycle accounting of a multi-GEMM workload on one execution target."""
-
-    target: str
-    #: Total cycles over all GEMMs.
-    cycles: float
-    #: Total useful MACs over all GEMMs.
-    macs: int
-    #: Per-GEMM cycles, keyed by the GEMM's name.
-    per_gemm: Dict[str, float]
-
-    @property
-    def macs_per_cycle(self) -> float:
-        """Aggregate throughput of the workload."""
-        if self.cycles == 0:
-            return 0.0
-        return self.macs / self.cycles
-
-    def runtime_s(self, frequency_hz: float) -> float:
-        """Wall-clock runtime at a clock frequency."""
-        return self.cycles / frequency_hz
 
 
 def time_workload_hw(

@@ -16,9 +16,9 @@ latency, for which tenant mix?
   interactive wall-clock -- or, with ``node_dispatch=True``, by
   dependency-aware list scheduling of each request's graph nodes onto free
   clusters;
-* :mod:`repro.serve.report` -- latency percentiles (p50/p95/p99) via exact
-  or streaming (reservoir / P-square) estimators, throughput, utilisation
-  and per-tenant breakdowns.
+* :mod:`repro.serve.report` -- latency percentiles (p50/p95/p99), exact
+  or from a bounded streaming reservoir, throughput, utilisation and
+  per-tenant breakdowns.
 """
 
 from repro.serve.loop import (
@@ -29,7 +29,6 @@ from repro.serve.loop import (
 from repro.serve.report import (
     ContinuousReport,
     LatencyStats,
-    P2Quantile,
     ReservoirSampler,
     ServePoolStats,
     StreamingLatencyStats,
@@ -60,7 +59,6 @@ __all__ = [
     "DecodeSessionSpec",
     "LatencyStats",
     "ModelSpec",
-    "P2Quantile",
     "Request",
     "RequestGenerator",
     "ReservoirSampler",

@@ -371,9 +371,11 @@ class ContinuousServer:
     work).  ``admission`` and ``autoscaler`` are optional policies (both
     default to off: unbounded queue, fixed pool).  ``batch_cap`` bounds how
     many decode sessions may share one cluster's batched steps (1 = no
-    cross-request batching: every session steps alone).  ``stats_mode`` /
-    ``reservoir_size`` choose the latency estimator (see
-    :class:`~repro.serve.report.StreamingLatencyStats`).
+    cross-request batching: every session steps alone).  Latency
+    percentiles come from :class:`~repro.serve.report.StreamingLatencyStats`;
+    ``keep_latencies`` also keeps every completion latency in
+    :attr:`latencies`, the exact sample tests and benchmarks check the
+    streamed percentiles against.
 
     ``node_dispatch`` switches from atomic requests to node-granular list
     scheduling of each request's DAG (see the module docstring).  It serves
@@ -392,8 +394,6 @@ class ContinuousServer:
         elementwise_cycles_per_element: float = 0.0,
         admission: Optional[AdmissionPolicy] = None,
         autoscaler: Optional[AutoscalePolicy] = None,
-        stats_mode: str = "reservoir",
-        reservoir_size: int = 4096,
         keep_latencies: bool = False,
         batch_cap: int = 1,
         telemetry=None,
@@ -497,15 +497,13 @@ class ContinuousServer:
         self.rejected = 0
         self.rejected_by_tenant: Dict[str, int] = {}
         self.rejection_reasons: Dict[str, int] = {}
-        self._overall = StreamingLatencyStats(stats_mode, reservoir_size)
+        self._overall = StreamingLatencyStats()
         self._per_tenant: Dict[str, StreamingLatencyStats] = {}
         self._models: Dict[str, int] = defaultdict(int)
         #: Latencies not yet folded into the statistics above, in
         #: completion order, overall and per tenant.
         self._latency_buffer: List[int] = []
         self._tenant_buffers: Dict[str, List[int]] = defaultdict(list)
-        self._stats_mode = stats_mode
-        self._reservoir_size = reservoir_size
         self._busy_cycles = 0.0
         self._pool_cycles = 0.0
         self._pool_marker = 0  # last cycle the pool integral was advanced to
@@ -806,8 +804,7 @@ class ContinuousServer:
         for tenant, latencies in self._tenant_buffers.items():
             stats = self._per_tenant.get(tenant)
             if stats is None:
-                stats = self._per_tenant[tenant] = StreamingLatencyStats(
-                    self._stats_mode, self._reservoir_size)
+                stats = self._per_tenant[tenant] = StreamingLatencyStats()
             stats.add_many(latencies)
         self._latency_buffer.clear()
         self._tenant_buffers.clear()

@@ -7,10 +7,9 @@ scenario's operating frequency.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,100 +66,6 @@ class LatencyStats:
 
 
 # -- streaming estimators ----------------------------------------------------
-class P2Quantile:
-    """P² (piecewise-parabolic) streaming quantile estimator.
-
-    Jain & Chlamtac's classic five-marker algorithm: O(1) memory, O(1)
-    update, and for the first five observations it is *exact* (the markers
-    are the sorted sample).  Beyond that the middle marker tracks the target
-    quantile by parabolic interpolation of the marker heights.
-
-    The estimate converges to the true quantile for stationary inputs; the
-    streaming-stats test suite pins a rank-window error bound on adversarial
-    (bimodal, heavy-tailed) distributions.
-    """
-
-    __slots__ = ("quantile", "count", "_heights", "_positions", "_desired",
-                 "_increments")
-
-    def __init__(self, quantile: float) -> None:
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        self.quantile = quantile
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [0, 1, 2, 3, 4]
-        self._desired = [0.0, 2 * quantile, 4 * quantile,
-                         2 + 2 * quantile, 4.0]
-        self._increments = [0.0, quantile / 2, quantile,
-                            (1 + quantile) / 2, 1.0]
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the estimate."""
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            bisect.insort(heights, value)
-            return
-        # Locate the marker cell the observation falls into, extending the
-        # extreme markers when it lands outside them.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        positions = self._positions
-        for index in range(cell + 1, 5):
-            positions[index] += 1
-        desired = self._desired
-        increments = self._increments
-        for index in range(5):
-            desired[index] += increments[index]
-        # Nudge the three interior markers toward their desired positions.
-        for index in (1, 2, 3):
-            drift = desired[index] - positions[index]
-            if ((drift >= 1 and positions[index + 1] - positions[index] > 1)
-                    or (drift <= -1
-                        and positions[index - 1] - positions[index] < -1)):
-                step = 1 if drift > 0 else -1
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: int) -> float:
-        heights, positions = self._heights, self._positions
-        span = positions[index + 1] - positions[index - 1]
-        upper = ((positions[index] - positions[index - 1] + step)
-                 * (heights[index + 1] - heights[index])
-                 / (positions[index + 1] - positions[index]))
-        lower = ((positions[index + 1] - positions[index] - step)
-                 * (heights[index] - heights[index - 1])
-                 / (positions[index] - positions[index - 1]))
-        return heights[index] + step * (upper + lower) / span
-
-    def _linear(self, index: int, step: int) -> float:
-        heights, positions = self._heights, self._positions
-        return heights[index] + step * (
-            (heights[index + step] - heights[index])
-            / (positions[index + step] - positions[index]))
-
-    @property
-    def value(self) -> float:
-        """Current estimate (exact nearest-rank while count <= 5)."""
-        if self.count == 0:
-            return 0.0
-        if self.count <= 5:
-            return nearest_rank(self._heights, self.quantile)
-        return float(self._heights[2])
-
-
 #: Knuth's 64-bit LCG constants (MMIX): fast, deterministic, and plenty
 #: uniform for reservoir admission decisions.
 _LCG_MULTIPLIER = 6364136223846793005
@@ -256,43 +161,21 @@ class ReservoirSampler:
 class StreamingLatencyStats:
     """Latency accumulator with bounded memory and exact count/mean/max.
 
-    Three percentile modes:
-
-    * ``"reservoir"`` (default) -- deterministic uniform reservoir; exact
-      until the stream exceeds the reservoir, then sample quantiles.  The
-      cheapest per observation, which is why the serving hot path uses it.
-    * ``"p2"`` -- three P² marker estimators (p50/p95/p99); O(1) memory
-      independent of any buffer, slightly costlier per observation.
-    * ``"exact"`` -- keep everything and sort once at the end (small runs,
-      oracles in tests).
-
-    ``finalize()`` snapshots the distribution as a plain
-    :class:`LatencyStats`.
+    Percentiles come from a deterministic uniform :class:`ReservoirSampler`
+    of ``reservoir_size`` observations: exact until the stream exceeds the
+    reservoir, sample quantiles after.  ``finalize()`` snapshots the
+    distribution as a plain :class:`LatencyStats`.
     """
 
-    __slots__ = ("mode", "count", "total", "max", "_reservoir", "_markers",
-                 "_values")
+    __slots__ = ("count", "total", "max", "_reservoir")
 
-    _P2_QUANTILES = (0.50, 0.95, 0.99)
+    _QUANTILES = (0.50, 0.95, 0.99)
 
-    def __init__(self, mode: str = "reservoir",
-                 reservoir_size: int = 4096) -> None:
-        if mode not in ("reservoir", "p2", "exact"):
-            raise ValueError(f"unknown streaming-stats mode {mode!r}")
-        self.mode = mode
+    def __init__(self, reservoir_size: int = 4096) -> None:
         self.count = 0
         self.total = 0.0
         self.max = 0.0
-        self._reservoir: Optional[ReservoirSampler] = None
-        self._markers: Optional[Tuple[P2Quantile, ...]] = None
-        self._values: Optional[List[float]] = None
-        if mode == "reservoir":
-            self._reservoir = ReservoirSampler(reservoir_size)
-        elif mode == "p2":
-            self._markers = tuple(P2Quantile(quantile)
-                                  for quantile in self._P2_QUANTILES)
-        else:
-            self._values = []
+        self._reservoir = ReservoirSampler(reservoir_size)
 
     def add(self, value: float) -> None:
         """Fold one latency observation in."""
@@ -300,13 +183,7 @@ class StreamingLatencyStats:
         self.total += value
         if value > self.max:
             self.max = value
-        if self._reservoir is not None:
-            self._reservoir.add(value)
-        elif self._markers is not None:
-            for marker in self._markers:
-                marker.add(value)
-        else:
-            self._values.append(value)
+        self._reservoir.add(value)
 
     def add_many(self, values: Sequence[float]) -> None:
         """Fold observations in order; the same state as :meth:`add` on
@@ -321,29 +198,14 @@ class StreamingLatencyStats:
         peak = max(values)
         if peak > self.max:
             self.max = peak
-        if self._reservoir is not None:
-            self._reservoir.add_many(values)
-        elif self._markers is not None:
-            for marker in self._markers:
-                for value in values:
-                    marker.add(value)
-        else:
-            self._values.extend(values)
+        self._reservoir.add_many(values)
 
     def finalize(self) -> LatencyStats:
         """Snapshot the stream as a :class:`LatencyStats`."""
         if self.count == 0:
             return LatencyStats(count=0, mean=0.0, p50=0.0, p95=0.0,
                                 p99=0.0, max=0.0)
-        if self._values is not None:
-            stats = LatencyStats.from_latencies(self._values)
-            return LatencyStats(count=stats.count, mean=stats.mean,
-                                p50=stats.p50, p95=stats.p95, p99=stats.p99,
-                                max=float(self.max))
-        if self._reservoir is not None:
-            p50, p95, p99 = self._reservoir.quantiles(self._P2_QUANTILES)
-        else:
-            p50, p95, p99 = (marker.value for marker in self._markers)
+        p50, p95, p99 = self._reservoir.quantiles(self._QUANTILES)
         return LatencyStats(count=self.count, mean=self.total / self.count,
                             p50=p50, p95=p95, p99=p99, max=float(self.max))
 

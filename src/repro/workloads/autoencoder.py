@@ -23,7 +23,7 @@ from repro.fp.formats import FP16
 from repro.fp.vector import quantize_fp16, random_fp16_matrix
 from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.workloads.gemm import GemmWorkload
-from repro.workloads.training import TrainingGemm, training_step_gemms
+from repro.workloads.training import TrainingGemm, as_workload, training_step_gemms
 
 #: MLPerf-Tiny anomaly-detection auto-encoder layer sizes
 #: (input, 4 x 128 hidden, 8-unit bottleneck, 4 x 128 hidden, output).
@@ -38,19 +38,8 @@ def autoencoder_training_gemms(batch: int) -> List[TrainingGemm]:
 
 
 def autoencoder_workload(batch: int) -> GemmWorkload:
-    """The same GEMMs wrapped as a plain workload.
-
-    Thin wrapper over the graph IR: the auto-encoder graph is lowered and
-    its GEMM stream re-exposed as a flat workload, byte-identical to the
-    historical hand-written list (same shape names, same deterministic
-    order).
-    """
-    # Lazy import: repro.graph.zoo reads AUTOENCODER_LAYER_SIZES from this
-    # module, so a module-level import would be circular.
-    # lint: ignore[ARCH001] legacy veneer delegates up to its graph builder
-    from repro.graph.zoo import autoencoder_training_graph
-
-    return autoencoder_training_graph(batch).lower().gemm_workload()
+    """The same GEMMs wrapped as a plain workload."""
+    return as_workload(f"autoencoder-b{batch}", autoencoder_training_gemms(batch))
 
 
 @dataclass

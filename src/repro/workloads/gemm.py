@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +121,30 @@ class GemmWorkload:
                  f"{self.total_macs} MACs"]
         lines.extend(f"  {shape.describe()}" for shape in self.shapes)
         return "\n".join(lines)
+
+
+@dataclass
+class WorkloadTiming:
+    """Cycle accounting of a multi-GEMM workload on one execution target."""
+
+    target: str
+    #: Total cycles over all GEMMs.
+    cycles: float
+    #: Total useful MACs over all GEMMs.
+    macs: int
+    #: Per-GEMM cycles, keyed by the GEMM's name.
+    per_gemm: Dict[str, float]
+
+    @property
+    def macs_per_cycle(self) -> float:
+        """Aggregate throughput of the workload."""
+        if self.cycles == 0:
+            return 0.0
+        return self.macs / self.cycles
+
+    def runtime_s(self, frequency_hz: float) -> float:
+        """Wall-clock runtime at a clock frequency."""
+        return self.cycles / frequency_hz
 
 
 def square_sweep(sizes: Iterable[int]) -> List[GemmShape]:

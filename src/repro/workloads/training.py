@@ -114,29 +114,8 @@ def backward_gemms(layer_sizes: Sequence[int], batch: int,
 
 
 def training_step_gemms(layer_sizes: Sequence[int], batch: int) -> List[TrainingGemm]:
-    """Full training step: forward pass followed by backward pass.
-
-    Since the graph IR landed this is a thin wrapper over
-    :func:`repro.graph.zoo.mlp_training_graph`: the graph is built, sorted
-    deterministically, and its GEMM nodes are flattened back into the
-    annotated list -- provably the same shapes in the same order as the
-    original hand-written ``forward_gemms + backward_gemms`` composition
-    (pinned by the test suite), but now derived from explicit tensor
-    dependencies instead of convention.
-    """
-    # Imported lazily: repro.graph.zoo builds on this module's sibling
-    # (workloads.gemm), so a module-level import would be circular.
-    # lint: ignore[ARCH001] legacy veneer delegates up to its graph builder
-    from repro.graph.ir import GemmNode
-    # lint: ignore[ARCH001] legacy veneer delegates up to its graph builder
-    from repro.graph.zoo import TAG_LAYER, TAG_ROLE, mlp_training_graph
-
-    graph = mlp_training_graph(layer_sizes, batch)
-    return [
-        TrainingGemm(shape=node.shape, role=GemmRole(node.tags[TAG_ROLE]),
-                     layer=int(node.tags[TAG_LAYER]))
-        for node in graph.topo_sort() if isinstance(node, GemmNode)
-    ]
+    """Full training step: forward pass followed by backward pass."""
+    return forward_gemms(layer_sizes, batch) + backward_gemms(layer_sizes, batch)
 
 
 def as_workload(name: str, gemms: Sequence[TrainingGemm]) -> GemmWorkload:

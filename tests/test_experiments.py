@@ -10,7 +10,6 @@ calibrated to them.
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     area_breakdown,
     area_sweep,
     autoencoder_batching,
@@ -21,10 +20,9 @@ from repro.experiments import (
     hw_vs_sw_sweep,
     power_breakdown,
     render_table1,
-    run_all,
-    run_experiment,
     throughput_sweep,
 )
+from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
 from repro.experiments.table1 import our_rows_as_dicts
 
 

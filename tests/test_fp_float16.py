@@ -5,58 +5,37 @@ import math
 import numpy as np
 import pytest
 
-from repro.fp.flags import ExceptionFlags
-from repro.fp.float16 import (
-    BIAS,
-    MAX_FINITE_BITS,
-    NAN_BITS,
-    NEG_INF_BITS,
-    NEG_ZERO_BITS,
-    POS_INF_BITS,
-    POS_ZERO_BITS,
-    Float16,
-    FloatClass,
-    bits_to_float,
-    classify,
-    decompose,
-    float_to_bits,
-    is_finite,
-    is_inf,
-    is_nan,
-    is_subnormal,
-    is_zero,
-    pack,
-)
+from repro.fp.formats import FP16, FloatClass
 from repro.fp.rounding import RoundingMode
 
 
 class TestEncodingRoundtrip:
     def test_one(self):
-        assert float_to_bits(1.0) == 0x3C00
-        assert bits_to_float(0x3C00) == 1.0
+        assert FP16.float_to_bits(1.0) == 0x3C00
+        assert FP16.bits_to_float(0x3C00) == 1.0
 
     def test_minus_two(self):
-        assert float_to_bits(-2.0) == 0xC000
-        assert bits_to_float(0xC000) == -2.0
+        assert FP16.float_to_bits(-2.0) == 0xC000
+        assert FP16.bits_to_float(0xC000) == -2.0
 
     def test_max_finite(self):
-        assert bits_to_float(MAX_FINITE_BITS) == 65504.0
-        assert float_to_bits(65504.0) == MAX_FINITE_BITS
+        assert FP16.bits_to_float(FP16.max_finite_bits) == 65504.0
+        assert FP16.float_to_bits(65504.0) == FP16.max_finite_bits
 
     def test_smallest_subnormal(self):
-        assert bits_to_float(0x0001) == 2.0 ** -24
-        assert float_to_bits(2.0 ** -24) == 0x0001
+        assert FP16.bits_to_float(0x0001) == 2.0 ** -24
+        assert FP16.float_to_bits(2.0 ** -24) == 0x0001
 
     def test_smallest_normal(self):
-        assert bits_to_float(0x0400) == 2.0 ** -14
-        assert float_to_bits(2.0 ** -14) == 0x0400
+        assert FP16.bits_to_float(0x0400) == 2.0 ** -14
+        assert FP16.float_to_bits(2.0 ** -14) == 0x0400
 
     def test_roundtrip_every_finite_pattern(self):
         """Every finite pattern survives a decode/encode roundtrip exactly."""
         for bits in range(0x10000):
-            if is_nan(bits) or is_inf(bits):
+            if FP16.is_nan(bits) or FP16.is_inf(bits):
                 continue
-            assert float_to_bits(bits_to_float(bits)) == bits
+            assert FP16.float_to_bits(FP16.bits_to_float(bits)) == bits
 
     def test_matches_numpy_for_all_patterns(self):
         """Decoding agrees with numpy's float16 view for every finite pattern."""
@@ -65,151 +44,74 @@ class TestEncodingRoundtrip:
         for bits in range(0, 0x10000, 17):  # stride keeps the test fast
             reference = as_np[bits]
             if math.isnan(reference):
-                assert is_nan(bits)
+                assert FP16.is_nan(bits)
             else:
-                assert bits_to_float(bits) == reference
+                assert FP16.bits_to_float(bits) == reference
 
 
 class TestSpecialValues:
     def test_zero_signs(self):
-        assert float_to_bits(0.0) == POS_ZERO_BITS
-        assert float_to_bits(-0.0) == NEG_ZERO_BITS
-        assert math.copysign(1.0, bits_to_float(NEG_ZERO_BITS)) == -1.0
+        assert FP16.float_to_bits(0.0) == 0x0000
+        assert FP16.float_to_bits(-0.0) == 0x8000
+        assert math.copysign(1.0, FP16.bits_to_float(0x8000)) == -1.0
 
     def test_infinities(self):
-        assert float_to_bits(math.inf) == POS_INF_BITS
-        assert float_to_bits(-math.inf) == NEG_INF_BITS
-        assert bits_to_float(POS_INF_BITS) == math.inf
+        assert FP16.float_to_bits(math.inf) == FP16.pos_inf_bits
+        assert FP16.float_to_bits(-math.inf) == FP16.neg_inf_bits
+        assert FP16.bits_to_float(FP16.pos_inf_bits) == math.inf
 
     def test_nan(self):
-        assert float_to_bits(math.nan) == NAN_BITS
-        assert math.isnan(bits_to_float(NAN_BITS))
-        assert is_nan(0x7C01)
-        assert is_nan(0xFFFF)
+        assert FP16.float_to_bits(math.nan) == FP16.nan_bits
+        assert math.isnan(FP16.bits_to_float(FP16.nan_bits))
+        assert FP16.is_nan(0x7C01)
+        assert FP16.is_nan(0xFFFF)
 
     def test_predicates(self):
-        assert is_zero(POS_ZERO_BITS) and is_zero(NEG_ZERO_BITS)
-        assert is_inf(POS_INF_BITS) and is_inf(NEG_INF_BITS)
-        assert is_subnormal(0x0001) and not is_subnormal(0x0400)
-        assert is_finite(0x0001) and not is_finite(POS_INF_BITS)
+        assert FP16.is_zero(0x0000) and FP16.is_zero(0x8000)
+        assert FP16.is_inf(FP16.pos_inf_bits) and FP16.is_inf(FP16.neg_inf_bits)
+        assert FP16.is_subnormal(0x0001) and not FP16.is_subnormal(0x0400)
+        assert FP16.is_finite(0x0001) and not FP16.is_finite(FP16.pos_inf_bits)
 
 
 class TestClassification:
     @pytest.mark.parametrize(
         "bits,expected",
         [
-            (POS_ZERO_BITS, FloatClass.POS_ZERO),
-            (NEG_ZERO_BITS, FloatClass.NEG_ZERO),
+            (0x0000, FloatClass.POS_ZERO),
+            (0x8000, FloatClass.NEG_ZERO),
             (0x0001, FloatClass.POS_SUBNORMAL),
             (0x8001, FloatClass.NEG_SUBNORMAL),
             (0x3C00, FloatClass.POS_NORMAL),
             (0xBC00, FloatClass.NEG_NORMAL),
-            (POS_INF_BITS, FloatClass.POS_INF),
-            (NEG_INF_BITS, FloatClass.NEG_INF),
-            (NAN_BITS, FloatClass.NAN),
+            (FP16.pos_inf_bits, FloatClass.POS_INF),
+            (FP16.neg_inf_bits, FloatClass.NEG_INF),
+            (FP16.nan_bits, FloatClass.NAN),
         ],
     )
     def test_classify(self, bits, expected):
-        assert classify(bits) is expected
+        assert FP16.classify(bits) is expected
 
 
 class TestRoundingOnConversion:
     def test_rne_ties_to_even(self):
         # 1 + 2^-11 is exactly between 1.0 and the next representable value.
-        assert float_to_bits(1.0 + 2.0 ** -11) == 0x3C00
+        assert FP16.float_to_bits(1.0 + 2.0 ** -11) == 0x3C00
         # 1 + 3*2^-11 is between 1+2^-10 and 1+2^-9; ties to even -> up.
-        assert float_to_bits(1.0 + 3 * 2.0 ** -11) == 0x3C02
+        assert FP16.float_to_bits(1.0 + 3 * 2.0 ** -11) == 0x3C02
 
     def test_rtz_truncates(self):
         value = 1.0 + 2.0 ** -11
-        assert float_to_bits(value, RoundingMode.RTZ) == 0x3C00
-        assert float_to_bits(-value, RoundingMode.RTZ) == 0xBC00
+        assert FP16.float_to_bits(value, RoundingMode.RTZ) == 0x3C00
+        assert FP16.float_to_bits(-value, RoundingMode.RTZ) == 0xBC00
 
     def test_directed_modes(self):
         value = 1.0 + 2.0 ** -11
-        assert float_to_bits(value, RoundingMode.RUP) == 0x3C01
-        assert float_to_bits(value, RoundingMode.RDN) == 0x3C00
-        assert float_to_bits(-value, RoundingMode.RDN) == 0xBC01
-        assert float_to_bits(-value, RoundingMode.RUP) == 0xBC00
-
-    def test_overflow_to_infinity(self):
-        flags = ExceptionFlags()
-        assert float_to_bits(1e6, RoundingMode.RNE, flags) == POS_INF_BITS
-        assert flags.overflow and flags.inexact
+        assert FP16.float_to_bits(value, RoundingMode.RUP) == 0x3C01
+        assert FP16.float_to_bits(value, RoundingMode.RDN) == 0x3C00
+        assert FP16.float_to_bits(-value, RoundingMode.RDN) == 0xBC01
+        assert FP16.float_to_bits(-value, RoundingMode.RUP) == 0xBC00
 
     def test_overflow_saturates_under_rtz(self):
-        assert float_to_bits(1e6, RoundingMode.RTZ) == MAX_FINITE_BITS
-        assert float_to_bits(-1e6, RoundingMode.RUP) == (MAX_FINITE_BITS | 0x8000)
-
-    def test_underflow_flag(self):
-        flags = ExceptionFlags()
-        float_to_bits(1e-9, RoundingMode.RNE, flags)
-        assert flags.underflow and flags.inexact
-
-    def test_tiny_value_rounds_to_zero(self):
-        assert float_to_bits(1e-12) == POS_ZERO_BITS
-        assert float_to_bits(-1e-12) == NEG_ZERO_BITS
-
-
-class TestDecompose:
-    def test_normal(self):
-        sign, sig, exp = decompose(0x3C00)
-        assert (sign, sig, exp) == (0, 1 << 10, -10)
-        assert sig * 2.0 ** exp == 1.0
-
-    def test_subnormal(self):
-        sign, sig, exp = decompose(0x0003)
-        assert (sign, sig, exp) == (0, 3, -24)
-
-    def test_rejects_specials(self):
-        with pytest.raises(ValueError):
-            decompose(POS_ZERO_BITS)
-        with pytest.raises(ValueError):
-            decompose(POS_INF_BITS)
-
-
-class TestPack:
-    def test_exact_value(self):
-        assert pack(0, 3, -1, RoundingMode.RNE) == float_to_bits(1.5)
-
-    def test_requires_positive_magnitude(self):
-        with pytest.raises(ValueError):
-            pack(0, 0, 0, RoundingMode.RNE)
-
-    def test_subnormal_rounds_up_to_normal(self):
-        # Just below the smallest normal, rounding up crosses the boundary.
-        bits = pack(0, (1 << 30) - 1, -30 - 14, RoundingMode.RUP)
-        assert bits == 0x0400
-
-
-class TestFloat16Wrapper:
-    def test_constructors(self):
-        assert Float16.one().to_float() == 1.0
-        assert Float16.zero(negative=True).bits == NEG_ZERO_BITS
-        assert Float16.inf().is_inf()
-        assert Float16.nan().is_nan()
-        assert Float16.max_finite().to_float() == 65504.0
-
-    def test_from_float(self):
-        value = Float16.from_float(0.333251953125)
-        assert value.to_float() == pytest.approx(0.333251953125)
-
-    def test_fields(self):
-        value = Float16.from_float(-1.5)
-        assert value.sign == 1
-        assert value.exponent == BIAS
-        assert value.mantissa == 0x200
-
-    def test_hashable_and_float_protocol(self):
-        assert float(Float16.one()) == 1.0
-        assert len({Float16.one(), Float16.one(), Float16.nan()}) == 2
-
-    def test_rejects_out_of_range_bits(self):
-        with pytest.raises(ValueError):
-            Float16(0x10000)
-        with pytest.raises(ValueError):
-            Float16(-1)
-
-    def test_rejects_non_numbers(self):
-        with pytest.raises(TypeError):
-            float_to_bits("1.0")
+        assert FP16.float_to_bits(1e6, RoundingMode.RTZ) == FP16.max_finite_bits
+        assert FP16.float_to_bits(-1e6, RoundingMode.RUP) == (
+            FP16.max_finite_bits | 0x8000)

@@ -19,10 +19,7 @@ from repro.fp.formats import (
     fma_mixed,
     get_format,
     mul_bits,
-    neg_bits,
-    sub_bits,
 )
-from repro.fp.fma import add16, fma16, mul16, neg16, sub16
 from repro.fp.rounding import RoundingMode
 
 ALL_FORMATS = list(FORMATS.values())
@@ -44,15 +41,6 @@ class TestDescriptors:
         assert fmt.storage_bits == bits
         assert fmt.bias == bias
         assert fmt.storage_bytes == bits // 8
-
-    def test_fp16_constants_match_the_binary16_module(self):
-        from repro.fp import float16
-
-        assert FP16.nan_bits == float16.NAN_BITS == 0x7E00
-        assert FP16.pos_inf_bits == float16.POS_INF_BITS
-        assert FP16.max_finite_bits == float16.MAX_FINITE_BITS
-        assert FP16.one_bits == float16.ONE_BITS
-        assert FP16.subnormal_exp == float16.SUBNORMAL_EXP
 
     def test_max_finite_values(self):
         assert FP16.max_finite_value == 65504.0
@@ -116,21 +104,85 @@ class TestConversionRoundTrips:
         assert counts[FloatClass.POS_SUBNORMAL] == fmt.man_mask
 
 
-class TestFp16Specialisation:
-    """The binary16 wrappers must be the FP16 instantiation of the generics."""
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+class TestScalarCodec:
+    """Field access and the range and type checks on every format."""
 
-    def test_fma_add_mul_sub_neg_agree_with_generic(self):
-        import random
+    def test_fields(self, fmt):
+        bits = fmt.float_to_bits(-1.5)
+        assert fmt.sign_of(bits) == 1
+        assert fmt.exponent_field(bits) == fmt.bias
+        assert fmt.mantissa_field(bits) == 1 << (fmt.man_bits - 1)
 
-        rng = random.Random(7)
-        for _ in range(500):
-            a, b, c = (rng.randrange(1 << 16) for _ in range(3))
-            for mode in RoundingMode:
-                assert fma16(a, b, c, mode) == fma_bits(a, b, c, FP16, mode)
-                assert mul16(a, b, mode) == mul_bits(a, b, FP16, mode)
-                assert add16(a, b, mode) == add_bits(a, b, FP16, mode)
-                assert sub16(a, b, mode) == sub_bits(a, b, FP16, mode)
-            assert neg16(a) == neg_bits(a, FP16)
+    def test_check_bits_rejects_out_of_range_patterns(self, fmt):
+        assert fmt.check_bits(fmt.full_mask) == fmt.full_mask
+        with pytest.raises(ValueError):
+            fmt.check_bits(fmt.full_mask + 1)
+        with pytest.raises(ValueError):
+            fmt.check_bits(-1)
+        with pytest.raises(TypeError):
+            fmt.check_bits(1.0)
+
+    def test_float_to_bits_rejects_non_numbers(self, fmt):
+        for value in ("1.0", None, True):
+            with pytest.raises(TypeError):
+                fmt.float_to_bits(value)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+class TestDecompose:
+    def test_normal(self, fmt):
+        sign, sig, exp = fmt.decompose(fmt.one_bits)
+        assert (sign, sig, exp) == (0, 1 << fmt.man_bits, -fmt.man_bits)
+        assert sig * 2.0 ** exp == 1.0
+
+    def test_subnormal(self, fmt):
+        # The least subnormal bit weighs 2**(emin - man_bits), emin = 1 - bias.
+        lsb_exp = 1 - fmt.bias - fmt.man_bits
+        assert fmt.decompose(0x3) == (0, 3, lsb_exp)
+        assert fmt.decompose(fmt.sign_mask | 0x3) == (1, 3, lsb_exp)
+
+    def test_rejects_specials(self, fmt):
+        for bits in (0, fmt.sign_mask, fmt.pos_inf_bits, fmt.nan_bits):
+            with pytest.raises(ValueError):
+                fmt.decompose(bits)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+class TestPack:
+    def test_exact_value(self, fmt):
+        assert fmt.pack(0, 3, -1, RoundingMode.RNE) == fmt.float_to_bits(1.5)
+
+    def test_requires_positive_magnitude(self, fmt):
+        with pytest.raises(ValueError):
+            fmt.pack(0, 0, 0, RoundingMode.RNE)
+
+    def test_subnormal_rounds_up_to_normal(self, fmt):
+        # Just below the smallest normal 2**(1 - bias), rounding up crosses
+        # the boundary.
+        bits = fmt.pack(0, (1 << 30) - 1, -30 + 1 - fmt.bias, RoundingMode.RUP)
+        assert bits == 1 << fmt.man_bits
+        assert fmt.bits_to_float(bits) == 2.0 ** (1 - fmt.bias)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+class TestConversionFlags:
+    def test_overflow_to_infinity(self, fmt):
+        flags = ExceptionFlags()
+        huge = fmt.max_finite_value * 4
+        assert fmt.float_to_bits(huge, RoundingMode.RNE, flags) == (
+            fmt.pos_inf_bits)
+        assert flags.overflow and flags.inexact
+
+    def test_underflow_flag(self, fmt):
+        flags = ExceptionFlags()
+        fmt.float_to_bits(fmt.bits_to_float(0x1) / 4, RoundingMode.RNE, flags)
+        assert flags.underflow and flags.inexact
+
+    def test_tiny_value_rounds_to_zero(self, fmt):
+        tiny = fmt.bits_to_float(0x1) / 4
+        assert fmt.float_to_bits(tiny) == 0
+        assert fmt.float_to_bits(-tiny) == fmt.sign_mask
 
 
 class TestGenericArithmetic:

@@ -5,34 +5,25 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.fp.fma import add16, fma16, mul16, neg16
-from repro.fp.float16 import (
-    NEG_ZERO_BITS,
-    ONE_BITS,
-    POS_ZERO_BITS,
-    bits_to_float,
-    float_to_bits,
-    is_finite,
-    is_nan,
-)
+from repro.fp.formats import FP16, add_bits, fma_bits, mul_bits, neg_bits
 from repro.fp.rounding import RoundingMode
 
 #: Any 16-bit pattern (including NaNs, infinities and subnormals).
 any_pattern = st.integers(min_value=0, max_value=0xFFFF)
 
 #: Finite patterns only.
-finite_pattern = any_pattern.filter(lambda b: is_finite(b))
+finite_pattern = any_pattern.filter(FP16.is_finite)
 
 #: Patterns whose magnitude is small enough that products stay finite.
 moderate_pattern = st.integers(min_value=0, max_value=0xFFFF).filter(
-    lambda b: is_finite(b) and abs(bits_to_float(b)) <= 64.0
+    lambda b: FP16.is_finite(b) and abs(FP16.bits_to_float(b)) <= 64.0
 )
 
 
 @given(finite_pattern)
 def test_encode_decode_roundtrip(bits):
     """decode -> encode is the identity on finite patterns."""
-    assert float_to_bits(bits_to_float(bits)) == bits
+    assert FP16.float_to_bits(FP16.bits_to_float(bits)) == bits
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
@@ -40,7 +31,7 @@ def test_conversion_matches_numpy(value):
     """float64 -> FP16 conversion agrees with numpy for arbitrary floats."""
     with np.errstate(over="ignore"):
         reference = np.float16(value)
-    ours = bits_to_float(float_to_bits(float(value)))
+    ours = FP16.bits_to_float(FP16.float_to_bits(float(value)))
     if math.isnan(float(reference)):
         assert math.isnan(ours)
     else:
@@ -50,60 +41,60 @@ def test_conversion_matches_numpy(value):
 @given(any_pattern, any_pattern)
 def test_multiplication_is_commutative(a, b):
     """a*b == b*a for every pattern, including specials."""
-    left, right = mul16(a, b), mul16(b, a)
+    left, right = mul_bits(a, b, FP16), mul_bits(b, a, FP16)
     assert left == right
 
 
 @given(any_pattern, any_pattern)
 def test_addition_is_commutative(a, b):
-    assert add16(a, b) == add16(b, a)
+    assert add_bits(a, b, FP16) == add_bits(b, a, FP16)
 
 
 @given(finite_pattern)
 def test_multiplying_by_one_is_identity(a):
-    assert mul16(a, ONE_BITS) == a
+    assert mul_bits(a, FP16.one_bits, FP16) == a
 
 
 @given(finite_pattern)
 def test_adding_positive_zero_is_identity(a):
-    assert add16(a, POS_ZERO_BITS) == a or (a == NEG_ZERO_BITS)
+    assert add_bits(a, 0x0000, FP16) == a or (a == 0x8000)
 
 
 @given(any_pattern, any_pattern, any_pattern)
 def test_fma_never_crashes_and_stays_in_range(a, b, c):
-    result = fma16(a, b, c)
+    result = fma_bits(a, b, c, FP16)
     assert 0 <= result <= 0xFFFF
 
 
 @given(moderate_pattern, moderate_pattern, moderate_pattern)
 def test_fma_matches_float64_single_rounding(a, b, c):
     """For moderate operands the FMA equals float64 evaluation rounded once."""
-    fa, fb, fc = bits_to_float(a), bits_to_float(b), bits_to_float(c)
+    fa, fb, fc = (FP16.bits_to_float(v) for v in (a, b, c))
     reference = np.float16(fa * fb + fc)
-    ours = fma16(a, b, c)
+    ours = fma_bits(a, b, c, FP16)
     if np.isnan(reference):
-        assert is_nan(ours)
+        assert FP16.is_nan(ours)
     else:
-        assert bits_to_float(ours) == float(reference)
+        assert FP16.bits_to_float(ours) == float(reference)
 
 
 @given(moderate_pattern, moderate_pattern, moderate_pattern)
 def test_fma_negation_symmetry(a, b, c):
     """(-a)*b + (-c) == -(a*b + c) for finite results (sign symmetry of RNE)."""
-    positive = fma16(a, b, c)
-    negative = fma16(neg16(a), b, neg16(c))
-    if is_nan(positive) or bits_to_float(positive) == 0.0:
+    positive = fma_bits(a, b, c, FP16)
+    negative = fma_bits(neg_bits(a, FP16), b, neg_bits(c, FP16), FP16)
+    if FP16.is_nan(positive) or FP16.bits_to_float(positive) == 0.0:
         return  # zero keeps +0 under RNE, so symmetry does not apply
-    assert negative == neg16(positive)
+    assert negative == neg_bits(positive, FP16)
 
 
 @given(finite_pattern, finite_pattern)
 @settings(max_examples=200)
 def test_directed_rounding_brackets_the_exact_product(a, b):
     """RDN result <= exact product <= RUP result (when both are finite)."""
-    exact = bits_to_float(a) * bits_to_float(b)
-    down = bits_to_float(mul16(a, b, RoundingMode.RDN))
-    up = bits_to_float(mul16(a, b, RoundingMode.RUP))
+    exact = FP16.bits_to_float(a) * FP16.bits_to_float(b)
+    down = FP16.bits_to_float(mul_bits(a, b, FP16, RoundingMode.RDN))
+    up = FP16.bits_to_float(mul_bits(a, b, FP16, RoundingMode.RUP))
     if math.isinf(down) or math.isinf(up):
         return
     assert down <= exact <= up

@@ -1,11 +1,12 @@
 """Directed binary16 tests of the vectorised kernels (:mod:`repro.fp.simd_formats`).
 
-The scalar substrate (:mod:`repro.fp.fma` et al.) is the oracle: every
-kernel must match it bit for bit, element by element, over directed
-special-value grids and large random sweeps, for every rounding mode.  The
-hypothesis properties of ``test_fp_formats_properties`` cover the other
-formats; binary16 gets the exhaustive directed grids here because its float
-codec and guarded kernel take numpy's native ``float16`` path.
+The scalar kernels of :mod:`repro.fp.formats` (``fma_bits`` et al. on
+:data:`FP16`) are the oracle: every kernel must match them bit for bit,
+element by element, over directed special-value grids and large random
+sweeps, for every rounding mode.  The hypothesis properties of
+``test_fp_formats_properties`` cover the other formats; binary16 gets the
+exhaustive directed grids here because its float codec and guarded kernel
+take numpy's native ``float16`` path.
 """
 
 import itertools
@@ -16,9 +17,15 @@ import numpy as np
 import pytest
 
 from repro.fp.flags import ExceptionFlags
-from repro.fp.float16 import pack
-from repro.fp.fma import add16, fma16, mul16, neg16, sub16
-from repro.fp.formats import FORMATS, FP16
+from repro.fp.formats import (
+    FORMATS,
+    FP16,
+    add_bits,
+    fma_bits,
+    mul_bits,
+    neg_bits,
+    sub_bits,
+)
 from repro.fp.rounding import RoundingMode
 from repro.fp.simd_formats import (
     add_many_fmt,
@@ -66,7 +73,7 @@ def _assert_fma_matches_scalar(triples, mode):
     a, b, c = _triples_as_arrays(triples)
     got = fma_many_fmt(a, b, c, FP16, mode)
     for i, (x, y, z) in enumerate(triples):
-        want = fma16(x, y, z, mode)
+        want = fma_bits(x, y, z, FP16, mode)
         assert int(got[i]) == want, (
             f"fma_many_fmt mismatch at {mode}: "
             f"a={x:#06x} b={y:#06x} c={z:#06x} "
@@ -116,7 +123,7 @@ class TestFmaDirected:
         c = np.array([[0x0000], [0x3C00]], dtype=np.uint16)
         out = fma_many_fmt(a, np.uint16(0x3C00), c, FP16)
         assert out.shape == (2, 2)
-        assert int(out[1, 0]) == fma16(0x3C00, 0x3C00, 0x3C00)
+        assert int(out[1, 0]) == fma_bits(0x3C00, 0x3C00, 0x3C00, FP16)
 
     def test_rejects_out_of_range_patterns(self):
         with pytest.raises(ValueError):
@@ -148,7 +155,7 @@ class TestOtherKernels:
         b = np.array([p[1] for p in pairs], dtype=np.uint16)
         got = mul_many_fmt(a, b, FP16, mode)
         for i, (x, y) in enumerate(pairs):
-            assert int(got[i]) == mul16(x, y, mode)
+            assert int(got[i]) == mul_bits(x, y, FP16, mode)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_add_sub_match_scalar(self, mode):
@@ -161,14 +168,14 @@ class TestOtherKernels:
         added = add_many_fmt(a, b, FP16, mode)
         subbed = add_many_fmt(a, neg_many_fmt(b, FP16), FP16, mode)
         for i, (x, y) in enumerate(pairs):
-            assert int(added[i]) == add16(x, y, mode)
-            assert int(subbed[i]) == sub16(x, y, mode)
+            assert int(added[i]) == add_bits(x, y, FP16, mode)
+            assert int(subbed[i]) == sub_bits(x, y, FP16, mode)
 
     def test_neg_matches_scalar(self):
         bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
         got = neg_many_fmt(bits, FP16)
         for i, value in enumerate(SPECIAL_PATTERNS):
-            assert int(got[i]) == neg16(value)
+            assert int(got[i]) == neg_bits(value, FP16)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_pack_matches_scalar(self, mode):
@@ -185,7 +192,7 @@ class TestOtherKernels:
         bits = pack_many_fmt(sign, magnitude, exponent, FP16, mode, vector_flags)
         scalar_flags = ExceptionFlags()
         for i, (s, m, e) in enumerate(cases):
-            assert int(bits[i]) == pack(s, m, e, mode, scalar_flags)
+            assert int(bits[i]) == FP16.pack(s, m, e, mode, scalar_flags)
         assert vector_flags == scalar_flags
 
 
@@ -201,7 +208,7 @@ class TestFlags:
         fma_many_fmt(a, b, c, FP16, mode, vector_flags)
         scalar_flags = ExceptionFlags()
         for x, y, z in triples:
-            fma16(x, y, z, mode, scalar_flags)
+            fma_bits(x, y, z, FP16, mode, scalar_flags)
         assert vector_flags == scalar_flags
 
     def test_flags_quiet_on_exact_lanes(self):
@@ -273,7 +280,8 @@ class TestGuardedF64:
         x64, w64, c64 = (bits_to_f64_many(bits[i], FP16) for i in range(3))
         got = f64_to_bits_many(fma_guarded_f64_fmt(x64, w64, c64, FP16), FP16)
         for i in range(bits.shape[1]):
-            want = fma16(int(bits[0, i]), int(bits[1, i]), int(bits[2, i]))
+            a, b, c = (int(v) for v in bits[:, i])
+            want = fma_bits(a, b, c, FP16)
             assert int(got[i]) == want
 
     def test_double_rounding_lanes_are_diverted(self):
@@ -283,4 +291,4 @@ class TestGuardedF64:
         w = np.array([2.0 ** -14], dtype=np.float64)
         c = np.array([65504.0], dtype=np.float64)
         got = int(f64_to_bits_many(fma_guarded_f64_fmt(x, w, c, FP16), FP16)[0])
-        assert got == fma16(0x0001, 0x0400, 0x7BFF)
+        assert got == fma_bits(0x0001, 0x0400, 0x7BFF, FP16)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.tiler import plan_tiled_matmul
 from repro.farm import SimulationFarm
-from repro.graph.ir import WorkloadGraph
+from repro.graph.ir import GemmNode, WorkloadGraph
 from repro.graph.zoo import (
     autoencoder_training_graph,
     mlp_training_graph,
@@ -47,13 +47,20 @@ class TestAutoencoderParity:
         assert [s.name for s in workload.shapes] == \
             [t.shape.name for t in legacy]
         assert workload.total_macs == sum(t.shape.macs for t in legacy)
+        lowered = autoencoder_training_graph(16).lower().gemm_workload()
+        assert (workload.name, workload.shapes) == (lowered.name,
+                                                    lowered.shapes)
 
-    def test_training_step_gemms_wrapper_matches_primitives(self):
-        """The graph-backed thin wrapper returns the primitive composition."""
+    def test_training_step_gemms_matches_the_graph(self):
+        """The flat training step carries the graph's GEMM shapes, roles
+        and layers, in the graph's deterministic order."""
         from repro.workloads.training import training_step_gemms
 
-        assert training_step_gemms(AUTOENCODER_LAYER_SIZES, 16) == \
-            _legacy_autoencoder_gemms(16)
+        graph = autoencoder_training_graph(16)
+        assert [(t.shape, t.role.value, str(t.layer))
+                for t in training_step_gemms(AUTOENCODER_LAYER_SIZES, 16)] == \
+            [(n.shape, n.tags["role"], n.tags["layer"])
+             for n in graph.topo_sort() if isinstance(n, GemmNode)]
 
 
 class TestWholeGemmLowering:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fp.float16 import bits_to_float, float_to_bits
 from repro.fp.formats import FP16
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.datapath import Datapath
@@ -14,10 +13,6 @@ from repro.redmule.vector_ops import (
     TraceVectorOps,
     make_vector_ops,
 )
-
-
-def f2b(value: float) -> int:
-    return float_to_bits(value)
 
 
 def tile(rows):
@@ -34,18 +29,19 @@ class TestVectorOps:
     @pytest.mark.parametrize("ops", ALL_OPS, ids=ALL_IDS)
     def test_chain_walks_the_inner_dimension(self, ops):
         # Z = 0.5 + 2*3 + 4*0.25 for one element, row by row.
-        x = tile([[f2b(2.0), f2b(4.0)], [f2b(1.0), f2b(-1.0)]])
-        w = tile([[f2b(3.0)], [f2b(0.25)]])
-        acc = tile([[f2b(0.5)], [f2b(0.0)]])
+        x = tile([[FP16.float_to_bits(2.0), FP16.float_to_bits(4.0)],
+                  [FP16.float_to_bits(1.0), FP16.float_to_bits(-1.0)]])
+        w = tile([[FP16.float_to_bits(3.0)], [FP16.float_to_bits(0.25)]])
+        acc = tile([[FP16.float_to_bits(0.5)], [FP16.float_to_bits(0.0)]])
         z = ops.chain(x, w, acc, [True, True])
         assert z.shape == (1, 2, 1)
-        assert [bits_to_float(int(b)) for b in z[0, :, 0]] == [7.5, 2.75]
+        assert [FP16.bits_to_float(int(b)) for b in z[0, :, 0]] == [7.5, 2.75]
 
     @pytest.mark.parametrize("ops", ALL_OPS, ids=ALL_IDS)
     def test_gated_steps_pass_the_accumulator_through(self, ops):
         # -0 + (+1 * +0) is +0 under RNE, but a gated padding lane never
         # computes the product, so the signed zero survives.
-        x = tile([[f2b(1.0), f2b(1.0)]])
+        x = tile([[FP16.float_to_bits(1.0), FP16.float_to_bits(1.0)]])
         w = tile([[0x0000], [0x0000]])
         acc = tile([[0x8000]])
         assert int(ops.chain(x, w, acc, [False, False])[0, 0, 0]) == 0x8000
@@ -66,7 +62,7 @@ class TestVectorOps:
     def test_invalid_fma_writes_the_canonical_nan_on_every_backend(self, acc):
         # x86's default NaN has its sign bit set; a raw float16 cast would
         # store 0xFE00 where FPnew writes its canonical quiet NaN.
-        x = tile([[f2b(float("inf"))], [0x0000]])
+        x = tile([[FP16.float_to_bits(float("inf"))], [0x0000]])
         w = tile([[0x0000]])
         results = [ops.chain(x, w, tile([[acc], [acc]]), [True])
                    for ops in ALL_OPS]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fp.float16 import float_to_bits
+from repro.fp.formats import FP16
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
 from repro.mem.tcdm import Tcdm
@@ -21,7 +21,7 @@ def setup():
 
 class TestPacking:
     def test_line_roundtrip_through_memory(self):
-        bits = [float_to_bits(v) for v in (1.0, -2.0, 0.5, 1024.0)]
+        bits = [FP16.float_to_bits(v) for v in (1.0, -2.0, 0.5, 1024.0)]
         tcdm = Tcdm()
         tcdm.write_u16_line(tcdm.base, bits)
         assert tcdm.dump_image(tcdm.base, 8) == np.asarray(bits, "<u2").tobytes()

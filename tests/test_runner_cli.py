@@ -6,9 +6,16 @@ tests pin the fixed behaviour (up-front validation, ``--list``) without
 running the heavyweight experiments themselves.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import runner
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestValidation:
@@ -59,6 +66,20 @@ class TestListFlag:
                                 lambda name=name: executed.append(name))
         runner.main(["--list"])
         assert executed == []
+
+    def test_module_entry_point_writes_nothing_to_stderr(self):
+        """``python -m repro.experiments.runner`` must not find the runner
+        already imported by its own package (runpy warns, and the module
+        body runs twice)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
+            "PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "--list"],
+            capture_output=True, text=True, cwd=REPO, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.split() == runner.list_experiments()
 
 
 class TestFarmStats:
