@@ -24,7 +24,7 @@ import os
 import re
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 
 #: Environment variable naming the directory ``BENCH_*.json`` files go to.
 BENCH_RESULTS_ENV = "BENCH_RESULTS_DIR"

@@ -18,7 +18,7 @@ import numpy as np
 from repro import AutoEncoder
 from repro.experiments.fig4 import autoencoder_batching, autoencoder_training
 from repro.fp.vector import quantize_fp16
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 from repro.power.technology import OP_22NM_PERFORMANCE
 
 

@@ -13,7 +13,7 @@ Run with:  python examples/design_space_exploration.py
 
 from repro import AreaModel, EnergyModel, RedMulEConfig
 from repro.farm import default_farm
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 from repro.power.technology import OP_22NM_EFFICIENCY, TECH_22NM
 from repro.workloads.autoencoder import autoencoder_training_gemms
 

@@ -11,7 +11,7 @@ Run with:  python examples/pareto_frontier.py
 """
 
 from repro.dse import DesignSpace, Objective, cross_validate, sweep
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 
 #: Geometry grid: compact MCU-class arrays up to cluster-sized ones.
 SPACE = DesignSpace.grid(

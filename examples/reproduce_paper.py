@@ -10,7 +10,7 @@ Run with:  python examples/reproduce_paper.py
 
 from repro.experiments.runner import run_experiment
 from repro.experiments.table1 import render_table1
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 
 
 def show_table1() -> None:

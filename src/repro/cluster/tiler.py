@@ -117,6 +117,10 @@ class TiledMatmulResult:
         return self.compute_cycles + self.exposed_dma_cycles + self.offload_cycles
 
 
+#: Smallest TCDM budget the planner (and graph lowering) accepts.
+MIN_TCDM_BUDGET_BYTES = 8 * 1024
+
+
 def _round_down_multiple(value: int, granule: int, minimum: int) -> int:
     """Round ``value`` down to a multiple of ``granule`` (at least ``minimum``)."""
     rounded = max((value // granule) * granule, minimum)
@@ -138,7 +142,7 @@ def plan_tiled_matmul(
     """
     if m <= 0 or n <= 0 or k <= 0:
         raise ValueError("matrix dimensions must be positive")
-    if tcdm_budget_bytes < 8 * 1024:
+    if tcdm_budget_bytes < MIN_TCDM_BUDGET_BYTES:
         raise ValueError("a TCDM budget below 8 KiB is not practical")
     config = config or RedMulEConfig.reference()
     element_bytes = config.element_bytes

@@ -5,11 +5,13 @@
 times the lowered job stream through a ``backend="analytic"``
 :class:`~repro.farm.SimulationFarm`, and joins the timing with the area and
 energy models into one :class:`DsePoint` record per grid point.  Each piece
-of work runs once per distinct input it depends on: lowering, the job
-dependency list, the farm batch, the exactness scan and the accelerator
-area once per configuration; the cycles, critical path, throughput, power
-and energy once per (configuration, memory latency); the cluster area once
-per (configuration, TCDM bank count).  One
+of work runs once per distinct input it depends on: the lowered program and
+its job dependency list once per lowering key (the graph memoises them, see
+:meth:`~repro.graph.ir.WorkloadGraph.lower`); the farm batch, the exactness
+scan (once per distinct job) and the accelerator area once per
+configuration; the cycles, critical path, throughput, power and energy once
+per (configuration, memory latency); the cluster area once per
+(configuration, TCDM bank count).  One
 :class:`~repro.farm.TimingCache` serves the whole sweep (pass ``cache=`` to
 share it across sweeps and workloads too).
 
@@ -255,7 +257,7 @@ class SweepResult:
         trusted_only: bool = False,
     ) -> str:
         """Human-readable summary: sweep stats plus the frontier table."""
-        from repro.perf.report import TextTable
+        from repro.obs.report import TextTable
 
         resolved = resolve_objectives(objectives)
         frontier = self.pareto(resolved, trusted_only=trusted_only)
@@ -315,8 +317,9 @@ def sweep(
     (``benchmarks/bench_dse_frontier.py`` pins the >= 50x gap).
 
     The sweep walks :meth:`DesignSpace.configs`: each configuration is
-    lowered and timed once, its latency-dependent metrics are derived once
-    per ``memory_latency`` value and its cluster area once per
+    timed once on the graph's memoised lowering (configurations sharing a
+    lowering key share one program), its latency-dependent metrics are
+    derived once per ``memory_latency`` value and its cluster area once per
     ``tcdm_banks`` value.  The records come out in
     :meth:`DesignSpace.points` order.
     """
@@ -358,7 +361,8 @@ def sweep(
             "n_jobs": program.n_jobs,
             "total_macs": total_macs,
             "area_mm2": AreaModel(config, technology).total(),
-            "model_exact": all(model.is_exact(job) for job in program.jobs),
+            "model_exact": all(model.is_exact(job)
+                               for job in dict.fromkeys(program.jobs)),
         }
 
         # Latency-level work: timing, throughput and energy.

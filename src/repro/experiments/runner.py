@@ -21,7 +21,7 @@ import os
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import dse, fig3, fig4, serve, table1
-from repro.perf.report import write_out
+from repro.obs.report import write_out
 from repro.redmule.vector_ops import VECTOR_OPS_BACKENDS
 
 #: Registry of experiment drivers keyed by the paper's identifier, plus the

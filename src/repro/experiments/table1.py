@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 
 from repro.farm import SimulationFarm
 from repro.perf.comparison import PAPER_OUR_WORK, SOA_ENTRIES, our_entries
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 from repro.redmule.config import RedMulEConfig
 
 #: Column headers of Table I.

@@ -38,9 +38,14 @@ from repro.farm.cache import (
     TimingRecord,
     config_key,
 )
-from repro.farm.workers import run_functional_job, simulate_key
+from repro.farm.workers import (
+    model_timing_record,
+    run_functional_job,
+    simulate_key,
+)
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
+from repro.redmule.perf_model import RedMulEPerfModel
 from repro.redmule.trace import shared_trace_store, trace_tag
 from repro.redmule.vector_ops import (
     DEFAULT_BACKEND,
@@ -548,8 +553,15 @@ class SimulationFarm:
 
         records: Dict[TimingKey, TimingRecord] = {}
         # Model estimates are closed-form and cheaper than any pickling.
+        # Every key this farm builds carries config_key(self.config), so
+        # one model of the farm's own config serves them all.
+        model = RedMulEPerfModel(self.config)
         for key in model_keys:
-            records[key] = simulate_key(key)
+            if key.backend == BACKEND_MODEL:
+                records[key] = model_timing_record(model, key.m, key.n,
+                                                   key.k, key.accumulate)
+            else:
+                records[key] = simulate_key(key)  # rejects the unknown name
             self.stats.model_runs += 1
 
         if engine_keys:

@@ -128,11 +128,22 @@ def estimate_model_timing(
     accumulate: bool,
 ) -> TimingRecord:
     """Estimate one shape with the analytical model (inline, no process hop)."""
-    config = config_from_key(key)
+    return model_timing_record(RedMulEPerfModel(config_from_key(key)),
+                               m, n, k, accumulate)
+
+
+def model_timing_record(model: RedMulEPerfModel, m: int, n: int, k: int,
+                        accumulate: bool) -> TimingRecord:
+    """The model record of one shape on ``model``'s configuration.
+
+    Callers timing many shapes of one configuration share one model, so
+    the configuration's derived geometry is computed once.
+    """
+    config = model.config
     job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=m, n=n, k=k,
                     accumulate=accumulate,
                     element_bytes=config.element_bytes)
-    estimate = RedMulEPerfModel(config).estimate(job)
+    estimate = model.estimate(job)
     return TimingRecord(
         cycles=estimate.cycles,
         stall_cycles=estimate.overhead_cycles,

@@ -345,13 +345,6 @@ class BinaryFormat:
         _, sig, exp = self.decompose(bits)
         return sign * math.ldexp(float(sig), exp)
 
-    # -- numpy array bridge (implemented in repro.fp.simd_formats) -----------
-    def f64_to_bits_array(self, values, mode: RoundingMode = RoundingMode.RNE):
-        """Round a ``float64`` array to patterns (vectorised, bit-exact)."""
-        from repro.fp.simd_formats import f64_to_bits_many
-
-        return f64_to_bits_many(values, self, mode)
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

@@ -35,6 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.redmule.config import RedMulEConfig
 from repro.workloads.gemm import VALID_TRANSPOSES, GemmShape
 
 #: Bytes per FP16 tensor element.
@@ -241,6 +242,8 @@ class WorkloadGraph:
         self._node_index: Dict[str, int] = {}
         #: tensor name -> producing node name (absent = graph input).
         self._producer: Dict[str, str] = {}
+        #: Lowering key -> memoised LoweredProgram (see :meth:`lower`).
+        self._lowered: Dict[tuple, object] = {}
 
     # -- construction --------------------------------------------------------
     def add_tensor(self, name: str, rows: int, cols: int) -> str:
@@ -274,7 +277,18 @@ class WorkloadGraph:
         self._node_index[node.name] = len(self.nodes)
         self.nodes.append(node)
         self._producer[node.output] = node.name
+        self.invalidate_lowerings()
         return node
+
+    def invalidate_lowerings(self) -> None:
+        """Drop every memoised lowering (see :meth:`lower`).
+
+        :meth:`add` and :func:`repro.graph.precision.assign_precisions`
+        call this.  The lowering key reads each node's precision override,
+        so code that changes a node's shape or inputs in place must call
+        it too.
+        """
+        self._lowered.clear()
 
     def add_gemm(self, name: str, shape: GemmShape, x: str, w: str, z: str,
                  transpose: str = "",
@@ -464,13 +478,32 @@ class WorkloadGraph:
         inner-dimension tiles carry ``accumulate=True`` and add into the
         same Z region, so the stream's MAC count equals the whole GEMM's
         and a job waits on its predecessor within the node.
+
+        The result is memoised on the graph per *lowering key*: every input
+        lowering reads -- the graph's name, its precision resolved against
+        the config's format and each node's precision override; ``tile``
+        and the resolved budget; and, of the config, the ``length`` and
+        ``block_k`` the tiling planner reads.  Configurations that agree on
+        the key share one frozen
+        :class:`~repro.graph.lower.LoweredProgram`.  :meth:`add` and
+        :func:`~repro.graph.precision.assign_precisions` drop the memo;
+        :func:`repro.graph.lower.lower` always lowers afresh.
         """
+        from repro.graph.lower import DEFAULT_TCDM_BUDGET_BYTES
         from repro.graph.lower import lower as lower_graph
 
-        kwargs = {}
-        if tcdm_budget_bytes is not None:
-            kwargs["tcdm_budget_bytes"] = tcdm_budget_bytes
-        return lower_graph(self, config=config, tile=tile, **kwargs)
+        config = config or RedMulEConfig.reference()
+        if tcdm_budget_bytes is None:
+            tcdm_budget_bytes = DEFAULT_TCDM_BUDGET_BYTES
+        key = (self.name, self.precision or config.format,
+               tuple(node.precision for node in self.nodes),
+               tile, tcdm_budget_bytes, config.length, config.block_k)
+        program = self._lowered.get(key)
+        if program is None:
+            program = self._lowered[key] = lower_graph(
+                self, config=config, tile=tile,
+                tcdm_budget_bytes=tcdm_budget_bytes)
+        return program
 
     # -- reporting -----------------------------------------------------------
     def describe(self) -> str:

@@ -15,16 +15,26 @@ it waits on, and a diagnostic line.  Two modes:
   into per-tile jobs (inner-dimension tiles accumulate, ``Z += X . W``),
   the stream a DMA-fed cluster would actually execute.
 
-Either way the tiling planner is consulted per GEMM so the diagnostics can
-report the TCDM footprint and the plan a too-large GEMM would need.
+Either way the tiling planner is consulted only for GEMMs whose operand set
+exceeds the budget, so the diagnostics can report the plan a too-large GEMM
+would need (or that none fits).  GEMMs that fit are one job in both modes.
+
+:func:`lower` always lowers afresh; :meth:`WorkloadGraph.lower
+<repro.graph.ir.WorkloadGraph.lower>` memoises its result per lowering key
+and hands the same frozen :class:`LoweredProgram` to every caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.tiler import TiledMatmulPlan, plan_tiled_matmul
+from repro.cluster.tiler import (
+    MIN_TCDM_BUDGET_BYTES,
+    TiledMatmulPlan,
+    plan_tiled_matmul,
+)
 from repro.graph.ir import ElementwiseNode, GemmNode, WorkloadGraph
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -73,12 +83,17 @@ class LoweredNode:
         return len(self.jobs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoweredProgram:
-    """A lowered graph: nodes in deterministic topological order."""
+    """A lowered graph: nodes in deterministic topological order.
+
+    Frozen, with ``nodes`` a tuple: :meth:`WorkloadGraph.lower
+    <repro.graph.ir.WorkloadGraph.lower>` hands one instance to every
+    caller of the same lowering key, so no caller may change it.
+    """
 
     graph_name: str
-    nodes: List[LoweredNode]
+    nodes: Tuple[LoweredNode, ...]
     tiled: bool
     tcdm_budget_bytes: int
     #: Default element format the jobs were lowered for.  Nodes carrying a
@@ -114,7 +129,7 @@ class LoweredProgram:
         """Useful MACs over the whole program."""
         return sum(node.macs for node in self.nodes)
 
-    def job_deps(self) -> List[Tuple[int, ...]]:
+    def job_deps(self) -> Tuple[Tuple[int, ...], ...]:
         """Flat-stream dependency annotation: job index -> prerequisite indices.
 
         A job waits on the previous job of its own node (a node's jobs run
@@ -123,8 +138,12 @@ class LoweredProgram:
         Job-less (elementwise) nodes are resolved *transitively*: depending
         on a ReLU means depending on the jobs of the GEMM that fed it, so
         the annotation never loses an ordering constraint just because a
-        zero-job node sits on the data path.
+        zero-job node sits on the data path.  Derived once per program.
         """
+        return self._job_deps
+
+    @cached_property
+    def _job_deps(self) -> Tuple[Tuple[int, ...], ...]:
         # Node name -> the job indices whose completion implies the node's
         # completion (its own last job, or, for job-less nodes, the union
         # of its dependencies' completion jobs).
@@ -145,7 +164,7 @@ class LoweredProgram:
                 completion_jobs[node.name] = (index - 1,)
             else:
                 completion_jobs[node.name] = node_deps
-        return deps
+        return tuple(deps)
 
     def critical_path_cycles(self, job_costs: Sequence[float]) -> float:
         """Longest dependent-job chain given per-job cycle costs.
@@ -204,6 +223,19 @@ def _tile_jobs(plan: TiledMatmulPlan, element_bytes: int) -> List[MatmulJob]:
     return jobs
 
 
+def _untiled_plan_note(shape: GemmShape, config: RedMulEConfig,
+                       tcdm_budget_bytes: int) -> str:
+    """Diagnostic of an over-budget GEMM lowered as one whole job."""
+    try:
+        plan = plan_tiled_matmul(shape.m, shape.n, shape.k, config,
+                                 tcdm_budget_bytes)
+    except ValueError:
+        # Whole-GEMM mode never issues the plan, so a shape no tiling
+        # fits is a diagnostic, not an error.
+        return "no tiling fits"
+    return f"would tile as {plan.describe()}"
+
+
 def lower(
     graph: WorkloadGraph,
     config: Optional[RedMulEConfig] = None,
@@ -212,13 +244,15 @@ def lower(
 ) -> LoweredProgram:
     """Lower a workload graph to a dependency-annotated job stream.
 
-    The node order is the graph's deterministic topological sort; per GEMM
-    node the tiling planner is consulted for the TCDM footprint, and in
-    tiled mode any GEMM that does not fit ``tcdm_budget_bytes`` becomes its
-    plan's per-tile accumulate stream.
+    The node order is the graph's deterministic topological sort.  A GEMM
+    whose operand set exceeds ``tcdm_budget_bytes`` is planned through the
+    tiling planner: tiled mode issues the plan's per-tile accumulate stream
+    (and raises when no tiling fits), whole-GEMM mode keeps one job and
+    notes the plan.  This function never memoises; see
+    :meth:`WorkloadGraph.lower <repro.graph.ir.WorkloadGraph.lower>`.
     """
-    from dataclasses import replace
-
+    if tcdm_budget_bytes < MIN_TCDM_BUDGET_BYTES:
+        raise ValueError("a TCDM budget below 8 KiB is not practical")
     config = config or RedMulEConfig.reference()
     # An explicit graph precision wins (timing an FP8 model on FP16 line
     # geometry would silently misestimate every job); precision-agnostic
@@ -242,21 +276,26 @@ def lower(
                 configs[node_precision] = node_config
             element_bytes = node_config.element_bytes
             shape = node.shape
-            plan = plan_tiled_matmul(shape.m, shape.n, shape.k, node_config,
-                                     tcdm_budget_bytes)
             note = shape.describe(transpose=node.transpose)
             if node_precision != precision:
                 note += f" | {node_precision}"
-            if tile and plan.n_jobs > 1:
+            footprint = element_bytes * (shape.m * shape.n + shape.n * shape.k
+                                         + shape.m * shape.k)
+            # The planner's own first test: a GEMM over budget is exactly
+            # one whose plan has more than one job.
+            over_budget = footprint > tcdm_budget_bytes
+            if tile and over_budget:
+                plan = plan_tiled_matmul(shape.m, shape.n, shape.k,
+                                         node_config, tcdm_budget_bytes)
                 jobs = tuple(_tile_jobs(plan, element_bytes))
                 note += f" | {plan.describe()}"
             else:
                 jobs = (MatmulJob(x_addr=0, w_addr=0, z_addr=0,
                                   m=shape.m, n=shape.n, k=shape.k,
                                   element_bytes=element_bytes),)
-                if plan.n_jobs > 1:
-                    note += (f" | exceeds budget, would tile as "
-                             f"{plan.describe()}")
+                if over_budget:
+                    note += " | exceeds budget, " + _untiled_plan_note(
+                        shape, node_config, tcdm_budget_bytes)
             lowered.append(LoweredNode(
                 name=node.name, kind=KIND_GEMM, jobs=jobs, deps=deps,
                 shape=shape, macs=shape.macs,
@@ -273,6 +312,6 @@ def lower(
             ))
         else:  # pragma: no cover - the IR only defines the two kinds
             raise TypeError(f"cannot lower node of type {type(node).__name__}")
-    return LoweredProgram(graph_name=graph.name, nodes=lowered, tiled=tile,
-                          tcdm_budget_bytes=tcdm_budget_bytes,
+    return LoweredProgram(graph_name=graph.name, nodes=tuple(lowered),
+                          tiled=tile, tcdm_budget_bytes=tcdm_budget_bytes,
                           precision=precision)

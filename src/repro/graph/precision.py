@@ -83,6 +83,7 @@ def assign_precisions(graph: WorkloadGraph,
                 node.precision = rule.precision
                 matched[index] += 1
                 break
+    graph.invalidate_lowerings()
     if require_match:
         for rule, count in zip(rules, matched):
             if count == 0:

@@ -1,8 +1,9 @@
-"""Plain-text table rendering for experiment output.
+"""Console output: the library's one print sink and plain-text tables.
 
 The benchmarks print the rows/series the paper reports; a tiny dependency-free
 table renderer keeps that output readable both on the terminal and inside
-EXPERIMENTS.md code blocks.
+EXPERIMENTS.md code blocks.  It lives in the foundation layer so every layer
+above -- the telemetry summary included -- renders through it.
 """
 
 from __future__ import annotations

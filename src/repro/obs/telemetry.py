@@ -37,6 +37,8 @@ from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.report import TextTable
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -381,12 +383,6 @@ class Telemetry:
 
     def summary(self) -> str:
         """Human-readable instrument table (the third exporter)."""
-        # Imported here: repro.obs is imported by the farm/serve/engine hot
-        # layers, and a module-level repro.perf import would close a cycle
-        # (repro.perf.comparison routes Table I through the farm).
-        # lint: ignore[ARCH001] render-only lazy import behind the exporter
-        from repro.perf.report import TextTable
-
         table = TextTable(["instrument", "kind", "value", "detail"])
         for name, counter in sorted(self._counters.items()):
             table.add_row([name, "counter", counter.value, ""])

@@ -21,6 +21,8 @@ import json
 import sys
 from typing import Any, Dict, List, Tuple
 
+from repro.obs.report import write_out
+
 __all__ = ["ChromeTraceError", "validate_chrome_trace", "main"]
 
 #: Phases the repro.obs exporter may emit.
@@ -176,9 +178,6 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
 
 def main(argv=None) -> int:
     """CLI: validate trace files, print one summary line per file."""
-    # lint: ignore[ARCH001] CLI-only lazy import of the sanctioned print sink
-    from repro.perf.report import write_out
-
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or any(arg in ("-h", "--help") for arg in argv):
         write_out("usage: python -m repro.obs.validate TRACE.json [...]")

@@ -10,7 +10,7 @@ from repro.perf.metrics import (
     time_workload_sw,
 )
 from repro.perf.comparison import SOA_ENTRIES, SoaEntry, our_entries
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 
 __all__ = [
     "SOA_ENTRIES",

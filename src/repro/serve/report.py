@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 
 
 def nearest_rank(ordered: Sequence[float], quantile: float) -> float:

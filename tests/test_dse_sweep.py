@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import itertools
 import json
 
@@ -25,7 +26,8 @@ from repro.farm import (
     SimulationFarm,
     TimingCache,
 )
-from repro.graph.zoo import mlp_training_graph
+from repro.graph.lower import lower as lower_graph
+from repro.graph.zoo import build_model, mlp_training_graph
 from repro.power.area import AreaModel, ClusterAreaModel
 from repro.power.energy import EnergyModel
 from repro.power.technology import TECH_22NM
@@ -72,7 +74,11 @@ def reference_points(space):
 
 def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
                     offload_cycles_per_job=0.0):
-    """(records, cache hits, cache misses) of the per-point loop."""
+    """(records, cache hits, cache misses) of the per-point loop.
+
+    It lowers through the free :func:`repro.graph.lower.lower`, never
+    through the graph's memo that :func:`sweep` uses.
+    """
     graph = _resolve_workload(workload)
     technology = TECH_22NM
     point_op = technology.reference_point
@@ -86,7 +92,7 @@ def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
         config = point.config
         cached = per_config.get(config)
         if cached is None:
-            program = graph.lower(config=config, **lower_kwargs)
+            program = lower_graph(graph, config=config, **lower_kwargs)
             farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
                                   max_workers=1, cache=cache)
             results = farm.run(program.jobs)
@@ -204,8 +210,8 @@ class TestPerPointReference:
         assert (result.cache_hits, result.cache_misses) == (hits, misses)
 
     def test_dse_memory_grid_is_pinned(self):
-        # Absolute values too: the reference shares the lowering, the farm
-        # and the area/energy models with sweep().
+        # Absolute values too: the reference shares the lowering pass, the
+        # farm and the area/energy models with sweep().
         result = sweep(DesignSpace(DSE_MEMORY_AXES), "autoencoder-b1")
         text = json.dumps([point.as_row() for point in result.points],
                           sort_keys=True, separators=(",", ":"))
@@ -214,6 +220,87 @@ class TestPerPointReference:
         )
         assert (len(result), result.cache_hits, result.cache_misses) == \
             (216, 342, 180)
+
+
+#: The perfbench ``dse-sweep`` graphs: sha256 of the sorted-key JSON of
+#: every ``as_row()`` of one DSE_SWEEP_AXES sweep, and (points, cache hits,
+#: cache misses).
+PERFBENCH_GRID_PINS = {
+    "mlp-tiny": (
+        "fa8562d4ae1e48f8f152c0a0b01fbb7b823f1ef8abd7f568828f4080de40478e",
+        (640, 0, 256)),
+    "autoencoder-b16": (
+        "b10478496bbf46ada0d53f8506caadc1089578bce8f7757767e60b915dbb97a6",
+        (640, 608, 320)),
+    "transformer-tiny": (
+        "061474e24a9831d2446b44f03ee7bb0ac5153e3ccc7e897b73ed3c66e6539623",
+        (640, 192, 128)),
+}
+
+#: Distinct lowering keys of one DSE_SWEEP_AXES sweep: 8 (length, block_k)
+#: pairs x 2 precisions.
+DSE_SWEEP_LOWERING_KEYS = 16
+
+
+class TestPerfbenchGrid:
+    @pytest.mark.parametrize("name", list(PERFBENCH_GRID_PINS))
+    def test_grid_is_pinned(self, name):
+        result = sweep(DesignSpace(DSE_SWEEP_AXES), name)
+        text = json.dumps([point.as_row() for point in result.points],
+                          sort_keys=True, separators=(",", ":"))
+        digest, counts = PERFBENCH_GRID_PINS[name]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert (len(result), result.cache_hits, result.cache_misses) == \
+            counts
+
+    @pytest.mark.parametrize("name", list(PERFBENCH_GRID_PINS))
+    def test_a_fresh_graph_lowers_once_per_lowering_key(self, name,
+                                                         monkeypatch):
+        module = importlib.import_module("repro.graph.lower")
+        calls = []
+
+        def counting_lower(*args, **kwargs):
+            calls.append(args)
+            return lower_graph(*args, **kwargs)
+
+        monkeypatch.setattr(module, "lower", counting_lower)
+        sweep(DesignSpace(DSE_SWEEP_AXES), build_model(name))
+        assert len(calls) <= DSE_SWEEP_LOWERING_KEYS
+
+
+#: Graphs whose memoised lowerings are checked against fresh ones: the
+#: perfbench and dse-memory graphs, the precision-variant zoo models and a
+#: mixed-precision decode step.
+MEMO_ORACLE_MODELS = (
+    "mlp-tiny", "autoencoder-b1", "autoencoder-b16", "transformer-tiny",
+    "autoencoder-b1-fp8", "autoencoder-b16-fp8", "mlp-tiny-bf16",
+    "transformer-tiny-fp8", "llm-decode-tiny-kv8-step8",
+)
+
+MEMO_ORACLE_MODES = {
+    "whole-gemm": {},
+    "tiled-16k": {"tile": True, "tcdm_budget_bytes": 16 * 1024},
+}
+
+
+class TestLoweringMemo:
+    @pytest.mark.parametrize("name", MEMO_ORACLE_MODELS)
+    def test_memoised_lowering_equals_fresh_lowering(self, name):
+        graph = build_model(name)
+        configs = [config for axes in (DSE_SWEEP_AXES, DSE_MEMORY_AXES)
+                   for config in DesignSpace(axes).configs()]
+        for kwargs in MEMO_ORACLE_MODES.values():
+            for config in configs:
+                memoised = graph.lower(config=config, **kwargs)
+                fresh = lower_graph(graph, config=config, **kwargs)
+                assert memoised.nodes == fresh.nodes, (name, kwargs, config)
+                assert memoised == fresh
+
+    def test_configurations_of_one_key_share_a_program(self):
+        graph = build_model("transformer-tiny")
+        programs = {id(graph.lower(config=config))
+                    for config in DesignSpace(DSE_SWEEP_AXES).configs()}
+        assert len(programs) == DSE_SWEEP_LOWERING_KEYS
 
 
 class TestAnalyticFarmPolicy:
@@ -365,6 +452,28 @@ class TestSweep:
         assert exact.trusted_points == exact.points
         assert not saturated.points[0].model_exact
         assert saturated.trusted_points == []
+
+    def test_untiled_sweep_of_a_gemm_no_tiling_fits(self):
+        # H=32, P=7 lines hold 256 elements: no tile set of a 256^3 GEMM
+        # fits the default 96 KiB budget, and whole-GEMM mode never
+        # issues the plan.
+        result = sweep(DesignSpace.grid(height=[32], pipeline_regs=[7]),
+                       [GemmShape(256, 256, 256)])
+        (point,) = result.points
+        model = RedMulEPerfModel(point.point.config)
+        assert point.n_jobs == 1
+        assert point.serial_cycles == \
+            model.estimate_gemm(256, 256, 256).cycles == 75048
+
+    def test_untiled_sweep_under_a_small_budget(self):
+        result = sweep(DesignSpace.grid(height=[16], pipeline_regs=[7]),
+                       [GemmShape(128, 128, 128)],
+                       tcdm_budget_bytes=16 * 1024)
+        (point,) = result.points
+        model = RedMulEPerfModel(point.point.config)
+        assert point.n_jobs == 1
+        assert point.serial_cycles == \
+            model.estimate_gemm(128, 128, 128).cycles
 
     def test_negative_offload_rejected(self):
         with pytest.raises(ValueError):

@@ -199,6 +199,35 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             SimulationFarm(backend="fpga")
 
+    def test_unknown_per_call_backend_rejected_on_a_miss(self):
+        farm = SimulationFarm(max_workers=1)
+        with pytest.raises(ValueError, match="unknown backend"):
+            farm.run_gemm(8, 8, 8, backend="fpga")
+
+    @pytest.mark.parametrize("config", [
+        RedMulEConfig.reference(),
+        RedMulEConfig(height=8, length=4, pipeline_regs=2,
+                      w_prefetch_lines=2, z_queue_depth=16,
+                      format="fp8-e4m3"),
+    ], ids=["reference", "fp8-wide"])
+    def test_model_misses_match_the_per_key_worker(self, config):
+        # The farm times its model misses on one model of its own config;
+        # each record equals the worker's, which rebuilds the config from
+        # the key.
+        from repro.farm.workers import simulate_key
+
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
+                              max_workers=1)
+        jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
+                          element_bytes=config.element_bytes)
+                for m, n, k in ((8, 16, 16), (33, 7, 65), (96, 96, 96))
+                for accumulate in (False, True)]
+        results = farm.run(jobs)
+        assert farm.stats.model_runs == len(jobs)
+        for job, result in zip(jobs, results):
+            key = TimingKey.for_job(config, job, BACKEND_MODEL)
+            assert result.record == simulate_key(key)
+
 
 class TestValidationMode:
     def test_within_default_tolerance(self):

@@ -1,14 +1,19 @@
 """Tests of the graph lowering pass (whole-GEMM and tiled job streams)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.cluster.tiler import plan_tiled_matmul
 from repro.farm import SimulationFarm
 from repro.graph.ir import GemmNode, WorkloadGraph
+from repro.graph.lower import lower
+from repro.graph.precision import PrecisionRule, assign_precisions
 from repro.graph.zoo import (
     autoencoder_training_graph,
     mlp_training_graph,
 )
+from repro.redmule.config import RedMulEConfig
 from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 from repro.workloads.gemm import GemmShape
 from repro.workloads.training import backward_gemms, forward_gemms
@@ -162,6 +167,120 @@ class TestTiledLowering:
         tiled = farm.time_program(graph.lower(tile=True))
         assert whole.cycles > 0 and tiled.cycles > 0
         assert whole.macs == tiled.macs
+
+
+def _single_gemm_graph(size=8):
+    graph = WorkloadGraph("one")
+    graph.add_tensor("x", size, size)
+    graph.add_tensor("w", size, size)
+    graph.add_tensor("h", size, size)
+    graph.add_gemm("fc", GemmShape(size, size, size, name="fc"),
+                   x="x", w="w", z="h")
+    return graph
+
+
+def _add_gemm(graph):
+    graph.add_tensor("w2", 8, 8)
+    graph.add_tensor("z", 8, 8)
+    graph.add_gemm("fc2", GemmShape(8, 8, 8, name="fc2"), x="h", w="w2",
+                   z="z")
+
+
+def _add_elementwise(graph):
+    graph.add_tensor("a", 8, 8)
+    graph.add_elementwise("act", "relu", ["h"], "a")
+
+
+def _assign_precisions(graph):
+    assign_precisions(graph, [PrecisionRule("fp8-e4m3", prefix="fc")])
+
+
+def _set_precision(graph):
+    graph.precision = "bf16"
+
+
+def _set_name(graph):
+    graph.name = "renamed"
+
+
+#: The graph mutations that change what it lowers to.
+MUTATIONS = {
+    "add_gemm": _add_gemm,
+    "add_elementwise": _add_elementwise,
+    "assign_precisions": _assign_precisions,
+    "precision": _set_precision,
+    "name": _set_name,
+}
+
+
+class TestLoweringMemo:
+    def test_repeated_lowering_returns_the_memoised_program(self):
+        graph = mlp_training_graph((10, 6, 4), batch=2)
+        program = graph.lower()
+        assert graph.lower() is program
+        assert graph.lower(config=RedMulEConfig.reference()) is program
+        assert graph.lower(tcdm_budget_bytes=96 * 1024) is program
+        assert graph.lower(tile=True) is not program
+        # The free function never memoises.
+        assert lower(graph) is not program
+        assert lower(graph) == program
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_a_mutated_graph_lowers_afresh(self, mutation):
+        graph = _single_gemm_graph()
+        before = graph.lower()
+        MUTATIONS[mutation](graph)
+        after = graph.lower()
+        assert after != before
+        assert after == lower(graph)
+        assert graph.lower() is after
+
+    def test_programs_are_frozen(self):
+        program = mlp_training_graph((10, 6, 4), batch=2).lower()
+        assert isinstance(program.nodes, tuple)
+        with pytest.raises(FrozenInstanceError):
+            program.tiled = True
+        with pytest.raises(FrozenInstanceError):
+            program.nodes = ()
+        with pytest.raises(FrozenInstanceError):
+            program.nodes[0].note = "changed"
+        deps = program.job_deps()
+        assert isinstance(deps, tuple)
+        assert all(isinstance(entry, tuple) for entry in deps)
+        assert program.job_deps() is deps
+
+
+class TestBudget:
+    """Lowering consults the tiling planner only for GEMMs over budget."""
+
+    # H=32, P=7 lines hold 256 elements: no tile set of a 256^3 GEMM fits
+    # the default 96 KiB budget.
+    WIDE = RedMulEConfig(height=32, pipeline_regs=7)
+
+    def test_untiled_gemm_no_tiling_fits_is_a_note(self):
+        program = _single_gemm_graph(256).lower(config=self.WIDE)
+        (node,) = program.nodes
+        assert node.n_jobs == 1
+        assert node.note.endswith("| exceeds budget, no tiling fits")
+
+    def test_tiled_gemm_no_tiling_fits_raises(self):
+        with pytest.raises(ValueError, match="cannot tile 256x256x256"):
+            _single_gemm_graph(256).lower(config=self.WIDE, tile=True)
+
+    def test_gemm_within_budget_is_one_job_without_a_plan_note(self):
+        for tile in (False, True):
+            (node,) = _single_gemm_graph(64).lower(tile=tile).nodes
+            assert node.n_jobs == 1
+            assert "|" not in node.note
+
+    @pytest.mark.parametrize("tile", [False, True])
+    def test_budget_below_8_kib_rejected_up_front(self, tile):
+        graph = WorkloadGraph("no-gemms")
+        graph.add_tensor("x", 4, 4)
+        graph.add_tensor("y", 4, 4)
+        graph.add_elementwise("act", "relu", ["x"], "y")
+        with pytest.raises(ValueError, match="below 8 KiB"):
+            lower(graph, tile=tile, tcdm_budget_bytes=4 * 1024)
 
 
 class TestFarmTimeProgram:

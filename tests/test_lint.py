@@ -280,10 +280,7 @@ def test_src_tree_is_clean_under_real_manifest():
     # The exception inventory: a new suppression is an explicit edit here.
     package = REPO / "src" / "repro"
     assert [(Path(f.path).relative_to(package).as_posix(), f.rule)
-            for f in report.suppressed] == [
-        ("obs/telemetry.py", "ARCH001"),
-        ("obs/validate.py", "ARCH001"),
-    ]
+            for f in report.suppressed] == []
 
 
 # ----------------------------------------------------------------------

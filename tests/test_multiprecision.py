@@ -23,6 +23,7 @@ from repro.farm import SimulationFarm, TimingCache
 from repro.farm.cache import CACHE_FILE_VERSION, TimingKey, config_key
 from repro.farm.workers import config_from_key, run_functional_job
 from repro.fp.formats import get_format
+from repro.fp.simd_formats import f64_to_bits_many
 from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MatrixHandle, MemoryAllocator
@@ -139,9 +140,9 @@ class TestEngineBitExactness:
             config, "exact-simd", m, n, k, accumulate=True
         )
         bf = get_format(fmt)
-        x_bits = bf.f64_to_bits_array(np.asarray(hx.load(tcdm), np.float64))
-        w_bits = bf.f64_to_bits_array(np.asarray(hw.load(tcdm), np.float64))
-        acc_bits = bf.f64_to_bits_array(np.asarray(acc, np.float64))
+        x_bits = f64_to_bits_many(np.asarray(hx.load(tcdm), np.float64), bf)
+        w_bits = f64_to_bits_many(np.asarray(hw.load(tcdm), np.float64), bf)
+        acc_bits = f64_to_bits_many(np.asarray(acc, np.float64), bf)
         golden = matmul_hw_order_exact_fmt(
             x_bits.tolist(), w_bits.tolist(), bf, acc_bits.tolist()
         )
@@ -156,10 +157,10 @@ class TestEngineBitExactness:
         w = random_matrix(11, 7, fmt, scale=0.3, seed=6)
         simd = matmul_hw_order_simd_fmt(np.asarray(x, np.float64),
                                         np.asarray(w, np.float64), bf)
-        x_bits = bf.f64_to_bits_array(np.asarray(x, np.float64))
-        w_bits = bf.f64_to_bits_array(np.asarray(w, np.float64))
+        x_bits = f64_to_bits_many(np.asarray(x, np.float64), bf)
+        w_bits = f64_to_bits_many(np.asarray(w, np.float64), bf)
         exact = matmul_hw_order_exact_fmt(x_bits.tolist(), w_bits.tolist(), bf)
-        assert bf.f64_to_bits_array(simd).tolist() == exact
+        assert f64_to_bits_many(simd, bf).tolist() == exact
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_farm_backend_validation_covers_narrow_formats(self, fmt):
@@ -204,8 +205,8 @@ class TestPaddingLanesAreOperandGated:
         w = np.full((n, k), -tiny)
         z0 = np.full((m, k), -0.0)
         golden = matmul_hw_order_exact_fmt(
-            bf.f64_to_bits_array(x).tolist(), bf.f64_to_bits_array(w).tolist(),
-            bf, bf.f64_to_bits_array(z0).tolist())
+            f64_to_bits_many(x, bf).tolist(), f64_to_bits_many(w, bf).tolist(),
+            bf, f64_to_bits_many(z0, bf).tolist())
         assert golden == [[bf.sign_mask] * k] * m
         hx.store(tcdm, x)
         hw.store(tcdm, w)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.perf.comparison import PAPER_OUR_WORK, SOA_ENTRIES, our_entries
-from repro.perf.report import TextTable
+from repro.obs.report import TextTable
 from repro.redmule.config import RedMulEConfig
 
 
