@@ -2,7 +2,7 @@
 
 Sweeps a >= 1000-point design space (array geometry x W prefetch x memory
 latency x TCDM banks) over the ``mlp-tiny`` training graph through the
-``analytic`` farm backend and asserts the two properties the subsystem
+``model`` farm backend and asserts the two properties the subsystem
 exists for:
 
 * **speed** -- the sweep completes >= 50x faster than the cycle-accurate

@@ -33,7 +33,8 @@ import time
 from benchmarks.conftest import print_series, record_info
 from repro.experiments.serve import million_tenants
 from repro.farm import SimulationFarm
-from repro.obs import NULL_TELEMETRY, Telemetry, validate_chrome_trace
+from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs.validate import validate_chrome_trace
 from repro.serve import ContinuousServer, RequestGenerator
 
 #: Request volume of the measured window; CI smokes at a lower scale via

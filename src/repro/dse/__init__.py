@@ -8,7 +8,7 @@ against area and energy.  This package turns that argument into a tool:
   (H, L, P, W prefetch, Z queue) and its environment (TCDM banks, memory
   latency);
 * :mod:`repro.dse.sweep` -- the driver: thousands of (configuration x
-  workload graph) points per second through the farm's ``analytic`` backend,
+  workload graph) points per second through the farm's ``model`` backend,
   joined with the area/energy models into one record per point;
 * :mod:`repro.dse.pareto` -- non-dominated frontier extraction over any
   objective combination;

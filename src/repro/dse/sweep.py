@@ -2,7 +2,7 @@
 
 :func:`sweep` walks the configurations of a
 :class:`~repro.dse.space.DesignSpace`, lowers the workload graph for each,
-times the lowered job stream through a ``backend="analytic"``
+times the lowered job stream through a ``backend="model"``
 :class:`~repro.farm.SimulationFarm`, and joins the timing with the area and
 energy models into one :class:`DsePoint` record per grid point.  Each piece
 of work runs once per distinct input it depends on: the lowered program and
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.dse.pareto import Objective, pareto_frontier, resolve_objectives
 from repro.dse.space import DesignPoint, DesignSpace
-from repro.farm import POLICY_ANALYTIC, SimulationFarm, TimingCache
+from repro.farm import BACKEND_MODEL, SimulationFarm, TimingCache
 from repro.graph.ir import WorkloadGraph
 from repro.graph.zoo import build_model
 from repro.power.area import AreaModel, ClusterAreaModel
@@ -341,7 +341,7 @@ def sweep(
     for config in space.configs():
         # Configuration-level work: shared by every environment point.
         program = graph.lower(config=config, **lower_kwargs)
-        farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
                               max_workers=1, cache=shared_cache)
         base_timing = [(result.cycles, result.record.n_tiles)
                        for result in farm.run(program.jobs)]

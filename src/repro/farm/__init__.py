@@ -26,7 +26,6 @@ from repro.farm.farm import (
     FarmResult,
     FarmStats,
     FarmValidationError,
-    POLICY_ANALYTIC,
     PoolUnavailableError,
     SimulationFarm,
     ValidationReport,
@@ -54,7 +53,6 @@ __all__ = [
     "FarmResult",
     "FarmStats",
     "FarmValidationError",
-    "POLICY_ANALYTIC",
     "PoolUnavailableError",
     "SimulationFarm",
     "TimingCache",

@@ -28,6 +28,7 @@ from typing import Optional, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
+from repro.redmule.trace import decode_traces
 
 #: Format tag of the persisted cache files (see :meth:`TimingCache.save`).
 #: v2: the analytical model became bit-exact on its uncontended domain
@@ -41,8 +42,10 @@ from repro.redmule.job import MatmulJob
 #: traces (:mod:`repro.redmule.trace`) keyed by config tag.
 #: v5: keys lost their ``exact`` field -- every arithmetic backend is
 #: bit-exact and timing never depended on it -- so v4 keys no longer decode.
+#: v6: a trace is its tile key and 12 counter deltas; v5 traces carried
+#: per-cycle event arrays and the datapath issue counters.
 #: Only the current version loads; callers treat a rejected file as empty.
-CACHE_FILE_VERSION = 5
+CACHE_FILE_VERSION = 6
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -63,6 +66,12 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
         config.z_queue_depth,
         config.format,
     )
+
+
+def trace_tag(config: RedMulEConfig) -> str:
+    """Key of a configuration's traces in the cache file's ``traces`` table
+    (:func:`config_key` joined with ``:``, a JSON object key)."""
+    return ":".join(str(value) for value in config_key(config))
 
 
 @dataclass(frozen=True)
@@ -243,8 +252,8 @@ class TimingCache:
         self.max_entries = max_entries
         self._entries: OrderedDict[TimingKey, TimingRecord] = OrderedDict()
         #: Engine schedule-trace payloads keyed by config tag
-        #: (:func:`repro.redmule.trace.trace_tag`); persisted alongside the
-        #: timing entries so a warm cache also warms the trace stores.
+        #: (:func:`trace_tag`); persisted alongside the timing entries so a
+        #: warm cache also warms the trace stores.
         self.traces: dict = {}
         self.stats = CacheStats()
 
@@ -327,10 +336,12 @@ class TimingCache:
         otherwise the cache is cleared first.  Loading counts neither hits
         nor misses.
 
-        Every entry is decoded and type-checked (:func:`_check_entry`)
+        Every entry is decoded and type-checked (:func:`_check_entry`), and
+        every trace table decoded (:func:`repro.redmule.trace.decode_traces`),
         before any is stored, so a file that is not a current-version cache,
-        or that holds a malformed entry, raises ``ValueError`` (naming the
-        entry) and leaves the cache untouched.
+        or that holds a malformed entry or trace, raises ``ValueError``
+        (naming the entry, or the trace and its config tag) and leaves the
+        cache untouched.
         """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -357,6 +368,11 @@ class TimingCache:
                 raise ValueError(
                     f"malformed timing-cache entry {index}: {error!r}"
                 ) from error
+        for tag, table in traces.items():
+            try:
+                decode_traces(table)
+            except ValueError as error:
+                raise ValueError(f"config {tag!r}: {error}") from error
         if not merge:
             self.clear()
         for key, record in decoded:

@@ -52,13 +52,11 @@ from repro.fp.simd_formats import (
 from repro.fp.vector import (
     matrix_from_bits,
     matrix_to_bits,
-    pack_fp16_matrix,
     pack_matrix,
     quantize,
     quantize_fp16,
     random_fp16_matrix,
     random_matrix,
-    unpack_fp16_matrix,
     unpack_matrix,
 )
 
@@ -96,8 +94,6 @@ __all__ = [
     "RoundingMode",
     "matrix_from_bits",
     "matrix_to_bits",
-    "pack_fp16_matrix",
     "quantize_fp16",
     "random_fp16_matrix",
-    "unpack_fp16_matrix",
 ]

@@ -85,25 +85,6 @@ def unpack_matrix(data: bytes, rows: int, cols: int,
     return bits_to_f64_many(flat, fmt).reshape(rows, cols)
 
 
-def pack_fp16_matrix(matrix: np.ndarray) -> bytes:
-    """Pack a 2-D array row-major into little-endian FP16 bytes."""
-    array = np.asarray(matrix, dtype=np.float64).astype("<f2")
-    if array.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {array.shape}")
-    return array.tobytes(order="C")
-
-
-def unpack_fp16_matrix(data: bytes, rows: int, cols: int) -> np.ndarray:
-    """Unpack little-endian FP16 bytes into a ``rows x cols`` float32 array."""
-    expected = rows * cols * 2
-    if len(data) < expected:
-        raise ValueError(
-            f"byte image too small: need {expected} bytes, got {len(data)}"
-        )
-    flat = np.frombuffer(data[:expected], dtype="<f2")
-    return flat.reshape(rows, cols).astype(np.float32)
-
-
 def random_matrix(
     rows: int,
     cols: int,

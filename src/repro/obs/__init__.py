@@ -5,7 +5,9 @@ loop (stamped in simulated cycles), the simulation farm (wall time) and
 the RedMulE engine (engine cycles), exported as Chrome ``trace_event``
 JSON, flat metrics JSON or a human summary table.  See
 :mod:`repro.obs.telemetry` for the model and
-:mod:`repro.obs.validate` for the trace schema checker.
+:mod:`repro.obs.validate` for the trace schema checker (import
+``validate_chrome_trace``/``ChromeTraceError`` from there: the package does
+not import it, so ``python -m repro.obs.validate`` runs it exactly once).
 """
 
 from repro.obs.telemetry import (
@@ -19,10 +21,8 @@ from repro.obs.telemetry import (
     active,
     install,
 )
-from repro.obs.validate import ChromeTraceError, validate_chrome_trace
 
 __all__ = [
-    "ChromeTraceError",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -32,5 +32,4 @@ __all__ = [
     "Telemetry",
     "active",
     "install",
-    "validate_chrome_trace",
 ]

@@ -178,10 +178,6 @@ class ZStoreBuffer:
         self.drains = 0
         #: Peak occupancy observed.
         self.max_occupancy = 0
-        #: Optional schedule recorder notified of pushes and drains
-        #: (``z_pushed`` / ``z_drained``); see
-        #: :class:`repro.redmule.trace.TileRecorder`.
-        self.observer = None
 
     @property
     def occupancy(self) -> int:
@@ -205,8 +201,6 @@ class ZStoreBuffer:
         self._queue.append(request)
         self.pushes += 1
         self.max_occupancy = max(self.max_occupancy, len(self._queue))
-        if self.observer is not None:
-            self.observer.z_pushed(request)
         return True
 
     def peek(self) -> Optional[ZStoreRequest]:
@@ -218,10 +212,7 @@ class ZStoreBuffer:
         if not self._queue:
             return None
         self.drains += 1
-        request = self._queue.popleft()
-        if self.observer is not None:
-            self.observer.z_drained(request)
-        return request
+        return self._queue.popleft()
 
     def snapshot(self) -> List[ZStoreRequest]:
         """The queued stores, oldest first (not removed)."""

@@ -47,10 +47,6 @@ class Datapath:
         self._issued_this_cycle = [False] * config.height
         #: Datapath cycles advanced so far (one per :meth:`tick`).
         self._now = 0
-        #: Total column issues performed (each is ``L * lanes`` MAC lanes).
-        self.column_issues = 0
-        #: Total MAC lanes issued (``column_issues * L * elements_per_slot``).
-        self.fma_issues = 0
 
     # ------------------------------------------------------------------
     @property
@@ -82,8 +78,9 @@ class Datapath:
         """Issue tag ``(chunk, k)`` into ``column``.
 
         Inner-dimension padding slots issue like any other: the gated lane
-        still occupies its pipeline stage (same timing, same issue
-        accounting); the arithmetic skips it.
+        still occupies its pipeline stage (same timing, counted in
+        :meth:`repro.redmule.scheduler.TileSchedule.issued_macs`); the
+        arithmetic skips it.
         """
         config = self.config
         if not (0 <= column < config.height):
@@ -99,8 +96,6 @@ class Datapath:
             )
         pipe.append(ColumnEntry(chunk=chunk, k=k, due=self._now + latency))
         self._issued_this_cycle[column] = True
-        self.column_issues += 1
-        self.fma_issues += config.length * config.elements_per_slot
 
     def flush(self) -> None:
         """Drop all in-flight operations (between jobs)."""

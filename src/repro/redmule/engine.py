@@ -225,10 +225,10 @@ class RedMulE:
         zbuf = ZStoreBuffer(cfg)
         self.datapath.flush()
         self.streamer.reset_stats()
-        fma_issues_at_start = self.datapath.fma_issues
 
+        issued_macs = schedule.issued_macs()
         if max_cycles is None:
-            max_cycles = 20_000 + 4 * schedule.issued_macs() // cfg.n_fma
+            max_cycles = 20_000 + 4 * issued_macs // cfg.n_fma
         state = _JobState(max_cycles=max_cycles)
 
         # W lines in the order the datapath will need them.
@@ -237,9 +237,7 @@ class RedMulE:
             for chunk in range(schedule.n_chunks)
             for col in range(cfg.height)
         )
-        # Inner steps in issue order (chunk-major, then column); the steps
-        # past N are the operand-gated padding lanes of the last chunk.
-        active_mask = np.arange(schedule.n_chunks * cfg.height) < job.n
+        active_mask = schedule.active_mask
 
         session: Optional[ReplaySession] = None
         if self._trace_store is not None:
@@ -273,13 +271,11 @@ class RedMulE:
                         # An event-stepped tile needs the real machine
                         # state; materialise any deferred replays first.
                         session.flush()
-                        recorder = session.begin_recording(tile)
-                    else:
-                        recorder = None
+                        session.begin_recording(tile)
                     self._run_tile(job, schedule, tile, xbuf, wbuf, zbuf,
-                                   w_need_order, active_mask, state, recorder)
-                    if recorder is not None:
-                        session.commit_recording(tile, recorder)
+                                   w_need_order, active_mask, state)
+                    if session is not None:
+                        session.commit_recording()
                 if monitor:
                     obs.complete_span(
                         f"tile{tile.index}", tile_start, state.total_cycles,
@@ -315,7 +311,7 @@ class RedMulE:
             stall_cycles=state.stall_cycles,
             active_cycles=state.active_cycles,
             total_macs=job.total_macs,
-            issued_macs=self.datapath.fma_issues - fma_issues_at_start,
+            issued_macs=issued_macs,
             n_tiles=schedule.n_tiles,
             peak_macs_per_cycle=cfg.ideal_macs_per_cycle,
             streamer=self.streamer.stats,
@@ -335,8 +331,8 @@ class RedMulE:
 
     def _run_tile(self, job: MatmulJob, schedule: TileSchedule, tile: Tile,
                   xbuf: XBlockBuffer, wbuf: WLineBuffer, zbuf: ZStoreBuffer,
-                  w_need_order, active_mask: np.ndarray, state: _JobState,
-                  recorder) -> None:
+                  w_need_order, active_mask: np.ndarray,
+                  state: _JobState) -> None:
         """Event-step one tile of the job (the engine hot loop).
 
         The cycle loop tracks issue tags and timing only.  Every operand
@@ -347,12 +343,6 @@ class RedMulE:
         Using the lines as loaded (never re-reading the TCDM at tile end)
         keeps jobs whose Z region aliases X or W computing what the
         hardware computes.
-
-        When ``recorder`` is given (trace backend, cold tile) every control
-        event of the tile -- streamer enqueues/completions via the observer
-        hooks, Z pushes/drains, and the datapath issues reported below -- is
-        captured so the schedule can be replayed for later tiles of the same
-        signature.
         """
         cfg = self.config
         height, latency, block_k = cfg.height, cfg.latency, cfg.block_k
@@ -392,8 +382,6 @@ class RedMulE:
             y_pending = rows
 
         while True:
-            if recorder is not None:
-                recorder.begin_cycle()
             state.total_cycles += 1
             if state.total_cycles > state.max_cycles:
                 raise RuntimeError(
@@ -435,7 +423,7 @@ class RedMulE:
                     z_done += 1
                 if t < issue_end:
                     if self._issue_cycle(job, xbuf, wbuf, completions, t,
-                                         n_chunks, recorder):
+                                         n_chunks):
                         state.active_cycles += 1
                 t += 1
             else:
@@ -577,7 +565,7 @@ class RedMulE:
 
     def _issue_cycle(self, job: MatmulJob, xbuf: XBlockBuffer,
                      wbuf: WLineBuffer, completions: Dict[int, object],
-                     t: int, n_chunks: int, recorder=None) -> bool:
+                     t: int, n_chunks: int) -> bool:
         """Issue every active column for tile-time ``t``; returns True if any.
 
         Column 0 of chunk ``c`` consumes the feedback of the last column's
@@ -585,7 +573,7 @@ class RedMulE:
         very cycle; every other column must chain on the tag its left
         neighbour completed this cycle.  Inner-dimension padding slots
         (``n >= N``) issue too -- the lane is operand-gated, so the chain
-        kernel skips them -- and the recorder notes the gating.
+        kernel skips them.
         """
         cfg = self.config
         issued = False
@@ -604,13 +592,10 @@ class RedMulE:
                         f"chunk {chunk}, k {k}"
                     )
             self.datapath.issue(col, chunk, k)
-            n = chunk * cfg.height + col
-            if recorder is not None:
-                recorder.issue(col, chunk, k, n >= job.n)
             issued = True
 
             if k == cfg.block_k - 1:
-                if n < job.n:
+                if chunk * cfg.height + col < job.n:
                     wbuf.evict(col, chunk)
                 if col == cfg.height - 1:
                     xbuf.evict_before(

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List
 
+import numpy as np
+
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
 
@@ -67,6 +69,17 @@ class TileSchedule:
         """X blocks per tile: line-sized groups of the inner dimension."""
         return -(-self.n_chunks * self.config.height
                  // self.config.elements_per_line)
+
+    @property
+    def active_mask(self) -> np.ndarray:
+        """Per inner step, True where the chain consumes a real operand.
+
+        Steps are numbered in issue order (chunk-major, then column), which
+        is the inner index; the ``n_chunks * H - N`` steps past ``N`` are the
+        operand-gated padding lanes of the last chunk, which pass the
+        accumulator through.  Every tile of the job shares this mask.
+        """
+        return np.arange(self.n_chunks * self.config.height) < self.job.n
 
     # -- iteration --------------------------------------------------------------
     def tile(self, index: int) -> Tile:

@@ -109,10 +109,6 @@ class Streamer:
             "z": deque(),
         }
         self.stats = StreamerStats()
-        #: Optional schedule recorder notified of request enqueues and
-        #: completions (``stream_enqueued`` / ``stream_completed``); see
-        #: :class:`repro.redmule.trace.TileRecorder`.
-        self.observer = None
 
     # -- queue management -----------------------------------------------------
     def enqueue(self, request: StreamRequest) -> None:
@@ -122,8 +118,6 @@ class Streamer:
         if request.write and request.payload_bits is None:
             raise ValueError("store request without payload")
         self._queues[request.kind].append(request)
-        if self.observer is not None:
-            self.observer.stream_enqueued(request)
 
     def snapshot_queue(self, kind: str) -> list:
         """The queued requests of ``kind``, oldest first (not removed)."""
@@ -193,8 +187,6 @@ class Streamer:
                 self.stats.y_loads += 1
             else:
                 self.stats.x_loads += 1
-        if self.observer is not None:
-            self.observer.stream_completed(request)
         return request
 
     def reset_stats(self) -> None:

@@ -6,22 +6,27 @@ completed, when the datapath issues or stalls, and when Z lines are pushed
 and drained depend only on the tile geometry (``job.n``, ``accumulate``,
 ``tile.rows``, ``tile.cols``), on the Z store backlog carried across the
 tile boundary, and on the interconnect contention environment -- never on
-operand values or addresses.  This module exploits that separation the same
-way schedule-compilation passes in cycle-level simulators (pymtl3's
-``OpenLoopCLPass``) do:
+operand values or addresses.  The semi-systolic issue order is fixed, so
+the order in which the chain consumes the inner dimension (and which of
+its steps are gated padding) follows from the geometry as well
+(:attr:`repro.redmule.scheduler.TileSchedule.active_mask`).  A tile's
+schedule therefore reduces to what it adds to the engine's counters.  This
+module exploits that separation the same way schedule-compilation passes
+in cycle-level simulators (pymtl3's ``OpenLoopCLPass``) do:
 
-* :class:`ScheduleTrace` -- the compact numpy record of one tile's control
-  schedule, captured by a :class:`TileRecorder` while the engine runs the
-  ordinary event-stepped loop;
+* :class:`ScheduleTrace` -- one tile's counter deltas (cycles, stalls,
+  active cycles, wide-port traffic, Z pushes and drains) and the Z backlog
+  it leaves at the tile boundary, snapshotted around an ordinary
+  event-stepped run of the tile;
 * :class:`TraceStore` -- schedule traces keyed by *(tile signature, Z
   backlog, contention environment)*; one store per architectural
   configuration (:func:`shared_trace_store`), so the full key is
-  ``(config_key, tile signature, contention env)``;
+  ``(config, tile signature, contention env)``;
 * :func:`replay_dataplane` -- the batched format-parametric FMA chain that
-  re-computes only the data plane of a recorded schedule, driven by the
-  recorded lane-activity mask (bit-identical to the scalar oracle; the same
-  chain kernel the event-stepped engine runs per tile, plus an
-  exception-flag-exact variant);
+  re-computes only the data plane of a tile, driven by the geometry's lane
+  mask (bit-identical to the scalar oracle; the same chain kernel the
+  event-stepped engine runs per tile, plus an exception-flag-exact
+  variant);
 * :class:`ReplaySession` -- the hybrid executor used by
   ``RedMulE(backend="trace")``: tiles whose schedule is already recorded are
   replayed in signature-grouped batches at numpy speed, unseen tiles are
@@ -50,7 +55,7 @@ replayable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -59,6 +64,7 @@ from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import BinaryFormat
 from repro.fp.simd_formats import fma_many_fmt, format_dtype
 from repro.redmule.buffers import ZStoreRequest
+from repro.redmule.config import RedMulEConfig
 from repro.redmule.streamer import StreamRequest
 from repro.redmule.vector_ops import ExactSimdVectorOps
 
@@ -67,33 +73,9 @@ from repro.redmule.vector_ops import ExactSimdVectorOps
 #: rotor never advances and no interconnect state crosses tile boundaries.
 CONTENTION_ENV_IDLE = "idle"
 
-#: Stream-request kinds in the order their event codes are assigned.
-STREAM_KINDS = ("w", "y", "x", "z")
-
 #: Schedule trace key within one configuration's store:
 #: ``(n, accumulate, rows, cols, zbuf_occupancy, pending_z, env)``.
 TileKey = Tuple[int, bool, int, int, int, int, str]
-
-
-def trace_config_key(config) -> Tuple[int, int, int, int, int, str]:
-    """Architectural part of the trace key (one shared store per value).
-
-    Mirrors :func:`repro.farm.cache.config_key`: every field that changes
-    the cycle schedule participates, the arithmetic backend does not.
-    """
-    return (
-        config.height,
-        config.length,
-        config.pipeline_regs,
-        config.w_prefetch_lines,
-        config.z_queue_depth,
-        config.format,
-    )
-
-
-def trace_tag(config) -> str:
-    """String form of :func:`trace_config_key` (JSON-object key)."""
-    return ":".join(str(v) for v in trace_config_key(config))
 
 
 def tile_key(
@@ -113,57 +95,22 @@ def tile_key(
 # schedule traces
 # ---------------------------------------------------------------------------
 
-_INT_FIELDS = (
-    "cycles",
-    "stall_cycles",
-    "active_cycles",
-    "column_issues",
-    "fma_issues",
-    "w_loads",
-    "x_loads",
-    "y_loads",
-    "z_stores",
-    "idle_cycles",
-    "z_pushes",
-    "z_drains",
-    "zbuf_out",
-    "pending_z_out",
-)
 
-_ARRAY_FIELDS = (
-    "active_mask",
-    "issue_cycles",
-    "issue_cols",
-    "issue_chunks",
-    "issue_ks",
-    "issue_gated",
-    "stream_cycles",
-    "stream_phases",
-    "stream_kinds",
-    "z_event_cycles",
-    "z_event_kinds",
-)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScheduleTrace:
-    """The recorded control schedule of one tile, as compact numpy arrays.
+    """The recorded control schedule of one tile, as counter deltas.
 
-    Scalar fields are the deltas a replayed tile applies to the engine's
-    counters; ``zbuf_out``/``pending_z_out`` describe the Z backlog left at
-    the tile boundary (the entry state of the next tile's key).  The event
-    arrays are the per-cycle evidence the deltas were derived from -- kept
-    (and persisted) so traces can be inspected and cross-checked; replay
-    itself only needs the scalars plus ``active_mask``, the per-inner-step
-    lane mask distilled from the recorded ``issue_gated`` flags.
+    The first ten counters are what an event-stepped run of the tile added
+    to the engine's counters (job cycle accounting, streamer statistics,
+    Z-buffer traffic); a replayed tile adds them again.
+    ``zbuf_out``/``pending_z_out`` describe the Z backlog left at the tile
+    boundary (the entry state of the next tile's key).
     """
 
     key: TileKey
     cycles: int
     stall_cycles: int
     active_cycles: int
-    column_issues: int
-    fma_issues: int
     w_loads: int
     x_loads: int
     y_loads: int
@@ -173,47 +120,58 @@ class ScheduleTrace:
     z_drains: int
     zbuf_out: int
     pending_z_out: int
-    #: Per inner-dimension step: True where the FMA chain consumes a real
-    #: operand, False where the recorded schedule gated the lane (inner
-    #: padding passes the accumulator through untouched).
-    active_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
-    issue_cycles: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
-    issue_cols: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int16))
-    issue_chunks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
-    issue_ks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int16))
-    issue_gated: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
-    stream_cycles: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
-    stream_phases: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-    stream_kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-    z_event_cycles: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
-    z_event_kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
-
-    @property
-    def n_steps(self) -> int:
-        """Inner-dimension steps of the recorded chain (gated included)."""
-        return int(self.active_mask.shape[0])
 
     # -- persistence --------------------------------------------------------
     def to_payload(self) -> dict:
         """JSON-serialisable representation (see :meth:`from_payload`)."""
-        payload = {"key": list(self.key)}
-        for name in _INT_FIELDS:
-            payload[name] = int(getattr(self, name))
-        for name in _ARRAY_FIELDS:
-            payload[name] = [int(v) for v in getattr(self, name)]
-        return payload
+        payload = {name: getattr(self, name) for name in _COUNTERS}
+        return {"key": list(self.key), **payload}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScheduleTrace":
-        """Rebuild a trace from :meth:`to_payload` output."""
-        key = tuple(payload["key"])
-        key = tile_key(key[0], key[1], key[2], key[3], key[4], key[5], key[6])
-        kwargs = {name: int(payload[name]) for name in _INT_FIELDS}
-        bool_arrays = ("active_mask", "issue_gated")
-        for name in _ARRAY_FIELDS:
-            dtype = bool if name in bool_arrays else np.int64
-            kwargs[name] = np.asarray(payload[name], dtype=dtype)
-        return cls(key=key, **kwargs)
+        """Rebuild a trace from :meth:`to_payload` output.
+
+        Raises ``ValueError`` unless the key is a tile key (six counts, the
+        second a ``bool``, and a contention tag) and every counter is a
+        non-negative ``int``; a missing field raises ``KeyError``.
+        """
+        n, accumulate, rows, cols, zbuf, pending, env = payload["key"]
+        counters = {name: payload[name] for name in _COUNTERS}
+        counts = dict(n=n, rows=rows, cols=cols, zbuf_occupancy=zbuf,
+                      pending_z=pending, **counters)
+        for name, value in counts.items():
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
+        if type(accumulate) is not bool:
+            raise ValueError(f"accumulate must be a bool, got {accumulate!r}")
+        if not isinstance(env, str):
+            raise ValueError(f"contention env must be a string, got {env!r}")
+        key = tile_key(n, accumulate, rows, cols, zbuf, pending, env)
+        return cls(key=key, **counters)
+
+
+#: Every :class:`ScheduleTrace` field but the key, in declaration order.
+_COUNTERS = tuple(f.name for f in fields(ScheduleTrace))[1:]
+
+
+def decode_traces(payload: dict) -> List[ScheduleTrace]:
+    """Decode a :meth:`TraceStore.to_payload` dump, checking every trace.
+
+    Raises ``ValueError`` naming the first malformed trace by index (or the
+    malformed layout), so a persisted table is accepted whole or not at all.
+    """
+    rows = payload.get("traces") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("malformed trace table: 'traces' must be a list")
+    traces = []
+    for index, entry in enumerate(rows):
+        try:
+            traces.append(ScheduleTrace.from_payload(entry))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"malformed trace {index}: {error!r}") from error
+    return traces
 
 
 @dataclass
@@ -271,11 +229,12 @@ class TraceStore:
         """Merge traces from :meth:`to_payload` output; returns the count.
 
         Existing keys are kept (a live recording is at least as fresh as a
-        persisted one); merging counts neither hits nor recordings.
+        persisted one); merging counts neither hits nor recordings.  A
+        malformed payload raises ``ValueError`` (:func:`decode_traces`)
+        before anything is merged.
         """
         merged = 0
-        for entry in payload.get("traces", []):
-            trace = ScheduleTrace.from_payload(entry)
+        for trace in decode_traces(payload):
             if trace.key not in self._traces:
                 self._traces[trace.key] = trace
                 merged += 1
@@ -284,132 +243,28 @@ class TraceStore:
 
 # -- process-wide shared stores ---------------------------------------------
 
-_SHARED_STORES: Dict[Tuple[int, int, int, int, int, str], TraceStore] = {}
+_SHARED_STORES: Dict[RedMulEConfig, TraceStore] = {}
 
 
-def shared_trace_store(config) -> TraceStore:
+def shared_trace_store(config: RedMulEConfig) -> TraceStore:
     """Process-wide trace store for an architectural configuration.
 
     Every ``RedMulE(backend="trace")`` instance of the same configuration
     shares one store (unless constructed with an explicit ``trace_store``),
     so a sweep's later jobs replay the schedules its earlier jobs recorded.
+    The store is keyed on the frozen config itself: each of its fields
+    changes the cycle schedule, and the arithmetic backend is not one of
+    them.
     """
-    key = trace_config_key(config)
-    store = _SHARED_STORES.get(key)
+    store = _SHARED_STORES.get(config)
     if store is None:
-        store = TraceStore()
-        _SHARED_STORES[key] = store
+        store = _SHARED_STORES[config] = TraceStore()
     return store
 
 
 def reset_shared_trace_stores() -> None:
     """Drop every shared store (test isolation / benchmark cold starts)."""
     _SHARED_STORES.clear()
-
-
-# ---------------------------------------------------------------------------
-# recording
-# ---------------------------------------------------------------------------
-
-
-class TileRecorder:
-    """Captures one tile's control events while the engine event-steps it.
-
-    The engine calls :meth:`begin_cycle` once per simulated cycle; the
-    streamer and Z-buffer hooks (`observer` attributes) deliver request
-    issue/completion and push/drain events, and the engine reports datapath
-    issues (with their ``issue_gated`` flag) directly.  Events fired before
-    the first cycle (the Y pre-load enqueues of an accumulation tile) land
-    at cycle ``-1``.
-    """
-
-    def __init__(self, key: TileKey) -> None:
-        self.key = key
-        self.cycle = -1
-        self._issues: List[Tuple[int, int, int, int, bool]] = []
-        self._stream_events: List[Tuple[int, int, int]] = []
-        self._z_events: List[Tuple[int, int]] = []
-
-    def begin_cycle(self) -> None:
-        """Advance the tile-local cycle counter (one call per engine cycle)."""
-        self.cycle += 1
-
-    # -- engine-side hook ---------------------------------------------------
-    def issue(self, col: int, chunk: int, k: int, gated: bool) -> None:
-        """Record one column issue (gated lanes pass the accumulator through)."""
-        self._issues.append((self.cycle, col, chunk, k, gated))
-
-    # -- streamer observer protocol ----------------------------------------
-    def stream_enqueued(self, request: StreamRequest) -> None:
-        """Record a stream request entering the port queues."""
-        self._stream_events.append(
-            (self.cycle, 0, STREAM_KINDS.index(request.kind))
-        )
-
-    def stream_completed(self, request: StreamRequest) -> None:
-        """Record a stream request completing on the wide port."""
-        self._stream_events.append(
-            (self.cycle, 1, STREAM_KINDS.index(request.kind))
-        )
-
-    # -- Z-buffer observer protocol ----------------------------------------
-    def z_pushed(self, request: ZStoreRequest) -> None:
-        """Record a computed Z line entering the store queue."""
-        self._z_events.append((self.cycle, 0))
-
-    def z_drained(self, request: ZStoreRequest) -> None:
-        """Record a Z line leaving the store queue for the streamer."""
-        self._z_events.append((self.cycle, 1))
-
-    # -- trace assembly -----------------------------------------------------
-    def finish(self, n: int, n_steps: int, deltas: dict,
-               zbuf_out: int, pending_z_out: int) -> ScheduleTrace:
-        """Assemble the :class:`ScheduleTrace` from the captured events.
-
-        ``deltas`` carries the counter differences measured by the caller
-        around the tile (see ``_INT_FIELDS``); the per-step ``active_mask``
-        is distilled from the chain-head (``k == 0``) issue events and
-        cross-checked against the issue evidence -- a mismatch means the
-        recording hooks missed events and the trace must not be replayed.
-        """
-        issues = self._issues
-        heads = sorted(
-            (c, col, chunk, gated) for c, col, chunk, k, gated in issues
-            if k == 0
-        )
-        if len(heads) != n_steps:
-            raise RuntimeError(
-                f"schedule recording captured {len(heads)} chain heads, "
-                f"expected {n_steps}"
-            )
-        active = np.zeros(n_steps, dtype=bool)
-        for pos, (_cycle, _col, _chunk, gated) in enumerate(heads):
-            active[pos] = not gated
-        if not np.array_equal(active, np.arange(n_steps) < n):
-            raise RuntimeError(
-                "recorded lane mask disagrees with the tile geometry "
-                f"(n={n}, steps={n_steps})"
-            )
-        arrays = dict(
-            active_mask=active,
-            issue_cycles=np.asarray([e[0] for e in issues], np.int32),
-            issue_cols=np.asarray([e[1] for e in issues], np.int16),
-            issue_chunks=np.asarray([e[2] for e in issues], np.int32),
-            issue_ks=np.asarray([e[3] for e in issues], np.int16),
-            issue_gated=np.asarray([e[4] for e in issues], bool),
-            stream_cycles=np.asarray(
-                [e[0] for e in self._stream_events], np.int32),
-            stream_phases=np.asarray(
-                [e[1] for e in self._stream_events], np.int8),
-            stream_kinds=np.asarray(
-                [e[2] for e in self._stream_events], np.int8),
-            z_event_cycles=np.asarray(
-                [e[0] for e in self._z_events], np.int32),
-            z_event_kinds=np.asarray(
-                [e[1] for e in self._z_events], np.int8),
-        )
-        return ScheduleTrace(key=self.key, zbuf_out=zbuf_out,
-                             pending_z_out=pending_z_out, **deltas, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +280,13 @@ def replay_dataplane(
     fmt: BinaryFormat,
     flags: Optional[ExceptionFlags] = None,
 ) -> np.ndarray:
-    """Run the data plane of a recorded schedule over a batch of tiles.
+    """Run the data plane of a tile signature over a batch of tiles.
 
     ``x_bits`` is ``(T, rows, N)``, ``w_bits`` ``(T, N, cols)`` and
     ``acc_bits`` ``(T, rows, cols)`` pattern arrays (``T`` tiles replayed
-    side by side); ``active_mask`` is the recorded per-step lane mask.  The
-    chain walks the active steps in recorded order, exactly the order the
+    side by side); ``active_mask`` is the per-step lane mask of the tile
+    geometry (:attr:`~repro.redmule.scheduler.TileSchedule.active_mask`).
+    The chain walks the active steps in order, exactly the order the
     engine's chunk/column schedule consumes the inner dimension, so the
     result is bit-identical to the event-stepped datapath (and to the
     scalar oracle :func:`repro.redmule.functional.matmul_hw_order_exact_fmt`).
@@ -472,7 +328,9 @@ class ReplaySession:
     materialises every deferred batch into the TCDM and reconstructs the
     real Z backlog (store queue + Z buffer) to the recorded boundary state
     -- then brackets the event-stepped tile with :meth:`begin_recording` /
-    :meth:`commit_recording`.
+    :meth:`commit_recording`, which snapshot the engine counters and store
+    their difference as the tile's trace.  The engine only opens a session
+    for a job whose placement the replay shortcut supports (``supported``).
 
     While replays are pending, the session tracks the Z backlog as a FIFO
     of entries, each ``[rows, retired, source]``: one entry per replayed
@@ -497,10 +355,11 @@ class ReplaySession:
         self.store = store
         self.fmt = engine.config.binary_format
         self.supported = self._check_supported()
-        self._recorder: Optional[TileRecorder] = None
-        self._entry: dict = {}
-        # Deferred replay batches, grouped by (rows, cols) signature.
-        self._groups: Dict[Tuple[int, int], List[Tuple[object, ScheduleTrace]]] = {}
+        # (key, counters, contention counters) snapshotted by
+        # begin_recording before the tile being event-stepped.
+        self._recording: Optional[tuple] = None
+        # Deferred replay batches (tiles), grouped by (rows, cols) signature.
+        self._groups: Dict[Tuple[int, int], list] = {}
         # Z backlog while deferred (see the class docstring) and its row count.
         self._backlog: Deque[list] = deque()
         self._queued = 0
@@ -544,8 +403,6 @@ class ReplaySession:
     # -- replay -------------------------------------------------------------
     def try_replay(self, tile) -> bool:
         """Serve ``tile`` from the store; returns False on a trace miss."""
-        if not self.supported:
-            return False
         trace = self.store.lookup(self.key_for(tile))
         if trace is None:
             return False
@@ -559,7 +416,7 @@ class ReplaySession:
         group_key = (tile.rows, tile.cols)
         group = self._groups.setdefault(group_key, [])
         self._backlog.append([tile.rows, 0, (group_key, len(group), tile)])
-        group.append((tile, trace))
+        group.append(tile)
         self._queued += tile.rows
         self._q, self._p = trace.zbuf_out, trace.pending_z_out
         if self._queued != self._q + self._p:
@@ -618,9 +475,6 @@ class ReplaySession:
         state.total_cycles += trace.cycles
         state.stall_cycles += trace.stall_cycles
         state.active_cycles += trace.active_cycles
-        datapath = self.engine.datapath
-        datapath.column_issues += trace.column_issues
-        datapath.fma_issues += trace.fma_issues
         stats = self.engine.streamer.stats
         stats.cycles += trace.cycles
         stats.w_loads += trace.w_loads
@@ -657,7 +511,7 @@ class ReplaySession:
         # tiles that were not replayed are written back unchanged.
         for group_key, entries in self._groups.items():
             out = outputs[group_key]
-            for slot, (tile, _trace) in enumerate(entries):
+            for slot, tile in enumerate(entries):
                 z_all[tile.m0: tile.m0 + tile.rows,
                       tile.k0: tile.k0 + tile.cols] = out[slot]
         self.engine.tcdm.load_image(job.z_addr, z_image.tobytes())
@@ -697,16 +551,13 @@ class ReplaySession:
         x = np.empty((count, rows, n), dtype=dtype)
         w = np.empty((count, n, cols), dtype=dtype)
         acc = np.zeros((count, rows, cols), dtype=dtype)
-        for slot, (tile, _trace) in enumerate(entries):
+        for slot, tile in enumerate(entries):
             x[slot] = x_all[tile.m0: tile.m0 + rows, :]
             w[slot] = w_all[:, tile.k0: tile.k0 + cols]
             if z_all is not None:
                 acc[slot] = z_all[tile.m0: tile.m0 + rows,
                                   tile.k0: tile.k0 + cols]
-        # Every trace of the group was recorded for the same (n, rows,
-        # cols) signature, so they share one lane mask by construction.
-        mask = entries[0][1].active_mask
-        return self.engine.ops.chain(x, w, acc, mask)
+        return self.engine.ops.chain(x, w, acc, self.schedule.active_mask)
 
     def _read_matrix(self, addr: int, n_rows: int, n_cols: int,
                      stride: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -725,90 +576,49 @@ class ReplaySession:
         return image, matrix
 
     # -- recording ----------------------------------------------------------
-    def begin_recording(self, tile) -> Optional[TileRecorder]:
-        """Attach recording hooks around an event-stepped tile."""
-        if not self.supported:
-            return None
-        recorder = TileRecorder(self.key_for(tile))
-        streamer = self.engine.streamer
-        self._entry = dict(
-            total_cycles=self.state.total_cycles,
-            stall_cycles=self.state.stall_cycles,
-            active_cycles=self.state.active_cycles,
-            column_issues=self.engine.datapath.column_issues,
-            fma_issues=self.engine.datapath.fma_issues,
-            w_loads=streamer.stats.w_loads,
-            x_loads=streamer.stats.x_loads,
-            y_loads=streamer.stats.y_loads,
-            z_stores=streamer.stats.z_stores,
-            idle_cycles=streamer.stats.idle_cycles,
-            stream_stalls=streamer.stats.stall_cycles,
-            z_pushes=self.zbuf.pushes,
-            z_drains=self.zbuf.drains,
-            wide_stalls=self.engine.hci.stats.wide_stalls,
-        )
-        streamer.observer = recorder
-        self.zbuf.observer = recorder
-        self._recorder = recorder
-        return recorder
+    def _counters(self) -> List[int]:
+        """The engine counters a trace records, in :class:`ScheduleTrace`
+        field order (``cycles`` through ``z_drains``)."""
+        state, stats, zbuf = self.state, self.engine.streamer.stats, self.zbuf
+        return [state.total_cycles, state.stall_cycles, state.active_cycles,
+                stats.w_loads, stats.x_loads, stats.y_loads, stats.z_stores,
+                stats.idle_cycles, zbuf.pushes, zbuf.drains]
 
-    def commit_recording(self, tile, recorder: TileRecorder) -> None:
-        """Detach the hooks and store the trace (unless contention hit)."""
-        self._detach(recorder)
-        streamer = self.engine.streamer
-        entry = self._entry
-        contended = (
-            self.engine.hci.stats.wide_stalls != entry["wide_stalls"]
-            or streamer.stats.stall_cycles != entry["stream_stalls"]
-        )
-        if contended:
+    def _contention(self) -> Tuple[int, int]:
+        """Wide-port stall counters (HCI arbitration, streamer retries)."""
+        return (self.engine.hci.stats.wide_stalls,
+                self.engine.streamer.stats.stall_cycles)
+
+    def begin_recording(self, tile) -> None:
+        """Snapshot the tile's key and the counters before it event-steps."""
+        self._recording = (self.key_for(tile), self._counters(),
+                           self._contention())
+
+    def commit_recording(self) -> None:
+        """Store the counter deltas as the tile's trace (unless contended)."""
+        key, before, contention = self._recording
+        self._recording = None
+        if self._contention() != contention:
             # The schedule absorbed arbitration stalls, so it is neither
             # reusable nor keyed correctly for the idle environment.
             self.store.discard_recording()
             return
-        deltas = dict(
-            cycles=self.state.total_cycles - entry["total_cycles"],
-            stall_cycles=self.state.stall_cycles - entry["stall_cycles"],
-            active_cycles=self.state.active_cycles - entry["active_cycles"],
-            column_issues=(self.engine.datapath.column_issues
-                           - entry["column_issues"]),
-            fma_issues=self.engine.datapath.fma_issues - entry["fma_issues"],
-            w_loads=streamer.stats.w_loads - entry["w_loads"],
-            x_loads=streamer.stats.x_loads - entry["x_loads"],
-            y_loads=streamer.stats.y_loads - entry["y_loads"],
-            z_stores=streamer.stats.z_stores - entry["z_stores"],
-            idle_cycles=streamer.stats.idle_cycles - entry["idle_cycles"],
-            z_pushes=self.zbuf.pushes - entry["z_pushes"],
-            z_drains=self.zbuf.drains - entry["z_drains"],
-        )
-        n_steps = self.schedule.n_chunks * self.engine.config.height
-        trace = recorder.finish(
-            n=self.job.n,
-            n_steps=n_steps,
-            deltas=deltas,
-            zbuf_out=self.zbuf.occupancy,
-            pending_z_out=streamer.pending("z"),
-        )
-        self.store.store(trace)
-
-    def _detach(self, recorder: Optional[TileRecorder]) -> None:
-        if self.engine.streamer.observer is recorder:
-            self.engine.streamer.observer = None
-        if self.zbuf.observer is recorder:
-            self.zbuf.observer = None
-        self._recorder = None
+        deltas = [after - start for after, start in zip(self._counters(),
+                                                        before)]
+        self.store.store(ScheduleTrace(
+            key, *deltas, zbuf_out=self.zbuf.occupancy,
+            pending_z_out=self.engine.streamer.pending("z")))
 
     # -- teardown -----------------------------------------------------------
     def close(self) -> None:
         """Release the session (both success and abort paths).
 
         An abort mid-recording invalidates the partial trace simply by
-        never committing it; the hooks are detached so a later job cannot
-        deliver events into a dead recorder, and deferred batches are
-        dropped (their timing was already charged to the failed run's
-        counters, which die with the exception).
+        never committing it, and deferred batches are dropped (their timing
+        was already charged to the failed run's counters, which die with
+        the exception).
         """
-        self._detach(self._recorder)
+        self._recording = None
         self._groups.clear()
         self._backlog = deque()
         self._queued = 0

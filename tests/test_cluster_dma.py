@@ -5,7 +5,8 @@ import pytest
 
 from repro.cluster.dma import DmaEngine, DmaTransfer
 from repro.cluster.sync import EventUnit
-from repro.fp.vector import pack_fp16_matrix, random_fp16_matrix, unpack_fp16_matrix
+from repro.fp.formats import FP16
+from repro.fp.vector import pack_matrix, random_fp16_matrix, unpack_matrix
 from repro.mem.l2 import L2Memory
 from repro.mem.tcdm import Tcdm
 
@@ -33,14 +34,15 @@ class TestDmaEngine:
 
     def test_2d_strided_transfer(self, dma):
         matrix = random_fp16_matrix(4, 8, seed=0)
-        dma.l2.load_image(dma.l2.base, pack_fp16_matrix(matrix))
+        dma.l2.load_image(dma.l2.base, pack_matrix(matrix, FP16))
         # Gather the 4 rows (16 bytes each) into a strided TCDM layout.
         dma.execute(DmaTransfer(src=dma.l2.base, dst=dma.tcdm.base,
                                 row_bytes=16, rows=4,
                                 src_stride=16, dst_stride=64))
         for row in range(4):
             raw = dma.tcdm.dump_image(dma.tcdm.base + row * 64, 16)
-            assert np.array_equal(unpack_fp16_matrix(raw, 1, 8), matrix[row:row + 1])
+            assert np.array_equal(unpack_matrix(raw, 1, 8, FP16),
+                                  matrix[row:row + 1])
 
     def test_cycles_scale_with_rows(self, dma):
         flat = dma.transfer_cycles(DmaTransfer(src=0, dst=0, row_bytes=256))

@@ -22,7 +22,6 @@ from repro.dse import (
 from repro.dse.sweep import _resolve_workload
 from repro.farm import (
     BACKEND_MODEL,
-    POLICY_ANALYTIC,
     SimulationFarm,
     TimingCache,
 )
@@ -93,7 +92,7 @@ def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
         cached = per_config.get(config)
         if cached is None:
             program = lower_graph(graph, config=config, **lower_kwargs)
-            farm = SimulationFarm(config=config, backend=POLICY_ANALYTIC,
+            farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
                                   max_workers=1, cache=cache)
             results = farm.run(program.jobs)
             model = RedMulEPerfModel(config)
@@ -301,34 +300,6 @@ class TestLoweringMemo:
         programs = {id(graph.lower(config=config))
                     for config in DesignSpace(DSE_SWEEP_AXES).configs()}
         assert len(programs) == DSE_SWEEP_LOWERING_KEYS
-
-
-class TestAnalyticFarmPolicy:
-    def test_analytic_policy_routes_every_job_to_the_model(self):
-        farm = SimulationFarm(backend=POLICY_ANALYTIC, max_workers=1)
-        # Far below the engine threshold: auto routing would pick the engine.
-        result = farm.run_gemm(8, 8, 8)
-        assert result.backend == BACKEND_MODEL
-        assert farm.stats.engine_runs == 0
-        assert farm.stats.model_runs == 1
-
-    def test_analytic_records_share_the_model_cache_namespace(self):
-        cache = TimingCache()
-        analytic = SimulationFarm(backend=POLICY_ANALYTIC, max_workers=1,
-                                  cache=cache)
-        analytic.run_gemm(8, 8, 8)
-        model = SimulationFarm(backend=BACKEND_MODEL, max_workers=1,
-                               cache=cache)
-        assert model.run_gemm(8, 8, 8).cache_hit
-
-    def test_per_call_analytic_override(self):
-        farm = SimulationFarm(max_workers=1)  # auto policy
-        result = farm.run_gemm(8, 8, 8, backend=POLICY_ANALYTIC)
-        assert result.backend == BACKEND_MODEL
-
-    def test_invalid_backend_message_lists_analytic(self):
-        with pytest.raises(ValueError, match="analytic"):
-            SimulationFarm(backend="fpga")
 
 
 class TestSweep:

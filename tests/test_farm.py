@@ -195,9 +195,42 @@ class TestBackendSelection:
         assert not model.cache_hit
         assert engine.record != model.record
 
+    def test_model_policy_routes_every_job_to_the_model(self):
+        farm = SimulationFarm(backend=BACKEND_MODEL, max_workers=1)
+        # Far below the engine threshold: auto routing would pick the engine.
+        result = farm.run_gemm(8, 8, 8)
+        assert result.backend == BACKEND_MODEL
+        assert farm.stats.engine_runs == 0
+        assert farm.stats.model_runs == 1
+
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="'auto', 'engine' or 'model', got 'fpga'"):
             SimulationFarm(backend="fpga")
+        with pytest.raises(ValueError, match="got 'analytic'"):
+            SimulationFarm(backend="analytic")
+
+    @pytest.mark.parametrize("config", [
+        RedMulEConfig.reference(),
+        RedMulEConfig(height=8, length=4, pipeline_regs=2,
+                      w_prefetch_lines=2, z_queue_depth=16,
+                      format="fp8-e4m3"),
+    ], ids=["reference", "fp8-wide"])
+    def test_batch_keys_equal_for_job_keys(self, config):
+        # The farm computes its config key once; every key a batch stores
+        # must still equal the per-job constructor's.
+        farm = SimulationFarm(config=config, max_workers=1)
+        jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
+                          element_bytes=config.element_bytes)
+                for m, n, k in ((8, 16, 24), (512, 384, 640))
+                for accumulate in (False, True)]
+        farm.run(jobs)
+        keys = {TimingKey.for_job(config, job, farm.resolve_backend(job))
+                for job in jobs}
+        assert {key.backend for key in keys} == {BACKEND_ENGINE,
+                                                 BACKEND_MODEL}
+        assert len(farm.cache) == len(keys) == len(jobs)
+        assert all(key in farm.cache for key in keys)
 
     def test_unknown_per_call_backend_rejected_on_a_miss(self):
         farm = SimulationFarm(max_workers=1)

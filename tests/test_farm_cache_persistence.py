@@ -6,6 +6,13 @@ from dataclasses import asdict
 import pytest
 
 from repro.farm import SimulationFarm, TimingCache, TimingKey, TimingRecord
+from repro.farm.cache import CACHE_FILE_VERSION
+from repro.redmule.trace import (
+    ScheduleTrace,
+    reset_shared_trace_stores,
+    shared_trace_store,
+    tile_key,
+)
 
 
 def _record(cycles=100, backend="engine"):
@@ -19,6 +26,12 @@ def _record(cycles=100, backend="engine"):
 def _key(m=8, n=16, k=16, backend="engine"):
     return TimingKey(config=(4, 8, 3, 1, 8, "fp16"), m=m, n=n, k=k,
                      accumulate=False, backend=backend)
+
+
+#: Trace-table tag of the reference configuration and one well-formed trace.
+_TAG = "4:8:3:1:8:fp16"
+_TRACE = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0),
+                       *range(12)).to_payload()
 
 
 class TestTimingCachePersistence:
@@ -110,13 +123,49 @@ class TestTimingCachePersistence:
             cache.load(path, merge=False)
         assert len(cache) == 1 and cache.peek(_key()).cycles == 1
 
-    @pytest.mark.parametrize("payload", [[], {"version": 5}, {
-        "version": 5, "entries": [], "traces": []}],
+    @pytest.mark.parametrize("payload", [[], {"version": CACHE_FILE_VERSION}, {
+        "version": CACHE_FILE_VERSION, "entries": [], "traces": []}],
         ids=["list", "no-entries", "traces-list"])
     def test_malformed_layout_raises_value_error(self, tmp_path, payload):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            TimingCache().load(path)
+
+    @pytest.mark.parametrize("bad", [
+        {"traces": [dict(_TRACE, cycles=None)]},
+        {"traces": [{k: v for k, v in _TRACE.items() if k != "cycles"}]},
+        {"traces": [dict(_TRACE, key=[8, "no", 8, 16, 0, 0, "idle"])]},
+        {"traces": [dict(_TRACE, z_drains=-2)]},
+        {"traces": ["not-a-trace"]},
+        {"traces": {}},
+        [],
+    ], ids=["null-cycles", "no-cycles", "string-accumulate", "negative",
+            "string", "traces-dict", "table-list"])
+    def test_malformed_trace_raises_value_error_and_merges_nothing(
+            self, tmp_path, bad):
+        """A malformed trace is rejected at load, before the file's timing
+        entries or any of its traces are merged."""
+        path = tmp_path / "cache.json"
+        saved = TimingCache()
+        saved.store(_key(m=32), _record(5))
+        saved.traces[_TAG] = {"traces": [_TRACE]}
+        saved.traces["2:4:1:1:8:bf16"] = bad
+        saved.save(path)
+        cache = TimingCache()
+        cache.store(_key(), _record(1))
+        with pytest.raises(ValueError, match="2:4:1:1:8:bf16"):
+            cache.load(path)
+        assert len(cache) == 1 and cache.peek(_key()).cycles == 1
+        assert cache.traces == {}
+
+    def test_malformed_trace_names_its_index(self, tmp_path):
+        path = tmp_path / "cache.json"
+        saved = TimingCache()
+        saved.traces[_TAG] = {"traces": [_TRACE, dict(_TRACE, y_loads="3")]}
+        saved.save(path)
+        with pytest.raises(ValueError, match=(
+                r"config '4:8:3:1:8:fp16': malformed trace 1: .*y_loads")):
             TimingCache().load(path)
 
     def test_interrupted_save_keeps_the_previous_file(self, tmp_path,
@@ -149,6 +198,24 @@ class TestTimingCachePersistence:
 
 
 class TestFarmPersistence:
+    def test_trace_farm_rejects_a_malformed_trace_before_merging(
+            self, tmp_path):
+        path = tmp_path / "cache.json"
+        saved = TimingCache()
+        saved.store(_key(), _record())
+        saved.traces[_TAG] = {"traces": [
+            _TRACE, {k: v for k, v in _TRACE.items() if k != "cycles"}]}
+        saved.save(path)
+        reset_shared_trace_stores()
+        try:
+            farm = SimulationFarm(arithmetic="trace", max_workers=1)
+            with pytest.raises(ValueError, match="malformed trace 1"):
+                farm.load_cache(path)
+            assert len(farm.cache) == 0
+            assert len(shared_trace_store(farm.config)) == 0
+        finally:
+            reset_shared_trace_stores()
+
     def test_repeat_invocation_reuses_timing_across_farms(self, tmp_path):
         """A second farm (a stand-in for a second benchmark process) serves
         everything from the persisted cache: zero engine runs."""

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.fp.formats import FP16
 from repro.fp.vector import (
     matrix_from_bits,
     matrix_to_bits,
-    pack_fp16_matrix,
+    pack_matrix,
     quantize_fp16,
     random_fp16_matrix,
-    unpack_fp16_matrix,
+    unpack_matrix,
 )
 
 
@@ -49,22 +50,22 @@ class TestBitsConversion:
 class TestByteConversion:
     def test_roundtrip(self):
         matrix = random_fp16_matrix(4, 5, seed=11)
-        data = pack_fp16_matrix(matrix)
+        data = pack_matrix(matrix, FP16)
         assert len(data) == 4 * 5 * 2
-        back = unpack_fp16_matrix(data, 4, 5)
+        back = unpack_matrix(data, 4, 5, FP16)
         assert np.array_equal(back, matrix)
 
     def test_little_endian_layout(self):
-        data = pack_fp16_matrix(np.array([[1.0]]))
+        data = pack_matrix(np.array([[1.0]]), FP16)
         assert data == b"\x00\x3c"
 
     def test_unpack_rejects_short_buffer(self):
         with pytest.raises(ValueError):
-            unpack_fp16_matrix(b"\x00\x3c", 2, 2)
+            unpack_matrix(b"\x00\x3c", 2, 2, FP16)
 
     def test_pack_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            pack_fp16_matrix(np.zeros(3))
+            pack_matrix(np.zeros(3), FP16)
 
 
 class TestRandomMatrix:

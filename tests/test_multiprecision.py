@@ -281,16 +281,16 @@ class TestFarmFormatIdentity:
         with pytest.raises(ValueError):
             config_from_key((4, 8, 3, 1, 8))
 
-    def test_cache_schema_v5_rejects_older_versions(self, tmp_path):
+    def test_cache_schema_v6_rejects_older_versions(self, tmp_path):
         cache = TimingCache()
         path = tmp_path / "cache.json"
         cache.save(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 5
+        assert payload["version"] == CACHE_FILE_VERSION == 6
         assert cache.load(path) == 0
-        # v4 (keys carry ``exact``), v3 (pre-trace payload), v2 (pre-format
-        # keys) and v1 files are rejected; the runner then treats the cache
-        # file as empty.
+        # v5 (event-array traces), v4 (keys carry ``exact``), v3 (pre-trace
+        # payload), v2 (pre-format keys) and v1 files are rejected; the
+        # runner then treats the cache file as empty.
         v4_entry = {
             "key": {"config": list(config_key(RedMulEConfig())), "m": 8,
                     "n": 16, "k": 16, "accumulate": False, "exact": True,
@@ -301,13 +301,13 @@ class TestFarmFormatIdentity:
                        "backend": "engine"},
         }
         payload["entries"] = [v4_entry]
-        for version in (4, 3, 2, 1):
+        for version in (5, 4, 3, 2, 1):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match="version"):
                 cache.load(path)
             assert len(cache) == 0
-        # Relabelled as v5, the v4 key does not decode.
+        # Relabelled as the current version, the v4 key does not decode.
         payload["version"] = CACHE_FILE_VERSION
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="entry 0"):

@@ -12,6 +12,10 @@ backends).
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,6 @@ from repro.farm import SimulationFarm
 from repro.graph.llm import build_decode_spec
 from repro.graph.zoo import build_model
 from repro.obs import (
-    ChromeTraceError,
     Counter,
     Gauge,
     Histogram,
@@ -28,8 +31,8 @@ from repro.obs import (
     Telemetry,
     active,
     install,
-    validate_chrome_trace,
 )
+from repro.obs.validate import ChromeTraceError, validate_chrome_trace
 from repro.serve import (
     AdmissionPolicy,
     AutoscalePolicy,
@@ -38,6 +41,9 @@ from repro.serve import (
     Request,
     decode_session_stream,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -264,6 +270,24 @@ class TestValidator:
             validate_chrome_trace([
                 {"name": "e", "ph": "i", "ts": 0, "pid": 1, "tid": 1,
                  "s": "bogus"}])
+
+    @pytest.mark.parametrize("module", ["repro.obs", "repro.obs.validate"])
+    def test_module_entry_points_write_nothing_to_stderr(self, tmp_path,
+                                                         module):
+        """Both CLI spellings validate a trace without runpy finding the
+        validator already imported by its own package (which warns on
+        stderr and runs the module body twice)."""
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps([self._span(0, 10)]))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
+            "PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", module, str(trace_path)],
+            capture_output=True, text=True, cwd=REPO, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith(f"{trace_path}: ok -- 1 events")
 
 
 class TestInstallActive:

@@ -134,22 +134,6 @@ class TestDatapath:
         dp.flush()
         assert not dp.busy
 
-    def test_issue_counters(self):
-        config = RedMulEConfig.reference()
-        dp = Datapath(config)
-        for k in range(3):
-            dp.tick()
-            dp.issue(0, 0, k)
-        assert dp.column_issues == 3
-        assert dp.fma_issues == 3 * config.length
-
-    def test_packed_formats_count_every_lane(self):
-        config = RedMulEConfig(format="fp8-e4m3")
-        dp = Datapath(config)
-        dp.tick()
-        dp.issue(0, 0, 0)
-        assert dp.fma_issues == config.length * 2
-
     def test_column_bounds(self):
         config = RedMulEConfig.reference()
         dp = Datapath(config)

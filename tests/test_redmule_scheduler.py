@@ -1,8 +1,13 @@
 """Tests for the tiling scheduler."""
 
+import numpy as np
 import pytest
 
+from repro.interco.hci import Hci, HciConfig
+from repro.mem.tcdm import Tcdm, TcdmConfig
 from repro.redmule.config import RedMulEConfig
+from repro.redmule.datapath import Datapath
+from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.scheduler import TileSchedule
 
@@ -76,6 +81,37 @@ class TestAccounting:
         config = RedMulEConfig.reference()
         assert schedule.issued_macs() == config.length * config.block_k * config.height
         assert schedule.issued_macs() > schedule.job.total_macs
+
+    @pytest.mark.parametrize("fmt,lanes", [("fp16", 1), ("fp8-e4m3", 2)])
+    @pytest.mark.parametrize("shape", [(8, 16, 16), (13, 10, 20),
+                                       (9, 5, 40)])
+    def test_issued_macs_counts_every_datapath_issue(self, monkeypatch,
+                                                     shape, fmt, lanes):
+        """Each column issue the event-stepped engine makes fills ``L``
+        rows of ``lanes`` packed lanes; the schedule's closed form and the
+        result's ``issued_macs`` both equal that count."""
+        issues = []
+        issue = Datapath.issue
+        monkeypatch.setattr(Datapath, "issue", lambda self, *tag: (
+            issues.append(tag), issue(self, *tag)))
+        config = RedMulEConfig(format=fmt)
+        tcdm = Tcdm(TcdmConfig())
+        engine = RedMulE(config, Hci(tcdm, HciConfig()),
+                         backend="exact-simd")
+        m, n, k = shape
+        eb = config.element_bytes
+        job = MatmulJob(x_addr=tcdm.base, w_addr=tcdm.base + 0x1000,
+                        z_addr=tcdm.base + 0x2000, m=m, n=n, k=k,
+                        element_bytes=eb)
+        result = engine.run_job(job)
+        schedule = TileSchedule(job, config)
+        assert schedule.issued_macs() == len(issues) * config.length * lanes
+        assert result.issued_macs == schedule.issued_macs()
+
+    def test_active_mask_gates_the_inner_padding(self):
+        schedule = make_schedule(8, 10, 16)
+        assert schedule.active_mask.tolist() == [True] * 10 + [False] * 2
+        assert np.all(make_schedule(8, 16, 16).active_mask)
 
     def test_different_geometry(self):
         config = RedMulEConfig(height=2, length=4, pipeline_regs=1)

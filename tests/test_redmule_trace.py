@@ -3,9 +3,10 @@
 The trace backend's contract: every observable of a job -- TCDM contents,
 ``RedMulEResult`` cycle/stall/issue counters, streamer statistics -- is
 bit-identical to the event-stepped engine, whether a tile was recorded
-(event-stepped under observation) or replayed (data plane only).  These
-tests cover the record/replay lifecycle itself; the experiment-wide parity
-sweep lives in ``test_simd_backend_equivalence.TestTraceBackendEquivalence``.
+(event-stepped between two counter snapshots) or replayed (data plane
+only).  These tests cover the record/replay lifecycle itself; the
+experiment-wide parity sweep lives in
+``test_simd_backend_equivalence.TestTraceBackendEquivalence``.
 """
 
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.farm import SimulationFarm
-from repro.farm.cache import CACHE_FILE_VERSION, TimingCache
+from repro.farm.cache import CACHE_FILE_VERSION, TimingCache, trace_tag
 from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import fma_bits, get_format
 from repro.fp.vector import random_fp16_matrix
@@ -34,7 +35,6 @@ from repro.redmule.trace import (
     reset_shared_trace_stores,
     shared_trace_store,
     tile_key,
-    trace_tag,
 )
 from repro.redmule.vector_ops import (
     TraceVectorOps,
@@ -103,6 +103,13 @@ class TestBackendRegistration:
         plain = RedMulE(backend="exact-simd")
         assert plain._trace_store is None
 
+    def test_shared_stores_are_keyed_on_the_config(self):
+        reference = RedMulEConfig.reference()
+        store = shared_trace_store(reference)
+        assert shared_trace_store(RedMulEConfig()) is store
+        assert shared_trace_store(RedMulEConfig(format="bf16")) is not store
+        assert shared_trace_store(RedMulEConfig(z_queue_depth=16)) is not store
+
     def test_engine_accepts_injected_store(self):
         store = TraceStore()
         engine = RedMulE(backend="trace", trace_store=store)
@@ -126,9 +133,11 @@ class TestRecordReplayParity:
         assert bits() == ref_bits()
         assert _result_tuple(got) == _result_tuple(ref)
 
-    def test_warm_run_replays_every_tile(self):
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (24, 10, 40)],
+                             ids=["square", "gated-inner-padding"])
+    def test_warm_run_replays_every_tile(self, shape):
         store = TraceStore()
-        engine, job, bits = _build(64, 64, 64, trace_store=store)
+        engine, job, bits = _build(*shape, trace_store=store)
         cold = engine.run_job(job)
         recordings = store.stats.recordings
         assert recordings >= 1
@@ -139,7 +148,7 @@ class TestRecordReplayParity:
         assert store.stats.hits - hits_before == schedule.n_tiles
         assert store.stats.recordings == recordings
         assert _result_tuple(warm) == _result_tuple(cold)
-        ref_engine, ref_job, ref_bits = _build(64, 64, 64, "exact-simd")
+        ref_engine, ref_job, ref_bits = _build(*shape, "exact-simd")
         ref_engine.run_job(ref_job)
         assert bits() == ref_bits()
 
@@ -227,17 +236,15 @@ class TestPartiallyRetiredBacklog:
 
 class TestAbortInvalidation:
     def test_abort_mid_recording_discards_partial_trace(self):
-        """Satellite: an aborted run must not commit a partial schedule and
-        must release controller/streamer/observer state (PR 1 regression,
-        extended to the recording path)."""
+        """An aborted run must not commit a partial schedule and must
+        release controller/streamer state (also on the recording path)."""
         store = TraceStore()
         engine, job, bits = _build(16, 64, 16, trace_store=store)
         with pytest.raises(RuntimeError, match="exceeded"):
             engine.offload(job, max_cycles=5)
-        # No partial trace was committed, the hooks are detached and the
-        # controller/streamer state is fully released.
+        # No partial trace was committed and the controller/streamer state
+        # is fully released.
         assert len(store) == 0
-        assert engine.streamer.observer is None
         assert engine._session is None
         assert not engine.controller.busy
         assert engine.streamer.pending() == 0
@@ -388,11 +395,43 @@ class TestSerialization:
         assert merged == len(store)
         for entry in payload["traces"]:
             trace = ScheduleTrace.from_payload(entry)
-            replica = clone.lookup(trace.key)
-            assert replica is not None
-            assert np.array_equal(replica.active_mask, trace.active_mask)
-            assert replica.cycles == trace.cycles
-            assert replica.z_stores == trace.z_stores
+            assert trace == store.lookup(trace.key)
+            assert clone.lookup(trace.key) == trace
+            assert trace.to_payload() == entry
+
+    def test_a_trace_is_its_key_and_twelve_counters(self):
+        engine, job, _ = _build(16, 40, 24)
+        engine.run_job(job)
+        (entry, *_) = shared_trace_store(engine.config).to_payload()["traces"]
+        counters = sorted(name for name in entry if name != "key")
+        assert counters == sorted([
+            "cycles", "stall_cycles", "active_cycles", "w_loads", "x_loads",
+            "y_loads", "z_stores", "idle_cycles", "z_pushes", "z_drains",
+            "zbuf_out", "pending_z_out"])
+        assert all(type(entry[name]) is int for name in counters)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("cycles", None, "cycles"),
+        ("cycles", -1, "cycles"),
+        ("z_stores", True, "z_stores"),
+        ("zbuf_out", 1.0, "zbuf_out"),
+        ("key", [64, 0, 8, 16, 0, 0, "idle"], "accumulate"),
+        ("key", [64, False, "8", 16, 0, 0, "idle"], "rows"),
+        ("key", [64, False, 8, 16, 0, 0, None], "env"),
+        ("key", [64, False, 8, 16, 0, 0], "unpack"),
+    ])
+    def test_from_payload_type_checks_every_field(self, field, value, match):
+        good = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0), *range(12))
+        payload = dict(good.to_payload(), **{field: value})
+        with pytest.raises(ValueError, match=match):
+            ScheduleTrace.from_payload(payload)
+
+    def test_from_payload_needs_every_counter(self):
+        payload = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0),
+                                *range(12)).to_payload()
+        del payload["cycles"]
+        with pytest.raises(KeyError, match="cycles"):
+            ScheduleTrace.from_payload(payload)
 
     def test_merge_keeps_existing_traces(self):
         engine, job, _ = _build(32, 32, 32)
@@ -431,7 +470,7 @@ class TestTimingCacheSchema:
                        "backend": "engine"},
         }
 
-    def test_save_produces_version_5_with_traces(self, tmp_path):
+    def test_save_produces_version_6_with_traces(self, tmp_path):
         engine, job, _ = _build(32, 32, 32)
         engine.run_job(job)
         farm = SimulationFarm(arithmetic="trace", max_workers=1)
@@ -439,10 +478,23 @@ class TestTimingCacheSchema:
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 5
+        assert payload["version"] == CACHE_FILE_VERSION == 6
+        assert trace_tag(farm.config) == "4:8:3:1:8:fp16"
         assert trace_tag(farm.config) in payload["traces"]
 
+    def test_persisted_traces_stay_under_a_kilobyte(self, tmp_path):
+        farm = SimulationFarm(arithmetic="trace", max_workers=1)
+        farm.run_gemm(64, 64, 64, backend="engine")
+        path = tmp_path / "cache.json"
+        farm.save_cache(path)
+        table = json.loads(path.read_text())["traces"][trace_tag(farm.config)]
+        assert len(table["traces"]) == len(shared_trace_store(farm.config))
+        for entry in table["traces"]:
+            assert len(json.dumps(entry)) < 1024
+
     @pytest.mark.parametrize("version,config", [
+        (5, (4, 8, 3, 1, 8, "fp16")),   # event-array traces
+        (4, (4, 8, 3, 1, 8, "fp16")),   # keys carry ``exact``
         (3, (4, 8, 3, 1, 8, "fp16")),   # pre-trace payload
         (2, (4, 8, 3, 1, 8)),           # pre-format five-field keys
         (1, (4, 8, 3, 1, 8)),           # pre-exact analytical model

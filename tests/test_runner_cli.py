@@ -315,6 +315,80 @@ class TestCacheFileFlag:
             CACHE_FILE_VERSION
         reset_default_farms()
 
+    def test_v5_cache_file_is_resimulated(self, monkeypatch, tmp_path,
+                                          capsys):
+        """A v5 file (event-array traces) is stale: the runner warns,
+        simulates the shape again and overwrites the file."""
+        import json
+
+        from repro.farm import default_farm, reset_default_farms
+        from repro.farm.cache import CACHE_FILE_VERSION
+
+        reset_default_farms()
+        cache_file = tmp_path / "timing.json"
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig3a",
+                            self._stub_experiment())
+        runner.main(["fig3a", "--cache-file", str(cache_file)])
+        payload = json.loads(cache_file.read_text())
+        payload["version"] = 5
+        payload["traces"] = {"4:8:3:1:8:fp16": {"traces": [{
+            "key": [16, False, 8, 16, 0, 0, "idle"], "cycles": 90,
+            "column_issues": 64, "issue_cycles": [0, 1, 2]}]}}
+        cache_file.write_text(json.dumps(payload))
+        reset_default_farms()
+        runner.main(["fig3a", "--cache-file", str(cache_file)])
+        out = capsys.readouterr().out
+        assert "ignoring stale timing cache" in out and "version 5" in out
+        assert default_farm().stats.model_runs == 1
+        assert json.loads(cache_file.read_text())["version"] == \
+            CACHE_FILE_VERSION
+        reset_default_farms()
+
+    def test_malformed_trace_is_discarded_not_fatal(self, monkeypatch,
+                                                    tmp_path, capsys):
+        """A trace-backed run whose cache file holds a trace without
+        ``cycles`` warns and starts cold: nothing from the file merges."""
+        import json
+
+        from repro.farm import (
+            default_farm,
+            reset_default_farms,
+            set_default_arithmetic,
+        )
+        from repro.farm.cache import trace_tag
+        from repro.redmule.trace import (
+            reset_shared_trace_stores,
+            shared_trace_store,
+        )
+
+        reset_default_farms()
+        cache_file = tmp_path / "timing.json"
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig3a",
+                            self._stub_experiment())
+        runner.main(["fig3a", "--cache-file", str(cache_file)])
+        payload = json.loads(cache_file.read_text())
+        config = default_farm().config
+        payload["traces"] = {trace_tag(config): {"traces": [{
+            "key": [16, False, 8, 16, 0, 0, "idle"], "stall_cycles": 0}]}}
+        cache_file.write_text(json.dumps(payload))
+        reset_default_farms()
+        reset_shared_trace_stores()
+        try:
+            runner.main(["fig3a", "--backend", "trace",
+                         "--cache-file", str(cache_file)])
+            out = capsys.readouterr().out
+            assert "ignoring stale timing cache" in out
+            assert "malformed trace 0" in out and "cycles" in out
+            farm = default_farm()
+            assert farm.arithmetic == "trace"
+            assert farm.stats.model_runs == 1
+            assert len(shared_trace_store(config)) == 0
+            assert "traces" not in json.loads(cache_file.read_text())
+        finally:
+            set_default_arithmetic(None)
+            reset_default_farms()
+            reset_shared_trace_stores()
+
     def test_missing_cache_file_is_not_an_error(self, monkeypatch, tmp_path,
                                                 capsys):
         from repro.farm import reset_default_farms
@@ -332,7 +406,8 @@ class TestObservabilityFlags:
                                                   tmp_path, capsys):
         import json
 
-        from repro.obs import NULL_TELEMETRY, active, validate_chrome_trace
+        from repro.obs import NULL_TELEMETRY, active
+        from repro.obs.validate import validate_chrome_trace
 
         seen = []
 

@@ -8,7 +8,8 @@ import pytest
 
 from repro.farm import SimulationFarm
 from repro.graph.zoo import build_model, mlp_training_graph
-from repro.obs import Telemetry, validate_chrome_trace
+from repro.obs import Telemetry
+from repro.obs.validate import validate_chrome_trace
 from repro.serve import (
     ARRIVAL_KINDS,
     AdmissionPolicy,

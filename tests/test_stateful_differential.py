@@ -181,7 +181,6 @@ class TraceDifferentialMachine(RuleBasedStateMachine):
             assert engine.streamer.pending() == 0
             assert not engine.datapath.busy
         assert self.engine._session is None
-        assert self.engine.streamer.observer is None
 
     @invariant()
     def store_consistent(self):
