@@ -22,13 +22,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
-from repro.redmule.trace import decode_traces
 
 #: Format tag of the persisted cache files (see :meth:`TimingCache.save`).
 #: v2: the analytical model became bit-exact on its uncontended domain
@@ -44,8 +42,10 @@ from repro.redmule.trace import decode_traces
 #: bit-exact and timing never depended on it -- so v4 keys no longer decode.
 #: v6: a trace is its tile key and 12 counter deltas; v5 traces carried
 #: per-cycle event arrays and the datapath issue counters.
+#: v7: the file holds timing entries only (no ``traces`` table); schedule
+#: traces stay in the process that recorded them.
 #: Only the current version loads; callers treat a rejected file as empty.
-CACHE_FILE_VERSION = 6
+CACHE_FILE_VERSION = 7
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -66,12 +66,6 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
         config.z_queue_depth,
         config.format,
     )
-
-
-def trace_tag(config: RedMulEConfig) -> str:
-    """Key of a configuration's traces in the cache file's ``traces`` table
-    (:func:`config_key` joined with ``:``, a JSON object key)."""
-    return ":".join(str(value) for value in config_key(config))
 
 
 @dataclass(frozen=True)
@@ -178,7 +172,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -197,7 +190,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
         }
@@ -206,7 +198,6 @@ class CacheStats:
         """Zero the accounting (cache entries are untouched)."""
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
 
 def _check_entry(key: TimingKey, record: TimingRecord) -> None:
@@ -240,21 +231,10 @@ def _check_entry(key: TimingKey, record: TimingRecord) -> None:
 
 
 class TimingCache:
-    """Shape-keyed memoisation of timing records with hit/miss statistics.
+    """Shape-keyed memoisation of timing records with hit/miss statistics."""
 
-    The cache is an LRU bounded by ``max_entries`` (``None`` disables
-    eviction; sweeps have small working sets, so the default is unbounded).
-    """
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[TimingKey, TimingRecord] = OrderedDict()
-        #: Engine schedule-trace payloads keyed by config tag
-        #: (:func:`trace_tag`); persisted alongside the timing entries so a
-        #: warm cache also warms the trace stores.
-        self.traces: dict = {}
+    def __init__(self) -> None:
+        self._entries: Dict[TimingKey, TimingRecord] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -270,7 +250,6 @@ class TimingCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._entries.move_to_end(key)
         return record
 
     def peek(self, key: TimingKey) -> Optional[TimingRecord]:
@@ -278,16 +257,8 @@ class TimingCache:
         return self._entries.get(key)
 
     def store(self, key: TimingKey, record: TimingRecord) -> None:
-        """Insert (or refresh) a record, evicting the LRU entry when full."""
+        """Insert (or refresh) a record."""
         self._entries[key] = record
-        self._entries.move_to_end(key)
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()
 
     # -- persistence --------------------------------------------------------
     def save(self, path: Union[str, os.PathLike]) -> int:
@@ -309,8 +280,6 @@ class TimingCache:
             for key, record in self._entries.items()
         ]
         payload = {"version": CACHE_FILE_VERSION, "entries": entries}
-        if self.traces:
-            payload["traces"] = self.traces
         # Write a sibling temp file and rename it over the target, so an
         # interrupted save leaves the previous file whole instead of
         # truncated (CI persists this file across runs).
@@ -328,20 +297,17 @@ class TimingCache:
             raise
         return len(entries)
 
-    def load(self, path: Union[str, os.PathLike], merge: bool = True) -> int:
-        """Load entries from a JSON file written by :meth:`save`.
+    def load(self, path: Union[str, os.PathLike]) -> int:
+        """Merge the entries of a JSON file written by :meth:`save`.
 
-        Returns the number of entries loaded.  With ``merge`` (the default)
-        existing entries are kept (file entries win on key collisions);
-        otherwise the cache is cleared first.  Loading counts neither hits
-        nor misses.
+        Returns the number of entries loaded.  Existing entries are kept and
+        file entries win on key collisions.  Loading counts neither hits nor
+        misses.
 
-        Every entry is decoded and type-checked (:func:`_check_entry`), and
-        every trace table decoded (:func:`repro.redmule.trace.decode_traces`),
-        before any is stored, so a file that is not a current-version cache,
-        or that holds a malformed entry or trace, raises ``ValueError``
-        (naming the entry, or the trace and its config tag) and leaves the
-        cache untouched.
+        Every entry is decoded and type-checked (:func:`_check_entry`) before
+        any is stored, so a file that is not a current-version cache, or that
+        holds a malformed entry, raises ``ValueError`` (naming the entry) and
+        leaves the cache untouched.
         """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -352,8 +318,7 @@ class TimingCache:
                 f"(expected {CACHE_FILE_VERSION})"
             )
         entries = payload.get("entries")
-        traces = payload.get("traces", {})
-        if not isinstance(entries, list) or not isinstance(traces, dict):
+        if not isinstance(entries, list):
             raise ValueError("malformed timing-cache file layout")
         decoded = []
         for index, entry in enumerate(entries):
@@ -368,16 +333,7 @@ class TimingCache:
                 raise ValueError(
                     f"malformed timing-cache entry {index}: {error!r}"
                 ) from error
-        for tag, table in traces.items():
-            try:
-                decode_traces(table)
-            except ValueError as error:
-                raise ValueError(f"config {tag!r}: {error}") from error
-        if not merge:
-            self.clear()
-        for key, record in decoded:
-            self.store(key, record)
-        self.traces.update(traces)
+        self._entries.update(decoded)
         return len(decoded)
 
     def describe(self) -> str:

@@ -37,7 +37,6 @@ from repro.farm.cache import (
     TimingKey,
     TimingRecord,
     config_key,
-    trace_tag,
 )
 from repro.farm.workers import (
     model_timing_record,
@@ -47,12 +46,7 @@ from repro.farm.workers import (
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.redmule.trace import shared_trace_store
-from repro.redmule.vector_ops import (
-    DEFAULT_BACKEND,
-    backend_schedule_compiled,
-    validate_backend_name,
-)
+from repro.redmule.vector_ops import DEFAULT_BACKEND, validate_backend_name
 from repro.workloads.gemm import GemmShape, WorkloadTiming
 
 #: The ``"auto"`` policy sends jobs of at most this many MACs to the
@@ -236,9 +230,9 @@ class SimulationFarm:
         default), the scalar oracle ``"exact"`` or the schedule-compiling
         ``"trace"``.  Timing records do not depend on it, so it is not part
         of the cache key.  ``"trace"`` engines share one per-process trace
-        store per configuration, so worker processes and repeated batches
-        replay schedules recorded earlier (see :meth:`save_cache` for
-        cross-process persistence).
+        store per configuration, so later misses in the same process replay
+        schedules recorded earlier.  Traces are never persisted, and a pool
+        worker's traces stay in that worker.
     backend:
         ``"auto"`` (default) routes each job by size
         (:data:`DEFAULT_ENGINE_MACS_THRESHOLD`), ``"engine"`` or ``"model"``
@@ -647,12 +641,9 @@ class SimulationFarm:
         Together with :meth:`load_cache` this lets repeated benchmark
         invocations reuse timing across processes: the records are
         deterministic per (configuration, shape, backend), so a reloaded
-        entry is indistinguishable from a fresh simulation.  On a
-        schedule-compiled farm (``arithmetic="trace"``) the recorded engine
-        schedule traces of this configuration ride along in the file's
-        ``traces`` side-table, so a later process starts replay-warm.
+        entry is indistinguishable from a fresh simulation.  The file holds
+        timing entries only, whatever the farm's arithmetic backend.
         """
-        self._export_traces()
         count = self.cache.save(path)
         obs = _telemetry_active()
         if obs.enabled:
@@ -661,37 +652,19 @@ class SimulationFarm:
             obs.count("farm.cache_saves")
         return count
 
-    def load_cache(self, path, merge: bool = True) -> int:
-        """Load a persisted timing cache (see :meth:`TimingCache.load`).
+    def load_cache(self, path) -> int:
+        """Merge a persisted timing cache (see :meth:`TimingCache.load`).
 
-        Trace payloads found in the file are merged into the process-wide
-        trace store of this farm's configuration when the farm's arithmetic
-        is schedule-compiled.
+        A reloaded shape is served from its timing entry, so a
+        ``"trace"`` farm never simulates it and records no trace for it.
         """
-        loaded = self.cache.load(path, merge=merge)
-        self._import_traces()
+        loaded = self.cache.load(path)
         obs = _telemetry_active()
         if obs.enabled:
             obs.instant("farm.cache_load", track="farm", lane="cache",
                         cat="farm", path=str(path), entries=loaded)
             obs.count("farm.cache_loads")
         return loaded
-
-    def _export_traces(self) -> None:
-        """Snapshot this config's shared trace store into the cache payload."""
-        if not backend_schedule_compiled(self.arithmetic):
-            return
-        store = shared_trace_store(self.config)
-        if len(store):
-            self.cache.traces[trace_tag(self.config)] = store.to_payload()
-
-    def _import_traces(self) -> None:
-        """Merge loaded trace payloads into this config's shared store."""
-        if not backend_schedule_compiled(self.arithmetic):
-            return
-        payload = self.cache.traces.get(trace_tag(self.config))
-        if payload:
-            shared_trace_store(self.config).merge_payload(payload)
 
     # -- validation ----------------------------------------------------------
     def validate_backends(

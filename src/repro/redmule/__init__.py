@@ -53,7 +53,6 @@ from repro.redmule.vector_ops import (
     ExactSimdVectorOps,
     ExactVectorOps,
     TraceVectorOps,
-    backend_schedule_compiled,
     make_vector_ops,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "WLineBuffer",
     "XBlockBuffer",
     "ZStoreBuffer",
-    "backend_schedule_compiled",
     "make_vector_ops",
     "matmul_hw_order_exact_fmt",
     "matmul_hw_order_simd_fmt",

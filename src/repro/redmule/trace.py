@@ -55,7 +55,7 @@ replayable.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -121,58 +121,6 @@ class ScheduleTrace:
     zbuf_out: int
     pending_z_out: int
 
-    # -- persistence --------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-serialisable representation (see :meth:`from_payload`)."""
-        payload = {name: getattr(self, name) for name in _COUNTERS}
-        return {"key": list(self.key), **payload}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ScheduleTrace":
-        """Rebuild a trace from :meth:`to_payload` output.
-
-        Raises ``ValueError`` unless the key is a tile key (six counts, the
-        second a ``bool``, and a contention tag) and every counter is a
-        non-negative ``int``; a missing field raises ``KeyError``.
-        """
-        n, accumulate, rows, cols, zbuf, pending, env = payload["key"]
-        counters = {name: payload[name] for name in _COUNTERS}
-        counts = dict(n=n, rows=rows, cols=cols, zbuf_occupancy=zbuf,
-                      pending_z=pending, **counters)
-        for name, value in counts.items():
-            if type(value) is not int or value < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative integer, got {value!r}"
-                )
-        if type(accumulate) is not bool:
-            raise ValueError(f"accumulate must be a bool, got {accumulate!r}")
-        if not isinstance(env, str):
-            raise ValueError(f"contention env must be a string, got {env!r}")
-        key = tile_key(n, accumulate, rows, cols, zbuf, pending, env)
-        return cls(key=key, **counters)
-
-
-#: Every :class:`ScheduleTrace` field but the key, in declaration order.
-_COUNTERS = tuple(f.name for f in fields(ScheduleTrace))[1:]
-
-
-def decode_traces(payload: dict) -> List[ScheduleTrace]:
-    """Decode a :meth:`TraceStore.to_payload` dump, checking every trace.
-
-    Raises ``ValueError`` naming the first malformed trace by index (or the
-    malformed layout), so a persisted table is accepted whole or not at all.
-    """
-    rows = payload.get("traces") if isinstance(payload, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError("malformed trace table: 'traces' must be a list")
-    traces = []
-    for index, entry in enumerate(rows):
-        try:
-            traces.append(ScheduleTrace.from_payload(entry))
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(f"malformed trace {index}: {error!r}") from error
-    return traces
-
 
 @dataclass
 class TraceStoreStats:
@@ -216,30 +164,6 @@ class TraceStore:
         """Account for a recording that could not be kept (contention)."""
         self.stats.discarded += 1
 
-    def clear(self) -> None:
-        """Drop every trace (statistics are kept)."""
-        self._traces.clear()
-
-    # -- persistence --------------------------------------------------------
-    def to_payload(self) -> dict:
-        """JSON-serialisable dump of every trace (``TimingCache`` payload)."""
-        return {"traces": [t.to_payload() for t in self._traces.values()]}
-
-    def merge_payload(self, payload: dict) -> int:
-        """Merge traces from :meth:`to_payload` output; returns the count.
-
-        Existing keys are kept (a live recording is at least as fresh as a
-        persisted one); merging counts neither hits nor recordings.  A
-        malformed payload raises ``ValueError`` (:func:`decode_traces`)
-        before anything is merged.
-        """
-        merged = 0
-        for trace in decode_traces(payload):
-            if trace.key not in self._traces:
-                self._traces[trace.key] = trace
-                merged += 1
-        return merged
-
 
 # -- process-wide shared stores ---------------------------------------------
 
@@ -254,7 +178,7 @@ def shared_trace_store(config: RedMulEConfig) -> TraceStore:
     so a sweep's later jobs replay the schedules its earlier jobs recorded.
     The store is keyed on the frozen config itself: each of its fields
     changes the cycle schedule, and the arithmetic backend is not one of
-    them.
+    them.  Stores live in their process only and are never persisted.
     """
     store = _SHARED_STORES.get(config)
     if store is None:

@@ -155,11 +155,6 @@ VECTOR_OPS_BACKENDS = tuple(VECTOR_OPS_REGISTRY)
 DEFAULT_BACKEND = ExactSimdVectorOps.name
 
 
-def backend_schedule_compiled(backend: str) -> bool:
-    """True when ``backend`` engines record/replay compiled cycle schedules."""
-    return VECTOR_OPS_REGISTRY[validate_backend_name(backend)].schedule_compiled
-
-
 def validate_backend_name(backend: str) -> str:
     """Check a backend name against the registry; returns it unchanged."""
     if backend not in VECTOR_OPS_REGISTRY:

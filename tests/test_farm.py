@@ -30,6 +30,7 @@ from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
+from repro.redmule.trace import reset_shared_trace_stores
 
 #: Degenerate and edge-case shapes: unit dimensions, tall-skinny matrices,
 #: ragged tiles.  Timing for all of them must memoise exactly.
@@ -142,18 +143,6 @@ class TestCaching:
         jobs = [MatmulJob(0, 0, 0, m, n, k) for m, n, k in shapes]
         results = farm.run(jobs)
         assert [(r.job.m, r.job.n, r.job.k) for r in results] == shapes
-
-    def test_lru_eviction_and_stats(self):
-        cache = TimingCache(max_entries=2)
-        farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                              cache=cache)
-        farm.run_gemm(1, 1, 1)
-        farm.run_gemm(1, 2, 1)
-        farm.run_gemm(1, 3, 1)  # evicts (1, 1, 1)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 1
-        result = farm.run_gemm(1, 1, 1)  # re-simulated, not served stale
-        assert not result.cache_hit
 
     def test_cache_is_shareable_between_farms(self):
         cache = TimingCache()
@@ -385,13 +374,22 @@ class TestDefaultFarmRegistry:
 
 
 class TestProcessPool:
-    def test_pooled_records_match_serial_records(self):
+    @pytest.mark.parametrize("arithmetic", ["exact-simd", "trace"])
+    def test_pooled_records_match_serial_records(self, arithmetic):
         shapes = [(8, 16, 16), (13, 7, 5), (1, 40, 1)]
         jobs = [MatmulJob(0, 0, 0, m, n, k) for m, n, k in shapes]
-        serial = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1)
-        pooled = SimulationFarm(backend=BACKEND_ENGINE, max_workers=2)
-        expected = [result.record for result in serial.run(jobs)]
-        actual = [result.record for result in pooled.run(jobs)]
+        # The pool runs first, so its workers start from an empty trace
+        # store and record every schedule themselves.
+        reset_shared_trace_stores()
+        try:
+            pooled = SimulationFarm(backend=BACKEND_ENGINE, max_workers=2,
+                                    arithmetic=arithmetic)
+            actual = [result.record for result in pooled.run(jobs)]
+            serial = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
+                                    arithmetic=arithmetic)
+            expected = [result.record for result in serial.run(jobs)]
+        finally:
+            reset_shared_trace_stores()
         # Identical records whether the pool ran or the fallback engaged.
         assert actual == expected
         assert pooled.stats.pool_batches + pooled.stats.pool_failures == 1
@@ -496,8 +494,7 @@ class TestStatsSnapshots:
         assert snap["hit_rate"] == pytest.approx(0.5)
         farm.cache.stats.reset()
         assert farm.cache.stats.snapshot() == {
-            "hits": 0, "misses": 0, "evictions": 0,
-            "lookups": 0, "hit_rate": 0.0,
+            "hits": 0, "misses": 0, "lookups": 0, "hit_rate": 0.0,
         }
         # Resetting stats does not evict entries: the next run still hits.
         farm.run([job])

@@ -1,18 +1,16 @@
 """Tests for timing-cache persistence (`TimingCache.save` / `load`)."""
 
+import copy
 import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.farm import SimulationFarm, TimingCache, TimingKey, TimingRecord
 from repro.farm.cache import CACHE_FILE_VERSION
-from repro.redmule.trace import (
-    ScheduleTrace,
-    reset_shared_trace_stores,
-    shared_trace_store,
-    tile_key,
-)
+from repro.redmule.trace import reset_shared_trace_stores, shared_trace_store
 
 
 def _record(cycles=100, backend="engine"):
@@ -28,10 +26,70 @@ def _key(m=8, n=16, k=16, backend="engine"):
                      accumulate=False, backend=backend)
 
 
-#: Trace-table tag of the reference configuration and one well-formed trace.
-_TAG = "4:8:3:1:8:fp16"
-_TRACE = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0),
-                       *range(12)).to_payload()
+#: A well-formed current-version file holding one engine and one model entry.
+_VALID_FILE = json.loads(json.dumps({
+    "version": CACHE_FILE_VERSION,
+    "entries": [
+        {"key": asdict(_key()), "record": asdict(_record())},
+        {"key": asdict(_key(m=16, backend="model")),
+         "record": asdict(_record(55, "model"))},
+    ],
+}))
+
+
+def _paths(node, prefix=()):
+    """Every path (tuple of keys and indices) into a JSON document."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for name, child in children:
+        yield from _paths(child, prefix + (name,))
+
+
+#: A path into ``_VALID_FILE``: first a depth, then a path of that depth,
+#: so the few top-level fields are drawn as often as the many leaves.
+_PATHS_BY_DEPTH = {}
+for _path in _paths(_VALID_FILE):
+    _PATHS_BY_DEPTH.setdefault(len(_path), []).append(_path)
+_PATH = st.sampled_from(sorted(_PATHS_BY_DEPTH)).flatmap(
+    lambda depth: st.sampled_from(_PATHS_BY_DEPTH[depth]))
+
+_DELETE = object()
+
+#: Arbitrary JSON values (bounded ints: json refuses 4,300-digit ones).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(path, value):
+    """``_VALID_FILE`` with the field at ``path`` replaced or deleted."""
+    if not path:
+        return None if value is _DELETE else value
+    document = copy.deepcopy(_VALID_FILE)
+    parent = document
+    for name in path[:-1]:
+        parent = parent[name]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+#: A v6 file's trace table (one trace of the reference configuration).
+_V6_TRACES = {"4:8:3:1:8:fp16": {"traces": [dict(
+    key=[64, False, 8, 16, 0, 0, "idle"], cycles=90, stall_cycles=0,
+    active_cycles=64, w_loads=64, x_loads=8, y_loads=0, z_stores=8,
+    idle_cycles=0, z_pushes=8, z_drains=8, zbuf_out=0, pending_z_out=0)]}}
 
 
 class TestTimingCachePersistence:
@@ -66,7 +124,7 @@ class TestTimingCachePersistence:
         assert loaded.peek(_key()) == _record()
         assert loaded.peek(_key(m=16, backend="model")) == _record(55, "model")
 
-    def test_load_merge_and_replace(self, tmp_path):
+    def test_load_merges_into_existing_entries(self, tmp_path):
         path = tmp_path / "cache.json"
         saved = TimingCache()
         saved.store(_key(), _record(111))
@@ -74,11 +132,20 @@ class TestTimingCachePersistence:
 
         cache = TimingCache()
         cache.store(_key(m=99), _record(999))
-        cache.load(path)                       # merge (default)
+        assert cache.load(path) == 1
         assert len(cache) == 2
-        cache.load(path, merge=False)          # replace
-        assert len(cache) == 1
         assert cache.peek(_key()).cycles == 111
+        assert cache.peek(_key(m=99)).cycles == 999
+
+    def test_cache_takes_no_size_bound(self):
+        with pytest.raises(TypeError):
+            TimingCache(max_entries=2)
+
+    def test_load_cache_takes_only_a_path(self, tmp_path):
+        path = tmp_path / "cache.json"
+        TimingCache().save(path)
+        with pytest.raises(TypeError):
+            SimulationFarm(max_workers=1).load_cache(path, merge=False)
 
     def test_load_overwrites_colliding_keys(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -106,8 +173,20 @@ class TestTimingCachePersistence:
         {"key": dict(asdict(_key()), m="8"), "record": asdict(_record())},
         {"key": dict(asdict(_key()), backend="fpga"),
          "record": asdict(_record())},
+        {"key": asdict(_key()), "record": dict(asdict(_record()), cycles=-1)},
+        {"key": dict(asdict(_key()), n=True), "record": asdict(_record())},
+        {"key": dict(asdict(_key()), accumulate=0),
+         "record": asdict(_record())},
+        {"key": dict(asdict(_key()), config=[4, 8, 3, 1, 8]),
+         "record": asdict(_record())},
+        {"key": dict(asdict(_key()), config=[4, 8, 3, 1, 8, 16]),
+         "record": asdict(_record())},
+        {"key": asdict(_key()),
+         "record": dict(asdict(_record()), backend="fpga")},
     ], ids=["no-record", "missing-fields", "unhashable", "string", "null",
-            "null-cycles", "string-m", "unknown-backend"])
+            "null-cycles", "string-m", "unknown-backend", "negative-cycles",
+            "bool-n", "int-accumulate", "five-field-config",
+            "numeric-format", "unknown-record-backend"])
     def test_malformed_entry_raises_value_error_and_merges_nothing(
             self, tmp_path, bad):
         path = tmp_path / "cache.json"
@@ -120,52 +199,16 @@ class TestTimingCachePersistence:
         cache = TimingCache()
         cache.store(_key(), _record(1))
         with pytest.raises(ValueError, match="entry 1"):
-            cache.load(path, merge=False)
+            cache.load(path)
         assert len(cache) == 1 and cache.peek(_key()).cycles == 1
 
     @pytest.mark.parametrize("payload", [[], {"version": CACHE_FILE_VERSION}, {
-        "version": CACHE_FILE_VERSION, "entries": [], "traces": []}],
-        ids=["list", "no-entries", "traces-list"])
+        "version": CACHE_FILE_VERSION, "entries": {}}],
+        ids=["list", "no-entries", "entries-dict"])
     def test_malformed_layout_raises_value_error(self, tmp_path, payload):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
-            TimingCache().load(path)
-
-    @pytest.mark.parametrize("bad", [
-        {"traces": [dict(_TRACE, cycles=None)]},
-        {"traces": [{k: v for k, v in _TRACE.items() if k != "cycles"}]},
-        {"traces": [dict(_TRACE, key=[8, "no", 8, 16, 0, 0, "idle"])]},
-        {"traces": [dict(_TRACE, z_drains=-2)]},
-        {"traces": ["not-a-trace"]},
-        {"traces": {}},
-        [],
-    ], ids=["null-cycles", "no-cycles", "string-accumulate", "negative",
-            "string", "traces-dict", "table-list"])
-    def test_malformed_trace_raises_value_error_and_merges_nothing(
-            self, tmp_path, bad):
-        """A malformed trace is rejected at load, before the file's timing
-        entries or any of its traces are merged."""
-        path = tmp_path / "cache.json"
-        saved = TimingCache()
-        saved.store(_key(m=32), _record(5))
-        saved.traces[_TAG] = {"traces": [_TRACE]}
-        saved.traces["2:4:1:1:8:bf16"] = bad
-        saved.save(path)
-        cache = TimingCache()
-        cache.store(_key(), _record(1))
-        with pytest.raises(ValueError, match="2:4:1:1:8:bf16"):
-            cache.load(path)
-        assert len(cache) == 1 and cache.peek(_key()).cycles == 1
-        assert cache.traces == {}
-
-    def test_malformed_trace_names_its_index(self, tmp_path):
-        path = tmp_path / "cache.json"
-        saved = TimingCache()
-        saved.traces[_TAG] = {"traces": [_TRACE, dict(_TRACE, y_loads="3")]}
-        saved.save(path)
-        with pytest.raises(ValueError, match=(
-                r"config '4:8:3:1:8:fp16': malformed trace 1: .*y_loads")):
             TimingCache().load(path)
 
     def test_interrupted_save_keeps_the_previous_file(self, tmp_path,
@@ -196,20 +239,44 @@ class TestTimingCachePersistence:
         cache.load(path)
         assert cache.stats.lookups == 0
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=_JSON | st.builds(_mutated, _PATH,
+                                      st.just(_DELETE) | _JSON))
+    def test_load_returns_a_count_or_raises_value_error(self, tmp_path,
+                                                        document):
+        """Arbitrary JSON, and single-field mutations of a valid file, load
+        or raise ``ValueError`` -- never another error -- and a raise leaves
+        the cache as it was."""
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(document))
+        cache = TimingCache()
+        cache.store(_key(m=99), _record(9))
+        try:
+            loaded = cache.load(path)
+        except ValueError:
+            assert len(cache) == 1 and cache.peek(_key(m=99)) == _record(9)
+        else:
+            assert loaded == len(document["entries"])
+        assert cache.stats.lookups == 0
+
 
 class TestFarmPersistence:
-    def test_trace_farm_rejects_a_malformed_trace_before_merging(
+    def test_trace_farm_rejects_a_v6_trace_file_before_merging(
             self, tmp_path):
+        """A v6 file (timing entries plus a trace table) is rejected on its
+        version: neither its entries nor its traces reach the farm."""
         path = tmp_path / "cache.json"
         saved = TimingCache()
         saved.store(_key(), _record())
-        saved.traces[_TAG] = {"traces": [
-            _TRACE, {k: v for k, v in _TRACE.items() if k != "cycles"}]}
         saved.save(path)
+        payload = json.loads(path.read_text())
+        payload.update(version=6, traces=_V6_TRACES)
+        path.write_text(json.dumps(payload))
         reset_shared_trace_stores()
         try:
             farm = SimulationFarm(arithmetic="trace", max_workers=1)
-            with pytest.raises(ValueError, match="malformed trace 1"):
+            with pytest.raises(ValueError, match="version 6"):
                 farm.load_cache(path)
             assert len(farm.cache) == 0
             assert len(shared_trace_store(farm.config)) == 0

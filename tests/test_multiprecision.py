@@ -281,16 +281,18 @@ class TestFarmFormatIdentity:
         with pytest.raises(ValueError):
             config_from_key((4, 8, 3, 1, 8))
 
-    def test_cache_schema_v6_rejects_older_versions(self, tmp_path):
+    def test_cache_schema_v7_rejects_older_versions(self, tmp_path):
         cache = TimingCache()
         path = tmp_path / "cache.json"
         cache.save(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 6
+        assert payload == {"version": CACHE_FILE_VERSION, "entries": []}
+        assert CACHE_FILE_VERSION == 7
         assert cache.load(path) == 0
-        # v5 (event-array traces), v4 (keys carry ``exact``), v3 (pre-trace
-        # payload), v2 (pre-format keys) and v1 files are rejected; the
-        # runner then treats the cache file as empty.
+        # v6 (trace table), v5 (event-array traces), v4 (keys carry
+        # ``exact``), v3 (pre-trace payload), v2 (pre-format keys) and v1
+        # files are rejected; the runner then treats the cache file as
+        # empty.
         v4_entry = {
             "key": {"config": list(config_key(RedMulEConfig())), "m": 8,
                     "n": 16, "k": 16, "accumulate": False, "exact": True,
@@ -301,7 +303,7 @@ class TestFarmFormatIdentity:
                        "backend": "engine"},
         }
         payload["entries"] = [v4_entry]
-        for version in (5, 4, 3, 2, 1):
+        for version in (6, 5, 4, 3, 2, 1):
             payload["version"] = version
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match="version"):
@@ -313,16 +315,21 @@ class TestFarmFormatIdentity:
         with pytest.raises(ValueError, match="entry 0"):
             cache.load(path)
 
-    def test_cache_entries_round_trip_with_format_keys(self, tmp_path):
-        farm = SimulationFarm(config=RedMulEConfig(format="bf16"))
-        farm.run_gemm(8, 8, 8, backend="model")
+    @pytest.mark.parametrize("backend", ["engine", "model"])
+    @pytest.mark.parametrize("fmt", ("fp16",) + NARROW_FORMATS)
+    def test_cache_entries_round_trip_with_format_keys(self, tmp_path, fmt,
+                                                       backend):
+        farm = SimulationFarm(config=RedMulEConfig(format=fmt),
+                              max_workers=1)
+        want = farm.run_gemm(8, 8, 8, backend=backend)
         path = tmp_path / "cache.json"
         farm.save_cache(path)
-        fresh = SimulationFarm(config=RedMulEConfig(format="bf16"),
-                               cache=TimingCache())
+        fresh = SimulationFarm(config=RedMulEConfig(format=fmt),
+                               max_workers=1, cache=TimingCache())
         assert fresh.load_cache(path) == 1
-        hit = fresh.run_gemm(8, 8, 8, backend="model")
-        assert hit.cache_hit
+        hit = fresh.run_gemm(8, 8, 8, backend=backend)
+        assert hit.cache_hit and hit.record == want.record
+        assert fresh.stats.engine_runs == fresh.stats.model_runs == 0
 
     def test_farm_cross_format_timing_differs(self):
         cache = TimingCache()

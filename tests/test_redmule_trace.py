@@ -10,12 +10,13 @@ experiment-wide parity sweep lives in
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.farm import SimulationFarm
-from repro.farm.cache import CACHE_FILE_VERSION, TimingCache, trace_tag
+from repro.farm.cache import CACHE_FILE_VERSION, TimingCache
 from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import fma_bits, get_format
 from repro.fp.vector import random_fp16_matrix
@@ -29,18 +30,13 @@ from repro.redmule.job import MatmulJob
 from repro.redmule.scheduler import TileSchedule
 from repro.redmule.trace import (
     ReplaySession,
-    ScheduleTrace,
     TraceStore,
     replay_dataplane,
     reset_shared_trace_stores,
     shared_trace_store,
     tile_key,
 )
-from repro.redmule.vector_ops import (
-    TraceVectorOps,
-    backend_schedule_compiled,
-    make_vector_ops,
-)
+from repro.redmule.vector_ops import TraceVectorOps, make_vector_ops
 
 
 @pytest.fixture(autouse=True)
@@ -92,9 +88,8 @@ class TestBackendRegistration:
         ops = make_vector_ops("trace")
         assert isinstance(ops, TraceVectorOps)
         assert ops.schedule_compiled
-        assert backend_schedule_compiled("trace")
-        assert not backend_schedule_compiled("exact-simd")
-        assert not backend_schedule_compiled("exact")
+        assert not make_vector_ops("exact-simd").schedule_compiled
+        assert not make_vector_ops("exact").schedule_compiled
 
     def test_engine_wires_shared_store(self):
         engine = RedMulE(backend="trace")
@@ -382,81 +377,51 @@ class TestUnsupportedJobsFallBack:
         assert len(store) == 0
 
 
-class TestSerialization:
-    def test_schedule_trace_round_trip(self):
-        engine, job, _ = _build(16, 40, 24)
-        engine.run_job(job)
-        store = shared_trace_store(engine.config)
-        assert len(store) > 0
-        payload = store.to_payload()
-        json.dumps(payload)  # must be JSON-serialisable as-is
-        clone = TraceStore()
-        merged = clone.merge_payload(payload)
-        assert merged == len(store)
-        for entry in payload["traces"]:
-            trace = ScheduleTrace.from_payload(entry)
-            assert trace == store.lookup(trace.key)
-            assert clone.lookup(trace.key) == trace
-            assert trace.to_payload() == entry
-
+class TestStoredTraces:
     def test_a_trace_is_its_key_and_twelve_counters(self):
         engine, job, _ = _build(16, 40, 24)
         engine.run_job(job)
-        (entry, *_) = shared_trace_store(engine.config).to_payload()["traces"]
-        counters = sorted(name for name in entry if name != "key")
-        assert counters == sorted([
+        schedule = TileSchedule(job, engine.config)
+        key = tile_key(*schedule.tile_signature(schedule.tiles()[0]), 0, 0)
+        trace = shared_trace_store(engine.config).lookup(key)
+        counters = [f.name for f in fields(trace) if f.name != "key"]
+        assert sorted(counters) == sorted([
             "cycles", "stall_cycles", "active_cycles", "w_loads", "x_loads",
             "y_loads", "z_stores", "idle_cycles", "z_pushes", "z_drains",
             "zbuf_out", "pending_z_out"])
-        assert all(type(entry[name]) is int for name in counters)
-
-    @pytest.mark.parametrize("field,value,match", [
-        ("cycles", None, "cycles"),
-        ("cycles", -1, "cycles"),
-        ("z_stores", True, "z_stores"),
-        ("zbuf_out", 1.0, "zbuf_out"),
-        ("key", [64, 0, 8, 16, 0, 0, "idle"], "accumulate"),
-        ("key", [64, False, "8", 16, 0, 0, "idle"], "rows"),
-        ("key", [64, False, 8, 16, 0, 0, None], "env"),
-        ("key", [64, False, 8, 16, 0, 0], "unpack"),
-    ])
-    def test_from_payload_type_checks_every_field(self, field, value, match):
-        good = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0), *range(12))
-        payload = dict(good.to_payload(), **{field: value})
-        with pytest.raises(ValueError, match=match):
-            ScheduleTrace.from_payload(payload)
-
-    def test_from_payload_needs_every_counter(self):
-        payload = ScheduleTrace(tile_key(64, False, 8, 16, 0, 0),
-                                *range(12)).to_payload()
-        del payload["cycles"]
-        with pytest.raises(KeyError, match="cycles"):
-            ScheduleTrace.from_payload(payload)
-
-    def test_merge_keeps_existing_traces(self):
-        engine, job, _ = _build(32, 32, 32)
-        engine.run_job(job)
-        store = shared_trace_store(engine.config)
-        payload = store.to_payload()
-        before = len(store)
-        assert store.merge_payload(payload) == 0  # all keys already present
-        assert len(store) == before
+        assert all(type(getattr(trace, name)) is int for name in counters)
 
     def test_replayed_store_reproduces_event_stepped_run(self):
         engine, job, _ = _build(64, 64, 64)
         engine.run_job(job)
-        payload = shared_trace_store(engine.config).to_payload()
+        store = shared_trace_store(engine.config)
         reset_shared_trace_stores()
-        fresh = TraceStore()
-        fresh.merge_payload(payload)
-        engine2, job2, bits2 = _build(64, 64, 64, trace_store=fresh)
-        recordings = fresh.stats.recordings
+        engine2, job2, bits2 = _build(64, 64, 64, trace_store=store, seed=5)
+        recordings = store.stats.recordings
         result = engine2.run_job(job2)
-        assert fresh.stats.recordings == recordings  # pure replay
-        ref_engine, ref_job, ref_bits = _build(64, 64, 64, "exact-simd")
+        assert store.stats.recordings == recordings  # pure replay
+        ref_engine, ref_job, ref_bits = _build(64, 64, 64, "exact-simd",
+                                               seed=5)
         ref = ref_engine.run_job(ref_job)
         assert bits2() == ref_bits()
         assert _result_tuple(result) == _result_tuple(ref)
+
+
+class TestTraceFarm:
+    def test_second_miss_replays_the_first_misses_tiles(self):
+        """A serial trace farm's engine misses share the process-wide store:
+        a second shape with the first one's tile signatures replays them
+        and still times exactly like an event-stepped farm."""
+        farm = SimulationFarm(arithmetic="trace", max_workers=1)
+        farm.run_gemm(16, 40, 24, backend="engine")
+        store = shared_trace_store(farm.config)
+        hits = store.stats.hits
+        got = farm.run_gemm(32, 40, 24, backend="engine")
+        assert farm.stats.engine_runs == 2
+        assert store.stats.hits > hits
+        plain = SimulationFarm(arithmetic="exact-simd", max_workers=1)
+        assert got.record == plain.run_gemm(32, 40, 24,
+                                            backend="engine").record
 
 
 class TestTimingCacheSchema:
@@ -470,29 +435,21 @@ class TestTimingCacheSchema:
                        "backend": "engine"},
         }
 
-    def test_save_produces_version_6_with_traces(self, tmp_path):
-        engine, job, _ = _build(32, 32, 32)
-        engine.run_job(job)
-        farm = SimulationFarm(arithmetic="trace", max_workers=1)
+    @pytest.mark.parametrize("arithmetic", ["trace", "exact-simd", "exact"])
+    def test_save_writes_version_and_entries_only(self, tmp_path,
+                                                  arithmetic):
+        farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
         farm.run_gemm(8, 16, 16, backend="engine")
+        if arithmetic == "trace":
+            assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
-        farm.save_cache(path)
+        assert farm.save_cache(path) == 1
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 6
-        assert trace_tag(farm.config) == "4:8:3:1:8:fp16"
-        assert trace_tag(farm.config) in payload["traces"]
-
-    def test_persisted_traces_stay_under_a_kilobyte(self, tmp_path):
-        farm = SimulationFarm(arithmetic="trace", max_workers=1)
-        farm.run_gemm(64, 64, 64, backend="engine")
-        path = tmp_path / "cache.json"
-        farm.save_cache(path)
-        table = json.loads(path.read_text())["traces"][trace_tag(farm.config)]
-        assert len(table["traces"]) == len(shared_trace_store(farm.config))
-        for entry in table["traces"]:
-            assert len(json.dumps(entry)) < 1024
+        assert sorted(payload) == ["entries", "version"]
+        assert payload["version"] == CACHE_FILE_VERSION == 7
 
     @pytest.mark.parametrize("version,config", [
+        (6, (4, 8, 3, 1, 8, "fp16")),   # counter-delta trace table
         (5, (4, 8, 3, 1, 8, "fp16")),   # event-array traces
         (4, (4, 8, 3, 1, 8, "fp16")),   # keys carry ``exact``
         (3, (4, 8, 3, 1, 8, "fp16")),   # pre-trace payload
@@ -508,28 +465,20 @@ class TestTimingCacheSchema:
             cache.load(path)
         assert len(cache) == 0
 
-    def test_farm_cache_round_trip_warms_trace_store(self, tmp_path):
+    def test_farm_cache_round_trip_serves_trace_farm_from_entries(
+            self, tmp_path):
         farm = SimulationFarm(arithmetic="trace", max_workers=1)
-        farm.run_gemm(64, 64, 64, backend="engine")
-        store = shared_trace_store(farm.config)
-        n_traces = len(store)
-        assert n_traces > 0
+        want = farm.run_gemm(32, 32, 32, backend="engine")
+        assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         reset_shared_trace_stores()
         farm2 = SimulationFarm(arithmetic="trace", max_workers=1)
-        farm2.load_cache(path)
-        assert len(shared_trace_store(farm2.config)) == n_traces
-
-    def test_non_trace_farm_ignores_trace_payloads(self, tmp_path):
-        farm = SimulationFarm(arithmetic="trace", max_workers=1)
-        farm.run_gemm(32, 32, 32, backend="engine")
-        path = tmp_path / "cache.json"
-        farm.save_cache(path)
-        reset_shared_trace_stores()
-        plain = SimulationFarm(arithmetic="exact-simd", max_workers=1)
-        plain.load_cache(path)
-        assert len(shared_trace_store(plain.config)) == 0
+        assert farm2.load_cache(path) == 1
+        got = farm2.run_gemm(32, 32, 32, backend="engine")
+        assert got.cache_hit and got.record == want.record
+        assert farm2.stats.engine_runs == 0
+        assert len(shared_trace_store(farm2.config)) == 0
 
 
 class TestReplayDataplane:

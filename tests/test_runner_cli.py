@@ -344,10 +344,11 @@ class TestCacheFileFlag:
             CACHE_FILE_VERSION
         reset_default_farms()
 
-    def test_malformed_trace_is_discarded_not_fatal(self, monkeypatch,
-                                                    tmp_path, capsys):
-        """A trace-backed run whose cache file holds a trace without
-        ``cycles`` warns and starts cold: nothing from the file merges."""
+    def test_v6_trace_file_is_discarded_not_fatal(self, monkeypatch,
+                                                  tmp_path, capsys):
+        """A trace-backed run whose cache file is a v6 file with a trace
+        table warns and starts cold: nothing from the file merges, and the
+        file is rewritten as v7 without ``traces``."""
         import json
 
         from repro.farm import (
@@ -355,7 +356,7 @@ class TestCacheFileFlag:
             reset_default_farms,
             set_default_arithmetic,
         )
-        from repro.farm.cache import trace_tag
+        from repro.farm.cache import CACHE_FILE_VERSION
         from repro.redmule.trace import (
             reset_shared_trace_stores,
             shared_trace_store,
@@ -368,8 +369,9 @@ class TestCacheFileFlag:
         runner.main(["fig3a", "--cache-file", str(cache_file)])
         payload = json.loads(cache_file.read_text())
         config = default_farm().config
-        payload["traces"] = {trace_tag(config): {"traces": [{
-            "key": [16, False, 8, 16, 0, 0, "idle"], "stall_cycles": 0}]}}
+        payload["version"] = 6
+        payload["traces"] = {"4:8:3:1:8:fp16": {"traces": [{
+            "key": [16, False, 8, 16, 0, 0, "idle"], "cycles": 90}]}}
         cache_file.write_text(json.dumps(payload))
         reset_default_farms()
         reset_shared_trace_stores()
@@ -377,12 +379,49 @@ class TestCacheFileFlag:
             runner.main(["fig3a", "--backend", "trace",
                          "--cache-file", str(cache_file)])
             out = capsys.readouterr().out
-            assert "ignoring stale timing cache" in out
-            assert "malformed trace 0" in out and "cycles" in out
+            assert "ignoring stale timing cache" in out and "version 6" in out
             farm = default_farm()
             assert farm.arithmetic == "trace"
             assert farm.stats.model_runs == 1
             assert len(shared_trace_store(config)) == 0
+            saved = json.loads(cache_file.read_text())
+            assert saved["version"] == CACHE_FILE_VERSION == 7
+            assert "traces" not in saved
+        finally:
+            set_default_arithmetic(None)
+            reset_default_farms()
+            reset_shared_trace_stores()
+
+    def test_trace_backend_reloads_engine_timing(self, monkeypatch,
+                                                 tmp_path, capsys):
+        """Under ``--backend trace`` a second invocation serves its engine
+        GEMM from the saved timing entry; the file holds no traces."""
+        import json
+
+        from repro.farm import (
+            default_farm,
+            reset_default_farms,
+            set_default_arithmetic,
+        )
+        from repro.redmule.trace import reset_shared_trace_stores
+
+        def engine_gemm():
+            default_farm().run_gemm(8, 16, 16, backend="engine")
+            return "stub"
+
+        cache_file = tmp_path / "timing.json"
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig3a", engine_gemm)
+        argv = ["fig3a", "--backend", "trace", "--cache-file", str(cache_file)]
+        reset_default_farms()
+        reset_shared_trace_stores()
+        try:
+            runner.main(argv)
+            assert default_farm().stats.engine_runs == 1
+            reset_default_farms()
+            reset_shared_trace_stores()
+            runner.main(argv)
+            assert "loaded 1 timing-cache entries" in capsys.readouterr().out
+            assert default_farm().stats.engine_runs == 0
             assert "traces" not in json.loads(cache_file.read_text())
         finally:
             set_default_arithmetic(None)
