@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -95,11 +96,7 @@ class DsePoint:
 
     def as_row(self) -> Dict[str, object]:
         """Flat export record (the ``point`` provenance field is dropped)."""
-        return {
-            field.name: getattr(self, field.name)
-            for field in fields(self)
-            if field.name != "point"
-        }
+        return {name: getattr(self, name) for name in EXPORT_COLUMNS}
 
 
 #: Column order of the CSV/JSON exports.
@@ -320,11 +317,13 @@ def sweep(
     timed once on the graph's memoised lowering (configurations sharing a
     lowering key share one program), its latency-dependent metrics are
     derived once per ``memory_latency`` value and its cluster area once per
-    ``tcdm_banks`` value.  The records come out in
+    ``tcdm_banks`` value.  Each record is filled from those per-level field
+    dicts (configuration, latency, bank) rather than built field by field
+    through the frozen dataclass's ``__init__``.  The records come out in
     :meth:`DesignSpace.points` order.
     """
-    if offload_cycles_per_job < 0:
-        raise ValueError("offload_cycles_per_job must be >= 0")
+    if not 0 <= offload_cycles_per_job < math.inf:
+        raise ValueError("offload_cycles_per_job must be finite and >= 0")
     graph = _resolve_workload(workload)
     point_op = operating_point or technology.reference_point
     shared_cache = cache if cache is not None else TimingCache()
@@ -336,6 +335,7 @@ def sweep(
 
     banks_axis = space.axis_values("tcdm_banks")
     latency_axis = space.axis_values("memory_latency")
+    new = object.__new__
     started = time.perf_counter()
     records: List[DsePoint] = []
     for config in space.configs():
@@ -349,7 +349,10 @@ def sweep(
         model = RedMulEPerfModel(config)
         total_macs = program.total_macs
         energy_model = EnergyModel(config, technology)
-        config_fields = {
+        # Every record field in declaration order: the latency- and
+        # bank-level ones are placeholders until the loops below fill them.
+        config_fields = dict.fromkeys(EXPORT_COLUMNS)
+        config_fields.update({
             "height": config.height,
             "length": config.length,
             "pipeline_regs": config.pipeline_regs,
@@ -363,7 +366,7 @@ def sweep(
             "area_mm2": AreaModel(config, technology).total(),
             "model_exact": all(model.is_exact(job)
                                for job in dict.fromkeys(program.jobs)),
-        }
+        })
 
         # Latency-level work: timing, throughput and energy.
         latency_fields = []
@@ -385,7 +388,9 @@ def sweep(
             runtime_s = serial / point_op.frequency_hz
             energy_j = power_w * runtime_s
             gflops = 2.0 * macs_per_cycle * point_op.frequency_hz / 1e9
-            latency_fields.append((memory_latency, {
+            latency_fields.append({
+                **config_fields,
+                "memory_latency": memory_latency,
                 "serial_cycles": serial,
                 "makespan_cycles": makespan,
                 "macs_per_cycle": macs_per_cycle,
@@ -396,22 +401,36 @@ def sweep(
                 "energy_uj": energy_j * 1e6,
                 "energy_per_mac_pj": (energy_j / total_macs * 1e12
                                       if total_macs else 0.0),
-            }))
+            })
 
         # Bank-level work: the cluster area; then one record per point.
+        # The records skip the frozen dataclasses' __init__, which pays one
+        # object.__setattr__ per field, and fill the instance __dict__
+        # directly.  That builds the same objects only because neither
+        # DsePoint nor DesignPoint defines __post_init__.
         for tcdm_banks in banks_axis:
             cluster_area = ClusterAreaModel(
                 config, technology, tcdm_banks=tcdm_banks
             ).total()
-            for memory_latency, timing_fields in latency_fields:
-                records.append(DsePoint(
-                    tcdm_banks=tcdm_banks,
-                    memory_latency=memory_latency,
-                    cluster_area_mm2=cluster_area,
-                    point=DesignPoint(config, tcdm_banks, memory_latency),
-                    **config_fields,
-                    **timing_fields,
-                ))
+            for timing_fields in latency_fields:
+                point = new(DesignPoint)
+                point_fields = point.__dict__
+                point_fields["config"] = config
+                point_fields["tcdm_banks"] = tcdm_banks
+                point_fields["memory_latency"] = timing_fields["memory_latency"]
+                record = new(DsePoint)
+                record_fields = record.__dict__
+                # In CPython an update() into an empty __dict__ gives the
+                # record a private copy of the template's hash table; after
+                # a first key it inserts field by field into the key table
+                # that DsePoint instances share, which halves a record's
+                # memory.
+                record_fields["height"] = config.height
+                record_fields.update(timing_fields)
+                record_fields["tcdm_banks"] = tcdm_banks
+                record_fields["cluster_area_mm2"] = cluster_area
+                record_fields["point"] = point
+                records.append(record)
     elapsed = time.perf_counter() - started
 
     return SweepResult(

@@ -371,17 +371,21 @@ class SimulationFarm:
         # shape count as cache hits (once the batch completes they are
         # served from the memoised record, never from a simulation), so the
         # per-result flags and the cache statistics tell the same story.
+        # Each missing key keeps the first batch job that carries it: the
+        # model times that job directly instead of rebuilding one.
         known: Dict[TimingKey, Optional[TimingRecord]] = {}
+        missing: Dict[TimingKey, MatmulJob] = {}
         hit_flags: List[bool] = []
-        for key in keys:
+        for job, key in zip(jobs, keys):
             if key in known:
                 hit_flags.append(True)
                 self.cache.stats.hits += 1
             else:
-                known[key] = self.cache.lookup(key)
-                hit_flags.append(known[key] is not None)
+                record = known[key] = self.cache.lookup(key)
+                hit_flags.append(record is not None)
+                if record is None:
+                    missing[key] = job
 
-        missing = [key for key, record in known.items() if record is None]
         known.update(self._simulate_missing(missing))
 
         results: List[FarmResult] = []
@@ -529,21 +533,24 @@ class SimulationFarm:
 
     # -- miss simulation -----------------------------------------------------
     def _simulate_missing(
-        self, keys: List[TimingKey]
+        self, missing: Dict[TimingKey, MatmulJob]
     ) -> Dict[TimingKey, TimingRecord]:
-        """Simulate every distinct missing key, preferring the process pool."""
-        engine_keys = [key for key in keys if key.backend == BACKEND_ENGINE]
-        model_keys = [key for key in keys if key.backend != BACKEND_ENGINE]
+        """Simulate every distinct missing key, preferring the process pool.
+
+        ``missing`` maps each key to a batch job that carries it.
+        """
+        engine_keys = [key for key in missing if key.backend == BACKEND_ENGINE]
 
         records: Dict[TimingKey, TimingRecord] = {}
         # Model estimates are closed-form and cheaper than any pickling.
         # Every key this farm builds carries self._config_key, so one model
         # of the farm's own config serves them all.
         model = RedMulEPerfModel(self.config)
-        for key in model_keys:
+        for key, job in missing.items():
+            if key.backend == BACKEND_ENGINE:
+                continue
             if key.backend == BACKEND_MODEL:
-                records[key] = model_timing_record(model, key.m, key.n,
-                                                   key.k, key.accumulate)
+                records[key] = model_timing_record(model, job)
             else:
                 records[key] = simulate_key(key)  # rejects the unknown name
             self.stats.model_runs += 1

@@ -4,7 +4,7 @@ The exporter in :mod:`repro.obs.telemetry` emits the JSON-object form of
 the Chrome trace format: ``{"traceEvents": [...]}`` where each event
 carries a phase (``ph``), a timestamp (``ts``) and process/thread ids
 (``pid``/``tid``).  This module checks such a document structurally --
-required fields per phase, numeric timestamps, non-negative durations --
+required fields per phase, finite non-negative timestamps and durations --
 and semantically: within every ``(pid, tid)`` lane, complete spans must
 nest (a span either contains or is disjoint from its neighbours; partial
 overlap means a broken timeline).
@@ -18,6 +18,7 @@ CI round-trips every exported ``serve-million`` trace through
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Any, Dict, List, Tuple
 
@@ -50,6 +51,20 @@ class ChromeTraceError(ValueError):
             f"{preview}")
 
 
+def _is_finite_number(value: Any) -> bool:
+    """True for a non-bool int or float that converts to a finite float.
+
+    ``json.load`` accepts ``NaN`` and ``Infinity``, and a JSON integer may
+    lie beyond float range, where ``float()`` raises ``OverflowError``.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_common(event: Dict[str, Any], where: str,
                   problems: List[str]) -> bool:
     """Field checks shared by every phase; True when usable downstream."""
@@ -62,9 +77,9 @@ def _check_common(event: Dict[str, Any], where: str,
         problems.append(f"{where}: unknown phase {ph!r}")
         usable = False
     ts = event.get("ts")
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-        problems.append(f"{where}: 'ts' must be a non-negative number, "
-                        f"got {ts!r}")
+    if not _is_finite_number(ts) or ts < 0:
+        problems.append(f"{where}: 'ts' must be a finite non-negative "
+                        f"number, got {ts!r}")
         usable = False
     for field in ("pid", "tid"):
         value = event.get(field)
@@ -133,9 +148,8 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
         lanes.add((event["pid"], event["tid"]))
         if ph == "X":
             dur = event.get("dur")
-            if (not isinstance(dur, (int, float)) or isinstance(dur, bool)
-                    or dur < 0):
-                problems.append(f"{where}: complete span needs a "
+            if not _is_finite_number(dur) or dur < 0:
+                problems.append(f"{where}: complete span needs a finite "
                                 f"non-negative 'dur', got {dur!r}")
                 continue
             spans.setdefault((event["pid"], event["tid"]), []).append(
@@ -188,7 +202,10 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
             stats = validate_chrome_trace(payload)
-        except (OSError, json.JSONDecodeError, ChromeTraceError) as exc:
+        # json.load raises RecursionError on arrays or objects nested
+        # deeper than the interpreter's recursion limit.
+        except (OSError, UnicodeDecodeError, RecursionError,
+                json.JSONDecodeError, ChromeTraceError) as exc:
             write_out(f"{path}: INVALID -- {exc}")
             status = 1
             continue

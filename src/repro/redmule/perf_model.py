@@ -47,6 +47,7 @@ the configuration the exactness guarantee applies to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -301,8 +302,8 @@ class RedMulEPerfModel:
         :meth:`repro.farm.SimulationFarm.time_program` and the critical path
         is the longest dependent chain through the flat job stream.
         """
-        if offload_cycles_per_job < 0:
-            raise ValueError("offload_cycles_per_job must be >= 0")
+        if not 0 <= offload_cycles_per_job < math.inf:
+            raise ValueError("offload_cycles_per_job must be finite and >= 0")
         job_costs: List[float] = []
         node_cycles: Dict[str, float] = {}
         total_macs = 0
@@ -332,6 +333,11 @@ def critical_path_cycles(deps: List[Tuple[int, ...]],
     ``i``, which the lowering pass guarantees), ``costs[i]`` its cycles.
     Public shared helper: :meth:`repro.graph.lower.LoweredProgram.
     critical_path_cycles` delegates here with its own ``job_deps()``.
+
+    Most jobs of a lowered stream have no prerequisite or exactly one, so
+    those two cases skip the ``max``; every case performs the float
+    operations of ``max(finish[p] for p in prereqs, default=0.0) + cost``
+    in the same order, so the result is bit-identical to that form.
     """
     if len(deps) != len(costs):
         raise ValueError(
@@ -339,7 +345,12 @@ def critical_path_cycles(deps: List[Tuple[int, ...]],
             f"{len(costs)} costs were given"
         )
     finish: List[float] = []
+    append = finish.append
     for prereqs, cost in zip(deps, costs):
-        start = max((finish[p] for p in prereqs), default=0.0)
-        finish.append(start + cost)
+        if not prereqs:
+            append(0.0 + cost)
+        elif len(prereqs) == 1:
+            append(finish[prereqs[0]] + cost)
+        else:
+            append(max([finish[p] for p in prereqs]) + cost)
     return max(finish, default=0.0)

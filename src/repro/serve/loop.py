@@ -408,8 +408,10 @@ class ContinuousServer:
             raise ValueError("the pool needs at least one cluster")
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive")
-        if offload_cycles_per_job < 0 or elementwise_cycles_per_element < 0:
-            raise ValueError("per-job and per-element costs must be >= 0")
+        if not (0 <= offload_cycles_per_job < math.inf
+                and 0 <= elementwise_cycles_per_element < math.inf):
+            raise ValueError("per-job and per-element costs must be finite "
+                             "and >= 0")
         if autoscaler is not None and n_clusters < autoscaler.min_clusters:
             raise ValueError("n_clusters must start within the autoscaler's "
                              "[min_clusters, max_clusters] band")

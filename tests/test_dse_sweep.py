@@ -1,12 +1,17 @@
 """Tests of the analytic design-space sweep driver and its exports."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import itertools
 import json
+import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse import (
     AXIS_DEFAULTS,
@@ -43,6 +48,49 @@ def small_graph():
 def small_space():
     return DesignSpace.grid(height=(2, 4), length=(4, 8),
                             pipeline_regs=(2, 3))
+
+
+# -- critical-path reference -------------------------------------------------
+def reference_critical_path(deps, costs):
+    """The generator form :func:`critical_path_cycles` replaced (the oracle
+    its case split must reproduce bit for bit)."""
+    if len(deps) != len(costs):
+        raise ValueError("length mismatch")
+    finish = []
+    for prereqs, cost in zip(deps, costs):
+        start = max((finish[p] for p in prereqs), default=0.0)
+        finish.append(start + cost)
+    return max(finish, default=0.0)
+
+
+#: Job costs: non-negative, integral and fractional, zero included.
+_COSTS = (st.just(0) | st.just(0.0) | st.integers(0, 10 ** 6)
+          | st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _job_streams(draw):
+    """A flat job stream: 0-4 prerequisites per job, each an earlier job,
+    repeats allowed, and one cost per job."""
+    n_jobs = draw(st.integers(0, 40))
+    deps = [tuple(draw(st.lists(st.integers(0, index - 1), max_size=4)))
+            if index else () for index in range(n_jobs)]
+    costs = draw(st.lists(_COSTS, min_size=n_jobs, max_size=n_jobs))
+    return deps, costs
+
+
+class TestCriticalPath:
+    """The empty stream and a length mismatch are checked through
+    ``LoweredProgram.critical_path_cycles`` in ``test_perf_program.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=_job_streams())
+    def test_equals_the_generator_form(self, stream):
+        deps, costs = stream
+        result = critical_path_cycles(deps, costs)
+        expected = reference_critical_path(deps, costs)
+        assert result == expected
+        assert type(result) is type(expected)
 
 
 # -- per-point reference -----------------------------------------------------
@@ -111,7 +159,7 @@ def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
             for cycles, n_tiles in base_timing
         ]
         serial = float(sum(costs))
-        makespan = critical_path_cycles(deps, costs)
+        makespan = reference_critical_path(deps, costs)
         total_macs = program.total_macs
         macs_per_cycle = total_macs / serial if serial > 0 else 0.0
         utilisation = macs_per_cycle / config.ideal_macs_per_cycle
@@ -202,11 +250,35 @@ class TestPerPointReference:
         result = sweep(space, workload, **kwargs)
         expected, hits, misses = reference_sweep(space, workload, **kwargs)
         assert len(result) == len(expected) == len(space)
-        assert [p.as_row() for p in result.points] == \
-            [p.as_row() for p in expected]
-        assert [p.point for p in result.points] == \
-            [p.point for p in expected]
+        # The reference builds its records through the frozen dataclasses'
+        # __init__, sweep() fills their __dict__: whole objects, provenance
+        # point included, must not tell the difference.
+        for record, reference in zip(result.points, expected):
+            assert record == reference
+            assert hash(record) == hash(reference)
+            assert repr(record) == repr(reference)
+            assert hash(record.point) == hash(reference.point)
         assert (result.cache_hits, result.cache_misses) == (hits, misses)
+
+    def test_records_stay_frozen_dataclasses(self):
+        record = sweep(DesignSpace.grid(height=(4,)), "mlp-tiny").points[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.serial_cycles = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.point.tcdm_banks = 1
+        changed = dataclasses.replace(record, serial_cycles=1.0)
+        assert changed.serial_cycles == 1.0 and changed.point == record.point
+        moved = dataclasses.replace(record.point, memory_latency=3)
+        assert moved.memory_latency == 3
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert pickle.loads(pickle.dumps(record.point)) == record.point
+        # The instance dict lists the fields in declaration order, as
+        # __init__ leaves it.
+        assert list(vars(record)) == [field.name for field in
+                                      dataclasses.fields(DsePoint)]
+        # The shortcut skips __post_init__, so neither class may have one.
+        assert not hasattr(DsePoint, "__post_init__")
+        assert not hasattr(DesignPoint, "__post_init__")
 
     def test_dse_memory_grid_is_pinned(self):
         # Absolute values too: the reference shares the lowering pass, the
@@ -446,9 +518,12 @@ class TestSweep:
         assert point.serial_cycles == \
             model.estimate_gemm(128, 128, 128).cycles
 
-    def test_negative_offload_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(small_space(), small_graph(), offload_cycles_per_job=-1)
+    @pytest.mark.parametrize("offload", [-1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_invalid_offload_rejected(self, offload):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(small_space(), small_graph(),
+                  offload_cycles_per_job=offload)
 
     def test_render_smoke(self):
         result = sweep(small_space(), small_graph())

@@ -233,22 +233,46 @@ class TestBackendSelection:
                       format="fp8-e4m3"),
     ], ids=["reference", "fp8-wide"])
     def test_model_misses_match_the_per_key_worker(self, config):
-        # The farm times its model misses on one model of its own config;
-        # each record equals the worker's, which rebuilds the config from
-        # the key.
+        # The farm times each model miss on one model of its own config and
+        # on the first batch job of the key, wherever that job sits; each
+        # record equals the worker's, which rebuilds the config from the
+        # key and times a canonically placed job.
         from repro.farm.workers import simulate_key
 
+        size = config.element_bytes
+
+        def placed(m, n, k, accumulate=False, offset=0):
+            return MatmulJob(
+                x_addr=(3 + offset) * size, w_addr=(1001 + offset) * size,
+                z_addr=(4097 + offset) * size, m=m, n=n, k=k,
+                x_stride=(n + 1) * size, w_stride=(k + 3) * size,
+                z_stride=(k + 5) * size, accumulate=accumulate,
+                element_bytes=size)
+
+        shapes = [(m, n, k, accumulate)
+                  for m, n, k in ((8, 16, 16), (33, 7, 65), (96, 96, 96))
+                  for accumulate in (False, True)]
+        canonical = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
+                               element_bytes=size)
+                     for m, n, k, accumulate in shapes]
+        for jobs in (canonical, [placed(*shape) for shape in shapes]):
+            farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
+                                  max_workers=1)
+            results = farm.run(jobs)
+            assert farm.stats.model_runs == len(shapes)
+            for job, result in zip(jobs, results):
+                key = TimingKey.for_job(config, job, BACKEND_MODEL)
+                assert result.record == simulate_key(key)
+
+        # One shape twice, at different addresses: one miss, one record.
         farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
                               max_workers=1)
-        jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
-                          element_bytes=config.element_bytes)
-                for m, n, k in ((8, 16, 16), (33, 7, 65), (96, 96, 96))
-                for accumulate in (False, True)]
-        results = farm.run(jobs)
-        assert farm.stats.model_runs == len(jobs)
-        for job, result in zip(jobs, results):
-            key = TimingKey.for_job(config, job, BACKEND_MODEL)
-            assert result.record == simulate_key(key)
+        pair = [placed(33, 7, 65), placed(33, 7, 65, offset=8192)]
+        first, second = farm.run(pair)
+        key = TimingKey.for_job(config, pair[0], BACKEND_MODEL)
+        assert first.record == second.record == simulate_key(key)
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert farm.stats.model_runs == 1
 
 
 class TestValidationMode:

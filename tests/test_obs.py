@@ -10,14 +10,18 @@ that must be identical between the event-stepped and trace-replay
 backends).
 """
 
+import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.farm import SimulationFarm
 from repro.graph.llm import build_decode_spec
@@ -33,6 +37,7 @@ from repro.obs import (
     install,
 )
 from repro.obs.validate import ChromeTraceError, validate_chrome_trace
+from repro.obs.validate import main as validate_main
 from repro.serve import (
     AdmissionPolicy,
     AutoscalePolicy,
@@ -215,6 +220,55 @@ class TestChromeExport:
             assert name in summary
 
 
+#: A valid trace with every phase the exporter emits: two nested spans,
+#: an instant, a counter and a metadata record.
+_VALID_TRACE = [
+    {"name": "outer", "cat": "c", "ph": "X", "ts": 0, "dur": 100,
+     "pid": 1, "tid": 1},
+    {"name": "inner", "cat": "c", "ph": "X", "ts": 10.5, "dur": 20,
+     "pid": 1, "tid": 1},
+    {"name": "mark", "ph": "i", "ts": 5, "pid": 1, "tid": 1, "s": "t"},
+    {"name": "depth", "ph": "C", "ts": 7, "pid": 1, "tid": 2,
+     "args": {"value": 3.0}},
+    {"name": "thread_name", "ph": "M", "ts": 0, "pid": 1, "tid": 1,
+     "args": {"name": "lane"}},
+]
+
+#: Every field the validator reads from an event.
+_EVENT_FIELDS = ("name", "ph", "ts", "dur", "pid", "tid", "s", "args")
+
+_DELETE = object()
+
+#: The numbers json.load hands over besides plain ones: NaN, the
+#: infinities and integers beyond float range.
+_AWKWARD_NUMBERS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)])
+
+#: JSON-like values.
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | _AWKWARD_NUMBERS | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Event lists whose events carry the validated fields with arbitrary
+#: values (arbitrary documents rarely reach the per-event checks).
+_EVENT_SOUP = st.lists(
+    st.dictionaries(st.sampled_from(_EVENT_FIELDS), _JSON_LIKE), max_size=4)
+
+
+def _mutated_trace(index, field, value):
+    """``_VALID_TRACE`` with one event field replaced or deleted."""
+    events = copy.deepcopy(_VALID_TRACE)
+    if value is _DELETE:
+        events[index].pop(field, None)
+    else:
+        events[index][field] = value
+    return {"traceEvents": events}
+
+
 class TestValidator:
     def _span(self, ts, dur, name="s", pid=1, tid=1, **extra):
         record = {"name": name, "cat": "c", "ph": "X", "ts": ts, "dur": dur,
@@ -270,6 +324,61 @@ class TestValidator:
             validate_chrome_trace([
                 {"name": "e", "ph": "i", "ts": 0, "pid": 1, "tid": 1,
                  "s": "bogus"}])
+
+    @pytest.mark.parametrize("field", ["ts", "dur"])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)],
+        ids=["nan", "inf", "-inf", "huge", "-huge"])
+    def test_rejects_non_finite_and_unconvertible_times(self, field, value):
+        span = self._span(0, 10)
+        span[field] = value
+        with pytest.raises(ChromeTraceError, match="finite"):
+            validate_chrome_trace([span])
+
+    def test_cli_reports_unreadable_files_as_invalid(self, tmp_path,
+                                                      capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps([self._span(10 ** 400, 1)]))
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps([self._span(0, math.nan)]))
+        undecodable = tmp_path / "latin1.json"
+        undecodable.write_bytes(b'[{"name": "\xe9"}]')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        paths = [str(huge), str(nan), str(undecodable), str(deep)]
+        assert validate_main(paths) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(": INVALID -- " in line for line in lines)
+        assert "'ts' must be a finite" in lines[0]
+        assert "finite non-negative 'dur'" in lines[1]
+        assert "can't decode" in lines[2]
+        assert "recursion" in lines[3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_JSON_LIKE | _EVENT_SOUP | st.builds(
+        _mutated_trace, st.integers(0, len(_VALID_TRACE) - 1),
+        st.sampled_from(_EVENT_FIELDS),
+        st.just(_DELETE) | _AWKWARD_NUMBERS | _JSON_LIKE))
+    def test_returns_a_summary_or_raises_chrome_trace_error(self, document):
+        """Arbitrary JSON-like documents, and single-field mutations of a
+        valid trace, validate or raise ChromeTraceError -- never another
+        error -- and an accepted trace has finite times only."""
+        try:
+            stats = validate_chrome_trace(document)
+        except ChromeTraceError as error:
+            assert error.problems
+            return
+        assert set(stats) == {"events", "phases", "lanes", "max_depth"}
+        events = (document["traceEvents"] if isinstance(document, dict)
+                  else document)
+        for event in events:
+            assert math.isfinite(event["ts"])
+            if event["ph"] == "X":
+                assert math.isfinite(event["dur"])
+
+    def test_the_fuzzed_trace_is_valid(self):
+        assert validate_chrome_trace(_VALID_TRACE)["max_depth"] == 2
 
     @pytest.mark.parametrize("module", ["repro.obs", "repro.obs.validate"])
     def test_module_entry_points_write_nothing_to_stderr(self, tmp_path,

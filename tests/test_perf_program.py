@@ -1,5 +1,7 @@
 """Tests of the program-level analytic estimator (`estimate_program`)."""
 
+import math
+
 import pytest
 
 from repro.farm import BACKEND_MODEL, SimulationFarm
@@ -60,10 +62,12 @@ class TestEstimateProgram:
             plain.serial_cycles + 40.0 * program.n_jobs
         assert charged.critical_path_cycles > plain.critical_path_cycles
 
-    def test_negative_offload_rejected(self):
-        with pytest.raises(ValueError):
-            RedMulEPerfModel().estimate_program(small_program(),
-                                                offload_cycles_per_job=-1)
+    @pytest.mark.parametrize("offload", [-1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_invalid_offload_rejected(self, offload):
+        with pytest.raises(ValueError, match="finite"):
+            RedMulEPerfModel().estimate_program(
+                small_program(), offload_cycles_per_job=offload)
 
     def test_single_cluster_serve_makespan_equals_serial_estimate(self):
         """The estimator's conservation law: node dispatch with one cluster

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from typing import NamedTuple
 
 import pytest
@@ -388,8 +389,14 @@ class TestNodeDispatch:
     def test_validation(self):
         with pytest.raises(ValueError):
             _nodes(0, _model_farm())
-        with pytest.raises(ValueError):
-            _nodes(1, _model_farm(), offload_cycles_per_job=-1)
+
+    @pytest.mark.parametrize("cost", ["offload_cycles_per_job",
+                                      "elementwise_cycles_per_element"])
+    @pytest.mark.parametrize("value", [-1, math.nan, math.inf],
+                             ids=["negative", "nan", "inf"])
+    def test_costs_must_be_finite_and_non_negative(self, cost, value):
+        with pytest.raises(ValueError, match="finite"):
+            _nodes(1, _model_farm(), **{cost: value})
 
     @pytest.mark.parametrize("policy", [
         {"admission": AdmissionPolicy(max_queue=4)},
