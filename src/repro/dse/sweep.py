@@ -8,7 +8,7 @@ energy models into one :class:`DsePoint` record per grid point.  Each piece
 of work runs once per distinct input it depends on: the lowered program and
 its job dependency list once per lowering key (the graph memoises them, see
 :meth:`~repro.graph.ir.WorkloadGraph.lower`); the farm batch, the exactness
-scan (once per distinct job) and the accelerator area once per
+scan (once per distinct job shape) and the accelerator area once per
 configuration; the cycles, critical path, throughput, power and energy once
 per (configuration, memory latency); the cluster area once per
 (configuration, TCDM bank count).  One
@@ -319,8 +319,10 @@ def sweep(
     derived once per ``memory_latency`` value and its cluster area once per
     ``tcdm_banks`` value.  Each record is filled from those per-level field
     dicts (configuration, latency, bank) rather than built field by field
-    through the frozen dataclass's ``__init__``.  The records come out in
-    :meth:`DesignSpace.points` order.
+    through the frozen dataclass's ``__init__``; the farm likewise fills
+    its per-job results and model-miss records directly (see
+    :func:`~repro.farm.workers.model_timing_record`).  The records come out
+    in :meth:`DesignSpace.points` order.
     """
     if not 0 <= offload_cycles_per_job < math.inf:
         raise ValueError("offload_cycles_per_job must be finite and >= 0")
@@ -364,8 +366,11 @@ def sweep(
             "n_jobs": program.n_jobs,
             "total_macs": total_macs,
             "area_mm2": AreaModel(config, technology).total(),
-            "model_exact": all(model.is_exact(job)
-                               for job in dict.fromkeys(program.jobs)),
+            # is_exact reads only M, N, K and accumulate, so one job per
+            # such shape decides for all of its repeats.
+            "model_exact": all(model.is_exact(job) for job in {
+                (job.m, job.n, job.k, job.accumulate): job
+                for job in program.jobs}.values()),
         })
 
         # Latency-level work: timing, throughput and energy.

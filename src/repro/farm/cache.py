@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -68,12 +68,13 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
     )
 
 
-@dataclass(frozen=True)
-class TimingKey:
+class TimingKey(NamedTuple):
     """Cache key: everything the timing of a job can depend on.
 
     ``backend`` separates engine-measured records from model estimates so a
-    validation run never serves one in place of the other.
+    validation run never serves one in place of the other.  A named tuple,
+    so building, hashing and comparing a key run in C: the farm builds one
+    per job of every batch.  It equals the plain tuple of its fields.
     """
 
     config: Tuple[int, int, int, int, int, str]
@@ -276,7 +277,7 @@ class TimingCache:
         parent = os.path.dirname(os.path.abspath(os.fspath(path)))
         os.makedirs(parent, exist_ok=True)
         entries = [
-            {"key": asdict(key), "record": asdict(record)}
+            {"key": key._asdict(), "record": asdict(record)}
             for key, record in self._entries.items()
         ]
         payload = {"version": CACHE_FILE_VERSION, "entries": entries}

@@ -311,11 +311,6 @@ class SimulationFarm:
             return BACKEND_ENGINE
         return BACKEND_MODEL
 
-    def _key(self, job: MatmulJob, backend: str) -> TimingKey:
-        """The job's timing key (equal to :meth:`TimingKey.for_job`)."""
-        return TimingKey(self._config_key, job.m, job.n, job.k,
-                         job.accumulate, backend)
-
     def with_format(self, fmt: str) -> "SimulationFarm":
         """A farm timing the same instance at a different element format.
 
@@ -365,8 +360,18 @@ class SimulationFarm:
         obs = _telemetry_active()
         batch_start = obs.now() if obs.enabled else 0.0
 
-        keys = [self._key(job, self.resolve_backend(job, backend))
-                for job in jobs]
+        # Each key equals TimingKey.for_job(self.config, job, ...).  Unless
+        # the policy is "auto", every job of the batch gets the same backend.
+        choice = backend or self.backend
+        config = self._config_key
+        if choice == "auto":
+            keys = [TimingKey(config, job.m, job.n, job.k, job.accumulate,
+                              self.resolve_backend(job, choice))
+                    for job in jobs]
+        else:
+            keys = [TimingKey(config, job.m, job.n, job.k, job.accumulate,
+                              choice)
+                    for job in jobs]
         # One cache lookup per *distinct* key; batch-internal repeats of a
         # shape count as cache hits (once the batch completes they are
         # served from the memoised record, never from a simulation), so the
@@ -388,11 +393,20 @@ class SimulationFarm:
 
         known.update(self._simulate_missing(missing))
 
+        # The results skip the frozen dataclass's __init__ (one
+        # object.__setattr__ per field) and fill the instance __dict__.
+        # That builds the same objects only because FarmResult defines no
+        # __post_init__.
+        new = object.__new__
         results: List[FarmResult] = []
+        append = results.append
         for job, key, hit in zip(jobs, keys, hit_flags):
-            record = known[key]
-            assert record is not None  # every miss was just simulated
-            results.append(FarmResult(job=job, record=record, cache_hit=hit))
+            result = new(FarmResult)
+            result_fields = result.__dict__
+            result_fields["job"] = job
+            result_fields["record"] = known[key]
+            result_fields["cache_hit"] = hit
+            append(result)
         if obs.enabled:
             hits = sum(hit_flags)
             engine_misses = sum(1 for key in missing
@@ -725,10 +739,7 @@ class SimulationFarm:
     def _cross_check(self, engine_keys: List[TimingKey],
                      records: Dict[TimingKey, TimingRecord]) -> None:
         for key in engine_keys:
-            model_key = TimingKey(
-                config=key.config, m=key.m, n=key.n, k=key.k,
-                accumulate=key.accumulate, backend=BACKEND_MODEL,
-            )
+            model_key = key._replace(backend=BACKEND_MODEL)
             model_record = self.cache.peek(model_key)
             if model_record is None:
                 model_record = simulate_key(model_key)

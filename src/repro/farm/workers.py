@@ -143,20 +143,26 @@ def model_timing_record(model: RedMulEPerfModel,
     count, so any job of the shape yields the record of its canonically
     placed twin.  Callers timing many shapes of one configuration share
     one model, so the configuration's derived geometry is computed once.
+
+    The record is the model's closed form with no :class:`~repro.redmule.
+    perf_model.PerfEstimate` in between, and it is filled through the
+    instance ``__dict__`` instead of the frozen dataclass's ``__init__``
+    (one ``object.__setattr__`` per field).  That builds the same object
+    only because :class:`TimingRecord` defines no ``__post_init__``.
     """
-    config = model.config
-    estimate = model.estimate(job)
-    return TimingRecord(
-        cycles=estimate.cycles,
-        stall_cycles=estimate.overhead_cycles,
-        active_cycles=estimate.cycles - estimate.overhead_cycles,
-        total_macs=estimate.total_macs,
-        issued_macs=0,
-        n_tiles=estimate.n_tiles,
-        peak_macs_per_cycle=config.ideal_macs_per_cycle,
-        ideal_cycles=estimate.ideal_cycles,
-        backend=BACKEND_MODEL,
-    )
+    cycles, ideal, n_tiles = model._closed_form(job)
+    record = object.__new__(TimingRecord)
+    record_fields = record.__dict__
+    record_fields["cycles"] = cycles
+    record_fields["stall_cycles"] = cycles - ideal
+    record_fields["active_cycles"] = ideal
+    record_fields["total_macs"] = job.total_macs
+    record_fields["issued_macs"] = 0
+    record_fields["n_tiles"] = n_tiles
+    record_fields["peak_macs_per_cycle"] = model.config.ideal_macs_per_cycle
+    record_fields["ideal_cycles"] = ideal
+    record_fields["backend"] = BACKEND_MODEL
+    return record
 
 
 def simulate_key(timing_key: TimingKey,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from typing import Any, Dict, List, Tuple
 
@@ -51,6 +52,25 @@ class ChromeTraceError(ValueError):
             f"{preview}")
 
 
+class _BoundedRepr(reprlib.Repr):
+    """``reprlib`` limits, plus ints too long for ``repr`` to spell out.
+
+    CPython refuses to convert an int of more than 4,300 digits to a string
+    (``ValueError``), and ``reprlib`` converts an int before it truncates.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        bits = x.bit_length()
+        if bits > 4 * self.maxlong:
+            return f"<{'negative ' if x < 0 else ''}int of {bits} bits>"
+        return super().repr_int(x, level)
+
+
+#: Every value a problem message shows goes through this repr, so a
+#: message stays short whatever the document holds.
+_show = _BoundedRepr().repr
+
+
 def _is_finite_number(value: Any) -> bool:
     """True for a non-bool int or float that converts to a finite float.
 
@@ -74,18 +94,18 @@ def _check_common(event: Dict[str, Any], where: str,
         usable = False
     ph = event.get("ph")
     if ph not in KNOWN_PHASES:
-        problems.append(f"{where}: unknown phase {ph!r}")
+        problems.append(f"{where}: unknown phase {_show(ph)}")
         usable = False
     ts = event.get("ts")
     if not _is_finite_number(ts) or ts < 0:
         problems.append(f"{where}: 'ts' must be a finite non-negative "
-                        f"number, got {ts!r}")
+                        f"number, got {_show(ts)}")
         usable = False
     for field in ("pid", "tid"):
         value = event.get(field)
         if not isinstance(value, int) or isinstance(value, bool):
             problems.append(f"{where}: '{field}' must be an integer, "
-                            f"got {value!r}")
+                            f"got {_show(value)}")
             usable = False
     return usable
 
@@ -103,9 +123,9 @@ def _check_nesting(spans: Dict[Tuple[int, int], List[Tuple[float, float, str]]],
             if stack and end > stack[-1][1] + _EPSILON:
                 parent = stack[-1]
                 problems.append(
-                    f"pid {pid} tid {tid}: span '{name}' "
-                    f"[{start:g}, {end:g}] partially overlaps "
-                    f"'{parent[2]}' [{parent[0]:g}, {parent[1]:g}]")
+                    f"pid {_show(pid)} tid {_show(tid)}: span "
+                    f"{_show(name)} [{start:g}, {end:g}] partially overlaps "
+                    f"{_show(parent[2])} [{parent[0]:g}, {parent[1]:g}]")
                 continue
             stack.append((start, end, name))
             if len(stack) > max_depth:
@@ -150,7 +170,7 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
             dur = event.get("dur")
             if not _is_finite_number(dur) or dur < 0:
                 problems.append(f"{where}: complete span needs a finite "
-                                f"non-negative 'dur', got {dur!r}")
+                                f"non-negative 'dur', got {_show(dur)}")
                 continue
             spans.setdefault((event["pid"], event["tid"]), []).append(
                 (float(event["ts"]), float(event["ts"]) + float(dur),
@@ -158,7 +178,7 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
         elif ph in ("i", "I"):
             if event.get("s", "t") not in ("t", "p", "g"):
                 problems.append(f"{where}: instant scope must be one of "
-                                f"t/p/g, got {event.get('s')!r}")
+                                f"t/p/g, got {_show(event.get('s'))}")
         elif ph == "C":
             args = event.get("args")
             if not isinstance(args, dict) or not args:
@@ -169,12 +189,12 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
                     if (not isinstance(value, (int, float))
                             or isinstance(value, bool)):
                         problems.append(
-                            f"{where}: counter series {key!r} must be "
-                            f"numeric, got {value!r}")
+                            f"{where}: counter series {_show(key)} must "
+                            f"be numeric, got {_show(value)}")
         elif ph == "M":
             if event["name"] not in METADATA_NAMES:
                 problems.append(f"{where}: unknown metadata record "
-                                f"{event['name']!r}")
+                                f"{_show(event['name'])}")
             args = event.get("args")
             if not isinstance(args, dict) or "name" not in args:
                 problems.append(f"{where}: metadata needs args.name")

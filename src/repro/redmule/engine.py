@@ -228,7 +228,7 @@ class RedMulE:
 
         issued_macs = schedule.issued_macs()
         if max_cycles is None:
-            max_cycles = 20_000 + 4 * issued_macs // cfg.n_fma
+            max_cycles = self._cycle_bound(job, schedule)
         state = _JobState(max_cycles=max_cycles)
 
         # W lines in the order the datapath will need them.
@@ -328,6 +328,41 @@ class RedMulE:
             obs.observe("engine.stall_cycles", state.stall_cycles)
         self.history.append(result)
         return result
+
+    def _cycle_bound(self, job: MatmulJob, schedule: TileSchedule) -> int:
+        """The default watchdog: no job that terminates runs longer.
+
+        A tile's array advances ``issue_end + P + 1`` cycles until its
+        last column drains, and its first cycle may stall before its first
+        loads are enqueued.  Every other cycle of the job moves a wide
+        access or has one denied by the HCI:
+
+        * any other stall cycle finds a W, Y or X load queued (a stalled
+          job with none queued never changes state again);
+        * a cycle spent waiting for Z-queue room after the drain, or in
+          the final Z drain, has a Z store queued.
+
+        The accesses are closed-form in the tile grid: ``N`` W lines per
+        tile and, per row of the ``tiles_k * M`` tile rows, one X line per
+        X block, a Y line when accumulating and a Z line.  The branch
+        rotation denies the wide port only after ``max_wide_streak``
+        contended grants since the last denial, so denials number at most
+        ``accesses // max_wide_streak`` plus one for a streak carried in
+        from before the job.  An HCI that never grants exceeds the bound.
+        """
+        cfg = self.config
+        n_tiles = schedule.n_tiles
+        issue_end = ((cfg.height - 1) * cfg.latency
+                     + schedule.n_chunks * cfg.block_k)
+        tile_rows = schedule.tiles_k * job.m
+        w_loads = n_tiles * job.n
+        x_loads = tile_rows * schedule.n_blocks
+        y_loads = tile_rows if job.accumulate else 0
+        z_stores = tile_rows
+        accesses = w_loads + x_loads + y_loads + z_stores
+        denials = accesses // self.hci.config.max_wide_streak + 1
+        return (n_tiles * (issue_end + cfg.latency + 1)
+                + accesses + denials)
 
     def _run_tile(self, job: MatmulJob, schedule: TileSchedule, tile: Tile,
                   xbuf: XBlockBuffer, wbuf: WLineBuffer, zbuf: ZStoreBuffer,

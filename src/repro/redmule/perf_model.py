@@ -254,14 +254,16 @@ class RedMulEPerfModel:
         return all(spare - rows * (n_blocks - 1) >= previous_rows
                    for previous_rows, rows, occurs in pairs if occurs)
 
-    def estimate(self, job: MatmulJob) -> PerfEstimate:
-        """Estimate the cycle count of ``job`` on this configuration.
+    def _closed_form(self, job: MatmulJob) -> Tuple[int, int, int]:
+        """``(cycles, ideal_cycles, n_tiles)`` of ``job``: the closed form.
 
         Every tile costs its fixed cycles, the memory latency and its
         per-row pre-load lines.  Over the two row classes the rows of one
         tile column add up to ``M``, so the row terms total ``tiles_k * M``
         lines per pre-load line kind.  The final drain adds the last tile's
-        ``r`` Z lines.
+        ``r`` Z lines.  :meth:`estimate` wraps the three numbers in a
+        :class:`PerfEstimate`; the farm's model records and
+        :meth:`estimate_program` read them directly.
         """
         cfg = self.config
         schedule = TileSchedule(job, cfg)
@@ -273,11 +275,15 @@ class RedMulEPerfModel:
         n_tiles = tiles_m * tiles_k
         total = (n_tiles * per_tile + row_lines * tiles_k * job.m
                  + last_rows)
-
         ideal = -(-job.total_macs // cfg.ideal_macs_per_cycle)
+        return total, ideal, n_tiles
+
+    def estimate(self, job: MatmulJob) -> PerfEstimate:
+        """Estimate the cycle count of ``job`` on this configuration."""
+        total, ideal, n_tiles = self._closed_form(job)
         return PerfEstimate(
             job=job,
-            config=cfg,
+            config=self.config,
             cycles=total,
             ideal_cycles=ideal,
             overhead_cycles=total - ideal,
@@ -309,7 +315,7 @@ class RedMulEPerfModel:
         total_macs = 0
         for node in program.nodes:
             for job in node.jobs:
-                cycles = self.estimate(job).cycles + offload_cycles_per_job
+                cycles = self._closed_form(job)[0] + offload_cycles_per_job
                 job_costs.append(cycles)
                 node_cycles[node.name] = node_cycles.get(node.name, 0.0) + cycles
                 total_macs += job.total_macs

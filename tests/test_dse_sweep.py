@@ -30,6 +30,7 @@ from repro.farm import (
     SimulationFarm,
     TimingCache,
 )
+from repro.graph.lower import KIND_GEMM, LoweredNode, LoweredProgram
 from repro.graph.lower import lower as lower_graph
 from repro.graph.zoo import build_model, mlp_training_graph
 from repro.power.area import AreaModel, ClusterAreaModel
@@ -381,6 +382,27 @@ class TestSweep:
         assert len(result) == len(space)
         heights = {point.height for point in result.points}
         assert heights == {2, 4}
+
+    def test_exactness_tells_accumulating_twins_apart(self):
+        """``is_exact`` reads ``accumulate``: at H=1, L=4, P=1 the
+        accumulating 4x1x4 job lies outside the exact domain and its
+        non-accumulating twin inside, so a program holding both -- the
+        accumulating one first -- is not exact."""
+        space = DesignSpace.grid(height=(1,), length=(4,), pipeline_regs=(1,))
+        (config,) = space.configs()
+        twins = tuple(MatmulJob(0, 0, 0, 4, 1, 4, accumulate=accumulate)
+                      for accumulate in (True, False))
+        model = RedMulEPerfModel(config)
+        assert [model.is_exact(job) for job in twins] == [False, True]
+        node = LoweredNode(name="g", kind=KIND_GEMM, jobs=twins, deps=(),
+                           shape=GemmShape(4, 1, 4, "g"), macs=32,
+                           elements=16, note="")
+        program = LoweredProgram(graph_name="twins", nodes=(node,),
+                                 tiled=True, tcdm_budget_bytes=96 * 1024)
+        graph = small_graph()
+        graph.lower = lambda **kwargs: program
+        result = sweep(space, graph)
+        assert [point.model_exact for point in result.points] == [False]
 
     def test_serial_cycles_match_farm_time_program(self):
         result = sweep(DesignSpace.grid(height=(4,)), small_graph())

@@ -9,20 +9,27 @@ explicit coverage because they exercise the padding and preload paths where
 timing bugs would hide.
 """
 
+import dataclasses
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.farm import (
     BACKEND_ENGINE,
     BACKEND_MODEL,
+    FarmResult,
     FarmValidationError,
     SimulationFarm,
     TimingCache,
     TimingKey,
+    TimingRecord,
     default_farm,
     reset_default_farms,
 )
 from repro.farm.cache import config_key
-from repro.farm.workers import simulate_engine_timing
+from repro.farm.workers import model_timing_record, simulate_engine_timing
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm
@@ -523,3 +530,124 @@ class TestStatsSnapshots:
         # Resetting stats does not evict entries: the next run still hits.
         farm.run([job])
         assert farm.cache.stats.hits == 1
+
+
+def _estimate_record(model, job):
+    """The model record as the model's :class:`PerfEstimate` gives it.
+
+    The reference for the farm's direct fill: it builds the estimate and
+    copies its numbers into a record through ``__init__``.
+    """
+    estimate = model.estimate(job)
+    return TimingRecord(
+        cycles=estimate.cycles,
+        stall_cycles=estimate.overhead_cycles,
+        active_cycles=estimate.cycles - estimate.overhead_cycles,
+        total_macs=estimate.total_macs,
+        issued_macs=0,
+        n_tiles=estimate.n_tiles,
+        peak_macs_per_cycle=model.config.ideal_macs_per_cycle,
+        ideal_cycles=estimate.ideal_cycles,
+        backend=BACKEND_MODEL,
+    )
+
+
+def _assert_same_dataclass(built, reference):
+    """``built`` is indistinguishable from the ``__init__``-built object."""
+    assert built == reference
+    assert hash(built) == hash(reference)
+    assert repr(built) == repr(reference)
+    # The instance dict lists the fields in declaration order, as
+    # __init__ leaves it.
+    assert list(vars(built)) == [field.name for field in
+                                 dataclasses.fields(type(built))]
+
+
+class TestDirectFills:
+    """The batch path builds keys, results and model records without the
+    dataclass machinery; each must equal what the slow path builds."""
+
+    def test_timing_key_is_the_tuple_of_its_fields(self):
+        config = RedMulEConfig(height=8, length=4, pipeline_regs=2,
+                               format="fp8-e4m3")
+        job = MatmulJob(0, 0, 0, 8, 16, 24, accumulate=True,
+                        element_bytes=config.element_bytes)
+        key = TimingKey.for_job(config, job, BACKEND_MODEL)
+        fields = (config_key(config), 8, 16, 24, True, BACKEND_MODEL)
+        assert key == fields and hash(key) == hash(fields)
+        assert TimingKey._fields == ("config", "m", "n", "k", "accumulate",
+                                     "backend")
+        assert key == TimingKey(config=config_key(config), m=8, n=16, k=24,
+                                accumulate=True, backend=BACKEND_MODEL)
+        assert (key.config, key.m, key.n, key.k, key.accumulate,
+                key.backend) == fields
+        # Pool workers receive their keys pickled.
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key and type(clone) is TimingKey
+
+    @pytest.mark.parametrize("policy,override", [
+        (BACKEND_MODEL, None), ("auto", BACKEND_MODEL),
+        (BACKEND_ENGINE, BACKEND_MODEL), ("auto", "auto"),
+    ], ids=["model-policy", "override-on-auto", "override-on-engine",
+            "explicit-auto"])
+    def test_batches_store_the_for_job_keys(self, policy, override):
+        farm = SimulationFarm(backend=policy, max_workers=1)
+        jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate)
+                for m, n, k in ((8, 16, 24), (24, 8, 16), (512, 384, 640))
+                for accumulate in (False, True)]
+        results = farm.run(jobs, backend=override)
+        keys = [TimingKey.for_job(farm.config, job,
+                                  farm.resolve_backend(job, override))
+                for job in jobs]
+        assert len(farm.cache) == len(set(keys)) == len(jobs)
+        for key, result in zip(keys, results):
+            assert farm.cache.peek(key) is result.record
+
+    def test_farm_results_equal_init_built_ones(self):
+        farm = SimulationFarm(backend=BACKEND_MODEL, max_workers=1)
+        jobs = [MatmulJob(0, 0, 0, 8, 16, 24), MatmulJob(0, 0, 0, 8, 16, 24),
+                MatmulJob(0, 0, 0, 33, 7, 65, accumulate=True)]
+        results = farm.run(jobs)
+        for job, result, hit in zip(jobs, results, (False, True, False)):
+            _assert_same_dataclass(result, FarmResult(
+                job=job, record=result.record, cache_hit=hit))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            results[0].cache_hit = True
+        changed = dataclasses.replace(results[0], cache_hit=True)
+        assert changed.cache_hit and changed.record is results[0].record
+        assert pickle.loads(pickle.dumps(results[2])) == results[2]
+        # The shortcut skips __post_init__, so the class may not have one.
+        assert not hasattr(FarmResult, "__post_init__")
+
+    def test_model_records_equal_init_built_ones(self):
+        model = RedMulEPerfModel(RedMulEConfig.reference())
+        record = model_timing_record(model, MatmulJob(0, 0, 0, 33, 7, 65))
+        _assert_same_dataclass(record, TimingRecord(**{
+            field.name: getattr(record, field.name)
+            for field in dataclasses.fields(TimingRecord)}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.cycles = 0
+        changed = dataclasses.replace(record, cycles=1)
+        assert changed.cycles == 1 and changed.n_tiles == record.n_tiles
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert not hasattr(TimingRecord, "__post_init__")
+
+    @settings(max_examples=200, deadline=None)
+    @given(height=st.integers(1, 8), length=st.integers(1, 16),
+           pipeline_regs=st.integers(1, 4), w_prefetch_lines=st.integers(1, 3),
+           precision=st.sampled_from(["fp16", "fp8-e4m3"]),
+           memory_latency=st.integers(0, 3),
+           m=st.integers(1, 300), n=st.integers(1, 300),
+           k=st.integers(1, 300), accumulate=st.booleans())
+    def test_model_records_equal_the_estimate_formula(
+            self, height, length, pipeline_regs, w_prefetch_lines, precision,
+            memory_latency, m, n, k, accumulate):
+        config = RedMulEConfig(height=height, length=length,
+                               pipeline_regs=pipeline_regs,
+                               w_prefetch_lines=w_prefetch_lines,
+                               z_queue_depth=max(8, length), format=precision)
+        model = RedMulEPerfModel(config, memory_latency=memory_latency)
+        job = MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
+                        element_bytes=config.element_bytes)
+        _assert_same_dataclass(model_timing_record(model, job),
+                               _estimate_record(model, job))

@@ -2,7 +2,8 @@
 
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from typing import Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,12 +27,24 @@ def _key(m=8, n=16, k=16, backend="engine"):
                      accumulate=False, backend=backend)
 
 
+@dataclass(frozen=True)
+class _DataclassKey:
+    """The v7 key layout as a frozen dataclass (the old ``TimingKey``)."""
+
+    config: Tuple[int, int, int, int, int, str]
+    m: int
+    n: int
+    k: int
+    accumulate: bool
+    backend: str
+
+
 #: A well-formed current-version file holding one engine and one model entry.
 _VALID_FILE = json.loads(json.dumps({
     "version": CACHE_FILE_VERSION,
     "entries": [
-        {"key": asdict(_key()), "record": asdict(_record())},
-        {"key": asdict(_key(m=16, backend="model")),
+        {"key": _key()._asdict(), "record": asdict(_record())},
+        {"key": _key(m=16, backend="model")._asdict(),
          "record": asdict(_record(55, "model"))},
     ],
 }))
@@ -124,6 +137,24 @@ class TestTimingCachePersistence:
         assert loaded.peek(_key()) == _record()
         assert loaded.peek(_key(m=16, backend="model")) == _record(55, "model")
 
+    def test_saved_file_matches_the_dataclass_key_layout(self, tmp_path):
+        """A saved file is byte for byte the v7 payload the dataclass key
+        wrote through ``dataclasses.asdict``, so v7 files stay valid."""
+        entries = [(_key(), _record()),
+                   (_key(m=16, backend="model"), _record(55, "model")),
+                   (TimingKey((2, 32, 1, 2, 32, "fp8-e4m3"), 640, 1, 128,
+                              True, "engine"), _record(42_248))]
+        cache = TimingCache()
+        for key, record in entries:
+            cache.store(key, record)
+        path = tmp_path / "cache.json"
+        cache.save(path)
+        payload = {"version": 7, "entries": [
+            {"key": asdict(_DataclassKey(*key)), "record": asdict(record)}
+            for key, record in entries]}
+        assert CACHE_FILE_VERSION == 7
+        assert path.read_bytes() == json.dumps(payload).encode()
+
     def test_load_merges_into_existing_entries(self, tmp_path):
         path = tmp_path / "cache.json"
         saved = TimingCache()
@@ -166,22 +197,22 @@ class TestTimingCachePersistence:
     @pytest.mark.parametrize("bad", [
         {"key": {"m": 8}},                                   # no record
         {"record": {"cycles": 1}, "key": {"config": [1]}},   # missing fields
-        {"key": dict(asdict(_key()), m=[8]), "record": asdict(_record())},
+        {"key": dict(_key()._asdict(), m=[8]), "record": asdict(_record())},
         "not-an-object",
         None,
-        {"key": asdict(_key()), "record": dict(asdict(_record()), cycles=None)},
-        {"key": dict(asdict(_key()), m="8"), "record": asdict(_record())},
-        {"key": dict(asdict(_key()), backend="fpga"),
+        {"key": _key()._asdict(), "record": dict(asdict(_record()), cycles=None)},
+        {"key": dict(_key()._asdict(), m="8"), "record": asdict(_record())},
+        {"key": dict(_key()._asdict(), backend="fpga"),
          "record": asdict(_record())},
-        {"key": asdict(_key()), "record": dict(asdict(_record()), cycles=-1)},
-        {"key": dict(asdict(_key()), n=True), "record": asdict(_record())},
-        {"key": dict(asdict(_key()), accumulate=0),
+        {"key": _key()._asdict(), "record": dict(asdict(_record()), cycles=-1)},
+        {"key": dict(_key()._asdict(), n=True), "record": asdict(_record())},
+        {"key": dict(_key()._asdict(), accumulate=0),
          "record": asdict(_record())},
-        {"key": dict(asdict(_key()), config=[4, 8, 3, 1, 8]),
+        {"key": dict(_key()._asdict(), config=[4, 8, 3, 1, 8]),
          "record": asdict(_record())},
-        {"key": dict(asdict(_key()), config=[4, 8, 3, 1, 8, 16]),
+        {"key": dict(_key()._asdict(), config=[4, 8, 3, 1, 8, 16]),
          "record": asdict(_record())},
-        {"key": asdict(_key()),
+        {"key": _key()._asdict(),
          "record": dict(asdict(_record()), backend="fpga")},
     ], ids=["no-record", "missing-fields", "unhashable", "string", "null",
             "null-cycles", "string-m", "unknown-backend", "negative-cycles",

@@ -240,9 +240,14 @@ _EVENT_FIELDS = ("name", "ph", "ts", "dur", "pid", "tid", "s", "args")
 _DELETE = object()
 
 #: The numbers json.load hands over besides plain ones: NaN, the
-#: infinities and integers beyond float range.
+#: infinities and integers beyond float range; and integers a library
+#: caller can pass but ``repr`` refuses to spell out (over 4,300 digits).
+#: Those are built by a function, so the strategy's own repr, which
+#: hypothesis computes, does not hold one.
 _AWKWARD_NUMBERS = st.sampled_from(
-    [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)])
+    [math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)]) | st.builds(
+    lambda digits, sign: sign * 10 ** digits, st.integers(4300, 5000),
+    st.sampled_from([1, -1]))
 
 #: JSON-like values.
 _JSON_LIKE = st.recursive(
@@ -334,6 +339,30 @@ class TestValidator:
         span[field] = value
         with pytest.raises(ChromeTraceError, match="finite"):
             validate_chrome_trace([span])
+
+    @pytest.mark.parametrize("value", [10 ** 400, 10 ** 5000, -(10 ** 5000)],
+                             ids=["400-digits", "5000-digits", "-5000-digits"])
+    @pytest.mark.parametrize("field", ["ts", "dur", "s", "pid"])
+    def test_huge_integers_get_a_short_problem_message(self, field, value):
+        """Every problem message shows a bounded repr of the value, so an
+        int too long for ``repr`` (over 4,300 digits) is reported, not
+        raised as ``ValueError``, and a long one is not printed in full."""
+        if field == "s":
+            events = [{"name": "e", "ph": "i", "ts": 0, "pid": 1, "tid": 1,
+                       "s": value}]
+        elif field == "pid":
+            # A valid pid, shown by the lane's partial-overlap problem.
+            events = [self._span(0, 10, pid=value),
+                      self._span(5, 10, pid=value)]
+        else:
+            span = self._span(0, 10)
+            span[field] = value
+            events = [span]
+        with pytest.raises(ChromeTraceError) as excinfo:
+            validate_chrome_trace(events)
+        (problem,) = excinfo.value.problems
+        assert "bits>" in problem or "..." in problem
+        assert len(str(excinfo.value)) < 160
 
     def test_cli_reports_unreadable_files_as_invalid(self, tmp_path,
                                                       capsys):

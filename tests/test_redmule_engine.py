@@ -10,17 +10,25 @@ The engine is verified on two axes:
   inner dimensions, and degrades under TCDM contention.
 """
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.farm import SimulationFarm
 from repro.fp.formats import FP16
 from repro.fp.vector import matrix_from_bits, matrix_to_bits, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
+from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.functional import matmul_hw_order_exact_fmt, matmul_hw_order_simd_fmt
+from repro.redmule.job import MatmulJob
+from repro.redmule.trace import TraceStore
 from tests.conftest import MatmulHarness
 
 
@@ -235,3 +243,94 @@ class TestContention:
         z, result = harness.run(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.streamer.stall_cycles > 0
+
+
+def _placed_job(engine, m, n, k, accumulate=False):
+    """A zero-operand job of the engine's format, placed from the TCDM base."""
+    fmt = engine.config.format
+    allocator = MemoryAllocator(engine.tcdm.base, engine.tcdm.size)
+    return MatmulJob.from_handles(
+        allocator.alloc_matrix(m, n, "X", fmt=fmt),
+        allocator.alloc_matrix(n, k, "W", fmt=fmt),
+        allocator.alloc_matrix(m, k, "Z", fmt=fmt),
+        accumulate=accumulate,
+    )
+
+
+class TestWatchdog:
+    """Without ``max_cycles`` the watchdog allows an upper bound on the
+    cycles of any job that terminates, so it stops only jobs that cannot
+    finish."""
+
+    @pytest.mark.parametrize("length,shape,cycles", [
+        (16, (640, 1, 128), 42_248),
+        (16, (128, 1, 640), 42_248),
+        (32, (640, 1, 128), 41_608),
+        (32, (128, 1, 640), 41_608),
+    ])
+    def test_long_stalling_jobs_finish_on_the_default_budget(
+            self, length, shape, cycles):
+        """These jobs stall for about half their cycles, so a budget
+        derived from the issue count alone (20,000 plus four issue slots
+        per FMA) stops all four."""
+        config = RedMulEConfig(height=2, length=length, pipeline_regs=1,
+                               z_queue_depth=length)
+        farm = SimulationFarm(config=config, backend="engine", max_workers=1)
+        assert farm.run_gemm(*shape).cycles == cycles
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(height=st.integers(1, 8), length=st.integers(1, 16),
+           pipeline_regs=st.integers(1, 3), w_prefetch_lines=st.integers(1, 3),
+           precision=st.sampled_from(["fp16", "fp8-e4m3"]),
+           z_extra=st.none() | st.integers(0, 4),
+           m=st.integers(1, 24), n=st.integers(1, 24), k=st.integers(1, 40),
+           accumulate=st.booleans(),
+           backend=st.sampled_from(["exact-simd", "trace"]),
+           noise=st.none() | st.tuples(st.integers(2, 4),
+                                       st.floats(0.05, 1.0),
+                                       st.integers(0, 2 ** 32 - 1)))
+    def test_the_default_budget_covers_every_finished_job(
+            self, height, length, pipeline_regs, w_prefetch_lines, precision,
+            z_extra, m, n, k, accumulate, backend, noise):
+        """Jobs finish on the default budget, on the DSE's auto-deepened Z
+        queue (``z_extra`` None) or a queue just deep enough, with and
+        without seeded core traffic contending for the TCDM banks."""
+        depth = max(8, length) if z_extra is None else length + z_extra
+        config = RedMulEConfig(height=height, length=length,
+                               pipeline_regs=pipeline_regs,
+                               w_prefetch_lines=w_prefetch_lines,
+                               z_queue_depth=depth, format=precision)
+        streak = 4 if noise is None else noise[0]
+        tcdm = Tcdm()
+        hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports,
+                                  max_wide_streak=streak))
+        if noise is not None:
+            _, density, seed = noise
+            traffic = random.Random(seed)
+            original_cycle = hci.wide_line_cycle
+
+            def noisy_wide_cycle(*args, **kwargs):
+                if traffic.random() < density:
+                    hci.submit_log_requests(
+                        [CoreRequest(initiator=0, addr=tcdm.base)])
+                return original_cycle(*args, **kwargs)
+
+            hci.wide_line_cycle = noisy_wide_cycle
+        engine = RedMulE(config, hci, backend=backend,
+                         trace_store=TraceStore())
+        result = engine.run_job(_placed_job(engine, m, n, k, accumulate))
+        assert result.cycles > 0
+        if noise is not None:
+            assert hci.stats.wide_stalls <= (
+                hci.stats.wide_grants // streak + 1)
+
+    def test_an_hci_that_never_grants_trips_the_default_budget(self):
+        class DeadlockedHci(Hci):
+            def wide_line_cycle(self, addr, *args, **kwargs):
+                return None
+
+        config = RedMulEConfig.reference()
+        engine = RedMulE(config, DeadlockedHci(Tcdm(), HciConfig()))
+        with pytest.raises(RuntimeError, match="exceeded"):
+            engine.run_job(_placed_job(engine, 8, 16, 16))
