@@ -7,9 +7,10 @@ exists for:
 
 * **speed** -- the sweep completes >= 50x faster than the cycle-accurate
   engine path would.  The engine cost is projected from a deterministic
-  sample of design points timed end to end (fresh cache, serial farm); the
-  asserted ratio is additionally divided by an assumed ideal 8-wide process
-  pool, so the bound holds even against the farm's parallel engine path;
+  sample of design points timed end to end (fresh cache, serial farm,
+  whose engine misses run on trace replay); the asserted ratio is
+  additionally divided by an assumed ideal 8-wide process pool, so the
+  bound holds even against the farm's parallel engine path;
 * **fidelity** -- the axes are chosen inside the cycle model's provably
   exact (uncontended wide port) domain, so every point is trusted and the
   engine cross-validation of the sampled Pareto frontier measures <= 5 %
@@ -55,7 +56,8 @@ def _engine_seconds_per_point(result) -> float:
 
     Samples distinct configurations spread across the sweep, each timed the
     way an engine-backed sweep would run it: the point's lowered program
-    through a fresh serial farm (within-point shape reuse still cached).
+    through a fresh serial farm (within-point shape reuse still cached,
+    and a miss replays the tile schedules earlier misses recorded).
     """
     distinct = []
     seen = set()

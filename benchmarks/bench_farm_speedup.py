@@ -5,10 +5,14 @@ across figures, repeated layer shapes across training passes and batch
 sizes).  This benchmark times such a repeated-shape sweep twice:
 
 * **direct** -- every job simulated serially through a fresh cycle-accurate
-  engine, the pre-farm status quo;
+  engine (``simulate_engine_timing``), the pre-farm status quo;
 * **farm** -- the same jobs submitted as one batch to a serial
   :class:`~repro.farm.SimulationFarm`, which simulates each distinct shape
   once and serves every repeat from the shape-keyed timing cache.
+
+Both paths time on the ``trace`` backend and share the process's trace
+store, so a repeated tile replays its recorded schedule on either path;
+the speedup measures what the timing cache saves on top of replay.
 
 Both paths must produce identical cycle counts; the farm must be at least
 3x faster on the cache-hit path (in practice it approaches the repeat

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import dse, fig3, fig4, serve, table1
 from repro.obs.report import write_out
-from repro.redmule.vector_ops import VECTOR_OPS_BACKENDS
 
 #: Registry of experiment drivers keyed by the paper's identifier, plus the
 #: serving (``serve-*``) and design-space (``dse-*``) scenarios that go
@@ -111,16 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the shared simulation-farm statistics after running "
         "(with --metrics-out the snapshot is also embedded in the "
         "metrics JSON under the 'farm' key)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=VECTOR_OPS_BACKENDS,
-        default=None,
-        help="arithmetic backend of the farm's cycle-accurate engine "
-        "runs, all bit-exact (exact: scalar oracle; exact-simd: "
-        "vectorised, the default; trace: exact-simd with schedule "
-        "record/replay -- repeated tile shapes skip the event-stepped "
-        "loop entirely)",
     )
     parser.add_argument(
         "--format",
@@ -259,10 +248,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             write_out(name)
         return
 
-    if args.backend is not None:
-        from repro.farm import set_default_arithmetic
-
-        set_default_arithmetic(args.backend)
     if args.format is not None:
         from repro.farm import set_default_format
 

@@ -35,7 +35,7 @@ parameterises them through :func:`set_serve_defaults` (``--clusters`` /
 ``--rps``), :func:`set_serve_million_defaults` (``--duration`` /
 ``--arrival`` / ``--autoscale`` / ``--slo-p99-ms``) and
 :func:`set_serve_decode_defaults` (``--prefill`` / ``--decode-steps`` /
-``--batch-cap``), mirroring how ``--backend`` reaches the farm.
+``--batch-cap``), mirroring how ``--format`` reaches the farm.
 """
 
 from __future__ import annotations

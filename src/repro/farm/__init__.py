@@ -32,7 +32,6 @@ from repro.farm.farm import (
     default_farm,
     farm_for_config,
     reset_default_farms,
-    set_default_arithmetic,
     set_default_format,
 )
 from repro.farm.workers import (
@@ -66,7 +65,6 @@ __all__ = [
     "farm_for_config",
     "reset_default_farms",
     "run_functional_job",
-    "set_default_arithmetic",
     "set_default_format",
     "simulate_engine_timing",
     "simulate_key",

@@ -46,7 +46,7 @@ from repro.farm.workers import (
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.redmule.vector_ops import DEFAULT_BACKEND, validate_backend_name
+from repro.redmule.vector_ops import validate_backend_name
 from repro.workloads.gemm import GemmShape, WorkloadTiming
 
 #: The ``"auto"`` policy sends jobs of at most this many MACs to the
@@ -225,14 +225,6 @@ class SimulationFarm:
     config:
         Architectural configuration of the simulated instances (the paper's
         reference instance when omitted).
-    arithmetic:
-        Vector-ops backend the engine simulates with: ``"exact-simd"`` (the
-        default), the scalar oracle ``"exact"`` or the schedule-compiling
-        ``"trace"``.  Timing records do not depend on it, so it is not part
-        of the cache key.  ``"trace"`` engines share one per-process trace
-        store per configuration, so later misses in the same process replay
-        schedules recorded earlier.  Traces are never persisted, and a pool
-        worker's traces stay in that worker.
     backend:
         ``"auto"`` (default) routes each job by size
         (:data:`DEFAULT_ENGINE_MACS_THRESHOLD`), ``"engine"`` or ``"model"``
@@ -252,6 +244,14 @@ class SimulationFarm:
         is created when omitted).
     max_cycles:
         Optional watchdog forwarded to the engine backend.
+
+    Engine misses run on the ``"trace"`` arithmetic backend: the cycle
+    schedule does not depend on operand values, so every backend yields
+    the same record and ``"trace"`` is the cheapest.  Its engines share
+    one trace store per configuration and process, so a miss replays the
+    tile schedules that earlier misses in the same process recorded.
+    Traces are never persisted, and a pool worker's traces speed up only
+    that worker's later misses.
     """
 
     def __init__(
@@ -263,7 +263,6 @@ class SimulationFarm:
         tolerance: float = DEFAULT_VALIDATION_TOLERANCE,
         cache: Optional[TimingCache] = None,
         max_cycles: Optional[int] = None,
-        arithmetic: str = DEFAULT_BACKEND,
     ) -> None:
         if backend not in ("auto", BACKEND_ENGINE, BACKEND_MODEL):
             raise ValueError(
@@ -275,7 +274,6 @@ class SimulationFarm:
         self.config = config if config is not None else RedMulEConfig.reference()
         # Every timing key of this farm carries the same config tuple.
         self._config_key = config_key(self.config)
-        self.arithmetic = validate_backend_name(arithmetic)
         self.backend = backend
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, 8)
@@ -336,7 +334,6 @@ class SimulationFarm:
                 tolerance=self.tolerance,
                 cache=self.cache,
                 max_cycles=self.max_cycles,
-                arithmetic=self.arithmetic,
             )
             self._format_farms[fmt] = derived
         return derived
@@ -595,8 +592,7 @@ class SimulationFarm:
                 self.stats.pool_failures += 1
                 self._pool_unavailable = True
                 self._close_pool()
-        return {key: simulate_key(key, self.max_cycles, self.arithmetic)
-                for key in keys}
+        return {key: simulate_key(key, self.max_cycles) for key in keys}
 
     def _simulate_with_pool(
         self, keys: List[TimingKey]
@@ -612,9 +608,7 @@ class SimulationFarm:
                         max_workers=self.max_workers
                     )
                 futures = {
-                    key: self._pool.submit(
-                        simulate_key, key, self.max_cycles, self.arithmetic
-                    )
+                    key: self._pool.submit(simulate_key, key, self.max_cycles)
                     for key in keys
                 }
             except (OSError, ValueError) as error:
@@ -663,7 +657,7 @@ class SimulationFarm:
         invocations reuse timing across processes: the records are
         deterministic per (configuration, shape, backend), so a reloaded
         entry is indistinguishable from a fresh simulation.  The file holds
-        timing entries only, whatever the farm's arithmetic backend.
+        timing entries only, no schedule traces.
         """
         count = self.cache.save(path)
         obs = _telemetry_active()
@@ -676,8 +670,8 @@ class SimulationFarm:
     def load_cache(self, path) -> int:
         """Merge a persisted timing cache (see :meth:`TimingCache.load`).
 
-        A reloaded shape is served from its timing entry, so a
-        ``"trace"`` farm never simulates it and records no trace for it.
+        A reloaded shape is served from its timing entry, so the farm
+        never simulates it and records no trace for it.
         """
         loaded = self.cache.load(path)
         obs = _telemetry_active()
@@ -770,8 +764,7 @@ class SimulationFarm:
         lines = [
             f"simulation farm: {self.config.describe()}",
             f"  backend policy : {self.backend} "
-            f"(engine up to {DEFAULT_ENGINE_MACS_THRESHOLD} MACs, "
-            f"{self.arithmetic} arithmetic)",
+            f"(engine up to {DEFAULT_ENGINE_MACS_THRESHOLD} MACs)",
             f"  workers        : {self.max_workers} "
             f"({stats.pool_batches} pooled batches, "
             f"{stats.pool_failures} pool fallbacks)",
@@ -788,25 +781,10 @@ class SimulationFarm:
 
 
 # -- shared default farms ----------------------------------------------------
-_DEFAULT_FARMS: Dict[Tuple[Tuple[int, int, int, int, int, str], str],
-                     SimulationFarm] = {}
-
-#: Arithmetic backend newly created default farms use.
-_DEFAULT_ARITHMETIC: str = DEFAULT_BACKEND
+_DEFAULT_FARMS: Dict[Tuple[int, int, int, int, int, str], SimulationFarm] = {}
 
 #: Element format default farms are created with when no config is passed.
 _DEFAULT_FORMAT: Optional[str] = None
-
-
-def set_default_arithmetic(arithmetic: Optional[str]) -> None:
-    """Set the arithmetic backend future default farms are created with.
-
-    This is how the runner CLI's ``--backend`` choice reaches the experiment
-    drivers, which fetch their farms through :func:`default_farm`.  Pass
-    ``None`` to restore ``exact-simd``.
-    """
-    global _DEFAULT_ARITHMETIC
-    _DEFAULT_ARITHMETIC = validate_backend_name(arithmetic or DEFAULT_BACKEND)
 
 
 def set_default_format(fmt: Optional[str]) -> None:
@@ -824,8 +802,7 @@ def set_default_format(fmt: Optional[str]) -> None:
     _DEFAULT_FORMAT = fmt
 
 
-def default_farm(config: Optional[RedMulEConfig] = None,
-                 arithmetic: Optional[str] = None) -> SimulationFarm:
+def default_farm(config: Optional[RedMulEConfig] = None) -> SimulationFarm:
     """Process-wide shared farm for a configuration.
 
     The experiment drivers all fetch their farm here, so a full
@@ -836,11 +813,10 @@ def default_farm(config: Optional[RedMulEConfig] = None,
         config = RedMulEConfig.reference()
         if _DEFAULT_FORMAT is not None:
             config = replace(config, format=_DEFAULT_FORMAT)
-    arithmetic = arithmetic or _DEFAULT_ARITHMETIC
-    key = (config_key(config), arithmetic)
+    key = config_key(config)
     farm = _DEFAULT_FARMS.get(key)
     if farm is None:
-        farm = SimulationFarm(config=config, arithmetic=arithmetic)
+        farm = SimulationFarm(config=config)
         _DEFAULT_FARMS[key] = farm
     return farm
 

@@ -26,7 +26,6 @@ from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.redmule.vector_ops import DEFAULT_BACKEND
 
 
 def config_from_key(key: Tuple[int, ...]) -> RedMulEConfig:
@@ -93,18 +92,16 @@ def simulate_engine_timing(
     accumulate: bool,
     *,
     max_cycles: Optional[int] = None,
-    arithmetic: str = DEFAULT_BACKEND,
 ) -> TimingRecord:
     """Run one shape through the cycle-accurate engine and record its timing.
 
-    ``arithmetic`` names the vector-ops backend to simulate with.  The
-    choice never changes the record (timing is arithmetic-independent), only
-    the wall-clock cost of producing it.  ``"trace"`` engines reuse the
-    per-process shared trace store of the configuration, so repeated worker
-    invocations in one pool process replay schedules recorded by earlier
-    keys.
+    The engine runs on the ``"trace"`` arithmetic backend: timing does not
+    depend on operand values, so every backend yields the same record and
+    ``"trace"`` is the cheapest.  It reuses the per-process shared trace
+    store of the configuration, so repeated worker invocations in one pool
+    process replay schedules recorded by earlier keys.
     """
-    engine, job, _ = _build_job(key, m, n, k, accumulate, arithmetic)
+    engine, job, _ = _build_job(key, m, n, k, accumulate, "trace")
     result = engine.run_job(job, max_cycles=max_cycles)
     ideal = -(-job.total_macs // engine.config.ideal_macs_per_cycle)
     return TimingRecord(
@@ -166,14 +163,12 @@ def model_timing_record(model: RedMulEPerfModel,
 
 
 def simulate_key(timing_key: TimingKey,
-                 max_cycles: Optional[int] = None,
-                 arithmetic: str = DEFAULT_BACKEND) -> TimingRecord:
+                 max_cycles: Optional[int] = None) -> TimingRecord:
     """Dispatch a cache key to the backend it names (pool entry point)."""
     if timing_key.backend == BACKEND_ENGINE:
         return simulate_engine_timing(
             timing_key.config, timing_key.m, timing_key.n, timing_key.k,
             timing_key.accumulate, max_cycles=max_cycles,
-            arithmetic=arithmetic,
         )
     if timing_key.backend == BACKEND_MODEL:
         return estimate_model_timing(

@@ -7,6 +7,9 @@ numbers are checked only where the paper states them and the models are
 calibrated to them.
 """
 
+import hashlib
+import re
+
 import pytest
 
 from repro.experiments import (
@@ -16,14 +19,52 @@ from repro.experiments import (
     autoencoder_training,
     build_table1,
     cluster_power_breakdown,
+    dse,
     energy_per_mac_sweep,
     hw_vs_sw_sweep,
     power_breakdown,
     render_table1,
+    serve,
     throughput_sweep,
 )
-from repro.experiments.runner import EXPERIMENTS, run_all, run_experiment
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    _render,
+    run_all,
+    run_experiment,
+)
 from repro.experiments.table1 import our_rows_as_dicts
+from repro.farm import reset_default_farms, set_default_format
+
+#: sha256 of every scenario's rendered output (``runner._render``) in a
+#: ``run_all()`` from clean defaults: fresh shared farms, default scenario
+#: settings, scenarios in registry order.  The serve scenarios print the
+#: shared farm's cache hits, so a digest also pins what the scenarios
+#: before it left in the cache.  The ``pytest.approx`` checks above let a
+#: figure drift inside their tolerance; this ledger does not.  A change
+#: that alters an output on purpose updates its digest here and names the
+#: change in CHANGES.md.
+RUNNER_OUTPUT_SHA256 = {
+    "table1": "ce9350fc94c7b280039eeef34f91068122c1ee1a7979a4f2efd75c5891198961",
+    "fig3a": "191058f3f775d0820cb3c49be59f613f82139e702d6a1a0fb566a82b0191a6be",
+    "fig3b": "91167f3dae890807cfa3770ba48372bad8f60a02295ebe95711234731918bd06",
+    "fig3c": "9291a92d0ce605210d8f6860e924ffc7c9464d5cb1b9ec4a9b41704c294ea38a",
+    "fig3d": "bd1c34744340f1b8c976a3f17f8f8056cf8083ddf5f637700557128502e2aa46",
+    "fig4a": "700185a0617a4a0661563d85dc824d070676167129e299026cd1e40b1a737a43",
+    "fig4b": "7c754b2d3a70e96e82c8c3e464d2f1382479e2957644b437bc22d8f26a0ef644",
+    "fig4c": "477b5e4ff488ed77c2670cc2af278b8189f596516035484dff7a0cefa99e4f31",
+    "fig4d": "e327e521924474bddd2411e298be19b40e4632347cba0fde9ce740444b3e941b",
+    "serve-mlp": "22a5f902809f6748e71ccfee47979ad61e01f08657d4f5e37994f7001224d574",
+    "serve-mix": "b590e7e6447100202989938f4571e5d533e291f6ea572ac46c3540e3a03973fc",
+    "serve-million": "7fb5e6575cd1e4629e28171274a9b8e558f0621c781576a5005582ec2ded2535",
+    "serve-decode": "e32811ffd63639cbb30cb21d63609d808f57e99f49558a8ea68a8ef3b4ef38e9",
+    "dse-frontier": "00002f29a4b6f2d3069d64824262e256918bd42a6b605cfc0d38daad5b1e740b",
+    "dse-memory": "120a64b5b65b4df696c5e3def9dc03be62ff1b587e4fa30ca730d07d943be189",
+}
+
+#: The only wall-clock figures in the rendered outputs: the DSE sweep
+#: line's ``in {wall:.2f} s ({rate:.0f} points/s,``.
+_SWEEP_WALL_CLOCK = re.compile(r" in \d+\.\d\d s \(\d+ points/s,")
 
 
 class TestTable1:
@@ -169,5 +210,25 @@ class TestRunner:
             run_experiment("fig9z")
 
     def test_run_all(self):
-        results = run_all()
+        reset_default_farms()
+        set_default_format(None)
+        serve.set_serve_defaults(None, None)
+        serve.set_serve_million_defaults(None, None, None, None)
+        serve.set_serve_decode_defaults(None, None, None, None)
+        dse.set_dse_defaults(None)
+        try:
+            results = run_all()
+        finally:
+            reset_default_farms()
         assert set(results) == set(EXPERIMENTS)
+        rendered = {name: _render(name, result)
+                    for name, result in results.items()}
+        assert [name for name, text in rendered.items()
+                if _SWEEP_WALL_CLOCK.search(text)] == ["dse-frontier",
+                                                       "dse-memory"]
+        digests = {
+            name: hashlib.sha256(_SWEEP_WALL_CLOCK.sub(
+                " in <wall> s (<rate> points/s,", text).encode()).hexdigest()
+            for name, text in rendered.items()
+        }
+        assert digests == RUNNER_OUTPUT_SHA256

@@ -37,7 +37,7 @@ from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.redmule.trace import reset_shared_trace_stores
+from repro.redmule.trace import reset_shared_trace_stores, shared_trace_store
 
 #: Degenerate and edge-case shapes: unit dimensions, tall-skinny matrices,
 #: ragged tiles.  Timing for all of them must memoise exactly.
@@ -405,19 +405,21 @@ class TestDefaultFarmRegistry:
 
 
 class TestProcessPool:
-    @pytest.mark.parametrize("arithmetic", ["exact-simd", "trace"])
-    def test_pooled_records_match_serial_records(self, arithmetic):
+    @pytest.mark.parametrize("fmt", ["fp16", "fp8-e4m3"])
+    def test_pooled_records_match_serial_records(self, fmt):
+        config = RedMulEConfig(format=fmt)
         shapes = [(8, 16, 16), (13, 7, 5), (1, 40, 1)]
-        jobs = [MatmulJob(0, 0, 0, m, n, k) for m, n, k in shapes]
+        jobs = [MatmulJob(0, 0, 0, m, n, k, element_bytes=config.element_bytes)
+                for m, n, k in shapes]
         # The pool runs first, so its workers start from an empty trace
         # store and record every schedule themselves.
         reset_shared_trace_stores()
         try:
-            pooled = SimulationFarm(backend=BACKEND_ENGINE, max_workers=2,
-                                    arithmetic=arithmetic)
+            pooled = SimulationFarm(config, backend=BACKEND_ENGINE,
+                                    max_workers=2)
             actual = [result.record for result in pooled.run(jobs)]
-            serial = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                                    arithmetic=arithmetic)
+            serial = SimulationFarm(config, backend=BACKEND_ENGINE,
+                                    max_workers=1)
             expected = [result.record for result in serial.run(jobs)]
         finally:
             reset_shared_trace_stores()
@@ -478,9 +480,27 @@ class TestWorkerHelpers:
         key = config_key(RedMulEConfig.reference())
         with pytest.raises(TypeError):
             simulate_engine_timing(key, 1, 1, 1, False, False)
-        record = simulate_engine_timing(key, 1, 1, 1, False, max_cycles=10_000,
-                                        arithmetic="exact")
+        record = simulate_engine_timing(key, 1, 1, 1, False, max_cycles=10_000)
         assert record.total_macs == 1
+
+    def test_engine_timing_replays_recorded_schedules(self):
+        # The worker times on the trace backend: a second call for the
+        # same shape replays the first call's tile schedules.
+        config = RedMulEConfig.reference()
+        reset_shared_trace_stores()
+        try:
+            first = simulate_engine_timing(config_key(config), 16, 40, 24,
+                                           False)
+            store = shared_trace_store(config)
+            recordings, hits = store.stats.recordings, store.stats.hits
+            assert recordings > 0
+            second = simulate_engine_timing(config_key(config), 16, 40, 24,
+                                            False)
+            assert store.stats.recordings == recordings
+            assert store.stats.hits > hits
+        finally:
+            reset_shared_trace_stores()
+        assert first == second
 
     def test_unknown_backend_rejected(self):
         from repro.farm.workers import simulate_key

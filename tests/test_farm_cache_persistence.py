@@ -306,7 +306,7 @@ class TestFarmPersistence:
         path.write_text(json.dumps(payload))
         reset_shared_trace_stores()
         try:
-            farm = SimulationFarm(arithmetic="trace", max_workers=1)
+            farm = SimulationFarm(max_workers=1)
             with pytest.raises(ValueError, match="version 6"):
                 farm.load_cache(path)
             assert len(farm.cache) == 0

@@ -411,17 +411,21 @@ class TestTraceFarm:
     def test_second_miss_replays_the_first_misses_tiles(self):
         """A serial trace farm's engine misses share the process-wide store:
         a second shape with the first one's tile signatures replays them
-        and still times exactly like an event-stepped farm."""
-        farm = SimulationFarm(arithmetic="trace", max_workers=1)
+        and still times exactly like an event-stepped engine."""
+        farm = SimulationFarm(max_workers=1)
         farm.run_gemm(16, 40, 24, backend="engine")
         store = shared_trace_store(farm.config)
         hits = store.stats.hits
-        got = farm.run_gemm(32, 40, 24, backend="engine")
+        got = farm.run_gemm(32, 40, 24, backend="engine").record
         assert farm.stats.engine_runs == 2
         assert store.stats.hits > hits
-        plain = SimulationFarm(arithmetic="exact-simd", max_workers=1)
-        assert got.record == plain.run_gemm(32, 40, 24,
-                                            backend="engine").record
+        engine, job, _ = _build(32, 40, 24, "exact-simd")
+        ref = engine.run_job(job)
+        assert (got.cycles, got.stall_cycles, got.active_cycles,
+                got.total_macs, got.issued_macs, got.n_tiles,
+                got.peak_macs_per_cycle) == (
+            ref.cycles, ref.stall_cycles, ref.active_cycles, ref.total_macs,
+            ref.issued_macs, ref.n_tiles, ref.peak_macs_per_cycle)
 
 
 class TestTimingCacheSchema:
@@ -435,13 +439,10 @@ class TestTimingCacheSchema:
                        "backend": "engine"},
         }
 
-    @pytest.mark.parametrize("arithmetic", ["trace", "exact-simd", "exact"])
-    def test_save_writes_version_and_entries_only(self, tmp_path,
-                                                  arithmetic):
-        farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
+    def test_save_writes_version_and_entries_only(self, tmp_path):
+        farm = SimulationFarm(max_workers=1)
         farm.run_gemm(8, 16, 16, backend="engine")
-        if arithmetic == "trace":
-            assert len(shared_trace_store(farm.config)) > 0
+        assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
         assert farm.save_cache(path) == 1
         payload = json.loads(path.read_text())
@@ -467,13 +468,13 @@ class TestTimingCacheSchema:
 
     def test_farm_cache_round_trip_serves_trace_farm_from_entries(
             self, tmp_path):
-        farm = SimulationFarm(arithmetic="trace", max_workers=1)
+        farm = SimulationFarm(max_workers=1)
         want = farm.run_gemm(32, 32, 32, backend="engine")
         assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         reset_shared_trace_stores()
-        farm2 = SimulationFarm(arithmetic="trace", max_workers=1)
+        farm2 = SimulationFarm(max_workers=1)
         assert farm2.load_cache(path) == 1
         got = farm2.run_gemm(32, 32, 32, backend="engine")
         assert got.cache_hit and got.record == want.record

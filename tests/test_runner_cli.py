@@ -40,6 +40,19 @@ class TestValidation:
             runner.main(["fig3a", "fig9z"])
         assert executed == []
 
+    def test_backend_flag_is_rejected(self, monkeypatch, capsys):
+        """The farm times every engine miss on one arithmetic backend, so
+        the runner has no ``--backend`` to choose it: argparse rejects the
+        flag before anything runs."""
+        executed = []
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig3a",
+                            lambda: executed.append("fig3a"))
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["fig3a", "--backend", "trace"])
+        assert exit_info.value.code == 2
+        assert executed == []
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_valid_names_all_run(self, monkeypatch, capsys):
         executed = []
         monkeypatch.setitem(runner.EXPERIMENTS, "fig3a",
@@ -351,11 +364,7 @@ class TestCacheFileFlag:
         file is rewritten as v7 without ``traces``."""
         import json
 
-        from repro.farm import (
-            default_farm,
-            reset_default_farms,
-            set_default_arithmetic,
-        )
+        from repro.farm import default_farm, reset_default_farms
         from repro.farm.cache import CACHE_FILE_VERSION
         from repro.redmule.trace import (
             reset_shared_trace_stores,
@@ -376,33 +385,26 @@ class TestCacheFileFlag:
         reset_default_farms()
         reset_shared_trace_stores()
         try:
-            runner.main(["fig3a", "--backend", "trace",
-                         "--cache-file", str(cache_file)])
+            runner.main(["fig3a", "--cache-file", str(cache_file)])
             out = capsys.readouterr().out
             assert "ignoring stale timing cache" in out and "version 6" in out
             farm = default_farm()
-            assert farm.arithmetic == "trace"
             assert farm.stats.model_runs == 1
             assert len(shared_trace_store(config)) == 0
             saved = json.loads(cache_file.read_text())
             assert saved["version"] == CACHE_FILE_VERSION == 7
             assert "traces" not in saved
         finally:
-            set_default_arithmetic(None)
             reset_default_farms()
             reset_shared_trace_stores()
 
     def test_trace_backend_reloads_engine_timing(self, monkeypatch,
                                                  tmp_path, capsys):
-        """Under ``--backend trace`` a second invocation serves its engine
-        GEMM from the saved timing entry; the file holds no traces."""
+        """A second invocation serves its engine GEMM from the saved timing
+        entry; the file holds no traces."""
         import json
 
-        from repro.farm import (
-            default_farm,
-            reset_default_farms,
-            set_default_arithmetic,
-        )
+        from repro.farm import default_farm, reset_default_farms
         from repro.redmule.trace import reset_shared_trace_stores
 
         def engine_gemm():
@@ -411,7 +413,7 @@ class TestCacheFileFlag:
 
         cache_file = tmp_path / "timing.json"
         monkeypatch.setitem(runner.EXPERIMENTS, "fig3a", engine_gemm)
-        argv = ["fig3a", "--backend", "trace", "--cache-file", str(cache_file)]
+        argv = ["fig3a", "--cache-file", str(cache_file)]
         reset_default_farms()
         reset_shared_trace_stores()
         try:
@@ -424,7 +426,6 @@ class TestCacheFileFlag:
             assert default_farm().stats.engine_runs == 0
             assert "traces" not in json.loads(cache_file.read_text())
         finally:
-            set_default_arithmetic(None)
             reset_default_farms()
             reset_shared_trace_stores()
 

@@ -11,14 +11,18 @@ evaluates the exact accumulation order without the cycle-accurate machinery.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.farm import (
+    BACKEND_ENGINE,
     DEFAULT_ENGINE_MACS_THRESHOLD,
     BackendValidationReport,
     SimulationFarm,
+    TimingRecord,
+    config_key,
 )
+from repro.farm.workers import _build_job
 from repro.fp.formats import FORMATS, FP16, fma_bits
 from repro.fp.simd_formats import (
     bits_to_f64_many,
@@ -345,29 +349,77 @@ class TestFarmBackendValidation:
         with pytest.raises(ValueError):
             farm.validate_backends([(8, 16, 16)], candidate="bogus")
 
-    def test_farm_exact_runs_use_simd_arithmetic_by_default(self):
-        assert SimulationFarm().arithmetic == "exact-simd"
-        assert SimulationFarm(arithmetic="exact").arithmetic == "exact"
-        with pytest.raises(ValueError):
-            SimulationFarm(arithmetic="bogus")
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(height=st.integers(1, 8), length=st.integers(1, 16),
+           pipeline_regs=st.integers(1, 3), w_prefetch_lines=st.integers(1, 3),
+           precision=st.sampled_from(["fp16", "fp8-e4m3"]),
+           m=st.integers(1, 24), n=st.integers(1, 24), k=st.integers(1, 40),
+           accumulate=st.booleans(), second_m=st.integers(1, 24),
+           second_accumulate=st.booleans())
+    def test_farm_records_equal_the_event_stepped_engine(
+            self, height, length, pipeline_regs, w_prefetch_lines, precision,
+            m, n, k, accumulate, second_m, second_accumulate):
+        """Engine misses, timed on trace replay, return the records of
+        event-stepped ``exact-simd`` runs of the same jobs.  The second job
+        shares N and K with the first, so it replays tiles that the first
+        one recorded."""
+        config = RedMulEConfig(height=height, length=length,
+                               pipeline_regs=pipeline_regs,
+                               w_prefetch_lines=w_prefetch_lines,
+                               z_queue_depth=max(8, length), format=precision)
+        farm = SimulationFarm(config, backend=BACKEND_ENGINE, max_workers=1)
+        for shape in ((m, n, k, accumulate),
+                      (second_m, n, k, second_accumulate)):
+            record = farm.run_gemm(*shape).record
+            assert record == _event_stepped_record(config, *shape)
 
-    def test_farm_timing_identical_across_arithmetic_backends(self):
-        shapes = [(8, 16, 16), (16, 16, 16)]
-        records = {}
-        for arithmetic in ("exact", "exact-simd", "trace"):
-            farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
-            records[arithmetic] = [
-                (r.cycles, r.stall_cycles, r.total_macs, r.n_tiles)
-                for r in farm.run_shapes(
-                    [_Shape(*s) for s in shapes], backend="engine"
-                )
-            ]
-        assert records["exact"] == records["exact-simd"] == records["trace"]
+    def test_dse_frontier_validated_jobs_equal_the_event_stepped_engine(self):
+        """The 72 jobs ``dse-frontier`` cross-validates over its three
+        sampled frontier points: a pooled farm's records equal
+        event-stepped ``exact-simd`` runs, job for job."""
+        from repro.dse.validate import DEFAULT_MAX_MACS_PER_JOB, _sample_indices
+        from repro.experiments.dse import dse_frontier
+
+        report = dse_frontier()
+        result = report.result
+        frontier = result.pareto(trusted_only=True)
+        checked = 0
+        for index in _sample_indices(len(frontier), 3):
+            config = frontier[index].point.config
+            program = result.graph.lower(config=config, tile=result.tile)
+            jobs = [job for job in program.jobs
+                    if job.total_macs <= DEFAULT_MAX_MACS_PER_JOB]
+            with SimulationFarm(config, backend=BACKEND_ENGINE,
+                                max_workers=2) as farm:
+                records = [r.record for r in farm.run(jobs)]
+            expected = {}
+            for job, record in zip(jobs, records):
+                shape = (job.m, job.n, job.k, job.accumulate)
+                if shape not in expected:
+                    expected[shape] = _event_stepped_record(config, *shape)
+                assert record == expected[shape]
+            checked += len(jobs)
+        assert checked == report.validation.jobs_checked == 72
 
 
-class _Shape:
-    def __init__(self, m, n, k):
-        self.m, self.n, self.k = m, n, k
+def _event_stepped_record(config, m, n, k, accumulate):
+    """The farm record of an event-stepped ``exact-simd`` engine run of
+    the canonically staged job."""
+    engine, job, _ = _build_job(config_key(config), m, n, k, accumulate,
+                                "exact-simd")
+    result = engine.run_job(job)
+    return TimingRecord(
+        cycles=result.cycles,
+        stall_cycles=result.stall_cycles,
+        active_cycles=result.active_cycles,
+        total_macs=result.total_macs,
+        issued_macs=result.issued_macs,
+        n_tiles=result.n_tiles,
+        peak_macs_per_cycle=result.peak_macs_per_cycle,
+        ideal_cycles=-(-result.total_macs // config.ideal_macs_per_cycle),
+        backend=BACKEND_ENGINE,
+    )
 
 
 class TestTraceBackendEquivalence:
