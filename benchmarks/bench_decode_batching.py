@@ -34,7 +34,7 @@ DECODE_STEPS = 16
 
 
 def test_decode_batching_speedup(benchmark):
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     session = DecodeSessionSpec(spec=build_decode_spec("llm-decode-tiny"),
                                 prefill=PREFILL, decode_steps=DECODE_STEPS)
     requests = decode_burst([session], SESSIONS)

@@ -53,7 +53,7 @@ def _run_direct(jobs):
 
 
 def _run_farm(jobs):
-    farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1)
+    farm = SimulationFarm(backend=BACKEND_ENGINE)
     results = farm.run(jobs)
     return farm, results
 
@@ -108,7 +108,7 @@ def test_farm_speedup_on_repeated_shape_sweep(benchmark):
 
 def test_farm_second_batch_is_pure_cache(benchmark):
     """Re-submitting a sweep costs only lookups: no simulation at all."""
-    farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1)
+    farm = SimulationFarm(backend=BACKEND_ENGINE)
     jobs = _sweep_jobs()
     farm.run(jobs)  # warm the cache
     runs_after_warmup = farm.stats.engine_runs

@@ -80,7 +80,7 @@ def _serve_million_budget() -> float:
 
 
 def test_obs_overhead_and_trace_roundtrip(benchmark):
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     tenants = million_tenants(AGGREGATE_RPS)
     sizing = ContinuousServer(n_clusters=1, farm=farm, backend="model")
     clusters = _pool_size(sizing, tenants)

@@ -80,7 +80,7 @@ def _pool_size(server, tenants):
 
 
 def test_serve_million_event_loop(benchmark):
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     tenants = million_tenants(AGGREGATE_RPS)
 
     # Conservation: one request on one cluster == the serial farm timing,
@@ -177,7 +177,7 @@ def test_serve_million_event_loop(benchmark):
 
 def test_serve_million_autoscale_and_admission(benchmark):
     """Bursty arrivals + SLO admission + autoscaling (fixed small scale)."""
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     tenants = million_tenants(AGGREGATE_RPS)
     generator = RequestGenerator(tenants, seed=3)
     duration_s = 5_000 / generator.total_rps

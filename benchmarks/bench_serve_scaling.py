@@ -66,7 +66,7 @@ def _serve(pool, farm, requests):
 
 
 def test_serve_throughput_scales_with_clusters(benchmark):
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     requests = RequestGenerator(_tenants(), seed=0).burst(PER_TENANT)
 
     # Warm-up: memoise every distinct shape of the request mix.

@@ -38,7 +38,7 @@ def main() -> None:
     print()
 
     # -- 2. one session, one cluster: the conservation law -------------------
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     session = DecodeSessionSpec(spec=spec, prefill=8, decode_steps=12)
     report = ContinuousServer(n_clusters=1, farm=farm).simulate(
         decode_burst([session], 1), scenario="decode-1x1")

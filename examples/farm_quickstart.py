@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Quickstart for the simulation farm: batched, cached, validated timing.
+"""Quickstart for the simulation farm: batched, cached timing.
 
 This example shows the batch-level API the experiment drivers run on:
 
@@ -9,8 +9,8 @@ This example shows the batch-level API the experiment drivers run on:
    serves every repeat from the shape-keyed timing cache;
 3. let the auto-selection policy route a large job to the analytical model
    instead of the (much slower) cycle-accurate engine;
-4. run a validation-mode farm that cross-checks engine and model cycle
-   counts against each other within a stated tolerance.
+4. time the same shapes on both backends and compare the engine's cycle
+   counts with the analytical model's.
 
 Run with:  python examples/farm_quickstart.py
 """
@@ -55,17 +55,14 @@ def main() -> None:
           f"utilisation, closed form)")
     print()
 
-    # -- 4. validation mode ---------------------------------------------------
-    validating = SimulationFarm(backend="engine", validate=True,
-                                tolerance=0.05)
+    # -- 4. engine vs. model --------------------------------------------------
+    print("engine vs. analytical model on the sweep shapes:")
     for m, n, k in SWEEP_SHAPES:
-        validating.run_gemm(m, n, k)
-    print("validation mode (engine vs. analytical model, 5% tolerance):")
-    for report in validating.validation_reports:
-        print(f"  {report.key.m}x{report.key.n}x{report.key.k}: "
-              f"engine {report.engine_cycles} vs model "
-              f"{report.model_cycles} cycles "
-              f"({100 * report.relative_error:.2f}% error)")
+        engine = farm.run_gemm(m, n, k, backend="engine")
+        model = farm.run_gemm(m, n, k, backend="model")
+        error = abs(model.cycles - engine.cycles) / engine.cycles
+        print(f"  {m}x{n}x{k}: engine {engine.cycles} vs model "
+              f"{model.cycles} cycles ({100 * error:.2f}% error)")
     print()
 
     print(farm.describe())

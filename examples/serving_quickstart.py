@@ -40,7 +40,7 @@ def main() -> None:
     print()
 
     # -- 2. burst serving: 1 cluster vs 4 ------------------------------------
-    farm = SimulationFarm(backend="model", max_workers=1)
+    farm = SimulationFarm(backend="model")
     tenant = TenantSpec(
         name="edge-fleet",
         models=(

@@ -344,7 +344,7 @@ def sweep(
         # Configuration-level work: shared by every environment point.
         program = graph.lower(config=config, **lower_kwargs)
         farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                              max_workers=1, cache=shared_cache)
+                              cache=shared_cache)
         base_timing = [(result.cycles, result.record.n_tiles)
                        for result in farm.run(program.jobs)]
         deps = program.job_deps()

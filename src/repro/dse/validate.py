@@ -122,7 +122,6 @@ def cross_validate(
     sample: int = 5,
     tolerance: float = 0.05,
     max_macs_per_job: int = DEFAULT_MAX_MACS_PER_JOB,
-    max_workers: Optional[int] = None,
     points: Optional[Sequence] = None,
     trusted_only: bool = False,
     raise_on_error: bool = False,
@@ -161,11 +160,7 @@ def cross_validate(
             points_skipped += 1
             continue
 
-        farm_kwargs = {}
-        if max_workers is not None:
-            farm_kwargs["max_workers"] = max_workers
-        farm = SimulationFarm(config=config, backend=BACKEND_ENGINE,
-                              **farm_kwargs)
+        farm = SimulationFarm(config=config, backend=BACKEND_ENGINE)
         engine_results = farm.run(jobs)
         errors = []
         exact_expected = True

@@ -1,13 +1,12 @@
-"""Batched simulation farm: job batching, timing memoisation, parallelism.
+"""Batched simulation farm: job batching, timing memoisation.
 
 The farm is the serving layer on top of the cycle-accurate
 :class:`~repro.redmule.engine.RedMulE` engine and the analytical
 :class:`~repro.redmule.perf_model.RedMulEPerfModel`: it accepts batches of
 :class:`~repro.redmule.job.MatmulJob` descriptors, deduplicates and memoises
-them by shape (timing is data-independent), fans cache misses out over a
-process pool, auto-selects the backend per request, and can cross-validate
-the two backends against each other.  The experiment drivers regenerate
-every figure of the paper through this API.
+them by shape (timing is data-independent), times each distinct miss in the
+calling process and auto-selects the backend per request.  The experiment
+drivers regenerate every figure of the paper through this API.
 """
 
 from repro.farm.cache import (
@@ -21,14 +20,9 @@ from repro.farm.cache import (
 )
 from repro.farm.farm import (
     DEFAULT_ENGINE_MACS_THRESHOLD,
-    DEFAULT_VALIDATION_TOLERANCE,
-    BackendValidationReport,
     FarmResult,
     FarmStats,
-    FarmValidationError,
-    PoolUnavailableError,
     SimulationFarm,
-    ValidationReport,
     default_farm,
     farm_for_config,
     reset_default_farms,
@@ -45,19 +39,14 @@ from repro.farm.workers import (
 __all__ = [
     "BACKEND_ENGINE",
     "BACKEND_MODEL",
-    "BackendValidationReport",
     "CacheStats",
     "DEFAULT_ENGINE_MACS_THRESHOLD",
-    "DEFAULT_VALIDATION_TOLERANCE",
     "FarmResult",
     "FarmStats",
-    "FarmValidationError",
-    "PoolUnavailableError",
     "SimulationFarm",
     "TimingCache",
     "TimingKey",
     "TimingRecord",
-    "ValidationReport",
     "config_from_key",
     "config_key",
     "default_farm",

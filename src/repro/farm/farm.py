@@ -10,21 +10,17 @@ execution into a batch-level service:
   deduplicates them by timing key, and returns per-job results in order;
 * **caching** -- distinct shapes are simulated once and memoised in a
   :class:`~repro.farm.cache.TimingCache` (hit/miss statistics included);
-* **parallelism** -- cache misses on the cycle-accurate backend are fanned
-  out over a ``concurrent.futures`` process pool, with a transparent serial
-  fallback when a pool cannot be created (or is not worth creating);
+* **one miss path** -- the distinct misses of a batch are timed one after
+  another in the calling process, so the engine misses of a process share
+  one trace store per configuration: a miss replays any tile schedule that
+  an earlier miss recorded;
 * **backend auto-selection** -- each request is routed to the cycle-accurate
   engine (small jobs: exact timing) or the validated analytical model (large
-  jobs: closed form) unless the caller forces a backend;
-* **validation** -- in validation mode every engine-simulated shape is also
-  estimated with the model and the two must agree within a stated tolerance,
-  continuously re-validating the model against the ground truth.
+  jobs: closed form) unless the caller forces a backend.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,80 +34,15 @@ from repro.farm.cache import (
     TimingRecord,
     config_key,
 )
-from repro.farm.workers import (
-    model_timing_record,
-    run_functional_job,
-    simulate_key,
-)
+from repro.farm.workers import model_timing_record, simulate_key
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
-from repro.redmule.vector_ops import validate_backend_name
 from repro.workloads.gemm import GemmShape, WorkloadTiming
 
 #: The ``"auto"`` policy sends jobs of at most this many MACs to the
 #: cycle-accurate engine and larger ones to the analytical model.
 DEFAULT_ENGINE_MACS_THRESHOLD = 1 << 18
-
-#: Engine misses below this count are not worth a process pool round-trip.
-MIN_JOBS_FOR_POOL = 2
-
-#: Relative cycle disagreement tolerated in validation mode (the engine
-#: validation benchmark holds the model within 5 % on every tracked shape).
-DEFAULT_VALIDATION_TOLERANCE = 0.05
-
-
-class FarmValidationError(AssertionError):
-    """Engine and model disagreed beyond the farm's validation tolerance."""
-
-
-class PoolUnavailableError(Exception):
-    """The process pool could not be created or its workers died.
-
-    Raised internally to separate pool *infrastructure* failures (which
-    trigger the serial fallback) from exceptions raised by the simulation
-    itself (which must propagate to the caller).
-    """
-
-
-@dataclass(frozen=True)
-class BackendValidationReport:
-    """Outcome of one arithmetic-backend cross-check (bit-level)."""
-
-    m: int
-    n: int
-    k: int
-    accumulate: bool
-    reference: str
-    candidate: str
-    reference_cycles: int
-    candidate_cycles: int
-    bitwise_match: bool
-
-    @property
-    def ok(self) -> bool:
-        """True when cycles and TCDM contents agree exactly."""
-        return self.bitwise_match and self.reference_cycles == self.candidate_cycles
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of one engine-vs-model cross-check."""
-
-    key: TimingKey
-    engine_cycles: int
-    model_cycles: int
-    tolerance: float
-
-    @property
-    def relative_error(self) -> float:
-        """Model error relative to the engine's measured cycles."""
-        return abs(self.model_cycles - self.engine_cycles) / self.engine_cycles
-
-    @property
-    def within_tolerance(self) -> bool:
-        """True when the two backends agree within the stated tolerance."""
-        return self.relative_error <= self.tolerance
 
 
 @dataclass
@@ -121,11 +52,7 @@ class FarmStats:
     jobs: int = 0
     engine_runs: int = 0
     model_runs: int = 0
-    validations: int = 0
-    backend_validations: int = 0
     batches: int = 0
-    pool_batches: int = 0
-    pool_failures: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """JSON-ready copy of every counter (for ``--metrics-out``)."""
@@ -218,7 +145,7 @@ class FarmResult:
 
 
 class SimulationFarm:
-    """Batched, cached, optionally parallel matmul-job simulation service.
+    """Batched, cached matmul-job simulation service.
 
     Parameters
     ----------
@@ -230,68 +157,47 @@ class SimulationFarm:
         (:data:`DEFAULT_ENGINE_MACS_THRESHOLD`), ``"engine"`` or ``"model"``
         forces one backend for every request.  ``"model"`` is the
         design-space-exploration policy: every job is served by the
-        closed-form model, so the farm never starts a process pool.
-    max_workers:
-        Process-pool width for engine misses (default: CPU count, capped at
-        8).  ``1`` disables the pool entirely.
-    validate:
-        Cross-check every engine-simulated shape against the model and raise
-        :class:`FarmValidationError` when they disagree beyond ``tolerance``.
-    tolerance:
-        Relative cycle disagreement accepted in validation mode.
+        closed-form model.
     cache:
         Share a :class:`TimingCache` between farms (a private unbounded cache
         is created when omitted).
-    max_cycles:
-        Optional watchdog forwarded to the engine backend.
+    max_workers:
+        Only ``None`` or ``1`` is accepted, because the farm is serial; any
+        other value raises :class:`ValueError`.  The value is not stored.
 
-    Engine misses run on the ``"trace"`` arithmetic backend: the cycle
-    schedule does not depend on operand values, so every backend yields
-    the same record and ``"trace"`` is the cheapest.  Its engines share
-    one trace store per configuration and process, so a miss replays the
-    tile schedules that earlier misses in the same process recorded.
-    Traces are never persisted, and a pool worker's traces speed up only
-    that worker's later misses.
+    Misses are timed one after another in the calling process.  Engine
+    misses run on the ``"trace"`` arithmetic backend: the cycle schedule
+    does not depend on operand values, so every backend yields the same
+    record and ``"trace"`` is the cheapest.  Its engines share one trace
+    store per configuration and process, so a miss replays any tile
+    schedule that an earlier miss recorded.  Traces are never persisted.
+    A farm holds no process state, so it pickles with its cache.
     """
 
     def __init__(
         self,
         config: Optional[RedMulEConfig] = None,
         backend: str = "auto",
-        max_workers: Optional[int] = None,
-        validate: bool = False,
-        tolerance: float = DEFAULT_VALIDATION_TOLERANCE,
+        *,
         cache: Optional[TimingCache] = None,
-        max_cycles: Optional[int] = None,
+        max_workers: Optional[int] = None,
     ) -> None:
         if backend not in ("auto", BACKEND_ENGINE, BACKEND_MODEL):
             raise ValueError(
                 f"backend must be 'auto', '{BACKEND_ENGINE}' or "
                 f"'{BACKEND_MODEL}', got {backend!r}"
             )
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
+        if max_workers not in (None, 1):
+            raise ValueError(
+                f"max_workers must be None or 1 (the farm is serial), "
+                f"got {max_workers!r}"
+            )
         self.config = config if config is not None else RedMulEConfig.reference()
         # Every timing key of this farm carries the same config tuple.
         self._config_key = config_key(self.config)
         self.backend = backend
-        if max_workers is None:
-            max_workers = min(os.cpu_count() or 1, 8)
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers
-        self.validate = validate
-        self.tolerance = tolerance
         self.cache = cache if cache is not None else TimingCache()
-        self.max_cycles = max_cycles
         self.stats = FarmStats()
-        #: Reports of every cross-check performed in validation mode.
-        self.validation_reports: List[ValidationReport] = []
-        # Lazily-created process pool, reused across batches; set to
-        # unavailable after the first failure so later batches skip the
-        # doomed creation attempt and go straight to the serial path.
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._pool_unavailable = False
         # Derived farms per element format (lazily created, cache shared):
         # the timing cache keys on the *farm config's* format, so jobs of a
         # per-node precision override must be timed by a farm of that
@@ -316,11 +222,9 @@ class SimulationFarm:
         geometry changes every cycle count), so jobs lowered under a
         per-node precision override cannot be timed by this farm directly.
         The derived farm shares this farm's :class:`TimingCache` (format
-        disambiguation happens in the key) and policy knobs; it is created
-        once per format and memoised, and runs serially -- the per-node
-        overrides time skinny decode GEMMs for which a process pool would
-        be pure overhead.  Returns ``self`` when ``fmt`` is already this
-        farm's format.
+        disambiguation happens in the key) and backend policy; it is
+        created once per format and memoised.  Returns ``self`` when
+        ``fmt`` is already this farm's format.
         """
         if fmt == self.config.format:
             return self
@@ -329,11 +233,7 @@ class SimulationFarm:
             derived = SimulationFarm(
                 config=replace(self.config, format=fmt),
                 backend=self.backend,
-                max_workers=1,
-                validate=self.validate,
-                tolerance=self.tolerance,
                 cache=self.cache,
-                max_cycles=self.max_cycles,
             )
             self._format_farms[fmt] = derived
         return derived
@@ -344,9 +244,8 @@ class SimulationFarm:
         """Simulate a batch of jobs; results come back in submission order.
 
         Every job is first looked up in the timing cache; the distinct
-        missing keys are simulated (engine misses in parallel when a pool is
-        available and worthwhile) and memoised before the per-job results are
-        assembled.
+        missing keys are simulated and memoised before the per-job results
+        are assembled.
         """
         jobs = list(jobs)
         self.stats.batches += 1
@@ -546,108 +445,27 @@ class SimulationFarm:
     def _simulate_missing(
         self, missing: Dict[TimingKey, MatmulJob]
     ) -> Dict[TimingKey, TimingRecord]:
-        """Simulate every distinct missing key, preferring the process pool.
+        """Time every distinct missing key in this process and memoise it.
 
         ``missing`` maps each key to a batch job that carries it.
         """
-        engine_keys = [key for key in missing if key.backend == BACKEND_ENGINE]
-
         records: Dict[TimingKey, TimingRecord] = {}
-        # Model estimates are closed-form and cheaper than any pickling.
         # Every key this farm builds carries self._config_key, so one model
         # of the farm's own config serves them all.
         model = RedMulEPerfModel(self.config)
         for key, job in missing.items():
-            if key.backend == BACKEND_ENGINE:
-                continue
             if key.backend == BACKEND_MODEL:
                 records[key] = model_timing_record(model, job)
-            else:
+                self.stats.model_runs += 1
+        # Engine misses follow the model ones: a batch's entries land in the
+        # cache, and in a file saved from it, in that order.
+        for key in missing:
+            if key.backend != BACKEND_MODEL:
                 records[key] = simulate_key(key)  # rejects the unknown name
-            self.stats.model_runs += 1
-
-        if engine_keys:
-            records.update(self._simulate_engine_keys(engine_keys))
-            self.stats.engine_runs += len(engine_keys)
-        # Memoise before cross-checking: the engine records are ground truth
-        # either way, and a validation failure must not throw away a batch
-        # of expensive simulations (a retry would redo all of them).
+                self.stats.engine_runs += 1
         for key, record in records.items():
             self.cache.store(key, record)
-        if self.validate and engine_keys:
-            self._cross_check(engine_keys, records)
         return records
-
-    def _simulate_engine_keys(
-        self, keys: List[TimingKey]
-    ) -> Dict[TimingKey, TimingRecord]:
-        if (len(keys) >= MIN_JOBS_FOR_POOL and self.max_workers > 1
-                and not self._pool_unavailable):
-            try:
-                return self._simulate_with_pool(keys)
-            except PoolUnavailableError:
-                # No usable pool on this host (sandbox, missing /dev/shm,
-                # exhausted fds, ...): degrade to the serial path and stop
-                # re-attempting pool creation on later batches.
-                self.stats.pool_failures += 1
-                self._pool_unavailable = True
-                self._close_pool()
-        return {key: simulate_key(key, self.max_cycles) for key in keys}
-
-    def _simulate_with_pool(
-        self, keys: List[TimingKey]
-    ) -> Dict[TimingKey, TimingRecord]:
-        # One pool per farm lifetime: worker-process spawn and module import
-        # would otherwise dominate small batches submitted in a loop.
-        with _telemetry_active().span(
-                "farm.pool_dispatch", cat="farm", track="farm", lane="pool",
-                keys=len(keys), workers=self.max_workers):
-            try:
-                if self._pool is None:
-                    self._pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=self.max_workers
-                    )
-                futures = {
-                    key: self._pool.submit(simulate_key, key, self.max_cycles)
-                    for key in keys
-                }
-            except (OSError, ValueError) as error:
-                raise PoolUnavailableError(str(error)) from error
-            try:
-                records = {key: future.result()
-                           for key, future in futures.items()}
-            except concurrent.futures.BrokenExecutor as error:
-                # Workers died (covers BrokenProcessPool); simulation
-                # exceptions raised *inside* a worker propagate to the
-                # caller unchanged.
-                raise PoolUnavailableError(str(error)) from error
-            self.stats.pool_batches += 1
-            return records
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        """Release the worker pool.
-
-        The farm stays usable afterwards: a later batch that warrants
-        parallelism lazily re-creates the pool.
-        """
-        self._close_pool()
-
-    def __enter__(self) -> "SimulationFarm":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self._close_pool()
-        except Exception:  # pragma: no cover - interpreter-shutdown races
-            pass
 
     # -- cache persistence ---------------------------------------------------
     def save_cache(self, path) -> int:
@@ -681,82 +499,6 @@ class SimulationFarm:
             obs.count("farm.cache_loads")
         return loaded
 
-    # -- validation ----------------------------------------------------------
-    def validate_backends(
-        self,
-        shapes: Sequence[GemmShape],
-        reference: str = "exact",
-        candidate: str = "exact-simd",
-        accumulate: bool = False,
-        seed: int = 0,
-        raise_on_mismatch: bool = True,
-    ) -> List[BackendValidationReport]:
-        """Cross-check two arithmetic backends bit for bit on real data.
-
-        Every shape is run end to end on the cycle-accurate engine under both
-        backends with identical random operands; the TCDM result images and
-        cycle counts must agree exactly.  This is the functional counterpart
-        of the engine-vs-model timing validation: it continuously re-proves
-        that the vectorised bit-exact backend matches the scalar oracle.
-        """
-        for name in (reference, candidate):
-            validate_backend_name(name)
-        key = self._config_key
-        reports: List[BackendValidationReport] = []
-        for shape in shapes:
-            m, n, k = (
-                (shape.m, shape.n, shape.k) if hasattr(shape, "m") else shape
-            )
-            ref_cycles, ref_bits = run_functional_job(
-                key, m, n, k, accumulate, reference, seed
-            )
-            cand_cycles, cand_bits = run_functional_job(
-                key, m, n, k, accumulate, candidate, seed
-            )
-            report = BackendValidationReport(
-                m=m, n=n, k=k, accumulate=accumulate,
-                reference=reference, candidate=candidate,
-                reference_cycles=ref_cycles, candidate_cycles=cand_cycles,
-                bitwise_match=ref_bits == cand_bits,
-            )
-            reports.append(report)
-            self.stats.backend_validations += 1
-            if raise_on_mismatch and not report.ok:
-                raise FarmValidationError(
-                    f"arithmetic backends disagree on shape {m}x{n}x{k}: "
-                    f"{reference} ({report.reference_cycles} cycles) vs "
-                    f"{candidate} ({report.candidate_cycles} cycles, bitwise "
-                    f"match: {report.bitwise_match})"
-                )
-        return reports
-
-    def _cross_check(self, engine_keys: List[TimingKey],
-                     records: Dict[TimingKey, TimingRecord]) -> None:
-        for key in engine_keys:
-            model_key = key._replace(backend=BACKEND_MODEL)
-            model_record = self.cache.peek(model_key)
-            if model_record is None:
-                model_record = simulate_key(model_key)
-                self.stats.model_runs += 1
-                self.cache.store(model_key, model_record)
-            report = ValidationReport(
-                key=key,
-                engine_cycles=records[key].cycles,
-                model_cycles=model_record.cycles,
-                tolerance=self.tolerance,
-            )
-            self.validation_reports.append(report)
-            self.stats.validations += 1
-            if not report.within_tolerance:
-                raise FarmValidationError(
-                    "engine/model cycle mismatch for shape "
-                    f"{key.m}x{key.n}x{key.k} (accumulate={key.accumulate}): "
-                    f"engine {report.engine_cycles} vs model "
-                    f"{report.model_cycles} "
-                    f"({100 * report.relative_error:.2f}% > "
-                    f"{100 * report.tolerance:.2f}%)"
-                )
-
     # -- reporting -----------------------------------------------------------
     def describe(self) -> str:
         """Multi-line summary of configuration, cache and run statistics."""
@@ -765,16 +507,8 @@ class SimulationFarm:
             f"simulation farm: {self.config.describe()}",
             f"  backend policy : {self.backend} "
             f"(engine up to {DEFAULT_ENGINE_MACS_THRESHOLD} MACs)",
-            f"  workers        : {self.max_workers} "
-            f"({stats.pool_batches} pooled batches, "
-            f"{stats.pool_failures} pool fallbacks)",
             f"  jobs served    : {stats.jobs} in {stats.batches} batches "
             f"({stats.engine_runs} engine runs, {stats.model_runs} model runs)",
-            "  validation     : "
-            + (f"{stats.validations} cross-checks at {self.tolerance:.0%}"
-               if self.validate else "off")
-            + (f", {stats.backend_validations} backend bit-checks"
-               if stats.backend_validations else ""),
             f"  {self.cache.describe()}",
         ]
         return "\n".join(lines)

@@ -1,10 +1,8 @@
-"""Worker-side simulation entry points for the farm.
+"""Simulation entry points for the farm's cache misses.
 
-The farm dispatches cache misses either inline (serial fallback) or across a
-``concurrent.futures`` process pool; either way the work lands here.  The
-entry point is a module-level function of picklable arguments so it can cross
-a process boundary, and it rebuilds the engine from the architectural key
-rather than shipping simulator state between processes.
+:func:`simulate_key` times one timing key on the backend it names.  It
+rebuilds the engine from the architectural key, so a record depends on the
+key alone, never on the state of the farm that asked for it.
 
 Timing runs use *canonical operand placement*: a fresh zero-filled TCDM with
 X, W and Z allocated back to back from the TCDM base, exactly like the test
@@ -98,8 +96,8 @@ def simulate_engine_timing(
     The engine runs on the ``"trace"`` arithmetic backend: timing does not
     depend on operand values, so every backend yields the same record and
     ``"trace"`` is the cheapest.  It reuses the per-process shared trace
-    store of the configuration, so repeated worker invocations in one pool
-    process replay schedules recorded by earlier keys.
+    store of the configuration, so a call replays any tile schedule that
+    an earlier call in the same process recorded.
     """
     engine, job, _ = _build_job(key, m, n, k, accumulate, "trace")
     result = engine.run_job(job, max_cycles=max_cycles)
@@ -162,13 +160,12 @@ def model_timing_record(model: RedMulEPerfModel,
     return record
 
 
-def simulate_key(timing_key: TimingKey,
-                 max_cycles: Optional[int] = None) -> TimingRecord:
-    """Dispatch a cache key to the backend it names (pool entry point)."""
+def simulate_key(timing_key: TimingKey) -> TimingRecord:
+    """Time a cache key on the backend it names."""
     if timing_key.backend == BACKEND_ENGINE:
         return simulate_engine_timing(
             timing_key.config, timing_key.m, timing_key.n, timing_key.k,
-            timing_key.accumulate, max_cycles=max_cycles,
+            timing_key.accumulate,
         )
     if timing_key.backend == BACKEND_MODEL:
         return estimate_model_timing(
@@ -190,8 +187,8 @@ def run_functional_job(
     """Run one randomly seeded job end to end on a named arithmetic backend.
 
     Returns ``(cycles, z_image)`` where ``z_image`` is the raw byte image of
-    the result matrix left in the TCDM -- the payload the farm's backend
-    cross-validation compares bit for bit between two arithmetic backends.
+    the result matrix left in the TCDM -- the payload that backend
+    equivalence checks compare bit for bit between two arithmetic backends.
     """
     from repro.fp.vector import random_matrix
 

@@ -36,8 +36,8 @@ On the *uncontended* domain -- where the wide port has enough spare slots per
 the engine's measured cycle count on every shape, which the property tests in
 ``tests/test_dse_properties.py`` assert over randomized (M, N, K) x (H, L, P)
 samples.  Outside that domain the port saturates, the engine stalls mid-tile
-and the closed form becomes a lower bound; the farm's validation mode and the
-DSE cross-validation pass quantify the gap.
+and the closed form becomes a lower bound; the DSE cross-validation pass
+quantifies the gap.
 
 The optional ``memory_latency`` parameter extends the model beyond the
 paper's single-cycle TCDM: each tile's pre-load pays the extra access latency

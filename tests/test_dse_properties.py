@@ -79,8 +79,7 @@ def test_program_estimator_tracks_engine_serial_time(hidden, out, batch):
     program = graph.lower(config=config)
     estimate = RedMulEPerfModel(config).estimate_program(program)
 
-    farm = SimulationFarm(config=config, backend=BACKEND_ENGINE,
-                          max_workers=1)
+    farm = SimulationFarm(config=config, backend=BACKEND_ENGINE)
     engine_serial = sum(
         result.cycles for result in farm.run(program.jobs)
     )

@@ -142,7 +142,7 @@ def reference_sweep(space, workload, tile=False, tcdm_budget_bytes=None,
         if cached is None:
             program = lower_graph(graph, config=config, **lower_kwargs)
             farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                                  max_workers=1, cache=cache)
+                                  cache=cache)
             results = farm.run(program.jobs)
             model = RedMulEPerfModel(config)
             cached = (
@@ -408,8 +408,7 @@ class TestSweep:
         result = sweep(DesignSpace.grid(height=(4,)), small_graph())
         (point,) = result.points
         config = RedMulEConfig(height=4, length=8, pipeline_regs=3)
-        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                              max_workers=1)
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL)
         program = small_graph().lower(config=config)
         assert point.serial_cycles == farm.time_program(program).cycles
 
@@ -587,8 +586,7 @@ class TestExports:
 class TestCrossValidation:
     def test_exact_domain_validates_with_zero_error(self):
         result = sweep(small_space(), small_graph())
-        report = cross_validate(result, sample=2, max_workers=1,
-                                trusted_only=True)
+        report = cross_validate(result, sample=2, trusted_only=True)
         assert report.jobs_checked > 0
         assert report.max_rel_error == 0.0
         assert report.ok
@@ -596,7 +594,7 @@ class TestCrossValidation:
 
     def test_describe_mentions_tolerance(self):
         result = sweep(DesignSpace.grid(height=(4,)), small_graph())
-        report = cross_validate(result, sample=1, max_workers=1)
+        report = cross_validate(result, sample=1)
         assert "cross-validation" in report.describe()
         assert "tolerance" in report.describe()
 
@@ -605,7 +603,7 @@ class TestCrossValidation:
         # by zero in the even-spread index computation.
         result = sweep(small_space(), small_graph())
         assert len(result.pareto()) > 1
-        report = cross_validate(result, sample=1, max_workers=1)
+        report = cross_validate(result, sample=1)
         assert len(report.samples) == 1
 
     def test_zero_sample_rejected(self):

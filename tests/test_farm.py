@@ -1,4 +1,4 @@
-"""Tests of the simulation farm: batching, caching, backends, validation.
+"""Tests of the simulation farm: batching, caching, backends, serial misses.
 
 The load-bearing property is *memoisation soundness*: a farm-produced timing
 record must be indistinguishable from what a direct
@@ -20,7 +20,6 @@ from repro.farm import (
     BACKEND_ENGINE,
     BACKEND_MODEL,
     FarmResult,
-    FarmValidationError,
     SimulationFarm,
     TimingCache,
     TimingKey,
@@ -69,7 +68,7 @@ def _direct_run(m, n, k, accumulate=False, config=None):
 @pytest.fixture
 def farm():
     """A serial engine-backend farm on the reference configuration."""
-    return SimulationFarm(backend=BACKEND_ENGINE, max_workers=1)
+    return SimulationFarm(backend=BACKEND_ENGINE)
 
 
 class TestFarmMatchesDirectRuns:
@@ -105,8 +104,7 @@ class TestFarmMatchesDirectRuns:
 
     def test_non_reference_geometry(self):
         config = RedMulEConfig(height=2, length=4, pipeline_regs=1)
-        farm = SimulationFarm(config=config, backend=BACKEND_ENGINE,
-                              max_workers=1)
+        farm = SimulationFarm(config=config, backend=BACKEND_ENGINE)
         direct = _direct_run(9, 11, 6, config=config)
         result = farm.run_gemm(9, 11, 6)
         assert result.cycles == direct.cycles
@@ -153,10 +151,8 @@ class TestCaching:
 
     def test_cache_is_shareable_between_farms(self):
         cache = TimingCache()
-        first = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                               cache=cache)
-        second = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                                cache=cache)
+        first = SimulationFarm(backend=BACKEND_ENGINE, cache=cache)
+        second = SimulationFarm(backend=BACKEND_ENGINE, cache=cache)
         miss = first.run_gemm(8, 16, 16)
         hit = second.run_gemm(8, 16, 16)
         assert hit.cache_hit
@@ -171,28 +167,28 @@ class TestCaching:
 
 class TestBackendSelection:
     def test_auto_routes_small_jobs_to_the_engine(self):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         small = MatmulJob(0, 0, 0, 8, 16, 16)
         large = MatmulJob(0, 0, 0, 512, 512, 512)
         assert farm.resolve_backend(small) == BACKEND_ENGINE
         assert farm.resolve_backend(large) == BACKEND_MODEL
 
     def test_explicit_backend_overrides_auto(self):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         small = MatmulJob(0, 0, 0, 8, 16, 16)
         assert farm.resolve_backend(small, BACKEND_MODEL) == BACKEND_MODEL
         result = farm.run_job(small, backend=BACKEND_MODEL)
         assert result.backend == BACKEND_MODEL
 
     def test_backends_do_not_share_cache_entries(self):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         engine = farm.run_gemm(8, 16, 16, backend=BACKEND_ENGINE)
         model = farm.run_gemm(8, 16, 16, backend=BACKEND_MODEL)
         assert not model.cache_hit
         assert engine.record != model.record
 
     def test_model_policy_routes_every_job_to_the_model(self):
-        farm = SimulationFarm(backend=BACKEND_MODEL, max_workers=1)
+        farm = SimulationFarm(backend=BACKEND_MODEL)
         # Far below the engine threshold: auto routing would pick the engine.
         result = farm.run_gemm(8, 8, 8)
         assert result.backend == BACKEND_MODEL
@@ -215,7 +211,7 @@ class TestBackendSelection:
     def test_batch_keys_equal_for_job_keys(self, config):
         # The farm computes its config key once; every key a batch stores
         # must still equal the per-job constructor's.
-        farm = SimulationFarm(config=config, max_workers=1)
+        farm = SimulationFarm(config=config)
         jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
                           element_bytes=config.element_bytes)
                 for m, n, k in ((8, 16, 24), (512, 384, 640))
@@ -229,7 +225,7 @@ class TestBackendSelection:
         assert all(key in farm.cache for key in keys)
 
     def test_unknown_per_call_backend_rejected_on_a_miss(self):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         with pytest.raises(ValueError, match="unknown backend"):
             farm.run_gemm(8, 8, 8, backend="fpga")
 
@@ -263,8 +259,7 @@ class TestBackendSelection:
                                element_bytes=size)
                      for m, n, k, accumulate in shapes]
         for jobs in (canonical, [placed(*shape) for shape in shapes]):
-            farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                                  max_workers=1)
+            farm = SimulationFarm(config=config, backend=BACKEND_MODEL)
             results = farm.run(jobs)
             assert farm.stats.model_runs == len(shapes)
             for job, result in zip(jobs, results):
@@ -272,8 +267,7 @@ class TestBackendSelection:
                 assert result.record == simulate_key(key)
 
         # One shape twice, at different addresses: one miss, one record.
-        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                              max_workers=1)
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL)
         pair = [placed(33, 7, 65), placed(33, 7, 65, offset=8192)]
         first, second = farm.run(pair)
         key = TimingKey.for_job(config, pair[0], BACKEND_MODEL)
@@ -282,63 +276,13 @@ class TestBackendSelection:
         assert farm.stats.model_runs == 1
 
 
-class TestValidationMode:
-    def test_within_default_tolerance(self):
-        farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                              validate=True)
-        farm.run_gemm(8, 16, 16)
-        farm.run_gemm(13, 7, 5, accumulate=True)
-        assert farm.stats.validations == 2
-        assert all(report.within_tolerance
-                   for report in farm.validation_reports)
-
-    # On the reference instance the model is bit-exact for every shape, so
-    # tripping the cross-check needs a geometry whose wide port saturates
-    # mid-tile: H=6, L=8, P=1 has block_k = 12 < H + L = 14 line slots of
-    # per-window demand once X refills kick in (n > 12), and the engine
-    # stalls a couple of cycles beyond the closed form.
-    _CONTENDED = RedMulEConfig(height=6, length=8, pipeline_regs=1)
-
-    def test_raises_beyond_tolerance(self):
-        farm = SimulationFarm(config=self._CONTENDED, backend=BACKEND_ENGINE,
-                              max_workers=1, validate=True, tolerance=1e-6)
-        with pytest.raises(FarmValidationError):
-            farm.run_gemm(12, 40, 8)
-
-    def test_failed_validation_keeps_the_engine_record(self):
-        """The engine simulation is ground truth: a tolerance breach must
-        not discard it, or a retry would redo the whole expensive batch."""
-        farm = SimulationFarm(config=self._CONTENDED, backend=BACKEND_ENGINE,
-                              max_workers=1, validate=True, tolerance=1e-6)
-        with pytest.raises(FarmValidationError):
-            farm.run_gemm(12, 40, 8)
-        assert farm.stats.engine_runs == 1
-        # Re-running without validation serves the memoised record.
-        relaxed = SimulationFarm(config=self._CONTENDED,
-                                 backend=BACKEND_ENGINE, max_workers=1,
-                                 cache=farm.cache)
-        result = relaxed.run_gemm(12, 40, 8)
-        assert result.cache_hit
-        assert relaxed.stats.engine_runs == 0
-
-    def test_validation_populates_model_cache(self):
-        farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
-                              validate=True)
-        farm.run_gemm(8, 16, 16)
-        model_key = TimingKey(
-            config=config_key(farm.config), m=8, n=16, k=16,
-            accumulate=False, backend=BACKEND_MODEL,
-        )
-        assert farm.cache.peek(model_key) is not None
-
-
 class TestWorkloadTiming:
     def test_matches_metrics_time_workload_hw(self):
         from repro.perf.metrics import time_workload_hw
         from repro.workloads.gemm import square_sweep
 
         shapes = square_sweep([8, 16, 8, 32])  # repeated shape on purpose
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         direct = time_workload_hw(shapes, offload_cycles_per_job=70.0)
         farmed = farm.time_workload(shapes, offload_cycles_per_job=70.0)
         assert farmed.cycles == direct.cycles
@@ -348,7 +292,7 @@ class TestWorkloadTiming:
     def test_repeated_shapes_hit_the_cache(self):
         from repro.workloads.gemm import square_sweep
 
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         farm.time_workload(square_sweep([8, 16, 8, 16, 8]))
         assert farm.cache.stats.misses == 2  # two distinct shapes only
 
@@ -357,7 +301,7 @@ class TestWorkloadTiming:
         workload onto the auto policy (and thus the engine)."""
         from repro.workloads.gemm import square_sweep
 
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         timing = farm.time_workload(square_sweep([8]), backend=None)
         assert farm.stats.model_runs == 1
         assert farm.stats.engine_runs == 0
@@ -404,63 +348,44 @@ class TestDefaultFarmRegistry:
             reset_default_farms()
 
 
-class TestProcessPool:
-    @pytest.mark.parametrize("fmt", ["fp16", "fp8-e4m3"])
-    def test_pooled_records_match_serial_records(self, fmt):
-        config = RedMulEConfig(format=fmt)
-        shapes = [(8, 16, 16), (13, 7, 5), (1, 40, 1)]
-        jobs = [MatmulJob(0, 0, 0, m, n, k, element_bytes=config.element_bytes)
-                for m, n, k in shapes]
-        # The pool runs first, so its workers start from an empty trace
-        # store and record every schedule themselves.
+class TestSerialMisses:
+    """Every miss is timed in the calling process."""
+
+    def test_max_workers_accepts_only_one(self):
+        farm = SimulationFarm(backend=BACKEND_MODEL, max_workers=1)
+        assert farm.run_gemm(4, 4, 4).backend == BACKEND_MODEL
+        with pytest.raises(ValueError, match="max_workers must be None or 1"):
+            SimulationFarm(max_workers=2)
+
+    def test_engine_misses_record_into_the_process_trace_store(self):
+        # One batch's engine misses record their tile schedules in this
+        # process's store, so a later miss with the same N and K replays
+        # them instead of recording again.
+        config = RedMulEConfig.reference()
         reset_shared_trace_stores()
         try:
-            pooled = SimulationFarm(config, backend=BACKEND_ENGINE,
-                                    max_workers=2)
-            actual = [result.record for result in pooled.run(jobs)]
-            serial = SimulationFarm(config, backend=BACKEND_ENGINE,
-                                    max_workers=1)
-            expected = [result.record for result in serial.run(jobs)]
+            farm = SimulationFarm(config, backend=BACKEND_ENGINE)
+            farm.run([MatmulJob(0, 0, 0, m, 40, 24) for m in (16, 32, 48)])
+            store = shared_trace_store(config)
+            assert farm.stats.engine_runs == 3
+            assert store.stats.recordings == 3
+            farm.run_gemm(64, 40, 24)
+            assert farm.stats.engine_runs == 4
+            assert store.stats.recordings == 3
         finally:
             reset_shared_trace_stores()
-        # Identical records whether the pool ran or the fallback engaged.
-        assert actual == expected
-        assert pooled.stats.pool_batches + pooled.stats.pool_failures == 1
 
-    def test_single_miss_stays_serial(self):
-        pooled = SimulationFarm(backend=BACKEND_ENGINE, max_workers=2)
-        pooled.run_gemm(8, 16, 16)
-        assert pooled.stats.pool_batches == 0  # not worth a pool round-trip
-
-    def test_pool_is_reused_across_batches(self):
-        with SimulationFarm(backend=BACKEND_ENGINE, max_workers=2) as farm:
-            farm.run([MatmulJob(0, 0, 0, m, 16, 16) for m in (1, 2)])
-            pool = farm._pool
-            farm.run([MatmulJob(0, 0, 0, m, 16, 16) for m in (3, 4)])
-            if pool is not None:  # pool available on this host
-                assert farm._pool is pool  # no per-batch executor churn
-                assert farm.stats.pool_batches == 2
-        assert farm._pool is None  # context exit released the workers
-
-    def test_broken_pool_falls_back_to_serial(self, monkeypatch):
-        from repro.farm import PoolUnavailableError
-
-        farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=2)
-
-        def broken_pool(keys):
-            raise PoolUnavailableError("no process pool on this host")
-
-        monkeypatch.setattr(farm, "_simulate_with_pool", broken_pool)
+    def test_farm_survives_a_pickle_round_trip(self):
+        farm = SimulationFarm(backend=BACKEND_ENGINE)
         jobs = [MatmulJob(0, 0, 0, m, n, k)
-                for m, n, k in [(8, 16, 16), (13, 7, 5)]]
-        results = farm.run(jobs)
-        assert farm.stats.pool_failures == 1
-        assert [result.cycles for result in results] == [
-            _direct_run(8, 16, 16).cycles, _direct_run(13, 7, 5).cycles,
-        ]
-        # Later batches skip the doomed pool and stay serial.
-        farm.run([MatmulJob(0, 0, 0, 1, 16, 16), MatmulJob(0, 0, 0, 2, 16, 16)])
-        assert farm.stats.pool_failures == 1
+                for m, n, k in ((8, 16, 16), (13, 7, 5), (1, 40, 1))]
+        records = [result.record for result in farm.run(jobs)]
+        clone = pickle.loads(pickle.dumps(farm))
+        engine_runs = clone.stats.engine_runs
+        results = clone.run(jobs)
+        assert all(result.cache_hit for result in results)
+        assert [result.record for result in results] == records
+        assert clone.stats.engine_runs == engine_runs == 3
 
 
 class TestWorkerHelpers:
@@ -515,7 +440,7 @@ class TestStatsSnapshots:
     """`FarmStats`/`CacheStats` snapshot-and-reset (the --farm-stats JSON)."""
 
     def test_farm_stats_snapshot_and_reset(self):
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         farm.run([MatmulJob(0, 0, 0, 4, 4, 4), MatmulJob(0, 0, 0, 4, 8, 4)])
         snap = farm.stats.snapshot()
         assert snap["jobs"] == 2
@@ -526,16 +451,14 @@ class TestStatsSnapshots:
         assert farm.stats.jobs == 2
         farm.stats.reset()
         assert farm.stats.snapshot() == {
-            "jobs": 0, "engine_runs": 0, "model_runs": 0, "validations": 0,
-            "backend_validations": 0, "batches": 0, "pool_batches": 0,
-            "pool_failures": 0,
+            "jobs": 0, "engine_runs": 0, "model_runs": 0, "batches": 0,
         }
         # The farm (cache included) still works after a stats reset.
         farm.run([MatmulJob(0, 0, 0, 4, 4, 4)])
         assert farm.stats.snapshot()["jobs"] == 1
 
     def test_cache_stats_snapshot_and_reset(self):
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         job = MatmulJob(0, 0, 0, 4, 4, 4)
         farm.run([job])
         farm.run([job])
@@ -601,7 +524,7 @@ class TestDirectFills:
                                 accumulate=True, backend=BACKEND_MODEL)
         assert (key.config, key.m, key.n, key.k, key.accumulate,
                 key.backend) == fields
-        # Pool workers receive their keys pickled.
+        # A pickled farm carries its keys in its cache.
         clone = pickle.loads(pickle.dumps(key))
         assert clone == key and type(clone) is TimingKey
 
@@ -611,7 +534,7 @@ class TestDirectFills:
     ], ids=["model-policy", "override-on-auto", "override-on-engine",
             "explicit-auto"])
     def test_batches_store_the_for_job_keys(self, policy, override):
-        farm = SimulationFarm(backend=policy, max_workers=1)
+        farm = SimulationFarm(backend=policy)
         jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate)
                 for m, n, k in ((8, 16, 24), (24, 8, 16), (512, 384, 640))
                 for accumulate in (False, True)]
@@ -624,7 +547,7 @@ class TestDirectFills:
             assert farm.cache.peek(key) is result.record
 
     def test_farm_results_equal_init_built_ones(self):
-        farm = SimulationFarm(backend=BACKEND_MODEL, max_workers=1)
+        farm = SimulationFarm(backend=BACKEND_MODEL)
         jobs = [MatmulJob(0, 0, 0, 8, 16, 24), MatmulJob(0, 0, 0, 8, 16, 24),
                 MatmulJob(0, 0, 0, 33, 7, 65, accumulate=True)]
         results = farm.run(jobs)

@@ -118,7 +118,7 @@ class TestTimingCachePersistence:
         assert loaded.peek(_key()) == _record()
 
     def test_farm_save_cache_into_missing_directory(self, tmp_path):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         farm.run_gemm(8, 8, 8, backend="model")
         path = tmp_path / "fresh-dir" / "timing.json"
         assert farm.save_cache(path) == 1
@@ -176,7 +176,7 @@ class TestTimingCachePersistence:
         path = tmp_path / "cache.json"
         TimingCache().save(path)
         with pytest.raises(TypeError):
-            SimulationFarm(max_workers=1).load_cache(path, merge=False)
+            SimulationFarm().load_cache(path, merge=False)
 
     def test_load_overwrites_colliding_keys(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -306,7 +306,7 @@ class TestFarmPersistence:
         path.write_text(json.dumps(payload))
         reset_shared_trace_stores()
         try:
-            farm = SimulationFarm(max_workers=1)
+            farm = SimulationFarm()
             with pytest.raises(ValueError, match="version 6"):
                 farm.load_cache(path)
             assert len(farm.cache) == 0
@@ -318,13 +318,13 @@ class TestFarmPersistence:
         """A second farm (a stand-in for a second benchmark process) serves
         everything from the persisted cache: zero engine runs."""
         path = tmp_path / "farm-cache.json"
-        first = SimulationFarm(max_workers=1)
+        first = SimulationFarm()
         first.run_gemm(8, 16, 16)
         first.run_gemm(16, 16, 16)
         assert first.save_cache(path) == 2
         assert first.stats.engine_runs == 2
 
-        second = SimulationFarm(max_workers=1)
+        second = SimulationFarm()
         assert second.load_cache(path) == 2
         result = second.run_gemm(8, 16, 16)
         assert result.cache_hit

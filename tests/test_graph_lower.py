@@ -162,7 +162,7 @@ class TestTiledLowering:
     def test_tiled_timing_through_the_farm(self):
         """Tiled and whole-GEMM programs both time cleanly on the farm."""
         graph = autoencoder_training_graph(16)
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         whole = farm.time_program(graph.lower())
         tiled = farm.time_program(graph.lower(tile=True))
         assert whole.cycles > 0 and tiled.cycles > 0
@@ -286,7 +286,7 @@ class TestBudget:
 class TestFarmTimeProgram:
     def test_matches_run_shapes_on_whole_gemm_program(self):
         graph = autoencoder_training_graph(1)
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         program = graph.lower()
         timing = farm.time_program(program)
         shapes = [node.shape for node in program.gemm_nodes()]
@@ -296,7 +296,7 @@ class TestFarmTimeProgram:
 
     def test_offload_cost_is_per_job(self):
         graph = autoencoder_training_graph(1)
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         program = graph.lower()
         base = farm.time_program(program)
         loaded = farm.time_program(program, offload_cycles_per_job=10.0)
@@ -304,7 +304,7 @@ class TestFarmTimeProgram:
 
     def test_per_node_breakdown_keys(self):
         graph = mlp_training_graph((10, 6, 4), batch=2)
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         timing = farm.time_program(graph.lower())
         assert "fc0-fwd" in timing.per_gemm
         assert "fc1-dw" in timing.per_gemm

@@ -163,10 +163,11 @@ class TestEngineBitExactness:
         assert f64_to_bits_many(simd, bf).tolist() == exact
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
-    def test_farm_backend_validation_covers_narrow_formats(self, fmt):
-        farm = SimulationFarm(config=RedMulEConfig(format=fmt))
-        reports = farm.validate_backends([(6, 9, 18)], accumulate=True)
-        assert all(report.ok for report in reports)
+    def test_functional_runs_agree_across_backends_on_narrow_formats(
+            self, fmt):
+        key = config_key(RedMulEConfig(format=fmt))
+        assert (run_functional_job(key, 6, 9, 18, True, "exact-simd")
+                == run_functional_job(key, 6, 9, 18, True, "exact"))
 
     def test_fp8_throughput_beats_fp16_on_equal_geometry(self):
         m, n, k = 32, 32, 64
@@ -319,13 +320,12 @@ class TestFarmFormatIdentity:
     @pytest.mark.parametrize("fmt", ("fp16",) + NARROW_FORMATS)
     def test_cache_entries_round_trip_with_format_keys(self, tmp_path, fmt,
                                                        backend):
-        farm = SimulationFarm(config=RedMulEConfig(format=fmt),
-                              max_workers=1)
+        farm = SimulationFarm(config=RedMulEConfig(format=fmt))
         want = farm.run_gemm(8, 8, 8, backend=backend)
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         fresh = SimulationFarm(config=RedMulEConfig(format=fmt),
-                               max_workers=1, cache=TimingCache())
+                               cache=TimingCache())
         assert fresh.load_cache(path) == 1
         hit = fresh.run_gemm(8, 8, 8, backend=backend)
         assert hit.cache_hit and hit.record == want.record

@@ -73,7 +73,7 @@ class FakeClock:
 
 
 def _model_farm():
-    return SimulationFarm(backend="model", max_workers=1)
+    return SimulationFarm(backend="model")
 
 
 def _request(request_id, graph, arrival, tenant="t", precision=None):

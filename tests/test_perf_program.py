@@ -23,8 +23,7 @@ class TestEstimateProgram:
         config = RedMulEConfig.reference()
         program = small_program(config)
         estimate = RedMulEPerfModel(config).estimate_program(program)
-        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                              max_workers=1)
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL)
         assert estimate.serial_cycles == farm.time_program(program).cycles
         assert estimate.n_jobs == program.n_jobs
         assert estimate.total_macs == program.total_macs
@@ -77,8 +76,7 @@ class TestEstimateProgram:
         program = graph.lower(config=config)
         estimate = RedMulEPerfModel(config).estimate_program(program)
 
-        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
-                              max_workers=1)
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL)
         server = ContinuousServer(n_clusters=1, farm=farm,
                                   node_dispatch=True)
         report = server.simulate([

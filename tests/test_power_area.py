@@ -13,10 +13,13 @@ def reference():
 
 
 class TestRedMulEArea:
-    def test_reference_instance_is_0_07_mm2(self, reference):
-        """Section III-A: RedMulE occupies 0.07 mm2 in 22 nm."""
-        area = AreaModel(reference, TECH_22NM).total()
-        assert area == pytest.approx(0.07, rel=0.03)
+    @pytest.mark.parametrize("tech", [TECH_22NM, TECH_65NM],
+                             ids=lambda tech: tech.name)
+    def test_reference_instance_is_0_07_mm2(self, reference, tech):
+        """Section III-A: RedMulE occupies 0.07 mm2 in 22 nm; the 65 nm
+        port records the same instance scaled with the cluster area."""
+        area = AreaModel(reference, tech).total()
+        assert area == pytest.approx(tech.redmule_area_mm2, rel=0.03)
 
     def test_datapath_dominates_the_breakdown(self, reference):
         """Fig. 3a: the FMA datapath is by far the largest contributor."""

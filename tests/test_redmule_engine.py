@@ -275,7 +275,7 @@ class TestWatchdog:
         per FMA) stops all four."""
         config = RedMulEConfig(height=2, length=length, pipeline_regs=1,
                                z_queue_depth=length)
-        farm = SimulationFarm(config=config, backend="engine", max_workers=1)
+        farm = SimulationFarm(config=config, backend="engine")
         assert farm.run_gemm(*shape).cycles == cycles
 
     @settings(max_examples=40, deadline=None,

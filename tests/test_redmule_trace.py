@@ -412,7 +412,7 @@ class TestTraceFarm:
         """A serial trace farm's engine misses share the process-wide store:
         a second shape with the first one's tile signatures replays them
         and still times exactly like an event-stepped engine."""
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         farm.run_gemm(16, 40, 24, backend="engine")
         store = shared_trace_store(farm.config)
         hits = store.stats.hits
@@ -440,7 +440,7 @@ class TestTimingCacheSchema:
         }
 
     def test_save_writes_version_and_entries_only(self, tmp_path):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         farm.run_gemm(8, 16, 16, backend="engine")
         assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
@@ -468,13 +468,13 @@ class TestTimingCacheSchema:
 
     def test_farm_cache_round_trip_serves_trace_farm_from_entries(
             self, tmp_path):
-        farm = SimulationFarm(max_workers=1)
+        farm = SimulationFarm()
         want = farm.run_gemm(32, 32, 32, backend="engine")
         assert len(shared_trace_store(farm.config)) > 0
         path = tmp_path / "cache.json"
         farm.save_cache(path)
         reset_shared_trace_stores()
-        farm2 = SimulationFarm(max_workers=1)
+        farm2 = SimulationFarm()
         assert farm2.load_cache(path) == 1
         got = farm2.run_gemm(32, 32, 32, backend="engine")
         assert got.cache_hit and got.record == want.record

@@ -525,7 +525,7 @@ class TestScenarioRates:
         from repro.experiments import serve
         from repro.farm import SimulationFarm
 
-        farm = SimulationFarm(backend="model", max_workers=1)
+        farm = SimulationFarm(backend="model")
         run = getattr(serve, scenario)
         offered = {rps: run(duration_s=0.05, rps=rps, farm=farm).offered
                    for rps in (199.0, serve.DEFAULT_RPS, 201.0)}

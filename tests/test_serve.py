@@ -27,7 +27,7 @@ from repro.serve import (
 
 
 def _model_farm():
-    return SimulationFarm(backend="model", max_workers=1)
+    return SimulationFarm(backend="model")
 
 
 def _tenant(name="t0", rps=100.0, models=None):
@@ -418,7 +418,7 @@ class TestNodeDispatch:
 
 class TestEngineBackend:
     def test_tiny_graph_through_the_cycle_accurate_engine(self):
-        farm = SimulationFarm(backend="engine", max_workers=1)
+        farm = SimulationFarm(backend="engine")
         graph = mlp_training_graph((8, 4), batch=2, name="micro")
         requests = [Request(request_id=0, tenant="t", model="micro",
                             graph=graph, arrival_cycle=0)]

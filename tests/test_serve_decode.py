@@ -25,7 +25,7 @@ KV8 = build_decode_spec("llm-decode-tiny-kv8")
 
 @pytest.fixture(scope="module")
 def farm():
-    return SimulationFarm(backend="model", max_workers=1)
+    return SimulationFarm(backend="model")
 
 
 def _serial_cycles(farm, spec, positions, precision=None):

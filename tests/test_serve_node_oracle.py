@@ -200,7 +200,7 @@ def node_dispatch(requests, farm, n_clusters, offload_cycles_per_job=0.0,
 
 
 def _farm():
-    return SimulationFarm(backend="model", max_workers=1)
+    return SimulationFarm(backend="model")
 
 
 def _assert_same(requests, n_clusters, **costs):

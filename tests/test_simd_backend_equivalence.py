@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from repro.farm import (
     BACKEND_ENGINE,
     DEFAULT_ENGINE_MACS_THRESHOLD,
-    BackendValidationReport,
     SimulationFarm,
     TimingRecord,
     config_key,
 )
-from repro.farm.workers import _build_job
+from repro.farm.workers import _build_job, run_functional_job
 from repro.fp.formats import FORMATS, FP16, fma_bits
 from repro.fp.simd_formats import (
     bits_to_f64_many,
@@ -331,23 +330,22 @@ class TestBackendSelection:
 
 
 class TestFarmBackendValidation:
-    def test_validate_backends_passes_on_equivalent_backends(self):
-        farm = SimulationFarm()
-        reports = farm.validate_backends([(8, 16, 16), (13, 7, 5)])
-        assert all(isinstance(r, BackendValidationReport) and r.ok
-                   for r in reports)
-        assert farm.stats.backend_validations == len(reports)
-        assert farm.stats.validations == 0  # timing cross-checks untouched
+    def test_functional_runs_agree_on_equivalent_backends(self):
+        # ``run_functional_job`` returns (cycles, Z image): exact-simd must
+        # match the scalar oracle on both, bit for bit.
+        key = config_key(RedMulEConfig.reference())
+        for m, n, k in ((8, 16, 16), (13, 7, 5)):
+            assert (run_functional_job(key, m, n, k, False, "exact-simd")
+                    == run_functional_job(key, m, n, k, False, "exact"))
 
-    def test_validate_backends_detects_divergence(self):
-        farm = SimulationFarm()
-        # Every backend is bit-exact, so no pair diverges; assert on the
-        # report plumbing instead: identical backends always match.
-        reports = farm.validate_backends([(8, 16, 16)], reference="exact",
-                                         candidate="exact")
-        assert reports[0].ok
+    def test_functional_runs_reject_an_unknown_backend(self):
+        key = config_key(RedMulEConfig.reference())
+        # Every backend is bit-exact, so no pair diverges; identical
+        # backends always match, and an unknown name is refused.
+        assert (run_functional_job(key, 8, 16, 16, False, "exact")
+                == run_functional_job(key, 8, 16, 16, False, "exact"))
         with pytest.raises(ValueError):
-            farm.validate_backends([(8, 16, 16)], candidate="bogus")
+            run_functional_job(key, 8, 16, 16, False, "bogus")
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -368,7 +366,7 @@ class TestFarmBackendValidation:
                                pipeline_regs=pipeline_regs,
                                w_prefetch_lines=w_prefetch_lines,
                                z_queue_depth=max(8, length), format=precision)
-        farm = SimulationFarm(config, backend=BACKEND_ENGINE, max_workers=1)
+        farm = SimulationFarm(config, backend=BACKEND_ENGINE)
         for shape in ((m, n, k, accumulate),
                       (second_m, n, k, second_accumulate)):
             record = farm.run_gemm(*shape).record
@@ -376,7 +374,7 @@ class TestFarmBackendValidation:
 
     def test_dse_frontier_validated_jobs_equal_the_event_stepped_engine(self):
         """The 72 jobs ``dse-frontier`` cross-validates over its three
-        sampled frontier points: a pooled farm's records equal
+        sampled frontier points: an engine farm's records equal
         event-stepped ``exact-simd`` runs, job for job."""
         from repro.dse.validate import DEFAULT_MAX_MACS_PER_JOB, _sample_indices
         from repro.experiments.dse import dse_frontier
@@ -390,9 +388,8 @@ class TestFarmBackendValidation:
             program = result.graph.lower(config=config, tile=result.tile)
             jobs = [job for job in program.jobs
                     if job.total_macs <= DEFAULT_MAX_MACS_PER_JOB]
-            with SimulationFarm(config, backend=BACKEND_ENGINE,
-                                max_workers=2) as farm:
-                records = [r.record for r in farm.run(jobs)]
+            farm = SimulationFarm(config, backend=BACKEND_ENGINE)
+            records = [r.record for r in farm.run(jobs)]
             expected = {}
             for job, record in zip(jobs, records):
                 shape = (job.m, job.n, job.k, job.accumulate)

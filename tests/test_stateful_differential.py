@@ -203,7 +203,7 @@ TestTraceDifferential.settings = settings(
 # -- continuous serving loop --------------------------------------------------
 #: One shared farm (and timing cache) across examples: the machine tests the
 #: loop's bookkeeping, not the farm, so warm lookups keep it fast.
-_SERVE_FARM = SimulationFarm(backend="model", max_workers=1)
+_SERVE_FARM = SimulationFarm(backend="model")
 _SERVE_GRAPHS = {
     "mlp-tiny": build_model("mlp-tiny"),
     "conv-tiny": build_model("conv-tiny"),
