@@ -7,7 +7,7 @@ slows down, and how the HCI's starvation-free rotation bounds the effect.
 """
 
 from benchmarks.conftest import print_series, record_info
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
 from repro.mem.layout import MemoryAllocator
@@ -23,8 +23,8 @@ def _run_with_traffic(n_noisy_cores: int, max_wide_streak: int) -> dict:
     engine = RedMulE(RedMulEConfig.reference(), hci)
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
 
-    x = random_fp16_matrix(16, 64, scale=0.25, seed=0)
-    w = random_fp16_matrix(64, 32, scale=0.25, seed=1)
+    x = random_matrix(16, 64, scale=0.25, seed=0)
+    w = random_matrix(64, 32, scale=0.25, seed=1)
     hx = allocator.alloc_matrix(16, 64, "X")
     hw = allocator.alloc_matrix(64, 32, "W")
     hz = allocator.alloc_matrix(16, 32, "Z")

@@ -10,7 +10,7 @@ is the practical limit on how large a workload can be run cycle by cycle.
 
 from benchmarks.conftest import print_series, record_info
 from repro.farm import config_key, run_functional_job
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm
@@ -32,8 +32,8 @@ def _simulate(shape):
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
     hz = allocator.alloc_matrix(m, k, "Z")
-    hx.store(tcdm, random_fp16_matrix(m, n, scale=0.25, seed=m))
-    hw.store(tcdm, random_fp16_matrix(n, k, scale=0.25, seed=k))
+    hx.store(tcdm, random_matrix(m, n, scale=0.25, seed=m))
+    hw.store(tcdm, random_matrix(n, k, scale=0.25, seed=k))
     return engine.run_job(MatmulJob.from_handles(hx, hw, hz))
 
 

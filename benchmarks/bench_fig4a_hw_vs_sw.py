@@ -45,11 +45,11 @@ def test_fig4a_cycle_accurate_spot_check(benchmark):
     """Cross-check one sweep point with the cycle-accurate engine instead of
     the analytical model (slower, so only one size is simulated here)."""
     from repro.cluster import PulpCluster
-    from repro.fp.vector import random_fp16_matrix
+    from repro.fp.vector import random_matrix
 
     size = 64
-    x = random_fp16_matrix(size, size, scale=0.25, seed=0)
-    w = random_fp16_matrix(size, size, scale=0.25, seed=1)
+    x = random_matrix(size, size, scale=0.25, seed=0)
+    w = random_matrix(size, size, scale=0.25, seed=1)
 
     def run():
         cluster = PulpCluster()

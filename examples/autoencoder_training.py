@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import AutoEncoder
 from repro.experiments.fig4 import autoencoder_batching, autoencoder_training
-from repro.fp.vector import quantize_fp16
+from repro.fp.vector import quantize
 from repro.obs.report import TextTable
 from repro.power.technology import OP_22NM_PERFORMANCE
 
@@ -28,7 +28,7 @@ def train_small_model() -> None:
     model = AutoEncoder(layer_sizes=(64, 32, 16, 8, 16, 32, 64), seed=0,
                         weight_scale=0.2)
     rng = np.random.default_rng(1)
-    batch = quantize_fp16(rng.standard_normal((64, 16)))
+    batch = quantize(rng.standard_normal((64, 16)))
     for step in range(8):
         metrics = model.training_step(batch, learning_rate=0.05)
         print(f"  step {step}: reconstruction loss = {metrics['loss']:.4f}")

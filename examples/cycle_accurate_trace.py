@@ -18,7 +18,8 @@ Run with:  python examples/cycle_accurate_trace.py
 import numpy as np
 
 from repro.fp.formats import FP16
-from repro.fp.vector import matrix_from_bits, matrix_to_bits, random_fp16_matrix
+from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm, TcdmConfig
@@ -46,8 +47,8 @@ def main() -> None:
     # -- operand placement ----------------------------------------------------
     m, n, k = 8, 24, 16
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
-    x = random_fp16_matrix(m, n, scale=0.5, seed=7)
-    w = random_fp16_matrix(n, k, scale=0.5, seed=8)
+    x = random_matrix(m, n, scale=0.5, seed=7)
+    w = random_matrix(n, k, scale=0.5, seed=8)
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
     hz = allocator.alloc_matrix(m, k, "Z")
@@ -89,9 +90,8 @@ def main() -> None:
 
     # -- bit-exact verification ---------------------------------------------------
     z = hz.load(tcdm)
-    golden = matrix_from_bits(
-        matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
-    )
+    golden = bits_to_f64_many(matmul_hw_order_exact_fmt(
+        f64_to_bits_many(x, FP16), f64_to_bits_many(w, FP16), FP16), FP16)
     if np.array_equal(z, golden):
         print("Result is BIT-EXACT against the IEEE binary16 golden model.")
     else:  # pragma: no cover - would indicate a model bug

@@ -21,7 +21,7 @@ from repro import (
     PulpCluster,
     RedMulEConfig,
     SoftwareBaseline,
-    random_fp16_matrix,
+    random_matrix,
 )
 from repro.power.technology import OP_22NM_EFFICIENCY, TECH_22NM
 from repro.redmule.functional import matmul_reference_fp32
@@ -35,8 +35,8 @@ def main() -> None:
 
     # -- 2. operands --------------------------------------------------------
     m, n, k = 32, 96, 48
-    x = random_fp16_matrix(m, n, scale=0.25, seed=0)
-    w = random_fp16_matrix(n, k, scale=0.25, seed=1)
+    x = random_matrix(m, n, scale=0.25, seed=0)
+    w = random_matrix(n, k, scale=0.25, seed=1)
 
     # -- 3. offload to RedMulE ----------------------------------------------
     z, outcome = cluster.matmul(x, w)

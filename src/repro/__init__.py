@@ -10,8 +10,8 @@ Learning on RISC-V-Based Ultra-Low-Power SoCs".
 Subpackages
 -----------
 ``repro.fp``
-    Bit-exact IEEE arithmetic for FP16/BF16/FP8 (parameterised formats,
-    FMA, rounding modes, flags, mixed-precision accumulate).
+    Bit-exact round-to-nearest-even arithmetic for FP16/BF16/FP8
+    (parameterised formats, FMA, mixed-precision accumulate).
 ``repro.mem`` / ``repro.interco``
     TCDM, L2 and the Heterogeneous Cluster Interconnect.
 ``repro.hwpe``
@@ -40,10 +40,10 @@ Subpackages
 
 Quickstart
 ----------
->>> from repro import PulpCluster, random_fp16_matrix
+>>> from repro import PulpCluster, random_matrix
 >>> cluster = PulpCluster()
->>> x = random_fp16_matrix(32, 64, seed=0)
->>> w = random_fp16_matrix(64, 32, seed=1)
+>>> x = random_matrix(32, 64, seed=0)
+>>> w = random_matrix(64, 32, seed=1)
 >>> z, outcome = cluster.matmul(x, w)
 >>> outcome.accelerator.macs_per_cycle  # doctest: +SKIP
 25.9
@@ -61,12 +61,9 @@ from repro.farm import (
 from repro.fp import (
     FORMATS,
     BinaryFormat,
-    RoundingMode,
     fma_mixed,
     get_format,
     quantize,
-    quantize_fp16,
-    random_fp16_matrix,
     random_matrix,
 )
 from repro.mem import MatrixHandle, MemoryAllocator, Tcdm, TcdmConfig
@@ -125,7 +122,6 @@ __all__ = [
     "RedMulEPerfModel",
     "RedMulEResult",
     "RequestGenerator",
-    "RoundingMode",
     "SimulationFarm",
     "SoftwareBaseline",
     "SweepResult",
@@ -143,7 +139,5 @@ __all__ = [
     "fma_mixed",
     "get_format",
     "quantize",
-    "quantize_fp16",
-    "random_fp16_matrix",
     "random_matrix",
 ]

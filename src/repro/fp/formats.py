@@ -22,10 +22,12 @@ subnormals -- which is the FPnew convention this model reproduces (the OCP
 variant of E4M3 that trades the infinities for one extra binade is *not*
 modelled).
 
-Besides the per-format scalar kernels, this module provides the
-*mixed-precision* fused multiply-add :func:`fma_mixed`: multiply in a narrow
-operand format, accumulate (and round once) in a wider format, which is how
-an FP8 datapath keeps long dot products from drowning in rounding error.
+Every rounding is round-to-nearest, ties to even (RNE), the one mode
+RedMulE's FMA units implement; overflow rounds to infinity.  Besides the
+per-format scalar kernels, this module provides the *mixed-precision* fused
+multiply-add :func:`fma_mixed`: multiply in a narrow operand format,
+accumulate (and round once) in a wider format, which is how an FP8 datapath
+keeps long dot products from drowning in rounding error.
 """
 
 from __future__ import annotations
@@ -37,8 +39,24 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
-from repro.fp.flags import ExceptionFlags
-from repro.fp.rounding import RoundingMode, overflow_result, round_shifted
+
+def round_shifted(magnitude: int, rshift: int) -> int:
+    """Round ``magnitude / 2**rshift`` to the nearest integer, ties to even.
+
+    The single rounding step shared by the FMA, the float64 conversion and
+    the pack/normalise logic.  ``magnitude`` must be non-negative; a
+    non-positive ``rshift`` is exact and shifts left.
+    """
+    if magnitude < 0:
+        raise ValueError("round_shifted expects a non-negative magnitude")
+    if rshift <= 0:
+        return magnitude << (-rshift)
+    truncated = magnitude >> rshift
+    remainder = magnitude & ((1 << rshift) - 1)
+    half = 1 << (rshift - 1)
+    if remainder > half or (remainder == half and truncated & 1):
+        return truncated + 1
+    return truncated
 
 
 class FloatClass(enum.Enum):
@@ -250,64 +268,36 @@ class BinaryFormat:
             return sign, man, self.subnormal_exp
         return sign, man | self.implicit_one, exp_field - self.bias - self.man_bits
 
-    def pack(self, sign: int, magnitude: int, exponent: int,
-             mode: RoundingMode = RoundingMode.RNE, flags=None) -> int:
+    def pack(self, sign: int, magnitude: int, exponent: int) -> int:
         """Round and pack ``(-1)**sign * magnitude * 2**exponent``.
 
         The shared normalise/round/encode step of every arithmetic operation;
-        ``magnitude`` must be a strictly positive integer.  Overflow /
-        underflow / inexact flags are raised on ``flags`` when given.
+        ``magnitude`` must be a strictly positive integer.
         """
         if magnitude <= 0:
             raise ValueError("pack requires a strictly positive magnitude")
-        negative = bool(sign)
         length = magnitude.bit_length()
         unbiased = exponent + length - 1
         man_bits = self.man_bits
         implicit = self.implicit_one
+        sign_bit = (sign & 1) << (self.storage_bits - 1)
 
-        inexact = False
         if unbiased >= self.emin:
             # Normal-range candidate: keep man_bits + 1 significand bits.
-            rshift = length - (man_bits + 1)
-            sig, inexact = round_shifted(magnitude, rshift, mode, negative)
+            sig = round_shifted(magnitude, length - (man_bits + 1))
             if sig == (implicit << 1):
                 sig >>= 1
                 unbiased += 1
             if unbiased > self.emax:
-                if flags is not None:
-                    flags.overflow = True
-                    flags.inexact = True
-                if overflow_result(mode, negative) == "inf":
-                    return self.neg_inf_bits if negative else self.pos_inf_bits
-                return self.max_finite_bits | (self.sign_mask if negative else 0)
-            bits = (
-                ((sign & 1) << (self.storage_bits - 1))
-                | ((unbiased + self.bias) << man_bits)
-                | (sig - implicit)
-            )
-        else:
-            # Subnormal range: multiples of 2**subnormal_exp.
-            rshift = self.subnormal_exp - exponent
-            sig, inexact = round_shifted(magnitude, rshift, mode, negative)
-            if sig >= implicit:
-                # Rounded up into the smallest normal number.
-                bits = (
-                    ((sign & 1) << (self.storage_bits - 1))
-                    | (1 << man_bits)
-                    | (sig - implicit)
-                )
-            else:
-                bits = ((sign & 1) << (self.storage_bits - 1)) | sig
-                if flags is not None and inexact:
-                    flags.underflow = True
-        if flags is not None and inexact:
-            flags.inexact = True
-        return bits
+                return sign_bit | self.exp_mask
+            return sign_bit | ((unbiased + self.bias) << man_bits) | (sig - implicit)
+        # Subnormal range: multiples of 2**subnormal_exp.  A significand that
+        # rounds up to ``implicit`` is the smallest normal number, whose
+        # exponent field the carry into bit ``man_bits`` sets.
+        return sign_bit | round_shifted(magnitude, self.subnormal_exp - exponent)
 
     # -- conversion ----------------------------------------------------------
-    def float_to_bits(self, value: float,
-                      mode: RoundingMode = RoundingMode.RNE, flags=None) -> int:
+    def float_to_bits(self, value: float) -> int:
         """Convert a Python float (binary64) to a pattern with one rounding."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"expected a real number, got {type(value).__name__}")
@@ -330,7 +320,7 @@ class BinaryFormat:
         else:
             magnitude = man_field | (1 << 52)
             exponent = exp_field - 1023 - 52
-        return self.pack(sign, magnitude, exponent, mode, flags)
+        return self.pack(sign, magnitude, exponent)
 
     def bits_to_float(self, bits: int) -> float:
         """Convert a pattern to the exact Python float it represents."""
@@ -368,8 +358,6 @@ def fma_mixed(
     c: int,
     op_fmt: BinaryFormat,
     acc_fmt: Optional[BinaryFormat] = None,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
 ) -> int:
     """Compute ``a * b + c`` with one rounding, mixing operand formats.
 
@@ -394,15 +382,11 @@ def fma_mixed(
     if (op_fmt.is_inf(a) and op_fmt.is_zero(b)) or (
         op_fmt.is_zero(a) and op_fmt.is_inf(b)
     ):
-        if flags is not None:
-            flags.invalid = True
         return acc_fmt.nan_bits
 
     product_inf = op_fmt.is_inf(a) or op_fmt.is_inf(b)
     if product_inf:
         if acc_fmt.is_inf(c) and sign_c != product_sign:
-            if flags is not None:
-                flags.invalid = True
             return acc_fmt.nan_bits
         return _inf_bits(acc_fmt, product_sign)
     if acc_fmt.is_inf(c):
@@ -411,9 +395,8 @@ def fma_mixed(
     # --- zero handling ------------------------------------------------------
     product_zero = op_fmt.is_zero(a) or op_fmt.is_zero(b)
     if product_zero and acc_fmt.is_zero(c):
-        if product_sign == sign_c:
-            return _zero_bits(acc_fmt, product_sign)
-        return _zero_bits(acc_fmt, 1 if mode is RoundingMode.RDN else 0)
+        # -0 + -0 is -0; any other sum of zeros is +0 under RNE.
+        return _zero_bits(acc_fmt, product_sign & sign_c)
     if product_zero:
         # Exact: the addend passes through unchanged.
         return c
@@ -425,7 +408,7 @@ def fma_mixed(
     product_exp = exp_a + exp_b
 
     if acc_fmt.is_zero(c):
-        return acc_fmt.pack(product_sign, product_sig, product_exp, mode, flags)
+        return acc_fmt.pack(product_sign, product_sig, product_exp)
 
     _, sig_c, exp_c = acc_fmt.decompose(c)
 
@@ -438,76 +421,16 @@ def fma_mixed(
         -addend_val if sign_c else addend_val
     )
     if signed_sum == 0:
-        # Exact cancellation: IEEE mandates +0 except under round-down.
-        return _zero_bits(acc_fmt, 1 if mode is RoundingMode.RDN else 0)
+        # Exact cancellation: IEEE mandates +0 under round-to-nearest.
+        return _zero_bits(acc_fmt, 0)
 
     result_sign = 1 if signed_sum < 0 else 0
-    return acc_fmt.pack(result_sign, abs(signed_sum), common_exp, mode, flags)
+    return acc_fmt.pack(result_sign, abs(signed_sum), common_exp)
 
 
-def fma_bits(
-    a: int,
-    b: int,
-    c: int,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> int:
+def fma_bits(a: int, b: int, c: int, fmt: BinaryFormat) -> int:
     """Single-format fused multiply-add ``a * b + c`` with one rounding."""
-    return fma_mixed(a, b, c, fmt, fmt, mode, flags)
-
-
-def mul_bits(
-    a: int,
-    b: int,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> int:
-    """Compute ``a * b`` in ``fmt``."""
-    if fmt.is_nan(a) or fmt.is_nan(b):
-        return fmt.nan_bits
-    sign = fmt.sign_of(a) ^ fmt.sign_of(b)
-    if (fmt.is_inf(a) and fmt.is_zero(b)) or (fmt.is_zero(a) and fmt.is_inf(b)):
-        if flags is not None:
-            flags.invalid = True
-        return fmt.nan_bits
-    if fmt.is_inf(a) or fmt.is_inf(b):
-        return _inf_bits(fmt, sign)
-    if fmt.is_zero(a) or fmt.is_zero(b):
-        return _zero_bits(fmt, sign)
-    _, sig_a, exp_a = fmt.decompose(a)
-    _, sig_b, exp_b = fmt.decompose(b)
-    return fmt.pack(sign, sig_a * sig_b, exp_a + exp_b, mode, flags)
-
-
-def add_bits(
-    a: int,
-    b: int,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> int:
-    """Compute ``a + b`` in ``fmt`` (via the exact FMA, ``a * 1 + b``)."""
-    return fma_bits(a, fmt.one_bits, b, fmt, mode, flags)
-
-
-def sub_bits(
-    a: int,
-    b: int,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> int:
-    """Compute ``a - b`` in ``fmt``."""
-    return fma_bits(a, fmt.one_bits, neg_bits(b, fmt), fmt, mode, flags)
-
-
-def neg_bits(a: int, fmt: BinaryFormat) -> int:
-    """Negate a pattern (sign-bit flip; NaNs pass through)."""
-    if fmt.is_nan(a):
-        return a
-    return a ^ fmt.sign_mask
+    return fma_mixed(a, b, c, fmt, fmt)
 
 
 #: IEEE binary16 (the paper's baseline precision).

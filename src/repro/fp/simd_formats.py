@@ -5,10 +5,9 @@ registered format (FP16, BF16, FP8-E4M3, FP8-E5M2) *and* for
 mixed-precision accumulation (narrow multiply, wide accumulate).  All
 arithmetic kernels operate on integer pattern arrays with pure int64 bit
 manipulation and are bit-for-bit identical to the scalar oracles in
-:mod:`repro.fp.formats`, element by element, for every operand class and
-every rounding mode; the property tests assert the equivalence.  IEEE
-exception flags are *aggregated*: a flag passed in is raised when any
-element raised it, the way a vector unit ORs its lanes into one ``fflags``.
+:mod:`repro.fp.formats`, element by element, for every operand class; the
+property tests assert the equivalence.  Like the scalar oracles, every
+kernel rounds to nearest, ties to even.
 
 Implementation notes
 --------------------
@@ -26,8 +25,8 @@ Implementation notes
 
   In both cases the substituted operand lies strictly below the workspace
   LSB, so only the "are the discarded bits non-zero" question -- never their
-  value -- can influence the rounding, for every mode; borrow/carry
-  propagation is handled by the ordinary integer subtraction of the sticky.
+  value -- can influence the rounding; borrow/carry propagation is handled
+  by the ordinary integer subtraction of the sticky.
 * Right shifts inside the rounding helper are clamped to 62: a shift that
   large discards every bit of a sub-``2**61`` magnitude, and the clamped
   half-comparison makes the same decision as the unclamped one.
@@ -35,7 +34,7 @@ Implementation notes
   and are overwritten by masked selects in scalar-priority order.
 * IEEE binary16 is numpy's ``float16``, whose float64 casts round to
   nearest-even with gradual underflow and overflow to infinity: exactly
-  :meth:`BinaryFormat.float_to_bits` under RNE.  The float codec and the
+  :meth:`BinaryFormat.float_to_bits`.  The float codec and the
   guarded kernel therefore convert and round binary16 natively instead of
   through the integer packer (the engine's hot path), and this module is the
   only place that tests for the format.  NaN lanes are the one difference: the cast
@@ -56,9 +55,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import BinaryFormat
-from repro.fp.rounding import RoundingMode
 
 #: Per-format decode lookup tables (pattern -> exact float64 value).
 _DECODE_TABLES: Dict[str, np.ndarray] = {}
@@ -139,41 +136,30 @@ def bits_to_f64_many(bits, fmt: BinaryFormat) -> np.ndarray:
     return table[u.astype(np.int64)]
 
 
-def f64_to_bits_many(
-    values,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
-    """Round a ``float64`` array to ``fmt`` patterns (bit-exact, any mode).
+def f64_to_bits_many(values, fmt: BinaryFormat) -> np.ndarray:
+    """Round a ``float64`` array to ``fmt`` patterns (bit-exact).
 
     Element-for-element equivalent to mapping
-    :meth:`BinaryFormat.float_to_bits` over the array.  Without flags and
-    under RNE, binary16 casts natively and the FP8 formats look their
-    patterns up in :func:`round_tables`; everything else runs the integer
-    codec (:func:`f64_to_bits_codec`).
+    :meth:`BinaryFormat.float_to_bits` over the array.  Binary16 casts
+    natively and the FP8 formats look their patterns up in
+    :func:`round_tables`; everything else runs the integer codec
+    (:func:`f64_to_bits_codec`).
     """
     values = np.asarray(values, dtype=np.float64)
-    if flags is None and mode is RoundingMode.RNE:
-        if _native_binary16(fmt):
-            with np.errstate(over="ignore"):
-                bits = values.astype(np.float16).view(np.uint16)
-            nan = np.isnan(values)
-            if nan.any():
-                bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
-            return bits
-        if fmt.man_bits < _ROUND_KEY_MAN_BITS:
-            patterns = round_tables(fmt)[0]
-            return np.asarray(patterns.take(_round_key(values.view(np.int64))))
-    return f64_to_bits_codec(values, fmt, mode, flags)
+    if _native_binary16(fmt):
+        with np.errstate(over="ignore"):
+            bits = values.astype(np.float16).view(np.uint16)
+        nan = np.isnan(values)
+        if nan.any():
+            bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
+        return bits
+    if fmt.man_bits < _ROUND_KEY_MAN_BITS:
+        patterns = round_tables(fmt)[0]
+        return np.asarray(patterns.take(_round_key(values.view(np.int64))))
+    return f64_to_bits_codec(values, fmt)
 
 
-def f64_to_bits_codec(
-    values,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
+def f64_to_bits_codec(values, fmt: BinaryFormat) -> np.ndarray:
     """The integer codec behind :func:`f64_to_bits_many`, for every format.
 
     Decomposes each float64 into sign, integer significand and exponent and
@@ -199,9 +185,7 @@ def f64_to_bits_codec(
     pack_lanes = ~special
     magnitude = np.where(pack_lanes, magnitude, np.int64(1))
     exponent = np.where(pack_lanes, exponent, np.int64(0))
-    bits, overflow, underflow, inexact = _pack_arrays_fmt(
-        sign, magnitude, exponent, fmt, mode
-    )
+    bits = _pack_arrays_fmt(sign, magnitude, exponent, fmt)
 
     if special.any():
         bits = np.where(is_zero, sign << (fmt.storage_bits - 1), bits)
@@ -212,10 +196,6 @@ def f64_to_bits_codec(
             bits,
         )
         bits = np.where(is_nan, np.int64(fmt.nan_bits), bits)
-    if flags is not None:
-        flags.overflow |= bool(np.any(overflow & pack_lanes))
-        flags.underflow |= bool(np.any(underflow & pack_lanes))
-        flags.inexact |= bool(np.any(inexact & pack_lanes))
     return bits.astype(format_dtype(fmt)).reshape(shape)
 
 
@@ -336,54 +316,23 @@ def _bit_length(values: np.ndarray) -> np.ndarray:
     return exponents - overshoot
 
 
-def _round_shifted_arrays_fmt(
-    magnitude: np.ndarray,
-    rshift: np.ndarray,
-    mode: RoundingMode,
-    negative: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`repro.fp.rounding.round_shifted` core (int64 workspace).
+def _round_shifted_arrays_fmt(magnitude: np.ndarray,
+                              rshift: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`repro.fp.formats.round_shifted` (int64 workspace).
 
     ``magnitude`` must be non-negative and below 2**62; right shifts are
     clamped to 62, which preserves every rounding decision for such
     magnitudes (the clamped remainder stays on the same side of the clamped
-    half in every mode).  Negative shifts shift left exactly.
+    half).  Negative shifts shift left exactly.
     """
     zero = np.int64(0)
     right = np.minimum(np.maximum(rshift, zero), np.int64(62))
     truncated = magnitude >> right
     remainder = magnitude - (truncated << right)
-    inexact = remainder != 0
-    if mode is RoundingMode.RNE:
-        half = (np.int64(1) << right) >> 1
-        increment = (remainder > half) | ((remainder == half) & ((truncated & 1) == 1))
-    elif mode is RoundingMode.RTZ:
-        increment = np.zeros_like(inexact)
-    elif mode is RoundingMode.RDN:
-        increment = negative & inexact
-    elif mode is RoundingMode.RUP:
-        increment = ~negative & inexact
-    elif mode is RoundingMode.RMM:
-        half = (np.int64(1) << right) >> 1
-        increment = inexact & (remainder >= half)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    rounded = truncated + increment
+    half = (np.int64(1) << right) >> 1
+    increment = (remainder > half) | ((remainder == half) & ((truncated & 1) == 1))
     exact_left = magnitude << np.maximum(-rshift, zero)
-    return np.where(rshift > 0, rounded, exact_left), inexact
-
-
-def _overflow_to_inf(mode: RoundingMode, negative: np.ndarray) -> np.ndarray:
-    """Mask of lanes whose overflow saturates to infinity (vs. max finite)."""
-    if mode in (RoundingMode.RNE, RoundingMode.RMM):
-        return np.ones_like(negative)
-    if mode is RoundingMode.RTZ:
-        return np.zeros_like(negative)
-    if mode is RoundingMode.RUP:
-        return ~negative
-    if mode is RoundingMode.RDN:
-        return negative
-    raise ValueError(f"unknown rounding mode {mode!r}")  # pragma: no cover
+    return np.where(rshift > 0, truncated + increment, exact_left)
 
 
 def _pack_arrays_fmt(
@@ -391,15 +340,12 @@ def _pack_arrays_fmt(
     magnitude: np.ndarray,
     exponent: np.ndarray,
     fmt: BinaryFormat,
-    mode: RoundingMode,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Vectorised :meth:`BinaryFormat.pack` core.
 
     All arguments are ``int64`` arrays; ``magnitude`` must be strictly
-    positive and below 2**62.  Returns ``(bits, overflow, underflow,
-    inexact)`` with per-element flag vectors.
+    positive and below 2**62.  Returns the ``int64`` patterns.
     """
-    negative = sign != 0
     man_bits = fmt.man_bits
     implicit = np.int64(fmt.implicit_one)
     length = _bit_length(magnitude)
@@ -412,63 +358,21 @@ def _pack_arrays_fmt(
     else:
         rshift = np.where(normal, length - (man_bits + 1),
                           fmt.subnormal_exp - exponent)
-    sig, inexact = _round_shifted_arrays_fmt(magnitude, rshift, mode, negative)
+    sig = _round_shifted_arrays_fmt(magnitude, rshift)
 
     carried = normal & (sig == (implicit << 1))
     sig_n = np.where(carried, implicit, sig)
     unbiased_n = unbiased + carried
     overflow = normal & (unbiased_n > fmt.emax)
-    sign_shift = fmt.storage_bits - 1
-    bits = (sign << sign_shift) | ((unbiased_n + fmt.bias) << man_bits) | (
-        sig_n - implicit
-    )
+    sign_bits = sign << (fmt.storage_bits - 1)
+    bits = sign_bits | ((unbiased_n + fmt.bias) << man_bits) | (sig_n - implicit)
     if overflow.any():
-        saturate_inf = _overflow_to_inf(mode, negative)
-        overflow_bits = np.where(
-            saturate_inf,
-            np.where(negative, np.int64(fmt.neg_inf_bits),
-                     np.int64(fmt.pos_inf_bits)),
-            fmt.max_finite_bits | (sign << sign_shift),
-        )
-        bits = np.where(overflow, overflow_bits, bits)
-    inexact = inexact | overflow
-    underflow = np.zeros_like(normal)
-
+        bits = np.where(overflow, sign_bits | fmt.exp_mask, bits)
     if not all_normal:
-        rounded_to_normal = ~normal & (sig >= implicit)
-        bits_s = np.where(
-            rounded_to_normal,
-            (sign << sign_shift) | (1 << man_bits) | (sig - implicit),
-            (sign << sign_shift) | sig,
-        )
-        bits = np.where(normal, bits, bits_s)
-        underflow = ~normal & inexact & ~rounded_to_normal
-    return bits, overflow, underflow, inexact
-
-
-def pack_many_fmt(
-    sign,
-    magnitude,
-    exponent,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
-    """Vectorised :meth:`BinaryFormat.pack` with aggregated flags."""
-    magnitude = np.asarray(magnitude, dtype=np.int64)
-    if np.any(magnitude <= 0):
-        raise ValueError("pack_many_fmt requires strictly positive magnitudes")
-    sign = np.broadcast_to(np.asarray(sign, dtype=np.int64), magnitude.shape)
-    exponent = np.broadcast_to(np.asarray(exponent, dtype=np.int64),
-                               magnitude.shape)
-    bits, overflow, underflow, inexact = _pack_arrays_fmt(
-        sign, magnitude, exponent, fmt, mode
-    )
-    if flags is not None:
-        flags.overflow |= bool(np.any(overflow))
-        flags.underflow |= bool(np.any(underflow))
-        flags.inexact |= bool(np.any(inexact))
-    return bits.astype(format_dtype(fmt))
+        # A subnormal significand that rounds up to ``implicit`` is the
+        # smallest normal number: the carry sets its exponent field.
+        bits = np.where(normal, bits, sign_bits | sig)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +385,6 @@ def fma_mixed_many(
     c,
     op_fmt: BinaryFormat,
     acc_fmt: Optional[BinaryFormat] = None,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
 ) -> np.ndarray:
     """Element-wise mixed-precision ``a * b + c`` with one rounding.
 
@@ -565,16 +467,10 @@ def fma_mixed_many(
     result_sign = (signed_sum < 0).astype(np.int64)
     magnitude = np.where(pack_lanes, np.abs(signed_sum), np.int64(1))
     pack_exp = np.where(pack_lanes, common_exp, np.int64(0))
-    bits, overflow, underflow, inexact = _pack_arrays_fmt(
-        result_sign, magnitude, pack_exp, acc_fmt, mode
-    )
+    bits = _pack_arrays_fmt(result_sign, magnitude, pack_exp, acc_fmt)
 
     if cancel.any():
-        cancel_zero = np.int64(
-            acc_fmt.sign_mask if mode is RoundingMode.RDN else 0
-        )
-        bits = np.where(cancel, cancel_zero, bits)
-    invalid_any = False
+        bits = np.where(cancel, np.int64(0), bits)
     if special_any:
         nan = (abs_a > op_exp) | (abs_b > op_exp) | (abs_c > acc_exp)
         inf_a = abs_a == op_exp
@@ -586,13 +482,8 @@ def fma_mixed_many(
             | ((abs_a == 0) & inf_b)
             | (product_inf & inf_c & (product_sign != sign_c))
         )
-        invalid_any = bool(invalid.any())
-        zero_sign = np.where(
-            product_sign == sign_c,
-            product_sign,
-            np.int64(1 if mode is RoundingMode.RDN else 0),
-        )
-        bits = np.where(both_zero, zero_sign << acc_sign_shift, bits)
+        bits = np.where(both_zero, (product_sign & sign_c) << acc_sign_shift,
+                        bits)
         bits = np.where(inf_c & ~product_inf & ~nan, ci, bits)
         bits = np.where(
             product_inf,
@@ -600,96 +491,12 @@ def fma_mixed_many(
             bits,
         )
         bits = np.where(invalid | nan, np.int64(acc_fmt.nan_bits), bits)
-
-    if flags is not None:
-        flags.invalid |= invalid_any
-        flags.overflow |= bool(np.any(overflow & pack_lanes))
-        flags.underflow |= bool(np.any(underflow & pack_lanes))
-        flags.inexact |= bool(np.any(inexact & pack_lanes))
     return bits.astype(format_dtype(acc_fmt)).reshape(shape)
 
 
-def fma_many_fmt(
-    a,
-    b,
-    c,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
+def fma_many_fmt(a, b, c, fmt: BinaryFormat) -> np.ndarray:
     """Element-wise single-format ``a * b + c`` with one rounding."""
-    return fma_mixed_many(a, b, c, fmt, fmt, mode, flags)
-
-
-def mul_many_fmt(
-    a,
-    b,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
-    """Element-wise ``a * b`` in ``fmt`` (broadcasting), scalar-equivalent."""
-    a, b = np.broadcast_arrays(as_bits_many(a, fmt), as_bits_many(b, fmt))
-    shape = a.shape
-    ai = a.astype(np.int64).ravel()
-    bi = b.astype(np.int64).ravel()
-    abs_mask = np.int64(fmt.abs_mask)
-    exp_mask = np.int64(fmt.exp_mask)
-    sign_shift = fmt.storage_bits - 1
-
-    abs_a = ai & abs_mask
-    abs_b = bi & abs_mask
-    sign = ((ai ^ bi) >> sign_shift) & 1
-    special = (np.maximum(abs_a, abs_b) >= exp_mask) | (
-        np.minimum(abs_a, abs_b) == 0
-    )
-
-    sig_a, exp_a = _decompose_magnitude_fmt(abs_a, fmt)
-    sig_b, exp_b = _decompose_magnitude_fmt(abs_b, fmt)
-    pack_lanes = ~special
-    magnitude = np.where(pack_lanes, sig_a * sig_b, np.int64(1))
-    exponent = np.where(pack_lanes, exp_a + exp_b, np.int64(0))
-    bits, overflow, underflow, inexact = _pack_arrays_fmt(
-        sign, magnitude, exponent, fmt, mode
-    )
-
-    invalid_any = False
-    if special.any():
-        nan = (abs_a > exp_mask) | (abs_b > exp_mask)
-        inf_a = abs_a == exp_mask
-        inf_b = abs_b == exp_mask
-        invalid = ~nan & ((inf_a & (abs_b == 0)) | ((abs_a == 0) & inf_b))
-        invalid_any = bool(invalid.any())
-        bits = np.where((abs_a == 0) | (abs_b == 0), sign << sign_shift, bits)
-        bits = np.where(inf_a | inf_b, (sign << sign_shift) | exp_mask, bits)
-        bits = np.where(invalid | nan, np.int64(fmt.nan_bits), bits)
-    if flags is not None:
-        flags.invalid |= invalid_any
-        flags.overflow |= bool(np.any(overflow & pack_lanes))
-        flags.underflow |= bool(np.any(underflow & pack_lanes))
-        flags.inexact |= bool(np.any(inexact & pack_lanes))
-    return bits.astype(format_dtype(fmt)).reshape(shape)
-
-
-def add_many_fmt(
-    a,
-    b,
-    fmt: BinaryFormat,
-    mode: RoundingMode = RoundingMode.RNE,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
-    """Element-wise ``a + b`` in ``fmt``, via the exact FMA (``a * 1 + b``)."""
-    one = format_dtype(fmt)(fmt.one_bits)
-    return fma_many_fmt(a, one, b, fmt, mode, flags)
-
-
-def neg_many_fmt(a, fmt: BinaryFormat) -> np.ndarray:
-    """Element-wise sign-bit flip (NaNs pass through unchanged)."""
-    u = as_bits_many(a, fmt)
-    dtype = format_dtype(fmt)
-    wide = u.astype(np.int64)
-    nan = (wide & fmt.abs_mask) > fmt.exp_mask
-    return np.where(nan, wide, wide ^ fmt.sign_mask).astype(dtype)
+    return fma_mixed_many(a, b, c, fmt, fmt)
 
 
 def exact_sum_bound(fmt: BinaryFormat) -> float:

@@ -1,17 +1,17 @@
-"""Matrix <-> floating-point pattern conversion helpers.
+"""Matrix helpers over any :class:`~repro.fp.formats.BinaryFormat`.
 
 RedMulE reads and writes matrices stored row-major in the TCDM as packed
 little-endian elements (16-bit for FP16/BF16, 8-bit for the FP8 formats).
-These helpers convert between numpy arrays (the convenient representation
-for workloads and golden models), 2-D lists of bit patterns (what the
-cycle-accurate model consumes) and raw byte images (what the memory model
-stores).  The ``*_fp16`` names keep the established binary16 vocabulary; the
-format-generic functions take any :class:`~repro.fp.formats.BinaryFormat`.
+These helpers round numpy arrays (the convenient representation for
+workloads and golden models) to a format and convert them to and from the
+raw byte images the memory model stores.  Values come back as ``float64``;
+pattern arrays are :func:`~repro.fp.simd_formats.f64_to_bits_many` and
+:func:`~repro.fp.simd_formats.bits_to_f64_many` away.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,32 +31,6 @@ def quantize(matrix: np.ndarray, fmt: FormatLike = FP16) -> np.ndarray:
     fmt = get_format(fmt)
     values = np.asarray(matrix, dtype=np.float64)
     return bits_to_f64_many(f64_to_bits_many(values, fmt), fmt)
-
-
-def quantize_fp16(matrix: np.ndarray) -> np.ndarray:
-    """Round an arbitrary float array to binary16 and return it as float32."""
-    return np.asarray(matrix, dtype=np.float64).astype(np.float16).astype(np.float32)
-
-
-def matrix_to_bits(matrix: np.ndarray) -> List[List[int]]:
-    """Convert a 2-D array to a list-of-lists of 16-bit FP16 patterns."""
-    array = np.asarray(matrix)
-    if array.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {array.shape}")
-    as_u16 = array.astype(np.float16).view(np.uint16)
-    return [[int(v) for v in row] for row in as_u16]
-
-
-def matrix_from_bits(bits: Sequence[Sequence[int]]) -> np.ndarray:
-    """Convert a list-of-lists of 16-bit patterns to a float32 numpy array."""
-    rows = len(bits)
-    cols = len(bits[0]) if rows else 0
-    out = np.empty((rows, cols), dtype=np.uint16)
-    for i, row in enumerate(bits):
-        if len(row) != cols:
-            raise ValueError("ragged bit matrix")
-        out[i, :] = row
-    return out.view(np.float16).astype(np.float32)
 
 
 def pack_matrix(matrix: np.ndarray, fmt: FormatLike) -> bytes:
@@ -103,22 +77,3 @@ def random_matrix(
         rng = np.random.default_rng(seed)
     raw = rng.standard_normal((rows, cols)) * scale
     return quantize(raw, fmt)
-
-
-def random_fp16_matrix(
-    rows: int,
-    cols: int,
-    scale: float = 1.0,
-    seed: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Generate a random matrix of binary16-representable values.
-
-    Values are drawn from a normal distribution scaled by ``scale`` (chosen so
-    FP16 accumulation of realistic layer sizes does not overflow) and rounded
-    to binary16.  The result is returned as float32 holding exact FP16 values.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((rows, cols)) * scale
-    return quantize_fp16(raw)

@@ -44,7 +44,6 @@ from repro.redmule.functional import (
 from repro.redmule.trace import (
     ScheduleTrace,
     TraceStore,
-    replay_dataplane,
     reset_shared_trace_stores,
     shared_trace_store,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "matmul_hw_order_exact_fmt",
     "matmul_hw_order_simd_fmt",
     "matmul_reference_fp32",
-    "replay_dataplane",
     "reset_shared_trace_stores",
     "shared_trace_store",
 ]

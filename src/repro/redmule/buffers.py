@@ -55,7 +55,7 @@ class XBlockBuffer:
         self._blocks.clear()
 
     def resident_blocks(self) -> List[int]:
-        """Indices of blocks currently (partially) resident."""
+        """Indices of blocks currently reserved or (partially) resident."""
         return sorted(self._blocks)
 
     def can_accept(self, block: int) -> bool:
@@ -64,14 +64,22 @@ class XBlockBuffer:
             return True
         return len(self._blocks) < self.capacity_blocks
 
-    def load_line(self, block: int, row: int, line: object) -> None:
-        """Store the X line of ``row`` for ``block`` (one wide memory access)."""
+    def reserve(self, block: int) -> List[Optional[object]]:
+        """Claim a slot for ``block`` and return its per-row lines.
+
+        The engine reserves a block when it queues the block's loads, so a
+        block whose lines are still in flight counts against the capacity.
+        """
         if not self.can_accept(block):
             raise RuntimeError(
                 f"X buffer overflow: block {block} does not fit "
                 f"(resident: {self.resident_blocks()})"
             )
-        rows = self._blocks.setdefault(block, [None] * self.config.length)
+        return self._blocks.setdefault(block, [None] * self.config.length)
+
+    def load_line(self, block: int, row: int, line: object) -> None:
+        """Store the X line of ``row`` for ``block`` (one wide memory access)."""
+        rows = self.reserve(block)
         if rows[row] is not None:
             raise RuntimeError(f"X line (block {block}, row {row}) loaded twice")
         rows[row] = line

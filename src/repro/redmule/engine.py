@@ -538,6 +538,7 @@ class RedMulE:
             and t >= (next_block - 1) * block_cycles
             and xbuf.can_accept(next_block)
         ):
+            xbuf.reserve(next_block)
             n_start = next_block * cfg.elements_per_line
             n_count = min(cfg.elements_per_line, job.n - n_start)
             for row in range(cfg.length):

@@ -22,17 +22,15 @@ in cycle-level simulators (pymtl3's ``OpenLoopCLPass``) do:
   backlog, contention environment)*; one store per architectural
   configuration (:func:`shared_trace_store`), so the full key is
   ``(config, tile signature, contention env)``;
-* :func:`replay_dataplane` -- the batched format-parametric FMA chain that
-  re-computes only the data plane of a tile, driven by the geometry's lane
-  mask (bit-identical to the scalar oracle; the same chain kernel the
-  event-stepped engine runs per tile, plus an exception-flag-exact
-  variant);
 * :class:`ReplaySession` -- the hybrid executor used by
   ``RedMulE(backend="trace")``: tiles whose schedule is already recorded are
   replayed in signature-grouped batches at numpy speed, unseen tiles are
   event-stepped (and recorded), and the Z store backlog is reconstructed at
   every replay/event-step boundary so the two execution modes interleave
-  without drift.
+  without drift.  A replayed batch re-computes only its data plane, with
+  the chain kernel the event-stepped engine runs per tile
+  (:meth:`repro.redmule.vector_ops.ExactSimdVectorOps.chain`), driven by
+  the geometry's lane mask.
 
 Replayed tiles reproduce the event-stepped engine exactly where it is
 observable: TCDM contents, ``RedMulEResult`` cycle/stall/issue counters and
@@ -60,13 +58,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fp.flags import ExceptionFlags
-from repro.fp.formats import BinaryFormat
-from repro.fp.simd_formats import fma_many_fmt, format_dtype
+from repro.fp.simd_formats import format_dtype
 from repro.redmule.buffers import ZStoreRequest
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.streamer import StreamRequest
-from repro.redmule.vector_ops import ExactSimdVectorOps
 
 #: The only contention environment a trace can be replayed under: no
 #: logarithmic-branch traffic contends with the wide port, so the branch
@@ -189,52 +184,6 @@ def shared_trace_store(config: RedMulEConfig) -> TraceStore:
 def reset_shared_trace_stores() -> None:
     """Drop every shared store (test isolation / benchmark cold starts)."""
     _SHARED_STORES.clear()
-
-
-# ---------------------------------------------------------------------------
-# data-plane replay
-# ---------------------------------------------------------------------------
-
-
-def replay_dataplane(
-    x_bits: np.ndarray,
-    w_bits: np.ndarray,
-    acc_bits: np.ndarray,
-    active_mask: np.ndarray,
-    fmt: BinaryFormat,
-    flags: Optional[ExceptionFlags] = None,
-) -> np.ndarray:
-    """Run the data plane of a tile signature over a batch of tiles.
-
-    ``x_bits`` is ``(T, rows, N)``, ``w_bits`` ``(T, N, cols)`` and
-    ``acc_bits`` ``(T, rows, cols)`` pattern arrays (``T`` tiles replayed
-    side by side); ``active_mask`` is the per-step lane mask of the tile
-    geometry (:attr:`~repro.redmule.scheduler.TileSchedule.active_mask`).
-    The chain walks the active steps in order, exactly the order the
-    engine's chunk/column schedule consumes the inner dimension, so the
-    result is bit-identical to the event-stepped datapath (and to the
-    scalar oracle :func:`repro.redmule.functional.matmul_hw_order_exact_fmt`).
-
-    Without ``flags`` this is the ``exact-simd``/``trace`` chain kernel
-    (:meth:`repro.redmule.vector_ops.ExactSimdVectorOps.chain`, the one the
-    engine runs on every event-stepped tile): an unguarded float64 chain
-    when the batch's sums are proven exact, the guarded kernel per step
-    otherwise.  With ``flags`` every step runs the integer kernels outright
-    and aggregates the IEEE exception flags -- bit-identical values,
-    scalar-oracle flags.
-    """
-    if flags is None:
-        return ExactSimdVectorOps(fmt).chain(x_bits, w_bits, acc_bits,
-                                             active_mask)
-    dtype = format_dtype(fmt)
-    acc = np.array(acc_bits, dtype=dtype)
-    x = np.asarray(x_bits, dtype=dtype)
-    w = np.asarray(w_bits, dtype=dtype)
-    for n in np.flatnonzero(np.asarray(active_mask, dtype=bool)):
-        a = np.broadcast_to(x[:, :, n][:, :, None], acc.shape)
-        b = np.broadcast_to(w[:, n, :][:, None, :], acc.shape)
-        acc = fma_many_fmt(a, b, acc, fmt, flags=flags)
-    return acc
 
 
 # ---------------------------------------------------------------------------

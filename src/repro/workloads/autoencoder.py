@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fp.formats import FP16
-from repro.fp.vector import quantize_fp16, random_fp16_matrix
+from repro.fp.vector import quantize, random_matrix
 from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.workloads.gemm import GemmWorkload
 from repro.workloads.training import TrainingGemm, as_workload, training_step_gemms
@@ -46,10 +46,12 @@ def autoencoder_workload(batch: int) -> GemmWorkload:
 class AutoEncoder:
     """Functional FP16 auto-encoder (dense layers + ReLU).
 
-    Weights are stored as binary16-representable float32 arrays; every matrix
-    product is evaluated with the hardware's FP16 accumulation semantics so
-    the numerical behaviour matches what RedMulE (or the software kernel,
-    which uses the same FMA) would produce on the real system.
+    Weights are stored as binary16-representable float32 arrays, and every
+    element-wise step computes in float32 and rounds back to binary16; every
+    matrix product is evaluated with the hardware's FP16 accumulation
+    semantics so the numerical behaviour matches what RedMulE (or the
+    software kernel, which uses the same FMA) would produce on the real
+    system.
     """
 
     layer_sizes: Sequence[int] = AUTOENCODER_LAYER_SIZES
@@ -63,7 +65,8 @@ class AutoEncoder:
         if not self.weights:
             rng = np.random.default_rng(self.seed)
             self.weights = [
-                random_fp16_matrix(n_out, n_in, scale=self.weight_scale, rng=rng)
+                random_matrix(n_out, n_in, scale=self.weight_scale,
+                              rng=rng).astype(np.float32)
                 for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
             ]
 
@@ -93,7 +96,7 @@ class AutoEncoder:
         reconstruction and the list of post-activation values per layer
         (needed by the backward pass).
         """
-        activation = quantize_fp16(batch_input)
+        activation = quantize(batch_input).astype(np.float32)
         if activation.shape[0] != self.layer_sizes[0]:
             raise ValueError(
                 f"input has {activation.shape[0]} features, expected "
@@ -104,7 +107,7 @@ class AutoEncoder:
             pre = matmul_hw_order_simd_fmt(weight, activation,
                                            FP16).astype(np.float32)
             if layer < self.n_layers - 1:
-                activation = quantize_fp16(np.maximum(pre, 0.0))
+                activation = quantize(np.maximum(pre, 0.0)).astype(np.float32)
             else:
                 activation = pre  # linear output layer
             activations.append(activation)
@@ -119,12 +122,12 @@ class AutoEncoder:
         semantics; element-wise steps are quantised to FP16 after each
         operation.
         """
-        target = quantize_fp16(target)
+        target = quantize(target).astype(np.float32)
         output = activations[-1]
         batch = output.shape[1]
         # dL/dY for the MSE loss (scaled by 2/batch, quantised like the
         # on-device implementation would).
-        delta = quantize_fp16((output - target) * (2.0 / batch))
+        delta = quantize((output - target) * (2.0 / batch)).astype(np.float32)
         gradients: List[Optional[np.ndarray]] = [None] * self.n_layers
         for layer in reversed(range(self.n_layers)):
             input_activation = activations[layer]
@@ -134,7 +137,7 @@ class AutoEncoder:
                 propagated = matmul_hw_order_simd_fmt(
                     self.weights[layer].T, delta, FP16).astype(np.float32)
                 relu_mask = (activations[layer] > 0).astype(np.float32)
-                delta = quantize_fp16(propagated * relu_mask)
+                delta = quantize(propagated * relu_mask).astype(np.float32)
         return gradients  # type: ignore[return-value]
 
     def training_step(self, batch_input: np.ndarray,
@@ -145,11 +148,12 @@ class AutoEncoder:
         update).  Weights are updated in place, quantised back to FP16.
         """
         output, activations = self.forward(batch_input)
-        loss = float(np.mean((output - quantize_fp16(batch_input)) ** 2))
+        target = quantize(batch_input).astype(np.float32)
+        loss = float(np.mean((output - target) ** 2))
         gradients = self.backward(activations, batch_input)
         for layer, gradient in enumerate(gradients):
             updated = self.weights[layer] - learning_rate * gradient
-            self.weights[layer] = quantize_fp16(updated)
+            self.weights[layer] = quantize(updated).astype(np.float32)
         return {"loss": loss}
 
     # -- GEMM decomposition --------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 
 #: Valid transpose annotations of a GEMM (subsets of "xw"): which logical
 #: operands were derived by transposing a stored tensor.  Shared by
@@ -54,10 +54,10 @@ class GemmShape:
 
     def random_operands(self, scale: float = 0.25,
                         seed: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Generate random binary16 operands for this shape."""
+        """Generate random binary16 operands for this shape (float64)."""
         rng = np.random.default_rng(seed)
-        x = random_fp16_matrix(self.m, self.n, scale=scale, rng=rng)
-        w = random_fp16_matrix(self.n, self.k, scale=scale, rng=rng)
+        x = random_matrix(self.m, self.n, scale=scale, rng=rng)
+        w = random_matrix(self.n, self.k, scale=scale, rng=rng)
         return x, w
 
     def describe(self, transpose: str = "") -> str:

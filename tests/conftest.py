@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import PulpCluster
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.interco import Hci, HciConfig
 from repro.mem import MemoryAllocator, Tcdm, TcdmConfig
 from repro.redmule import MatmulJob, RedMulE, RedMulEConfig
@@ -74,8 +74,8 @@ class MatmulHarness:
         return hz.load(self.tcdm), result
 
     def run_random(self, m: int, n: int, k: int, seed: int = 0):
-        x = random_fp16_matrix(m, n, scale=0.25, seed=seed)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=seed + 1)
+        x = random_matrix(m, n, scale=0.25, seed=seed)
+        w = random_matrix(n, k, scale=0.25, seed=seed + 1)
         z, result = self.run(x, w)
         return x, w, z, result
 

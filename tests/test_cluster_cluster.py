@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.cluster import PulpCluster
 from repro.cluster.config import ClusterConfig
 from repro.fp.formats import FP16
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.mem.tcdm import TcdmConfig
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.functional import matmul_hw_order_simd_fmt
@@ -30,8 +30,8 @@ class TestClusterConfig:
 
 class TestOffload:
     def test_matmul_returns_correct_result(self, cluster):
-        x = random_fp16_matrix(16, 24, scale=0.3, seed=0)
-        w = random_fp16_matrix(24, 20, scale=0.3, seed=1)
+        x = random_matrix(16, 24, scale=0.3, seed=0)
+        w = random_matrix(24, 20, scale=0.3, seed=1)
         z, outcome = cluster.matmul(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.total_cycles > outcome.accelerator.cycles
@@ -40,15 +40,15 @@ class TestOffload:
 
     def test_multiple_offloads_reuse_the_cluster(self, cluster):
         for seed in range(3):
-            x = random_fp16_matrix(8, 16, scale=0.3, seed=seed)
-            w = random_fp16_matrix(16, 16, scale=0.3, seed=seed + 10)
+            x = random_matrix(8, 16, scale=0.3, seed=seed)
+            w = random_matrix(16, 16, scale=0.3, seed=seed + 10)
             z, _ = cluster.matmul(x, w)
             assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert cluster.redmule.controller.fsm.jobs_completed == 3
 
     def test_explicit_handle_offload(self, cluster):
-        x = random_fp16_matrix(8, 32, scale=0.3, seed=4)
-        w = random_fp16_matrix(32, 16, scale=0.3, seed=5)
+        x = random_matrix(8, 32, scale=0.3, seed=4)
+        w = random_matrix(32, 16, scale=0.3, seed=5)
         hx = cluster.place_matrix(x, "X")
         hw = cluster.place_matrix(w, "W")
         hz = cluster.tcdm_allocator().alloc_matrix(8, 16, "Z")
@@ -71,8 +71,8 @@ class TestOffload:
             redmule=RedMulEConfig(height=2, length=4, pipeline_regs=1),
         )
         cluster = PulpCluster(config)
-        x = random_fp16_matrix(6, 10, scale=0.3, seed=1)
-        w = random_fp16_matrix(10, 6, scale=0.3, seed=2)
+        x = random_matrix(6, 10, scale=0.3, seed=1)
+        w = random_matrix(10, 6, scale=0.3, seed=2)
         z, outcome = cluster.matmul(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.accelerator.peak_macs_per_cycle == 8
@@ -80,8 +80,8 @@ class TestOffload:
 
 class TestL2Tiling:
     def test_offload_from_l2_produces_correct_result(self, cluster):
-        x = random_fp16_matrix(16, 32, scale=0.3, seed=6)
-        w = random_fp16_matrix(32, 16, scale=0.3, seed=7)
+        x = random_matrix(16, 32, scale=0.3, seed=6)
+        w = random_matrix(32, 16, scale=0.3, seed=7)
         hx = cluster.place_matrix(x, "X.l2", in_l2=True)
         hw = cluster.place_matrix(w, "W.l2", in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(16, 16, "Z.l2")
@@ -92,8 +92,8 @@ class TestL2Tiling:
 
     def test_l2_tiling_releases_tcdm_space(self, cluster):
         used_before = cluster.tcdm_allocator().used
-        x = random_fp16_matrix(8, 16, scale=0.3, seed=8)
-        w = random_fp16_matrix(16, 8, scale=0.3, seed=9)
+        x = random_matrix(8, 16, scale=0.3, seed=8)
+        w = random_matrix(16, 8, scale=0.3, seed=9)
         hx = cluster.place_matrix(x, in_l2=True)
         hw = cluster.place_matrix(w, in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(8, 8, "Z")
@@ -102,8 +102,8 @@ class TestL2Tiling:
 
     def test_exposed_dma_depends_on_compute_intensity(self, cluster):
         """A tiny GEMM cannot hide its DMA time behind compute."""
-        x = random_fp16_matrix(8, 8, scale=0.3, seed=10)
-        w = random_fp16_matrix(8, 8, scale=0.3, seed=11)
+        x = random_matrix(8, 8, scale=0.3, seed=10)
+        w = random_matrix(8, 8, scale=0.3, seed=11)
         hx = cluster.place_matrix(x, in_l2=True)
         hw = cluster.place_matrix(w, in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(8, 8, "Z")

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.dma import DmaEngine, DmaTransfer
 from repro.cluster.sync import EventUnit
 from repro.fp.formats import FP16
-from repro.fp.vector import pack_matrix, random_fp16_matrix, unpack_matrix
+from repro.fp.vector import pack_matrix, random_matrix, unpack_matrix
 from repro.mem.l2 import L2Memory
 from repro.mem.tcdm import Tcdm
 
@@ -33,7 +33,7 @@ class TestDmaEngine:
         assert dma.l2.dump_image(dma.l2.base, 32) == payload
 
     def test_2d_strided_transfer(self, dma):
-        matrix = random_fp16_matrix(4, 8, seed=0)
+        matrix = random_matrix(4, 8, seed=0)
         dma.l2.load_image(dma.l2.base, pack_matrix(matrix, FP16))
         # Gather the 4 rows (16 bytes each) into a strided TCDM layout.
         dma.execute(DmaTransfer(src=dma.l2.base, dst=dma.tcdm.base,

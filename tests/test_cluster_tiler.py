@@ -11,7 +11,7 @@ from repro.cluster.tiler import (
     plan_tiled_matmul,
 )
 from repro.fp.formats import FP16
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.redmule.functional import matmul_hw_order_simd_fmt
 
 
@@ -76,8 +76,8 @@ class TestExecution:
         same because the inner dimension is walked in increasing order)."""
         m, n, k = 24, 64, 32
         cluster = PulpCluster()
-        x = random_fp16_matrix(m, n, scale=0.2, seed=1)
-        w = random_fp16_matrix(n, k, scale=0.2, seed=2)
+        x = random_matrix(m, n, scale=0.2, seed=1)
+        w = random_matrix(n, k, scale=0.2, seed=2)
         hx = cluster.place_matrix(x, "X", in_l2=True)
         hw = cluster.place_matrix(w, "W", in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(m, k, "Z")
@@ -95,8 +95,8 @@ class TestExecution:
     def test_single_tile_plan_matches_direct_offload(self):
         m, n, k = 16, 32, 16
         cluster = PulpCluster()
-        x = random_fp16_matrix(m, n, scale=0.2, seed=5)
-        w = random_fp16_matrix(n, k, scale=0.2, seed=6)
+        x = random_matrix(m, n, scale=0.2, seed=5)
+        w = random_matrix(n, k, scale=0.2, seed=6)
         hx = cluster.place_matrix(x, "X", in_l2=True)
         hw = cluster.place_matrix(w, "W", in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(m, k, "Z")
@@ -108,8 +108,8 @@ class TestExecution:
     def test_tcdm_allocations_are_released(self):
         cluster = PulpCluster()
         used_before = cluster.tcdm_allocator().used
-        x = random_fp16_matrix(16, 32, scale=0.2, seed=7)
-        w = random_fp16_matrix(32, 16, scale=0.2, seed=8)
+        x = random_matrix(16, 32, scale=0.2, seed=7)
+        w = random_matrix(32, 16, scale=0.2, seed=8)
         hx = cluster.place_matrix(x, "X", in_l2=True)
         hw = cluster.place_matrix(w, "W", in_l2=True)
         hz = cluster.l2_allocator().alloc_matrix(16, 16, "Z")

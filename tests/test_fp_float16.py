@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.fp.formats import FP16, FloatClass
-from repro.fp.rounding import RoundingMode
 
 
 class TestEncodingRoundtrip:
@@ -98,20 +97,3 @@ class TestRoundingOnConversion:
         assert FP16.float_to_bits(1.0 + 2.0 ** -11) == 0x3C00
         # 1 + 3*2^-11 is between 1+2^-10 and 1+2^-9; ties to even -> up.
         assert FP16.float_to_bits(1.0 + 3 * 2.0 ** -11) == 0x3C02
-
-    def test_rtz_truncates(self):
-        value = 1.0 + 2.0 ** -11
-        assert FP16.float_to_bits(value, RoundingMode.RTZ) == 0x3C00
-        assert FP16.float_to_bits(-value, RoundingMode.RTZ) == 0xBC00
-
-    def test_directed_modes(self):
-        value = 1.0 + 2.0 ** -11
-        assert FP16.float_to_bits(value, RoundingMode.RUP) == 0x3C01
-        assert FP16.float_to_bits(value, RoundingMode.RDN) == 0x3C00
-        assert FP16.float_to_bits(-value, RoundingMode.RDN) == 0xBC01
-        assert FP16.float_to_bits(-value, RoundingMode.RUP) == 0xBC00
-
-    def test_overflow_saturates_under_rtz(self):
-        assert FP16.float_to_bits(1e6, RoundingMode.RTZ) == FP16.max_finite_bits
-        assert FP16.float_to_bits(-1e6, RoundingMode.RUP) == (
-            FP16.max_finite_bits | 0x8000)

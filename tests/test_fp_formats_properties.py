@@ -3,7 +3,7 @@
 The three satellite properties of the multi-precision work:
 
 * pack/unpack round-trips (patterns <-> float64 <-> byte images);
-* scalar-vs-SIMD bit-equality per rounding mode per format (the array
+* scalar-vs-SIMD bit-equality per format (the array
   kernels of :mod:`repro.fp.simd_formats` against the scalar oracles of
   :mod:`repro.fp.formats`), including the mixed-precision accumulate;
 * perf-model exactness on FP8 geometries lives in
@@ -21,21 +21,17 @@ from repro.fp.formats import (
     FP16,
     fma_bits,
     fma_mixed,
-    mul_bits,
 )
-from repro.fp.rounding import RoundingMode
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
     fma_guarded_f64_fmt,
     fma_many_fmt,
     fma_mixed_many,
-    mul_many_fmt,
 )
 from repro.fp.vector import pack_matrix, quantize, unpack_matrix
 
 formats = st.sampled_from(list(FORMATS.values()))
-modes = st.sampled_from(list(RoundingMode))
 
 
 def patterns(fmt, n):
@@ -46,52 +42,39 @@ def patterns(fmt, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), fmt=formats, mode=modes)
-def test_fma_scalar_vs_simd_bit_equality(data, fmt, mode):
+@given(data=st.data(), fmt=formats)
+def test_fma_scalar_vs_simd_bit_equality(data, fmt):
     n = 64
     a = data.draw(patterns(fmt, n))
     b = data.draw(patterns(fmt, n))
     c = data.draw(patterns(fmt, n))
-    array = fma_many_fmt(a, b, c, fmt, mode)
-    scalar = [fma_bits(x, y, z, fmt, mode) for x, y, z in zip(a, b, c)]
-    assert array.tolist() == scalar
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), fmt=formats, mode=modes)
-def test_mul_scalar_vs_simd_bit_equality(data, fmt, mode):
-    n = 64
-    a = data.draw(patterns(fmt, n))
-    b = data.draw(patterns(fmt, n))
-    array = mul_many_fmt(a, b, fmt, mode)
-    scalar = [mul_bits(x, y, fmt, mode) for x, y in zip(a, b)]
+    array = fma_many_fmt(a, b, c, fmt)
+    scalar = [fma_bits(x, y, z, fmt) for x, y, z in zip(a, b, c)]
     assert array.tolist() == scalar
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(),
-       op_fmt=st.sampled_from([FP8_E4M3, FP8_E5M2]),
-       mode=modes)
-def test_mixed_fma_scalar_vs_simd_bit_equality(data, op_fmt, mode):
+       op_fmt=st.sampled_from([FP8_E4M3, FP8_E5M2]))
+def test_mixed_fma_scalar_vs_simd_bit_equality(data, op_fmt):
     n = 48
     a = data.draw(patterns(op_fmt, n))
     b = data.draw(patterns(op_fmt, n))
     c = data.draw(patterns(FP16, n))
-    array = fma_mixed_many(a, b, c, op_fmt, FP16, mode)
-    scalar = [fma_mixed(x, y, z, op_fmt, FP16, mode)
-              for x, y, z in zip(a, b, c)]
+    array = fma_mixed_many(a, b, c, op_fmt, FP16)
+    scalar = [fma_mixed(x, y, z, op_fmt, FP16) for x, y, z in zip(a, b, c)]
     assert array.tolist() == scalar
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), fmt=formats, mode=modes)
-def test_f64_conversion_matches_scalar(data, fmt, mode):
+@given(data=st.data(), fmt=formats)
+def test_f64_conversion_matches_scalar(data, fmt):
     values = data.draw(st.lists(
         st.floats(allow_nan=True, allow_infinity=True, width=64),
         min_size=1, max_size=32,
     ))
-    array = f64_to_bits_many(np.array(values, dtype=np.float64), fmt, mode)
-    scalar = [fmt.float_to_bits(v, mode) for v in values]
+    array = f64_to_bits_many(np.array(values, dtype=np.float64), fmt)
+    scalar = [fmt.float_to_bits(v) for v in values]
     assert array.tolist() == scalar
 
 

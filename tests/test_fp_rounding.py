@@ -1,71 +1,38 @@
-"""Tests for the shared rounding helper and rounding-mode policies."""
+"""Tests for the shared round-to-nearest-even helper."""
 
 import pytest
 
-from repro.fp.rounding import RoundingMode, overflow_result, round_shifted
+from repro.fp.formats import round_shifted
 
 
 class TestRoundShifted:
     def test_exact_when_no_shift(self):
-        assert round_shifted(42, 0, RoundingMode.RNE, False) == (42, False)
+        assert round_shifted(42, 0) == 42
 
     def test_negative_shift_is_exact_left_shift(self):
-        assert round_shifted(3, -2, RoundingMode.RNE, False) == (12, False)
+        assert round_shifted(3, -2) == 12
 
     def test_exact_when_remainder_zero(self):
-        assert round_shifted(8, 2, RoundingMode.RNE, False) == (2, False)
+        assert round_shifted(8, 2) == 2
 
     def test_round_to_nearest_even_down(self):
         # 9 / 4 = 2.25 -> 2
-        assert round_shifted(9, 2, RoundingMode.RNE, False) == (2, True)
+        assert round_shifted(9, 2) == 2
 
     def test_round_to_nearest_even_up(self):
         # 11 / 4 = 2.75 -> 3
-        assert round_shifted(11, 2, RoundingMode.RNE, False) == (3, True)
+        assert round_shifted(11, 2) == 3
 
     def test_tie_to_even(self):
         # 10 / 4 = 2.5 -> 2 (even); 14 / 4 = 3.5 -> 4 (even)
-        assert round_shifted(10, 2, RoundingMode.RNE, False) == (2, True)
-        assert round_shifted(14, 2, RoundingMode.RNE, False) == (4, True)
-
-    def test_rtz_always_truncates(self):
-        assert round_shifted(15, 2, RoundingMode.RTZ, False) == (3, True)
-        assert round_shifted(15, 2, RoundingMode.RTZ, True) == (3, True)
-
-    def test_directed_modes_depend_on_sign(self):
-        assert round_shifted(9, 2, RoundingMode.RUP, False) == (3, True)
-        assert round_shifted(9, 2, RoundingMode.RUP, True) == (2, True)
-        assert round_shifted(9, 2, RoundingMode.RDN, False) == (2, True)
-        assert round_shifted(9, 2, RoundingMode.RDN, True) == (3, True)
-
-    def test_ties_away(self):
-        assert round_shifted(10, 2, RoundingMode.RMM, False) == (3, True)
-        assert round_shifted(9, 2, RoundingMode.RMM, False) == (2, True)
+        assert round_shifted(10, 2) == 2
+        assert round_shifted(14, 2) == 4
 
     def test_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
-            round_shifted(-1, 2, RoundingMode.RNE, False)
+            round_shifted(-1, 2)
 
-    @pytest.mark.parametrize("mode", list(RoundingMode))
-    def test_inexact_flag_consistency(self, mode):
-        rounded, inexact = round_shifted(16, 3, mode, False)
-        assert rounded == 2 and not inexact
-        _, inexact = round_shifted(17, 3, mode, False)
-        assert inexact
-
-
-class TestOverflowPolicy:
-    def test_nearest_modes_go_to_infinity(self):
-        assert overflow_result(RoundingMode.RNE, False) == "inf"
-        assert overflow_result(RoundingMode.RNE, True) == "inf"
-        assert overflow_result(RoundingMode.RMM, False) == "inf"
-
-    def test_truncation_saturates(self):
-        assert overflow_result(RoundingMode.RTZ, False) == "max"
-        assert overflow_result(RoundingMode.RTZ, True) == "max"
-
-    def test_directed_modes(self):
-        assert overflow_result(RoundingMode.RUP, False) == "inf"
-        assert overflow_result(RoundingMode.RUP, True) == "max"
-        assert overflow_result(RoundingMode.RDN, False) == "max"
-        assert overflow_result(RoundingMode.RDN, True) == "inf"
+    def test_exact_and_inexact_quotients(self):
+        # 16 / 8 = 2 exactly; 17 / 8 = 2.125 -> 2
+        assert round_shifted(16, 3) == 2
+        assert round_shifted(17, 3) == 2

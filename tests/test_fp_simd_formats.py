@@ -3,7 +3,7 @@
 The scalar kernels of :mod:`repro.fp.formats` (``fma_bits`` et al. on
 :data:`FP16`) are the oracle: every kernel must match them bit for bit,
 element by element, over directed special-value grids and large random
-sweeps, for every rounding mode.  The hypothesis properties of
+sweeps.  The hypothesis properties of
 ``test_fp_formats_properties`` cover the other formats; binary16 gets the
 exhaustive directed grids here because its float codec and guarded kernel
 take numpy's native ``float16`` path.
@@ -16,26 +16,14 @@ import struct
 import numpy as np
 import pytest
 
-from repro.fp.flags import ExceptionFlags
-from repro.fp.formats import (
-    FORMATS,
-    FP16,
-    add_bits,
-    fma_bits,
-    mul_bits,
-    neg_bits,
-    sub_bits,
-)
-from repro.fp.rounding import RoundingMode
+from repro.fp.formats import FORMATS, FP16, fma_bits
 from repro.fp.simd_formats import (
-    add_many_fmt,
+    _pack_arrays_fmt,
     bits_to_f64_many,
+    f64_to_bits_codec,
     f64_to_bits_many,
     fma_guarded_f64_fmt,
     fma_many_fmt,
-    mul_many_fmt,
-    neg_many_fmt,
-    pack_many_fmt,
     round_f64_many,
 )
 
@@ -54,8 +42,6 @@ SPECIAL_PATTERNS = [
     0x3800, 0x0002, 0x7800, 0xF800,
 ]
 
-ALL_MODES = list(RoundingMode)
-
 
 def _f64(raw: int) -> float:
     """The binary64 value with bit pattern ``raw`` (keeps NaN sign/payload)."""
@@ -69,28 +55,26 @@ def _triples_as_arrays(triples):
     return a, b, c
 
 
-def _assert_fma_matches_scalar(triples, mode):
+def _assert_fma_matches_scalar(triples):
     a, b, c = _triples_as_arrays(triples)
-    got = fma_many_fmt(a, b, c, FP16, mode)
+    got = fma_many_fmt(a, b, c, FP16)
     for i, (x, y, z) in enumerate(triples):
-        want = fma_bits(x, y, z, FP16, mode)
+        want = fma_bits(x, y, z, FP16)
         assert int(got[i]) == want, (
-            f"fma_many_fmt mismatch at {mode}: "
+            f"fma_many_fmt mismatch: "
             f"a={x:#06x} b={y:#06x} c={z:#06x} "
             f"want={want:#06x} got={int(got[i]):#06x}"
         )
 
 
 class TestFmaDirected:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_special_value_grid(self, mode):
+    def test_special_value_grid(self):
         """Full cube of special patterns: NaN propagation, +-inf, +-0,
         subnormal operands, invalid operations."""
         triples = list(itertools.product(SPECIAL_PATTERNS, repeat=3))
-        _assert_fma_matches_scalar(triples, mode)
+        _assert_fma_matches_scalar(triples)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_extreme_alignment(self, mode):
+    def test_extreme_alignment(self):
         """Tiny (often subnormal) products against huge addends exercise the
         alignment clamp / sticky-reduction path."""
         rng = np.random.default_rng(1234)
@@ -101,22 +85,20 @@ class TestFmaDirected:
             c = int(rng.integers(0x4C00, 0x7C00)) | (int(rng.integers(0, 2)) << 15)
             triples.append((a, b, c))
             triples.append((c, a, b))
-        _assert_fma_matches_scalar(triples, mode)
+        _assert_fma_matches_scalar(triples)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_overflow_to_inf_per_mode(self, mode):
-        """Overflowing products saturate to inf or max-finite depending on
-        the rounding direction and the result sign."""
+    def test_overflow_to_inf(self):
+        """Overflowing products round to the infinity of the result's
+        sign."""
         big = [0x7BFF, 0xFBFF, 0x7800, 0xF800, 0x7A00, 0xFA00]
         triples = list(itertools.product(big, big, SPECIAL_PATTERNS))
-        _assert_fma_matches_scalar(triples, mode)
+        _assert_fma_matches_scalar(triples)
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_subnormal_outputs(self, mode):
+    def test_subnormal_outputs(self):
         """Products landing in (or rounding out of) the subnormal range."""
         tiny = [0x0001, 0x8001, 0x0400, 0x8400, 0x0800, 0x8800, 0x03FF, 0x83FF]
         triples = list(itertools.product(tiny, tiny, tiny))
-        _assert_fma_matches_scalar(triples, mode)
+        _assert_fma_matches_scalar(triples)
 
     def test_broadcasting_and_shape(self):
         a = np.array([[0x3C00, 0x4000]], dtype=np.uint16)
@@ -133,52 +115,20 @@ class TestFmaDirected:
 
 
 class TestFmaRandom:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_random_triples_match_scalar_bit_for_bit(self, mode):
-        """>= 10k random (a, b, c) triples per rounding mode."""
-        rng = np.random.default_rng(9000 + mode.value)
+    def test_random_triples_match_scalar_bit_for_bit(self):
+        """>= 10k random (a, b, c) triples."""
+        rng = np.random.default_rng(9000)
         triples = [
             tuple(int(v) for v in rng.integers(0, 0x10000, 3))
             for _ in range(10_500)
         ]
-        _assert_fma_matches_scalar(triples, mode)
+        _assert_fma_matches_scalar(triples)
 
 
-class TestOtherKernels:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_mul_matches_scalar(self, mode):
-        rng = np.random.default_rng(7)
-        pairs = list(itertools.product(SPECIAL_PATTERNS, repeat=2))
-        pairs += [tuple(int(v) for v in rng.integers(0, 0x10000, 2))
-                  for _ in range(4000)]
-        a = np.array([p[0] for p in pairs], dtype=np.uint16)
-        b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        got = mul_many_fmt(a, b, FP16, mode)
-        for i, (x, y) in enumerate(pairs):
-            assert int(got[i]) == mul_bits(x, y, FP16, mode)
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_add_sub_match_scalar(self, mode):
-        rng = np.random.default_rng(11)
-        pairs = list(itertools.product(SPECIAL_PATTERNS, repeat=2))
-        pairs += [tuple(int(v) for v in rng.integers(0, 0x10000, 2))
-                  for _ in range(2000)]
-        a = np.array([p[0] for p in pairs], dtype=np.uint16)
-        b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        added = add_many_fmt(a, b, FP16, mode)
-        subbed = add_many_fmt(a, neg_many_fmt(b, FP16), FP16, mode)
-        for i, (x, y) in enumerate(pairs):
-            assert int(added[i]) == add_bits(x, y, FP16, mode)
-            assert int(subbed[i]) == sub_bits(x, y, FP16, mode)
-
-    def test_neg_matches_scalar(self):
-        bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
-        got = neg_many_fmt(bits, FP16)
-        for i, value in enumerate(SPECIAL_PATTERNS):
-            assert int(got[i]) == neg_bits(value, FP16)
-
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_pack_matches_scalar(self, mode):
+class TestPackCore:
+    def test_pack_matches_scalar(self):
+        """The vectorised pack core behind every kernel, on magnitudes and
+        exponents far outside what one FMA produces."""
         rng = np.random.default_rng(6)
         cases = [(int(s), int(m) + 1, int(e)) for s, m, e in zip(
             rng.integers(0, 2, 800),
@@ -188,33 +138,9 @@ class TestOtherKernels:
         sign = np.array([c[0] for c in cases], dtype=np.int64)
         magnitude = np.array([c[1] for c in cases], dtype=np.int64)
         exponent = np.array([c[2] for c in cases], dtype=np.int64)
-        vector_flags = ExceptionFlags()
-        bits = pack_many_fmt(sign, magnitude, exponent, FP16, mode, vector_flags)
-        scalar_flags = ExceptionFlags()
+        bits = _pack_arrays_fmt(sign, magnitude, exponent, FP16)
         for i, (s, m, e) in enumerate(cases):
-            assert int(bits[i]) == FP16.pack(s, m, e, mode, scalar_flags)
-        assert vector_flags == scalar_flags
-
-
-class TestFlags:
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_flags_aggregate_the_scalar_flags(self, mode):
-        rng = np.random.default_rng(3)
-        triples = list(itertools.product(SPECIAL_PATTERNS[:12], repeat=3))[:3000]
-        triples += [tuple(int(v) for v in rng.integers(0, 0x10000, 3))
-                    for _ in range(1000)]
-        vector_flags = ExceptionFlags()
-        a, b, c = _triples_as_arrays(triples)
-        fma_many_fmt(a, b, c, FP16, mode, vector_flags)
-        scalar_flags = ExceptionFlags()
-        for x, y, z in triples:
-            fma_bits(x, y, z, FP16, mode, scalar_flags)
-        assert vector_flags == scalar_flags
-
-    def test_flags_quiet_on_exact_lanes(self):
-        flags = ExceptionFlags()
-        fma_many_fmt([0x3C00], [0x4000], [0x3C00], FP16, RoundingMode.RNE, flags)
-        assert not flags.any()
+            assert int(bits[i]) == FP16.pack(s, m, e)
 
 
 class TestCodec:
@@ -238,13 +164,10 @@ class TestCodec:
         assert got.dtype == np.uint16
         assert got.tolist() == [FP16.float_to_bits(v) for v in self.VALUES]
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_encode_with_flags_matches_scalar_per_mode(self, mode):
-        vector_flags, scalar_flags = ExceptionFlags(), ExceptionFlags()
-        got = f64_to_bits_many(np.array(self.VALUES), FP16, mode, vector_flags)
-        want = [FP16.float_to_bits(v, mode, scalar_flags) for v in self.VALUES]
-        assert got.tolist() == want
-        assert vector_flags == scalar_flags
+    @pytest.mark.parametrize("fmt", list(FORMATS.values()), ids=list(FORMATS))
+    def test_integer_codec_matches_scalar(self, fmt):
+        got = f64_to_bits_codec(np.array(self.VALUES), fmt)
+        assert got.tolist() == [fmt.float_to_bits(v) for v in self.VALUES]
 
     def test_encode_keeps_the_shape(self):
         values = np.array(self.VALUES[:6]).reshape(2, 3)

@@ -4,52 +4,38 @@ import numpy as np
 import pytest
 
 from repro.fp.formats import FP16
-from repro.fp.vector import (
-    matrix_from_bits,
-    matrix_to_bits,
-    pack_matrix,
-    quantize_fp16,
-    random_fp16_matrix,
-    unpack_matrix,
-)
+from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many
+from repro.fp.vector import pack_matrix, quantize, random_matrix, unpack_matrix
 
 
 class TestQuantize:
     def test_values_are_fp16_representable(self):
         matrix = np.array([[0.1, 0.2], [1.0 / 3.0, 7.77]])
-        quantised = quantize_fp16(matrix)
-        assert np.array_equal(quantised, quantised.astype(np.float16).astype(np.float32))
+        quantised = quantize(matrix)
+        assert np.array_equal(quantised, quantised.astype(np.float16).astype(np.float64))
 
     def test_idempotent(self):
         matrix = np.random.default_rng(0).standard_normal((5, 7))
-        once = quantize_fp16(matrix)
-        assert np.array_equal(once, quantize_fp16(once))
+        once = quantize(matrix)
+        assert np.array_equal(once, quantize(once))
 
 
 class TestBitsConversion:
     def test_roundtrip(self):
-        matrix = random_fp16_matrix(6, 9, seed=3)
-        bits = matrix_to_bits(matrix)
-        assert len(bits) == 6 and len(bits[0]) == 9
-        back = matrix_from_bits(bits)
+        matrix = random_matrix(6, 9, seed=3)
+        bits = f64_to_bits_many(matrix, FP16)
+        assert bits.shape == (6, 9)
+        back = bits_to_f64_many(bits, FP16)
         assert np.array_equal(back, matrix)
 
     def test_known_pattern(self):
-        bits = matrix_to_bits(np.array([[1.0, -2.0]]))
-        assert bits == [[0x3C00, 0xC000]]
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            matrix_to_bits(np.zeros(4))
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            matrix_from_bits([[1, 2], [3]])
+        bits = f64_to_bits_many(np.array([[1.0, -2.0]]), FP16)
+        assert bits.tolist() == [[0x3C00, 0xC000]]
 
 
 class TestByteConversion:
     def test_roundtrip(self):
-        matrix = random_fp16_matrix(4, 5, seed=11)
+        matrix = random_matrix(4, 5, seed=11)
         data = pack_matrix(matrix, FP16)
         assert len(data) == 4 * 5 * 2
         back = unpack_matrix(data, 4, 5, FP16)
@@ -70,16 +56,16 @@ class TestByteConversion:
 
 class TestRandomMatrix:
     def test_shape_and_reproducibility(self):
-        a = random_fp16_matrix(8, 16, seed=42)
-        b = random_fp16_matrix(8, 16, seed=42)
+        a = random_matrix(8, 16, seed=42)
+        b = random_matrix(8, 16, seed=42)
         assert a.shape == (8, 16)
         assert np.array_equal(a, b)
 
     def test_scale_controls_magnitude(self):
-        small = random_fp16_matrix(64, 64, scale=0.01, seed=0)
-        large = random_fp16_matrix(64, 64, scale=10.0, seed=0)
+        small = random_matrix(64, 64, scale=0.01, seed=0)
+        large = random_matrix(64, 64, scale=10.0, seed=0)
         assert np.abs(small).mean() < np.abs(large).mean()
 
     def test_values_are_fp16_exact(self):
-        matrix = random_fp16_matrix(16, 16, seed=5)
-        assert np.array_equal(matrix, quantize_fp16(matrix))
+        matrix = random_matrix(16, 16, seed=5)
+        assert np.array_equal(matrix, quantize(matrix))

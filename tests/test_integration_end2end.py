@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, PulpCluster
 from repro.fp.formats import FP16
-from repro.fp.vector import quantize_fp16, random_fp16_matrix
+from repro.fp.vector import quantize, random_matrix
 from repro.redmule import RedMulEConfig, RedMulEPerfModel
 from repro.redmule.functional import matmul_hw_order_simd_fmt, matmul_reference_fp32
 from repro.sw.baseline import SoftwareBaseline
@@ -28,7 +28,7 @@ class TestAcceleratedAutoencoderLayer:
         cluster = PulpCluster()
         model = AutoEncoder(layer_sizes=(64, 32, 16, 32, 64), seed=0,
                             weight_scale=0.1)
-        batch = quantize_fp16(
+        batch = quantize(
             np.random.default_rng(1).standard_normal((64, 8)) * 0.1
         )
         _, activations = model.forward(batch)
@@ -46,10 +46,10 @@ class TestAcceleratedAutoencoderLayer:
         gemms = model.training_gemms(batch=4)
         for gemm in gemms:
             shape = gemm.shape
-            x = random_fp16_matrix(shape.m, shape.n, scale=0.1,
-                                   seed=shape.m + shape.n)
-            w = random_fp16_matrix(shape.n, shape.k, scale=0.1,
-                                   seed=shape.n + shape.k)
+            x = random_matrix(shape.m, shape.n, scale=0.1,
+                              seed=shape.m + shape.n)
+            w = random_matrix(shape.n, shape.k, scale=0.1,
+                              seed=shape.n + shape.k)
             z, _ = cluster.matmul(x, w)
             assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
             cluster.reset_tcdm()
@@ -62,8 +62,8 @@ class TestModelCrossValidation:
         speedup computed from the analytical models used in the figures."""
         cluster = PulpCluster()
         m = n = k = 48
-        x = random_fp16_matrix(m, n, scale=0.25, seed=0)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=1)
+        x = random_matrix(m, n, scale=0.25, seed=0)
+        w = random_matrix(n, k, scale=0.25, seed=1)
         _, outcome = cluster.matmul(x, w)
 
         analytic = RedMulEPerfModel(RedMulEConfig.reference()).estimate_gemm(m, n, k)
@@ -78,8 +78,8 @@ class TestModelCrossValidation:
         fp32 reference for the auto-encoder layer sizes, supporting the
         paper's premise that FP16 is enough for on-device fine-tuning."""
         rng = np.random.default_rng(7)
-        weights = quantize_fp16(rng.standard_normal((128, 640)) * 0.05)
-        batch = quantize_fp16(rng.standard_normal((640, 16)) * 0.1)
+        weights = quantize(rng.standard_normal((128, 640)) * 0.05)
+        batch = quantize(rng.standard_normal((640, 16)) * 0.1)
         fp16_result = matmul_hw_order_simd_fmt(weights, batch, FP16)
         fp32_result = matmul_reference_fp32(weights, batch)
         scale = float(np.mean(np.abs(fp32_result)))
@@ -94,15 +94,15 @@ class TestClusterConfigurationVariants:
                                   pipeline_regs=pipeline)
         )
         cluster = PulpCluster(config)
-        x = random_fp16_matrix(10, 14, scale=0.25, seed=height)
-        w = random_fp16_matrix(14, 9, scale=0.25, seed=length)
+        x = random_matrix(10, 14, scale=0.25, seed=height)
+        w = random_matrix(14, 9, scale=0.25, seed=length)
         z, outcome = cluster.matmul(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.accelerator.utilisation <= 1.0
 
     def test_exact_arithmetic_cluster(self):
         cluster = PulpCluster(arithmetic="exact")
-        x = random_fp16_matrix(8, 12, scale=0.25, seed=30)
-        w = random_fp16_matrix(12, 8, scale=0.25, seed=31)
+        x = random_matrix(8, 12, scale=0.25, seed=30)
+        w = random_matrix(12, 8, scale=0.25, seed=31)
         z, _ = cluster.matmul(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.mem.layout import MatrixHandle, MemoryAllocator
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
@@ -48,21 +48,21 @@ class TestMatrixHandle:
     def test_store_load_roundtrip_dense(self):
         memory = Memory(4096)
         handle = MatrixHandle(base=64, rows=5, cols=7)
-        matrix = random_fp16_matrix(5, 7, seed=1)
+        matrix = random_matrix(5, 7, seed=1)
         handle.store(memory, matrix)
         assert np.array_equal(handle.load(memory), matrix)
 
     def test_store_load_roundtrip_strided(self):
         memory = Memory(4096)
         handle = MatrixHandle(base=0, rows=4, cols=3, row_stride=64)
-        matrix = random_fp16_matrix(4, 3, seed=2)
+        matrix = random_matrix(4, 3, seed=2)
         handle.store(memory, matrix)
         assert np.array_equal(handle.load(memory), matrix)
 
     def test_store_on_tcdm(self):
         tcdm = Tcdm()
         handle = MatrixHandle(base=tcdm.base + 128, rows=3, cols=3)
-        matrix = random_fp16_matrix(3, 3, seed=3)
+        matrix = random_matrix(3, 3, seed=3)
         handle.store(tcdm, matrix)
         assert np.array_equal(handle.load(tcdm), matrix)
 
@@ -75,7 +75,7 @@ class TestMatrixHandle:
     def test_tile_view_shares_memory(self):
         memory = Memory(4096)
         handle = MatrixHandle(base=0, rows=8, cols=8)
-        matrix = random_fp16_matrix(8, 8, seed=4)
+        matrix = random_matrix(8, 8, seed=4)
         handle.store(memory, matrix)
         tile = handle.tile(2, 4, 3, 4)
         assert tile.row_stride == handle.row_stride

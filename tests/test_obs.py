@@ -606,7 +606,7 @@ class TestEngineIntegration:
     M, N, K = 16, 16, 16
 
     def _offload(self, engine_backend, engine=None):
-        from repro.fp.vector import random_fp16_matrix
+        from repro.fp.vector import random_matrix
         from repro.interco.hci import Hci, HciConfig
         from repro.mem.layout import MemoryAllocator
         from repro.mem.tcdm import Tcdm, TcdmConfig
@@ -626,10 +626,10 @@ class TestEngineIntegration:
             hx = allocator.alloc_matrix(self.M, self.N, "X")
             hw = allocator.alloc_matrix(self.N, self.K, "W")
             hz = allocator.alloc_matrix(self.M, self.K, "Z")
-            hx.store(tcdm, random_fp16_matrix(self.M, self.N, scale=0.25,
-                                              seed=1))
-            hw.store(tcdm, random_fp16_matrix(self.N, self.K, scale=0.25,
-                                              seed=2))
+            hx.store(tcdm, random_matrix(self.M, self.N, scale=0.25,
+                                         seed=1))
+            hw.store(tcdm, random_matrix(self.N, self.K, scale=0.25,
+                                         seed=2))
             engine.offload(MatmulJob.from_handles(hx, hw, hz))
         finally:
             install(None)

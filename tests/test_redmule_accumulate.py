@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import PulpCluster
 from repro.fp.formats import FP16
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.controller import FLAG_ACCUMULATE, REG_FLAGS, RedMulEController
 from repro.redmule.functional import matmul_hw_order_simd_fmt
@@ -25,9 +25,9 @@ class AccumulateHarness:
         self.harness = harness
 
     def run(self, m, n, k, seed=0):
-        x = random_fp16_matrix(m, n, scale=0.25, seed=seed)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=seed + 1)
-        z0 = random_fp16_matrix(m, k, scale=0.25, seed=seed + 2)
+        x = random_matrix(m, n, scale=0.25, seed=seed)
+        w = random_matrix(n, k, scale=0.25, seed=seed + 1)
+        z0 = random_matrix(m, k, scale=0.25, seed=seed + 2)
         allocator = self.harness.allocator
         tcdm = self.harness.tcdm
         hx = allocator.alloc_matrix(m, n, "X")
@@ -58,8 +58,8 @@ class TestAccumulateFunctional:
 
     def test_zero_initial_accumulator_equals_plain_matmul(self, harness):
         m, n, k = 8, 24, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=10)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=11)
+        x = random_matrix(m, n, scale=0.25, seed=10)
+        w = random_matrix(n, k, scale=0.25, seed=11)
         allocator = harness.allocator
         hx = allocator.alloc_matrix(m, n, "X")
         hw = allocator.alloc_matrix(n, k, "W")
@@ -81,8 +81,8 @@ class TestAccumulateFunctional:
         """Splitting N into two accumulation jobs equals one big job -- the
         use case accumulation exists for."""
         m, n, k = 8, 32, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=40)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=41)
+        x = random_matrix(m, n, scale=0.25, seed=40)
+        w = random_matrix(n, k, scale=0.25, seed=41)
         allocator = harness.allocator
         tcdm = harness.tcdm
         hz = allocator.alloc_matrix(m, k, "Z")
@@ -139,9 +139,9 @@ class TestAccumulateTimingAndPlumbing:
 
     def test_cluster_level_accumulate(self):
         cluster = PulpCluster()
-        x = random_fp16_matrix(8, 16, scale=0.25, seed=50)
-        w = random_fp16_matrix(16, 16, scale=0.25, seed=51)
-        bias = random_fp16_matrix(8, 16, scale=0.25, seed=52)
+        x = random_matrix(8, 16, scale=0.25, seed=50)
+        w = random_matrix(16, 16, scale=0.25, seed=51)
+        bias = random_matrix(8, 16, scale=0.25, seed=52)
         hx = cluster.place_matrix(x, "X")
         hw = cluster.place_matrix(w, "W")
         hz = cluster.place_matrix(bias, "Z")

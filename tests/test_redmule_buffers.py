@@ -40,6 +40,19 @@ class TestXBlockBuffer:
         with pytest.raises(RuntimeError):
             buffer.load_line(2, 0, [0] * 16)
 
+    def test_a_reserved_block_takes_a_slot_before_its_lines_arrive(
+            self, config):
+        buffer = XBlockBuffer(config, capacity_blocks=2)
+        buffer.reserve(1)
+        buffer.reserve(2)
+        assert buffer.resident_blocks() == [1, 2]
+        assert buffer.missing_lines(2) == list(range(config.length))
+        assert not buffer.can_accept(3)
+        with pytest.raises(RuntimeError, match="overflow"):
+            buffer.reserve(3)
+        buffer.load_line(2, 0, [0] * 16)
+        assert buffer.missing_lines(2) == list(range(1, config.length))
+
     def test_eviction_frees_capacity(self, config):
         buffer = XBlockBuffer(config, capacity_blocks=2)
         buffer.load_line(0, 0, [0] * 16)

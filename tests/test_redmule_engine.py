@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.farm import SimulationFarm
 from repro.fp.formats import FP16
-from repro.fp.vector import matrix_from_bits, matrix_to_bits, random_fp16_matrix
+from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
 from repro.mem.layout import MemoryAllocator
@@ -53,14 +54,13 @@ class TestFunctionalCorrectness:
 
     def test_bit_exact_mode_matches_exact_golden(self, exact_harness):
         x, w, z, _ = exact_harness.run_random(9, 10, 11, seed=5)
-        golden = matrix_from_bits(
-            matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
-        )
+        golden = bits_to_f64_many(matmul_hw_order_exact_fmt(
+            f64_to_bits_many(x, FP16), f64_to_bits_many(w, FP16), FP16), FP16)
         assert np.array_equal(z, golden)
 
     def test_exact_and_simd_modes_agree(self, harness, exact_harness):
-        x = random_fp16_matrix(10, 13, scale=0.3, seed=21)
-        w = random_fp16_matrix(13, 9, scale=0.3, seed=22)
+        x = random_matrix(10, 13, scale=0.3, seed=21)
+        w = random_matrix(13, 9, scale=0.3, seed=22)
         z_simd, _ = harness.run(x, w)
         z_exact, _ = exact_harness.run(x, w)
         assert np.array_equal(z_simd, z_exact)
@@ -170,8 +170,8 @@ class TestTiming:
         from repro.redmule.job import MatmulJob
 
         harness = MatmulHarness(engine)
-        x = random_fp16_matrix(8, 16, scale=0.25, seed=31)
-        w = random_fp16_matrix(16, 16, scale=0.25, seed=32)
+        x = random_matrix(8, 16, scale=0.25, seed=31)
+        w = random_matrix(16, 16, scale=0.25, seed=32)
         hx = harness.allocator.alloc_matrix(8, 16, "X")
         hw = harness.allocator.alloc_matrix(16, 16, "W")
         hz = harness.allocator.alloc_matrix(8, 16, "Z")
@@ -203,8 +203,8 @@ class TestContention:
             hci = Hci(tcdm, HciConfig(max_wide_streak=2))
             engine = RedMulE(RedMulEConfig.reference(), hci)
             harness = MatmulHarness(engine)
-            x = random_fp16_matrix(8, 64, scale=0.3, seed=1)
-            w = random_fp16_matrix(64, 16, scale=0.3, seed=2)
+            x = random_matrix(8, 64, scale=0.3, seed=1)
+            w = random_matrix(64, 16, scale=0.3, seed=2)
             if with_traffic:
                 original_cycle = hci.wide_line_cycle
 
@@ -230,8 +230,8 @@ class TestContention:
         hci = Hci(tcdm, HciConfig(max_wide_streak=1))
         engine = RedMulE(RedMulEConfig.reference(), hci)
         harness = MatmulHarness(engine)
-        x = random_fp16_matrix(8, 32, scale=0.3, seed=11)
-        w = random_fp16_matrix(32, 16, scale=0.3, seed=12)
+        x = random_matrix(8, 32, scale=0.3, seed=11)
+        w = random_matrix(32, 16, scale=0.3, seed=12)
 
         original_cycle = hci.wide_line_cycle
 
@@ -243,6 +243,26 @@ class TestContention:
         z, result = harness.run(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert result.streamer.stall_cycles > 0
+
+
+def _contended_hci(config, streak, density=None, seed=0):
+    """An HCI whose wide port meets seeded core traffic on a ``density``
+    share of its cycles (none when ``density`` is None)."""
+    tcdm = Tcdm()
+    hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports,
+                              max_wide_streak=streak))
+    if density is not None:
+        traffic = random.Random(seed)
+        original_cycle = hci.wide_line_cycle
+
+        def noisy_wide_cycle(*args, **kwargs):
+            if traffic.random() < density:
+                hci.submit_log_requests(
+                    [CoreRequest(initiator=0, addr=tcdm.base)])
+            return original_cycle(*args, **kwargs)
+
+        hci.wide_line_cycle = noisy_wide_cycle
+    return hci
 
 
 def _placed_job(engine, m, n, k, accumulate=False):
@@ -287,7 +307,7 @@ class TestWatchdog:
            m=st.integers(1, 24), n=st.integers(1, 24), k=st.integers(1, 40),
            accumulate=st.booleans(),
            backend=st.sampled_from(["exact-simd", "trace"]),
-           noise=st.none() | st.tuples(st.integers(2, 4),
+           noise=st.none() | st.tuples(st.integers(1, 4),
                                        st.floats(0.05, 1.0),
                                        st.integers(0, 2 ** 32 - 1)))
     def test_the_default_budget_covers_every_finished_job(
@@ -301,22 +321,8 @@ class TestWatchdog:
                                pipeline_regs=pipeline_regs,
                                w_prefetch_lines=w_prefetch_lines,
                                z_queue_depth=depth, format=precision)
-        streak = 4 if noise is None else noise[0]
-        tcdm = Tcdm()
-        hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports,
-                                  max_wide_streak=streak))
-        if noise is not None:
-            _, density, seed = noise
-            traffic = random.Random(seed)
-            original_cycle = hci.wide_line_cycle
-
-            def noisy_wide_cycle(*args, **kwargs):
-                if traffic.random() < density:
-                    hci.submit_log_requests(
-                        [CoreRequest(initiator=0, addr=tcdm.base)])
-                return original_cycle(*args, **kwargs)
-
-            hci.wide_line_cycle = noisy_wide_cycle
+        streak, density, seed = noise or (4, None, 0)
+        hci = _contended_hci(config, streak, density, seed)
         engine = RedMulE(config, hci, backend=backend,
                          trace_store=TraceStore())
         result = engine.run_job(_placed_job(engine, m, n, k, accumulate))
@@ -324,6 +330,17 @@ class TestWatchdog:
         if noise is not None:
             assert hci.stats.wide_stalls <= (
                 hci.stats.wide_grants // streak + 1)
+
+    def test_x_blocks_in_flight_count_against_the_buffer(self):
+        """With one wide grant per streak and core traffic on 70 % of the
+        cycles, block 3's loads are due while block 2's are still in
+        flight; a buffer that counted only blocks with a loaded line
+        queued both, and block 3's first line overflowed it."""
+        config = RedMulEConfig(height=2, length=4, pipeline_regs=1)
+        hci = _contended_hci(config, streak=1, density=0.7, seed=0)
+        engine = RedMulE(config, hci, trace_store=TraceStore())
+        assert engine.run_job(_placed_job(engine, 13, 16, 7)).cycles > 0
+        assert hci.stats.wide_stalls <= hci.stats.wide_grants + 1
 
     def test_an_hci_that_never_grants_trips_the_default_budget(self):
         class DeadlockedHci(Hci):

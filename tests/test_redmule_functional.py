@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fp.formats import FP16
-from repro.fp.vector import matrix_from_bits, matrix_to_bits, quantize_fp16, random_fp16_matrix
+from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many
+from repro.fp.vector import quantize, random_matrix
 from repro.redmule.functional import (
     matmul_hw_order_exact_fmt,
     matmul_hw_order_simd_fmt,
@@ -14,17 +15,17 @@ from repro.redmule.functional import (
 
 class TestExactModel:
     def test_identity(self):
-        x = matrix_to_bits(np.eye(4))
-        w = matrix_to_bits(np.arange(16, dtype=np.float64).reshape(4, 4) / 8.0)
+        x = f64_to_bits_many(np.eye(4), FP16)
+        w = f64_to_bits_many(np.arange(16, dtype=np.float64).reshape(4, 4) / 8.0,
+                             FP16)
         z = matmul_hw_order_exact_fmt(x, w, FP16)
-        assert z == w
+        assert z == w.tolist()
 
     def test_small_known_result(self):
-        x = matrix_to_bits(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        w = matrix_to_bits(np.array([[5.0, 6.0], [7.0, 8.0]]))
-        z = matrix_from_bits(matmul_hw_order_exact_fmt(x, w, FP16))
-        assert np.array_equal(z, np.array([[19.0, 22.0], [43.0, 50.0]],
-                                          dtype=np.float32))
+        x = f64_to_bits_many(np.array([[1.0, 2.0], [3.0, 4.0]]), FP16)
+        w = f64_to_bits_many(np.array([[5.0, 6.0], [7.0, 8.0]]), FP16)
+        z = bits_to_f64_many(matmul_hw_order_exact_fmt(x, w, FP16), FP16)
+        assert np.array_equal(z, [[19.0, 22.0], [43.0, 50.0]])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -37,11 +38,10 @@ class TestExactModel:
 
 class TestSimdModel:
     def test_matches_exact_on_random_matrices(self):
-        x = random_fp16_matrix(7, 11, scale=0.3, seed=0)
-        w = random_fp16_matrix(11, 9, scale=0.3, seed=1)
-        exact = matrix_from_bits(
-            matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w), FP16)
-        )
+        x = random_matrix(7, 11, scale=0.3, seed=0)
+        w = random_matrix(11, 9, scale=0.3, seed=1)
+        exact = bits_to_f64_many(matmul_hw_order_exact_fmt(
+            f64_to_bits_many(x, FP16), f64_to_bits_many(w, FP16), FP16), FP16)
         simd = matmul_hw_order_simd_fmt(x, w, FP16)
         assert np.array_equal(exact, simd)
 
@@ -49,16 +49,16 @@ class TestSimdModel:
         """FP16 step-wise accumulation differs from an fp32 matmul rounded once,
         which is exactly why a bit-true golden model is needed."""
         rng = np.random.default_rng(5)
-        x = quantize_fp16(rng.standard_normal((8, 256)))
-        w = quantize_fp16(rng.standard_normal((256, 8)))
+        x = quantize(rng.standard_normal((8, 256)))
+        w = quantize(rng.standard_normal((256, 8)))
         fp16_result = matmul_hw_order_simd_fmt(x, w, FP16)
-        fp32_result = quantize_fp16(matmul_reference_fp32(x, w))
+        fp32_result = quantize(matmul_reference_fp32(x, w))
         assert not np.array_equal(fp16_result, fp32_result)
 
     def test_error_vs_fp32_is_bounded(self):
         """The FP16 accumulation error stays small for well-scaled operands."""
-        x = random_fp16_matrix(16, 64, scale=0.1, seed=7)
-        w = random_fp16_matrix(64, 16, scale=0.1, seed=8)
+        x = random_matrix(16, 64, scale=0.1, seed=7)
+        w = random_matrix(64, 16, scale=0.1, seed=8)
         fp16_result = matmul_hw_order_simd_fmt(x, w, FP16)
         fp32_result = matmul_reference_fp32(x, w)
         scale = float(np.mean(np.abs(fp32_result)))
@@ -72,7 +72,7 @@ class TestSimdModel:
             matmul_hw_order_simd_fmt(np.zeros(3), np.zeros((3, 2)), FP16)
 
     def test_overflow_saturates_to_infinity(self):
-        x = quantize_fp16(np.full((1, 4), 200.0))
-        w = quantize_fp16(np.full((4, 1), 200.0))
+        x = quantize(np.full((1, 4), 200.0))
+        w = quantize(np.full((4, 1), 200.0))
         result = matmul_hw_order_simd_fmt(x, w, FP16)
         assert np.isinf(result[0, 0])

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fp.formats import FP16
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.tcdm import Tcdm
 from repro.redmule.config import RedMulEConfig
@@ -36,8 +36,8 @@ def _fresh_harness() -> MatmulHarness:
 @given(m=dims, n=dims, k=dims, seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_engine_matches_golden_model_for_any_shape(m, n, k, seed):
     harness = _fresh_harness()
-    x = random_fp16_matrix(m, n, scale=0.25, seed=seed)
-    w = random_fp16_matrix(n, k, scale=0.25, seed=seed + 1)
+    x = random_matrix(m, n, scale=0.25, seed=seed)
+    w = random_matrix(n, k, scale=0.25, seed=seed + 1)
     z, result = harness.run(x, w)
     assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
     assert result.total_macs == m * n * k
@@ -49,8 +49,8 @@ def test_engine_matches_golden_model_for_any_shape(m, n, k, seed):
 def test_cycle_count_bounds_for_any_shape(m, n, k):
     harness = _fresh_harness()
     _, result = harness.run(
-        random_fp16_matrix(m, n, scale=0.25, seed=1),
-        random_fp16_matrix(n, k, scale=0.25, seed=2),
+        random_matrix(m, n, scale=0.25, seed=1),
+        random_matrix(n, k, scale=0.25, seed=2),
     )
     ideal = (m * n * k) / 32.0
     assert result.cycles >= ideal
@@ -67,7 +67,7 @@ def test_cycle_count_bounds_for_any_shape(m, n, k):
 def test_inner_dimension_padding_never_corrupts_results(n, seed):
     """N is the dimension the array pads to multiples of H; sweep it finely."""
     harness = _fresh_harness()
-    x = random_fp16_matrix(8, n, scale=0.25, seed=seed)
-    w = random_fp16_matrix(n, 16, scale=0.25, seed=seed + 7)
+    x = random_matrix(8, n, scale=0.25, seed=seed)
+    w = random_matrix(n, 16, scale=0.25, seed=seed + 7)
     z, _ = harness.run(x, w)
     assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))

@@ -17,9 +17,7 @@ import pytest
 
 from repro.farm import SimulationFarm
 from repro.farm.cache import CACHE_FILE_VERSION, TimingCache
-from repro.fp.flags import ExceptionFlags
-from repro.fp.formats import fma_bits, get_format
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.interco.log_interco import CoreRequest
 from repro.mem.layout import MemoryAllocator
@@ -31,7 +29,6 @@ from repro.redmule.scheduler import TileSchedule
 from repro.redmule.trace import (
     ReplaySession,
     TraceStore,
-    replay_dataplane,
     reset_shared_trace_stores,
     shared_trace_store,
     tile_key,
@@ -64,10 +61,10 @@ def _build(m, n, k, backend="trace", accumulate=False, trace_store=None,
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
     hz = allocator.alloc_matrix(m, k, "Z")
-    hx.store(tcdm, random_fp16_matrix(m, n, scale=0.25, seed=seed + 1))
-    hw.store(tcdm, random_fp16_matrix(n, k, scale=0.25, seed=seed + 2))
+    hx.store(tcdm, random_matrix(m, n, scale=0.25, seed=seed + 1))
+    hw.store(tcdm, random_matrix(n, k, scale=0.25, seed=seed + 2))
     if accumulate:
-        hz.store(tcdm, random_fp16_matrix(m, k, scale=0.25, seed=seed + 3))
+        hz.store(tcdm, random_matrix(m, k, scale=0.25, seed=seed + 3))
     job = MatmulJob.from_handles(hx, hw, hz, accumulate=accumulate)
     return engine, job, (lambda: tcdm.dump_image(hz.base, m * k * 2))
 
@@ -283,8 +280,8 @@ class TestContentionHandling:
         hx = allocator.alloc_matrix(8, 32, "X")
         hw = allocator.alloc_matrix(32, 16, "W")
         hz = allocator.alloc_matrix(8, 16, "Z")
-        x = random_fp16_matrix(8, 32, scale=0.3, seed=11)
-        w = random_fp16_matrix(32, 16, scale=0.3, seed=12)
+        x = random_matrix(8, 32, scale=0.3, seed=11)
+        w = random_matrix(32, 16, scale=0.3, seed=12)
         hx.store(tcdm, x)
         hw.store(tcdm, w)
 
@@ -301,11 +298,11 @@ class TestContentionHandling:
         assert store.stats.discarded > 0
         # Functional output is unaffected by the discarded recording.
         from repro.fp.formats import FP16
-        from repro.fp.vector import matrix_to_bits
+        from repro.fp.simd_formats import f64_to_bits_many
         from repro.redmule.functional import matmul_hw_order_exact_fmt
         got = tcdm.dump_image(hz.base, 8 * 16 * 2)
-        want = matmul_hw_order_exact_fmt(matrix_to_bits(x), matrix_to_bits(w),
-                                         FP16)
+        want = matmul_hw_order_exact_fmt(f64_to_bits_many(x, FP16),
+                                         f64_to_bits_many(w, FP16), FP16)
         want_bits = np.array(want, dtype=np.uint16).tobytes()
         assert got == want_bits
 
@@ -323,9 +320,9 @@ class TestStridedJobsReplay:
         x_size = (m - 1) * x_stride + n * eb
         w_size = (n - 1) * w_stride + k * eb
         z_size = (m - 1) * z_stride + k * eb
-        x = random_fp16_matrix(m, n, scale=0.25, seed=5)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=6)
-        z0 = random_fp16_matrix(m, k, scale=0.25, seed=7)
+        x = random_matrix(m, n, scale=0.25, seed=5)
+        w = random_matrix(n, k, scale=0.25, seed=6)
+        z0 = random_matrix(m, k, scale=0.25, seed=7)
 
         def run(backend, store):
             tcdm = Tcdm()
@@ -480,55 +477,6 @@ class TestTimingCacheSchema:
         assert got.cache_hit and got.record == want.record
         assert farm2.stats.engine_runs == 0
         assert len(shared_trace_store(farm2.config)) == 0
-
-
-class TestReplayDataplane:
-    @pytest.mark.parametrize("fmt_name", ["fp16", "bf16", "fp8-e4m3",
-                                          "fp8-e5m2"])
-    def test_matches_scalar_fma_chain_with_flags(self, fmt_name):
-        """The batched data plane reproduces the scalar oracle's bits AND
-        its accumulated IEEE exception flags in every precision."""
-        fmt = get_format(fmt_name)
-        rng = np.random.default_rng(3)
-        rows, cols, n = 3, 4, 6
-        hi = 1 << fmt.storage_bits
-        # Exclude the sign bit half to keep magnitudes spread but finite-ish;
-        # NaN/inf patterns are fine too -- include a few explicitly.
-        x_bits = rng.integers(0, hi, (1, rows, n), dtype=np.uint32)
-        w_bits = rng.integers(0, hi, (1, n, cols), dtype=np.uint32)
-        acc_bits = np.zeros((1, rows, cols), dtype=np.uint32)
-        mask = np.ones(n, dtype=bool)
-        mask[n - 1] = False  # one gated step, accumulator passes through
-
-        flags = ExceptionFlags()
-        got = replay_dataplane(x_bits, w_bits, acc_bits, mask, fmt,
-                               flags=flags)
-
-        want = np.zeros((rows, cols), dtype=np.uint32)
-        want_flags = ExceptionFlags()
-        for r in range(rows):
-            for c in range(cols):
-                acc = 0
-                for step in np.flatnonzero(mask):
-                    acc = fma_bits(int(x_bits[0, r, step]),
-                                   int(w_bits[0, step, c]), acc, fmt,
-                                   flags=want_flags)
-                want[r, c] = acc
-        assert np.array_equal(got[0].astype(np.uint32), want)
-        assert flags.to_fflags() == want_flags.to_fflags()
-
-    def test_flagless_and_flagged_paths_agree(self):
-        fmt = get_format("fp16")
-        rng = np.random.default_rng(5)
-        x_bits = rng.integers(0, 0x8000, (2, 4, 8), dtype=np.uint16)
-        w_bits = rng.integers(0, 0x8000, (2, 8, 3), dtype=np.uint16)
-        acc_bits = rng.integers(0, 0x8000, (2, 4, 3), dtype=np.uint16)
-        mask = np.ones(8, dtype=bool)
-        fast = replay_dataplane(x_bits, w_bits, acc_bits, mask, fmt)
-        slow = replay_dataplane(x_bits, w_bits, acc_bits, mask, fmt,
-                                flags=ExceptionFlags())
-        assert np.array_equal(np.asarray(fast, np.uint16),
-                              np.asarray(slow, np.uint16))
 
 
 class TestTileKeys:

@@ -26,9 +26,10 @@ from repro.fp.formats import FORMATS, FP16, fma_bits
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     chain_sums_exact,
+    f64_to_bits_many,
     format_dtype,
 )
-from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
+from repro.fp.vector import quantize, random_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm, TcdmConfig
@@ -76,12 +77,12 @@ def _run_engine(backend, m, n, k, accumulate=False, x=None, w=None, z0=None):
     hw = allocator.alloc_matrix(n, k, "W")
     hz = allocator.alloc_matrix(m, k, "Z")
     hx.store(tcdm, x if x is not None
-             else random_fp16_matrix(m, n, scale=0.25, seed=m + n))
+             else random_matrix(m, n, scale=0.25, seed=m + n))
     hw.store(tcdm, w if w is not None
-             else random_fp16_matrix(n, k, scale=0.25, seed=n + k))
+             else random_matrix(n, k, scale=0.25, seed=n + k))
     if accumulate:
         hz.store(tcdm, z0 if z0 is not None
-                 else random_fp16_matrix(m, k, scale=0.25, seed=m + k))
+                 else random_matrix(m, k, scale=0.25, seed=m + k))
     result = engine.run_job(MatmulJob.from_handles(hx, hw, hz,
                                                    accumulate=accumulate))
     return result, tcdm.dump_image(hz.base, m * k * 2)
@@ -113,8 +114,8 @@ class TestEngineBitIdentity:
         """NaNs, infinities and subnormal operands in the input matrices must
         not break bit-identity (they exercise the guarded fallback path)."""
         m, n, k = 16, 24, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
+        x = random_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
+        w = random_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
         x[0, 0], x[1, 2], x[2, 1] = np.inf, np.nan, 6e-8
         w[0, 0], w[1, 1], w[2, 0] = -np.inf, 65504.0, -5.9e-8
         exact_result, exact_bits = _run_engine("exact", m, n, k, x=x, w=w)
@@ -126,22 +127,22 @@ class TestEngineBitIdentity:
 class TestGoldenModelEquivalence:
     def test_simd_matmul_matches_scalar_oracle(self):
         rng = np.random.default_rng(0)
-        x = quantize_fp16(rng.standard_normal((12, 37)) * 0.3)
-        w = quantize_fp16(rng.standard_normal((37, 9)) * 0.3)
-        assert (matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16))
-                == matmul_hw_order_exact_fmt(matrix_to_bits(x),
-                                             matrix_to_bits(w), FP16))
+        x = quantize(rng.standard_normal((12, 37)) * 0.3)
+        w = quantize(rng.standard_normal((37, 9)) * 0.3)
+        got = f64_to_bits_many(matmul_hw_order_simd_fmt(x, w, FP16), FP16)
+        assert got.tolist() == matmul_hw_order_exact_fmt(
+            f64_to_bits_many(x, FP16), f64_to_bits_many(w, FP16), FP16)
 
     def test_simd_matmul_with_accumulator(self):
         rng = np.random.default_rng(1)
-        x = quantize_fp16(rng.standard_normal((5, 16)) * 0.3)
-        w = quantize_fp16(rng.standard_normal((16, 7)) * 0.3)
-        acc = quantize_fp16(rng.standard_normal((5, 7)))
+        x = quantize(rng.standard_normal((5, 16)) * 0.3)
+        w = quantize(rng.standard_normal((16, 7)) * 0.3)
+        acc = quantize(rng.standard_normal((5, 7)))
         want = matmul_hw_order_exact_fmt(
-            matrix_to_bits(x), matrix_to_bits(w), FP16, matrix_to_bits(acc)
-        )
-        got = matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16, acc))
-        assert got == want
+            f64_to_bits_many(x, FP16), f64_to_bits_many(w, FP16), FP16,
+            f64_to_bits_many(acc, FP16))
+        got = f64_to_bits_many(matmul_hw_order_simd_fmt(x, w, FP16, acc), FP16)
+        assert got.tolist() == want
 
     def test_simd_matmul_shape_checks(self):
         with pytest.raises(ValueError):
@@ -462,8 +463,8 @@ class TestTraceBackendEquivalence:
 
     def test_special_values_replay_bit_identically(self):
         m, n, k = 16, 24, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
+        x = random_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
+        w = random_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
         x[0, 0], x[1, 2], x[2, 1] = np.inf, np.nan, 6e-8
         w[0, 0], w[1, 1], w[2, 0] = -np.inf, 65504.0, -5.9e-8
         simd_result, simd_bits = _run_engine("exact-simd", m, n, k, x=x, w=w)

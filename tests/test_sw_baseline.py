@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fp.formats import FP16
-from repro.fp.vector import random_fp16_matrix
+from repro.fp.vector import random_matrix
 from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.sw.baseline import SoftwareBaseline
@@ -78,8 +78,8 @@ class TestSoftwareBaseline:
     def test_compute_matches_hardware_semantics(self):
         """The software kernel uses the same FP16 FMA, so results are identical."""
         baseline = SoftwareBaseline()
-        x = random_fp16_matrix(8, 32, scale=0.3, seed=0)
-        w = random_fp16_matrix(32, 8, scale=0.3, seed=1)
+        x = random_matrix(8, 32, scale=0.3, seed=0)
+        w = random_matrix(32, 8, scale=0.3, seed=1)
         result = baseline.compute(x, w)
         assert result.dtype == np.float32
         assert np.array_equal(result, matmul_hw_order_simd_fmt(x, w, FP16))

@@ -1,9 +1,11 @@
 """Tests for the TinyMLPerf auto-encoder workload model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.fp.vector import quantize_fp16
+from repro.fp.vector import quantize
 from repro.workloads.autoencoder import (
     AUTOENCODER_LAYER_SIZES,
     AutoEncoder,
@@ -54,7 +56,7 @@ class TestTopology:
 class TestFunctionalModel:
     def _batch(self, model, batch, seed=0):
         rng = np.random.default_rng(seed)
-        return quantize_fp16(rng.standard_normal((model.layer_sizes[0], batch)) * 0.1)
+        return quantize(rng.standard_normal((model.layer_sizes[0], batch)) * 0.1)
 
     def test_forward_shapes(self):
         model = AutoEncoder(layer_sizes=(32, 16, 4, 16, 32), seed=1)
@@ -72,8 +74,8 @@ class TestFunctionalModel:
     def test_values_are_fp16_representable(self):
         model = AutoEncoder(layer_sizes=(32, 16, 32), seed=2)
         output, _ = model.forward(self._batch(model, 2, seed=3))
-        assert np.array_equal(output, quantize_fp16(output))
-        assert all(np.array_equal(w, quantize_fp16(w)) for w in model.weights)
+        assert np.array_equal(output, quantize(output))
+        assert all(np.array_equal(w, quantize(w)) for w in model.weights)
 
     def test_backward_gradient_shapes(self):
         model = AutoEncoder(layer_sizes=(24, 12, 4, 12, 24), seed=4)
@@ -96,10 +98,30 @@ class TestFunctionalModel:
         model = AutoEncoder(layer_sizes=(32, 16, 8, 16, 32), seed=6,
                             weight_scale=0.2)
         rng = np.random.default_rng(7)
-        data = quantize_fp16(rng.standard_normal((32, 8)))
+        data = quantize(rng.standard_normal((32, 8)))
         losses = [model.training_step(data, learning_rate=0.05)["loss"]
                   for _ in range(20)]
         assert losses[-1] < losses[0] * 0.7
+
+    def test_training_and_forward_bits_are_pinned(self):
+        """Three SGD steps and one forward pass at fixed seeds hash to one
+        digest over the losses, the weights, the output and their dtypes,
+        so a change to any quantisation step or dtype shows up here."""
+        model = AutoEncoder(layer_sizes=(64, 32, 8, 32, 64), seed=11,
+                            weight_scale=0.2)
+        data = np.random.default_rng(12).standard_normal((64, 4))
+        losses = [model.training_step(data, learning_rate=0.05)["loss"]
+                  for _ in range(3)]
+        output, _ = model.forward(data)
+        digest = hashlib.sha256()
+        for loss in losses:
+            digest.update(np.float64(loss).tobytes())
+        for array in (*model.weights, output):
+            digest.update(array.dtype.str.encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "85086478e1fe811629c8f7a272466b95"
+            "67a556d374a12f4a7338096cfdd7a579")
 
     def test_validation(self):
         with pytest.raises(ValueError):

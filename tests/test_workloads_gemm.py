@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fp.vector import quantize_fp16
+from repro.fp.vector import quantize
 from repro.workloads.gemm import GemmShape, GemmWorkload, square_sweep
 
 
@@ -22,7 +22,7 @@ class TestGemmShape:
         shape = GemmShape(6, 10, 4)
         x, w = shape.random_operands(seed=3)
         assert x.shape == (6, 10) and w.shape == (10, 4)
-        assert np.array_equal(x, quantize_fp16(x))
+        assert np.array_equal(x, quantize(x))
         x2, w2 = shape.random_operands(seed=3)
         assert np.array_equal(x, x2) and np.array_equal(w, w2)
 
