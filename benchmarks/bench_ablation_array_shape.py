@@ -8,13 +8,13 @@ where the skewed shapes make the difference visible.
 """
 
 from benchmarks.conftest import print_series, record_info
+from repro.graph import autoencoder_training_graph
 from repro.perf.metrics import time_workload_hw
 from repro.redmule.config import RedMulEConfig
-from repro.workloads.autoencoder import autoencoder_training_gemms
 
 
 def _sweep(shapes, batch):
-    gemms = [g.shape for g in autoencoder_training_gemms(batch)]
+    gemms = [n.shape for n in autoencoder_training_graph(batch).gemm_nodes()]
     records = []
     for height, length in shapes:
         config = RedMulEConfig(height=height, length=length, pipeline_regs=3)

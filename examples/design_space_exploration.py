@@ -13,9 +13,9 @@ Run with:  python examples/design_space_exploration.py
 
 from repro import AreaModel, EnergyModel, RedMulEConfig
 from repro.farm import default_farm
+from repro.graph import autoencoder_training_graph
 from repro.obs.report import TextTable
 from repro.power.technology import OP_22NM_EFFICIENCY, TECH_22NM
-from repro.workloads.autoencoder import autoencoder_training_gemms
 
 #: Candidate geometries: (H, L, P).
 CANDIDATES = [
@@ -39,7 +39,7 @@ def explore():
     and re-running the exploration is nearly free.
     """
     records = []
-    autoencoder = [g.shape for g in autoencoder_training_gemms(batch=16)]
+    autoencoder = [n.shape for n in autoencoder_training_graph(16).gemm_nodes()]
     for height, length, pipeline in CANDIDATES:
         config = RedMulEConfig(height=height, length=length,
                                pipeline_regs=pipeline)

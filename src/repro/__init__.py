@@ -90,7 +90,7 @@ from repro.serve import (
     TenantSpec,
 )
 from repro.sw import SoftwareBaseline
-from repro.workloads import AutoEncoder, GemmShape, GemmWorkload
+from repro.workloads import AutoEncoder, GemmShape
 
 __version__ = "1.0.0"
 
@@ -109,7 +109,6 @@ __all__ = [
     "FarmResult",
     "GemmNode",
     "GemmShape",
-    "GemmWorkload",
     "LoweredProgram",
     "MatmulJob",
     "MatrixHandle",

@@ -17,7 +17,6 @@ from repro.cluster.tiler import (
     TiledMatmul,
     TiledMatmulPlan,
     TiledMatmulResult,
-    estimate_tiled_matmul,
     plan_tiled_matmul,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "TiledMatmul",
     "TiledMatmulPlan",
     "TiledMatmulResult",
-    "estimate_tiled_matmul",
     "plan_tiled_matmul",
 ]

@@ -11,11 +11,14 @@ Two pieces are provided:
 
 * :func:`plan_tiled_matmul` -- choose tile sizes that fit a TCDM budget
   (honouring the accelerator's natural granularities: multiples of ``L`` rows
-  and ``block_k`` columns) and predict the job count, DMA traffic and cycle
-  count with DMA/compute overlap;
+  and ``block_k`` columns) and predict the job count and DMA traffic;
 * :class:`TiledMatmul` -- execute the plan on a :class:`~repro.cluster.cluster.
   PulpCluster`: real DMA transfers, real accelerator jobs, result written back
   to L2, cycle accounting returned.
+
+A tiled GEMM is timed without executing it by lowering its graph with
+``tile=True`` and timing the program on the simulation farm
+(:meth:`repro.farm.SimulationFarm.time_program`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from repro.cluster.dma import DmaTransfer
 from repro.mem.layout import ELEMENT_BYTES, MatrixHandle
 from repro.redmule.config import RedMulEConfig
-from repro.redmule.perf_model import RedMulEPerfModel
 
 
 @dataclass(frozen=True)
@@ -182,33 +184,6 @@ def plan_tiled_matmul(
     return TiledMatmulPlan(m=m, n=n, k=k, tile_m=tile_m, tile_n=tile_n,
                            tile_k=tile_k, tcdm_budget_bytes=tcdm_budget_bytes,
                            element_bytes=element_bytes)
-
-
-def estimate_tiled_matmul(plan: TiledMatmulPlan,
-                          config: Optional[RedMulEConfig] = None,
-                          dma_bytes_per_cycle: float = 8.0,
-                          offload_cycles_per_job: float = 30.0) -> TiledMatmulResult:
-    """Analytical cycle estimate of a tiling plan (no simulation).
-
-    Compute cycles come from the accelerator performance model per tile; DMA
-    time is overlapped with compute (double buffering) and only the amount by
-    which it exceeds the compute time of a job is exposed.
-    """
-    config = config or RedMulEConfig.reference()
-    model = RedMulEPerfModel(config)
-    per_job_cycles = model.estimate_gemm(plan.tile_m, plan.tile_n, plan.tile_k).cycles
-    compute = per_job_cycles * plan.n_jobs
-    dma = plan.dma_bytes / dma_bytes_per_cycle
-    exposed = max(0.0, dma - compute) + min(dma, per_job_cycles)
-    offload = offload_cycles_per_job * plan.n_jobs
-    return TiledMatmulResult(
-        plan=plan,
-        compute_cycles=compute,
-        dma_cycles=dma,
-        exposed_dma_cycles=exposed,
-        offload_cycles=offload,
-        n_jobs=plan.n_jobs,
-    )
 
 
 class TiledMatmul:

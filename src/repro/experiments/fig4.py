@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.farm import SimulationFarm, farm_for_config
+from repro.graph.zoo import ROLE_FORWARD, TAG_ROLE, autoencoder_training_graph
 from repro.perf.metrics import time_workload_sw
 from repro.power.area import AreaModel
 from repro.redmule.config import RedMulEConfig
 from repro.sw.baseline import SoftwareBaseline
-from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES, autoencoder_training_gemms
-from repro.workloads.training import TrainingGemm
+from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 
 #: Default square sizes of the Fig. 4a sweep.
 DEFAULT_HW_SW_SIZES = (8, 16, 32, 48, 64, 96, 128, 192, 256, 384, 512)
@@ -79,9 +79,11 @@ def area_sweep(
     return AreaModel.sweep(list(shapes), pipeline_regs=pipeline_regs)
 
 
-def _split_by_pass(gemms: Sequence[TrainingGemm]):
-    forward = [g.shape for g in gemms if g.is_forward]
-    backward = [g.shape for g in gemms if g.is_backward]
+def _split_by_pass(batch: int):
+    """The AE training step's GEMM shapes: forward pass, backward pass."""
+    nodes = autoencoder_training_graph(batch).gemm_nodes()
+    forward = [n.shape for n in nodes if n.tags[TAG_ROLE] == ROLE_FORWARD]
+    backward = [n.shape for n in nodes if n.tags[TAG_ROLE] != ROLE_FORWARD]
     return forward, backward
 
 
@@ -101,8 +103,7 @@ def autoencoder_training(
     config = config or RedMulEConfig.reference()
     cluster_config = cluster_config or ClusterConfig(redmule=config)
     farm = farm_for_config(config, farm)
-    gemms = autoencoder_training_gemms(batch)
-    forward_shapes, backward_shapes = _split_by_pass(gemms)
+    forward_shapes, backward_shapes = _split_by_pass(batch)
 
     offload = cluster_config.offload_cycles
     hw_forward = farm.time_workload(forward_shapes, offload)

@@ -25,7 +25,6 @@ from repro.fp.formats import (
     FP8_E5M2,
     FP16,
     BinaryFormat,
-    FloatClass,
     fma_bits,
     fma_mixed,
     get_format,
@@ -66,5 +65,4 @@ __all__ = [
     "quantize",
     "random_matrix",
     "unpack_matrix",
-    "FloatClass",
 ]

@@ -32,7 +32,6 @@ keeps long dot products from drowning in rounding error.
 
 from __future__ import annotations
 
-import enum
 import math
 import struct
 from dataclasses import dataclass
@@ -57,20 +56,6 @@ def round_shifted(magnitude: int, rshift: int) -> int:
     if remainder > half or (remainder == half and truncated & 1):
         return truncated + 1
     return truncated
-
-
-class FloatClass(enum.Enum):
-    """Classification of a floating-point pattern (mirrors RISC-V ``fclass``)."""
-
-    NAN = "nan"
-    POS_INF = "+inf"
-    NEG_INF = "-inf"
-    POS_NORMAL = "+normal"
-    NEG_NORMAL = "-normal"
-    POS_SUBNORMAL = "+subnormal"
-    NEG_SUBNORMAL = "-subnormal"
-    POS_ZERO = "+zero"
-    NEG_ZERO = "-zero"
 
 
 @dataclass(frozen=True)
@@ -230,27 +215,9 @@ class BinaryFormat:
         """True if the pattern encodes +-0."""
         return (self.check_bits(bits) & self.abs_mask) == 0
 
-    def is_subnormal(self, bits: int) -> bool:
-        """True if the pattern encodes a non-zero subnormal."""
-        magnitude = self.check_bits(bits) & self.abs_mask
-        return 0 < magnitude < self.implicit_one
-
     def is_finite(self, bits: int) -> bool:
         """True if the pattern encodes a finite value (zero included)."""
         return (self.check_bits(bits) & self.abs_mask) < self.exp_mask
-
-    def classify(self, bits: int) -> FloatClass:
-        """Classify a pattern."""
-        sign = self.sign_of(bits)
-        if self.is_nan(bits):
-            return FloatClass.NAN
-        if self.is_inf(bits):
-            return FloatClass.NEG_INF if sign else FloatClass.POS_INF
-        if self.is_zero(bits):
-            return FloatClass.NEG_ZERO if sign else FloatClass.POS_ZERO
-        if self.is_subnormal(bits):
-            return FloatClass.NEG_SUBNORMAL if sign else FloatClass.POS_SUBNORMAL
-        return FloatClass.NEG_NORMAL if sign else FloatClass.POS_NORMAL
 
     # -- decompose / pack ----------------------------------------------------
     def decompose(self, bits: int) -> Tuple[int, int, int]:

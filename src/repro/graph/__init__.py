@@ -1,7 +1,8 @@
 """Workload-graph compiler: GEMM-level dataflow IR, model zoo, lowering.
 
-``repro.graph`` replaces the flat, hand-ordered GEMM lists of
-:mod:`repro.workloads` with a real intermediate representation:
+``repro.graph`` writes workloads as a GEMM-level intermediate
+representation over the :class:`~repro.workloads.gemm.GemmShape`
+vocabulary of :mod:`repro.workloads`:
 
 * :mod:`repro.graph.ir` -- tensors, :class:`GemmNode` /
   :class:`ElementwiseNode`, the validated :class:`WorkloadGraph` DAG with

@@ -379,9 +379,8 @@ class WorkloadGraph:
         all ready nodes the earliest-added runs first.  When the insertion
         order is itself a valid execution order (which is how the zoo
         builders construct their graphs), the sort returns exactly that
-        order -- this is what makes the lowered job stream of the
-        auto-encoder graph reproduce the legacy hand-written flat list
-        job for job.
+        order, so a builder's lowered job stream follows the order its
+        GEMMs were written in.
 
         Raises :class:`GraphValidationError` on dependency cycles.
         """

@@ -8,8 +8,7 @@ it waits on, and a diagnostic line.  Two modes:
 * **whole-GEMM** (default) -- one canonically-placed
   :class:`~repro.redmule.job.MatmulJob` per GEMM node, exactly what
   :meth:`repro.farm.SimulationFarm.run_shapes` builds for a flat shape
-  list.  This is the mode whose job stream for the auto-encoder graph is
-  job-for-job identical to the legacy hand-written decomposition.
+  list.
 * **tiled** (``tile=True``) -- GEMMs whose operand set exceeds the TCDM
   budget are split through :func:`repro.cluster.tiler.plan_tiled_matmul`
   into per-tile jobs (inner-dimension tiles accumulate, ``Z += X . W``),
@@ -38,7 +37,7 @@ from repro.cluster.tiler import (
 from repro.graph.ir import ElementwiseNode, GemmNode, WorkloadGraph
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
-from repro.workloads.gemm import GemmShape, GemmWorkload
+from repro.workloads.gemm import GemmShape
 
 #: Default TCDM budget handed to the tiling planner (matches the planner's
 #: own default: leave headroom below the 128 KiB reference TCDM).
@@ -180,11 +179,6 @@ class LoweredProgram:
     def gemm_nodes(self) -> List[LoweredNode]:
         """The GEMM nodes, in program order."""
         return [node for node in self.nodes if node.is_gemm]
-
-    def gemm_workload(self, name: Optional[str] = None) -> GemmWorkload:
-        """The program's GEMM shapes as a legacy flat workload."""
-        shapes = [node.shape for node in self.gemm_nodes()]
-        return GemmWorkload(name or self.graph_name, shapes)
 
     def describe(self) -> str:
         """Multi-line summary with per-node diagnostics."""

@@ -1,14 +1,14 @@
 """Model zoo: builders turning common network topologies into workload graphs.
 
 The paper hand-decomposes exactly one model (the MLPerf-Tiny auto-encoder)
-into a flat GEMM list; every builder here generalises that decomposition to a
+into a flat GEMM list; every builder here writes such a decomposition as a
 :class:`~repro.graph.ir.WorkloadGraph` with explicit tensor dependencies, so
 the serving scheduler can overlap whatever is actually independent:
 
 * :func:`mlp_forward_graph` / :func:`mlp_training_graph` -- dense MLP
   inference and SGD training step (forward + weight/input gradients), the
-  generalisation of :mod:`repro.workloads.training`;
-* :func:`autoencoder_training_graph` -- the paper's use case as a graph;
+  only place in the package where a training step becomes GEMMs;
+* :func:`autoencoder_training_graph` -- the paper's use case (Figs. 4c/4d);
 * :func:`transformer_encoder_graph` -- one encoder block with per-head
   attention (QKV projections, scores, context, output projection) and the
   two FFN projections as GEMMs;
@@ -19,10 +19,9 @@ the serving scheduler can overlap whatever is actually independent:
   state made explicit.
 
 Every builder constructs its graph in a valid execution order, so the
-deterministic topological sort returns the nodes exactly as written --
-:func:`mlp_training_graph` in particular reproduces the legacy
-``training_step_gemms`` order GEMM for GEMM (the graph-IR acceptance
-criterion of this subsystem).
+deterministic topological sort returns the nodes exactly as written:
+:func:`mlp_training_graph` issues the forward GEMMs layer by layer, then per
+layer from last to first the weight gradient followed by the input gradient.
 
 ``MODEL_ZOO`` maps names to small parameterless instances used by the
 serving scenarios and the scaling benchmark.
@@ -37,8 +36,7 @@ from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 from repro.workloads.gemm import GemmShape
 
 #: Tag keys the MLP builders attach to their GEMM nodes: each GEMM's role in
-#: the training step and its layer, the same annotation
-#: :class:`repro.workloads.training.TrainingGemm` carries.
+#: the training step (one of the ``ROLE_*`` values) and its layer index.
 TAG_ROLE = "role"
 TAG_LAYER = "layer"
 
@@ -97,7 +95,6 @@ def mlp_training_graph(
     layer_sizes: Sequence[int],
     batch: int,
     name: str = "mlp-training",
-    include_input_gradient_for_first_layer: bool = False,
 ) -> WorkloadGraph:
     """One SGD training step of a dense MLP as a dataflow graph.
 
@@ -105,8 +102,15 @@ def mlp_training_graph(
     the backward pass; per layer (last to first) the weight-gradient GEMM
     reads the forward activation (``dW = dY . A^T``, transpose-annotated) and
     the input-gradient GEMM reads the stored weights transposed
-    (``dA = W^T . dY``).  The first layer's input gradient is skipped by
-    default, exactly like :func:`repro.workloads.training.backward_gemms`.
+    (``dA = W^T . dY``).  The first layer's input gradient is skipped:
+    there is no earlier layer to propagate it to, so an on-device training
+    library never computes it.
+
+    The mapping onto RedMulE's ``Z = X . W`` follows Section III-B of the
+    paper: the forward and input-gradient GEMMs have ``K`` equal to the
+    batch, so at batch 1 the array's 16-element output rows are almost
+    empty; the weight-gradient GEMM has ``K`` equal to the layer's input
+    features and keeps the array busy at any batch (Fig. 4d).
     """
     _check_mlp_args(layer_sizes, batch)
     graph = WorkloadGraph(name)
@@ -130,7 +134,7 @@ def mlp_training_graph(
             transpose="w",
             tags={TAG_ROLE: ROLE_WEIGHT_GRADIENT, TAG_LAYER: str(layer)},
         )
-        if layer > 0 or include_input_gradient_for_first_layer:
+        if layer > 0:
             graph.add_tensor(f"prop{layer}", n_in, batch)
             graph.add_gemm(
                 f"fc{layer}-dx",
@@ -139,7 +143,6 @@ def mlp_training_graph(
                 transpose="x",
                 tags={TAG_ROLE: ROLE_INPUT_GRADIENT, TAG_LAYER: str(layer)},
             )
-        if layer > 0:
             graph.add_tensor(f"delta{layer - 1}", n_in, batch)
             graph.add_elementwise(
                 f"relu{layer - 1}-bwd", "relu-grad",
@@ -153,9 +156,9 @@ def mlp_training_graph(
 def autoencoder_training_graph(batch: int) -> WorkloadGraph:
     """The MLPerf-Tiny anomaly-detection auto-encoder training step.
 
-    Graph form of the paper's Section III-B use case; its lowered job stream
-    is job-for-job identical to the legacy hand-written
-    ``autoencoder_training_gemms`` flat list.
+    Graph form of the paper's Section III-B use case, the GEMMs Figs. 4c and
+    4d time: ten forward GEMMs, ten weight gradients and nine input
+    gradients.
     """
     return mlp_training_graph(AUTOENCODER_LAYER_SIZES, batch,
                               name=f"autoencoder-b{batch}")

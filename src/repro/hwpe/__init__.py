@@ -5,23 +5,18 @@ software-programmed accelerator that shares the TCDM with the cores.  This
 package models the pieces of that integration that are independent of the
 accelerator's datapath:
 
-* :mod:`repro.hwpe.stream` -- ready/valid stream primitives and FIFOs used
-  between the streamer and the datapath buffers;
 * :mod:`repro.hwpe.regfile` -- the memory-mapped register file through which
   cores program a job (operand pointers, matrix sizes, trigger/status);
 * :mod:`repro.hwpe.controller` -- the job controller FSM and the event line
   back to the cores.
 """
 
-from repro.hwpe.stream import Fifo, StreamPort
 from repro.hwpe.regfile import HwpeRegisterFile, RegisterSpec
 from repro.hwpe.controller import HwpeController, HwpeState
 
 __all__ = [
-    "Fifo",
     "HwpeController",
     "HwpeRegisterFile",
     "HwpeState",
     "RegisterSpec",
-    "StreamPort",
 ]

@@ -2,44 +2,24 @@
 
 The paper evaluates RedMulE on generic square matrix multiplications
 (Figs. 3c, 3d, 4a) and on the TinyMLPerf anomaly-detection AutoEncoder
-trained on-device (Figs. 4c, 4d).  This package describes those workloads as
-sequences of GEMM shapes plus enough functional machinery to run them
-end-to-end on the simulated cluster:
+trained on-device (Figs. 4c, 4d).  This package holds the vocabulary those
+workloads are written in and the functional model of the AutoEncoder:
 
-* :mod:`repro.workloads.gemm` -- GEMM shape descriptors, random operand
-  generation and sweep helpers;
-* :mod:`repro.workloads.training` -- decomposition of MLP forward/backward
-  passes into the GEMMs the accelerator executes;
+* :mod:`repro.workloads.gemm` -- the :class:`GemmShape` descriptor and the
+  :class:`WorkloadTiming` cycle accounting of a GEMM sequence;
 * :mod:`repro.workloads.autoencoder` -- the MLPerf-Tiny deep auto-encoder
   topology and a functional FP16 implementation of its training step.
+
+The training step's GEMM decomposition lives in :mod:`repro.graph.zoo`
+(:func:`~repro.graph.zoo.mlp_training_graph`,
+:func:`~repro.graph.zoo.autoencoder_training_graph`).
 """
 
-from repro.workloads.gemm import GemmShape, GemmWorkload, square_sweep
-from repro.workloads.training import (
-    GemmRole,
-    TrainingGemm,
-    backward_gemms,
-    forward_gemms,
-    training_step_gemms,
-)
-from repro.workloads.autoencoder import (
-    AUTOENCODER_LAYER_SIZES,
-    AutoEncoder,
-    autoencoder_training_gemms,
-    autoencoder_workload,
-)
+from repro.workloads.gemm import GemmShape
+from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES, AutoEncoder
 
 __all__ = [
     "AUTOENCODER_LAYER_SIZES",
     "AutoEncoder",
-    "GemmRole",
     "GemmShape",
-    "GemmWorkload",
-    "TrainingGemm",
-    "autoencoder_training_gemms",
-    "autoencoder_workload",
-    "backward_gemms",
-    "forward_gemms",
-    "square_sweep",
-    "training_step_gemms",
 ]

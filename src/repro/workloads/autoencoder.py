@@ -6,10 +6,10 @@ spectrogram feature vectors with four 128-unit hidden layers on each side of
 an 8-unit bottleneck.  The paper fine-tunes it on device (forward + backward)
 with batch sizes 1 and 16.
 
-This module provides the topology, a functional FP16 implementation of the
+This module provides the topology and a functional FP16 implementation of the
 forward and backward pass (computing with the same FP16 FMA semantics as the
-accelerator), and the training-step GEMM decomposition consumed by the
-Fig. 4c / 4d experiments.
+accelerator).  The GEMMs one training step issues -- what the Fig. 4c / 4d
+experiments time -- come from :func:`repro.graph.zoo.autoencoder_training_graph`.
 """
 
 from __future__ import annotations
@@ -22,24 +22,12 @@ import numpy as np
 from repro.fp.formats import FP16
 from repro.fp.vector import quantize, random_matrix
 from repro.redmule.functional import matmul_hw_order_simd_fmt
-from repro.workloads.gemm import GemmWorkload
-from repro.workloads.training import TrainingGemm, as_workload, training_step_gemms
 
 #: MLPerf-Tiny anomaly-detection auto-encoder layer sizes
 #: (input, 4 x 128 hidden, 8-unit bottleneck, 4 x 128 hidden, output).
 AUTOENCODER_LAYER_SIZES: Tuple[int, ...] = (
     640, 128, 128, 128, 128, 8, 128, 128, 128, 128, 640
 )
-
-
-def autoencoder_training_gemms(batch: int) -> List[TrainingGemm]:
-    """Training-step GEMMs of the auto-encoder for a given batch size."""
-    return training_step_gemms(AUTOENCODER_LAYER_SIZES, batch)
-
-
-def autoencoder_workload(batch: int) -> GemmWorkload:
-    """The same GEMMs wrapped as a plain workload."""
-    return as_workload(f"autoencoder-b{batch}", autoencoder_training_gemms(batch))
 
 
 @dataclass
@@ -156,7 +144,3 @@ class AutoEncoder:
             self.weights[layer] = quantize(updated).astype(np.float32)
         return {"loss": loss}
 
-    # -- GEMM decomposition --------------------------------------------------
-    def training_gemms(self, batch: int) -> List[TrainingGemm]:
-        """The GEMMs one training step issues to the accelerator."""
-        return training_step_gemms(self.layer_sizes, batch)

@@ -1,13 +1,9 @@
-"""GEMM workload descriptors and generators."""
+"""GEMM shape descriptors and the cycle accounting of GEMM sequences."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
-
-from repro.fp.vector import random_matrix
+from typing import Dict
 
 #: Valid transpose annotations of a GEMM (subsets of "xw"): which logical
 #: operands were derived by transposing a stored tensor.  Shared by
@@ -52,14 +48,6 @@ class GemmShape:
         """FP16 bytes of X, W and Z together."""
         return 2 * (self.m * self.n + self.n * self.k + self.m * self.k)
 
-    def random_operands(self, scale: float = 0.25,
-                        seed: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Generate random binary16 operands for this shape (float64)."""
-        rng = np.random.default_rng(seed)
-        x = random_matrix(self.m, self.n, scale=scale, rng=rng)
-        w = random_matrix(self.n, self.k, scale=scale, rng=rng)
-        return x, w
-
     def describe(self, transpose: str = "") -> str:
         """One-line summary.
 
@@ -85,44 +73,6 @@ class GemmShape:
                 f"({self.macs} MACs)")
 
 
-class GemmWorkload:
-    """An ordered collection of GEMMs executed back to back."""
-
-    def __init__(self, name: str, shapes: Iterable[GemmShape]) -> None:
-        self.name = name
-        self.shapes: List[GemmShape] = list(shapes)
-        if not self.shapes:
-            raise ValueError("a workload needs at least one GEMM")
-
-    @property
-    def total_macs(self) -> int:
-        """Sum of the MACs of every GEMM."""
-        return sum(shape.macs for shape in self.shapes)
-
-    @property
-    def total_flops(self) -> int:
-        """Sum of the FLOPs of every GEMM."""
-        return 2 * self.total_macs
-
-    @property
-    def operand_bytes(self) -> int:
-        """Total operand footprint if every GEMM keeps its own buffers."""
-        return sum(shape.operand_bytes for shape in self.shapes)
-
-    def __len__(self) -> int:
-        return len(self.shapes)
-
-    def __iter__(self):
-        return iter(self.shapes)
-
-    def describe(self) -> str:
-        """Multi-line summary of the workload."""
-        lines = [f"workload {self.name}: {len(self.shapes)} GEMMs, "
-                 f"{self.total_macs} MACs"]
-        lines.extend(f"  {shape.describe()}" for shape in self.shapes)
-        return "\n".join(lines)
-
-
 @dataclass
 class WorkloadTiming:
     """Cycle accounting of a multi-GEMM workload on one execution target."""
@@ -146,7 +96,3 @@ class WorkloadTiming:
         """Wall-clock runtime at a clock frequency."""
         return self.cycles / frequency_hz
 
-
-def square_sweep(sizes: Iterable[int]) -> List[GemmShape]:
-    """Square GEMMs (M = N = K) used by the Fig. 3c / 3d / 4a sweeps."""
-    return [GemmShape(size, size, size, name=f"square-{size}") for size in sizes]

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import PulpCluster
-from repro.cluster.tiler import (
-    TiledMatmul,
-    estimate_tiled_matmul,
-    plan_tiled_matmul,
-)
+from repro.cluster.tiler import TiledMatmul, plan_tiled_matmul
+from repro.farm import SimulationFarm
 from repro.fp.formats import FP16
 from repro.fp.vector import random_matrix
+from repro.graph.ir import WorkloadGraph
 from repro.redmule.functional import matmul_hw_order_simd_fmt
+from repro.workloads.gemm import GemmShape
 
 
 class TestPlanning:
@@ -54,19 +53,45 @@ class TestPlanning:
             plan_tiled_matmul(8, 8, 8, tcdm_budget_bytes=1024)
 
 
+def _tiled_program(size, budget):
+    """One ``size``-cube GEMM lowered tile by tile under ``budget`` bytes."""
+    graph = WorkloadGraph("tiled")
+    for tensor in ("x", "w", "z"):
+        graph.add_tensor(tensor, size, size)
+    graph.add_gemm("gemm", GemmShape(size, size, size, name="gemm"),
+                   x="x", w="w", z="z")
+    return graph.lower(tile=True, tcdm_budget_bytes=budget)
+
+
 class TestEstimation:
-    def test_estimate_fields(self):
-        plan = plan_tiled_matmul(256, 256, 256, tcdm_budget_bytes=64 * 1024)
-        estimate = estimate_tiled_matmul(plan)
-        assert estimate.n_jobs == plan.n_jobs
-        assert estimate.compute_cycles > 0
-        assert estimate.total_cycles >= estimate.compute_cycles
+    """Tiled GEMMs are timed by lowering with ``tile=True`` and timing the
+    program on the farm."""
 
     def test_larger_budget_means_fewer_jobs_and_less_dma(self):
         small = plan_tiled_matmul(256, 256, 256, tcdm_budget_bytes=24 * 1024)
         large = plan_tiled_matmul(256, 256, 256, tcdm_budget_bytes=96 * 1024)
         assert large.n_jobs < small.n_jobs
         assert large.dma_bytes <= small.dma_bytes
+
+    def test_tiled_timing_sums_the_plan_jobs(self):
+        plan = plan_tiled_matmul(256, 256, 256, tcdm_budget_bytes=64 * 1024)
+        program = _tiled_program(256, 64 * 1024)
+        farm = SimulationFarm(backend="model")
+        timing = farm.time_program(program)
+        assert program.n_jobs == plan.n_jobs > 1
+        assert timing.macs == 256 ** 3
+        # No offload cost unless one is asked for.
+        assert timing.cycles == sum(r.cycles for r in farm.run(program.jobs))
+        # The node's tile jobs are reported as one GEMM.
+        assert timing.per_gemm == {"gemm": timing.cycles}
+
+    def test_offload_is_charged_per_tile_job(self):
+        plan = plan_tiled_matmul(256, 256, 256, tcdm_budget_bytes=64 * 1024)
+        program = _tiled_program(256, 64 * 1024)
+        farm = SimulationFarm(backend="model")
+        base = farm.time_program(program)
+        loaded = farm.time_program(program, offload_cycles_per_job=30.0)
+        assert loaded.cycles == base.cycles + 30.0 * plan.n_jobs
 
 
 class TestExecution:

@@ -35,6 +35,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.table1 import our_rows_as_dicts
 from repro.farm import reset_default_farms, set_default_format
+from repro.graph.zoo import autoencoder_training_graph
 
 #: sha256 of every scenario's rendered output (``runner._render``) in a
 #: ``run_all()`` from clean defaults: fresh shared farms, default scenario
@@ -165,6 +166,24 @@ class TestFig4c:
         assert len(outcome["per_gemm_hw"]) == len(outcome["per_gemm_sw"])
         assert len(outcome["per_gemm_hw"]) == 10 + 10 + 9
 
+    def test_per_gemm_keys_follow_the_graph_order(self):
+        """Forward GEMMs first, then the backward ones, each pass in the
+        training graph's insertion order."""
+        outcome = autoencoder_training(batch=1)
+        names = [node.name
+                 for node in autoencoder_training_graph(1).gemm_nodes()]
+        assert list(outcome["per_gemm_hw"]) == names
+        assert list(outcome["per_gemm_sw"]) == names
+
+    def test_passes_split_the_macs_by_role(self):
+        """Forward: the 264,192 MACs of one sample through the ten layers;
+        backward: as many weight-gradient MACs plus the input gradients of
+        layers 1-9 (182,272)."""
+        outcome = autoencoder_training(batch=1)
+        assert outcome["forward"]["macs"] == 264_192
+        assert outcome["backward"]["macs"] == 264_192 + 182_272
+        assert outcome["total_macs"] == 710_656
+
 
 class TestFig4d:
     def test_batching_restores_the_speedup(self):
@@ -182,6 +201,10 @@ class TestFig4d:
         assert b16["hw_throughput_vs_b1"] > 8      # paper: ~16x
         sw_ratio = b16["sw_macs_per_cycle"] / b1["sw_macs_per_cycle"]
         assert sw_ratio < 2.0                      # paper: no scaling
+
+    def test_total_macs_are_linear_in_batch(self):
+        records = autoencoder_batching((1, 16))
+        assert [r["total_macs"] for r in records] == [710_656, 16 * 710_656]
 
     def test_footprint_fits_l2(self):
         """Both batch sizes fit a typical PULP L2 (the paper quotes 184 kB for

@@ -37,6 +37,7 @@ from repro.redmule.engine import RedMulE
 from repro.redmule.job import MatmulJob
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.redmule.trace import reset_shared_trace_stores, shared_trace_store
+from repro.workloads.gemm import GemmShape
 
 #: Degenerate and edge-case shapes: unit dimensions, tall-skinny matrices,
 #: ragged tiles.  Timing for all of them must memoise exactly.
@@ -279,9 +280,9 @@ class TestBackendSelection:
 class TestWorkloadTiming:
     def test_matches_metrics_time_workload_hw(self):
         from repro.perf.metrics import time_workload_hw
-        from repro.workloads.gemm import square_sweep
 
-        shapes = square_sweep([8, 16, 8, 32])  # repeated shape on purpose
+        # Repeated shape on purpose.
+        shapes = [GemmShape(s, s, s, name=f"square-{s}") for s in (8, 16, 8, 32)]
         farm = SimulationFarm()
         direct = time_workload_hw(shapes, offload_cycles_per_job=70.0)
         farmed = farm.time_workload(shapes, offload_cycles_per_job=70.0)
@@ -290,19 +291,17 @@ class TestWorkloadTiming:
         assert farmed.per_gemm == direct.per_gemm
 
     def test_repeated_shapes_hit_the_cache(self):
-        from repro.workloads.gemm import square_sweep
-
         farm = SimulationFarm()
-        farm.time_workload(square_sweep([8, 16, 8, 16, 8]))
+        farm.time_workload([GemmShape(s, s, s, name=f"square-{s}")
+                            for s in (8, 16, 8, 16, 8)])
         assert farm.cache.stats.misses == 2  # two distinct shapes only
 
     def test_backend_none_normalises_to_model(self):
         """Threading an optional backend through must not silently switch a
         workload onto the auto policy (and thus the engine)."""
-        from repro.workloads.gemm import square_sweep
-
         farm = SimulationFarm()
-        timing = farm.time_workload(square_sweep([8]), backend=None)
+        timing = farm.time_workload([GemmShape(8, 8, 8, name="square-8")],
+                                    backend=None)
         assert farm.stats.model_runs == 1
         assert farm.stats.engine_runs == 0
         assert timing.cycles == RedMulEPerfModel().estimate_gemm(8, 8, 8).cycles

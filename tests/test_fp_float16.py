@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.fp.formats import FP16, FloatClass
+from repro.fp.formats import FP16
 
 
 class TestEncodingRoundtrip:
@@ -68,27 +68,41 @@ class TestSpecialValues:
     def test_predicates(self):
         assert FP16.is_zero(0x0000) and FP16.is_zero(0x8000)
         assert FP16.is_inf(FP16.pos_inf_bits) and FP16.is_inf(FP16.neg_inf_bits)
-        assert FP16.is_subnormal(0x0001) and not FP16.is_subnormal(0x0400)
+        # 0x0001 is the smallest subnormal, 0x0400 the smallest normal.
+        assert FP16.bits_to_float(0x0001) == 2.0 ** -24
+        assert FP16.bits_to_float(0x03FF) == 1023 * 2.0 ** -24
+        assert FP16.bits_to_float(0x0400) == 2.0 ** -14
         assert FP16.is_finite(0x0001) and not FP16.is_finite(FP16.pos_inf_bits)
 
 
 class TestClassification:
+    """One pattern per RISC-V ``fclass`` category, told apart by the
+    predicates, the sign bit and the exponent field."""
+
     @pytest.mark.parametrize(
         "bits,expected",
         [
-            (0x0000, FloatClass.POS_ZERO),
-            (0x8000, FloatClass.NEG_ZERO),
-            (0x0001, FloatClass.POS_SUBNORMAL),
-            (0x8001, FloatClass.NEG_SUBNORMAL),
-            (0x3C00, FloatClass.POS_NORMAL),
-            (0xBC00, FloatClass.NEG_NORMAL),
-            (FP16.pos_inf_bits, FloatClass.POS_INF),
-            (FP16.neg_inf_bits, FloatClass.NEG_INF),
-            (FP16.nan_bits, FloatClass.NAN),
+            (0x0000, "+zero"),
+            (0x8000, "-zero"),
+            (0x0001, "+subnormal"),
+            (0x8001, "-subnormal"),
+            (0x3C00, "+normal"),
+            (0xBC00, "-normal"),
+            (FP16.pos_inf_bits, "+inf"),
+            (FP16.neg_inf_bits, "-inf"),
+            (FP16.nan_bits, "nan"),
         ],
     )
     def test_classify(self, bits, expected):
-        assert FP16.classify(bits) is expected
+        kind = expected.lstrip("+-")
+        assert FP16.is_nan(bits) == (kind == "nan")
+        assert FP16.is_inf(bits) == (kind == "inf")
+        assert FP16.is_zero(bits) == (kind == "zero")
+        assert FP16.is_finite(bits) == (kind in ("zero", "subnormal", "normal"))
+        if kind != "nan":
+            assert FP16.sign_of(bits) == (expected[0] == "-")
+        if kind in ("subnormal", "normal"):
+            assert (FP16.exponent_field(bits) == 0) == (kind == "subnormal")
 
 
 class TestRoundingOnConversion:

@@ -12,7 +12,6 @@ from repro.fp.formats import (
     FP8_E5M2,
     FP16,
     BinaryFormat,
-    FloatClass,
     fma_bits,
     fma_mixed,
     get_format,
@@ -80,15 +79,59 @@ class TestConversionRoundTrips:
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_classification_is_exhaustive_and_consistent(self, fmt):
-        counts = {cls: 0 for cls in FloatClass}
+        counts = {"+zero": 0, "-zero": 0, "+inf": 0, "-inf": 0, "nan": 0,
+                  "+subnormal": 0}
         for bits in range(1 << fmt.storage_bits):
-            counts[fmt.classify(bits)] += 1
-        assert counts[FloatClass.POS_ZERO] == 1
-        assert counts[FloatClass.NEG_ZERO] == 1
-        assert counts[FloatClass.POS_INF] == 1
-        assert counts[FloatClass.NEG_INF] == 1
-        assert counts[FloatClass.NAN] == 2 * (fmt.man_mask)
-        assert counts[FloatClass.POS_SUBNORMAL] == fmt.man_mask
+            # Every pattern is exactly one of NaN, infinity or finite.
+            assert fmt.is_nan(bits) + fmt.is_inf(bits) + fmt.is_finite(bits) == 1
+            sign = "-" if fmt.sign_of(bits) else "+"
+            if fmt.is_nan(bits):
+                counts["nan"] += 1
+            elif fmt.is_inf(bits):
+                counts[sign + "inf"] += 1
+            elif fmt.is_zero(bits):
+                counts[sign + "zero"] += 1
+            elif fmt.exponent_field(bits) == 0 and sign == "+":
+                counts["+subnormal"] += 1
+        assert counts["+zero"] == 1
+        assert counts["-zero"] == 1
+        assert counts["+inf"] == 1
+        assert counts["-inf"] == 1
+        assert counts["nan"] == 2 * (fmt.man_mask)
+        assert counts["+subnormal"] == fmt.man_mask
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+class TestRangeBoundaries:
+    """Where the subnormal range ends and where the finite range ends."""
+
+    def test_subnormals_fill_the_zero_exponent_field(self, fmt):
+        lsb = 2.0 ** fmt.subnormal_exp
+        assert fmt.bits_to_float(0x1) == lsb
+        assert fmt.bits_to_float(fmt.man_mask) == fmt.man_mask * lsb
+        assert fmt.bits_to_float(fmt.sign_mask | 0x1) == -lsb
+        for bits in (0x1, fmt.man_mask, fmt.sign_mask | 0x1):
+            assert fmt.exponent_field(bits) == 0
+            assert fmt.is_finite(bits) and not fmt.is_zero(bits)
+
+    def test_smallest_normal_follows_the_largest_subnormal(self, fmt):
+        smallest_normal = fmt.man_mask + 1
+        assert smallest_normal == fmt.implicit_one
+        assert fmt.exponent_field(smallest_normal) == 1
+        assert fmt.bits_to_float(smallest_normal) == 2.0 ** fmt.emin
+        # The spacing does not change across the boundary.
+        step = (fmt.bits_to_float(smallest_normal)
+                - fmt.bits_to_float(fmt.man_mask))
+        assert step == 2.0 ** fmt.subnormal_exp
+
+    def test_largest_finite_neighbours_infinity(self, fmt):
+        largest = fmt.max_finite_bits
+        assert fmt.is_finite(largest)
+        assert fmt.bits_to_float(largest) == \
+            (2 - 2.0 ** -fmt.man_bits) * 2.0 ** fmt.emax
+        assert largest + 1 == fmt.pos_inf_bits and fmt.is_inf(largest + 1)
+        assert fmt.is_nan(largest + 2)
+        assert fmt.is_inf(fmt.sign_mask | (largest + 1))
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)

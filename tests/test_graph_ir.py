@@ -126,6 +126,25 @@ class TestQueries:
         inputs = {tensor.name for tensor in graph.graph_inputs()}
         assert inputs == {"w1", "a", "w2"}
 
+    def test_gemm_nodes_follow_insertion_not_topo_order(self):
+        """The consumer is added before its producer: ``gemm_nodes`` keeps
+        the order the nodes were added in, ``topo_sort`` reorders."""
+        graph = WorkloadGraph("reversed")
+        for name, rows, cols in (("w1", 8, 4), ("a", 4, 2), ("b", 8, 2),
+                                 ("w2", 16, 8), ("d", 16, 2)):
+            graph.add_tensor(name, rows, cols)
+        graph.add_gemm("gemm2", GemmShape(16, 8, 2, name="gemm2"),
+                       x="w2", w="b", z="d")
+        graph.add_gemm("gemm1", GemmShape(8, 4, 2, name="gemm1"),
+                       x="w1", w="a", z="b")
+        assert [n.name for n in graph.gemm_nodes()] == ["gemm2", "gemm1"]
+        assert [n.name for n in graph.topo_sort()] == ["gemm1", "gemm2"]
+
+    def test_total_macs_counts_only_gemm_work(self):
+        graph = _simple_chain()
+        assert graph.total_macs == sum(n.shape.macs for n in graph.gemm_nodes())
+        assert graph.node("relu").macs == 0
+
 
 class TestTopoSort:
     def test_insertion_order_is_kept_when_valid(self):

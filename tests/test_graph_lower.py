@@ -14,58 +14,56 @@ from repro.graph.zoo import (
     mlp_training_graph,
 )
 from repro.redmule.config import RedMulEConfig
-from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 from repro.workloads.gemm import GemmShape
-from repro.workloads.training import backward_gemms, forward_gemms
 
 
-def _legacy_autoencoder_gemms(batch):
-    """The hand-written flat list, built from the primitive decomposition
-    (independent of the graph IR, so the parity check is non-trivial)."""
-    return (forward_gemms(AUTOENCODER_LAYER_SIZES, batch)
-            + backward_gemms(AUTOENCODER_LAYER_SIZES, batch))
+def _autoencoder_table(b):
+    """(name, M, N, K) of the auto-encoder training step's 29 GEMMs at batch
+    ``b``, in issue order (layers 640-128x4-8-128x4-640)."""
+    return [
+        ("fc0-fwd", 128, 640, b), ("fc1-fwd", 128, 128, b),
+        ("fc2-fwd", 128, 128, b), ("fc3-fwd", 128, 128, b),
+        ("fc4-fwd", 8, 128, b), ("fc5-fwd", 128, 8, b),
+        ("fc6-fwd", 128, 128, b), ("fc7-fwd", 128, 128, b),
+        ("fc8-fwd", 128, 128, b), ("fc9-fwd", 640, 128, b),
+        ("fc9-dw", 640, b, 128), ("fc9-dx", 128, 640, b),
+        ("fc8-dw", 128, b, 128), ("fc8-dx", 128, 128, b),
+        ("fc7-dw", 128, b, 128), ("fc7-dx", 128, 128, b),
+        ("fc6-dw", 128, b, 128), ("fc6-dx", 128, 128, b),
+        ("fc5-dw", 128, b, 8), ("fc5-dx", 8, 128, b),
+        ("fc4-dw", 8, b, 128), ("fc4-dx", 128, 8, b),
+        ("fc3-dw", 128, b, 128), ("fc3-dx", 128, 128, b),
+        ("fc2-dw", 128, b, 128), ("fc2-dx", 128, 128, b),
+        ("fc1-dw", 128, b, 128), ("fc1-dx", 128, 128, b),
+        ("fc0-dw", 128, b, 640),
+    ]
 
 
 class TestAutoencoderParity:
-    """Acceptance criterion: graph lowering reproduces the legacy flat list."""
+    """The auto-encoder graph lowers to the paper's training-step GEMMs."""
 
-    @pytest.mark.parametrize("batch", [1, 16])
-    def test_job_for_job_identical_to_legacy_list(self, batch):
+    @pytest.mark.parametrize("batch", [1, 2, 4, 16])
+    def test_jobs_match_the_written_table(self, batch):
         program = autoencoder_training_graph(batch).lower()
-        legacy = _legacy_autoencoder_gemms(batch)
+        table = _autoencoder_table(batch)
         jobs = program.jobs
-        assert len(jobs) == len(legacy)
-        for job, training_gemm in zip(jobs, legacy):
-            shape = training_gemm.shape
-            assert (job.m, job.n, job.k) == (shape.m, shape.n, shape.k)
+        assert len(jobs) == len(table) == 29
+        for job, (_, m, n, k) in zip(jobs, table):
+            assert (job.m, job.n, job.k) == (m, n, k)
             assert job.accumulate is False
         # Same names in the same deterministic topo-sort order.
-        assert [n.shape.name for n in program.gemm_nodes()] == \
-            [t.shape.name for t in legacy]
+        assert [node.shape.name for node in program.gemm_nodes()] == \
+            [name for name, *_ in table]
 
-    def test_gemm_workload_matches_legacy_wrapper(self):
-        from repro.workloads.autoencoder import autoencoder_workload
-
-        workload = autoencoder_workload(16)
-        assert workload.name == "autoencoder-b16"
-        legacy = _legacy_autoencoder_gemms(16)
-        assert [s.name for s in workload.shapes] == \
-            [t.shape.name for t in legacy]
-        assert workload.total_macs == sum(t.shape.macs for t in legacy)
-        lowered = autoencoder_training_graph(16).lower().gemm_workload()
-        assert (workload.name, workload.shapes) == (lowered.name,
-                                                    lowered.shapes)
-
-    def test_training_step_gemms_matches_the_graph(self):
-        """The flat training step carries the graph's GEMM shapes, roles
-        and layers, in the graph's deterministic order."""
-        from repro.workloads.training import training_step_gemms
-
+    def test_roles_and_layers_match_the_gemm_names(self):
+        """Every GEMM's role and layer tags agree with its ``fc<layer>-<kind>``
+        name, in the graph's deterministic order."""
+        suffix = {"forward": "fwd", "weight-gradient": "dw",
+                  "input-gradient": "dx"}
         graph = autoencoder_training_graph(16)
-        assert [(t.shape, t.role.value, str(t.layer))
-                for t in training_step_gemms(AUTOENCODER_LAYER_SIZES, 16)] == \
-            [(n.shape, n.tags["role"], n.tags["layer"])
-             for n in graph.topo_sort() if isinstance(n, GemmNode)]
+        gemms = [n for n in graph.topo_sort() if isinstance(n, GemmNode)]
+        assert [f"fc{n.tags['layer']}-{suffix[n.tags['role']]}"
+                for n in gemms] == [name for name, *_ in _autoencoder_table(16)]
 
 
 class TestWholeGemmLowering:

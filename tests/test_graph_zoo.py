@@ -16,44 +16,45 @@ from repro.graph.zoo import (
     zoo_models,
 )
 from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
-from repro.workloads.training import backward_gemms, forward_gemms
 
 LAYERS = (10, 6, 4)
 
 
-class TestMlpBuilders:
-    def test_forward_graph_matches_legacy_decomposition(self):
-        graph = mlp_forward_graph(LAYERS, batch=3)
-        legacy = forward_gemms(LAYERS, 3)
-        gemms = [n for n in graph.topo_sort() if isinstance(n, GemmNode)]
-        assert [(g.shape.m, g.shape.n, g.shape.k) for g in gemms] == \
-            [(t.shape.m, t.shape.n, t.shape.k) for t in legacy]
-        assert [g.shape.name for g in gemms] == \
-            [t.shape.name for t in legacy]
+def _layers_table(batch):
+    """(name, M, N, K, role, layer) of every GEMM of the ``LAYERS`` training
+    step, in issue order: forward layer by layer, then per layer from last
+    to first the weight gradient and (except for layer 0) the input
+    gradient."""
+    return [
+        ("fc0-fwd", 6, 10, batch, "forward", 0),
+        ("fc1-fwd", 4, 6, batch, "forward", 1),
+        ("fc1-dw", 4, batch, 6, "weight-gradient", 1),
+        ("fc1-dx", 6, 4, batch, "input-gradient", 1),
+        ("fc0-dw", 6, batch, 10, "weight-gradient", 0),
+    ]
 
-    def test_training_graph_matches_legacy_composition(self):
-        """The graph's deterministic GEMM order IS the hand-written order."""
+
+def _gemm_rows(graph):
+    gemms = [n for n in graph.topo_sort() if isinstance(n, GemmNode)]
+    return [(g.shape.name, g.shape.m, g.shape.n, g.shape.k, g.tags["role"],
+             int(g.tags["layer"])) for g in gemms]
+
+
+class TestMlpBuilders:
+    def test_forward_graph_matches_the_written_table(self):
+        graph = mlp_forward_graph(LAYERS, batch=3)
+        assert _gemm_rows(graph) == _layers_table(3)[:2]
+
+    def test_training_graph_matches_the_written_table(self):
+        """The graph's deterministic GEMM order is the written order."""
         graph = mlp_training_graph(LAYERS, batch=3)
-        legacy = forward_gemms(LAYERS, 3) + backward_gemms(LAYERS, 3)
-        gemms = [n for n in graph.topo_sort() if isinstance(n, GemmNode)]
-        assert [(g.shape.name, g.shape.m, g.shape.n, g.shape.k)
-                for g in gemms] == \
-            [(t.shape.name, t.shape.m, t.shape.n, t.shape.k) for t in legacy]
+        assert [row[:4] for row in _gemm_rows(graph)] == \
+            [row[:4] for row in _layers_table(3)]
 
     def test_training_graph_tags_roles_and_layers(self):
         graph = mlp_training_graph(LAYERS, batch=2)
-        legacy = forward_gemms(LAYERS, 2) + backward_gemms(LAYERS, 2)
-        gemms = [n for n in graph.topo_sort() if isinstance(n, GemmNode)]
-        assert [(g.tags["role"], int(g.tags["layer"])) for g in gemms] == \
-            [(t.role.value, t.layer) for t in legacy]
-
-    def test_first_layer_input_gradient_flag(self):
-        without = mlp_training_graph(LAYERS, 2)
-        with_dx0 = mlp_training_graph(
-            LAYERS, 2, include_input_gradient_for_first_layer=True)
-        names = {n.name for n in with_dx0.nodes} - {n.name
-                                                    for n in without.nodes}
-        assert names == {"fc0-dx"}
+        assert [row[4:] for row in _gemm_rows(graph)] == \
+            [row[4:] for row in _layers_table(2)]
 
     def test_transposes_annotate_gradient_gemms(self):
         graph = mlp_training_graph(LAYERS, batch=2)
@@ -77,6 +78,74 @@ class TestMlpBuilders:
             mlp_forward_graph((8, -1), 2)
 
 
+class TestTrainingStepMapping:
+    """Section III-B's mapping of a training step onto ``Z = X . W``."""
+
+    AE_LIKE = (640, 128, 8, 640)
+
+    @staticmethod
+    def _by_role(graph, role):
+        return [n for n in graph.gemm_nodes() if n.tags["role"] == role]
+
+    @staticmethod
+    def _macs(gemms):
+        return sum(n.shape.macs for n in gemms)
+
+    def test_forward_shapes_follow_the_paper_mapping(self):
+        """Forward: M = out features, N = in features, K = batch."""
+        gemms = mlp_forward_graph(self.AE_LIKE, batch=1).gemm_nodes()
+        assert len(gemms) == 3
+        first = gemms[0].shape
+        assert (first.m, first.n, first.k) == (128, 640, 1)
+        assert all(g.tags["role"] == "forward" for g in gemms)
+        assert [g.tags["layer"] for g in gemms] == ["0", "1", "2"]
+
+    def test_batch_size_is_the_k_dimension(self):
+        gemms = mlp_forward_graph(self.AE_LIKE, batch=16).gemm_nodes()
+        assert all(g.shape.k == 16 for g in gemms)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mlp_forward_graph((640,), batch=1)
+        with pytest.raises(ValueError):
+            mlp_forward_graph(self.AE_LIKE, batch=0)
+        with pytest.raises(ValueError):
+            mlp_forward_graph((640, 0, 8), batch=1)
+
+    def test_weight_gradient_shapes(self):
+        """dW: M = out, N = batch, K = in -- the GEMM that stays efficient
+        at batch 1 because its K dimension is the layer width."""
+        graph = mlp_training_graph(self.AE_LIKE, batch=1)
+        dw = self._by_role(graph, "weight-gradient")
+        assert len(dw) == 3
+        last_layer_dw = dw[0].shape  # backward walks layers in reverse
+        assert (last_layer_dw.m, last_layer_dw.n, last_layer_dw.k) == (640, 1, 8)
+
+    def test_input_gradient_skips_first_layer(self):
+        graph = mlp_training_graph(self.AE_LIKE, batch=1)
+        dx = self._by_role(graph, "input-gradient")
+        assert len(dx) == 2  # layers 1 and 2, not layer 0
+        assert all(int(g.tags["layer"]) > 0 for g in dx)
+
+    def test_backward_has_more_macs_than_forward(self):
+        gemms = mlp_training_graph(self.AE_LIKE, batch=1).gemm_nodes()
+        forward = self._macs(g for g in gemms if g.tags["role"] == "forward")
+        backward = self._macs(g for g in gemms if g.tags["role"] != "forward")
+        assert backward > forward
+
+    def test_composition(self):
+        gemms = mlp_training_graph(self.AE_LIKE, batch=4).gemm_nodes()
+        n_layers = len(self.AE_LIKE) - 1
+        assert len(gemms) == n_layers + n_layers + (n_layers - 1)
+        assert gemms[0].tags["role"] == "forward"
+        assert gemms[-1].tags["role"] != "forward"
+
+    def test_macs_scale_linearly_with_batch(self):
+        macs_b1 = self._macs(mlp_training_graph(self.AE_LIKE, 1).gemm_nodes())
+        macs_b16 = self._macs(mlp_training_graph(self.AE_LIKE, 16).gemm_nodes())
+        assert macs_b16 == 16 * macs_b1
+
+
 class TestAutoencoder:
     def test_graph_name_and_sizes(self):
         graph = autoencoder_training_graph(16)
@@ -84,6 +153,19 @@ class TestAutoencoder:
         n_layers = len(AUTOENCODER_LAYER_SIZES) - 1
         # fwd per layer, dw per layer, dx for all but the first layer.
         assert len(graph.gemm_nodes()) == 3 * n_layers - 1
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_macs_per_role(self, batch):
+        """Sum of in x out over the ten layers is 264,192; the skipped
+        first-layer input gradient is its 640 x 128."""
+        graph = autoencoder_training_graph(batch)
+        macs = {}
+        for node in graph.gemm_nodes():
+            macs[node.tags["role"]] = macs.get(node.tags["role"], 0) + node.macs
+        assert macs == {"forward": 264_192 * batch,
+                        "weight-gradient": 264_192 * batch,
+                        "input-gradient": 182_272 * batch}
+        assert graph.total_macs == 710_656 * batch
 
 
 class TestTransformer:

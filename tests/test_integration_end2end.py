@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import ClusterConfig, PulpCluster
 from repro.fp.formats import FP16
 from repro.fp.vector import quantize, random_matrix
+from repro.graph.zoo import mlp_training_graph
 from repro.redmule import RedMulEConfig, RedMulEPerfModel
 from repro.redmule.functional import matmul_hw_order_simd_fmt, matmul_reference_fp32
 from repro.sw.baseline import SoftwareBaseline
@@ -43,7 +44,7 @@ class TestAcceleratedAutoencoderLayer:
         cluster = PulpCluster()
         model = AutoEncoder(layer_sizes=(32, 16, 8, 16, 32), seed=3,
                             weight_scale=0.1)
-        gemms = model.training_gemms(batch=4)
+        gemms = mlp_training_graph(model.layer_sizes, 4).gemm_nodes()
         for gemm in gemms:
             shape = gemm.shape
             x = random_matrix(shape.m, shape.n, scale=0.1,

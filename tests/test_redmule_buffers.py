@@ -163,3 +163,33 @@ class TestZStoreBuffer:
         buffer.pop()
         assert buffer.pushes == 2 and buffer.drains == 1
         assert buffer.max_occupancy == 2
+
+    def test_refused_push_is_not_counted(self, config):
+        buffer = ZStoreBuffer(config)
+        for i in range(config.z_queue_depth):
+            buffer.push(self._request(i * 32))
+        assert not buffer.push(self._request(0x999))
+        assert buffer.pushes == config.z_queue_depth
+        assert buffer.occupancy == config.z_queue_depth
+        assert 0x999 not in [entry.addr for entry in buffer.snapshot()]
+
+    def test_pop_of_an_empty_queue_drains_nothing(self, config):
+        buffer = ZStoreBuffer(config)
+        assert buffer.empty
+        assert buffer.pop() is None
+        assert buffer.drains == 0
+        buffer.push(self._request())
+        assert not buffer.empty
+        buffer.pop()
+        assert buffer.empty and buffer.drains == 1
+
+    def test_snapshot_keeps_and_restore_replaces_the_queue(self, config):
+        buffer = ZStoreBuffer(config)
+        buffer.push(self._request(0x100))
+        buffer.push(self._request(0x200))
+        assert [entry.addr for entry in buffer.snapshot()] == [0x100, 0x200]
+        assert buffer.occupancy == 2  # the snapshot consumed nothing
+        buffer.restore([self._request(0x300)])
+        assert buffer.occupancy == 1
+        assert buffer.pop().addr == 0x300
+        assert buffer.pop() is None

@@ -88,6 +88,74 @@ class TestStreamerQueues:
         assert stats.accesses == 3
         assert 0.0 < stats.port_utilisation <= 1.0
 
+    def test_y_preload_sits_between_w_and_x(self, setup):
+        tcdm, _, streamer = setup
+        streamer.enqueue(StreamRequest("x", tcdm.base + 0x40, 4))
+        streamer.enqueue(StreamRequest("y", tcdm.base + 0x80, 4))
+        streamer.enqueue(StreamRequest("w", tcdm.base, 4))
+        kinds = []
+        while streamer.busy:
+            done = streamer.cycle()
+            if done is not None:
+                kinds.append(done.kind)
+        assert kinds == ["w", "y", "x"]
+        assert streamer.stats.y_loads == 1
+
+    def test_requests_of_one_kind_complete_oldest_first(self, setup):
+        tcdm, _, streamer = setup
+        for row in range(3):
+            streamer.enqueue(StreamRequest("x", tcdm.base + 0x40 * row, 4,
+                                           meta=("x", 0, row)))
+        done = [streamer.cycle() for _ in range(3)]
+        assert [request.meta for request in done] == \
+            [("x", 0, 0), ("x", 0, 1), ("x", 0, 2)]
+        assert not streamer.busy
+
+    def test_pending_counts_per_kind(self, setup):
+        tcdm, _, streamer = setup
+        streamer.enqueue(StreamRequest("w", tcdm.base, 4))
+        streamer.enqueue(StreamRequest("x", tcdm.base + 0x40, 4))
+        streamer.enqueue(StreamRequest("x", tcdm.base + 0x80, 4))
+        assert streamer.pending() == 3
+        assert streamer.pending("w") == 1 and streamer.pending("x") == 2
+        assert streamer.pending("y") == 0 and streamer.pending("z") == 0
+        streamer.cycle()
+        assert streamer.pending("w") == 0 and streamer.pending() == 2
+
+    def test_snapshot_keeps_and_restore_replaces_a_queue(self, setup):
+        tcdm, _, streamer = setup
+        first = StreamRequest("x", tcdm.base, 4, meta=("x", 0, 0))
+        second = StreamRequest("x", tcdm.base + 0x40, 4, meta=("x", 0, 1))
+        streamer.enqueue(first)
+        streamer.enqueue(second)
+        assert streamer.snapshot_queue("x") == [first, second]
+        assert streamer.pending("x") == 2  # the snapshot consumed nothing
+        streamer.restore_queue("x", [second])
+        assert streamer.snapshot_queue("x") == [second]
+        assert streamer.cycle() is second
+
+    def test_flush_drops_every_queued_request(self, setup):
+        tcdm, _, streamer = setup
+        streamer.enqueue(StreamRequest("w", tcdm.base, 4))
+        streamer.enqueue(StreamRequest("y", tcdm.base + 0x40, 4))
+        streamer.enqueue(StreamRequest("z", tcdm.base + 0x80, 4, write=True,
+                                       payload_bits=[7, 7, 7, 7]))
+        streamer.flush()
+        assert not streamer.busy
+        assert streamer.cycle() is None
+        assert tcdm.read_u16(tcdm.base + 0x80) == 0  # the store never ran
+
+    def test_reset_stats_leaves_the_queues(self, setup):
+        tcdm, _, streamer = setup
+        streamer.enqueue(StreamRequest("w", tcdm.base, 4))
+        streamer.enqueue(StreamRequest("x", tcdm.base + 0x40, 4))
+        streamer.cycle()
+        streamer.reset_stats()
+        assert streamer.stats.accesses == 0 and streamer.stats.cycles == 0
+        assert streamer.pending() == 1
+        assert streamer.cycle().kind == "x"
+        assert streamer.stats.x_loads == 1 and streamer.stats.w_loads == 0
+
     def test_rejects_bad_requests(self, setup):
         _, _, streamer = setup
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ from repro.redmule.vector_ops import (
 )
 from repro.experiments.fig3 import DEFAULT_SWEEP_SIZES
 from repro.experiments.fig4 import DEFAULT_HW_SW_SIZES
-from repro.workloads.autoencoder import autoencoder_training_gemms
+from repro.graph.zoo import autoencoder_training_graph
 
 
 def _experiment_engine_shapes():
@@ -56,7 +56,7 @@ def _experiment_engine_shapes():
     for size in sorted(set(DEFAULT_SWEEP_SIZES) | set(DEFAULT_HW_SW_SIZES)):
         if size ** 3 <= DEFAULT_ENGINE_MACS_THRESHOLD:
             shapes.append((size, size, size))
-    for gemm in autoencoder_training_gemms(batch=1):
+    for gemm in autoencoder_training_graph(1).gemm_nodes():
         shape = (gemm.shape.m, gemm.shape.n, gemm.shape.k)
         if gemm.shape.macs <= DEFAULT_ENGINE_MACS_THRESHOLD and shape not in shapes:
             shapes.append(shape)

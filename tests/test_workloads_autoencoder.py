@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.fp.vector import quantize
-from repro.workloads.autoencoder import (
-    AUTOENCODER_LAYER_SIZES,
-    AutoEncoder,
-    autoencoder_training_gemms,
-    autoencoder_workload,
-)
-from repro.workloads.training import GemmRole
+from repro.graph.zoo import ROLE_FORWARD, TAG_ROLE, autoencoder_training_graph
+from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES, AutoEncoder
 
 
 class TestTopology:
@@ -33,17 +28,11 @@ class TestTopology:
         assert model.n_layers == 10
 
     def test_training_gemms(self):
-        gemms = autoencoder_training_gemms(batch=1)
-        forward = [g for g in gemms if g.role is GemmRole.FORWARD]
+        gemms = autoencoder_training_graph(1).gemm_nodes()
+        forward = [g for g in gemms if g.tags[TAG_ROLE] == ROLE_FORWARD]
         assert len(forward) == 10
         # Forward GEMMs all have K = batch = 1 (the Fig. 4c bottleneck).
         assert all(g.shape.k == 1 for g in forward)
-
-    def test_workload_wrapper(self):
-        workload = autoencoder_workload(batch=2)
-        assert workload.total_macs == sum(
-            g.shape.macs for g in autoencoder_training_gemms(2)
-        )
 
     def test_footprint_grows_with_batch(self):
         model = AutoEncoder()
