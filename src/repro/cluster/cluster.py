@@ -101,13 +101,15 @@ class PulpCluster:
 
     def place_matrix(self, matrix: np.ndarray, name: str = "matrix",
                      in_l2: bool = False) -> MatrixHandle:
-        """Allocate and store a matrix in TCDM (or L2)."""
+        """Allocate and store a matrix in TCDM (or L2), in the element
+        format of the accelerator."""
         rows, cols = matrix.shape
+        fmt = self.config.redmule.format
         if in_l2:
-            handle = self._l2_allocator.alloc_matrix(rows, cols, name)
+            handle = self._l2_allocator.alloc_matrix(rows, cols, name, fmt)
             handle.store(self.l2, matrix)
         else:
-            handle = self._allocator.alloc_matrix(rows, cols, name)
+            handle = self._allocator.alloc_matrix(rows, cols, name, fmt)
             handle.store(self.tcdm, matrix)
         return handle
 
@@ -136,7 +138,8 @@ class PulpCluster:
         """Convenience wrapper: place operands, run on RedMulE, read back Z."""
         hx = self.place_matrix(x, "X")
         hw = self.place_matrix(w, "W")
-        hz = self._allocator.alloc_matrix(x.shape[0], w.shape[1], "Z")
+        hz = self._allocator.alloc_matrix(x.shape[0], w.shape[1], "Z",
+                                          self.config.redmule.format)
         outcome = self.offload_matmul(hx, hw, hz, core_id=core_id)
         return hz.load(self.tcdm), outcome
 
@@ -157,15 +160,16 @@ class PulpCluster:
         tcdm_mark = self._allocator.mark()
         hx = self.place_matrix(x_matrix, "X.tile")
         hw = self.place_matrix(w_matrix, "W.tile")
-        hz = self._allocator.alloc_matrix(z.rows, z.cols, "Z.tile")
+        hz = self._allocator.alloc_matrix(z.rows, z.cols, "Z.tile",
+                                          self.config.redmule.format)
 
         dma_in = self.dma.execute(DmaTransfer(
-            src=x.base, dst=hx.base, row_bytes=x.cols * 2, rows=x.rows,
-            src_stride=x.row_stride,
+            src=x.base, dst=hx.base, row_bytes=x.cols * x.element_bytes,
+            rows=x.rows, src_stride=x.row_stride,
         ))
         dma_in += self.dma.execute(DmaTransfer(
-            src=w.base, dst=hw.base, row_bytes=w.cols * 2, rows=w.rows,
-            src_stride=w.row_stride,
+            src=w.base, dst=hw.base, row_bytes=w.cols * w.element_bytes,
+            rows=w.rows, src_stride=w.row_stride,
         ))
 
         outcome = self.offload_matmul(hx, hw, hz, core_id=core_id)
@@ -173,8 +177,8 @@ class PulpCluster:
         z_matrix = hz.load(self.tcdm)
         z.store(self.l2, z_matrix)
         dma_out = self.dma.execute(DmaTransfer(
-            src=hz.base, dst=z.base, row_bytes=z.cols * 2, rows=z.rows,
-            dst_stride=z.row_stride,
+            src=hz.base, dst=z.base, row_bytes=z.cols * z.element_bytes,
+            rows=z.rows, dst_stride=z.row_stride,
         ))
 
         # Double buffering hides the inbound DMA behind the previous job and

@@ -21,8 +21,9 @@ driver         paper result
 
 Beyond the paper, the ``serve-mlp`` / ``serve-mix`` scenarios run
 multi-tenant request traffic through node-granular dispatch on the serving
-loop (:mod:`repro.experiments.serve`), parameterised from the CLI via
-``--clusters`` and ``--rps``.
+loop (:mod:`repro.experiments.serve`); the CLI's ``--clusters``,
+``--rps``, ``--duration`` and ``--format`` flags set their keyword
+parameters.
 """
 
 from repro.experiments.table1 import build_table1, render_table1
@@ -39,7 +40,7 @@ from repro.experiments.fig4 import (
     autoencoder_training,
     hw_vs_sw_sweep,
 )
-from repro.experiments.serve import serve_mix, serve_mlp, set_serve_defaults
+from repro.experiments.serve import serve_mix, serve_mlp
 
 __all__ = [
     "area_breakdown",
@@ -54,6 +55,5 @@ __all__ = [
     "render_table1",
     "serve_mix",
     "serve_mlp",
-    "set_serve_defaults",
     "throughput_sweep",
 ]

@@ -10,9 +10,9 @@ Two registered scenarios expose :mod:`repro.dse` through the CLI:
   geometry: TCDM bank count x extra memory latency, frontier over cluster
   area vs. cycles.
 
-``--dse-export DIR`` (via :func:`set_dse_defaults`) makes both scenarios
-write their full point set as ``dse_<scenario>.csv`` / ``.json`` into the
-directory, mirroring how ``--clusters``/``--rps`` reach the serve drivers.
+With ``export_dir`` set (the runner's ``--dse-export DIR``), both
+scenarios write their full point set as ``dse_<scenario>.csv`` / ``.json``
+into the directory.
 """
 
 from __future__ import annotations
@@ -29,21 +29,6 @@ from repro.dse import (
     cross_validate,
     sweep,
 )
-
-#: Directory the scenarios export CSV/JSON into (None = no export).
-_EXPORT_DIR_OVERRIDE: Optional[str] = None
-
-
-def set_dse_defaults(export_dir: Optional[str] = None) -> None:
-    """Set the export directory future scenario runs write their points to.
-
-    This is how the runner CLI's ``--dse-export`` flag reaches the
-    zero-argument drivers in the experiment registry; pass ``None`` to
-    disable exporting again.
-    """
-    global _EXPORT_DIR_OVERRIDE
-    _EXPORT_DIR_OVERRIDE = export_dir
-
 
 @dataclass
 class DseScenarioReport:
@@ -72,10 +57,11 @@ class DseScenarioReport:
 
 
 def _export(result: SweepResult,
-            objectives: Sequence[Union[str, Objective]]) -> List[str]:
-    if _EXPORT_DIR_OVERRIDE is None:
+            objectives: Sequence[Union[str, Objective]],
+            export_dir: Optional[str]) -> List[str]:
+    if export_dir is None:
         return []
-    base = os.path.join(_EXPORT_DIR_OVERRIDE, f"dse_{result.name}")
+    base = os.path.join(export_dir, f"dse_{result.name}")
     csv_path, json_path = base + ".csv", base + ".json"
     result.to_csv(csv_path)
     result.to_json(json_path, objectives)
@@ -85,6 +71,7 @@ def _export(result: SweepResult,
 def dse_frontier(
     workload: str = "autoencoder-b1",
     validate_sample: int = 3,
+    export_dir: Optional[str] = None,
 ) -> DseScenarioReport:
     """Area-vs-cycles frontier over the array geometry (paper Fig. 4b axis).
 
@@ -109,7 +96,7 @@ def dse_frontier(
         result=result,
         objectives=objectives,
         validation=validation,
-        exported=_export(result, objectives),
+        exported=_export(result, objectives, export_dir),
         trusted_only=True,
     )
 
@@ -119,7 +106,8 @@ def dse_frontier(
 DSE_MEMORY_AREA_BUDGET_MM2 = 0.75
 
 
-def dse_memory(workload: str = "autoencoder-b1") -> DseScenarioReport:
+def dse_memory(workload: str = "autoencoder-b1",
+               export_dir: Optional[str] = None) -> DseScenarioReport:
     """Memory-sensitivity study: how the best geometry shifts as TCDM slows.
 
     Sweeps array geometry x TCDM banks x extra memory latency, then reports
@@ -164,6 +152,6 @@ def dse_memory(workload: str = "autoencoder-b1") -> DseScenarioReport:
         result=result,
         objectives=objectives,
         validation=None,
-        exported=_export(result, objectives),
+        exported=_export(result, objectives, export_dir),
         extra_lines=tuple(lines),
     )

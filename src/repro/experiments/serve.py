@@ -30,21 +30,22 @@ roadmap's serving ambitions:
 All four run on :class:`~repro.serve.loop.ContinuousServer` and return a
 :class:`~repro.serve.report.ContinuousReport`; the first two serve Poisson
 arrivals with node dispatch (dependency-aware list scheduling of each
-request's graph nodes) on a pool of simulated clusters.  The runner CLI
-parameterises them through :func:`set_serve_defaults` (``--clusters`` /
-``--rps``), :func:`set_serve_million_defaults` (``--duration`` /
-``--arrival`` / ``--autoscale`` / ``--slo-p99-ms``) and
-:func:`set_serve_decode_defaults` (``--prefill`` / ``--decode-steps`` /
-``--batch-cap``), mirroring how ``--format`` reaches the farm.
+request's graph nodes) on a pool of simulated clusters.  Each driver's
+keyword defaults are its built-in settings, and each times its jobs on the
+shared farm of the reference instance in its ``format``.  The runner CLI
+passes each flag given on its command line (``--clusters``, ``--rps``,
+``--format``, ...) as the driver keyword of the same name (``--duration``
+as ``duration_s``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Union
 
 from repro.farm import BACKEND_MODEL, SimulationFarm, default_farm
+from repro.redmule.config import RedMulEConfig
 from repro.serve import (
-    ARRIVAL_KINDS,
     AdmissionPolicy,
     ArrivalSpec,
     AutoscalePolicy,
@@ -56,7 +57,8 @@ from repro.serve import (
 )
 from repro.graph.zoo import build_model
 
-#: Pool size / aggregate request rate used when the CLI does not override.
+#: Pool size of every serve scenario / aggregate request rate of serve-mlp
+#: and serve-mix.
 DEFAULT_CLUSTERS = 4
 DEFAULT_RPS = 200.0
 
@@ -81,111 +83,19 @@ DEFAULT_DECODE_PREFILL = 8
 DEFAULT_DECODE_STEPS = 16
 DEFAULT_DECODE_BATCH_CAP = 8
 
-_DEFAULT_CLUSTERS_OVERRIDE: Optional[int] = None
-_DEFAULT_RPS_OVERRIDE: Optional[float] = None
-_MILLION_DURATION_OVERRIDE: Optional[float] = None
-_MILLION_ARRIVAL_OVERRIDE: Optional[str] = None
-_MILLION_AUTOSCALE_OVERRIDE: Optional[bool] = None
-_MILLION_SLO_P99_MS_OVERRIDE: Optional[float] = None
-_DECODE_PREFILL_OVERRIDE: Optional[int] = None
-_DECODE_STEPS_OVERRIDE: Optional[int] = None
-_DECODE_BATCH_CAP_OVERRIDE: Optional[int] = None
-_DECODE_DURATION_OVERRIDE: Optional[float] = None
 
-
-def set_serve_defaults(clusters: Optional[int] = None,
-                       rps: Optional[float] = None) -> None:
-    """Set the pool size / request rate future scenario runs default to.
-
-    This is how the runner CLI's ``--clusters`` and ``--rps`` flags reach
-    the zero-argument drivers in the experiment registry.  Pass ``None`` to
-    restore the built-in defaults.
-    """
-    if clusters is not None and clusters < 1:
-        raise ValueError("clusters must be >= 1")
-    if rps is not None and rps <= 0:
-        raise ValueError("rps must be positive")
-    global _DEFAULT_CLUSTERS_OVERRIDE, _DEFAULT_RPS_OVERRIDE
-    _DEFAULT_CLUSTERS_OVERRIDE = clusters
-    _DEFAULT_RPS_OVERRIDE = rps
-
-
-def _resolve(clusters: Optional[int], rps: Optional[float],
-             default_rps: float = DEFAULT_RPS):
-    """Explicit arguments win, then the CLI overrides, then the defaults
-    (``default_rps`` is the scenario's own rate)."""
-    if clusters is None:
-        clusters = _DEFAULT_CLUSTERS_OVERRIDE or DEFAULT_CLUSTERS
-    if rps is None:
-        rps = _DEFAULT_RPS_OVERRIDE or default_rps
-    return clusters, rps
-
-
-def set_serve_million_defaults(
-    duration_s: Optional[float] = None,
-    arrival: Optional[str] = None,
-    autoscale: Optional[bool] = None,
-    slo_p99_ms: Optional[float] = None,
-) -> None:
-    """Set the traffic shape future ``serve-million`` runs default to.
-
-    This is how the runner CLI's ``--duration``, ``--arrival``,
-    ``--autoscale`` and ``--slo-p99-ms`` flags reach the zero-argument
-    driver in the experiment registry.  Pass ``None`` per parameter to
-    restore its built-in default.
-    """
-    if duration_s is not None and duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if arrival is not None and arrival not in ARRIVAL_KINDS:
-        raise ValueError(
-            f"unknown arrival kind {arrival!r}; one of {ARRIVAL_KINDS}")
-    if slo_p99_ms is not None and slo_p99_ms <= 0:
-        raise ValueError("slo-p99-ms must be positive")
-    global _MILLION_DURATION_OVERRIDE, _MILLION_ARRIVAL_OVERRIDE
-    global _MILLION_AUTOSCALE_OVERRIDE, _MILLION_SLO_P99_MS_OVERRIDE
-    _MILLION_DURATION_OVERRIDE = duration_s
-    _MILLION_ARRIVAL_OVERRIDE = arrival
-    _MILLION_AUTOSCALE_OVERRIDE = autoscale
-    _MILLION_SLO_P99_MS_OVERRIDE = slo_p99_ms
-
-
-def set_serve_decode_defaults(
-    prefill: Optional[int] = None,
-    decode_steps: Optional[int] = None,
-    batch_cap: Optional[int] = None,
-    duration_s: Optional[float] = None,
-) -> None:
-    """Set the session shape future ``serve-decode`` runs default to.
-
-    This is how the runner CLI's ``--prefill``, ``--decode-steps``,
-    ``--batch-cap`` and ``--duration`` flags reach the zero-argument driver
-    in the experiment registry.  Pass ``None`` per parameter to restore its
-    built-in default.
-    """
-    if prefill is not None and prefill < 0:
-        raise ValueError("prefill must be >= 0")
-    if decode_steps is not None and decode_steps < 1:
-        raise ValueError("decode-steps must be >= 1")
-    if batch_cap is not None and batch_cap < 1:
-        raise ValueError("batch-cap must be >= 1")
-    if duration_s is not None and duration_s <= 0:
-        raise ValueError("duration must be positive")
-    global _DECODE_PREFILL_OVERRIDE, _DECODE_STEPS_OVERRIDE
-    global _DECODE_BATCH_CAP_OVERRIDE, _DECODE_DURATION_OVERRIDE
-    _DECODE_PREFILL_OVERRIDE = prefill
-    _DECODE_STEPS_OVERRIDE = decode_steps
-    _DECODE_BATCH_CAP_OVERRIDE = batch_cap
-    _DECODE_DURATION_OVERRIDE = duration_s
+def reference_farm(format: str) -> SimulationFarm:
+    """The shared farm of the reference instance in element ``format``."""
+    return default_farm(replace(RedMulEConfig.reference(), format=format))
 
 
 def _simulate(tenants, clusters: int, duration_s: float, seed: int,
-              scenario: str,
-              farm: Optional[SimulationFarm]) -> ContinuousReport:
-    farm = farm if farm is not None else default_farm()
+              scenario: str, format: str) -> ContinuousReport:
     generator = RequestGenerator(tenants, seed=seed)
     # The analytical backend keeps the scenarios closed-form fast; every
     # distinct shape is still memoised in the shared farm cache.
-    server = ContinuousServer(n_clusters=clusters, farm=farm,
+    server = ContinuousServer(n_clusters=clusters,
+                              farm=reference_farm(format),
                               backend=BACKEND_MODEL,
                               frequency_hz=generator.frequency_hz,
                               node_dispatch=True)
@@ -193,14 +103,13 @@ def _simulate(tenants, clusters: int, duration_s: float, seed: int,
 
 
 def serve_mlp(
-    clusters: Optional[int] = None,
-    rps: Optional[float] = None,
+    clusters: int = DEFAULT_CLUSTERS,
+    rps: float = DEFAULT_RPS,
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
-    farm: Optional[SimulationFarm] = None,
+    format: str = "fp16",
 ) -> ContinuousReport:
     """Single-tenant auto-encoder serving (batch-1 : batch-16 mixed 3:1)."""
-    clusters, rps = _resolve(clusters, rps)
     tenant = TenantSpec(
         name="anomaly-detection",
         models=(
@@ -211,18 +120,18 @@ def serve_mlp(
         ),
         rps=rps,
     )
-    return _simulate((tenant,), clusters, duration_s, seed, "serve-mlp", farm)
+    return _simulate((tenant,), clusters, duration_s, seed, "serve-mlp",
+                     format)
 
 
 def serve_mix(
-    clusters: Optional[int] = None,
-    rps: Optional[float] = None,
+    clusters: int = DEFAULT_CLUSTERS,
+    rps: float = DEFAULT_RPS,
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
-    farm: Optional[SimulationFarm] = None,
+    format: str = "fp16",
 ) -> ContinuousReport:
     """Three tenants, heterogeneous model mix, shared pool and cache."""
-    clusters, rps = _resolve(clusters, rps)
     tenants = (
         TenantSpec(
             name="anomaly-detection",
@@ -264,7 +173,7 @@ def serve_mix(
             rps=rps * 0.05,
         ),
     )
-    return _simulate(tenants, clusters, duration_s, seed, "serve-mix", farm)
+    return _simulate(tenants, clusters, duration_s, seed, "serve-mix", format)
 
 
 def million_tenants(rps: float) -> tuple:
@@ -301,14 +210,14 @@ def million_tenants(rps: float) -> tuple:
 
 
 def serve_million(
-    duration_s: Optional[float] = None,
-    arrival: Optional[Union[str, ArrivalSpec]] = None,
-    autoscale: Optional[bool] = None,
+    duration_s: float = DEFAULT_MILLION_DURATION_S,
+    arrival: Union[str, ArrivalSpec] = "poisson",
+    autoscale: bool = False,
     slo_p99_ms: Optional[float] = None,
-    clusters: Optional[int] = None,
-    rps: Optional[float] = None,
+    clusters: int = DEFAULT_CLUSTERS,
+    rps: float = DEFAULT_MILLION_RPS,
     seed: int = 0,
-    farm: Optional[SimulationFarm] = None,
+    format: str = "fp16",
 ) -> ContinuousReport:
     """Continuous-loop serving: streaming arrivals, admission, autoscaling.
 
@@ -319,17 +228,6 @@ def serve_million(
     to four times the base size; ``slo_p99_ms`` turns on SLO-aware
     admission (and gives the autoscaler its p99 target).
     """
-    if duration_s is None:
-        duration_s = _MILLION_DURATION_OVERRIDE or DEFAULT_MILLION_DURATION_S
-    if arrival is None:
-        arrival = _MILLION_ARRIVAL_OVERRIDE or "poisson"
-    if autoscale is None:
-        autoscale = bool(_MILLION_AUTOSCALE_OVERRIDE)
-    if slo_p99_ms is None:
-        slo_p99_ms = _MILLION_SLO_P99_MS_OVERRIDE
-    clusters, rps = _resolve(clusters, rps, DEFAULT_MILLION_RPS)
-
-    farm = farm if farm is not None else default_farm()
     generator = RequestGenerator(million_tenants(rps), seed=seed)
     frequency_hz = generator.frequency_hz
     slo_p99_cycles = (slo_p99_ms * 1e-3 * frequency_hz
@@ -347,8 +245,8 @@ def serve_million(
             slo_p99_cycles=slo_p99_cycles,
         )
     server = ContinuousServer(
-        n_clusters=clusters, farm=farm, backend=BACKEND_MODEL,
-        frequency_hz=frequency_hz, admission=admission,
+        n_clusters=clusters, farm=reference_farm(format),
+        backend=BACKEND_MODEL, frequency_hz=frequency_hz, admission=admission,
         autoscaler=autoscaler,
     )
     return server.simulate(generator.stream(duration_s, arrival),
@@ -374,14 +272,14 @@ def decode_session_classes(prefill: int, decode_steps: int) -> tuple:
 
 
 def serve_decode(
-    duration_s: Optional[float] = None,
-    prefill: Optional[int] = None,
-    decode_steps: Optional[int] = None,
-    batch_cap: Optional[int] = None,
-    clusters: Optional[int] = None,
-    rps: Optional[float] = None,
+    duration_s: float = DEFAULT_DECODE_DURATION_S,
+    prefill: int = DEFAULT_DECODE_PREFILL,
+    decode_steps: int = DEFAULT_DECODE_STEPS,
+    batch_cap: int = DEFAULT_DECODE_BATCH_CAP,
+    clusters: int = DEFAULT_CLUSTERS,
+    rps: float = DEFAULT_DECODE_RPS,
     seed: int = 0,
-    farm: Optional[SimulationFarm] = None,
+    format: str = "fp16",
 ) -> ContinuousReport:
     """Continuously batched LLM decode serving on the event loop.
 
@@ -393,25 +291,10 @@ def serve_decode(
     """
     from repro.serve import decode_session_stream
 
-    if duration_s is None:
-        duration_s = (_DECODE_DURATION_OVERRIDE
-                      if _DECODE_DURATION_OVERRIDE is not None
-                      else DEFAULT_DECODE_DURATION_S)
-    if prefill is None:
-        prefill = (_DECODE_PREFILL_OVERRIDE
-                   if _DECODE_PREFILL_OVERRIDE is not None
-                   else DEFAULT_DECODE_PREFILL)
-    if decode_steps is None:
-        decode_steps = _DECODE_STEPS_OVERRIDE or DEFAULT_DECODE_STEPS
-    if batch_cap is None:
-        batch_cap = _DECODE_BATCH_CAP_OVERRIDE or DEFAULT_DECODE_BATCH_CAP
-    clusters, rps = _resolve(clusters, rps, DEFAULT_DECODE_RPS)
-
-    farm = farm if farm is not None else default_farm()
     sessions = decode_session_classes(prefill, decode_steps)
     server = ContinuousServer(
-        n_clusters=clusters, farm=farm, backend=BACKEND_MODEL,
-        batch_cap=batch_cap,
+        n_clusters=clusters, farm=reference_farm(format),
+        backend=BACKEND_MODEL, batch_cap=batch_cap,
     )
     stream = decode_session_stream(sessions, rps=rps, duration_s=duration_s,
                                    seed=seed)

@@ -26,7 +26,6 @@ from repro.farm.farm import (
     default_farm,
     farm_for_config,
     reset_default_farms,
-    set_default_format,
 )
 from repro.farm.workers import (
     config_from_key,
@@ -54,7 +53,6 @@ __all__ = [
     "farm_for_config",
     "reset_default_farms",
     "run_functional_job",
-    "set_default_format",
     "simulate_engine_timing",
     "simulate_key",
 ]

@@ -517,24 +517,6 @@ class SimulationFarm:
 # -- shared default farms ----------------------------------------------------
 _DEFAULT_FARMS: Dict[Tuple[int, int, int, int, int, str], SimulationFarm] = {}
 
-#: Element format default farms are created with when no config is passed.
-_DEFAULT_FORMAT: Optional[str] = None
-
-
-def set_default_format(fmt: Optional[str]) -> None:
-    """Set the element format configless default farms are created with.
-
-    This is how the runner CLI's ``--format`` choice reaches the experiment
-    drivers: a driver asking for the reference instance gets it in the
-    requested precision.  Pass ``None`` to restore FP16.
-    """
-    if fmt is not None:
-        from repro.fp.formats import get_format
-
-        get_format(fmt)
-    global _DEFAULT_FORMAT
-    _DEFAULT_FORMAT = fmt
-
 
 def default_farm(config: Optional[RedMulEConfig] = None) -> SimulationFarm:
     """Process-wide shared farm for a configuration.
@@ -545,8 +527,6 @@ def default_farm(config: Optional[RedMulEConfig] = None) -> SimulationFarm:
     """
     if config is None:
         config = RedMulEConfig.reference()
-        if _DEFAULT_FORMAT is not None:
-            config = replace(config, format=_DEFAULT_FORMAT)
     key = config_key(config)
     farm = _DEFAULT_FARMS.get(key)
     if farm is None:

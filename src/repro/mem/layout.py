@@ -124,26 +124,19 @@ class MatrixHandle:
             )
 
     def load(self, memory) -> np.ndarray:
-        """Read the matrix back from memory as an array of format values.
-
-        Returned as float32 for the FP16 format (the established contract of
-        the binary16 code paths) and float64 for every other format.
-        """
+        """Read the matrix back from memory as a float64 array of format
+        values (the dtype of :func:`repro.fp.vector.quantize`)."""
         if self.is_dense:
             data = memory.dump_image(
                 self.base, self.rows * self.cols * self.element_bytes
             )
-            out = unpack_matrix(data, self.rows, self.cols, self.fmt)
-        else:
-            rows = []
-            for row in range(self.rows):
-                data = memory.dump_image(self.row_address(row),
-                                         self.cols * self.element_bytes)
-                rows.append(unpack_matrix(data, 1, self.cols, self.fmt))
-            out = np.vstack(rows)
-        if self.fmt == "fp16":
-            return out.astype(np.float32)
-        return out
+            return unpack_matrix(data, self.rows, self.cols, self.fmt)
+        rows = []
+        for row in range(self.rows):
+            data = memory.dump_image(self.row_address(row),
+                                     self.cols * self.element_bytes)
+            rows.append(unpack_matrix(data, 1, self.cols, self.fmt))
+        return np.vstack(rows)
 
     def tile(self, row0: int, col0: int, rows: int, cols: int,
              name: Optional[str] = None) -> "MatrixHandle":

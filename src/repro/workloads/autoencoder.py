@@ -64,18 +64,6 @@ class AutoEncoder:
         """Number of dense layers."""
         return len(self.layer_sizes) - 1
 
-    @property
-    def n_parameters(self) -> int:
-        """Number of weight parameters."""
-        return sum(w.size for w in self.weights)
-
-    def footprint_bytes(self, batch: int, include_weights: bool = True) -> int:
-        """FP16 bytes of activations (+ optionally weights) for one step."""
-        activations = sum(self.layer_sizes) * batch * 2
-        gradients = activations
-        weights = 2 * self.n_parameters if include_weights else 0
-        return activations + gradients + weights
-
     # -- functional forward / backward ------------------------------------
     def forward(self, batch_input: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Forward pass.

@@ -38,16 +38,6 @@ class GemmShape:
         """Useful multiply-accumulates."""
         return self.m * self.n * self.k
 
-    @property
-    def flops(self) -> int:
-        """Floating-point operations (2 per MAC)."""
-        return 2 * self.macs
-
-    @property
-    def operand_bytes(self) -> int:
-        """FP16 bytes of X, W and Z together."""
-        return 2 * (self.m * self.n + self.n * self.k + self.m * self.k)
-
     def describe(self, transpose: str = "") -> str:
         """One-line summary.
 

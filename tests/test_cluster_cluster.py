@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.cluster import PulpCluster
 from repro.cluster.config import ClusterConfig
-from repro.fp.formats import FP16
+from repro.fp.formats import FP16, get_format
 from repro.fp.vector import random_matrix
 from repro.mem.tcdm import TcdmConfig
 from repro.redmule.config import RedMulEConfig
@@ -76,6 +76,33 @@ class TestOffload:
         z, outcome = cluster.matmul(x, w)
         assert np.array_equal(z, matmul_hw_order_simd_fmt(x, w, FP16))
         assert outcome.accelerator.peak_macs_per_cycle == 8
+
+
+@pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp8-e4m3", "fp8-e5m2"])
+class TestElementFormats:
+    """Both offload paths place, move and read back operands in the
+    accelerator's element format."""
+
+    def test_matmul_matches_the_golden_model(self, fmt):
+        cluster = PulpCluster(ClusterConfig(redmule=RedMulEConfig(format=fmt)))
+        x = random_matrix(16, 24, fmt, scale=0.3, seed=0)
+        w = random_matrix(24, 20, fmt, scale=0.3, seed=1)
+        z, _ = cluster.matmul(x, w)
+        assert np.array_equal(
+            z, matmul_hw_order_simd_fmt(x, w, get_format(fmt)))
+
+    def test_offload_from_l2_matches_the_golden_model(self, fmt):
+        cluster = PulpCluster(ClusterConfig(redmule=RedMulEConfig(format=fmt)))
+        x = random_matrix(16, 32, fmt, scale=0.3, seed=6)
+        w = random_matrix(32, 16, fmt, scale=0.3, seed=7)
+        hx = cluster.place_matrix(x, "X.l2", in_l2=True)
+        hw = cluster.place_matrix(w, "W.l2", in_l2=True)
+        hz = cluster.l2_allocator().alloc_matrix(16, 16, "Z.l2", fmt)
+        cluster.offload_matmul_from_l2(hx, hw, hz)
+        golden = matmul_hw_order_simd_fmt(x, w, get_format(fmt))
+        assert np.array_equal(hz.load(cluster.l2), golden)
+        assert cluster.dma.bytes_moved == \
+            (16 * 32 + 32 * 16 + 16 * 16) * get_format(fmt).storage_bytes
 
 
 class TestL2Tiling:

@@ -19,12 +19,10 @@ from repro.experiments import (
     autoencoder_training,
     build_table1,
     cluster_power_breakdown,
-    dse,
     energy_per_mac_sweep,
     hw_vs_sw_sweep,
     power_breakdown,
     render_table1,
-    serve,
     throughput_sweep,
 )
 from repro.experiments.runner import (
@@ -34,7 +32,7 @@ from repro.experiments.runner import (
     run_experiment,
 )
 from repro.experiments.table1 import our_rows_as_dicts
-from repro.farm import reset_default_farms, set_default_format
+from repro.farm import reset_default_farms
 from repro.graph.zoo import autoencoder_training_graph
 
 #: sha256 of every scenario's rendered output (``runner._render``) in a
@@ -61,6 +59,17 @@ RUNNER_OUTPUT_SHA256 = {
     "serve-decode": "e32811ffd63639cbb30cb21d63609d808f57e99f49558a8ea68a8ef3b4ef38e9",
     "dse-frontier": "00002f29a4b6f2d3069d64824262e256918bd42a6b605cfc0d38daad5b1e740b",
     "dse-memory": "120a64b5b65b4df696c5e3def9dc03be62ff1b587e4fa30ca730d07d943be189",
+}
+
+#: sha256 of the four serve scenarios' rendered output at ``format=
+#: "fp8-e4m3"``, run in registry order from fresh shared farms.  The other
+#: eleven scenarios do not take ``format``: their models are calibrated to
+#: the paper's FP16 silicon.
+RUNNER_FP8_OUTPUT_SHA256 = {
+    "serve-mlp": "18a6b194b6a03e6a9657621930e8d49b77b9e288c249519a40054ff2ed0f56af",
+    "serve-mix": "ea7968268316d4b48e75f9ad689b36f49e3046a21db4c6355fe103022e882ecb",
+    "serve-million": "797199b27a306eb660c2c39950eef7f7c02172e3a343296aba9978922407902f",
+    "serve-decode": "6c758b450b282bf45ededf30ff728637fc8b35770aea4abe7a2ce9604f730e19",
 }
 
 #: The only wall-clock figures in the rendered outputs: the DSE sweep
@@ -206,6 +215,15 @@ class TestFig4d:
         records = autoencoder_batching((1, 16))
         assert [r["total_macs"] for r in records] == [710_656, 16 * 710_656]
 
+    def test_footprints(self):
+        """Two bytes per weight of the 264,192-parameter model, and an
+        activation + gradient working set linear in the batch."""
+        b1, b16 = autoencoder_batching((1, 16))
+        assert b1["weight_footprint_kb"] * 1024 == 2 * 264_192
+        assert b16["weight_footprint_kb"] == b1["weight_footprint_kb"]
+        assert b16["activation_footprint_kb"] == \
+            16 * b1["activation_footprint_kb"]
+
     def test_footprint_fits_l2(self):
         """Both batch sizes fit a typical PULP L2 (the paper quotes 184 kB for
         the batch-16 activations + gradients working set)."""
@@ -234,11 +252,6 @@ class TestRunner:
 
     def test_run_all(self):
         reset_default_farms()
-        set_default_format(None)
-        serve.set_serve_defaults(None, None)
-        serve.set_serve_million_defaults(None, None, None, None)
-        serve.set_serve_decode_defaults(None, None, None, None)
-        dse.set_dse_defaults(None)
         try:
             results = run_all()
         finally:
@@ -255,3 +268,15 @@ class TestRunner:
             for name, text in rendered.items()
         }
         assert digests == RUNNER_OUTPUT_SHA256
+
+    def test_serve_scenarios_at_fp8(self):
+        reset_default_farms()
+        try:
+            digests = {
+                name: hashlib.sha256(_render(name, run_experiment(
+                    name, format="fp8-e4m3")).encode()).hexdigest()
+                for name in RUNNER_FP8_OUTPUT_SHA256
+            }
+        finally:
+            reset_default_farms()
+        assert digests == RUNNER_FP8_OUTPUT_SHA256

@@ -8,6 +8,8 @@ from repro.mem.layout import MatrixHandle, MemoryAllocator
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
 
+FORMATS = ("fp16", "bf16", "fp8-e4m3", "fp8-e5m2")
+
 
 class TestMatrixHandle:
     def test_dense_stride_defaults(self):
@@ -45,19 +47,25 @@ class TestMatrixHandle:
         with pytest.raises(ValueError):
             MatrixHandle(base=0, rows=2, cols=4, row_stride=6)
 
-    def test_store_load_roundtrip_dense(self):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_store_load_roundtrip_dense(self, fmt):
         memory = Memory(4096)
-        handle = MatrixHandle(base=64, rows=5, cols=7)
-        matrix = random_matrix(5, 7, seed=1)
+        handle = MatrixHandle(base=64, rows=5, cols=7, fmt=fmt)
+        matrix = random_matrix(5, 7, fmt, seed=1)
         handle.store(memory, matrix)
-        assert np.array_equal(handle.load(memory), matrix)
+        loaded = handle.load(memory)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, matrix)
 
-    def test_store_load_roundtrip_strided(self):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_store_load_roundtrip_strided(self, fmt):
         memory = Memory(4096)
-        handle = MatrixHandle(base=0, rows=4, cols=3, row_stride=64)
-        matrix = random_matrix(4, 3, seed=2)
+        handle = MatrixHandle(base=0, rows=4, cols=3, row_stride=64, fmt=fmt)
+        matrix = random_matrix(4, 3, fmt, seed=2)
         handle.store(memory, matrix)
-        assert np.array_equal(handle.load(memory), matrix)
+        loaded = handle.load(memory)
+        assert loaded.dtype == np.float64
+        assert np.array_equal(loaded, matrix)
 
     def test_store_on_tcdm(self):
         tcdm = Tcdm()

@@ -6,6 +6,7 @@ tests pin the fixed behaviour (up-front validation, ``--list``) without
 running the heavyweight experiments themselves.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -16,6 +17,20 @@ import pytest
 from repro.experiments import runner
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _record_calls(monkeypatch, name):
+    """Replace a registered driver by a stub with the same signature that
+    records the keyword arguments of each call."""
+    calls = []
+
+    @functools.wraps(runner.EXPERIMENTS[name])
+    def record(**options):
+        calls.append(options)
+        return "stub"
+
+    monkeypatch.setitem(runner.EXPERIMENTS, name, record)
+    return calls
 
 
 class TestValidation:
@@ -103,6 +118,78 @@ class TestFarmStats:
         assert "timing cache" in out
 
 
+#: The scenarios whose drivers take ``format``; the other eleven model the
+#: paper's FP16 silicon.
+FORMAT_SCENARIOS = {"serve-mlp", "serve-mix", "serve-million", "serve-decode"}
+
+
+class TestDriverOptions:
+    """Each driver option given reaches every selected driver as the
+    keyword of the same name, or the runner exits 2 before anything runs."""
+
+    def test_driver_flags_are_the_parser_dests(self):
+        parser = runner._build_parser()
+        argv = []
+        for flag in runner.DRIVER_FLAGS.values():
+            argv += {"--format": [flag, "bf16"], "--arrival": [flag, "bursty"],
+                     "--autoscale": [flag]}.get(flag, [flag, "1"])
+        given = vars(parser.parse_args(argv))
+        absent = vars(parser.parse_args([]))
+        assert set(given) - set(absent) == set(runner.DRIVER_FLAGS)
+
+    def test_every_driver_flag_reaches_some_driver(self):
+        import inspect
+
+        for key in runner.DRIVER_FLAGS:
+            assert any(key in inspect.signature(driver).parameters
+                       for driver in runner.EXPERIMENTS.values()), key
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(runner.EXPERIMENTS) - FORMAT_SCENARIOS))
+    def test_format_is_refused_where_the_driver_does_not_take_it(self, name,
+                                                                 capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main([name, "--format", "fp8-e4m3"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--format does not apply to {name} " in captured.err
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["--format", "fp8-e4m3"], "--format does not apply to dse-frontier"),
+        (["table1", "--format", "bf16"], "--format does not apply to table1"),
+        (["serve-mix", "--arrival", "bursty"],
+         "--arrival does not apply to serve-mix (only to serve-million)"),
+        (["serve-decode", "--autoscale"], "--autoscale does not apply"),
+        (["serve-mlp", "--slo-p99-ms", "2"], "--slo-p99-ms does not apply"),
+        (["fig3a", "--clusters", "2"], "--clusters does not apply to fig3a"),
+        (["serve-mlp", "dse-memory", "--dse-export", "out"],
+         "--dse-export does not apply to serve-mlp"),
+    ])
+    def test_untaken_flag_aborts_before_anything_runs(self, monkeypatch,
+                                                      capsys, argv, refusal):
+        calls = [_record_calls(monkeypatch, name)
+                 for name in list(runner.EXPERIMENTS)]
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(argv)
+        assert exit_info.value.code == 2
+        assert all(not call for call in calls)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refusal in captured.err
+
+    def test_format_reaches_the_serve_farm(self, capsys):
+        from repro.farm import reset_default_farms
+
+        reset_default_farms()
+        try:
+            runner.main(["serve-mlp", "--format", "fp8-e4m3", "--farm-stats"])
+        finally:
+            reset_default_farms()
+        assert "simulation farm: RedMulE H=4 L=8 P=3 fp8-e4m3" in \
+            capsys.readouterr().out
+
+
 class TestServeScenarios:
     def test_serve_scenarios_registered(self):
         names = runner.list_experiments()
@@ -110,63 +197,36 @@ class TestServeScenarios:
 
     def test_clusters_and_rps_flags_reach_the_drivers(self, monkeypatch,
                                                       capsys):
-        from repro.experiments import serve
+        calls = _record_calls(monkeypatch, "serve-mlp")
+        runner.main(["serve-mlp", "--clusters", "7", "--rps", "123.5"])
+        assert calls == [{"clusters": 7, "rps": 123.5}]
 
-        seen = {}
+    def test_duration_reaches_serve_mlp_and_serve_mix(self, monkeypatch,
+                                                      capsys):
+        mlp = _record_calls(monkeypatch, "serve-mlp")
+        mix = _record_calls(monkeypatch, "serve-mix")
+        runner.main(["serve-mlp", "serve-mix", "--duration", "0.01"])
+        assert mlp == mix == [{"duration_s": 0.01}]
 
-        def fake_resolve(clusters, rps):
-            seen["resolved"] = serve._resolve(clusters, rps)
-            return seen["resolved"]
-
-        monkeypatch.setitem(runner.EXPERIMENTS, "serve-mlp",
-                            lambda: fake_resolve(None, None) and "stub")
-        try:
-            runner.main(["serve-mlp", "--clusters", "7", "--rps", "123.5"])
-        finally:
-            serve.set_serve_defaults(None, None)
-        assert seen["resolved"] == (7, 123.5)
-
-    def test_set_serve_defaults_validation(self):
-        from repro.experiments import serve
-
-        with pytest.raises(ValueError):
-            serve.set_serve_defaults(clusters=0)
-        with pytest.raises(ValueError):
-            serve.set_serve_defaults(rps=-1.0)
+    def test_no_flags_means_no_keywords(self, monkeypatch, capsys):
+        calls = _record_calls(monkeypatch, "serve-mix")
+        runner.main(["serve-mix"])
+        assert calls == [{}]
 
 
 class TestServeMillionScenario:
-    def _reset(self):
-        from repro.experiments import serve
-
-        serve.set_serve_million_defaults(None, None, None, None)
-
     def test_registered_and_listed(self, capsys):
         assert "serve-million" in runner.list_experiments()
         runner.main(["--list"])
         assert "serve-million" in capsys.readouterr().out.split()
 
     def test_traffic_flags_reach_the_driver(self, monkeypatch, capsys):
-        from repro.experiments import serve
-
-        seen = {}
-
-        def fake_driver():
-            seen["duration"] = serve._MILLION_DURATION_OVERRIDE
-            seen["arrival"] = serve._MILLION_ARRIVAL_OVERRIDE
-            seen["autoscale"] = serve._MILLION_AUTOSCALE_OVERRIDE
-            seen["slo"] = serve._MILLION_SLO_P99_MS_OVERRIDE
-            return "stub"
-
-        monkeypatch.setitem(runner.EXPERIMENTS, "serve-million", fake_driver)
-        try:
-            runner.main(["serve-million", "--duration", "0.01",
-                         "--arrival", "bursty", "--autoscale",
-                         "--slo-p99-ms", "2.5"])
-        finally:
-            self._reset()
-        assert seen == {"duration": 0.01, "arrival": "bursty",
-                        "autoscale": True, "slo": 2.5}
+        calls = _record_calls(monkeypatch, "serve-million")
+        runner.main(["serve-million", "--duration", "0.01",
+                     "--arrival", "bursty", "--autoscale",
+                     "--slo-p99-ms", "2.5"])
+        assert calls == [{"duration_s": 0.01, "arrival": "bursty",
+                          "autoscale": True, "slo_p99_ms": 2.5}]
 
     def test_unknown_arrival_kind_is_rejected_by_argparse(self, monkeypatch,
                                                           capsys):
@@ -178,30 +238,26 @@ class TestServeMillionScenario:
         assert executed == []
         assert "invalid choice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--duration", "-1"],
+    @pytest.mark.parametrize("flags", [["--clusters", "0"],
+                                       ["--rps", "-1"],
+                                       ["--rps", "nan"],
+                                       ["--duration", "-1"],
                                        ["--duration", "0"],
-                                       ["--slo-p99-ms", "-2"]])
+                                       ["--duration", "inf"],
+                                       ["--slo-p99-ms", "-2"],
+                                       ["--slo-p99-ms", "0"],
+                                       ["--prefill", "-1"],
+                                       ["--decode-steps", "0"],
+                                       ["--batch-cap", "0"],
+                                       ["--clusters", "two"]])
     def test_invalid_traffic_values_abort_before_running(self, monkeypatch,
-                                                         flags):
-        executed = []
-        monkeypatch.setitem(runner.EXPERIMENTS, "serve-million",
-                            lambda: executed.append("ran"))
-        try:
-            with pytest.raises(SystemExit, match="error"):
-                runner.main(["serve-million"] + flags)
-        finally:
-            self._reset()
-        assert executed == []
-
-    def test_set_serve_million_defaults_validation(self):
-        from repro.experiments import serve
-
-        with pytest.raises(ValueError):
-            serve.set_serve_million_defaults(duration_s=0.0)
-        with pytest.raises(ValueError):
-            serve.set_serve_million_defaults(arrival="lunar")
-        with pytest.raises(ValueError):
-            serve.set_serve_million_defaults(slo_p99_ms=0.0)
+                                                         capsys, flags):
+        calls = _record_calls(monkeypatch, "serve-million")
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["serve-million"] + flags)
+        assert exit_info.value.code == 2
+        assert calls == []
+        assert f"argument {flags[0]}: must be" in capsys.readouterr().err
 
     def test_driver_honours_policies_end_to_end(self):
         """A short bursty window with autoscaling + SLO admission produces
@@ -227,34 +283,17 @@ class TestDseScenarios:
 
     def test_dse_export_flag_reaches_the_drivers(self, monkeypatch, tmp_path,
                                                  capsys):
-        from repro.experiments import dse
-
-        seen = {}
-
-        def fake_driver():
-            seen["export_dir"] = dse._EXPORT_DIR_OVERRIDE
-            return "stub"
-
-        monkeypatch.setitem(runner.EXPERIMENTS, "dse-memory", fake_driver)
+        calls = _record_calls(monkeypatch, "dse-memory")
         export_dir = tmp_path / "dse-out"
-        try:
-            runner.main(["dse-memory", "--dse-export", str(export_dir)])
-        finally:
-            dse.set_dse_defaults(None)
-        assert seen["export_dir"] == str(export_dir)
+        runner.main(["dse-memory", "--dse-export", str(export_dir)])
+        assert calls == [{"export_dir": str(export_dir)}]
 
     def test_dse_memory_exports_csv_and_json(self, tmp_path, capsys):
         from repro.experiments import dse
 
-        try:
-            dse.set_dse_defaults(export_dir=str(tmp_path / "out"))
-            report = dse.dse_memory()
-        finally:
-            dse.set_dse_defaults(None)
+        report = dse.dse_memory(export_dir=str(tmp_path / "out"))
         assert len(report.exported) == 2
         for path in report.exported:
-            import os
-
             assert os.path.exists(path)
         text = report.render()
         assert "fastest point per memory latency" in text
@@ -493,6 +532,22 @@ class TestObservabilityFlags:
         assert "hit_rate" in metrics["farm"]["cache"]
         reset_default_farms()
 
+    def test_metrics_out_records_the_run(self, tmp_path, capsys):
+        import json
+
+        from repro.farm import reset_default_farms
+
+        metrics_path = tmp_path / "metrics.json"
+        reset_default_farms()
+        try:
+            runner.main(["serve-decode", "--clusters", "2",
+                         "--metrics-out", str(metrics_path)])
+        finally:
+            reset_default_farms()
+        run = json.loads(metrics_path.read_text())["run"]
+        assert run == {"scenarios": ["serve-decode"],
+                       "options": {"clusters": 2}}
+
     def test_telemetry_uninstalled_when_an_experiment_fails(
             self, monkeypatch, tmp_path, capsys):
         from repro.obs import NULL_TELEMETRY, active
@@ -518,18 +573,20 @@ class TestObservabilityFlags:
 
 class TestScenarioRates:
     """An explicit rate always wins; the scenario's own default applies
-    only when no rate is given and no ``--rps`` override is set."""
+    only when no rate is given."""
 
     @pytest.mark.parametrize("scenario", ["serve_million", "serve_decode"])
     def test_explicit_default_valued_rate_is_honoured(self, scenario):
         from repro.experiments import serve
-        from repro.farm import SimulationFarm
+        from repro.farm import reset_default_farms
 
-        farm = SimulationFarm(backend="model")
         run = getattr(serve, scenario)
-        offered = {rps: run(duration_s=0.05, rps=rps, farm=farm).offered
-                   for rps in (199.0, serve.DEFAULT_RPS, 201.0)}
+        try:
+            offered = {rps: run(duration_s=0.05, rps=rps).offered
+                       for rps in (199.0, serve.DEFAULT_RPS, 201.0)}
+            # Without a rate the scenario runs at its own, far higher default.
+            scenario_rate = run(duration_s=0.005).offered / 0.005
+        finally:
+            reset_default_farms()
         assert offered[199.0] <= offered[serve.DEFAULT_RPS] <= offered[201.0]
-        # Without a rate the scenario runs at its own, far higher default.
-        scenario_rate = run(duration_s=0.005, farm=farm).offered / 0.005
         assert scenario_rate > 10 * offered[serve.DEFAULT_RPS] / 0.05

@@ -9,8 +9,6 @@ class TestGemmShape:
     def test_counting(self):
         shape = GemmShape(4, 8, 16, name="layer")
         assert shape.macs == 512
-        assert shape.flops == 1024
-        assert shape.operand_bytes == 2 * (32 + 128 + 64)
 
     def test_validation(self):
         with pytest.raises(ValueError):
